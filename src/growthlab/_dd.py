@@ -151,11 +151,6 @@ def ddc_mul(a, b):
     return (re, im)
 
 
-def ddc_mul_scalar(a, s):
-    """Multiply complex-dd array a by a complex-dd scalar s."""
-    return ddc_mul(a, s)
-
-
 def ddc_zeros(shape):
     z = np.zeros(shape)
     return ((z.copy(), z.copy()), (z.copy(), z.copy()))

@@ -57,42 +57,66 @@ class CoeffData:
     ph:    phase of a_n; the sentinel values 0, +-pi/2, +-pi (stored as the
            numpy constants) are treated as exact.
     rel_err_ln: ln of the relative error bound on the stored coefficients.
-    mp_factory: optional callable dps -> (logs, phases) regenerating the
-           coefficient data at arbitrary precision (mpmath lists).
+    mp_factory: optional callable dps -> list of mpc coefficient values at
+           dps digits (exact zeros as mpc(0)), regenerating the series at
+           arbitrary precision.  A derived series' factory reads its
+           parents only through their mp_logs, so it shares their caches.
+
+    The exact values are cached as one (dps, values) entry, which serves
+    every request at or below that dps; a deeper request replaces it.
     """
 
     lh: np.ndarray
     ll: np.ndarray
     ph: np.ndarray
     rel_err_ln: float
-    mp_factory: Optional[Callable[[int], tuple]] = None
-    _mp_cache: dict = field(default_factory=dict, repr=False)
+    mp_factory: Optional[Callable[[int], list]] = None
+    _mp_entry: Optional[tuple] = field(default=None, repr=False)
     _a_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_terms(self) -> int:
         return len(self.lh)
 
-    def mp_logs(self, dps: int):
-        """(logs, phases) as mpmath lists at >= dps precision."""
-        for d in sorted(self._mp_cache):
-            if d >= dps:
-                return self._mp_cache[d]
-        if self.mp_factory is not None:
-            pair = self.mp_factory(dps)
-        else:
-            with mp.workdps(dps + 10):
-                logs = [mp.mpf(h) + mp.mpf(l) for h, l in zip(self.lh, self.ll)]
-                phases = [mp.mpf(p) for p in self.ph]
-            pair = (logs, phases)
-        self._mp_cache[dps] = pair
-        return pair
+    def mp_logs(self, dps: int) -> list:
+        """Coefficient values as a list of mpc at >= dps digits.
+
+        The name predates the value format (it once returned log-polar
+        pairs).  Without a factory the values come from the stored
+        double-double logs.
+        """
+        if self._mp_entry is None or self._mp_entry[0] < dps:
+            if self.mp_factory is not None:
+                values = self.mp_factory(dps)
+            else:
+                with mp.workdps(dps + 10):
+                    logs = [mp.mpf(h) + mp.mpf(l)
+                            for h, l in zip(self.lh, self.ll)]
+                    phases = [mp.mpf(p) for p in self.ph]
+                values = logs_to_values(logs, phases, dps)
+            self._mp_entry = (dps, values)
+        return self._mp_entry[1]
 
     def data_floor_ln(self, dps: Optional[int] = None) -> float:
         """Best achievable relative accuracy of the stored coefficients."""
         if dps is not None and self.mp_factory is not None:
             return -0.95 * dps * math.log(10)
         return self.rel_err_ln
+
+
+def logs_to_values(logs, phases, dps: int) -> list:
+    """exp(L + i p) per (ln|a_n|, arg a_n) pair at dps digits; L = -inf
+    gives an exact zero."""
+    with mp.workdps(dps):
+        return [mp.exp(mp.mpc(L, p)) if mp.isfinite(L) else mp.mpc(0)
+                for L, p in zip(logs, phases)]
+
+
+def _floor_ln(log_mu: float, eps_ln: float, data_ln: float,
+              width: int) -> float:
+    """Noise floor of a band sum of `width` terms: the larger of the
+    arithmetic and data errors, times 3 width, relative to mu(r)."""
+    return log_mu + max(eps_ln, data_ln) + math.log(3.0 * width)
 
 
 @dataclass
@@ -182,19 +206,6 @@ def _terms_dd(coeff: CoeffData, log_r: float):
     re = (mag[0] * cr, mag[1] * cr)
     im = (mag[0] * ci, mag[1] * ci)
     return lo, hi, log_mu, (re, im)
-
-
-def _cis_power_dd(x, k):
-    """x^k for a complex-dd scalar by square-and-multiply."""
-    acc = ((np.float64(1.0), np.float64(0.0)), (np.float64(0.0), np.float64(0.0)))
-    base = x
-    while k:
-        if k & 1:
-            acc = _dd.ddc_mul(acc, base)
-        k >>= 1
-        if k:
-            base = _dd.ddc_mul(base, base)
-    return acc
 
 
 def _cis_dd_of(thetas):
@@ -296,7 +307,7 @@ def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
         lo, hi, log_mu, t = _terms_d(coeff, log_r)
         x = np.exp(1j * thetas)
         val = _poly_at_points_d(t, x) * x ** lo
-        floor = log_mu + max(_EPS_LN["d"], coeff.rel_err_ln) + math.log(3.0 * (hi - lo))
+        floor = _floor_ln(log_mu, _EPS_LN["d"], coeff.rel_err_ln, hi - lo)
         with np.errstate(divide="ignore"):
             logabs = np.where(val != 0, log_mu + np.log(np.abs(val)), -np.inf)
         return EvalResult(logabs, np.angle(val), floor, log_mu, "d")
@@ -309,7 +320,7 @@ def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
             xlo = _ddc_pow_points(x, lo)
             val = _dd.ddc_mul(val, xlo)
         abs2 = _dd.ddc_abs2(val)[0]
-        floor = log_mu + max(_EPS_LN["dd"], coeff.rel_err_ln) + math.log(3.0 * (hi - lo))
+        floor = _floor_ln(log_mu, _EPS_LN["dd"], coeff.rel_err_ln, hi - lo)
         return _finish(val[0][0], val[1][0], abs2, log_mu, floor, "dd")
 
     if level == "mp":
@@ -363,11 +374,11 @@ def _fixed_cis(k: int, theta: float, bits: int):
     return _to_fixed(c, bits), _to_fixed(s, bits)
 
 
-def _fixed_band(coeff: CoeffData, mp_data, log_r: float, dps: int, lo: int,
+def _fixed_band(coeff: CoeffData, values, log_r: float, dps: int, lo: int,
                 hi: int, log_mu: float):
     """(P, last, [(gap, re, im), ...]) for the band's nonzero terms.
 
-    The terms t_n = a_n r^n / mu(r), from mp_data = coeff.mp_logs(dps), are
+    The terms t_n = a_n r^n / mu(r), from values = coeff.mp_logs(dps), are
     rounded to integers at scale 2^P, highest n first; `gap` is the index
     distance to the previous nonzero term (0 for the first), `last` the
     lowest nonzero index.  The single entry of coeff._a_cache holds the
@@ -377,7 +388,6 @@ def _fixed_band(coeff: CoeffData, mp_data, log_r: float, dps: int, lo: int,
     cached = coeff._a_cache.get(key)
     if cached is not None:
         return cached
-    logs, phases = mp_data
     bits = _fixed_bits(dps, hi - lo)
     band = []
     prev = None
@@ -387,7 +397,7 @@ def _fixed_band(coeff: CoeffData, mp_data, log_r: float, dps: int, lo: int,
         for n in range(hi - 1, lo - 1, -1):
             if not math.isfinite(coeff.lh[n]):
                 continue
-            t = mp.exp(mp.mpc(logs[n] + n * lr - lmu, phases[n]))
+            t = values[n] * mp.exp(n * lr - lmu)
             band.append((0 if prev is None else prev - n,
                          _to_fixed(t.real._mpf_, bits),
                          _to_fixed(t.imag._mpf_, bits)))
@@ -442,7 +452,7 @@ def _eval_points_mp(coeff: CoeffData, log_r: float, thetas, dps: int) -> EvalRes
     modulus comes from acc itself; the phase from acc times the fixed-point
     cis of the lowest nonzero index times theta.
     """
-    mp_data = coeff.mp_logs(dps)
+    values = coeff.mp_logs(dps)
     n_all = np.arange(coeff.n_terms, dtype=float)
     x = coeff.lh + n_all * log_r
     finite = np.isfinite(x)
@@ -451,7 +461,7 @@ def _eval_points_mp(coeff: CoeffData, log_r: float, thetas, dps: int) -> EvalRes
     keep = finite & (x >= log_mu - cut)
     idx = np.nonzero(keep)[0]
     lo, hi = int(idx[0]), int(idx[-1]) + 1
-    bits, last, band = _fixed_band(coeff, mp_data, log_r, dps, lo, hi,
+    bits, last, band = _fixed_band(coeff, values, log_r, dps, lo, hi,
                                    log_mu)
 
     m = len(thetas)
@@ -469,8 +479,8 @@ def _eval_points_mp(coeff: CoeffData, log_r: float, thetas, dps: int) -> EvalRes
                 vr, vi = vr * cr - vi * ci, vr * ci + vi * cr
             s = max(0, max(abs(vr), abs(vi)).bit_length() - 64)
             phase[j] = math.atan2(float(vi >> s), float(vr >> s))
-    floor = log_mu + max(-0.95 * dps * math.log(10),
-                         coeff.data_floor_ln(dps)) + math.log(3.0 * (hi - lo))
+    floor = _floor_ln(log_mu, -0.95 * dps * math.log(10),
+                      coeff.data_floor_ln(dps), hi - lo)
     return EvalResult(logabs, phase, floor, log_mu, "mp")
 
 
@@ -491,7 +501,7 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
         folded = np.zeros(m, dtype=complex)
         np.add.at(folded, n % m, t)
         val = m * np.fft.ifft(folded)
-        floor = log_mu + max(_EPS_LN["d"], coeff.rel_err_ln) + math.log(3.0 * (hi - lo))
+        floor = _floor_ln(log_mu, _EPS_LN["d"], coeff.rel_err_ln, hi - lo)
         with np.errstate(divide="ignore"):
             logabs = np.where(val != 0, log_mu + np.log(np.abs(val)), -np.inf)
         return EvalResult(logabs, np.angle(val), floor, log_mu, "d")
@@ -510,7 +520,7 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
         if lo:
             val = _dd.ddc_mul(val, _ddc_pow_points(x, lo))
         abs2 = _dd.ddc_abs2(val)[0]
-        floor = log_mu + max(_EPS_LN["dd"], coeff.rel_err_ln) + math.log(3.0 * (hi - lo))
+        floor = _floor_ln(log_mu, _EPS_LN["dd"], coeff.rel_err_ln, hi - lo)
         return _finish(val[0][0], val[1][0], abs2, log_mu, floor, "dd")
     return eval_points(coeff, log_r, thetas, level=level, dps=dps)
 
@@ -524,7 +534,7 @@ def _powers_from_step_dd(step, m):
     while filled < m:
         take = min(filled, m - filled)
         blk = ((re_h[:take], re_l[:take]), (im_h[:take], im_l[:take]))
-        mult = _cis_power_dd(step, filled)
+        mult = _ddc_pow_points(step, filled)
         prod = _dd.ddc_mul(blk, mult)
         re_h[filled:filled + take] = prod[0][0]
         re_l[filled:filled + take] = prod[0][1]

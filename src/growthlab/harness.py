@@ -752,9 +752,10 @@ def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
 def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
                           g_series: ps.PowerSeries, radii, dps_budget: int,
                           n_hint: int):
-    """Counting data for f - g with f re-marched at the precision the
-    deepest radius requires (double-marched coefficients carry ~1e-11
-    relative error, far too coarse for winding at these depths)."""
+    """Counting data for f - g with f re-marched in mpmath once, at the
+    depth nevanlinna.winding_dps gives for the top radius, so every count
+    up to it reads the cached march (double-marched coefficients carry
+    ~1e-11 relative error, far too coarse for winding at these depths)."""
     r_top = max(radii)
     n = n_hint
     while True:
@@ -765,14 +766,9 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
             break
         n *= 2
     h_probe = ps.combine(probe, g_series, "sub")
-    dps = _evalcore.dps_for_floor(h_probe.coeff, math.log(r_top),
-                                  math.log(r_top) - 45.0)
-    if dps > dps_budget:
-        raise nev.PrecisionBudgetError(
-            f"oscillation counts need ~{dps} digits (budget {dps_budget})")
+    dps = nev.winding_dps(h_probe.coeff, math.log(r_top), dps_budget)
     sol_mp = ode.solve_series(eq, init, n, dps=dps)
     h = ps.combine(sol_mp, g_series, "sub")
-    h.coeff.mp_logs(dps)
     return nev.count_zeros_grid(h, radii, zero_margin="auto",
                                 dps_budget=dps_budget)
 

@@ -32,8 +32,8 @@ from .series import PowerSeries, max_term, valuation
 
 __all__ = ["CountingData", "RetryPerturbedRadius", "PrecisionBudgetError",
            "proximity", "proximity_detailed", "characteristic_entire",
-           "zero_count", "count_zeros_grid", "integrated_count",
-           "proximity_of_ratio"]
+           "zero_count", "winding_dps", "count_zeros_grid",
+           "integrated_count", "proximity_of_ratio"]
 
 _TRUST_GUARD = 14.0  # nats above the floor a value must sit to be believed
 
@@ -243,6 +243,20 @@ def _wrap_phase(d: np.ndarray) -> np.ndarray:
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def winding_dps(coeff: _evalcore.CoeffData, log_r: float,
+                dps_budget: int) -> int:
+    """Digits the mp winding on |z| = e^{log_r} needs: enough to put the
+    noise floor 45 nats below min(1, r).  Raises PrecisionBudgetError past
+    dps_budget.  Choosing an ODE solution's march depth by the same rule
+    lets one mp march serve every count up to that radius."""
+    dps = _evalcore.dps_for_floor(coeff, log_r, min(0.0, log_r) - 45.0)
+    if dps > dps_budget:
+        raise PrecisionBudgetError(
+            f"winding at ln r = {log_r:.4g} needs ~{dps} digits, "
+            f"budget is {dps_budget}")
+    return dps
+
+
 def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
                n_angles_start: Optional[int] = None,
                max_points: int = 1 << 18, dps_budget: int = 600) -> int:
@@ -270,12 +284,7 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
     for level in ("dd", "mp"):
         dps = None
         if level == "mp":
-            target = min(0.0, log_r) - 45.0
-            dps = _evalcore.dps_for_floor(coeff, log_r, target)
-            if dps > dps_budget:
-                raise PrecisionBudgetError(
-                    f"winding at ln r = {log_r:.4g} needs ~{dps} digits, "
-                    f"budget is {dps_budget}")
+            dps = winding_dps(coeff, log_r, dps_budget)
             # expensive per point: start coarse, let refinement concentrate
             m_start = n_angles_start or 512
         else:
@@ -356,7 +365,10 @@ def count_zeros_grid(f: PowerSeries, radii: Sequence[float],
                      max_retries: int = 3, dps_budget: int = 600) -> CountingData:
     """Counts over a radius grid, applying the perturbed-radius retry rule.
 
-    The returned data records the radii actually used (after perturbation).
+    A radius r that raises RetryPerturbedRadius is retried at r(1 + s),
+    r(1 - s), r(1 + 2s), r(1 - 2s), ... with s = retry_step, up to
+    max_retries times.  The returned data records the radii actually used
+    (after perturbation).
     """
     used, counts = [], []
     m0 = valuation(f)
@@ -369,11 +381,12 @@ def count_zeros_grid(f: PowerSeries, radii: Sequence[float],
                 used.append(math.exp(log_r))
                 counts.append(n)
                 break
-            except RetryPerturbedRadius as err:
+            except RetryPerturbedRadius:
                 if attempt == max_retries:
                     raise
-                log_r = err.suggested_log_radii[attempt % 2] + \
-                    attempt * math.log1p(retry_step)
+                step = (attempt // 2 + 1) * retry_step
+                log_r = math.log(r) + math.log1p(-step if attempt % 2
+                                                 else step)
     return CountingData(tuple(used), tuple(counts), m0)
 
 

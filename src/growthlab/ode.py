@@ -79,8 +79,9 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
     """March the coefficient recurrence out to n_terms.
 
     dps switches to the mpmath march (same recurrence, arbitrary
-    precision); the result then carries an exact regeneration hook so deep
-    evaluation can ask for still more digits later.
+    precision), whose values seed the result's mp cache.  Either way the
+    result carries the mpmath march as its regeneration hook, so deep
+    evaluation can ask for more digits later.
     """
     if n_terms <= eq.k:
         raise ValueError("n_terms must exceed the equation order")
@@ -88,8 +89,27 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
         raise ValueError(f"initial data must have length k = {eq.k}")
     if eq.homogeneous and all(v == 0 for v in init.values):
         raise ValueError("zero initial data makes the trivial solution")
+
+    def factory(dps_req):
+        return _solve_series_mp(eq, init, n_terms, dps_req)
+
     if dps is not None:
-        return _solve_series_mp(eq, init, n_terms, dps)
+        values = _solve_series_mp(eq, init, n_terms, dps)
+        lh = np.full(n_terms, -np.inf)
+        ll = np.zeros(n_terms)
+        ph = np.zeros(n_terms)
+        with mp.workdps(dps):
+            for i, v in enumerate(values):
+                if v == 0:
+                    continue
+                L = mp.log(abs(v))
+                hi = float(L)
+                lh[i], ll[i] = hi, float(L - hi)
+                ph[i] = float(mp.atan2(v.imag, v.real))
+        out = ps.make_series(lh, ll, ph, math.log(3e-16), "ode solution",
+                             mp_factory=factory)
+        out.coeff._mp_entry = (dps, values)
+        return out
 
     k = eq.k
     n_steps = n_terms - k
@@ -154,10 +174,6 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
         lc[n + k] = lmax + math.log(abs(num)) - g_k
         pc[n + k] = math.atan2(num.imag, num.real)
 
-    def factory(dps_req, _eq=eq, _init=init, _n=n_terms):
-        sol = _solve_series_mp(_eq, _init, _n, dps_req)
-        return sol.coeff.mp_logs(dps_req)
-
     # observed drift of the log-space march is ~n * 5e-13 at worst
     out = ps.make_series(lc, np.zeros(n_terms), pc,
                          math.log(max(64.0, n_terms) * 2e-12),
@@ -166,20 +182,15 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
 
 
 def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
-                     dps: int) -> ps.PowerSeries:
+                     dps: int) -> list:
+    """The recurrence marched in mpmath at dps digits: the solution's
+    coefficients as a list of mpc (exact zeros as mpc(0))."""
     k = eq.k
     with mp.workdps(dps):
-        a_vals = []
-        for a in eq.coeffs:
-            logs, phases = a.coeff.mp_logs(dps)
-            a_vals.append([mp.exp(mp.mpc(L, p)) if L != mp.mpf("-inf")
-                           else mp.mpc(0) for L, p in zip(logs, phases)])
-        if eq.rhs is not None:
-            logs, phases = eq.rhs.coeff.mp_logs(dps)
-            f_vals = [mp.exp(mp.mpc(L, p)) if L != mp.mpf("-inf")
-                      else mp.mpc(0) for L, p in zip(logs, phases)]
-        else:
-            f_vals = None
+        # each coefficient's nonzero terms (m, a_m), listed once per march
+        a_nz = [[(m, v) for m, v in enumerate(a.coeff.mp_logs(dps)) if v != 0]
+                for a in eq.coeffs]
+        f_vals = eq.rhs.coeff.mp_logs(dps) if eq.rhs is not None else None
         c = [mp.mpc(0)] * n_terms
         fact = mp.mpf(1)
         for i, v in enumerate(init.values):
@@ -189,18 +200,13 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
         for n in range(n_terms - k):
             s = mp.mpc(0)
             for j in range(k):
-                av = a_vals[j]
-                mn = min(n, len(av) - 1)
-                for m in range(mn + 1):
-                    if av[m] == 0:
-                        continue
-                    cv = c[n - m + j]
-                    if cv == 0:
-                        continue
+                for m, av in a_nz[j]:
+                    if m > n:
+                        break
                     ratio = 1
                     for t in range(1, j + 1):
                         ratio *= (n - m + t)
-                    s += av[m] * cv * ratio
+                    s += av * c[n - m + j] * ratio
             num = -s
             if f_vals is not None and n < len(f_vals):
                 num += f_vals[n]
@@ -208,32 +214,7 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
             for t in range(1, k + 1):
                 ratio *= (n + t)
             c[n + k] = num / ratio
-        lh = np.full(n_terms, -np.inf)
-        ll = np.zeros(n_terms)
-        ph = np.zeros(n_terms)
-        logs_out, ph_out = [], []
-        for i, v in enumerate(c):
-            if v == 0:
-                logs_out.append(mp.mpf("-inf"))
-                ph_out.append(mp.mpf(0))
-                continue
-            L = mp.log(abs(v))
-            P = mp.atan2(v.imag, v.real)
-            logs_out.append(L)
-            ph_out.append(P)
-            hi = float(L)
-            lh[i], ll[i] = hi, float(L - hi)
-            ph[i] = float(P)
-
-    def factory(dps_req, _eq=eq, _init=init, _n=n_terms, _have=dps,
-                _pair=(logs_out, ph_out)):
-        if dps_req <= _have:
-            return _pair
-        sol = _solve_series_mp(_eq, _init, _n, dps_req)
-        return sol.coeff.mp_logs(dps_req)
-
-    return ps.make_series(lh, ll, ph, math.log(3e-16), "ode solution",
-                          mp_factory=factory)
+    return c
 
 
 def fundamental_system(eq: LinearODE, n_terms: int,

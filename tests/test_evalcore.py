@@ -16,11 +16,11 @@ def direct_sum(coeff, log_r, thetas, dps, log_mu):
     Uses the same coefficient data the kernel reads (mp_logs(dps)), so any
     difference is the kernel's arithmetic and band cut, not the data.
     """
-    logs, phases = coeff.mp_logs(dps)
+    values = coeff.mp_logs(dps)
     with mp.workdps(dps + 40):
         lr = mp.mpf(log_r)
         lmu = mp.mpf(log_mu)
-        terms = [mp.exp(mp.mpc(logs[n] + n * lr - lmu, phases[n]))
+        terms = [values[n] * mp.exp(n * lr - lmu)
                  if math.isfinite(coeff.lh[n]) else mp.mpc(0)
                  for n in range(coeff.n_terms)]
         out = []

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from growthlab import cli, harness
+from growthlab import cli, harness, ode
+from growthlab import series as ps
 from growthlab.harness import ConfigError
 
 
@@ -109,6 +110,12 @@ class TestReports:
         assert not any("wrapped_mu" in c.name for c in rep.checks)
         assert not any("lambda" in c.name for c in rep.checks)
 
+    @pytest.mark.parametrize("name", ["theorem_dominant_first_order",
+                                      "log_derivative_exp_exp"])
+    def test_shipped_experiment_passes(self, name):
+        assert harness.run_config(harness.shipped_config(name)).verdict \
+            == "pass"
+
     def test_shipped_configs_parse(self):
         for name in harness.shipped_names():
             cfg = harness.shipped_config(name)
@@ -176,3 +183,29 @@ class TestOverrides:
         doc = json.loads((tmp_path / "rep" / "t_analyze.report.json")
                          .read_text())
         assert doc["config"]["seed"] == 99
+
+
+class TestSolutionZeroCounts:
+    def test_each_solution_is_marched_once(self, monkeypatch):
+        """Counting the zeros of f - z for f'' + e^z f = 0 up to r = 5.6
+        marches f in mpmath exactly once.
+
+        At this radius a march at the depth chosen for ln r - 45 is one
+        digit short of what the winding at min(0, ln r) - 45 asks for, so
+        choosing the two depths by different rules marches twice.
+        """
+        marches = []
+        march = ode._solve_series_mp
+
+        def counted(eq, init, n_terms, dps):
+            marches.append((n_terms, dps))
+            return march(eq, init, n_terms, dps)
+
+        monkeypatch.setattr(ode, "_solve_series_mp", counted)
+        eq = ode.LinearODE(2, (ps.builtin("exp", 60),
+                               ps.builtin("poly", coeffs=[0.0])))
+        data = harness._count_solution_zeros(
+            eq, ode.InitialData((1.0, 0.0)),
+            ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 400, 64)
+        assert data.counts == (11,)
+        assert len(marches) == 1

@@ -100,6 +100,23 @@ class TestZeroCount:
         assert data.counts == (0, 3, 3) or data.counts == (0, 0, 3)
         assert data.count_at_zero == 0
 
+    def test_count_grid_retries_around_nominal_radius(self, monkeypatch):
+        f = series.builtin("poly", coeffs=[-1.0, 0.0, 0.0, 1.0])
+        tried = []
+
+        def flaky(f, log_r, **kw):
+            tried.append(log_r)
+            if len(tried) < 3:
+                raise nev.RetryPerturbedRadius(log_r)
+            return 3
+
+        monkeypatch.setattr(nev, "zero_count", flaky)
+        data = nev.count_zeros_grid(f, [2.0], retry_step=2e-3)
+        ln2 = math.log(2.0)
+        assert tried == [ln2, ln2 + math.log1p(2e-3), ln2 + math.log1p(-2e-3)]
+        assert data.radii == (math.exp(tried[-1]),)
+        assert data.counts == (3,)
+
     def test_counts_monotone_over_grid(self):
         f = series.builtin("sin", 300)
         data = nev.count_zeros_grid(f, np.geomspace(2.0, 30.0, 10))

@@ -42,6 +42,12 @@ class TestBuiltins:
             want = e * b / math.factorial(n)
             assert coeff_value(f, n) == pytest.approx(want, rel=1e-14)
 
+    def test_bell_numbers_match_binomial_recurrence(self):
+        bell = [1]
+        for m in range(59):
+            bell.append(sum(math.comb(m, k) * b for k, b in enumerate(bell)))
+        assert series._bell_numbers(60) == tuple(bell)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             series.builtin("gamma", 10)
@@ -260,6 +266,97 @@ class TestCombine:
         for n in range(30):
             assert coeff_value(g, n) == pytest.approx(
                 2.0 ** n / math.factorial(n), rel=1e-12)
+
+
+class TestExactValues:
+    """mp_logs(dps) of derived series against mpmath sums of the parents'
+    exact coefficients, to 10^-(dps-5) of the summands' magnitudes."""
+
+    DPS = 40
+
+    @staticmethod
+    def exact(name, n):
+        with mp.workdps(TestExactValues.DPS + 20):
+            inv = [1 / mp.factorial(k) for k in range(n)]
+            if name == "exp":
+                return [mp.mpc(v) for v in inv]
+            # cos
+            return [mp.mpc(0) if k % 2 else mp.mpc((-1) ** (k // 2) * v)
+                    for k, v in enumerate(inv)]
+
+    def check(self, f, want, scale=None):
+        got = f.coeff.mp_logs(self.DPS)
+        assert len(got) == len(want) == f.n_terms
+        tol = mp.mpf(10) ** -(self.DPS - 5)
+        with mp.workdps(self.DPS + 20):
+            for i, (g, w) in enumerate(zip(got, want)):
+                ref = abs(w) if scale is None else scale[i]
+                assert abs(g - w) <= tol * ref, (i, g, w)
+
+    def test_derivative(self):
+        e = self.exact("exp", 60)
+        with mp.workdps(self.DPS + 20):
+            want = [(i + 1) * e[i + 1] for i in range(59)]
+        self.check(series.derivative(series.builtin("exp", 60)), want)
+
+    def test_scale_argument(self):
+        c = mp.mpc(0.5, -1.5)
+        cos = self.exact("cos", 60)
+        with mp.workdps(self.DPS + 20):
+            want = [v * c ** i for i, v in enumerate(cos)]
+        self.check(series.scale_argument(series.builtin("cos", 60),
+                                         complex(c)), want)
+
+    @pytest.mark.parametrize("op", ["add", "sub", "cauchy_product"])
+    def test_combine(self, op):
+        a, b = self.exact("exp", 60), self.exact("cos", 45)
+        h = series.combine(series.builtin("exp", 60),
+                           series.builtin("cos", 45), op)
+        with mp.workdps(self.DPS + 20):
+            if op == "cauchy_product":
+                terms = [[a[k] * b[i - k] for k in range(i + 1)]
+                         for i in range(45)]
+            else:
+                sign = -1 if op == "sub" else 1
+                terms = [[a[i], sign * (b[i] if i < 45 else 0)]
+                         for i in range(60)]
+            want = [mp.fsum(t) for t in terms]
+            scale = [mp.fsum(abs(x) for x in t) for t in terms]
+        self.check(h, want, scale)
+
+    def test_poly_values_are_exact(self):
+        cs = [1.0, -2.5j, 0.0, 3 + 4j]
+        got = series.builtin("poly", coeffs=cs).coeff.mp_logs(self.DPS)
+        assert got == [mp.mpc(c) for c in cs]
+
+    def test_ode_solution(self):
+        from growthlab import ode
+        e = self.exact("exp", 80)
+        eq = ode.LinearODE(2, (series.builtin("exp", 80),
+                               series.builtin("poly", coeffs=[0.0])))
+        init = (0.3 + 0.1j, -0.7)
+        sol = ode.solve_series(eq, ode.InitialData(init), 80)
+        # f'' + e^z f = 0: c_{n+2} (n+1)(n+2) = -sum_m e_m c_{n-m}
+        with mp.workdps(self.DPS + 20):
+            c = [mp.mpc(init[0]), mp.mpc(init[1])]
+            for n in range(78):
+                s = mp.fsum(e[m] * c[n - m] for m in range(n + 1))
+                c.append(-s / ((n + 1) * (n + 2)))
+        self.check(sol, c)
+
+    def test_one_cache_entry_serves_lower_dps(self):
+        f = series.builtin("poly", coeffs=[1.0, 2.0, 3.0])
+        calls = []
+        factory = f.coeff.mp_factory
+        f.coeff.mp_factory = lambda dps: calls.append(dps) or factory(dps)
+        vals = f.coeff.mp_logs(50)
+        assert f.coeff.mp_logs(30) is vals
+        # derived series read their parent through the same cache
+        series.derivative(f).coeff.mp_logs(45)
+        series.scale_argument(f, 2.0).coeff.mp_logs(50)
+        assert calls == [50]
+        f.coeff.mp_logs(60)
+        assert calls == [50, 60]
 
 
 class TestCertifiedRadius:
