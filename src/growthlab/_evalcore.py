@@ -176,15 +176,20 @@ def _coeff_cis(ph: np.ndarray):
     return cr, ci
 
 
+def _rescaled(ldiff: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """exp(ldiff + i ph) as complex128, exact on the pi/2 phase grid."""
+    with np.errstate(under="ignore"):
+        mag = np.exp(ldiff)
+    cr, ci = _coeff_cis(ph)
+    return mag * cr + 1j * (mag * ci)
+
+
 def _terms_d(coeff: CoeffData, log_r: float):
     """Rescaled coefficients t_n = a_n r^n / mu(r) as complex128 on a band."""
     lo, hi, log_mu = _band(coeff, log_r, _BAND_CUT["d"])
     n = np.arange(lo, hi, dtype=float)
-    ldiff = coeff.lh[lo:hi] + n * log_r - log_mu
-    with np.errstate(under="ignore"):
-        mag = np.exp(ldiff)
-    cr, ci = _coeff_cis(coeff.ph[lo:hi])
-    return lo, hi, log_mu, (mag * cr) + 1j * (mag * ci)
+    return lo, hi, log_mu, _rescaled(coeff.lh[lo:hi] + n * log_r - log_mu,
+                                     coeff.ph[lo:hi])
 
 
 def _terms_dd(coeff: CoeffData, log_r: float):
@@ -290,44 +295,44 @@ def _unit_powers_dd_list(x, count):
     return out
 
 
-def _finish(value_re_h, value_im_h, abs2_dd, log_mu, floor_ln, level):
+def _result_d(coeff: CoeffData, val: np.ndarray, lo: int, hi: int,
+              log_mu: float) -> EvalResult:
+    """EvalResult of band sums val = f / mu(r) computed in complex128."""
+    floor = _floor_ln(log_mu, _EPS_LN["d"], coeff.rel_err_ln, hi - lo)
+    with np.errstate(divide="ignore"):
+        logabs = np.where(val != 0, log_mu + np.log(np.abs(val)), -np.inf)
+    return EvalResult(logabs, np.angle(val), floor, log_mu, "d")
+
+
+def _eval_dd(coeff: CoeffData, log_r: float, x) -> EvalResult:
+    """Double-double evaluation at the unit points x (complex-dd arrays)."""
+    lo, hi, log_mu, t = _terms_dd(coeff, log_r)
+    val = _poly_at_points_dd(t, x, hi - lo)
+    if lo:
+        val = _dd.ddc_mul(val, _ddc_pow_points(x, lo))
     with np.errstate(divide="ignore", invalid="ignore"):
-        logabs = log_mu + 0.5 * np.log(abs2_dd)
+        logabs = log_mu + 0.5 * np.log(_dd.ddc_abs2(val)[0])
     logabs = np.where(np.isfinite(logabs), logabs, -np.inf)
-    phase = np.arctan2(value_im_h, value_re_h)
-    return EvalResult(logabs, phase, floor_ln, log_mu, level)
+    floor = _floor_ln(log_mu, _EPS_LN["dd"], coeff.rel_err_ln, hi - lo)
+    return EvalResult(logabs, np.arctan2(val[1][0], val[0][0]), floor,
+                      log_mu, "dd")
 
 
 def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
-                level: str = "dd", dps: Optional[int] = None,
-                _cis_seed=None) -> EvalResult:
+                level: str = "dd", dps: Optional[int] = None) -> EvalResult:
     """Evaluate ln|f|, arg f at arbitrary angles on |z| = e^{log_r}."""
     thetas = np.asarray(thetas, dtype=float)
     if level == "d":
         lo, hi, log_mu, t = _terms_d(coeff, log_r)
         x = np.exp(1j * thetas)
-        val = _poly_at_points_d(t, x) * x ** lo
-        floor = _floor_ln(log_mu, _EPS_LN["d"], coeff.rel_err_ln, hi - lo)
-        with np.errstate(divide="ignore"):
-            logabs = np.where(val != 0, log_mu + np.log(np.abs(val)), -np.inf)
-        return EvalResult(logabs, np.angle(val), floor, log_mu, "d")
-
+        return _result_d(coeff, _poly_at_points_d(t, x) * x ** lo, lo, hi,
+                         log_mu)
     if level == "dd":
-        lo, hi, log_mu, t = _terms_dd(coeff, log_r)
-        x = _cis_seed if _cis_seed is not None else _cis_dd_of(thetas)
-        val = _poly_at_points_dd(t, x, hi - lo)
-        if lo:
-            xlo = _ddc_pow_points(x, lo)
-            val = _dd.ddc_mul(val, xlo)
-        abs2 = _dd.ddc_abs2(val)[0]
-        floor = _floor_ln(log_mu, _EPS_LN["dd"], coeff.rel_err_ln, hi - lo)
-        return _finish(val[0][0], val[1][0], abs2, log_mu, floor, "dd")
-
+        return _eval_dd(coeff, log_r, _cis_dd_of(thetas))
     if level == "mp":
         if dps is None:
             raise ValueError("mp evaluation needs an explicit dps")
         return _eval_points_mp(coeff, log_r, thetas, dps)
-
     raise ValueError(f"unknown level {level!r}")
 
 
@@ -453,14 +458,7 @@ def _eval_points_mp(coeff: CoeffData, log_r: float, thetas, dps: int) -> EvalRes
     cis of the lowest nonzero index times theta.
     """
     values = coeff.mp_logs(dps)
-    n_all = np.arange(coeff.n_terms, dtype=float)
-    x = coeff.lh + n_all * log_r
-    finite = np.isfinite(x)
-    log_mu = float(np.max(x[finite]))
-    cut = dps * math.log(10) + 40.0
-    keep = finite & (x >= log_mu - cut)
-    idx = np.nonzero(keep)[0]
-    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    lo, hi, log_mu = _band(coeff, log_r, dps * math.log(10) + 40.0)
     bits, last, band = _fixed_band(coeff, values, log_r, dps, lo, hi,
                                    log_mu)
 
@@ -500,28 +498,17 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
         # fold indices modulo m (exact evaluation of the trig sum by FFT)
         folded = np.zeros(m, dtype=complex)
         np.add.at(folded, n % m, t)
-        val = m * np.fft.ifft(folded)
-        floor = _floor_ln(log_mu, _EPS_LN["d"], coeff.rel_err_ln, hi - lo)
-        with np.errstate(divide="ignore"):
-            logabs = np.where(val != 0, log_mu + np.log(np.abs(val)), -np.inf)
-        return EvalResult(logabs, np.angle(val), floor, log_mu, "d")
-
-    thetas = (2.0 * np.pi) * (np.arange(m) + (0.5 if offset else 0.0)) / m
+        return _result_d(coeff, m * np.fft.ifft(folded), lo, hi, log_mu)
     if level == "dd":
         # equispaced: seed the point set from one accurately-computed root
-        lo, hi, log_mu, t = _terms_dd(coeff, log_r)
         seed = _cis_dd_of(np.array([2.0 * np.pi / m, np.pi / m if offset else 0.0]))
         step = ((seed[0][0][0], seed[0][1][0]), (seed[1][0][0], seed[1][1][0]))
         x = _powers_from_step_dd(step, m)
         if offset:
             off = ((seed[0][0][1], seed[0][1][1]), (seed[1][0][1], seed[1][1][1]))
             x = _dd.ddc_mul(x, off)
-        val = _poly_at_points_dd(t, x, hi - lo)
-        if lo:
-            val = _dd.ddc_mul(val, _ddc_pow_points(x, lo))
-        abs2 = _dd.ddc_abs2(val)[0]
-        floor = _floor_ln(log_mu, _EPS_LN["dd"], coeff.rel_err_ln, hi - lo)
-        return _finish(val[0][0], val[1][0], abs2, log_mu, floor, "dd")
+        return _eval_dd(coeff, log_r, x)
+    thetas = (2.0 * np.pi) * (np.arange(m) + (0.5 if offset else 0.0)) / m
     return eval_points(coeff, log_r, thetas, level=level, dps=dps)
 
 
@@ -544,9 +531,11 @@ def _powers_from_step_dd(step, m):
     return ((re_h, re_l), (im_h, im_l))
 
 
-def dps_for_floor(coeff: CoeffData, log_r: float, target_ln: float,
-                  guard: float = 25.0) -> int:
+_DPS_GUARD = 25.0  # nats of slack between the mp floor and the target
+
+
+def dps_for_floor(coeff: CoeffData, log_r: float, target_ln: float) -> int:
     """dps needed so the mp noise floor sits below target_ln (in ln units)."""
     log_mu, _ = log_max_term(coeff, log_r)
-    need = log_mu + math.log(3.0 * coeff.n_terms) + guard - target_ln
+    need = log_mu + math.log(3.0 * coeff.n_terms) + _DPS_GUARD - target_ln
     return max(30, int(math.ceil(need / math.log(10))) + 5)

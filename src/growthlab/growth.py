@@ -249,6 +249,12 @@ def _classify_trend(ratios: np.ndarray) -> str:
     return "oscillating"
 
 
+def _beta_log_gamma(t: ScaleTriple, radii: np.ndarray) -> np.ndarray:
+    """beta(log gamma(r)), the denominator scale of every estimator."""
+    return eval_scale(t.beta, np.log(np.maximum(eval_scale(t.gamma, radii),
+                                                1e-300)))
+
+
 def _tail_slope_estimate(beta_vals: np.ndarray, alpha_vals: np.ndarray,
                          radii: np.ndarray, mode: str,
                          tail_fraction: float) -> OrderEstimate:
@@ -288,8 +294,7 @@ def estimate_order(s: GrowthSample, t: ScaleTriple, mode: str,
     upper >= lower always holds for estimates from the same sample.
     """
     alpha_vals = eval_scale(t.alpha, s.values)
-    beta_vals = eval_scale(t.beta, np.log(np.maximum(
-        eval_scale(t.gamma, s.radii), 1e-300)))
+    beta_vals = _beta_log_gamma(t, s.radii)
     return _tail_slope_estimate(beta_vals, alpha_vals, s.radii, mode,
                                 tail_fraction)
 
@@ -306,8 +311,7 @@ def estimate_type(s: GrowthSample, t: ScaleTriple, rho_or_mu: float,
     if mode not in ("upper", "lower"):
         raise ValueError("mode must be 'upper' or 'lower'")
     alpha_vals = eval_scale(t.alpha, s.values)
-    beta_vals = eval_scale(t.beta, np.log(np.maximum(
-        eval_scale(t.gamma, s.radii), 1e-300)))
+    beta_vals = _beta_log_gamma(t, s.radii)
     valid = np.isfinite(alpha_vals) & np.isfinite(beta_vals)
     if np.count_nonzero(valid) < 3:
         raise DegenerateScaleError("type estimate needs 3 usable radii")
@@ -348,8 +352,7 @@ def estimate_lambda(c: CountingData, t: ScaleTriple, form: str = "n_based",
     vals = np.array([u[1] for u in usable])
     alpha = compose_with_log(t.alpha) if log_wrap else t.alpha
     alpha_vals = eval_scale(alpha, vals)
-    beta_vals = eval_scale(t.beta, np.log(np.maximum(
-        eval_scale(t.gamma, radii), 1e-300)))
+    beta_vals = _beta_log_gamma(t, radii)
     return _tail_slope_estimate(beta_vals, alpha_vals, radii, mode,
                                 tail_fraction)
 

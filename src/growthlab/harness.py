@@ -349,13 +349,14 @@ def _argmax_angle(f: ps.PowerSeries, log_r: float) -> float:
 
 def check_gundersen(f: ps.PowerSeries, chi: float, i: int, j: int,
                     grid: np.ndarray, report: Optional[Report] = None,
-                    zero_margin: float = 1e-8, label: str = "") -> Report:
+                    label: str = "") -> Report:
     """Smallest admissible constant in the derivative-quotient bound
     |f^(j)/f^(i)| <= B {T(chi r)/r (log^chi r) log T(chi r)}^{j-i}.
 
     The required B per radius must stay finite with a non-increasing tail;
     up to 10% of grid radii may misbehave (the bound holds only outside a
-    small exceptional set of radii).
+    small exceptional set of radii).  Angles where |f^(i)| falls below
+    1e-8 mu(r) are left out of the sup.
     """
     if not 0 <= i < j:
         raise ValueError("need 0 <= i < j")
@@ -373,7 +374,7 @@ def check_gundersen(f: ps.PowerSeries, chi: float, i: int, j: int,
         lr = math.log(r)
         ri = _evalcore.eval_circle(fi.coeff, lr, 64, offset=True, level="dd")
         rj = _evalcore.eval_circle(fj.coeff, lr, 64, offset=True, level="dd")
-        mask = ri.logabs >= ri.log_mu + math.log(zero_margin)
+        mask = ri.logabs >= ri.log_mu + math.log(1e-8)
         if not np.any(mask):
             continue
         sup_ln = float(np.max(rj.logabs[mask] - ri.logabs[mask]))
@@ -749,15 +750,19 @@ def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
     return ok, mu0, rho0
 
 
+_PROBE_TERMS = 1 << 11  # first length of the double probe march
+
+
 def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
-                          g_series: ps.PowerSeries, radii, dps_budget: int,
-                          n_hint: int):
+                          g_series: ps.PowerSeries, radii, dps_budget: int):
     """Counting data for f - g with f re-marched in mpmath once, at the
     depth nevanlinna.winding_dps gives for the top radius, so every count
     up to it reads the cached march (double-marched coefficients carry
-    ~1e-11 relative error, far too coarse for winding at these depths)."""
+    ~1e-11 relative error, far too coarse for winding at these depths).
+    The march length is the first of _PROBE_TERMS times 1, 2, 4, ... terms
+    whose trusted radius covers 1.02 times the top radius."""
     r_top = max(radii)
-    n = n_hint
+    n = _PROBE_TERMS
     while True:
         probe = ode.solve_series(eq, init, n)
         if min(probe.guaranteed_radius,
@@ -842,8 +847,7 @@ def run_theorem_experiment(cfg: dict,
                 radii = [5.0, 6.3, 7.1, top]
             data = _count_solution_zeros(
                 eq, init, g_series, radii,
-                int(osc_cfg.get("dps_budget", 400)),
-                n_hint=1 << 11)
+                int(osc_cfg.get("dps_budget", 400)))
             rep.info(f"zero_counts[{tag}]",
                      [list(data.radii), list(data.counts)])
             covered = [n for r, n in zip(data.radii, data.counts)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,22 +36,33 @@ __all__ = ["CountingData", "RetryPerturbedRadius", "PrecisionBudgetError",
            "integrated_count", "proximity_of_ratio"]
 
 _TRUST_GUARD = 14.0  # nats above the floor a value must sit to be believed
+_DPS_BUDGET = 600  # digits proximity_detailed may climb to
+_RETRY_STEP = 1e-3  # relative radius step RetryPerturbedRadius suggests
+_MAX_RETRIES = 3  # perturbed radii count_zeros_grid tries per grid radius
+_MAX_MESH = 1 << 18  # winding mesh points before zero_count gives up
+
+# m(r, f): angle doubling from _PROX_START to _PROX_MAX_ANGLES until two
+# estimates agree to _PROX_REL_TOL; m(r, num/den) likewise, with the
+# _RATIO_ constants, masking |den| < _RATIO_MASK mu_den(r)
+_PROX_START, _PROX_REL_TOL, _PROX_MAX_ANGLES = 128, 1e-8, 1 << 16
+_RATIO_START, _RATIO_REL_TOL, _RATIO_MAX_ANGLES = 256, 1e-6, 1 << 14
+_RATIO_MASK = 1e-8
 
 
 class RetryPerturbedRadius(ArithmeticError):
     """A zero sits too close to the requested circle; retry nearby.
 
-    Carries suggested replacement radii r*(1 +/- step).  The perturbation is
-    caller-driven: this module never silently moves the radius.
+    Carries suggested replacement radii r*(1 +/- 1e-3).  The perturbation
+    is caller-driven: this module never silently moves the radius.
     """
 
-    def __init__(self, log_r: float, step: float = 1e-3, detail: str = ""):
+    def __init__(self, log_r: float, detail: str = ""):
         self.log_r = log_r
-        self.suggested_log_radii = (log_r + math.log1p(step),
-                                    log_r + math.log1p(-step))
+        self.suggested_log_radii = (log_r + math.log1p(_RETRY_STEP),
+                                    log_r + math.log1p(-_RETRY_STEP))
         super().__init__(
             f"zero too close to |z| = e^{log_r:.6g}; retry at "
-            f"r*(1+/-{step:g}). {detail}")
+            f"r*(1+/-{_RETRY_STEP:g}). {detail}")
 
 
 class PrecisionBudgetError(RuntimeError):
@@ -164,44 +175,58 @@ def _logplus_quadrature(coeff, log_r, m, level, dps):
     return total / (2.0 * math.pi), unc
 
 
-def proximity_detailed(f: PowerSeries, log_r: float,
-                       n_angles_start: int = 128, rel_tol: float = 1e-8,
-                       max_angles: int = 1 << 16,
-                       dps_budget: int = 600) -> ProximityResult:
+def _until_stable(estimate, m: int, rel_tol: float, max_angles: int,
+                  abs_tol: float = 0.0):
+    """Run estimate(m) -> (value, uncertainty) at m, 2m, 4m, ... until two
+    successive values agree to tol = max(rel_tol max(1, |value|), abs_tol)
+    or m reaches max_angles.  Returns (value, m, converged, uncertainty),
+    or None once the uncertainty exceeds tol / 2 (the caller escalates)."""
+    prev = None
+    while True:
+        est, unc = estimate(m)
+        tol = max(rel_tol * max(1.0, abs(est)), abs_tol)
+        if unc > 0.5 * tol:
+            return None
+        converged = prev is not None and abs(est - prev) <= tol
+        if converged or m >= max_angles:
+            return est, m, converged, unc
+        prev = est
+        m *= 2
+
+
+def _mp_dps(coeff, log_r: float, target_ln: float, dps_budget: int,
+            what: str) -> int:
+    """dps_for_floor(target_ln), or PrecisionBudgetError past dps_budget."""
+    dps = _evalcore.dps_for_floor(coeff, log_r, target_ln)
+    if dps > dps_budget:
+        raise PrecisionBudgetError(
+            f"{what} at ln r = {log_r:.4g} needs ~{dps} digits, "
+            f"budget is {dps_budget}")
+    return dps
+
+
+def proximity_detailed(f: PowerSeries, log_r: float) -> ProximityResult:
     """m(r, f) with convergence and precision-escalation diagnostics."""
     f.check_radius(log_r)
     coeff = f.coeff
-    abs_floor_tol = 1e-10
-    for level in ("d", "dd", "mp"):
-        dps = None
-        if level == "mp":
-            # choose dps so untrusted readings certainly sit below log+ = 0
-            dps = _evalcore.dps_for_floor(coeff, log_r,
-                                          -2.0 * _TRUST_GUARD)
-            if dps > dps_budget:
-                raise PrecisionBudgetError(
-                    f"m(r) at ln r = {log_r:.4g} needs ~{dps} digits, "
-                    f"budget is {dps_budget}")
-        m = n_angles_start
-        prev = None
-        while True:
-            est, unc = _logplus_quadrature(coeff, log_r, m, level, dps)
-            tol = max(rel_tol * max(1.0, abs(est)), abs_floor_tol)
-            if unc > 0.5 * tol:
-                break  # escalate precision level
-            if prev is not None and abs(est - prev) <= tol:
-                return ProximityResult(est, m, True, level, unc)
-            if m >= max_angles:
-                return ProximityResult(est, m, False, level, unc)
-            prev = est
-            m *= 2
+    for level in _evalcore.LEVELS:
+        # at mp, choose dps so untrusted readings certainly sit below
+        # log+ = 0
+        dps = (_mp_dps(coeff, log_r, -2.0 * _TRUST_GUARD, _DPS_BUDGET, "m(r)")
+               if level == "mp" else None)
+        out = _until_stable(
+            lambda m: _logplus_quadrature(coeff, log_r, m, level, dps),
+            _PROX_START, _PROX_REL_TOL, _PROX_MAX_ANGLES, abs_tol=1e-10)
+        if out is not None:
+            est, m, converged, unc = out
+            return ProximityResult(est, m, converged, level, unc)
     raise PrecisionBudgetError("proximity could not reach the noise target")
 
 
-def proximity(f: PowerSeries, log_r: float, n_angles_start: int = 128) -> float:
+def proximity(f: PowerSeries, log_r: float) -> float:
     """m(r, f): trapezoid over equispaced angles, doubled until successive
     estimates agree to 1e-8 relative (or the angle cap is reached)."""
-    return proximity_detailed(f, log_r, n_angles_start).value
+    return proximity_detailed(f, log_r).value
 
 
 def characteristic_entire(f: PowerSeries, log_r: float) -> float:
@@ -209,34 +234,28 @@ def characteristic_entire(f: PowerSeries, log_r: float) -> float:
     return proximity(f, log_r)
 
 
-def proximity_of_ratio(num: PowerSeries, den: PowerSeries, log_r: float,
-                       n_angles_start: int = 256, rel_tol: float = 1e-6,
-                       max_angles: int = 1 << 14,
-                       mask_margin: float = 1e-8) -> float:
+def proximity_of_ratio(num: PowerSeries, den: PowerSeries,
+                       log_r: float) -> float:
     """m(r, num/den) by quadrature of (ln|num| - ln|den|)+.
 
-    Angles where |den| falls below mask_margin * mu_den(r) are masked out of
-    the quadrature (their ratio is numerically unreliable near zeros of the
+    Angles where |den| falls below 1e-8 mu_den(r) are masked out of the
+    quadrature (their ratio is numerically unreliable near zeros of the
     denominator); the estimate is therefore a slightly trimmed mean.
     """
     num.check_radius(log_r)
     den.check_radius(log_r)
-    m = n_angles_start
-    prev = None
-    while True:
+
+    def estimate(m):
         rn = _evalcore.eval_circle(num.coeff, log_r, m, offset=True, level="dd")
         rd = _evalcore.eval_circle(den.coeff, log_r, m, offset=True, level="dd")
-        mask_ln = max(rd.log_mu + math.log(mask_margin),
+        mask_ln = max(rd.log_mu + math.log(_RATIO_MASK),
                       rd.floor_ln + _TRUST_GUARD)
         ok = rd.logabs >= mask_ln
         diff = np.where(ok, np.maximum(rn.logabs - rd.logabs, 0.0), 0.0)
-        est = float(np.mean(diff))
-        if prev is not None and abs(est - prev) <= rel_tol * max(1.0, abs(est)):
-            return est
-        if m >= max_angles:
-            return est
-        prev = est
-        m *= 2
+        return float(np.mean(diff)), 0.0
+
+    return _until_stable(estimate, _RATIO_START, _RATIO_REL_TOL,
+                         _RATIO_MAX_ANGLES)[0]
 
 
 def _wrap_phase(d: np.ndarray) -> np.ndarray:
@@ -249,17 +268,12 @@ def winding_dps(coeff: _evalcore.CoeffData, log_r: float,
     noise floor 45 nats below min(1, r).  Raises PrecisionBudgetError past
     dps_budget.  Choosing an ODE solution's march depth by the same rule
     lets one mp march serve every count up to that radius."""
-    dps = _evalcore.dps_for_floor(coeff, log_r, min(0.0, log_r) - 45.0)
-    if dps > dps_budget:
-        raise PrecisionBudgetError(
-            f"winding at ln r = {log_r:.4g} needs ~{dps} digits, "
-            f"budget is {dps_budget}")
-    return dps
+    return _mp_dps(coeff, log_r, min(0.0, log_r) - 45.0, dps_budget,
+                   "winding")
 
 
 def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
-               n_angles_start: Optional[int] = None,
-               max_points: int = 1 << 18, dps_budget: int = 600) -> int:
+               dps_budget: int = 600) -> int:
     """n(r, 1/f): zeros in |z| <= r, by the winding number of f.
 
     The argument increments of f along an adaptive angular mesh are
@@ -280,31 +294,26 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
     fp = derivative(f)
     mt = max_term(f, log_r)
 
+    def with_velocity(evaluate):
+        """evaluate(coeff) for f and f', and the rotation bound |z f'/f|."""
+        rf, rd = evaluate(coeff), evaluate(fp.coeff)
+        with np.errstate(over="ignore"):
+            vel = np.exp(np.minimum(rd.logabs - rf.logabs + log_r, 700.0))
+        return rf, vel
+
     auto = zero_margin == "auto"
     for level in ("dd", "mp"):
         dps = None
         if level == "mp":
             dps = winding_dps(coeff, log_r, dps_budget)
             # expensive per point: start coarse, let refinement concentrate
-            m_start = n_angles_start or 512
+            m_start = 512
         else:
-            m_start = n_angles_start or 1 << max(8, min(12, int(math.ceil(
+            m_start = 1 << max(8, min(12, int(math.ceil(
                 math.log2(8.0 * (mt.nu + 4))))))
 
-        def _eval_pair(pts):
-            rf = _evalcore.eval_points(coeff, log_r, pts % (2.0 * math.pi),
-                                       level=level, dps=dps)
-            rd = _evalcore.eval_points(fp.coeff, log_r,
-                                       pts % (2.0 * math.pi),
-                                       level=level, dps=dps)
-            with np.errstate(over="ignore"):
-                vel = np.exp(np.minimum(rd.logabs - rf.logabs + log_r, 700.0))
-            return rf, vel
-
-        res = _evalcore.eval_circle(coeff, log_r, m_start, offset=True,
-                                    level=level, dps=dps)
-        resp = _evalcore.eval_circle(fp.coeff, log_r, m_start, offset=True,
-                                     level=level, dps=dps)
+        res, vels = with_velocity(lambda c: _evalcore.eval_circle(
+            c, log_r, m_start, offset=True, level=level, dps=dps))
         margin_ln = (res.floor_ln + 9.0 if auto
                      else res.log_mu + math.log(zero_margin))
         vmin = float(np.min(res.logabs))
@@ -315,8 +324,6 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
                                        f" below margin {margin_ln:.4g}")
         thetas = (2.0 * math.pi) * (np.arange(m_start) + 0.5) / m_start
         phases = res.phase
-        with np.errstate(over="ignore"):
-            vels = np.exp(np.minimum(resp.logabs - res.logabs + log_r, 700.0))
         tail_ok = True
         for _round in range(48):
             dphi = _wrap_phase(np.diff(np.concatenate([phases,
@@ -328,12 +335,13 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
                              | (gaps * vmax > 1.0))[0]
             if len(bad) == 0:
                 break
-            if len(thetas) + len(bad) > max_points:
+            if len(thetas) + len(bad) > _MAX_MESH:
                 raise RetryPerturbedRadius(
                     log_r, detail="mesh budget exhausted (zero on circle?)")
             nxt = np.concatenate([thetas[1:], [thetas[0] + 2.0 * math.pi]])
             mids = 0.5 * (thetas[bad] + nxt[bad])
-            mres, mvel = _eval_pair(mids)
+            mres, mvel = with_velocity(lambda c: _evalcore.eval_points(
+                c, log_r, mids % (2.0 * math.pi), level=level, dps=dps))
             mmin = float(np.min(mres.logabs))
             if mmin < mres.floor_ln + _TRUST_GUARD and level != "mp":
                 tail_ok = False
@@ -362,39 +370,51 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
 
 def count_zeros_grid(f: PowerSeries, radii: Sequence[float],
                      zero_margin="auto", retry_step: float = 1e-3,
-                     max_retries: int = 3, dps_budget: int = 600) -> CountingData:
+                     dps_budget: int = 600) -> CountingData:
     """Counts over a radius grid, applying the perturbed-radius retry rule.
 
     A radius r that raises RetryPerturbedRadius is retried at r(1 + s),
-    r(1 - s), r(1 + 2s), r(1 - 2s), ... with s = retry_step, up to
-    max_retries times.  The returned data records the radii actually used
-    (after perturbation).
+    r(1 - s), r(1 + 2s), ... with s = retry_step, up to 3 times.  Candidates
+    at or below the last radius used are skipped, so the recorded radii
+    (the ones actually used, after perturbation) stay increasing on a tight
+    grid; with no candidate left the radius raises RetryPerturbedRadius.
+    The nominal radii must be strictly increasing.
     """
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly increasing")
     used, counts = [], []
     m0 = valuation(f)
     for r in radii:
-        log_r = math.log(r)
-        for attempt in range(max_retries + 1):
+        cands = [math.log(r)]
+        for a in range(_MAX_RETRIES):
+            step = (a // 2 + 1) * retry_step
+            cands.append(math.log(r) + math.log1p(-step if a % 2 else step))
+        cands = [lr for lr in cands if not used or math.exp(lr) > used[-1]]
+        if not cands:
+            raise RetryPerturbedRadius(
+                math.log(r), detail=f"no retry radius above {used[-1]:.6g}")
+        for i, log_r in enumerate(cands):
             try:
                 n = zero_count(f, log_r, zero_margin=zero_margin,
                                dps_budget=dps_budget)
-                used.append(math.exp(log_r))
-                counts.append(n)
-                break
             except RetryPerturbedRadius:
-                if attempt == max_retries:
+                if i == len(cands) - 1:
                     raise
-                step = (attempt // 2 + 1) * retry_step
-                log_r = math.log(r) + math.log1p(-step if attempt % 2
-                                                 else step)
+                continue
+            used.append(math.exp(log_r))
+            counts.append(n)
+            break
     return CountingData(tuple(used), tuple(counts), m0)
 
 
 def integrated_count(data: CountingData, log_r: float) -> float:
-    """N(r) = int_0^r (n(t) - n(0))/t dt + n(0) log r, exactly for step data.
+    """A lower bound on N(r) = int_0^r (n(t) - n(0))/t dt + n(0) log r.
 
-    n(t) is the step function jumping at the recorded radii; radii must
-    cover the requested r (no extrapolation).
+    The integral is a left-endpoint step sum: n(t) is taken as n(r_i) on
+    [r_i, r_{i+1}), and zeros below the first recorded radius (other than
+    the origin's) are ignored.  Since n is nondecreasing, the sum never
+    exceeds the true N(r).  Radii must cover the requested r (no
+    extrapolation).
     """
     r = math.exp(log_r)
     if not data.radii:

@@ -203,26 +203,22 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
                 for m, av in a_nz[j]:
                     if m > n:
                         break
-                    ratio = 1
-                    for t in range(1, j + 1):
-                        ratio *= (n - m + t)
-                    s += av * c[n - m + j] * ratio
+                    term = av * c[n - m + j]
+                    if j:  # factorial ratio (n-m+j)!/(n-m)!; 1 for j = 0
+                        term *= math.prod(range(n - m + 1, n - m + j + 1))
+                    s += term
             num = -s
             if f_vals is not None and n < len(f_vals):
                 num += f_vals[n]
-            ratio = 1
-            for t in range(1, k + 1):
-                ratio *= (n + t)
-            c[n + k] = num / ratio
+            c[n + k] = num / math.prod(range(n + 1, n + k + 1))
     return c
 
 
-def fundamental_system(eq: LinearODE, n_terms: int,
-                       dps: Optional[int] = None) -> list:
+def fundamental_system(eq: LinearODE, n_terms: int) -> list:
     """The k canonical solutions (basis initial vectors)."""
     if not eq.homogeneous:
         raise ValueError("fundamental systems are for homogeneous equations")
-    return [solve_series(eq, InitialData.basis(eq.k, i), n_terms, dps=dps)
+    return [solve_series(eq, InitialData.basis(eq.k, i), n_terms)
             for i in range(eq.k)]
 
 
@@ -242,10 +238,9 @@ def _cauchy_full(f: ps.PowerSeries, g: ps.PowerSeries) -> ps.PowerSeries:
     return out
 
 
-def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float,
-                  n_angles: int = 64) -> float:
-    """max over sampled angles of |f^(k) + sum A_j f^(j) - F| relative to
-    the maximum term of the dominant contribution at that radius."""
+def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float) -> float:
+    """max over 64 equispaced angles of |f^(k) + sum A_j f^(j) - F| relative
+    to the maximum term of the dominant contribution at that radius."""
     derivs = [f]
     for _ in range(eq.k):
         derivs.append(ps.derivative(derivs[-1]))
@@ -265,7 +260,7 @@ def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float,
             pass
     if not math.isfinite(scale_ln):
         return 0.0
-    res = _evalcore.eval_circle(total.coeff, log_r, n_angles, offset=True,
+    res = _evalcore.eval_circle(total.coeff, log_r, 64, offset=True,
                                 level="dd")
     top = float(np.max(res.logabs))
     if not math.isfinite(top):

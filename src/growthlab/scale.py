@@ -284,8 +284,8 @@ def audit_condition_ii(alpha: ScaleFunction, beta: ScaleFunction,
     return reports
 
 
-def _default_pair_grid(s: ScaleFunction, rng_seed: int = 7):
-    rng = np.random.default_rng(rng_seed)
+def _default_pair_grid(s: ScaleFunction):
+    rng = np.random.default_rng(7)
     lo = max(s.x0, 1.0) + 1.0
     a = lo * np.exp(rng.uniform(0.0, 10.0, 256))
     b = lo * np.exp(rng.uniform(0.0, 10.0, 256))

@@ -8,10 +8,12 @@ evaluation every series also regenerates its coefficients as mpmath values
 at any dps (CoeffData.mp_logs); a derived series computes them in one
 expression from its parents' cached values.
 
-Each series carries a certified radius: the largest r (on a geometric test
-grid) where the geometric extrapolation of the last decade of |a_n| r^n puts
-the truncation tail below tail_tol * mu(r).  Evaluation beyond it raises
-TruncationError; the caller must rebuild with more terms.
+Each series carries a trusted radius (the field keeps its historical name,
+guaranteed_radius): the largest r on a geometric test grid where a geometric
+extrapolation of the last tenth of |a_n| r^n puts the truncation tail below
+tail_tol * mu(r).  It is an estimate, not a certificate: a tail that stops
+decaying geometrically past the stored terms would fool it.  Evaluation
+beyond it raises TruncationError; the caller must rebuild with more terms.
 """
 
 from __future__ import annotations
@@ -48,7 +50,12 @@ class DegenerateSeriesError(ValueError):
 
 @dataclass
 class PowerSeries:
-    """Truncated power series; treat as immutable after construction."""
+    """Truncated power series; treat as immutable after construction.
+
+    guaranteed_radius is not a certificate: it is the radius up to which the
+    geometric extrapolation of the last tenth of the stored coefficients
+    (see _certify_radius) puts the truncation tail below tail_tol * mu(r).
+    """
 
     coeff: _evalcore.CoeffData
     provenance: str
@@ -94,9 +101,10 @@ class MaxTermResult:
 def _certify_radius(lh: np.ndarray, tail_tol: float) -> float:
     """Largest grid radius where the extrapolated tail is < tail_tol*mu(r).
 
-    The decay of the last decade of |a_n| r^n is extrapolated geometrically;
-    a series whose stored tail is exactly zero (a polynomial) is certified
-    everywhere.
+    Despite the name this certifies nothing: the mean log-slope of the last
+    tenth of the stored |a_n| is extrapolated as a geometric tail, which is
+    an estimate of the truncation error, not a bound on it.  A series whose
+    stored tail is exactly zero (a polynomial) is trusted everywhere.
     """
     finite = np.nonzero(np.isfinite(lh))[0]
     if len(finite) == 0:
@@ -158,24 +166,12 @@ def _exp_logs(n: int, dps: int):
     return logs, phases
 
 
-def _sin_logs(n: int, dps: int):
+def _sincos_logs(parity: int, n: int, dps: int):
+    """sin (parity 1) or cos (parity 0): terms of the other parity vanish."""
     with mp.workdps(dps):
         logs, phases = [], []
         for k in range(n):
-            if k % 2 == 0:
-                logs.append(mp.mpf("-inf"))
-                phases.append(mp.mpf(0))
-            else:
-                logs.append(-mp.loggamma(k + 1))
-                phases.append(mp.mpf(0) if (k // 2) % 2 == 0 else +mp.pi)
-    return logs, phases
-
-
-def _cos_logs(n: int, dps: int):
-    with mp.workdps(dps):
-        logs, phases = [], []
-        for k in range(n):
-            if k % 2 == 1:
+            if k % 2 != parity:
                 logs.append(mp.mpf("-inf"))
                 phases.append(mp.mpf(0))
             else:
@@ -213,8 +209,8 @@ def _exp_exp_logs(n: int, dps: int):
 
 _MP_GENERATORS = {
     "exp": _exp_logs,
-    "sin": _sin_logs,
-    "cos": _cos_logs,
+    "sin": functools.partial(_sincos_logs, 1),
+    "cos": functools.partial(_sincos_logs, 0),
     "exp_exp": _exp_exp_logs,
 }
 
@@ -222,8 +218,7 @@ _MP_GENERATORS = {
 def _phase_float(x) -> float:
     """Phase as float with the pi/2 grid snapped to exact sentinels."""
     p = float(x)
-    for exact in (0.0, float(np.pi), float(-np.pi),
-                  float(np.pi / 2), float(-np.pi / 2)):
+    for exact in _evalcore._EXACT_CIS:
         if abs(p - exact) < 1e-15:
             return exact
     return p
@@ -321,7 +316,7 @@ def valuation(f: PowerSeries) -> int:
     return int(finite[0])
 
 
-def central_index_jumps(f: PowerSeries, n_max: Optional[int] = None) -> list:
+def central_index_jumps(f: PowerSeries) -> list:
     """Radii where the central index jumps, as (ln r, nu_after) pairs.
 
     Built from the upper envelope (concave hull) of the points
@@ -329,7 +324,7 @@ def central_index_jumps(f: PowerSeries, n_max: Optional[int] = None) -> list:
     constant, which makes the log-integral of nu exact.  Requires a_0 != 0;
     divide out the origin zero first if not.
     """
-    lh = f.coeff.lh if n_max is None else f.coeff.lh[:n_max]
+    lh = f.coeff.lh
     if len(lh) == 0 or not math.isfinite(lh[0]):
         raise ValueError("central_index_jumps requires a_0 != 0")
     pts = [(int(n), float(lh[n])) for n in np.nonzero(np.isfinite(lh))[0]]
@@ -474,14 +469,6 @@ def derivative(f: PowerSeries) -> PowerSeries:
                        mp_factory=factory, tail_tol=f.tail_tol)
 
 
-def _logpolar_to_rescaled(lh, ph, lmax):
-    from ._evalcore import _coeff_cis
-    with np.errstate(under="ignore"):
-        mag = np.exp(lh - lmax)
-    cr, ci = _coeff_cis(np.asarray(ph, dtype=float))
-    return mag * cr + 1j * (mag * ci)
-
-
 def combine(f: PowerSeries, g: PowerSeries, op: str) -> PowerSeries:
     """add/sub termwise (union of stored ranges), or Cauchy product.
 
@@ -498,33 +485,25 @@ def combine(f: PowerSeries, g: PowerSeries, op: str) -> PowerSeries:
         sign = -1.0 if op == "sub" else 1.0
         lmax = np.maximum(lf, lg)
         lmax_safe = np.where(np.isfinite(lmax), lmax, 0.0)
-        vals = (_logpolar_to_rescaled(lf, pf, lmax_safe)
-                + sign * _logpolar_to_rescaled(lg, pg, lmax_safe))
+        vals = (_evalcore._rescaled(lf - lmax_safe, pf)
+                + sign * _evalcore._rescaled(lg - lmax_safe, pg))
         with np.errstate(divide="ignore"):
             lh = np.where(vals != 0, lmax_safe + np.log(np.abs(vals)), -np.inf)
         ph = np.where(vals != 0, np.angle(vals), 0.0)
-        rel = float(np.logaddexp(f.coeff.rel_err_ln, g.coeff.rel_err_ln))
-        rel = float(np.logaddexp(rel, math.log(3e-16)))
-        fac = _combine_factory(f, g, op)
-        out = make_series(lh, np.zeros(n), ph, rel,
-                          f"({f.provenance} {op} {g.provenance})", mp_factory=fac)
-        out.guaranteed_radius = min(out.guaranteed_radius,
-                                    f.guaranteed_radius, g.guaranteed_radius)
-        return out
-
-    if op == "cauchy_product":
+        op_err, name = 3e-16, f"({f.provenance} {op} {g.provenance})"
+    elif op == "cauchy_product":
         lh, ph = _cauchy_logpolar(f.coeff.lh, f.coeff.ph, g.coeff.lh, g.coeff.ph,
                                   min(f.n_terms, g.n_terms))
-        rel = float(np.logaddexp(f.coeff.rel_err_ln, g.coeff.rel_err_ln))
-        rel = float(np.logaddexp(rel, math.log(1e-14)))
-        fac = _combine_factory(f, g, op)
-        out = make_series(lh, np.zeros_like(lh), ph, rel,
-                          f"({f.provenance} * {g.provenance})", mp_factory=fac)
-        out.guaranteed_radius = min(out.guaranteed_radius,
-                                    f.guaranteed_radius, g.guaranteed_radius)
-        return out
-
-    raise ValueError(f"unknown combine op {op!r}")
+        op_err, name = 1e-14, f"({f.provenance} * {g.provenance})"
+    else:
+        raise ValueError(f"unknown combine op {op!r}")
+    rel = float(np.logaddexp(f.coeff.rel_err_ln, g.coeff.rel_err_ln))
+    rel = float(np.logaddexp(rel, math.log(op_err)))
+    out = make_series(lh, np.zeros(len(lh)), ph, rel, name,
+                      mp_factory=_combine_factory(f, g, op))
+    out.guaranteed_radius = min(out.guaranteed_radius,
+                                f.guaranteed_radius, g.guaranteed_radius)
+    return out
 
 
 def _wrap_pi(p):

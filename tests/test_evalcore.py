@@ -1,11 +1,16 @@
-"""The mp circle kernel against a direct mpmath evaluation of the series."""
+"""The mp circle kernel against a direct mpmath evaluation of the series,
+and the d kernel's bytes across BLAS thread counts."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import growthlab
 from growthlab import _evalcore
 from growthlab import series
 
@@ -73,3 +78,36 @@ def test_mp_kernel_matches_direct_sum(name, n_terms, r, thetas):
             depth.append(float(mp.log(abs(want))))
     # the case reaches deep cancellation: at least 180 nats below mu(r)
     assert min(depth) < -180.0
+
+
+_D_DIGEST = """
+import hashlib, math
+import numpy as np
+from growthlab import _evalcore, series
+f = series.builtin("sin", 700)
+res = _evalcore.eval_points(f.coeff, math.log(200.0),
+                            np.linspace(0.0, 2.0 * math.pi, 4096), level="d")
+print(hashlib.sha256(res.logabs.tobytes() + res.phase.tobytes()).hexdigest())
+"""
+
+
+def _d_digest(threads):
+    """Digest of a level-d eval_points (a BLAS matmul) in a fresh process,
+    with the BLAS thread count pinned, or left to the library (None)."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(growthlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        env.pop(var, None)
+        if threads is not None:
+            env[var] = str(threads)
+    out = subprocess.run([sys.executable, "-c", _D_DIGEST], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_d_kernel_bytes_independent_of_blas_threads():
+    single = _d_digest(1)
+    assert len(single) == 64
+    assert single == _d_digest(None)

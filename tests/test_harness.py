@@ -111,7 +111,8 @@ class TestReports:
         assert not any("lambda" in c.name for c in rep.checks)
 
     @pytest.mark.parametrize("name", ["theorem_dominant_first_order",
-                                      "log_derivative_exp_exp"])
+                                      "log_derivative_exp_exp",
+                                      "gundersen_exp", "theorem_type"])
     def test_shipped_experiment_passes(self, name):
         assert harness.run_config(harness.shipped_config(name)).verdict \
             == "pass"
@@ -202,10 +203,11 @@ class TestSolutionZeroCounts:
             return march(eq, init, n_terms, dps)
 
         monkeypatch.setattr(ode, "_solve_series_mp", counted)
+        monkeypatch.setattr(harness, "_PROBE_TERMS", 64)
         eq = ode.LinearODE(2, (ps.builtin("exp", 60),
                                ps.builtin("poly", coeffs=[0.0])))
         data = harness._count_solution_zeros(
             eq, ode.InitialData((1.0, 0.0)),
-            ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 400, 64)
+            ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 400)
         assert data.counts == (11,)
         assert len(marches) == 1

@@ -117,6 +117,31 @@ class TestZeroCount:
         assert data.radii == (math.exp(tried[-1]),)
         assert data.counts == (3,)
 
+    def test_count_grid_keeps_radii_increasing_on_tight_grid(self,
+                                                              monkeypatch):
+        f = series.builtin("poly", coeffs=[-1.0, 0.0, 0.0, 1.0])
+        tried = []
+
+        def flaky(f, log_r, **kw):
+            tried.append(log_r)
+            if log_r == math.log(2.0):
+                raise nev.RetryPerturbedRadius(log_r)
+            return 3
+
+        monkeypatch.setattr(nev, "zero_count", flaky)
+        data = nev.count_zeros_grid(f, [2.0, 2.001])
+        # 2.0 moves up to 2.002, so 2.001 itself is skipped for 2.001 * 1.001
+        step = math.log1p(1e-3)
+        assert tried == [math.log(2.0), math.log(2.0) + step,
+                         math.log(2.001) + step]
+        assert data.radii == (math.exp(tried[1]), math.exp(tried[2]))
+        assert data.counts == (3, 3)
+
+    def test_count_grid_rejects_unsorted_radii(self):
+        f = series.builtin("poly", coeffs=[-1.0, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            nev.count_zeros_grid(f, [2.0, 1.5])
+
     def test_counts_monotone_over_grid(self):
         f = series.builtin("sin", 300)
         data = nev.count_zeros_grid(f, np.geomspace(2.0, 30.0, 10))
