@@ -754,17 +754,22 @@ _PROBE_TERMS = 1 << 11  # first length of the double probe march
 
 
 def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
-                          g_series: ps.PowerSeries, radii, dps_budget: int):
+                          g_series: ps.PowerSeries, radii, dps_budget: int,
+                          sol: Optional[ps.PowerSeries] = None):
     """Counting data for f - g with f re-marched in mpmath once, at the
     depth nevanlinna.winding_dps gives for the top radius, so every count
     up to it reads the cached march (double-marched coefficients carry
     ~1e-11 relative error, far too coarse for winding at these depths).
     The march length is the first of _PROBE_TERMS times 1, 2, 4, ... terms
-    whose trusted radius covers 1.02 times the top radius."""
+    whose trusted radius covers 1.02 times the top radius.  The double
+    probes are cut from sol, a double march of the same solution (as
+    auto_solve returns it), and marched only past its end."""
     r_top = max(radii)
-    n = _PROBE_TERMS
+    n, longest = _PROBE_TERMS, sol
     while True:
-        probe = ode.solve_series(eq, init, n)
+        probe = ode.solve_series(eq, init, n, _resume=longest)
+        if longest is None or n > longest.n_terms:
+            longest = probe
         if min(probe.guaranteed_radius,
                *(a.guaranteed_radius for a in eq.coeffs)) >= r_top * 1.02 \
                 or n >= (1 << 16):
@@ -847,7 +852,7 @@ def run_theorem_experiment(cfg: dict,
                 radii = [5.0, 6.3, 7.1, top]
             data = _count_solution_zeros(
                 eq, init, g_series, radii,
-                int(osc_cfg.get("dps_budget", 400)))
+                int(osc_cfg.get("dps_budget", 400)), sol)
             rep.info(f"zero_counts[{tag}]",
                      [list(data.radii), list(data.counts)])
             covered = [n for r, n in zip(data.radii, data.counts)

@@ -9,7 +9,11 @@ ln(i) (never a difference of two large lgammas, which would leak absolute
 error into every coefficient), and each right-hand side is accumulated as
 a max-rescaled complex sum, so the wide dynamic range costs nothing and
 subtractive cancellation only spends the ~15 digits a double significand
-carries.  A second, mpmath-backed march produces the same solution at
+carries.  Each coefficient depends only on those below it, so a longer
+march resumes a shorter one instead of starting again at index 0: the
+doublings of auto_solve march every index once, and its residual is
+checked only where it decides the answer (usually once, on the candidate
+it returns).  A second, mpmath-backed march produces the same solution at
 arbitrary precision when downstream consumers (deep zero counting) need
 coefficients better than 1e-13 relative.
 """
@@ -66,22 +70,17 @@ class InitialData:
         return cls(tuple(1.0 if j == i else 0.0 for j in range(k)))
 
 
-def _ln_rising(idx: np.ndarray, j: int, ln_table: np.ndarray) -> np.ndarray:
-    """ln((idx+j)! / idx!) as a short exact-ish sum of ln(idx+t)."""
-    out = np.zeros_like(idx, dtype=float)
-    for t in range(1, j + 1):
-        out = out + ln_table[idx + t]
-    return out
-
-
 def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
-                 dps: Optional[int] = None) -> ps.PowerSeries:
+                 dps: Optional[int] = None,
+                 _resume: Optional[ps.PowerSeries] = None) -> ps.PowerSeries:
     """March the coefficient recurrence out to n_terms.
 
     dps switches to the mpmath march (same recurrence, arbitrary
     precision), whose values seed the result's mp cache.  Either way the
     result carries the mpmath march as its regeneration hook, so deep
-    evaluation can ask for more digits later.
+    evaluation can ask for more digits later.  _resume, an earlier double
+    march of the same equation and initial data, is extended or cut rather
+    than marched again (see _march_d); the mpmath march ignores it.
     """
     if n_terms <= eq.k:
         raise ValueError("n_terms must exceed the equation order")
@@ -111,74 +110,106 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
         out.coeff._mp_entry = (dps, values)
         return out
 
+    lc, pc = _march_d(eq, init, n_terms, _resume)
+    # observed drift of the log-space march is ~n * 5e-13 at worst
+    out = ps.make_series(lc, np.zeros(n_terms), pc,
+                         math.log(max(64.0, n_terms) * 2e-12),
+                         "ode solution", mp_factory=factory)
+    return out
+
+
+def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
+             prev: Optional[ps.PowerSeries]) -> tuple:
+    """The recurrence marched in log-polar double: (ln|c_i|, arg c_i).
+
+    Coefficient i is computed from the coefficients below it only, so a
+    march does not depend on its length.  prev, an earlier march of the same
+    equation and initial data (or None), is kept as it stands and only the
+    indices past it are marched; a shorter request is prev's prefix.  Either
+    way the arrays are byte-identical to a march from index 0.
+    """
     k = eq.k
     n_steps = n_terms - k
     ln_table = np.concatenate([[0.0], np.log(np.arange(1, n_terms + k + 1,
                                                        dtype=float))])
     lc = np.full(n_terms, -np.inf)
     pc = np.zeros(n_terms)
-    lgam = 0.0
-    for i, v in enumerate(init.values):
-        if i:
-            lgam += math.log(i)
-        v = complex(v)
-        if v != 0:
-            lc[i] = math.log(abs(v)) - lgam
-            pc[i] = math.atan2(v.imag, v.real)
+    if prev is None:
+        start = 0
+        lgam = 0.0
+        for i, v in enumerate(init.values):
+            if i:
+                lgam += math.log(i)
+            v = complex(v)
+            if v != 0:
+                lc[i] = math.log(abs(v)) - lgam
+                pc[i] = math.atan2(v.imag, v.real)
+    else:
+        kept = min(prev.n_terms, n_terms)
+        lc[:kept] = prev.coeff.lh[:kept]
+        pc[:kept] = prev.coeff.ph[:kept]
+        start = kept - k
 
     a_l = [a.coeff.lh for a in eq.coeffs]
     a_p = [a.coeff.ph for a in eq.coeffs]
     f_l = eq.rhs.coeff.lh if eq.rhs is not None else None
     f_p = eq.rhs.coeff.ph if eq.rhs is not None else None
+    # step invariants: ln((i+j)!/i!) for every step index i, one table per j
+    # (summed over t = 1..j in that order), and each coefficient's first
+    # finite index (its length if it has none)
+    rising = []
+    for j in range(k):
+        acc = np.zeros(n_steps)
+        for t in range(1, j + 1):
+            acc = acc + ln_table[t:t + n_steps]
+        rising.append(acc)
+    first = []
+    for lj in a_l:
+        fin = np.flatnonzero(np.isfinite(lj))
+        first.append(int(fin[0]) if len(fin) else len(lj))
 
-    for n in range(n_steps):
-        parts_l, parts_c = [], []
-        for j in range(k):
-            mn = min(n, len(a_l[j]) - 1)
-            sl_a = a_l[j][:mn + 1]
-            if not np.any(np.isfinite(sl_a)):
-                continue
-            cidx_hi = n + j
-            sl_c_l = lc[cidx_hi - mn:cidx_hi + 1][::-1]
-            sl_c_p = pc[cidx_hi - mn:cidx_hi + 1][::-1]
-            idx = np.arange(n, n - mn - 1, -1)
-            ll = sl_a + sl_c_l + _ln_rising(idx, j, ln_table)
-            parts_l.append(ll)
-            parts_c.append(a_p[j][:mn + 1] + sl_c_p)
-        f_term = None
-        if f_l is not None and n < len(f_l) and math.isfinite(f_l[n]):
-            f_term = (f_l[n], f_p[n])
-        if parts_l:
-            all_l = np.concatenate(parts_l)
-            all_p = np.concatenate(parts_c)
-            lmax = float(np.max(all_l))
-        else:
-            all_l = all_p = None
-            lmax = -np.inf
-        if f_term is not None:
-            lmax = max(lmax, f_term[0])
-        if not math.isfinite(lmax):
-            continue  # c_{n+k} = 0 (stays -inf)
-        num = 0j
-        if all_l is not None:
-            with np.errstate(under="ignore"):
+    with np.errstate(under="ignore"):
+        for n in range(start, n_steps):
+            parts_l, parts_c = [], []
+            for j in range(k):
+                mn = min(n, len(a_l[j]) - 1)
+                if first[j] > mn:
+                    continue
+                cidx_hi = n + j
+                sl_c_l = lc[cidx_hi - mn:cidx_hi + 1][::-1]
+                sl_c_p = pc[cidx_hi - mn:cidx_hi + 1][::-1]
+                ll = (a_l[j][:mn + 1] + sl_c_l
+                      + rising[j][n - mn:n + 1][::-1])
+                parts_l.append(ll)
+                parts_c.append(a_p[j][:mn + 1] + sl_c_p)
+            f_term = None
+            if f_l is not None and n < len(f_l) and math.isfinite(f_l[n]):
+                f_term = (f_l[n], f_p[n])
+            if parts_l:
+                all_l = np.concatenate(parts_l)
+                all_p = np.concatenate(parts_c)
+                lmax = float(np.max(all_l))
+            else:
+                all_l = all_p = None
+                lmax = -np.inf
+            if f_term is not None:
+                lmax = max(lmax, f_term[0])
+            if not math.isfinite(lmax):
+                continue  # c_{n+k} = 0 (stays -inf)
+            num = 0j
+            if all_l is not None:
                 mags = np.exp(all_l - lmax)
-            num -= complex(np.sum(mags * np.cos(all_p)),
-                           np.sum(mags * np.sin(all_p)))
-        if f_term is not None:
-            num += math.exp(f_term[0] - lmax) * complex(math.cos(f_term[1]),
-                                                        math.sin(f_term[1]))
-        if num == 0:
-            continue
-        g_k = float(np.sum(ln_table[n + 1:n + k + 1]))
-        lc[n + k] = lmax + math.log(abs(num)) - g_k
-        pc[n + k] = math.atan2(num.imag, num.real)
-
-    # observed drift of the log-space march is ~n * 5e-13 at worst
-    out = ps.make_series(lc, np.zeros(n_terms), pc,
-                         math.log(max(64.0, n_terms) * 2e-12),
-                         "ode solution", mp_factory=factory)
-    return out
+                num -= complex(np.sum(mags * np.cos(all_p)),
+                               np.sum(mags * np.sin(all_p)))
+            if f_term is not None:
+                num += math.exp(f_term[0] - lmax) * complex(
+                    math.cos(f_term[1]), math.sin(f_term[1]))
+            if num == 0:
+                continue
+            g_k = float(np.sum(ln_table[n + 1:n + k + 1]))
+            lc[n + k] = lmax + math.log(abs(num)) - g_k
+            pc[n + k] = math.atan2(num.imag, num.real)
+    return lc, pc
 
 
 def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
@@ -272,24 +303,28 @@ def auto_solve(eq: LinearODE, init: InitialData, r_max: float,
                residual_tol: float = 1e-8, n_start: int = 1 << 10,
                n_cap: int = 1 << 16, dps: Optional[int] = None) -> tuple:
     """Double n_terms until the certified radius covers r_max and the
-    residual there passes; cap at n_cap.
+    residual there passes; cap at n_cap.  Each doubling resumes the last
+    march, and the residual is computed only where it decides the answer.
 
     Returns (solution, info) where info records the certified radius, the
     radius actually checked, the residual, and whether the cap bound.
     """
-    n = n_start
+    n, sol = n_start, None
     while True:
-        sol = solve_series(eq, init, n, dps=dps)
+        sol = solve_series(eq, init, n, dps=dps, _resume=sol)
         r_cert = min(sol.guaranteed_radius,
                      *(a.guaranteed_radius for a in eq.coeffs))
-        r_check = min(r_max, r_cert)
-        resid = residual_norm(eq, sol, math.log(r_check)) \
-            if r_check > 0 else math.inf
-        ok = r_cert >= r_max and resid < residual_tol
-        if ok or n >= n_cap:
-            return sol, {"n_terms": n, "certified_radius": r_cert,
-                         "checked_radius": r_check, "residual": resid,
-                         "capped": not ok}
+        # short of r_max and of the cap the answer is to double, whatever
+        # the residual, so it is computed only when it can decide
+        if r_cert >= r_max or n >= n_cap:
+            r_check = min(r_max, r_cert)
+            resid = residual_norm(eq, sol, math.log(r_check)) \
+                if r_check > 0 else math.inf
+            ok = r_cert >= r_max and resid < residual_tol
+            if ok or n >= n_cap:
+                return sol, {"n_terms": n, "certified_radius": r_cert,
+                             "checked_radius": r_check, "residual": resid,
+                             "capped": not ok}
         n *= 2
 
 

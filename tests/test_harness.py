@@ -112,7 +112,9 @@ class TestReports:
 
     @pytest.mark.parametrize("name", ["theorem_dominant_first_order",
                                       "log_derivative_exp_exp",
-                                      "gundersen_exp", "theorem_type"])
+                                      "gundersen_exp", "theorem_type",
+                                      "theorem_proximity",
+                                      "theorem_proximity_liminf"])
     def test_shipped_experiment_passes(self, name):
         assert harness.run_config(harness.shipped_config(name)).verdict \
             == "pass"

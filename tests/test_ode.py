@@ -191,3 +191,77 @@ class TestAutoSolve:
         r = min(12.5, info["certified_radius"] * 0.99)
         ratio = math.log(ps.log_max_modulus(sol, math.log(r))) / (r / 2.0)
         assert abs(ratio - 1.0) < 0.12
+
+    # (r_max, n_cap, capped): certified at 512 terms, or capped at 1024
+    CASES = [(6.0, 1 << 13, False), (14.0, 1 << 10, True)]
+
+    @pytest.mark.parametrize("r_max,n_cap,capped", CASES)
+    def test_result_is_the_fresh_march_of_its_length(self, r_max, n_cap,
+                                                     capped):
+        eq, init = bessel_type_equation(), ode.InitialData((1.0, 0.0))
+        sol, info = ode.auto_solve(eq, init, r_max, n_start=64, n_cap=n_cap)
+        assert info["capped"] == capped and info["n_terms"] > 64
+        fresh = ode.solve_series(eq, init, info["n_terms"])
+        assert sol.coeff.lh.tobytes() == fresh.coeff.lh.tobytes()
+        assert sol.coeff.ph.tobytes() == fresh.coeff.ph.tobytes()
+
+    @pytest.mark.parametrize("r_max,n_cap,capped", CASES)
+    def test_residual_is_computed_once(self, monkeypatch, r_max, n_cap,
+                                       capped):
+        calls = []
+        residual = ode.residual_norm
+
+        def counted(eq, f, log_r):
+            calls.append(f.n_terms)
+            return residual(eq, f, log_r)
+
+        monkeypatch.setattr(ode, "residual_norm", counted)
+        eq, init = bessel_type_equation(), ode.InitialData((1.0, 0.0))
+        sol, info = ode.auto_solve(eq, init, r_max, n_start=64, n_cap=n_cap)
+        assert calls == [info["n_terms"]]
+
+    @pytest.mark.parametrize("r_max,n_cap,capped", CASES)
+    def test_each_index_is_marched_once(self, monkeypatch, r_max, n_cap,
+                                        capped):
+        spans = []
+        march = ode._march_d
+
+        def recorded(eq, init, n_terms, prev):
+            spans.append((prev.n_terms if prev is not None else 0, n_terms))
+            return march(eq, init, n_terms, prev)
+
+        monkeypatch.setattr(ode, "_march_d", recorded)
+        eq, init = bessel_type_equation(), ode.InitialData((1.0, 0.0))
+        sol, info = ode.auto_solve(eq, init, r_max, n_start=64, n_cap=n_cap)
+        assert len(spans) > 1
+        assert spans[0][0] == 0 and spans[-1][1] == info["n_terms"]
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+class TestResume:
+    @pytest.mark.parametrize("n_prev", [4, 50, 200, 300])
+    def test_resumed_march_matches_fresh(self, n_prev):
+        eq = ode.LinearODE(3, (ps.builtin("exp", 40), ps.builtin("sin", 30),
+                               ps.builtin("poly", coeffs=[0.0, 0.5])),
+                           rhs=ps.builtin("cos", 20))
+        init = ode.InitialData((0.3 + 0.1j, 0.0, -1.0))
+        fresh = ode.solve_series(eq, init, 200)
+        prev = ode.solve_series(eq, init, n_prev)
+        got = ode.solve_series(eq, init, 200, _resume=prev)
+        for a, b in ((got.coeff.lh, fresh.coeff.lh),
+                     (got.coeff.ph, fresh.coeff.ph)):
+            assert a.tobytes() == b.tobytes()
+        assert got.guaranteed_radius == fresh.guaranteed_radius
+
+    def test_resume_continues_from_the_given_coefficients(self):
+        """Only the indices past prev are marched: a change to prev's last
+        coefficient is kept and carries into the extension."""
+        eq, init = bessel_type_equation(), ode.InitialData((1.0, 0.0))
+        prev = ode.solve_series(eq, init, 100)
+        lh = prev.coeff.lh.copy()
+        lh[99] += 1.0
+        bent = ps.make_series(lh, np.zeros(100), prev.coeff.ph, 0.0, "bent")
+        got = ode.solve_series(eq, init, 200, _resume=bent)
+        fresh = ode.solve_series(eq, init, 200)
+        assert np.array_equal(got.coeff.lh[:100], lh)
+        assert not np.array_equal(got.coeff.lh[100:], fresh.coeff.lh[100:])

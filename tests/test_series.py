@@ -20,6 +20,32 @@ def coeff_value(f, n):
                                  math.sin(f.coeff.ph[n]))
 
 
+def _cauchy_loop_over_g(lf, pf, lg, pg, n_out):
+    """Reference log-polar convolution: one pass over g's indices,
+    whatever the lengths (the loop series._cauchy_logpolar must match)."""
+    nf, ng = len(lf), len(lg)
+    lmax = np.full(n_out, -np.inf)
+    for m in range(min(ng, n_out)):
+        if not math.isfinite(lg[m]):
+            continue
+        span = min(n_out - m, nf)
+        np.maximum(lmax[m:m + span], lg[m] + lf[:span], out=lmax[m:m + span])
+    acc = np.zeros(n_out, dtype=complex)
+    lmax_safe = np.where(np.isfinite(lmax), lmax, 0.0)
+    for m in range(min(ng, n_out)):
+        if not math.isfinite(lg[m]):
+            continue
+        span = min(n_out - m, nf)
+        with np.errstate(under="ignore"):
+            mag = np.exp(lg[m] + lf[:span] - lmax_safe[m:m + span])
+        angs = pg[m] + pf[:span]
+        acc[m:m + span] += mag * np.cos(angs) + 1j * (mag * np.sin(angs))
+    with np.errstate(divide="ignore"):
+        lh = np.where(acc != 0, lmax_safe + np.log(np.abs(acc)), -np.inf)
+    ph = np.where(acc != 0, np.angle(acc), 0.0)
+    return lh, ph
+
+
 class TestBuiltins:
     def test_exp_first_terms(self):
         f = series.builtin("exp", 4)
@@ -259,6 +285,27 @@ class TestCombine:
         assert h.n_terms == 100
         assert coeff_value(h, 1) == pytest.approx(0.0, abs=1e-15)
         assert coeff_value(h, 2) == pytest.approx(0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("nf,ng,n_out", [
+        (7, 40, 46), (40, 7, 46), (25, 25, 49),     # full convolutions
+        (7, 40, 20), (40, 7, 5), (25, 25, 25),      # truncated
+        (1, 30, 30), (30, 1, 30), (60, 900, 959), (900, 60, 959)])
+    def test_cauchy_logpolar_bytes_match_loop_over_g(self, nf, ng, n_out):
+        """Looping over the shorter factor gives the same bytes as a loop
+        over g's indices, whichever factor is shorter."""
+        rng = np.random.default_rng(1000 * nf + ng + n_out)
+
+        def logpolar(n):
+            logs = rng.normal(scale=30.0, size=n)
+            logs[rng.random(n) < 0.3] = -np.inf
+            return logs, rng.uniform(-np.pi, np.pi, size=n)
+
+        lf, pf = logpolar(nf)
+        lg, pg = logpolar(ng)
+        got = series._cauchy_logpolar(lf, pf, lg, pg, n_out)
+        want = _cauchy_loop_over_g(lf, pf, lg, pg, n_out)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     def test_scale_argument(self):
         f = series.builtin("exp", 30)
