@@ -513,29 +513,23 @@ def _wrap_pi(p):
 def _cauchy_logpolar(lf, pf, lg, pg, n_out):
     """Log-polar Cauchy convolution via a two-pass rescaled accumulation.
 
-    Both passes loop over the shorter factor and run vector operations over
-    the longer.  When that is f, its indices run from the top down, so every
-    output still receives its terms in increasing g index and the result is
-    byte-identical to looping over g.
+    Both passes loop over f's finite indices and run vector operations over
+    g.  The indices run from the top down, so every output receives its
+    terms in increasing g index.
     """
-    if len(lf) < len(lg):
-        outer = range(min(len(lf), n_out) - 1, -1, -1)
-        la, pa, lb, pb = lf, pf, lg, pg
-    else:
-        outer = range(min(len(lg), n_out))
-        la, pa, lb, pb = lg, pg, lf, pf
-    outer = [m for m in outer if math.isfinite(la[m])]
+    outer = [m for m in range(min(len(lf), n_out) - 1, -1, -1)
+             if math.isfinite(lf[m])]
     lmax = np.full(n_out, -np.inf)
     for m in outer:
-        span = min(n_out - m, len(lb))
-        np.maximum(lmax[m:m + span], la[m] + lb[:span], out=lmax[m:m + span])
+        span = min(n_out - m, len(lg))
+        np.maximum(lmax[m:m + span], lf[m] + lg[:span], out=lmax[m:m + span])
     acc = np.zeros(n_out, dtype=complex)
     lmax_safe = np.where(np.isfinite(lmax), lmax, 0.0)
     with np.errstate(under="ignore"):
         for m in outer:
-            span = min(n_out - m, len(lb))
-            mag = np.exp(la[m] + lb[:span] - lmax_safe[m:m + span])
-            angs = pa[m] + pb[:span]
+            span = min(n_out - m, len(lg))
+            mag = np.exp(lf[m] + lg[:span] - lmax_safe[m:m + span])
+            angs = pf[m] + pg[:span]
             acc[m:m + span] += mag * np.cos(angs) + 1j * (mag * np.sin(angs))
     with np.errstate(divide="ignore"):
         lh = np.where(acc != 0, lmax_safe + np.log(np.abs(acc)), -np.inf)

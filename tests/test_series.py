@@ -291,8 +291,8 @@ class TestCombine:
         (7, 40, 20), (40, 7, 5), (25, 25, 25),      # truncated
         (1, 30, 30), (30, 1, 30), (60, 900, 959), (900, 60, 959)])
     def test_cauchy_logpolar_bytes_match_loop_over_g(self, nf, ng, n_out):
-        """Looping over the shorter factor gives the same bytes as a loop
-        over g's indices, whichever factor is shorter."""
+        """Looping over f's indices from the top down gives the same bytes
+        as a loop over g's indices, whichever factor is shorter."""
         rng = np.random.default_rng(1000 * nf + ng + n_out)
 
         def logpolar(n):
