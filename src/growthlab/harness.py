@@ -756,7 +756,7 @@ _PROBE_TERMS = 1 << 11  # first length of the double probe march
 def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
                           g_series: ps.PowerSeries, radii, dps_budget: int,
                           sol: Optional[ps.PowerSeries] = None):
-    """Counting data for f - g with f re-marched in mpmath once, at the
+    """Counting data for f - g with f re-marched in integers once, at the
     depth nevanlinna.winding_dps gives for the top radius, so every count
     up to it reads the cached march (double-marched coefficients carry
     ~1e-11 relative error, far too coarse for winding at these depths).

@@ -13,9 +13,11 @@ carries.  Each coefficient depends only on those below it, so a longer
 march resumes a shorter one instead of starting again at index 0: the
 doublings of auto_solve march every index once, and its residual is
 checked only where it decides the answer (usually once, on the candidate
-it returns).  A second, mpmath-backed march produces the same solution at
-arbitrary precision when downstream consumers (deep zero counting) need
-coefficients better than 1e-13 relative.
+it returns).  A second march, in fixed-point Python integers, produces the
+same solution at arbitrary precision when downstream consumers (deep zero
+counting) need coefficients better than 1e-13 relative: each step adds its
+exact products at one common exponent and rounds once, within a stated
+bound of the exact step (see _solve_series_mp).
 """
 
 from __future__ import annotations
@@ -75,12 +77,13 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
                  _resume: Optional[ps.PowerSeries] = None) -> ps.PowerSeries:
     """March the coefficient recurrence out to n_terms.
 
-    dps switches to the mpmath march (same recurrence, arbitrary
-    precision), whose values seed the result's mp cache.  Either way the
-    result carries the mpmath march as its regeneration hook, so deep
-    evaluation can ask for more digits later.  _resume, an earlier double
-    march of the same equation and initial data, is extended or cut rather
-    than marched again (see _march_d); the mpmath march ignores it.
+    dps switches to the fixed-point integer march (same recurrence, dps
+    digits, error bound in _solve_series_mp), whose values seed the
+    result's mp cache.  Either way the result carries the integer march as
+    its regeneration hook, so deep evaluation can ask for more digits
+    later.  _resume, an earlier double march of the same equation and
+    initial data, is extended or cut rather than marched again (see
+    _march_d); the integer march ignores it.
     """
     if n_terms <= eq.k:
         raise ValueError("n_terms must exceed the equation order")
@@ -212,37 +215,121 @@ def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
     return lc, pc
 
 
+# bits kept beyond dps log2(10) in the integer march
+_MARCH_GUARD_BITS = 32
+
+
 def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
                      dps: int) -> list:
-    """The recurrence marched in mpmath at dps digits: the solution's
-    coefficients as a list of mpc (exact zeros as mpc(0))."""
+    """The recurrence marched in fixed-point integers for dps digits: the
+    solution's coefficients as a list of mpc (exact zeros as mpc(0)).
+
+    Every value is a triple (re, im, e) standing for (re + i im) 2^e with
+    P + 1 or P + 2 significant bits, P = ceil(dps log2 10) + 32.  A_j and F
+    come from their mp_logs(dps) and the initial data from its floats, each
+    rounded once to P + 1 bits.  Step n forms every product
+    a_{j,m} c_{n-m+j} (n-m+j)!/(n-m)! exactly and adds these and F_n, M
+    terms in all, at one exponent E = T - 2P - 16, where T bounds the top
+    bit of the largest term: each is floored to a multiple of 2^E, so the
+    sum is within M 2^E per component of the exact step on the stored
+    inputs.  Dividing by (n+1)...(n+k) is one floor division to P + 1 bits,
+    a further 2^-P relative.  The values become mpc at dps digits once, at
+    the end.
+    """
     k = eq.k
+    bits = math.ceil(dps * math.log2(10)) + _MARCH_GUARD_BITS
+    # each coefficient's nonzero terms (m, re, im, e), converted once, and
+    # -F_n, so that a step's sum is -(c_{n+k} (n+1)...(n+k))
+    a_nz = [[(m,) + _fixed_of(v, bits)
+             for m, v in enumerate(a.coeff.mp_logs(dps)) if v != 0]
+            for a in eq.coeffs]
+    neg_f = {}
+    if eq.rhs is not None:
+        for n, v in enumerate(eq.rhs.coeff.mp_logs(dps)):
+            if v != 0:
+                re, im, e = _fixed_of(v, bits)
+                neg_f[n] = (-re, -im, e)
+    c = [None] * n_terms  # None is an exact zero
+    for i, v in enumerate(init.values):
+        if v != 0:
+            c[i] = _fixed_div(*_fixed_of(mp.mpc(complex(v)), bits),
+                              math.factorial(i), bits)
+    n_steps = n_terms - k
+    # per j, the factorial ratio (i+1)...(i+j) of step index i = n - m and
+    # its bit length; a product's components are below 2^(e + 2P + 5 + that)
+    ratio = [[math.prod(range(i + 1, i + j + 1)) for i in range(n_steps)]
+             for j in range(k)]
+    ratio_bits = [[r.bit_length() for r in rj] for rj in ratio]
+    for n in range(n_steps):
+        terms = []
+        top = -math.inf  # T - 2P - 5
+        for j in range(k):
+            rj, bj = ratio[j], ratio_bits[j]
+            for m, ar, ai, ea in a_nz[j]:
+                if m > n:
+                    break
+                cv = c[n - m + j]
+                if cv is None:
+                    continue
+                cr, ci, ec = cv
+                re = ar * cr - ai * ci
+                im = ar * ci + ai * cr
+                e = t = ea + ec
+                if j:
+                    r = rj[n - m]
+                    re *= r
+                    im *= r
+                    t += bj[n - m]
+                terms.append((re, im, e))
+                if t > top:
+                    top = t
+        fn = neg_f.get(n)
+        if fn is not None:
+            terms.append(fn)
+            # F_n's components are below 2^(e + P + 2)
+            top = max(top, fn[2] - bits - 3)
+        if not terms:
+            continue  # c_{n+k} = 0 exactly
+        base = top - 11  # E = T - 2P - 16
+        sr = si = 0
+        for re, im, e in terms:
+            s = e - base
+            if s >= 0:
+                sr += re << s
+                si += im << s
+            else:
+                sr += re >> -s
+                si += im >> -s
+        if sr or si:
+            c[n + k] = _fixed_div(-sr, -si, base,
+                                  math.prod(range(n + 1, n + k + 1)), bits)
     with mp.workdps(dps):
-        # each coefficient's nonzero terms (m, a_m), listed once per march
-        a_nz = [[(m, v) for m, v in enumerate(a.coeff.mp_logs(dps)) if v != 0]
-                for a in eq.coeffs]
-        f_vals = eq.rhs.coeff.mp_logs(dps) if eq.rhs is not None else None
-        c = [mp.mpc(0)] * n_terms
-        fact = mp.mpf(1)
-        for i, v in enumerate(init.values):
-            if i:
-                fact *= i
-            c[i] = mp.mpc(complex(v)) / fact
-        for n in range(n_terms - k):
-            s = mp.mpc(0)
-            for j in range(k):
-                for m, av in a_nz[j]:
-                    if m > n:
-                        break
-                    term = av * c[n - m + j]
-                    if j:  # factorial ratio (n-m+j)!/(n-m)!; 1 for j = 0
-                        term *= math.prod(range(n - m + 1, n - m + j + 1))
-                    s += term
-            num = -s
-            if f_vals is not None and n < len(f_vals):
-                num += f_vals[n]
-            c[n + k] = num / math.prod(range(n + 1, n + k + 1))
-    return c
+        prec, rnd = mp.mp.prec, mp.libmp.round_nearest
+        fme = mp.libmp.from_man_exp
+        zero = mp.mpc(0)
+        return [zero if cv is None else
+                mp.mp.make_mpc((fme(cv[0], cv[2], prec, rnd),
+                                fme(cv[1], cv[2], prec, rnd)))
+                for cv in c]
+
+
+def _fixed_of(v, bits: int) -> tuple:
+    """An mpc as (re, im, e) with bits + 1 significant bits, rounded to
+    nearest: v ~ (re + i im) 2^e."""
+    xr, xi = v.real._mpf_, v.imag._mpf_
+    e = max(x[2] + x[3] for x in (xr, xi) if x[1]) - bits - 1
+    return _evalcore._to_fixed(xr, -e), _evalcore._to_fixed(xi, -e), e
+
+
+def _fixed_div(re: int, im: int, e: int, d: int, bits: int) -> tuple:
+    """(re + i im) 2^e / d for a positive int d, as (re, im, e) with bits + 1
+    or bits + 2 significant bits: one floor division per component, so each
+    component is within 2^-bits |quotient| of the exact one."""
+    sh = bits + 1 - max(abs(re), abs(im)).bit_length() + d.bit_length()
+    if sh >= 0:
+        return (re << sh) // d, (im << sh) // d, e - sh
+    d <<= -sh
+    return re // d, im // d, e - sh
 
 
 def fundamental_system(eq: LinearODE, n_terms: int) -> list:

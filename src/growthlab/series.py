@@ -147,6 +147,9 @@ def make_series(lh, ll, ph, rel_err_ln: float, provenance: str,
 # ---------------------------------------------------------------------------
 # builtins
 
+# One entry per (name, n_terms) for the life of the process, never evicted,
+# each with its mp values at the deepest dps asked for: the cache grows
+# without bound as new lengths are requested.
 _BUILTIN_CACHE: dict = {}
 
 _GEN_DPS = 50  # construction precision; gives double-double-grade logs
@@ -417,6 +420,8 @@ def log_max_modulus(f: PowerSeries, log_r: float) -> float:
     return best
 
 
+# Grows to the longest series differentiated (up to 65,536 terms for an
+# ODE solution at auto_solve's cap) and is never cut back.
 _LN_INT_DD: dict = {}
 
 

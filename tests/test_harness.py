@@ -114,7 +114,8 @@ class TestReports:
                                       "log_derivative_exp_exp",
                                       "gundersen_exp", "theorem_type",
                                       "theorem_proximity",
-                                      "theorem_proximity_liminf"])
+                                      "theorem_proximity_liminf",
+                                      "wiman_valiron"])
     def test_shipped_experiment_passes(self, name):
         assert harness.run_config(harness.shipped_config(name)).verdict \
             == "pass"

@@ -1,7 +1,9 @@
 """Series solver: recurrence correctness, linearity, residual certificates."""
 
+import inspect
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,3 +267,88 @@ class TestResume:
         fresh = ode.solve_series(eq, init, 200)
         assert np.array_equal(got.coeff.lh[:100], lh)
         assert not np.array_equal(got.coeff.lh[100:], fresh.coeff.lh[100:])
+
+
+def mpc_march(eq, init, n_terms, dps, work_dps):
+    """Reference for ode._solve_series_mp: the recurrence on the inputs at
+    dps digits, marched in mpc arithmetic at work_dps digits, each product
+    and sum rounded."""
+    k = eq.k
+    with mp.workdps(work_dps):
+        a_nz = [[(m, v) for m, v in enumerate(a.coeff.mp_logs(dps)) if v != 0]
+                for a in eq.coeffs]
+        f_vals = eq.rhs.coeff.mp_logs(dps) if eq.rhs is not None else None
+        c = [mp.mpc(0)] * n_terms
+        fact = mp.mpf(1)
+        for i, v in enumerate(init.values):
+            if i:
+                fact *= i
+            c[i] = mp.mpc(complex(v)) / fact
+        for n in range(n_terms - k):
+            s = mp.mpc(0)
+            for j in range(k):
+                for m, av in a_nz[j]:
+                    if m > n:
+                        break
+                    term = av * c[n - m + j]
+                    if j:  # factorial ratio (n-m+j)!/(n-m)!; 1 for j = 0
+                        term *= math.prod(range(n - m + 1, n - m + j + 1))
+                    s += term
+            num = -s
+            if f_vals is not None and n < len(f_vals):
+                num += f_vals[n]
+            c[n + k] = num / math.prod(range(n + 1, n + k + 1))
+    return c
+
+
+class TestIntegerMarch:
+    """The fixed-point march against the mpc march at dps + 20 digits on the
+    same stored inputs, so what is checked is the march's own arithmetic.
+
+    The inputs are not compared with deeper ones: rounding A_j to dps
+    digits moves a few coefficients of the theorem solution by more than the
+    data floor, whichever march is used."""
+
+    CASES = {
+        "theorem": (lambda: bessel_type_equation(220), (1.0, 0.0), 2048, 52),
+        "k3_ratio": (lambda: ode.LinearODE(
+            3, (ps.builtin("exp", 40), ps.builtin("sin", 30),
+                ps.builtin("poly", coeffs=[0.0, 0.5 + 0.25j]))),
+            (1.0, 0.0, -1.0), 300, 40),
+        "rhs": (lambda: ode.LinearODE(
+            2, (ps.builtin("poly", coeffs=[1.0, -0.5]),
+                ps.builtin("poly", coeffs=[0.0])),
+            rhs=ps.builtin("cos", 40)), (0.0, 0.0), 300, 40),
+        "complex_init": (lambda: bessel_type_equation(60),
+                         (0.3 + 0.7j, -1.1 + 0.2j), 400, 75),
+        "oscillator_cos": (oscillator, (1.0, 0.0), 200, 40),
+        "oscillator_sin": (oscillator, (0.0, 1.0), 200, 40),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_mpc_march_to_data_floor(self, case):
+        make_eq, init, n_terms, dps = self.CASES[case]
+        eq, init = make_eq(), ode.InitialData(init)
+        sol = ode.solve_series(eq, init, n_terms, dps=dps)
+        got = sol.coeff.mp_logs(dps)
+        ref = mpc_march(eq, init, n_terms, dps, dps + 20)
+        tol = mp.exp(sol.coeff.data_floor_ln(dps))
+        assert len(got) == n_terms
+        for n, (a, b) in enumerate(zip(got, ref)):
+            if b == 0:
+                assert a == 0 and isinstance(a, mp.mpc), n
+            else:
+                assert abs(a - b) <= tol * abs(b), n
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_oscillator_keeps_exact_zeros(self, parity):
+        init = (1.0, 0.0) if parity == 0 else (0.0, 1.0)
+        got = ode._solve_series_mp(oscillator(), ode.InitialData(init), 60,
+                                   30)
+        assert all(v == 0 for v in got[1 - parity::2])
+        assert all(v != 0 for v in got[parity::2])
+
+    def test_tracer_contract(self):
+        """perfbench's tracer binds these parameters by name."""
+        params = inspect.signature(ode._solve_series_mp).parameters
+        assert "n_terms" in params and "dps" in params
