@@ -13,11 +13,19 @@ as small as e^{-2r} relative to mu(r) (e.g. e^z at theta = pi), which no
 double can see at r = 100.  Three precision levels are therefore provided:
 
   'd'   plain complex128, noise floor ~3e-16 * N * mu(r)
-  'dd'  vectorized double-double, floor ~1e-31 * N * mu(r)
-  'mp'  band-limited fixed-point Horner over Python integers at scale 2^P,
-        P ~ dps log2(10) + 2 log2(N) + 16; error <= (N + 1)^2 2^-P * mu(r)
-        for a band of N terms, below 2^-16 10^-dps and so far under the
-        mp floor ~3 N 10^(-0.95 dps) * mu(r)
+  'dd'  double-double terms, floor ~1e-31 * N * mu(r)
+  'mp'  band-limited fixed-point terms over Python integers at scale 2^P,
+        P ~ dps log2(10) + 2 log2(N) + 16, floor ~3 N 10^(-0.95 dps) * mu(r)
+
+Scattered angles (`eval_points`) are summed by blocked Horner in
+double-double at 'dd' and by fixed-point Horner at 'mp', whose error is at
+most (N + 1)^2 2^-P * mu(r) for a band of N terms, below 2^-16 10^-dps.
+Equispaced circles (`eval_circle`) of power-of-two size m fold the band
+mod m and run one FFT: numpy's at 'd'; at 'dd' and 'mp' one radix-2 FFT
+over Python integers, fed the dd terms converted at P = _fixed_bits(32, N)
+or the mp band, with error at most (4 N + 3) 2^-P * mu(r) (see
+_circle_fixed), again far under the floor.  Circles therefore sample the
+exact angles 2 pi (j + 1/2) / m, points the float angles they are given.
 
 Every evaluation returns an explicit noise floor (in log scale) so callers
 can tell whether deep cancellation corrupted the values they care about, and
@@ -64,6 +72,7 @@ class CoeffData:
 
     The exact values are cached as one (dps, values) entry, which serves
     every request at or below that dps; a deeper request replaces it.
+    _a_cache keeps the latest band per level (see _cached_band).
     """
 
     lh: np.ndarray
@@ -98,7 +107,16 @@ class CoeffData:
         return self._mp_entry[1]
 
     def data_floor_ln(self, dps: Optional[int] = None) -> float:
-        """Best achievable relative accuracy of the stored coefficients."""
+        """ln of the relative accuracy claimed for the stored coefficients.
+
+        Without dps (or without an mp factory) this is rel_err_ln.  With
+        both it is 10^(-0.95 dps): a heuristic, not a bound.  It holds for
+        builtins, whose factory evaluates each coefficient at dps digits,
+        but an ODE solution inherits the rounding of its inputs A_j: for
+        f'' + e^z f = 0 (exp 220, init (1, 0), 2048 terms) at dps 52,
+        rounding A_0 to 52 digits alone moves coefficient 1097 by 1.0e-48
+        relative, against the 4.0e-50 claimed here.
+        """
         if dps is not None and self.mp_factory is not None:
             return -0.95 * dps * math.log(10)
         return self.rel_err_ln
@@ -192,8 +210,29 @@ def _terms_d(coeff: CoeffData, log_r: float):
                                      coeff.ph[lo:hi])
 
 
+def _cached_band(coeff: CoeffData, key: tuple, build: Callable):
+    """build(), cached in coeff._a_cache as the latest band of level
+    key[0]: a quadrature's circle, bisection and Gauss panels at one
+    radius reuse one band."""
+    hit = coeff._a_cache.get(key[0])
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    entry = build()
+    coeff._a_cache[key[0]] = (key, entry)
+    return entry
+
+
 def _terms_dd(coeff: CoeffData, log_r: float):
+    """(lo, hi, log_mu, t): the band's t_n = a_n r^n / mu(r) as complex
+    double-double arrays ((re_hi, re_lo), (im_hi, im_lo))."""
     lo, hi, log_mu = _band(coeff, log_r, _BAND_CUT["dd"])
+    return _cached_band(coeff, ("dd", lo, hi, log_r),
+                        lambda: (lo, hi, log_mu,
+                                 _rescaled_dd(coeff, log_r, lo, hi, log_mu)))
+
+
+def _rescaled_dd(coeff: CoeffData, log_r: float, lo: int, hi: int,
+                 log_mu: float):
     n = np.arange(lo, hi, dtype=float)
     # vanished coefficients inside the band are computed at a finite
     # sentinel and forced to exact zero afterwards (keeps dd kernels NaN-free)
@@ -208,9 +247,7 @@ def _terms_dd(coeff: CoeffData, log_r: float):
         ldiff = (np.where(gone, -1e5, ldiff[0]), np.where(gone, 0.0, ldiff[1]))
     mag = _dd.dd_exp(ldiff)
     cr, ci = _coeff_cis(coeff.ph[lo:hi])
-    re = (mag[0] * cr, mag[1] * cr)
-    im = (mag[0] * ci, mag[1] * ci)
-    return lo, hi, log_mu, (re, im)
+    return (mag[0] * cr, mag[1] * cr), (mag[0] * ci, mag[1] * ci)
 
 
 def _cis_dd_of(thetas):
@@ -353,6 +390,12 @@ _FIX_GUARD_BITS = 16
 _MP_BLOCK = 512  # angles per vectorised Horner pass; bounds the int arrays
 _LN2 = math.log(2.0)
 
+# circles up to this size (nevanlinna's largest mesh) take the integer FFT;
+# the twiddle cache holds one table per power of two up to it
+_FFT_MAX_ANGLES = 1 << 16
+_TW_GUARD_BITS = 64  # bits a cached twiddle table keeps below its scale
+_TWIDDLES = {}  # m -> (scale, re, im) of e^{i pi k / m}, k < m
+
 
 def _fixed_bits(dps: int, width: int) -> int:
     """Fixed-point scale P for an mp band of `width` terms at `dps` digits.
@@ -379,61 +422,99 @@ def _fixed_cis(k: int, theta: float, bits: int):
     return _to_fixed(c, bits), _to_fixed(s, bits)
 
 
-def _fixed_band(coeff: CoeffData, values, log_r: float, dps: int, lo: int,
-                hi: int, log_mu: float):
-    """(P, last, [(gap, re, im), ...]) for the band's nonzero terms.
+def _fixed_cis_arrays(k: int, thetas, bits: int):
+    """_fixed_cis(k, theta, bits) over the angles, as two object arrays."""
+    cs = [_fixed_cis(k, th, bits) for th in thetas]
+    return (np.array([c for c, _ in cs], dtype=object),
+            np.array([s for _, s in cs], dtype=object))
 
-    The terms t_n = a_n r^n / mu(r), from values = coeff.mp_logs(dps), are
-    rounded to integers at scale 2^P, highest n first; `gap` is the index
-    distance to the previous nonzero term (0 for the first), `last` the
-    lowest nonzero index.  The single entry of coeff._a_cache holds the
-    latest band.
+
+def _fixed_band(coeff: CoeffData, log_r: float, dps: int):
+    """(lo, hi, log_mu, P, [(n, re, im), ...]) for the mp band's nonzero
+    terms, highest n first.
+
+    The band keeps the terms within dps ln 10 + 40 nats of mu(r); its terms
+    t_n = a_n r^n / mu(r), from coeff.mp_logs(dps), are rounded to integers
+    at scale 2^P (see _fixed_bits).
     """
-    key = (dps, lo, hi, log_r)
-    cached = coeff._a_cache.get(key)
-    if cached is not None:
-        return cached
-    bits = _fixed_bits(dps, hi - lo)
-    band = []
-    prev = None
-    with mp.workprec(bits + 32):
-        lr = mp.mpf(float(log_r))
-        lmu = mp.mpf(log_mu)
-        for n in range(hi - 1, lo - 1, -1):
-            if not math.isfinite(coeff.lh[n]):
-                continue
-            t = values[n] * mp.exp(n * lr - lmu)
-            band.append((0 if prev is None else prev - n,
-                         _to_fixed(t.real._mpf_, bits),
-                         _to_fixed(t.imag._mpf_, bits)))
-            prev = n
-    entry = (bits, prev, band)
-    coeff._a_cache.clear()
-    coeff._a_cache[key] = entry
-    return entry
+    lo, hi, log_mu = _band(coeff, log_r, dps * math.log(10) + 40.0)
+
+    def build():
+        values = coeff.mp_logs(dps)
+        bits = _fixed_bits(dps, hi - lo)
+        band = []
+        with mp.workprec(bits + 32):
+            lr = mp.mpf(float(log_r))
+            lmu = mp.mpf(log_mu)
+            for n in range(hi - 1, lo - 1, -1):
+                if not math.isfinite(coeff.lh[n]):
+                    continue
+                t = values[n] * mp.exp(n * lr - lmu)
+                band.append((n, _to_fixed(t.real._mpf_, bits),
+                             _to_fixed(t.imag._mpf_, bits)))
+        return lo, hi, log_mu, bits, band
+
+    return _cached_band(coeff, ("mp", dps, lo, hi, log_r), build)
 
 
-def _half_ln_scaled(a2: int, bits: int) -> float:
-    """0.5 ln(a2 2^-bits) for a positive integer a2."""
-    s = max(0, a2.bit_length() - 64)
-    return 0.5 * (math.log(a2 >> s) + (s - bits) * _LN2)
+def _floor_mp(coeff: CoeffData, log_mu: float, dps: int, width: int) -> float:
+    return _floor_ln(log_mu, -0.95 * dps * math.log(10),
+                     coeff.data_floor_ln(dps), width)
+
+
+_BIT_LENGTH = np.frompyfunc(int.bit_length, 1, 1)
+_LOG = np.frompyfunc(math.log, 1, 1)
+_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _top_bits(v):
+    """(v >> s, s) elementwise, s = max(0, bit_length(v) - 64): the leading
+    64 bits of each integer of the object array v, and the shift."""
+    s = np.maximum(_BIT_LENGTH(v).astype(np.int64) - 64, 0)
+    return v >> s, s
+
+
+def _result_fixed(ar, ai, bits: int, log_mu: float, floor: float,
+                  level: str, turn: Optional[Callable] = None) -> EvalResult:
+    """EvalResult of fixed-point sums (ar_j + i ai_j) 2^-bits = f / mu(r).
+
+    ln|f| comes from the leading 64 bits of ar^2 + ai^2, arg f from those
+    of (ar, ai), through math.log and math.atan2 elementwise.  With `turn`,
+    sum j is f / (mu(r) z^last), and turn(js) gives the fixed-point cis
+    arrays that restore f's phase at the indices js; the modulus needs no
+    turn.
+    """
+    ar = np.asarray(ar, dtype=object)
+    ai = np.asarray(ai, dtype=object)
+    logabs = np.full(len(ar), -np.inf)
+    phase = np.zeros(len(ar))
+    nz = np.nonzero((ar != 0) | (ai != 0))[0]
+    vr, vi = ar[nz], ai[nz]
+    top, s = _top_bits(vr * vr + vi * vi)
+    logabs[nz] = log_mu + 0.5 * (_LOG(top).astype(float)
+                                 + (s - 2 * bits) * _LN2)
+    if turn is not None:
+        cr, ci = turn(nz)
+        vr, vi = vr * cr - vi * ci, vr * ci + vi * cr
+    _, s = _top_bits(np.maximum(np.abs(vr), np.abs(vi)))
+    phase[nz] = _ATAN2((vi >> s).astype(float),
+                       (vr >> s).astype(float)).astype(float)
+    return EvalResult(logabs, phase, floor, log_mu, level)
 
 
 def _horner_fixed(band, bits: int, ths):
-    """The band's sum at x = e^{i theta} for each angle, as fixed-point ints.
+    """The band's sum over x^(n - last) at x = e^{i theta} for each angle,
+    as fixed-point ints, where last is the band's lowest index.
 
     Vectorised over the angles with object arrays of Python integers; x^gap
     is rounded per gap, not formed by repeated multiplication.
     """
-    powers = {}
-    for g in sorted({g for g, _, _ in band[1:]}):
-        cs = [_fixed_cis(g, th, bits) for th in ths]
-        powers[g] = (np.array([c for c, _ in cs], dtype=object),
-                     np.array([s for _, s in cs], dtype=object))
+    gaps = [hi[0] - lo[0] for hi, lo in zip(band, band[1:])]
+    powers = {g: _fixed_cis_arrays(g, ths, bits) for g in set(gaps)}
     _, ar, ai = band[0]
     ar = np.full(len(ths), ar, dtype=object)
     ai = np.full(len(ths), ai, dtype=object)
-    for g, tr, ti in band[1:]:
+    for g, (_, tr, ti) in zip(gaps, band[1:]):
         xr, xi = powers[g]
         ar, ai = (((ar * xr - ai * xi) >> bits) + tr,
                   ((ar * xi + ai * xr) >> bits) + ti)
@@ -443,13 +524,12 @@ def _horner_fixed(band, bits: int, ths):
 def _eval_points_mp(coeff: CoeffData, log_r: float, thetas, dps: int) -> EvalResult:
     """Band-limited fixed-point Horner evaluation at `dps` digits.
 
-    The band keeps the terms within dps ln 10 + 40 nats of mu(r).  On it,
-    f(r e^{i theta}) / mu(r) = sum t_n x^n with |t_n| <= 1 and x = e^{i theta},
-    so the sum is run over Python integers at scale 2^P (see _fixed_bits):
-    t_n and the powers x^gap are rounded to nearest at scale 2^P, and each
-    step acc <- (acc x^gap >> P) + t_n truncates once per component.  For a
-    band of N terms the partial sums obey |acc_k| <= k, so the computed sum
-    differs from the exact one by at most
+    On the band (see _fixed_band), f(r e^{i theta}) / mu(r) = sum t_n x^n
+    with |t_n| <= 1 and x = e^{i theta}, so the sum is run over Python
+    integers at scale 2^P: t_n and the powers x^gap are rounded to nearest
+    at scale 2^P, and each step acc <- (acc x^gap >> P) + t_n truncates once
+    per component.  For a band of N terms the partial sums obey
+    |acc_k| <= k, so the computed sum differs from the exact one by at most
 
         (N + 1)^2 2^-P   relative to mu(r),
 
@@ -457,29 +537,125 @@ def _eval_points_mp(coeff: CoeffData, log_r: float, thetas, dps: int) -> EvalRes
     modulus comes from acc itself; the phase from acc times the fixed-point
     cis of the lowest nonzero index times theta.
     """
-    values = coeff.mp_logs(dps)
-    lo, hi, log_mu = _band(coeff, log_r, dps * math.log(10) + 40.0)
-    bits, last, band = _fixed_band(coeff, values, log_r, dps, lo, hi,
-                                   log_mu)
+    lo, hi, log_mu, bits, band = _fixed_band(coeff, log_r, dps)
+    thetas = [float(th) for th in thetas]
+    ar, ai = [], []
+    for start in range(0, len(thetas), _MP_BLOCK):
+        br, bi = _horner_fixed(band, bits, thetas[start:start + _MP_BLOCK])
+        ar.extend(br)
+        ai.extend(bi)
+    last = band[-1][0]
 
-    m = len(thetas)
-    logabs = np.full(m, -np.inf)
-    phase = np.zeros(m)
-    for start in range(0, m, _MP_BLOCK):
-        ths = [float(th) for th in thetas[start:start + _MP_BLOCK]]
-        ar, ai = _horner_fixed(band, bits, ths)
-        for j, th, vr, vi in zip(range(start, m), ths, ar, ai):
-            if vr == 0 and vi == 0:
-                continue
-            logabs[j] = log_mu + _half_ln_scaled(vr * vr + vi * vi, 2 * bits)
-            if last:
-                cr, ci = _fixed_cis(last, th, bits)
-                vr, vi = vr * cr - vi * ci, vr * ci + vi * cr
-            s = max(0, max(abs(vr), abs(vi)).bit_length() - 64)
-            phase[j] = math.atan2(float(vi >> s), float(vr >> s))
-    floor = _floor_ln(log_mu, -0.95 * dps * math.log(10),
-                      coeff.data_floor_ln(dps), hi - lo)
-    return EvalResult(logabs, phase, floor, log_mu, "mp")
+    def turn(js):
+        return _fixed_cis_arrays(last, [thetas[j] for j in js], bits)
+
+    return _result_fixed(ar, ai, bits, log_mu,
+                         _floor_mp(coeff, log_mu, dps, hi - lo), "mp",
+                         turn if last else None)
+
+
+def _twiddles(m: int, bits: int):
+    """e^{i pi k / m} for k < m, rounded to integers at scale 2^bits.
+
+    One table per m is cached, at the deepest scale asked for so far plus
+    _TW_GUARD_BITS, and rounded down to each request's scale: the same
+    integers a fresh table gives unless a value lies within 2^-64 units of
+    a rounding midpoint.  Only the first octant is computed; the rest
+    follows exactly from the symmetries of cos and sin.
+    """
+    deep = bits + _TW_GUARD_BITS
+    entry = _TWIDDLES.get(m)
+    if entry is None or entry[0] < deep:
+        lib = mp.libmp
+        pi = lib.mpf_pi(deep + 16)
+        cs = [lib.mpf_cos_sin(lib.mpf_div(lib.mpf_mul(pi, lib.from_int(k)),
+                                          lib.from_int(m), deep + 16),
+                              deep + 8) for k in range(m // 4 + 1)]
+        first = [(_to_fixed(c, deep), _to_fixed(s, deep)) for c, s in cs]
+        cs = []
+        for k in range(m):
+            if k <= m // 4:
+                cs.append(first[k])
+            elif k <= m // 2:  # i conj(e^{i pi (m/2 - k)/m})
+                c, s = first[m // 2 - k]
+                cs.append((s, c))
+            else:  # i e^{i pi (k - m/2)/m}
+                c, s = cs[k - m // 2]
+                cs.append((-s, c))
+        entry = (deep, np.array([c for c, _ in cs], dtype=object),
+                 np.array([s for _, s in cs], dtype=object))
+        _TWIDDLES[m] = entry
+    shift = entry[0] - bits
+    half = 1 << (shift - 1)
+    return (entry[1] + half) >> shift, (entry[2] + half) >> shift
+
+
+def _circle_fixed(n, tr, ti, bits: int, m: int, offset: bool):
+    """sum_n t_n e^{i n theta_j} for theta_j = 2 pi (j + offset/2) / m,
+    j < m, from the band's terms t_n = (tr + i ti) 2^-bits at indices n.
+
+    Returns (ar, ai, q): the sums as integers at scale 2^q, q = bits +
+    log2 m.  m is a power of two.  The terms are folded into m bins by
+    n mod m, with the exact sign (-1)^floor(n/m) on the offset mesh; each
+    bin is shifted to scale 2^q and, on the offset mesh, twisted once by
+    e^{i pi k / m}; a radix-2 decimation-in-time FFT over object arrays of
+    Python ints then sums each bin against e^{2 pi i jk / m}, truncating
+    each twiddle product at scale 2^q.
+
+    Error, relative to mu(r), for a band of N terms |t_n| <= 1, each given
+    to within delta 2^-bits (delta = sqrt2/2 for the rounded mp band,
+    2 sqrt2 for the truncated dd terms).  In units of 2^-q, each product
+    truncates by at most sqrt2 and carries its twiddle's rounding, sqrt2/2
+    times its operand.  An output sees each twist product once and, at
+    butterfly level s = 2 .. log2 m, one product per block of 2^s bins,
+    whose operands sum to at most N.  So the sums are within
+
+        delta N 2^-bits + ((3/2) sqrt2 m + (sqrt2/2) N log2 m) 2^-q
+            <= ((delta + 0.36) N + 2.2) 2^-bits
+
+    of the exact ones: under (2 N + 3) 2^-bits for mp, (4 N + 3) 2^-bits
+    for dd, and so, with bits from _fixed_bits, under 2^-15 10^-dps (dps =
+    32 for dd), far below both levels' floors.
+    """
+    log_m = m.bit_length() - 1
+    k = n % m
+    if offset:
+        odd = (n // m) % 2 == 1
+        tr = np.where(odd, -tr, tr)
+        ti = np.where(odd, -ti, ti)
+    xr = np.zeros(m, dtype=object)
+    xi = np.zeros(m, dtype=object)
+    np.add.at(xr, k, tr)
+    np.add.at(xi, k, ti)
+    q = bits + log_m
+    xr, xi = xr << log_m, xi << log_m
+    wr, wi = _twiddles(m, q)
+    if offset:
+        xr, xi = (xr * wr - xi * wi) >> q, (xr * wi + xi * wr) >> q
+    j = np.arange(m)
+    rev = np.zeros(m, dtype=np.intp)
+    for b in range(log_m):
+        rev |= ((j >> b) & 1) << (log_m - 1 - b)
+    xr, xi = xr[rev], xi[rev]
+    h = 1
+    while h < m:
+        ar, ai = xr.reshape(-1, 2, h), xi.reshape(-1, 2, h)
+        br, bi = ar[:, 1], ai[:, 1]
+        if h > 1:  # e^{i pi k / h} = table entry k m / h; exact 1 at h = 1
+            cr, ci = wr[::m // h], wi[::m // h]
+            br, bi = (br * cr - bi * ci) >> q, (br * ci + bi * cr) >> q
+        xr = np.concatenate((ar[:, 0] + br, ar[:, 0] - br), axis=1)
+        xi = np.concatenate((ai[:, 0] + bi, ai[:, 0] - bi), axis=1)
+        h *= 2
+    return xr.reshape(m), xi.reshape(m), q
+
+
+def _dd_fixed(x, bits: int) -> np.ndarray:
+    """int(hi 2^bits) + int(lo 2^bits) for a double-double array (hi, lo):
+    the values at scale 2^bits, each truncated part off by under 1."""
+    return np.array([int(h) + int(l) for h, l in
+                     zip(np.ldexp(x[0], bits).tolist(),
+                         np.ldexp(x[1], bits).tolist())], dtype=object)
 
 
 def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
@@ -487,7 +663,13 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
     """Evaluate on m equispaced angles theta_j = 2 pi (j + offset/2) / m.
 
     The offset mesh dodges the real axis, where test subjects habitually
-    keep their zeros.
+    keep their zeros.  Every level folds the band mod m and runs one FFT:
+    complex128 at 'd'; at 'dd' and 'mp', for m a power of two up to
+    _FFT_MAX_ANGLES, the integer FFT of _circle_fixed at the exact angles,
+    within (4 N + 3) 2^-P of f / mu(r) for a band of N terms, where P is
+    the band's fixed-point scale: _fixed_bits(dps, N) at 'mp',
+    _fixed_bits(32, N) for the dd terms at 'dd'.  Other m go through
+    eval_points on the float angles.
     """
     if level == "d":
         lo, hi, log_mu, t = _terms_d(coeff, log_r)
@@ -499,36 +681,24 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
         folded = np.zeros(m, dtype=complex)
         np.add.at(folded, n % m, t)
         return _result_d(coeff, m * np.fft.ifft(folded), lo, hi, log_mu)
+    if m & (m - 1) or m > _FFT_MAX_ANGLES or level not in ("dd", "mp"):
+        thetas = (2.0 * np.pi) * (np.arange(m) + (0.5 if offset else 0.0)) / m
+        return eval_points(coeff, log_r, thetas, level=level, dps=dps)
     if level == "dd":
-        # equispaced: seed the point set from one accurately-computed root
-        seed = _cis_dd_of(np.array([2.0 * np.pi / m, np.pi / m if offset else 0.0]))
-        step = ((seed[0][0][0], seed[0][1][0]), (seed[1][0][0], seed[1][1][0]))
-        x = _powers_from_step_dd(step, m)
-        if offset:
-            off = ((seed[0][0][1], seed[0][1][1]), (seed[1][0][1], seed[1][1][1]))
-            x = _dd.ddc_mul(x, off)
-        return _eval_dd(coeff, log_r, x)
-    thetas = (2.0 * np.pi) * (np.arange(m) + (0.5 if offset else 0.0)) / m
-    return eval_points(coeff, log_r, thetas, level=level, dps=dps)
-
-
-def _powers_from_step_dd(step, m):
-    """[step^0 .. step^{m-1}] as complex-dd arrays, by binary doubling."""
-    re_h = np.empty(m); re_l = np.empty(m)
-    im_h = np.empty(m); im_l = np.empty(m)
-    re_h[0], re_l[0], im_h[0], im_l[0] = 1.0, 0.0, 0.0, 0.0
-    filled = 1
-    while filled < m:
-        take = min(filled, m - filled)
-        blk = ((re_h[:take], re_l[:take]), (im_h[:take], im_l[:take]))
-        mult = _ddc_pow_points(step, filled)
-        prod = _dd.ddc_mul(blk, mult)
-        re_h[filled:filled + take] = prod[0][0]
-        re_l[filled:filled + take] = prod[0][1]
-        im_h[filled:filled + take] = prod[1][0]
-        im_l[filled:filled + take] = prod[1][1]
-        filled += take
-    return ((re_h, re_l), (im_h, im_l))
+        lo, hi, log_mu, (re, im) = _terms_dd(coeff, log_r)
+        bits = _fixed_bits(32, hi - lo)
+        n, tr, ti = np.arange(lo, hi), _dd_fixed(re, bits), _dd_fixed(im, bits)
+        floor = _floor_ln(log_mu, _EPS_LN["dd"], coeff.rel_err_ln, hi - lo)
+    else:
+        if dps is None:
+            raise ValueError("mp evaluation needs an explicit dps")
+        lo, hi, log_mu, bits, band = _fixed_band(coeff, log_r, dps)
+        ns, res, ims = zip(*band)
+        n = np.array(ns)
+        tr, ti = np.array(res, dtype=object), np.array(ims, dtype=object)
+        floor = _floor_mp(coeff, log_mu, dps, hi - lo)
+    ar, ai, q = _circle_fixed(n, tr, ti, bits, m, offset)
+    return _result_fixed(ar, ai, q, log_mu, floor, level)
 
 
 _DPS_GUARD = 25.0  # nats of slack between the mp floor and the target

@@ -1,10 +1,13 @@
-"""The mp circle kernel against a direct mpmath evaluation of the series,
-and the d kernel's bytes across BLAS thread counts."""
+"""The mp points kernel and the dd/mp circle FFT against a direct mpmath
+evaluation of the series, and the d kernel's bytes across BLAS thread
+counts."""
 
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +22,9 @@ def direct_sum(coeff, log_r, thetas, dps, log_mu):
     """f(r e^{i theta}) / mu(r) summed over every stored term at dps + 40.
 
     Uses the same coefficient data the kernel reads (mp_logs(dps)), so any
-    difference is the kernel's arithmetic and band cut, not the data.
+    difference is the kernel's arithmetic and band cut, not the data.  An
+    angle given as a Fraction is a number of turns, taken exactly: theta =
+    2 pi t.
     """
     values = coeff.mp_logs(dps)
     with mp.workdps(dps + 40):
@@ -30,7 +35,10 @@ def direct_sum(coeff, log_r, thetas, dps, log_mu):
                  for n in range(coeff.n_terms)]
         out = []
         for th in thetas:
-            x = mp.expj(mp.mpf(float(th)))
+            if isinstance(th, Fraction):
+                x = mp.expj(2 * mp.pi * th.numerator / th.denominator)
+            else:
+                x = mp.expj(mp.mpf(float(th)))
             acc = mp.mpc(0)
             for t in reversed(terms):
                 acc = acc * x + t
@@ -78,6 +86,152 @@ def test_mp_kernel_matches_direct_sum(name, n_terms, r, thetas):
             depth.append(float(mp.log(abs(want))))
     # the case reaches deep cancellation: at least 180 nats below mu(r)
     assert min(depth) < -180.0
+
+
+def _assert_matches(res, ref, picks, margin):
+    """res at the angles `picks` is within e^(floor_ln - margin) of ref, plus
+    the float rounding of the returned (ln|f|, arg f) pair."""
+    floor_rel = mp.exp(res.floor_ln - res.log_mu - margin)
+    depth = []
+    with mp.workdps(60):
+        for j, want in zip(picks, ref):
+            got = mp.exp(mp.mpc(res.logabs[j] - res.log_mu, res.phase[j]))
+            err = abs(got - want)
+            assert err <= floor_rel + 1e-12 * abs(want), (
+                f"j={j}: ln|err/mu| = {float(mp.log(err))}, "
+                f"floor {res.floor_ln - res.log_mu}")
+            depth.append(float(mp.log(abs(want))))
+    return min(depth)
+
+
+# (builtin, n_terms, r, m, level): m in {64, 512, 1024}, with band widths
+# N = hi - lo above m (the fold) and below it
+CIRCLES = [
+    ("exp", 4000, 3000.0, 64, "dd"),   # N ~ 1.8k, like the ODE residual
+    ("sin", 700, 200.0, 64, "dd"),
+    ("sin", 700, 58.5, 512, "dd"),     # N < m
+    ("exp", 400, 40.0, 1024, "dd"),    # N < m
+    ("sin", 700, 200.0, 64, "mp"),
+    ("exp", 400, 100.0, 512, "mp"),
+    ("sin", 700, 58.5, 1024, "mp"),    # N < m
+]
+
+
+@pytest.mark.parametrize("offset", [True, False])
+@pytest.mark.parametrize("name,n_terms,r,m,level", CIRCLES)
+def test_fft_circle_matches_direct_sum(name, n_terms, r, m, level, offset):
+    """dd and mp circles at the exact angles 2 pi (j + offset/2) / m.
+
+    The mp circle must sit e^20 under its floor, as the points kernel does;
+    the dd circle reads double-double terms, so only its floor is promised.
+    The picks include the deepest sample, where a wrong fold, twist or scale
+    shows first."""
+    f = series.builtin(name, n_terms)
+    log_r = math.log(r)
+    dps = (_evalcore.dps_for_floor(f.coeff, log_r, min(0.0, log_r) - 45.0)
+           if level == "mp" else None)
+    res = _evalcore.eval_circle(f.coeff, log_r, m, offset=offset,
+                                level=level, dps=dps)
+    lo, hi, _ = _evalcore._band(
+        f.coeff, log_r, dps * math.log(10) + 40.0 if dps
+        else _evalcore._BAND_CUT["dd"])
+    assert (hi - lo > m) == (m == 64)
+    picks = sorted(set(range(0, m, m // 8)) | {int(np.argmin(res.logabs)),
+                                                m - 1})
+    turns = [Fraction(2 * j + offset, 2 * m) for j in picks]
+    ref = direct_sum(f.coeff, log_r, turns, dps or 50, res.log_mu)
+    depth = _assert_matches(res, ref, picks, 20.0 if level == "mp" else 0.0)
+    # the circle reaches cancellation deeper than double precision
+    assert depth < -40.0
+
+
+@pytest.mark.parametrize("level,dps", [("dd", None), ("mp", 40)])
+def test_circle_of_other_size_is_eval_points(level, dps):
+    f = series.builtin("sin", 700)
+    log_r = math.log(58.5)
+    thetas = (2.0 * np.pi) * (np.arange(96) + 0.5) / 96
+    a = _evalcore.eval_circle(f.coeff, log_r, 96, level=level, dps=dps)
+    b = _evalcore.eval_points(f.coeff, log_r, thetas, level=level, dps=dps)
+    assert a.logabs.tobytes() == b.logabs.tobytes()
+    assert a.phase.tobytes() == b.phase.tobytes()
+    assert a.floor_ln == b.floor_ln
+
+
+def test_twiddles_shifted_down_match_fresh():
+    f = series.builtin("exp", 400)
+    log_r = math.log(100.0)
+
+    def circle():
+        res = _evalcore.eval_circle(f.coeff, log_r, 512, level="mp", dps=60)
+        return res.logabs.tobytes() + res.phase.tobytes()
+
+    _evalcore._TWIDDLES.clear()
+    fresh_table = _evalcore._twiddles(512, 300)
+    fresh = circle()
+    # a deeper request replaces the table; shallower ones shift it down
+    _evalcore.eval_circle(f.coeff, log_r, 512, level="mp", dps=200)
+    assert _evalcore._TWIDDLES[512][0] > 700
+    shifted_table = _evalcore._twiddles(512, 300)
+    assert all(list(a) == list(b) for a, b in zip(fresh_table, shifted_table))
+    assert circle() == fresh
+
+
+def test_dd_band_cache_keeps_bytes():
+    """Scattered dd values from a cached band equal those from a fresh one,
+    also after a circle has read the band."""
+    f = series.builtin("exp", 400)
+    log_r = math.log(40.0)
+    thetas = np.linspace(0.0, 6.0, 13)
+
+    def points():
+        res = _evalcore.eval_points(f.coeff, log_r, thetas, level="dd")
+        return res.logabs.tobytes() + res.phase.tobytes()
+
+    f.coeff._a_cache.clear()
+    fresh = points()
+    _evalcore.eval_circle(f.coeff, log_r, 256, level="dd")
+    assert points() == fresh
+
+
+def loop_result(ar, ai, bits, log_mu, turn=None):
+    """(logabs, phase) by the per-point loop that _result_fixed vectorises:
+    the reference its bytes must equal."""
+    logabs = np.full(len(ar), -np.inf)
+    phase = np.zeros(len(ar))
+    for j, (vr, vi) in enumerate(zip(ar, ai)):
+        if vr == 0 and vi == 0:
+            continue
+        a2 = vr * vr + vi * vi
+        s = max(0, a2.bit_length() - 64)
+        logabs[j] = log_mu + 0.5 * (math.log(a2 >> s)
+                                    + (s - 2 * bits) * math.log(2.0))
+        if turn is not None:
+            cr, ci = turn[0][j], turn[1][j]
+            vr, vi = vr * cr - vi * ci, vr * ci + vi * cr
+        s = max(0, max(abs(vr), abs(vi)).bit_length() - 64)
+        phase[j] = math.atan2(float(vi >> s), float(vr >> s))
+    return logabs, phase
+
+
+@pytest.mark.parametrize("turned", [False, True])
+def test_result_builder_bytes_match_loop(turned):
+    rng = random.Random(7)
+    bits = 230
+    sizes = [0, 1, 40, 63, 64, 65, 200, 231, 240, 700]
+    ar = [rng.choice((-1, 1)) * rng.getrandbits(b) for b in sizes * 4]
+    ai = [rng.choice((-1, 1)) * rng.getrandbits(b) for b in sizes[::-1] * 4]
+    ar[:3], ai[:3] = [0, 0, 5], [0, 7, 0]
+    turn = None
+    if turned:
+        cs = [_evalcore._fixed_cis(37, rng.uniform(0.0, 6.3), bits)
+              for _ in ar]
+        turn = tuple(np.array(t, dtype=object) for t in zip(*cs))
+    res = _evalcore._result_fixed(
+        ar, ai, bits, 12.5, 0.0, "mp",
+        (lambda js: (turn[0][js], turn[1][js])) if turned else None)
+    logabs, phase = loop_result(ar, ai, bits, 12.5, turn)
+    assert res.logabs.tobytes() == logabs.tobytes()
+    assert res.phase.tobytes() == phase.tobytes()
 
 
 _D_DIGEST = """
