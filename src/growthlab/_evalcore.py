@@ -414,6 +414,34 @@ def _to_fixed(v, bits: int) -> int:
     return lib.to_int(lib.mpf_shift(v, bits), lib.round_nearest)
 
 
+def _exact_bits(dps: int) -> int:
+    """P = ceil(dps log2 10) + 32: the significant bits, beyond the top
+    one, that the exact-sum kernels (the integer march, the integer Cauchy
+    product) keep for dps digits."""
+    return math.ceil(dps * math.log2(10)) + 32
+
+
+def _fixed_of(v, bits: int) -> tuple:
+    """An mpc as (re, im, e) with bits + 1 significant bits, rounded to
+    nearest: v ~ (re + i im) 2^e."""
+    xr, xi = v.real._mpf_, v.imag._mpf_
+    e = max(x[2] + x[3] for x in (xr, xi) if x[1]) - bits - 1
+    return _to_fixed(xr, -e), _to_fixed(xi, -e), e
+
+
+def _fixed_to_mpc(values: list, dps: int) -> list:
+    """(re, im, e) triples, or None for an exact zero, as mpc rounded once
+    to dps digits."""
+    with mp.workdps(dps):
+        prec, rnd = mp.mp.prec, mp.libmp.round_nearest
+        fme = mp.libmp.from_man_exp
+        zero = mp.mpc(0)
+        return [zero if v is None else
+                mp.mp.make_mpc((fme(v[0], v[2], prec, rnd),
+                                fme(v[1], v[2], prec, rnd)))
+                for v in values]
+
+
 def _fixed_cis(k: int, theta: float, bits: int):
     """cos, sin of k theta (formed exactly) as integers at scale 2^bits."""
     lib = mp.libmp

@@ -4,24 +4,29 @@ For f^(k) + A_{k-1} f^(k-1) + ... + A_0 f = F the Taylor coefficients obey
 
     c_{n+k} (n+k)!/n! = F_n - sum_j sum_m a_{j,m} c_{n-m+j} (n-m+j)!/(n-m)!
 
-which is marched in log-polar form: factorial ratios are short sums of
-ln(i) (never a difference of two large lgammas, which would leak absolute
-error into every coefficient), and each right-hand side is accumulated as
-a max-rescaled complex sum, so the wide dynamic range costs nothing and
-subtractive cancellation only spends the ~15 digits a double significand
-carries.  Each coefficient depends only on those below it, so a longer
-march resumes a shorter one instead of starting again at index 0: the
-doublings of auto_solve march every index once, and its residual is
-checked only where it decides the answer (usually once, on the candidate
-it returns).  A second march, in fixed-point Python integers, produces the
-same solution at arbitrary precision when downstream consumers (deep zero
-counting) need coefficients better than 1e-13 relative: each step adds its
-exact products at one common exponent and rounds once, within a stated
-bound of the exact step (see _solve_series_mp).
+The double march stores each coefficient in log-polar form (ln|c|, arg c),
+so the wide dynamic range costs nothing, and sums each step as k complex
+dot products over block-scaled values: each block of steps rescales the
+coefficients by e^(t mu), mu being their recent decay rate, so the values
+it multiplies stay near 1, and puts the step's e^(-n mu) back in the logs
+(see _march_d).  Factorial ratios are short sums of ln(i), never a
+difference of two large lgammas, which would leak absolute error into
+every coefficient, and subtractive cancellation only spends the ~15 digits
+a double significand carries.  Each coefficient depends only on those
+below it, so a longer march resumes a shorter one instead of starting
+again at index 0: the doublings of auto_solve march every index once, and
+its residual is checked only where it decides the answer (usually once,
+on the candidate it returns).  A second march, in fixed-point Python
+integers, produces the same solution at arbitrary precision when
+downstream consumers (deep zero counting) need coefficients better than
+1e-13 relative: each step adds its exact products at one common exponent
+and rounds once, within a stated bound of the exact step (see
+_solve_series_mp).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -114,27 +119,65 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
         return out
 
     lc, pc = _march_d(eq, init, n_terms, _resume)
-    # observed drift of the log-space march is ~n * 5e-13 at worst
+    # rel_err_ln, n 2e-12, is an observed bound relative to the larger of
+    # |c_i| and the largest term of its step over (n+1)...(n+k), i = n + k:
+    # at 2048 terms the cases of tests/test_ode.py::TestDoubleMarch reach
+    # 8.1e-12 of its 4.1e-9.  Relative to |c_i| alone a cancelling step
+    # can exceed it: index 4 of the theorem_type solution, an exact zero,
+    # is stored as e^-39.
     out = ps.make_series(lc, np.zeros(n_terms), pc,
                          math.log(max(64.0, n_terms) * 2e-12),
                          "ode solution", mp_factory=factory)
     return out
 
 
+# steps in a block of the double march; each block picks its scale afresh
+# from the coefficients below it
+_BLOCK = 64
+# the scaled values of the double march stay within e^(+-_SAFE_LN)
+_SAFE_LN = 300.0
+# the scale's slope mu is a multiple of 2^-_MU_BITS below 2^10, so that
+# t mu is exact for every index t < 2^22
+_MU_BITS = 20
+
+
 def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
              prev: Optional[ps.PowerSeries]) -> tuple:
-    """The recurrence marched in log-polar double: (ln|c_i|, arg c_i).
+    """The recurrence marched in double: (ln|c_i|, arg c_i).
 
-    Coefficient i is computed from the coefficients below it only, so a
-    march does not depend on its length.  prev, an earlier march of the same
-    equation and initial data (or None), is kept as it stands and only the
-    indices past it are marched; a shorter request is prev's prefix.  Either
-    way the arrays are byte-identical to a march from index 0.
+    With D_j[t] = c_{t+j} (t+1)...(t+j), the coefficients of f^(j), step n
+    is c_{n+k} = (F_n - sum_j sum_m a_{j,m} D_j[n-m]) / ((n+1)...(n+k)).
+    The sum runs as one complex dot product per j over scaled values
+
+        Ah_j[m] = a_{j,m} e^(m mu - alpha),   Dh_j[t] = D_j[t] e^(t mu - beta),
+
+    whose products are a_{j,m} D_j[n-m] e^(n mu - alpha - beta).  mu is
+    the recent decay rate of ln|c_t|, so the window of Dh a step reads is
+    nearly flat; alpha and beta make |Ah| <= 1 and the window's largest
+    |Dh| <= 1.  The scale is picked at every _BLOCK-th step n, from the
+    coefficients that step reads (those below index n + k), and again
+    after any new Dh entry leaves [e^-_SAFE_LN, e^_SAFE_LN].  So
+    |Dh| <= e^_SAFE_LN throughout, and a factor or product lost to
+    underflow (below e^-745) costs under e^(_SAFE_LN - 745) per term.  A
+    scaled sum is used only if its modulus is at least e^-_SAFE_LN, so
+    that loss is below M e^-145 of it for a step of M terms.  A step whose
+    sum is smaller (or zero, or whose F_n is too large to scale) is summed
+    in log-polar form instead (_logpolar_step), as the march always did:
+    a coefficient is an exact zero only when every term of its step is,
+    or its rescaled sum cancels exactly.
+
+    Each coefficient is stored as (ln|c|, arg c), and its Dh entries are
+    formed from those stored doubles.  So the march at every index depends
+    only on the stored coefficients below it: a march does not depend on
+    its length.  prev, an earlier march of the same equation and initial
+    data (or None), is kept as it stands; the march replays the Dh entries
+    and scale picks of prev's last block from its stored coefficients and
+    marches only the indices past it.  A shorter request is prev's prefix.
+    Either way the arrays are byte-identical to a march from index 0 with
+    prev's coefficients.
     """
     k = eq.k
     n_steps = n_terms - k
-    ln_table = np.concatenate([[0.0], np.log(np.arange(1, n_terms + k + 1,
-                                                       dtype=float))])
     lc = np.full(n_terms, -np.inf)
     pc = np.zeros(n_terms)
     if prev is None:
@@ -152,71 +195,128 @@ def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
         lc[:kept] = prev.coeff.lh[:kept]
         pc[:kept] = prev.coeff.ph[:kept]
         start = kept - k
+    if start >= n_steps:
+        return lc, pc
 
-    a_l = [a.coeff.lh for a in eq.coeffs]
-    a_p = [a.coeff.ph for a in eq.coeffs]
-    f_l = eq.rhs.coeff.lh if eq.rhs is not None else None
-    f_p = eq.rhs.coeff.ph if eq.rhs is not None else None
-    # step invariants: ln((i+j)!/i!) for every step index i, one table per j
-    # (summed over t = 1..j in that order), and each coefficient's first
-    # finite index (its length if it has none)
-    rising = []
-    for j in range(k):
-        acc = np.zeros(n_steps)
-        for t in range(1, j + 1):
-            acc = acc + ln_table[t:t + n_steps]
-        rising.append(acc)
-    first = []
-    for lj in a_l:
-        fin = np.flatnonzero(np.isfinite(lj))
-        first.append(int(fin[0]) if len(fin) else len(lj))
+    ln_table = np.concatenate([[0.0], np.log(np.arange(1, n_terms + k + 1,
+                                                       dtype=float))])
+    # rising[j][t] = ln((t+1)...(t+j)), summed over s = 1..j in that order
+    rising = [np.zeros(n_terms)]
+    for j in range(1, k + 1):
+        rising.append(rising[-1] + ln_table[j:j + n_terms])
+    # the coefficients A_j with a nonzero term, as (j, ln|a|, arg a)
+    live = [(j, a.coeff.lh, a.coeff.ph) for j, a in enumerate(eq.coeffs)
+            if np.isfinite(a.coeff.lh).any()]
+    f_l = eq.rhs.coeff.lh if eq.rhs is not None else np.zeros(0)
+    f_p = eq.rhs.coeff.ph if eq.rhs is not None else np.zeros(0)
+    ah = [None] * len(live)  # Ah_j reversed, per live j
+    dh = {j: np.zeros(n_terms, dtype=complex) for j, _, _ in live}
 
+    def pick_scale(n):
+        """mu, alpha + beta and beta for the steps from n on, with Ah and
+        the Dh window they read rewritten under them."""
+        top = n + k - 1
+        w = min(_BLOCK // 2, (top + 1) // 2)
+        mu = 0.0
+        if w:
+            old = float(np.max(lc[top + 1 - 2 * w:top + 1 - w]))
+            new = float(np.max(lc[top + 1 - w:top + 1]))
+            if math.isfinite(old) and math.isfinite(new):
+                mu = max(-1023.0, min(1023.0, (old - new) / w))
+                mu = math.ldexp(round(math.ldexp(mu, _MU_BITS)), -_MU_BITS)
+        xs_a, xs_d = [], []
+        for j, al, _ in live:
+            xs_a.append(al + np.arange(len(al)) * mu)
+            lo, hi = max(0, n - len(al) + 1), top - j
+            t = np.arange(lo, hi + 1)
+            xs_d.append((lo, (lc[lo + j:hi + j + 1] + t * mu)
+                         + rising[j][lo:hi + 1]))
+        alpha = max((float(np.max(x)) for x in xs_a), default=-math.inf)
+        beta = max((float(np.max(x)) for _, x in xs_d), default=-math.inf)
+        alpha = float(math.ceil(alpha)) if alpha > -math.inf else 0.0
+        beta = float(math.ceil(beta)) if beta > -math.inf else 0.0
+        for i, ((j, al, ap), xa, (lo, xd)) in enumerate(zip(live, xs_a,
+                                                            xs_d)):
+            z = np.empty(len(al), dtype=complex)
+            z.real, z.imag = xa - alpha, ap
+            ah[i] = np.exp(z)[::-1].copy()
+            z = np.empty(len(xd), dtype=complex)
+            z.real, z.imag = xd - beta, pc[lo + j:lo + j + len(xd)]
+            dh[j][lo:lo + len(xd)] = np.exp(z)
+        return mu, alpha + beta, beta
+
+    # scalar reads in the loop go through .item, which returns a float
+    r_k = rising[k].item
+    r_live = [rising[j].item for j, _, _ in live]
+    rows = [(len(al), dh[j]) for j, al, _ in live]
+    floor = math.exp(-_SAFE_LN)
+    rescale = True
     with np.errstate(under="ignore"):
-        for n in range(start, n_steps):
-            parts_l, parts_c = [], []
-            for j in range(k):
-                mn = min(n, len(a_l[j]) - 1)
-                if first[j] > mn:
-                    continue
-                cidx_hi = n + j
-                sl_c_l = lc[cidx_hi - mn:cidx_hi + 1][::-1]
-                sl_c_p = pc[cidx_hi - mn:cidx_hi + 1][::-1]
-                ll = (a_l[j][:mn + 1] + sl_c_l
-                      + rising[j][n - mn:n + 1][::-1])
-                parts_l.append(ll)
-                parts_c.append(a_p[j][:mn + 1] + sl_c_p)
-            f_term = None
-            if f_l is not None and n < len(f_l) and math.isfinite(f_l[n]):
-                f_term = (f_l[n], f_p[n])
-            if parts_l:
-                all_l = np.concatenate(parts_l)
-                all_p = np.concatenate(parts_c)
-                lmax = float(np.max(all_l))
-            else:
-                all_l = all_p = None
-                lmax = -np.inf
-            if f_term is not None:
-                lmax = max(lmax, f_term[0])
-            if not math.isfinite(lmax):
-                continue  # c_{n+k} = 0 (stays -inf)
-            num = 0j
-            if all_l is not None:
-                mags = np.exp(all_l - lmax)
-                num -= complex(np.sum(mags * np.cos(all_p)),
-                               np.sum(mags * np.sin(all_p)))
-            if f_term is not None:
-                num += math.exp(f_term[0] - lmax) * complex(
-                    math.cos(f_term[1]), math.sin(f_term[1]))
-            if num == 0:
+        for n in range(start - start % _BLOCK, n_steps):
+            if rescale or n % _BLOCK == 0:
+                mu, ab, beta = pick_scale(n)
+                rescale = False
+            if n >= start:
+                off = n * mu - ab
+                s = 0j
+                for ahj, (la, drow) in zip(ah, rows):
+                    if n >= la - 1:
+                        s -= ahj.dot(drow[n + 1 - la:n + 1])
+                    else:
+                        s -= ahj[la - 1 - n:].dot(drow[:n + 1])
+                if n < len(f_l):
+                    xf = f_l.item(n) + off
+                    s = s + cmath.exp(complex(xf, f_p[n])) \
+                        if xf <= _SAFE_LN else math.nan
+                size = abs(s)
+                if floor <= size < math.inf:
+                    lc[n + k] = (math.log(size) - off) - r_k(n)
+                    pc[n + k] = math.atan2(s.imag, s.real)
+                else:
+                    step = _logpolar_step(n, k, live, f_l, f_p, lc, pc,
+                                          rising)
+                    if step is not None:
+                        lc[n + k], pc[n + k] = step
+            L = float(lc[n + k])
+            if L == -math.inf:
                 continue
-            g_k = float(np.sum(ln_table[n + 1:n + k + 1]))
-            lc[n + k] = lmax + math.log(abs(num)) - g_k
-            pc[n + k] = math.atan2(num.imag, num.real)
+            p = float(pc[n + k])
+            for (j, _, _), r_j, (_, drow) in zip(live, r_live, rows):
+                t = n + k - j
+                x = (L + t * mu + r_j(t)) - beta
+                if -_SAFE_LN <= x <= _SAFE_LN:
+                    drow[t] = cmath.exp(complex(x, p))
+                else:
+                    rescale = True
     return lc, pc
 
 
-# bits kept beyond dps log2(10) in the integer march
-_MARCH_GUARD_BITS = 32
+def _logpolar_step(n: int, k: int, live: list, f_l, f_p, lc, pc,
+                   rising: list) -> Optional[tuple]:
+    """Step n of _march_d summed in log-polar form, every term rescaled by
+    the largest: (ln|c_{n+k}|, arg c_{n+k}), or None when every term is
+    zero or the sum cancels exactly."""
+    parts_l, parts_p = [], []
+    for j, al, ap in live:
+        mn = min(n, len(al) - 1)
+        parts_l.append(al[:mn + 1] + lc[n + j - mn:n + j + 1][::-1]
+                       + rising[j][n - mn:n + 1][::-1])
+        parts_p.append(ap[:mn + 1] + pc[n + j - mn:n + j + 1][::-1])
+    all_l = np.concatenate(parts_l) if parts_l else np.zeros(0)
+    all_p = np.concatenate(parts_p) if parts_p else np.zeros(0)
+    f_n = f_l[n] if n < len(f_l) else -math.inf
+    lmax = max(float(np.max(all_l)) if len(all_l) else -math.inf, f_n)
+    if lmax == -math.inf:
+        return None
+    mags = np.exp(all_l - lmax)
+    num = -complex(np.sum(mags * np.cos(all_p)), np.sum(mags * np.sin(all_p)))
+    if f_n > -math.inf:
+        num += math.exp(f_n - lmax) * complex(math.cos(f_p[n]),
+                                              math.sin(f_p[n]))
+    if num == 0:
+        return None
+    return (lmax + math.log(abs(num)) - rising[k][n],
+            math.atan2(num.imag, num.real))
 
 
 def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
@@ -237,22 +337,22 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
     the end.
     """
     k = eq.k
-    bits = math.ceil(dps * math.log2(10)) + _MARCH_GUARD_BITS
+    bits = _evalcore._exact_bits(dps)
     # each coefficient's nonzero terms (m, re, im, e), converted once, and
     # -F_n, so that a step's sum is -(c_{n+k} (n+1)...(n+k))
-    a_nz = [[(m,) + _fixed_of(v, bits)
+    a_nz = [[(m,) + _evalcore._fixed_of(v, bits)
              for m, v in enumerate(a.coeff.mp_logs(dps)) if v != 0]
             for a in eq.coeffs]
     neg_f = {}
     if eq.rhs is not None:
         for n, v in enumerate(eq.rhs.coeff.mp_logs(dps)):
             if v != 0:
-                re, im, e = _fixed_of(v, bits)
+                re, im, e = _evalcore._fixed_of(v, bits)
                 neg_f[n] = (-re, -im, e)
     c = [None] * n_terms  # None is an exact zero
     for i, v in enumerate(init.values):
         if v != 0:
-            c[i] = _fixed_div(*_fixed_of(mp.mpc(complex(v)), bits),
+            c[i] = _fixed_div(*_evalcore._fixed_of(mp.mpc(complex(v)), bits),
                               math.factorial(i), bits)
     n_steps = n_terms - k
     # per j, the factorial ratio (i+1)...(i+j) of step index i = n - m and
@@ -303,22 +403,7 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
         if sr or si:
             c[n + k] = _fixed_div(-sr, -si, base,
                                   math.prod(range(n + 1, n + k + 1)), bits)
-    with mp.workdps(dps):
-        prec, rnd = mp.mp.prec, mp.libmp.round_nearest
-        fme = mp.libmp.from_man_exp
-        zero = mp.mpc(0)
-        return [zero if cv is None else
-                mp.mp.make_mpc((fme(cv[0], cv[2], prec, rnd),
-                                fme(cv[1], cv[2], prec, rnd)))
-                for cv in c]
-
-
-def _fixed_of(v, bits: int) -> tuple:
-    """An mpc as (re, im, e) with bits + 1 significant bits, rounded to
-    nearest: v ~ (re + i im) 2^e."""
-    xr, xi = v.real._mpf_, v.imag._mpf_
-    e = max(x[2] + x[3] for x in (xr, xi) if x[1]) - bits - 1
-    return _evalcore._to_fixed(xr, -e), _evalcore._to_fixed(xi, -e), e
+    return _evalcore._fixed_to_mpc(c, dps)
 
 
 def _fixed_div(re: int, im: int, e: int, d: int, bits: int) -> tuple:

@@ -547,13 +547,60 @@ def _combine_factory(f: PowerSeries, g: PowerSeries, op: str):
         a, b = f.coeff.mp_logs(dps), g.coeff.mp_logs(dps)
         with mp.workdps(dps):
             if op == "cauchy_product":
-                return [mp.fsum(a[k] * b[i - k] for k in range(i + 1))
-                        for i in range(min(len(a), len(b)))]
+                return _cauchy_fixed(a, b, dps)
             zero, sign = mp.mpc(0), (-1 if op == "sub" else 1)
             return [(a[i] if i < len(a) else zero)
                     + sign * (b[i] if i < len(b) else zero)
                     for i in range(max(len(a), len(b)))]
     return factory
+
+
+def _cauchy_fixed(a: list, b: list, dps: int) -> list:
+    """The Cauchy product of two lists of mpc, truncated to the shorter,
+    summed in fixed-point integers: mpc at dps digits, exact zeros mpc(0).
+
+    The nonzero values become (re, im, e) with P + 1 significant bits,
+    P = _evalcore._exact_bits(dps): each moves by at most 2^(-P-1) of its
+    modulus (a component far below the other loses its low digits), so a
+    product by at most 2^-P (1 + 2^-P) of its own modulus.  Output i forms
+    its products a_k b_{i-k} of nonzero values exactly, adds them at one
+    exponent E = T - 2P - 16, where T bounds the top bit of its largest
+    product, flooring each to a multiple of 2^E, and rounds the sum once
+    to dps digits.  Before that rounding it is within M 2^(-2P-13)
+    max_k |a_k b_{i-k}| per component of the exact sum of the rounded
+    products, M being its number of nonzero products; an output without
+    one is mpc(0).
+    """
+    n = min(len(a), len(b))
+    bits = _evalcore._exact_bits(dps)
+    fa, fb = ([(k,) + _evalcore._fixed_of(v, bits)
+               for k, v in enumerate(x[:n]) if v != 0] for x in (a, b))
+    # per output, the largest exponent sum of its products; every product
+    # component is below 2^(that + 2P + 3)
+    top = [None] * n
+    for k, _, _, ea in fa:
+        for m, _, _, eb in fb:
+            if k + m >= n:
+                break
+            if top[k + m] is None or ea + eb > top[k + m]:
+                top[k + m] = ea + eb
+    sr, si = [0] * n, [0] * n
+    for k, ar, ai, ea in fa:
+        for m, br, bi, eb in fb:
+            i = k + m
+            if i >= n:
+                break
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            s = ea + eb - top[i] + 13  # E = top + 2P + 3 - 2P - 16
+            if s >= 0:
+                sr[i] += re << s
+                si[i] += im << s
+            else:
+                sr[i] += re >> -s
+                si[i] += im >> -s
+    return _evalcore._fixed_to_mpc(
+        [None if t is None else (sr[i], si[i], t - 13)
+         for i, t in enumerate(top)], dps)
 
 
 def scale_argument(f: PowerSeries, c: complex) -> PowerSeries:

@@ -20,6 +20,18 @@ def exact(a: ExtendedReal) -> Fraction:
     return Fraction(a.significand) * Fraction(2) ** a.exponent
 
 
+def exact_cmp(a: ExtendedReal, b: ExtendedReal) -> int:
+    """The exact order of a and b, by integer cross-multiplication: the
+    significands are ratios of integers, and both sides are shifted to the
+    smaller exponent."""
+    na, da = a.significand.as_integer_ratio()
+    nb, db = b.significand.as_integer_ratio()
+    e = min(a.exponent, b.exponent)
+    x = (na * db) << (a.exponent - e)
+    y = (nb * da) << (b.exponent - e)
+    return (x > y) - (x < y)
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
                           min_value=-1e300, max_value=1e300)
 wide_exponents = st.integers(min_value=-40000, max_value=40000)
@@ -172,7 +184,7 @@ class TestOrdering:
         assert er_cmp(a, b) == want
 
     def test_cmp_matches_rationals_bulk(self):
-        # 1e5 deterministic random pairs against the exact rational order
+        # 1e5 deterministic random pairs against the exact order
         import numpy as np
         rng = np.random.default_rng(2718)
         sigs = rng.uniform(1.0, 2.0, (100_000, 2)) \
@@ -181,7 +193,9 @@ class TestOrdering:
         for i in range(0, 100_000, 1):
             a = ER(float(sigs[i, 0]), int(exps[i, 0]))
             b = ER(float(sigs[i, 1]), int(exps[i, 1]))
-            want = (exact(a) > exact(b)) - (exact(a) < exact(b))
+            want = exact_cmp(a, b)
+            if i % 1000 == 0:  # the integer order is the rational order
+                assert want == (exact(a) > exact(b)) - (exact(a) < exact(b))
             if er_cmp(a, b) != want:
                 raise AssertionError(f"ordering mismatch at pair {i}: "
                                      f"{a} vs {b}")

@@ -1,6 +1,6 @@
 """The mp points kernel and the dd/mp circle FFT against a direct mpmath
-evaluation of the series, and the d kernel's bytes across BLAS thread
-counts."""
+evaluation of the series, and the bytes of the d kernel and the double
+ODE march across BLAS thread counts."""
 
 import math
 import os
@@ -237,17 +237,23 @@ def test_result_builder_bytes_match_loop(turned):
 _D_DIGEST = """
 import hashlib, math
 import numpy as np
-from growthlab import _evalcore, series
+from growthlab import _evalcore, ode, series
 f = series.builtin("sin", 700)
 res = _evalcore.eval_points(f.coeff, math.log(200.0),
                             np.linspace(0.0, 2.0 * math.pi, 4096), level="d")
-print(hashlib.sha256(res.logabs.tobytes() + res.phase.tobytes()).hexdigest())
+eq = ode.LinearODE(2, (series.scale_argument(series.builtin("exp", 300), 2.0),
+                       series.builtin("exp", 300)))
+sol = ode.solve_series(eq, ode.InitialData((0.3 + 0.7j, -1.1 + 0.2j)), 2048)
+print(hashlib.sha256(res.logabs.tobytes() + res.phase.tobytes()
+                     + sol.coeff.lh.tobytes() + sol.coeff.ph.tobytes())
+      .hexdigest())
 """
 
 
 def _d_digest(threads):
-    """Digest of a level-d eval_points (a BLAS matmul) in a fresh process,
-    with the BLAS thread count pinned, or left to the library (None)."""
+    """Digest of a level-d eval_points (a BLAS matmul) and of a double ODE
+    march (BLAS dot products) in a fresh process, with the BLAS thread
+    count pinned, or left to the library (None)."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(growthlab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(

@@ -352,3 +352,138 @@ class TestIntegerMarch:
         """perfbench's tracer binds these parameters by name."""
         params = inspect.signature(ode._solve_series_mp).parameters
         assert "n_terms" in params and "dps" in params
+
+
+def theorem_type_equation(n_a=300):
+    # f'' + e^z f' + e^{2z} f = 0, as in the theorem_type experiment
+    return ode.LinearODE(2, (ps.scale_argument(ps.builtin("exp", n_a), 2.0),
+                             ps.builtin("exp", n_a)))
+
+
+def k3_equation():
+    # the k = 3 equation with a right-hand side of TestResume
+    return ode.LinearODE(3, (ps.builtin("exp", 40), ps.builtin("sin", 30),
+                             ps.builtin("poly", coeffs=[0.0, 0.5])),
+                         rhs=ps.builtin("cos", 20))
+
+
+def step_top_ln(eq, ref_ln, n):
+    """ln of the largest term of step n of the recurrence, computed from
+    the reference coefficients' logs: max |a_{j,m} c_{n-m+j}| (n-m+1)...
+    (n-m+j) over j and m, and |F_n|."""
+    top = -math.inf
+    for j, a in enumerate(eq.coeffs):
+        mn = min(n, a.n_terms - 1)
+        t = np.arange(n - mn, n + 1)
+        rising = sum(np.log(t + s) for s in range(1, j + 1))
+        terms = a.coeff.lh[mn::-1] + ref_ln[n - mn + j:n + j + 1] + rising
+        top = max(top, float(np.max(terms)))
+    if eq.rhs is not None and n < eq.rhs.n_terms:
+        top = max(top, float(eq.rhs.coeff.lh[n]))
+    return top
+
+
+def fallback_steps(monkeypatch):
+    """The steps the double march sums in log-polar form, recorded from
+    now on."""
+    calls = []
+    step = ode._logpolar_step
+
+    def counted(n, *args):
+        calls.append(n)
+        return step(n, *args)
+
+    monkeypatch.setattr(ode, "_logpolar_step", counted)
+    return calls
+
+
+class TestDoubleMarch:
+    """The block-scaled double march against the integer march at dps 30.
+
+    Each coefficient must lie within e^rel_err_ln of the reference,
+    relative to the larger of |c_ref| and the largest term of its step
+    divided by (n+1)...(n+k): a coefficient far below its step's largest
+    term (a cancelling one) carries the error of that term, in any
+    double march."""
+
+    CASES = {
+        "theorem_type_basis": (theorem_type_equation, (1.0, 0.0), 2048),
+        "theorem_type_complex": (theorem_type_equation,
+                                 (0.3 + 0.7j, -1.1 + 0.2j), 2048),
+        "theorem_dominant_basis1": (lambda: bessel_type_equation(220),
+                                    (0.0, 1.0), 2048),
+        "k3_rhs": (k3_equation, (0.3 + 0.1j, 0.0, -1.0), 300),
+        "airy": (airy_equation, (1.0, 0.0), 200),
+        "oscillator": (oscillator, (1.0, 0.0), 200),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_integer_march(self, case):
+        make_eq, init, n_terms = self.CASES[case]
+        eq, init = make_eq(), ode.InitialData(init)
+        sol = ode.solve_series(eq, init, n_terms)
+        dps = 30
+        ref = ode._solve_series_mp(eq, init, n_terms, dps)
+        with mp.workdps(dps):
+            ref_ln = np.array([float(mp.log(abs(v))) if v != 0 else -np.inf
+                               for v in ref])
+            tol = mp.exp(sol.coeff.rel_err_ln)
+            for i, v in enumerate(ref):
+                if v == 0:
+                    assert sol.coeff.lh[i] == -np.inf, i
+                    continue
+                scale_ln = ref_ln[i]
+                if i >= eq.k:
+                    n = i - eq.k
+                    scale_ln = max(scale_ln, step_top_ln(eq, ref_ln, n)
+                                   - sum(math.log(n + s)
+                                         for s in range(1, eq.k + 1)))
+                got = mp.exp(mp.mpc(sol.coeff.lh[i], sol.coeff.ph[i]))
+                assert abs(got - v) <= tol * mp.exp(scale_ln), i
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_oscillator_keeps_exact_zeros(self, parity):
+        init = (1.0, 0.0) if parity == 0 else (0.0, 1.0)
+        sol = ode.solve_series(oscillator(), ode.InitialData(init), 400)
+        assert np.all(sol.coeff.lh[1 - parity::2] == -np.inf)
+        assert np.all(np.isfinite(sol.coeff.lh[parity::2]))
+
+    @pytest.mark.parametrize("make_eq,init", [
+        (exp_equation, (1.0,)),
+        (theorem_type_equation, (0.3 + 0.7j, -1.1 + 0.2j)),
+    ])
+    def test_one_long_block_renormalises(self, monkeypatch, make_eq, init):
+        """With one block for the whole march the first scale cannot hold:
+        the coefficients fall like 1/n!, so a fixed scale would underflow.
+        The march renormalises instead, and every step keeps the scaled
+        sum: none falls back to the log-polar step."""
+        eq, init = make_eq(), ode.InitialData(init)
+        fresh = ode.solve_series(eq, init, 1500)
+        calls = fallback_steps(monkeypatch)
+        monkeypatch.setattr(ode, "_BLOCK", 1 << 14)
+        long = ode.solve_series(eq, init, 1500)
+        assert calls == []
+        both = np.isfinite(fresh.coeff.lh)
+        assert np.array_equal(both, np.isfinite(long.coeff.lh))
+        assert np.max(np.abs(long.coeff.lh[both] - fresh.coeff.lh[both])) \
+            < 1e-9
+
+    @pytest.mark.parametrize("n_prev", [3, 65, 66, 67, 130, 500])
+    def test_resume_at_block_edges_matches_fresh(self, n_prev):
+        """Resumes just before, at and just after a block start (step
+        n_prev - 2) replay the block's scale and keep the fresh bytes."""
+        eq = theorem_type_equation()
+        init = ode.InitialData((0.3 + 0.7j, -1.1 + 0.2j))
+        fresh = ode.solve_series(eq, init, 600)
+        prev = ode.solve_series(eq, init, n_prev)
+        got = ode.solve_series(eq, init, 600, _resume=prev)
+        assert got.coeff.lh.tobytes() == fresh.coeff.lh.tobytes()
+        assert got.coeff.ph.tobytes() == fresh.coeff.ph.tobytes()
+
+    def test_every_step_keeps_the_scaled_sum(self, monkeypatch):
+        """On the theorem equations no step of a 4096-term march falls back
+        to the log-polar step."""
+        calls = fallback_steps(monkeypatch)
+        for eq in (theorem_type_equation(), bessel_type_equation(220)):
+            ode.solve_series(eq, ode.InitialData((1.0, 0.0)), 4096)
+        assert calls == []

@@ -315,6 +315,56 @@ class TestCombine:
                 2.0 ** n / math.factorial(n), rel=1e-12)
 
 
+class TestCauchyFixed:
+    """The integer Cauchy product against an mpc fsum at dps + 20 digits
+    on the same inputs, to the bound of its docstring: the final rounding,
+    2^-P (1 + 2^-P) of each product's modulus for the inputs' rounding to
+    P + 1 bits, and 2^(-2P-13) of the largest product per product and
+    component for the sum."""
+
+    CASES = {
+        "exp_cos": (lambda: (series.builtin("exp", 300),
+                             series.builtin("cos", 300)), 38),
+        "sin_sin": (lambda: (series.builtin("sin", 120),
+                             series.builtin("sin", 120)), 57),
+        "complex": (lambda: (series.scale_argument(series.builtin("exp", 80),
+                                                   0.5 - 1.5j),
+                             series.builtin("cos", 60)), 40),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_fsum(self, case):
+        make, dps = self.CASES[case]
+        f, g = make()
+        a, b = f.coeff.mp_logs(dps), g.coeff.mp_logs(dps)
+        got = series._cauchy_fixed(a, b, dps)
+        assert len(got) == min(len(a), len(b))
+        with mp.workdps(dps):
+            rounding = mp.mpf(2) ** (1 - mp.mp.prec)
+        bits = series._evalcore._exact_bits(dps)
+        inputs = mp.mpf(2) ** -bits * (1 + mp.mpf(2) ** -bits)
+        summing = 2 * mp.mpf(2) ** (-2 * bits - 13)
+        with mp.workdps(dps + 20):
+            for i, v in enumerate(got):
+                terms = [a[k] * b[i - k] for k in range(i + 1)
+                         if a[k] != 0 and b[i - k] != 0]
+                if not terms:
+                    assert v == 0 and isinstance(v, mp.mpc), i
+                    continue
+                ref = mp.fsum(terms)
+                mods = [abs(t) for t in terms]
+                assert abs(v - ref) <= (rounding * abs(ref)
+                                        + inputs * mp.fsum(mods)
+                                        + summing * len(mods) * max(mods)), i
+
+    def test_is_the_product_factory(self):
+        f, g = series.builtin("exp", 50), series.builtin("cos", 40)
+        h = series.combine(f, g, "cauchy_product")
+        want = series._cauchy_fixed(f.coeff.mp_logs(30), g.coeff.mp_logs(30),
+                                    30)
+        assert h.coeff.mp_logs(30) == want
+
+
 class TestExactValues:
     """mp_logs(dps) of derived series against mpmath sums of the parents'
     exact coefficients, to 10^-(dps-5) of the summands' magnitudes."""
