@@ -48,6 +48,13 @@ _PROX_START, _PROX_REL_TOL, _PROX_MAX_ANGLES = 128, 1e-8, 1 << 16
 _RATIO_START, _RATIO_REL_TOL, _RATIO_MAX_ANGLES = 256, 1e-6, 1 << 14
 _RATIO_MASK = 1e-8
 
+# crossings of ln|f| = 0 (_crossings): located to +/- h 2^-_CROSS_BITS in a
+# mesh cell of width h, by an ITP search with slack _ITP_N0 and truncation
+# constants _ITP_KAPPA1 (in units of 1/h) and _ITP_KAPPA2
+_CROSS_BITS = 43
+_ITP_N0 = 1
+_ITP_KAPPA1, _ITP_KAPPA2 = 0.2, 2
+
 
 class RetryPerturbedRadius(ArithmeticError):
     """A zero sits too close to the requested circle; retry nearby.
@@ -112,13 +119,63 @@ _GL_WTS = np.array([0.34785484513745385, 0.6521451548625461,
                     0.6521451548625461, 0.34785484513745385])
 
 
+def _crossings(coeff, log_r, level, dps, a, h, fa, fb):
+    """Midpoints of brackets of width at most 2 eps, eps = h 2^-_CROSS_BITS,
+    (or of adjacent floats, where eps is below an ulp) around the crossings
+    of ln|f| = 0 in the cells [a, a + h], whose end readings fa and fb lie
+    on opposite sides of the rule v > 0.
+
+    An ITP search (Oliveira & Takahashi, ACM TOMS 47(1), 2020) runs over
+    all cells at once and evaluates only the unconverged ones.  Round j
+    takes the regula-falsi point (the midpoint where it is not finite),
+    truncates it toward the midpoint by delta = max(_ITP_KAPPA1
+    (b - a)^_ITP_KAPPA2 / h, eps), and projects it onto the disc of radius
+    eps 2^(n_max - j) - (b - a)/2 about the midpoint, n_max = n_half +
+    _ITP_N0 with n_half = _CROSS_BITS - 1 the bisection rounds from h to
+    2 eps.  So a cell takes at most n_max evaluations, and on analytic
+    ln|f| converges superlinearly.  delta is floored at eps: the textbook
+    kappa1 (b - a)^2 drops below an ulp near the root, and the bracket
+    then shrinks by about that much per round until the projection forces
+    a bisection.
+    """
+    a = np.array(a, dtype=float)
+    b = a + h
+    fa = np.array(fa, dtype=float)
+    fb = np.array(fb, dtype=float)
+    eps = h * 2.0 ** -_CROSS_BITS
+    n_max = _CROSS_BITS - 1 + _ITP_N0
+    for j in range(n_max):
+        mid = 0.5 * (a + b)
+        live = np.nonzero((b - a > 2.0 * eps) & (a < mid) & (mid < b))[0]
+        if len(live) == 0:
+            break
+        al, bl, fal, fbl, ml = a[live], b[live], fa[live], fb[live], mid[live]
+        w = bl - al
+        with np.errstate(all="ignore"):
+            xf = (al * fbl - bl * fal) / (fbl - fal)
+        xf = np.where(np.isfinite(xf), np.clip(xf, al, bl), ml)
+        delta = np.maximum(_ITP_KAPPA1 / h * w ** _ITP_KAPPA2, eps)
+        sigma = np.sign(ml - xf)
+        xt = np.where(delta <= np.abs(ml - xf), xf + sigma * delta, ml)
+        rad = np.maximum(eps * 2.0 ** (n_max - j) - 0.5 * w, 0.0)
+        x = np.where(np.abs(xt - ml) <= rad, xt, ml - sigma * rad)
+        fx = _evalcore.eval_points(coeff, log_r, x, level=level,
+                                   dps=dps).logabs
+        left = (fal > 0) != (fx > 0)
+        a[live] = np.where(left, al, x)
+        fa[live] = np.where(left, fal, fx)
+        b[live] = np.where(left, x, bl)
+        fb[live] = np.where(left, fx, fbl)
+    return 0.5 * (a + b)
+
+
 def _logplus_quadrature(coeff, log_r, m, level, dps):
     """One pass of (1/2pi) int log+|f| at resolution m.
 
     ln|f| is analytic along the circle away from zeros; only its positive
     part has kinks, exactly where ln|f| crosses 0.  A periodic trapezoid is
     spectrally accurate when there are no crossings; otherwise the crossings
-    are located by bisection and each positive arc is integrated by
+    are located by `_crossings` and each positive arc is integrated by
     composite Gauss panels at the mesh resolution.
 
     Returns (estimate, floor-driven uncertainty bound).
@@ -138,18 +195,8 @@ def _logplus_quadrature(coeff, log_r, m, level, dps):
 
     h = 2.0 * math.pi / m
     thetas = (2.0 * math.pi) * (np.arange(m) + 0.5) / m
-    a = thetas[cells]
-    b = a + h
-    fa = v[cells]
-    for _ in range(42):
-        mid = 0.5 * (a + b)
-        fm = _evalcore.eval_points(coeff, log_r, mid, level=level,
-                                   dps=dps).logabs
-        left = (fa > 0) != (fm > 0)
-        b = np.where(left, mid, b)
-        a = np.where(left, a, mid)
-        fa = np.where(left, fa, fm)
-    crossings = np.sort(0.5 * (a + b))
+    crossings = np.sort(_crossings(coeff, log_r, level, dps, thetas[cells],
+                                   h, v[cells], v[(cells + 1) % m]))
 
     # positive arcs alternate with negative ones; orient by the sign just
     # after the first crossing

@@ -243,3 +243,145 @@ class TestProximityOfRatio:
         c = series.builtin("cos", 200)
         val = nev.proximity_of_ratio(c, s, math.log(12.0))
         assert 0.0 <= val < 0.5
+
+
+def bisect_crossings(coeff, log_r, level, dps, a, h, fa, fb):
+    """Reference crossing search: the 42 fixed bisection rounds the ITP
+    search replaced, with nev._crossings' signature."""
+    a = np.asarray(a, dtype=float)
+    b = a + h
+    for _ in range(42):
+        mid = 0.5 * (a + b)
+        fm = nev._evalcore.eval_points(coeff, log_r, mid, level=level,
+                                       dps=dps).logabs
+        left = (fa > 0) != (fm > 0)
+        b = np.where(left, mid, b)
+        a = np.where(left, a, mid)
+        fa = np.where(left, fa, fm)
+    return 0.5 * (a + b)
+
+
+class _PassLog:
+    """Records, per _logplus_quadrature pass, its m and level, the crossings
+    it located with its cell width h, and its eval_points calls: all of
+    them, those made inside the crossing search, and how many of the
+    search's readings were exactly 0.0."""
+
+    def __init__(self, monkeypatch):
+        self.passes = []
+        quad, cross = nev._logplus_quadrature, nev._crossings
+        points = nev._evalcore.eval_points
+        searching = [False]
+
+        def quad_logged(coeff, log_r, m, level, dps):
+            self.passes.append(dict(m=m, level=level, calls=0, rounds=0,
+                                    zeros=0, crossings=None, h=None))
+            return quad(coeff, log_r, m, level, dps)
+
+        def cross_logged(coeff, log_r, level, dps, a, h, fa, fb):
+            searching[0] = True
+            try:
+                x = cross(coeff, log_r, level, dps, a, h, fa, fb)
+            finally:
+                searching[0] = False
+            self.passes[-1].update(crossings=x, h=h)
+            return x
+
+        def points_logged(*args, **kw):
+            res = points(*args, **kw)
+            if self.passes:
+                p = self.passes[-1]
+                p["calls"] += 1
+                if searching[0]:
+                    p["rounds"] += 1
+                    p["zeros"] += int(np.count_nonzero(res.logabs == 0.0))
+            return res
+
+        monkeypatch.setattr(nev, "_logplus_quadrature", quad_logged)
+        monkeypatch.setattr(nev, "_crossings", cross_logged)
+        monkeypatch.setattr(nev._evalcore, "eval_points", points_logged)
+
+
+class TestCrossings:
+    @pytest.mark.parametrize("r", [20.1, 40.3, 59.3])
+    def test_exp_crossings_within_tolerance(self, monkeypatch, r):
+        # ln|e^z| = r cos(theta) crosses 0 at pi/2 and 3pi/2; every pass at
+        # the level the quadrature returns at locates both to h 2^-43
+        f = series.builtin("exp", 400)
+        log = _PassLog(monkeypatch)
+        det = nev.proximity_detailed(f, math.log(r))
+        done = [p for p in log.passes if p["level"] == det.level]
+        assert [p["m"] for p in done][-1] == det.n_angles
+        for p in done:
+            got = np.sort(p["crossings"] % (2.0 * math.pi))
+            want = np.array([0.5 * math.pi, 1.5 * math.pi])
+            assert np.all(np.abs(got - want) <= p["h"] * 2.0 ** -43)
+
+    @pytest.mark.parametrize("name,r", [("exp", 10.2), ("exp", 20.1),
+                                        ("exp", 40.3), ("exp", 59.3),
+                                        ("exp_cos", 12.4)])
+    def test_values_match_bisection(self, monkeypatch, name, r):
+        f = series.builtin("exp", 400)
+        if name == "exp_cos":
+            f = series.combine(f, series.builtin("cos", 400),
+                               "cauchy_product")
+        lr = math.log(r)
+        got = nev.proximity_detailed(f, lr)
+        monkeypatch.setattr(nev, "_crossings", bisect_crossings)
+        want = nev.proximity_detailed(f, lr)
+        assert (got.level, got.n_angles, got.converged) \
+            == (want.level, want.n_angles, want.converged)
+        assert got.uncertainty == want.uncertainty
+        assert got.value == pytest.approx(want.value, rel=1e-13)
+
+    def test_exact_zero_reading_converges(self, monkeypatch):
+        # at r = 20.1, m = 128, dd the search reads ln|f| = 0.0 exactly at
+        # pi/2; v > 0 counts it as nonpositive and the search goes on
+        f = series.builtin("exp", 400)
+        log = _PassLog(monkeypatch)
+        nev._logplus_quadrature(f.coeff, math.log(20.1), 128, "dd", None)
+        (p,) = log.passes
+        assert p["zeros"] >= 1
+        assert p["rounds"] <= 8
+        got = np.sort(p["crossings"] % (2.0 * math.pi))
+        assert np.all(np.abs(got - [0.5 * math.pi, 1.5 * math.pi])
+                      <= p["h"] * 2.0 ** -43)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_noise_keeps_bracket_and_round_cap(self, monkeypatch, seed):
+        # readings of pure noise, with some -inf, nan and exact 0.0, give
+        # the search no usable slope: it must still stop within 43 rounds
+        # and leave every crossing in its starting cell
+        rng = np.random.default_rng(seed)
+        calls = []
+
+        def noise(coeff, log_r, thetas, level="dd", dps=None):
+            calls.append(len(thetas))
+            v = rng.standard_normal(len(thetas)) * 10.0 ** rng.integers(
+                -12, 3, len(thetas))
+            v[rng.random(len(thetas)) < 0.05] = -np.inf
+            v[rng.random(len(thetas)) < 0.05] = np.nan
+            v[rng.random(len(thetas)) < 0.05] = 0.0
+            return nev._evalcore.EvalResult(v, v, 0.0, -np.inf, "d")
+
+        monkeypatch.setattr(nev._evalcore, "eval_points", noise)
+        m = 256
+        h = 2.0 * math.pi / m
+        cells = np.sort(rng.choice(m, 24, replace=False))
+        a = (2.0 * math.pi) * (cells + 0.5) / m
+        x = nev._crossings(None, 0.0, "d", None, a, h,
+                           np.where(cells % 2 == 0, 1.0, -1.0),
+                           np.where(cells % 2 == 0, -1.0, 1.0))
+        assert 1 <= len(calls) <= 43
+        assert np.all((a <= x) & (x <= a + h))
+
+    def test_call_count_regression(self, monkeypatch):
+        # the 42 bisection rounds made 43 eval_points calls per pass
+        # (plus the Gauss panel call); the ITP search makes far fewer
+        f = series.builtin("exp", 400)
+        log = _PassLog(monkeypatch)
+        det = nev.proximity_detailed(f, math.log(20.1))
+        calls = [p["calls"] for p in log.passes]
+        assert sum(calls) <= 12 * len(calls)
+        assert all(p["calls"] <= 12 for p in log.passes
+                   if p["level"] == det.level)
