@@ -212,8 +212,8 @@ def _terms_d(coeff: CoeffData, log_r: float):
 
 def _cached_band(coeff: CoeffData, key: tuple, build: Callable):
     """build(), cached in coeff._a_cache as the latest band of level
-    key[0]: a quadrature's circle, crossing search and Gauss panels at
-    one radius reuse one band."""
+    key[0]: a quadrature's circle, crossing search and partial-cell Gauss
+    nodes at one radius reuse one band."""
     hit = coeff._a_cache.get(key[0])
     if hit is not None and hit[0] == key:
         return hit[1]

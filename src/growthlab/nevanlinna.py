@@ -5,8 +5,11 @@ function m(r, f) = (1/2pi) int log+ |f(r e^{i theta})| d theta, so the whole
 module reduces to two numerical problems on the circle:
 
 * quadrature of log+ |f|, which is smooth except for kinks where |f|
-  crosses 1 and is spectrally handled by a periodic trapezoid rule plus an
-  explicit correction at each located crossing;
+  crosses 1: with no crossing, the periodic trapezoid rule on the circle's
+  values; otherwise the crossings are located and each positive arc takes
+  the trapezoid rule on its interior mesh nodes with Gregory end weights
+  of order 7, plus 4-node Gauss on the two partial cells at its ends (an
+  arc of under 8 interior nodes takes per-cell Gauss panels instead);
 
 * the winding number of f along the circle, which counts the enclosed
   zeros by the argument principle; the mesh is refined wherever the sampled
@@ -42,9 +45,11 @@ _MAX_RETRIES = 3  # perturbed radii count_zeros_grid tries per grid radius
 _MAX_MESH = 1 << 18  # winding mesh points before zero_count gives up
 
 # m(r, f): angle doubling from _PROX_START to _PROX_MAX_ANGLES until two
-# estimates agree to _PROX_REL_TOL; m(r, num/den) likewise, with the
-# _RATIO_ constants, masking |den| < _RATIO_MASK mu_den(r)
+# estimates agree to max(_PROX_REL_TOL max(1, m), _PROX_ABS_TOL);
+# m(r, num/den) likewise, with the _RATIO_ constants, masking
+# |den| < _RATIO_MASK mu_den(r)
 _PROX_START, _PROX_REL_TOL, _PROX_MAX_ANGLES = 128, 1e-8, 1 << 16
+_PROX_ABS_TOL = 1e-10
 _RATIO_START, _RATIO_REL_TOL, _RATIO_MAX_ANGLES = 256, 1e-6, 1 << 14
 _RATIO_MASK = 1e-8
 
@@ -118,6 +123,17 @@ _GL_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
 _GL_WTS = np.array([0.34785484513745385, 0.6521451548625461,
                     0.6521451548625461, 0.34785484513745385])
 
+# Gregory end weights of order _GREGORY_K: the trapezoid rule's first K + 1
+# weights (its last K + 1 reversed) that make it exact for polynomials of
+# degree <= K; as fractions, 1070017/3628800, 5537111/3628800,
+# 103613/403200, 261115/145152, 298951/725760, 515677/403200,
+# 3349879/3628800, 3662753/3628800
+_GREGORY_K = 7
+_GREGORY = np.array([0.2948680004409171, 1.5258793540564375,
+                     0.2569766865079365, 1.798907352292769,
+                     0.4119144069664903, 1.2789608134920636,
+                     0.9231368496472663, 1.00935653659612])
+
 
 def _crossings(coeff, log_r, level, dps, a, h, fa, fb):
     """Midpoints of brackets of width at most 2 eps, eps = h 2^-_CROSS_BITS,
@@ -169,16 +185,36 @@ def _crossings(coeff, log_r, level, dps, a, h, fa, fb):
     return 0.5 * (a + b)
 
 
+def _reject_unc(log_mu: float, n_terms: int) -> float:
+    """Half _until_stable's m(r) tolerance at the largest estimate a pass
+    can return, U = max(0, ln mu(r) + ln N) for a series of N terms (|f| <=
+    N mu(r) on the circle): a pass whose uncertainty exceeds this is
+    rejected whatever its estimate."""
+    top = max(0.0, log_mu + math.log(n_terms))
+    return 0.5 * max(_PROX_REL_TOL * max(1.0, top), _PROX_ABS_TOL)
+
+
 def _logplus_quadrature(coeff, log_r, m, level, dps):
     """One pass of (1/2pi) int log+|f| at resolution m.
 
     ln|f| is analytic along the circle away from zeros; only its positive
-    part has kinks, exactly where ln|f| crosses 0.  A periodic trapezoid is
-    spectrally accurate when there are no crossings; otherwise the crossings
-    are located by `_crossings` and each positive arc is integrated by
-    composite Gauss panels at the mesh resolution.
+    part has kinks, exactly where ln|f| crosses 0.  Without crossings the
+    periodic trapezoid rule on the m circle values is spectrally accurate.
+    Otherwise `_crossings` locates them, and each positive arc [c1, c2]
+    is integrated in three parts: the mesh nodes x_0 .. x_n strictly
+    inside it by the trapezoid rule with Gregory end corrections of order
+    _GREGORY_K (Fornberg, SIAM Rev. 63(1), 2021), exact for polynomials of
+    degree <= _GREGORY_K and so O(h^(_GREGORY_K + 1)) on smooth ln|f|, from
+    the circle values already in hand; and the partial cells [c1, x_0] and
+    [x_n, c2] by 4-node Gauss.  An arc with fewer than _GREGORY_K + 1
+    interior nodes takes composite 4-node Gauss panels of width <= h
+    across it instead.  All Gauss nodes of a pass go into one eval_points
+    call.  The rule's rate near a zero of f is set by that zero's distance
+    from the circle (Trefethen & Weideman, SIAM Rev. 56, 2014).
 
-    Returns (estimate, floor-driven uncertainty bound).
+    Returns (estimate, floor-driven uncertainty bound).  A pass whose
+    uncertainty already exceeds _reject_unc returns the plain trapezoid
+    mean before any search: _until_stable rejects it either way.
     """
     res = _evalcore.eval_circle(coeff, log_r, m, offset=True,
                                 level=level, dps=dps)
@@ -190,36 +226,42 @@ def _logplus_quadrature(coeff, log_r, m, level, dps):
 
     pos = v > 0.0
     cells = np.nonzero(pos != np.roll(pos, -1))[0]
-    if len(cells) == 0 or len(cells) > m // 4:
+    if (len(cells) == 0 or len(cells) > m // 4
+            or unc > _reject_unc(res.log_mu, coeff.n_terms)):
         return float(np.mean(np.maximum(v, 0.0))), unc
 
     h = 2.0 * math.pi / m
-    thetas = (2.0 * math.pi) * (np.arange(m) + 0.5) / m
-    crossings = np.sort(_crossings(coeff, log_r, level, dps, thetas[cells],
-                                   h, v[cells], v[(cells + 1) % m]))
-
-    # positive arcs alternate with negative ones; orient by the sign just
-    # after the first crossing
-    idx = int(np.searchsorted(thetas, crossings[0]))
-    sign_after = bool(pos[idx % m])
-    starts = crossings[0::2] if sign_after else crossings[1::2]
-    ends_src = crossings[1::2] if sign_after else np.append(
-        crossings[2::2], crossings[0] + 2.0 * math.pi)
-    total = 0.0
-    for s, e in zip(starts, ends_src):
-        if e <= s:
-            e += 2.0 * math.pi
-        n_panel = max(2, int(math.ceil((e - s) / h)))
-        edges = np.linspace(s, e, n_panel + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halfw = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mids[:, None] + halfw[:, None] * _GL_NODES[None, :]).ravel()
-        gv = _evalcore.eval_points(
-            coeff, log_r, pts % (2.0 * math.pi), level=level,
-            dps=dps).logabs.reshape(n_panel, 4)
-        total += float(np.sum(halfw[:, None] * _GL_WTS[None, :]
-                              * np.maximum(gv, 0.0)))
-    return total / (2.0 * math.pi), unc
+    a = (2.0 * math.pi) * (cells + 0.5) / m
+    x = _crossings(coeff, log_r, level, dps, a, h, v[cells],
+                   v[(cells + 1) % m])
+    # cells alternate between rising and falling; pair each rising cell
+    # with the falling one after it
+    k = int(np.argmax(~pos[cells]))
+    cells, a, x = np.roll(cells, -k), np.roll(a, -k), np.roll(x, -k)
+    corr = _GREGORY - 1.0
+    total, lo, hi = 0.0, [], []
+    for cu, cd, au, ad, xu, xd in zip(cells[0::2], cells[1::2], a[0::2],
+                                      a[1::2], x[0::2], x[1::2]):
+        n = (cd - cu) % m
+        if n > _GREGORY_K:
+            u = v[(cu + 1 + np.arange(n)) % m]
+            total += h * (np.sum(u) + corr @ u[:_GREGORY_K + 1]
+                          + corr[::-1] @ u[-_GREGORY_K - 1:])
+            lo += [xu, ad]
+            hi += [au + h, xd]
+        else:
+            xd += 0.0 if cd > cu else 2.0 * math.pi
+            edges = np.linspace(xu, xd, max(2, math.ceil((xd - xu) / h)) + 1)
+            lo.extend(edges[:-1])
+            hi.extend(edges[1:])
+    mids = 0.5 * (np.array(lo) + np.array(hi))
+    halfw = 0.5 * (np.array(hi) - np.array(lo))
+    pts = (mids[:, None] + halfw[:, None] * _GL_NODES[None, :]).ravel()
+    gv = _evalcore.eval_points(coeff, log_r, pts % (2.0 * math.pi),
+                               level=level, dps=dps).logabs.reshape(-1, 4)
+    total += float(np.sum(halfw[:, None] * _GL_WTS[None, :]
+                          * np.maximum(gv, 0.0)))
+    return float(total) / (2.0 * math.pi), unc
 
 
 def _until_stable(estimate, m: int, rel_tol: float, max_angles: int,
@@ -263,7 +305,8 @@ def proximity_detailed(f: PowerSeries, log_r: float) -> ProximityResult:
                if level == "mp" else None)
         out = _until_stable(
             lambda m: _logplus_quadrature(coeff, log_r, m, level, dps),
-            _PROX_START, _PROX_REL_TOL, _PROX_MAX_ANGLES, abs_tol=1e-10)
+            _PROX_START, _PROX_REL_TOL, _PROX_MAX_ANGLES,
+            abs_tol=_PROX_ABS_TOL)
         if out is not None:
             est, m, converged, unc = out
             return ProximityResult(est, m, converged, level, unc)
@@ -271,8 +314,9 @@ def proximity_detailed(f: PowerSeries, log_r: float) -> ProximityResult:
 
 
 def proximity(f: PowerSeries, log_r: float) -> float:
-    """m(r, f): trapezoid over equispaced angles, doubled until successive
-    estimates agree to 1e-8 relative (or the angle cap is reached)."""
+    """m(r, f): the log+ quadrature of _logplus_quadrature over m
+    equispaced angles, m doubled until successive estimates agree to 1e-8
+    relative (or the angle cap is reached)."""
     return proximity_detailed(f, log_r).value
 
 

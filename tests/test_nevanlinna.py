@@ -1,6 +1,7 @@
 """Proximity/characteristic quadrature and argument-principle counting."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +20,27 @@ def brute_proximity(fn, r, n=4096, dps=30):
             v = abs(fn(r * mp.exp(1j * mp.mpf(th))))
             total += max(float(mp.log(v)) if v != 0 else -1e9, 0.0)
         return total / n
+
+
+def adaptive_proximity(fn, r, n=2048, dps=30):
+    """Independent oracle for m(r, fn) to about 1e-20: the crossings of
+    ln|fn| = 0, bracketed on an n-point grid and refined by mpmath's
+    root finder, split [0, 2pi] into arcs, and each positive arc is
+    integrated by mpmath's tanh-sinh quadrature."""
+    with mp.workdps(dps):
+        def g(th):
+            return mp.log(abs(fn(r * mp.expj(th))))
+
+        grid = [2 * mp.pi * j / n for j in range(n + 1)]
+        vals = [g(th) for th in grid]
+        cuts = [mp.findroot(g, (grid[j], grid[j + 1]), solver="anderson")
+                for j in range(n) if (vals[j] > 0) != (vals[j + 1] > 0)]
+        edges = [mp.mpf(0)] + cuts + [2 * mp.pi]
+        total = mp.mpf(0)
+        for a, b in zip(edges, edges[1:]):
+            if g((a + b) / 2) > 0:
+                total += mp.quad(g, [a, b])
+        return float(total / (2 * mp.pi))
 
 
 class TestProximity:
@@ -376,8 +398,8 @@ class TestCrossings:
         assert np.all((a <= x) & (x <= a + h))
 
     def test_call_count_regression(self, monkeypatch):
-        # the 42 bisection rounds made 43 eval_points calls per pass
-        # (plus the Gauss panel call); the ITP search makes far fewer
+        # the 42 bisection rounds made 43 eval_points calls per pass (plus
+        # the one call for the Gauss nodes); the ITP search makes far fewer
         f = series.builtin("exp", 400)
         log = _PassLog(monkeypatch)
         det = nev.proximity_detailed(f, math.log(20.1))
@@ -385,3 +407,177 @@ class TestCrossings:
         assert sum(calls) <= 12 * len(calls)
         assert all(p["calls"] <= 12 for p in log.passes
                    if p["level"] == det.level)
+
+
+def panel_quadrature(coeff, log_r, m, level, dps):
+    """Reference log+ quadrature: the composite 4-node Gauss panels, one
+    per mesh cell of every positive arc, that the Gregory-corrected arcs
+    replaced, with nev._logplus_quadrature's signature."""
+    res = nev._evalcore.eval_circle(coeff, log_r, m, offset=True,
+                                    level=level, dps=dps)
+    v = res.logabs
+    trust = res.floor_ln + nev._TRUST_GUARD
+    unc = float(np.count_nonzero(v < trust)) / m * max(trust, 0.0)
+    pos = v > 0.0
+    cells = np.nonzero(pos != np.roll(pos, -1))[0]
+    if len(cells) == 0 or len(cells) > m // 4:
+        return float(np.mean(np.maximum(v, 0.0))), unc
+    h = 2.0 * math.pi / m
+    thetas = (2.0 * math.pi) * (np.arange(m) + 0.5) / m
+    crossings = np.sort(nev._crossings(coeff, log_r, level, dps,
+                                       thetas[cells], h, v[cells],
+                                       v[(cells + 1) % m]))
+    idx = int(np.searchsorted(thetas, crossings[0]))
+    sign_after = bool(pos[idx % m])
+    starts = crossings[0::2] if sign_after else crossings[1::2]
+    ends_src = crossings[1::2] if sign_after else np.append(
+        crossings[2::2], crossings[0] + 2.0 * math.pi)
+    total = 0.0
+    for s, e in zip(starts, ends_src):
+        if e <= s:
+            e += 2.0 * math.pi
+        n_panel = max(2, int(math.ceil((e - s) / h)))
+        edges = np.linspace(s, e, n_panel + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        halfw = 0.5 * (edges[1:] - edges[:-1])
+        pts = (mids[:, None] + halfw[:, None] * nev._GL_NODES[None, :]).ravel()
+        gv = nev._evalcore.eval_points(
+            coeff, log_r, pts % (2.0 * math.pi), level=level,
+            dps=dps).logabs.reshape(n_panel, 4)
+        total += float(np.sum(halfw[:, None] * nev._GL_WTS[None, :]
+                              * np.maximum(gv, 0.0)))
+    return total / (2.0 * math.pi), unc
+
+
+def gregory_fractions(k):
+    """Exact Gregory end weights of order k: the trapezoid's end weights
+    plus the corrections c_i, i <= k, with sum_i c_i i^p equal to the
+    Euler-Maclaurin end term B_(p+1)/(p+1) for odd p and 0 for even p."""
+    bern = [Fraction(1)]
+    for n in range(1, k + 2):
+        bern.append(-sum(math.comb(n + 1, j) * bern[j]
+                         for j in range(n)) / (n + 1))
+    rows = [[Fraction(i) ** p for i in range(k + 1)]
+            + [bern[p + 1] / (p + 1) if p % 2 else Fraction(0)]
+            for p in range(k + 1)]
+    for c in range(k + 1):  # Gauss-Jordan; the Vandermonde pivots are nonzero
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(k + 1):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [(Fraction(1, 2) if i == 0 else 1) + rows[i][-1]
+            for i in range(k + 1)]
+
+
+def gregory_rule(weights, n):
+    """Weights of the corrected trapezoid over nodes 0 .. n - 1, ends
+    overlapping when n < 2 len(weights)."""
+    w = [1] * n
+    for i, g in enumerate(weights):
+        w[i] += g - 1
+        w[n - 1 - i] += g - 1
+    return w
+
+
+class TestGregory:
+    def test_weights_are_the_rounded_fractions(self):
+        exact = gregory_fractions(nev._GREGORY_K)
+        assert [float(g) for g in exact] == nev._GREGORY.tolist()
+
+    @pytest.mark.parametrize("n", [nev._GREGORY_K + 1, nev._GREGORY_K + 5,
+                                   3 * nev._GREGORY_K])
+    def test_exact_to_degree_k(self, n):
+        k = nev._GREGORY_K
+        w = gregory_rule(gregory_fractions(k), n)
+        for p in range(k + 2):
+            got = sum(wi * Fraction(i) ** p for i, wi in enumerate(w))
+            want = Fraction(n - 1) ** (p + 1) / (p + 1)
+            assert (got == want) == (p <= k)
+        wf = np.array(gregory_rule(nev._GREGORY.tolist(), n))
+        x = np.arange(n) / (n - 1.0)
+        for p in range(k + 1):
+            assert np.sum(wf * x ** p) / (n - 1) == pytest.approx(
+                1.0 / (p + 1), rel=1e-14)
+
+
+def _exp_cos():
+    return series.combine(series.builtin("exp", 400),
+                          series.builtin("cos", 400), "cauchy_product")
+
+
+SUBJECTS = {"exp": lambda: series.builtin("exp", 400),
+            "sin": lambda: series.builtin("sin", 400),
+            "cos": lambda: series.builtin("cos", 400),
+            "exp_cos": _exp_cos,
+            "airy_like": lambda: series.builtin("airy_like", 200),
+            "const": lambda: series.builtin("poly", coeffs=[3.0])}
+
+
+class TestGregoryArcs:
+    # (subject, r): exp at each level, many-arc sin and cos, e^z cos z,
+    # an ODE solution; the oracles workload's subjects at seed 1 carry
+    # the 1e-11 bound
+    @pytest.mark.parametrize("name,r,rel", [
+        ("exp", 9.853745697644959, 1e-11), ("exp", 20.277946989549783, 1e-11),
+        ("exp", 40.42203939036258, 1e-11), ("exp", 59.4121656617746, 1e-11),
+        ("exp_cos", 12.296929793387116, 1e-11),
+        ("cos", 12.296929793387116, 1e-11),
+        ("sin", 25.0, None), ("cos", 6.0, None), ("exp_cos", 5.0, None),
+        ("airy_like", 6.0, None)])
+    def test_agrees_with_panels(self, monkeypatch, name, r, rel):
+        f = SUBJECTS[name]()
+        lr = math.log(r)
+        got = nev.proximity_detailed(f, lr)
+        monkeypatch.setattr(nev, "_logplus_quadrature", panel_quadrature)
+        want = nev.proximity_detailed(f, lr)
+        assert got.level == want.level
+        tol = nev._PROX_REL_TOL * max(1.0, abs(want.value))
+        if rel is not None:
+            tol = min(tol, rel * abs(want.value))
+        assert abs(got.value - want.value) <= tol
+
+    def test_sin_25_against_adaptive_oracle(self, monkeypatch):
+        # sin at r = 25 has dozens of short arcs near the real axis; the
+        # Gregory arcs converge at 1024 angles, 1.2e-10 from the truth, and
+        # the panels at 256, 1.0e-11 from it: both well inside the 1e-8
+        # tolerance, the panels nearer
+        f = series.builtin("sin", 400)
+        lr = math.log(25.0)
+        got = nev.proximity_detailed(f, lr)
+        monkeypatch.setattr(nev, "_logplus_quadrature", panel_quadrature)
+        ref = nev.proximity_detailed(f, lr)
+        truth = adaptive_proximity(mp.sin, 25.0)
+        assert (got.n_angles, ref.n_angles) == (1024, 256)
+        assert abs(ref.value - truth) < abs(got.value - truth) \
+            <= 1e-9 * truth
+
+    @pytest.mark.parametrize("name,r,level", [
+        ("exp", 10.0, "d"), ("exp", 20.1, "dd"), ("exp", 59.3, "mp"),
+        ("const", 7.0, "d")])
+    def test_value_is_python_float(self, name, r, level):
+        det = nev.proximity_detailed(SUBJECTS[name](), math.log(r))
+        assert det.level == level
+        assert type(det.value) is float
+        assert type(det.uncertainty) is float
+
+
+class TestRejectedPasses:
+    def test_rejected_pass_skips_the_search(self, monkeypatch):
+        # the dd pass of m(59.3, e^z) reads values under its trust line:
+        # it returns before the crossing search and evaluates no point
+        f = series.builtin("exp", 400)
+        log = _PassLog(monkeypatch)
+        det = nev.proximity_detailed(f, math.log(59.3))
+        assert det.level == "mp"
+        (dd,) = [p for p in log.passes if p["level"] == "dd"]
+        assert dd["calls"] == 0 and dd["crossings"] is None
+
+    @pytest.mark.parametrize("name,r", [("exp", 10.2), ("exp", 20.1),
+                                        ("exp", 40.3), ("exp", 59.3),
+                                        ("exp_cos", 12.4)])
+    def test_results_unchanged(self, monkeypatch, name, r):
+        f = SUBJECTS[name]()
+        lr = math.log(r)
+        got = nev.proximity_detailed(f, lr)
+        monkeypatch.setattr(nev, "_reject_unc", lambda *a: math.inf)
+        assert nev.proximity_detailed(f, lr) == got
