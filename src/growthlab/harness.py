@@ -257,6 +257,33 @@ def _grid_from(cfg: dict, key: str, default: tuple, path: str = "") -> np.ndarra
         raise ConfigError(f"{path}/{key}", str(exc)) from exc
 
 
+def _solver_limits(cfg: dict, r_max: float, residual_tol: float,
+                   max_terms: int, n_start: int) -> tuple:
+    """(r_max, residual_tol, max_terms) of a config that runs auto_solve,
+    from the defaults given for missing fields.  r_max and residual_tol
+    must be positive finite numbers and max_terms an integer of at least
+    n_start, auto_solve's first length; anything else is a ConfigError at
+    the field's path."""
+    def positive(key, default):
+        v = cfg.get(key, default)
+        try:
+            x = float(v)
+        except (TypeError, ValueError):
+            x = math.nan
+        if not (math.isfinite(x) and x > 0):
+            raise ConfigError(f"/{key}",
+                              f"expected a positive number, got {v!r}")
+        return x
+
+    n_cap = cfg.get("max_terms", max_terms)
+    if isinstance(n_cap, bool) or not isinstance(n_cap, int) \
+            or n_cap < n_start:
+        raise ConfigError("/max_terms", f"expected an integer >= {n_start} "
+                          f"(the first series length), got {n_cap!r}")
+    return positive("r_max", r_max), positive("residual_tol",
+                                              residual_tol), n_cap
+
+
 # ---------------------------------------------------------------------------
 # check suites
 
@@ -489,15 +516,14 @@ def _run_solve(cfg: dict, report: Report, out_dir: Optional[str]) -> Report:
     eq = resolve_equation(_need(cfg, "equation", ""))
     init = ode.InitialData(tuple(complex(v) for v in
                                  _need(cfg, "init", "")))
-    r_max = float(cfg.get("r_max", 5.0))
-    sol, info = ode.auto_solve(eq, init, r_max,
-                               residual_tol=float(cfg.get("residual_tol",
-                                                          1e-8)),
-                               n_start=int(cfg.get("n_start", 1 << 8)),
-                               n_cap=int(cfg.get("max_terms", 1 << 16)))
+    n_start = int(cfg.get("n_start", 1 << 8))
+    r_max, residual_tol, n_cap = _solver_limits(cfg, 5.0, 1e-8, 1 << 16,
+                                                n_start)
+    sol, info = ode.auto_solve(eq, init, r_max, residual_tol=residual_tol,
+                               n_start=n_start, n_cap=n_cap)
     report.info("n_terms", info["n_terms"])
     report.info("certified_radius", info["certified_radius"])
-    report.leq(info["residual"], float(cfg.get("residual_tol", 1e-8)),
+    report.leq(info["residual"], residual_tol,
                "residual", f"at r = {info['checked_radius']:.6g}")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -783,6 +809,10 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
                                 dps_budget=dps_budget)
 
 
+# the first series length auto_solve marches for each theorem solution
+_THEOREM_N_START = 1 << 10
+
+
 def run_theorem_experiment(cfg: dict,
                            report: Optional[Report] = None) -> Report:
     """Hypotheses -> solutions -> growth estimates -> oscillation clause."""
@@ -791,6 +821,8 @@ def run_theorem_experiment(cfg: dict,
     triple = resolve_triple(_need(cfg, "scales", ""))
     wrapped = triple.wrapped()
     eq = resolve_equation(_need(cfg, "equation", ""))
+    r_max, residual_tol, n_cap = _solver_limits(cfg, 12.0, 1e-8, 1 << 14,
+                                                _THEOREM_N_START)
 
     ok, mu0, rho0 = _hypotheses(kind, cfg, eq, triple, rep)
     if not ok:
@@ -798,9 +830,6 @@ def run_theorem_experiment(cfg: dict,
         rep.notes.append("hypotheses not met: conclusions skipped")
         return rep
 
-    r_max = float(cfg.get("r_max", 12.0))
-    residual_tol = float(cfg.get("residual_tol", 1e-8))
-    n_cap = int(cfg.get("max_terms", 1 << 14))
     seed = int(cfg.get("seed", 20240401))
     n_random = int(cfg.get("n_random", 1))
     rng = np.random.default_rng(seed)
@@ -823,7 +852,8 @@ def run_theorem_experiment(cfg: dict,
     for s_idx, init in enumerate(inits):
         tag = f"sol{s_idx}"
         sol, info = ode.auto_solve(eq, init, r_max,
-                                   residual_tol=residual_tol, n_cap=n_cap)
+                                   residual_tol=residual_tol,
+                                   n_start=_THEOREM_N_START, n_cap=n_cap)
         rep.leq(info["residual"], residual_tol, f"residual[{tag}]",
                 f"n = {info['n_terms']}, certified r = "
                 f"{info['certified_radius']:.4g}")

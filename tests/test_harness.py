@@ -160,6 +160,27 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "solve_airy.csv").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_terms", 1), ("max_terms", 64.5), ("residual_tol", "abc"),
+        ("residual_tol", -1), ("r_max", -2)])
+    def test_bad_solver_limit_exit_two_with_path(self, tmp_path, capsys,
+                                                 field, value):
+        cfg = harness.shipped_config("solve_airy")
+        cfg[field] = value
+        path = tmp_path / "airy.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["solve", "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"/{field}" in capsys.readouterr().err
+
+    def test_theorem_cap_below_first_length_is_config_error(self):
+        cfg = harness.shipped_config("theorem_type")
+        cfg["max_terms"] = 512  # its solutions start at 1024 terms
+        with pytest.raises(ConfigError) as err:
+            harness.run_config(cfg)
+        assert err.value.path == "/max_terms"
+
     def test_command_kind_mismatch(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_analyze()))

@@ -43,6 +43,100 @@ def bessel_type_equation(n_a=200):
                              ps.builtin("poly", coeffs=[0.0])))
 
 
+def forced_equation():
+    # f'' + e^z f = cos z
+    return ode.LinearODE(2, (ps.builtin("exp", 200),
+                             ps.builtin("poly", coeffs=[0.0])),
+                         ps.builtin("cos", 200))
+
+
+def exact_circle(f, log_r, bits=300, cut=100.0):
+    """(ln mu(r), f(r w_j) for the 64 offsets w_j = e^(i pi (2j + 1) / 64))
+    from f's stored coefficients, as mpc: the terms within e^-cut of mu(r)
+    are formed in mpmath, rounded to integers at scale 2^bits and folded
+    mod 128 (where the offset mesh repeats) exactly, and the 128 bins are
+    summed against each angle at bits + 64 bits."""
+    x = f.coeff.lh + np.arange(f.n_terms) * log_r
+    log_mu = float(np.max(x))
+    bins_re, bins_im = [0] * 128, [0] * 128
+    with mp.workprec(bits + 64):
+        lr, lmu = mp.mpf(log_r), mp.mpf(log_mu)
+        for n in np.nonzero(x >= log_mu - cut)[0].tolist():
+            t = mp.exp(mp.mpf(f.coeff.lh[n]) + mp.mpf(f.coeff.ll[n])
+                       + n * lr - lmu) * mp.expj(mp.mpf(f.coeff.ph[n]))
+            bins_re[n % 128] += int(mp.nint(mp.ldexp(t.real, bits)))
+            bins_im[n % 128] += int(mp.nint(mp.ldexp(t.imag, bits)))
+        bins = [mp.mpc(mp.ldexp(a, -bits), mp.ldexp(b, -bits))
+                for a, b in zip(bins_re, bins_im)]
+        mu = mp.exp(lmu)
+        return log_mu, [mu * mp.fsum(v * mp.expjpi(mp.mpf((2 * j + 1) * k)
+                                                    / 64)
+                                     for k, v in enumerate(bins))
+                        for j in range(64)]
+
+
+def reference_residual(eq, f, log_r):
+    """residual_norm of the stored coefficients at 60 digits: the residual
+    from exact_circle values, over a scale whose products come from
+    direct (non-FFT) convolutions of the double bands."""
+    derivs = [f]
+    for _ in range(eq.k):
+        derivs.append(ps.derivative(derivs[-1]))
+    with mp.workdps(60):
+        scale, total = exact_circle(derivs[eq.k], log_r)
+        for a, d in zip(eq.coeffs, derivs):
+            if not (np.isfinite(a.coeff.lh).any()
+                    and np.isfinite(d.coeff.lh).any()):
+                continue
+            (la, va), (ld, vd) = exact_circle(a, log_r), exact_circle(d, log_r)
+            total = [s + p * q for s, p, q in zip(total, va, vd)]
+            bands = []
+            for g, lmu in ((a, la), (d, ld)):
+                x = g.coeff.lh + np.arange(g.n_terms) * log_r - lmu
+                bands.append(np.exp(x) * np.exp(1j * g.coeff.ph))
+            c = np.convolve(*bands)
+            scale = max(scale, la + ld + math.log(float(np.max(np.abs(c)))))
+        if eq.rhs is not None:
+            _, vf = exact_circle(eq.rhs, log_r)
+            total = [s - v for s, v in zip(total, vf)]
+        return float(max(abs(v) for v in total) / mp.exp(scale))
+
+
+def fft_product_bound(a, b):
+    """The 2-norm error bound residual_norm's docstring states for
+    ode._fft_product(a, b), relative to the bands' scale."""
+    u = 2.0 ** -53
+    size = 1 << (len(a) + len(b) - 2).bit_length()
+    t = size.bit_length() - 1
+    mu = 2 * u
+    eta = mu + 4 * u / (1 - 4 * u) * (math.sqrt(2) + mu)
+    eps = t * eta / (1 - t * eta)
+    norms = (np.sum(np.abs(a)) * np.linalg.norm(b)
+             + np.linalg.norm(a) * np.sum(np.abs(b)))
+    return (2 * eps + 3 * u) * (1 + eps * math.sqrt(size)) ** 2 * norms
+
+
+@pytest.fixture(scope="module")
+def bessel_solution():
+    """TestResidual's Bessel case: 4096 terms checked at r = 10."""
+    eq = bessel_type_equation()
+    sol, info = ode.auto_solve(eq, ode.InitialData((1.0, 0.0)), 10.0,
+                               n_start=1 << 10, n_cap=1 << 13)
+    return eq, sol, info
+
+
+@pytest.fixture(scope="module")
+def theorem_type_solution():
+    """sol0 of the shipped theorem_type experiment: 16,384 terms checked
+    at r = 7.03."""
+    from growthlab import harness
+    cfg = harness.shipped_config("theorem_type")
+    eq = harness.resolve_equation(cfg["equation"])
+    sol, info = ode.auto_solve(eq, ode.InitialData.basis(2, 0),
+                               cfg["r_max"], n_cap=cfg["max_terms"])
+    return eq, sol, info
+
+
 class TestValidation:
     def test_order_and_coeff_count(self):
         with pytest.raises(ValueError):
@@ -168,12 +262,63 @@ class TestResidual:
         sol = ode.airy_like(200)
         assert ode.residual_norm(airy_equation(), sol, math.log(5.0)) < 1e-9
 
-    def test_bessel_type_certificate(self):
-        eq = bessel_type_equation()
-        sol, info = ode.auto_solve(eq, ode.InitialData((1.0, 0.0)), 10.0,
-                                   n_start=1 << 10, n_cap=1 << 13)
+    def test_bessel_type_certificate(self, bessel_solution):
+        eq, sol, info = bessel_solution
         assert info["residual"] < 1e-8
         assert info["certified_radius"] >= 10.0
+
+    def test_zero_coefficient_is_skipped(self):
+        # the oscillator's A_1 is poly [0], a series without a nonzero term
+        assert not np.isfinite(oscillator().coeffs[1].coeff.lh).any()
+        sin = ps.builtin("sin", 60)
+        assert ode.residual_norm(oscillator(), sin, math.log(3.0)) < 1e-14
+
+    def test_forced_solution_is_small(self):
+        sol = ode.solve_series(forced_equation(), ode.InitialData((0.0, 0.0)),
+                               200)
+        assert ode.residual_norm(forced_equation(), sol,
+                                 math.log(3.0)) < 1e-13
+
+    def test_forced_solution_fails_the_homogeneous_equation(self):
+        eq = forced_equation()
+        sol = ode.solve_series(eq, ode.InitialData((0.0, 0.0)), 200)
+        homogeneous = ode.LinearODE(2, eq.coeffs)
+        assert ode.residual_norm(homogeneous, sol, math.log(3.0)) >= 1e-2
+
+    @pytest.mark.parametrize("case", ["bessel_solution",
+                                      "theorem_type_solution"])
+    def test_matches_a_60_digit_reference(self, case, request):
+        eq, sol, info = request.getfixturevalue(case)
+        log_r = math.log(info["checked_radius"])
+        got = ode.residual_norm(eq, sol, log_r)
+        assert got == info["residual"]
+        want = reference_residual(eq, sol, log_r)
+        assert abs(got - want) <= 1e-2 * want
+
+    @pytest.mark.parametrize("case", ["bessel_solution",
+                                      "theorem_type_solution"])
+    def test_fft_product_within_stated_bound(self, case, request):
+        eq, sol, info = request.getfixturevalue(case)
+        log_r = math.log(info["checked_radius"])
+        a = ode._scaled_band(eq.coeffs[0], log_r)[3]
+        b = ode._scaled_band(sol, log_r)[3]
+        bits = 300
+
+        def fixed(x, scale):
+            return (np.array([int(v) for v in np.ldexp(x.real, scale)],
+                             dtype=object),
+                    np.array([int(v) for v in np.ldexp(x.imag, scale)],
+                             dtype=object))
+
+        # exact products of the bands' doubles, at scale 2^(2 bits)
+        (ar, ai), (br, bi) = fixed(a, bits), fixed(b, bits)
+        exact_re = np.convolve(ar, br) - np.convolve(ai, bi)
+        exact_im = np.convolve(ar, bi) + np.convolve(ai, br)
+        got_re, got_im = fixed(ode._fft_product(a, b), 2 * bits)
+        err2 = sum((int(x) ** 2 for x in got_re - exact_re), 0) \
+            + sum((int(x) ** 2 for x in got_im - exact_im), 0)
+        err = math.sqrt(err2 >> 4 * bits - 200) * 2.0 ** -100
+        assert 0 < err <= fft_product_bound(a, b)
 
 
 class TestAutoSolve:
@@ -183,6 +328,11 @@ class TestAutoSolve:
                                    n_cap=1 << 12)
         assert info["capped"]
         assert info["certified_radius"] < 14.0
+
+    def test_cap_below_first_length_rejected(self):
+        with pytest.raises(ValueError, match="n_cap"):
+            ode.auto_solve(oscillator(), ode.InitialData((1.0, 0.0)), 5.0,
+                           n_start=256, n_cap=1)
 
     def test_hyper_order_oracle(self):
         # the closed form through Bessel functions forces
