@@ -1,14 +1,15 @@
 """Vectorized double-double arithmetic on numpy arrays.
 
 A double-double carries ~31 significant decimal digits as an unevaluated sum
-hi + lo of two floats with |lo| <= ulp(hi)/2.  The circle-evaluation engine
-uses these to push the cancellation noise floor of rescaled power sums from
-~1e-16 down to ~1e-31 of the maximum term, which several of the quadrature
-and winding checks need (see _evalcore).
+hi + lo of two floats with |lo| <= ulp(hi)/2.  The module serves only band
+building, series.derivative, series.scale_argument and the residual of
+ode.residual_norm.  The 'dd' band of _evalcore is built here and then
+summed as fixed-point integers, which pushes the cancellation noise floor
+of rescaled power sums from ~1e-16 down to ~1e-31 of the maximum term.
 
-Numbers are (hi, lo) tuples of float64 arrays (or scalars); complex values
-are ((re_hi, re_lo), (im_hi, im_lo)).  The "sloppy" renormalization variants
-are used throughout: error ~1e-31 relative, which is all that is needed.
+Numbers are (hi, lo) tuples of float64 arrays (or scalars).  The "sloppy"
+renormalization variants are used throughout: error ~1e-31 relative, which
+is all that is needed.
 """
 
 from __future__ import annotations
@@ -82,12 +83,6 @@ def dd_mul(a, b):
     return quick_two_sum(p, e)
 
 
-def dd_mul_d(a, b):
-    p, e = two_prod(a[0], b)
-    e = e + a[1] * b
-    return quick_two_sum(p, e)
-
-
 def dd_from_d(a):
     return (a, np.zeros_like(a) if isinstance(a, np.ndarray) else 0.0)
 
@@ -137,26 +132,3 @@ def dd_exp(a):
         out_hi = np.where(tiny, 0.0, out_hi)
         out_lo = np.where(tiny, 0.0, out_lo)
     return out_hi, out_lo
-
-
-# complex double-double helpers: z = (re_dd, im_dd)
-
-def ddc_add(a, b):
-    return (dd_add(a[0], b[0]), dd_add(a[1], b[1]))
-
-
-def ddc_mul(a, b):
-    re = dd_sub(dd_mul(a[0], b[0]), dd_mul(a[1], b[1]))
-    im = dd_add(dd_mul(a[0], b[1]), dd_mul(a[1], b[0]))
-    return (re, im)
-
-
-def ddc_zeros(shape):
-    z = np.zeros(shape)
-    return ((z.copy(), z.copy()), (z.copy(), z.copy()))
-
-
-def ddc_abs2(a):
-    re2 = dd_mul(a[0], a[0])
-    im2 = dd_mul(a[1], a[1])
-    return dd_add(re2, im2)

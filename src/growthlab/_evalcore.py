@@ -13,19 +13,22 @@ as small as e^{-2r} relative to mu(r) (e.g. e^z at theta = pi), which no
 double can see at r = 100.  Three precision levels are therefore provided:
 
   'd'   plain complex128, noise floor ~3e-16 * N * mu(r)
-  'dd'  double-double terms, floor ~1e-31 * N * mu(r)
-  'mp'  band-limited fixed-point terms over Python integers at scale 2^P,
-        P ~ dps log2(10) + 2 log2(N) + 16, floor ~3 N 10^(-0.95 dps) * mu(r)
+  'dd'  fixed-point integers fed by the double-double band: terms built in
+        double-double and converted at scale 2^P, P = _fixed_bits(32, N),
+        floor ~1e-31 * N * mu(r)
+  'mp'  fixed-point integers fed by the exact coefficients at dps digits,
+        P = _fixed_bits(dps, N), floor ~3 N 10^(-0.95 dps) * mu(r)
 
-Scattered angles (`eval_points`) are summed by blocked Horner in
-double-double at 'dd' and by fixed-point Horner at 'mp', whose error is at
-most (N + 1)^2 2^-P * mu(r) for a band of N terms, below 2^-16 10^-dps.
-Equispaced circles (`eval_circle`) of power-of-two size m fold the band
-mod m and run one FFT: numpy's at 'd'; at 'dd' and 'mp' one radix-2 FFT
-over Python integers, fed the dd terms converted at P = _fixed_bits(32, N)
-or the mp band, with error at most (4 N + 3) 2^-P * mu(r) (see
-_circle_fixed), again far under the floor.  Circles therefore sample the
-exact angles 2 pi (j + 1/2) / m, points the float angles they are given.
+A level decides only where its band's integers come from and its floor
+(_fixed_band); 'dd' and 'mp' then share the kernels.  Scattered angles
+(`eval_points`) are summed by fixed-point Horner, whose error is at most
+(N + 1)^2 2^-P * mu(r) for a band of N terms: below 2^-16 10^-dps (dps =
+32 for 'dd').  Equispaced circles (`eval_circle`) of power-of-two size m
+fold the band mod m and run one FFT: numpy's at 'd', one radix-2 FFT over
+Python integers at 'dd' and 'mp', with error at most (4 N + 3) 2^-P *
+mu(r) (see _circle_fixed), again far under the floor.  Circles therefore
+sample the exact angles 2 pi (j + 1/2) / m, points the float angles they
+are given.
 
 Every evaluation returns an explicit noise floor (in log scale) so callers
 can tell whether deep cancellation corrupted the values they care about, and
@@ -222,17 +225,10 @@ def _cached_band(coeff: CoeffData, key: tuple, build: Callable):
     return entry
 
 
-def _terms_dd(coeff: CoeffData, log_r: float):
-    """(lo, hi, log_mu, t): the band's t_n = a_n r^n / mu(r) as complex
-    double-double arrays ((re_hi, re_lo), (im_hi, im_lo))."""
-    lo, hi, log_mu = _band(coeff, log_r, _BAND_CUT["dd"])
-    return _cached_band(coeff, ("dd", lo, hi, log_r),
-                        lambda: (lo, hi, log_mu,
-                                 _rescaled_dd(coeff, log_r, lo, hi, log_mu)))
-
-
 def _rescaled_dd(coeff: CoeffData, log_r: float, lo: int, hi: int,
                  log_mu: float):
+    """t_n = a_n r^n / mu(r) for lo <= n < hi as complex double-double
+    arrays ((re_hi, re_lo), (im_hi, im_lo))."""
     n = np.arange(lo, hi, dtype=float)
     # vanished coefficients inside the band are computed at a finite
     # sentinel and forced to exact zero afterwards (keeps dd kernels NaN-free)
@@ -248,21 +244,6 @@ def _rescaled_dd(coeff: CoeffData, log_r: float, lo: int, hi: int,
     mag = _dd.dd_exp(ldiff)
     cr, ci = _coeff_cis(coeff.ph[lo:hi])
     return (mag[0] * cr, mag[1] * cr), (mag[0] * ci, mag[1] * ci)
-
-
-def _cis_dd_of(thetas):
-    """cos/sin of given float64 angles to double-double accuracy (mpmath)."""
-    n = len(thetas)
-    re_h = np.empty(n); re_l = np.empty(n)
-    im_h = np.empty(n); im_l = np.empty(n)
-    with mp.workdps(40):
-        for i, t in enumerate(thetas):
-            c = mp.cos(mp.mpf(float(t)))
-            s = mp.sin(mp.mpf(float(t)))
-            ch = float(c); sh = float(s)
-            re_h[i] = ch; re_l[i] = float(c - ch)
-            im_h[i] = sh; im_l[i] = float(s - sh)
-    return ((re_h, re_l), (im_h, im_l))
 
 
 def _poly_at_points_d(t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -286,52 +267,6 @@ def _poly_at_points_d(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _poly_at_points_dd(t, x, n_coeff):
-    """Blocked sum of t_s x^s in complex double-double.
-
-    t: complex-dd arrays of length n_coeff (coefficient axis)
-    x: complex-dd arrays over points
-    """
-    m = len(x[0][0])
-    b = max(1, int(math.isqrt(n_coeff)))
-    q = -(-n_coeff // b)
-
-    (tre_h, tre_l), (tim_h, tim_l) = t
-
-    def tpad(a):
-        out = np.zeros(q * b)
-        out[:n_coeff] = a
-        return out.reshape(q, b)
-
-    tre_h, tre_l, tim_h, tim_l = map(tpad, (tre_h, tre_l, tim_h, tim_l))
-
-    acc = _dd.ddc_zeros((q, m))
-    # x^s for s in [0, b)
-    xs = _unit_powers_dd_list(x, b)
-    for s in range(b):
-        ts = ((tre_h[:, s:s + 1], tre_l[:, s:s + 1]),
-              (tim_h[:, s:s + 1], tim_l[:, s:s + 1]))
-        acc = _dd.ddc_add(acc, _dd.ddc_mul(ts, xs[s]))
-    xb = _dd.ddc_mul(xs[b - 1], x)
-    out = ((acc[0][0][q - 1].copy(), acc[0][1][q - 1].copy()),
-           (acc[1][0][q - 1].copy(), acc[1][1][q - 1].copy()))
-    for row in range(q - 2, -1, -1):
-        out = _dd.ddc_mul(out, xb)
-        blk = ((acc[0][0][row], acc[0][1][row]), (acc[1][0][row], acc[1][1][row]))
-        out = _dd.ddc_add(out, blk)
-    return out
-
-
-def _unit_powers_dd_list(x, count):
-    """List of x^s (complex-dd arrays over points) for s in [0, count)."""
-    m = len(x[0][0])
-    ones = ((np.ones(m), np.zeros(m)), (np.zeros(m), np.zeros(m)))
-    out = [ones]
-    for _ in range(1, count):
-        out.append(_dd.ddc_mul(out[-1], x))
-    return out
-
-
 def _result_d(coeff: CoeffData, val: np.ndarray, lo: int, hi: int,
               log_mu: float) -> EvalResult:
     """EvalResult of band sums val = f / mu(r) computed in complex128."""
@@ -341,53 +276,8 @@ def _result_d(coeff: CoeffData, val: np.ndarray, lo: int, hi: int,
     return EvalResult(logabs, np.angle(val), floor, log_mu, "d")
 
 
-def _eval_dd(coeff: CoeffData, log_r: float, x) -> EvalResult:
-    """Double-double evaluation at the unit points x (complex-dd arrays)."""
-    lo, hi, log_mu, t = _terms_dd(coeff, log_r)
-    val = _poly_at_points_dd(t, x, hi - lo)
-    if lo:
-        val = _dd.ddc_mul(val, _ddc_pow_points(x, lo))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logabs = log_mu + 0.5 * np.log(_dd.ddc_abs2(val)[0])
-    logabs = np.where(np.isfinite(logabs), logabs, -np.inf)
-    floor = _floor_ln(log_mu, _EPS_LN["dd"], coeff.rel_err_ln, hi - lo)
-    return EvalResult(logabs, np.arctan2(val[1][0], val[0][0]), floor,
-                      log_mu, "dd")
-
-
-def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
-                level: str = "dd", dps: Optional[int] = None) -> EvalResult:
-    """Evaluate ln|f|, arg f at arbitrary angles on |z| = e^{log_r}."""
-    thetas = np.asarray(thetas, dtype=float)
-    if level == "d":
-        lo, hi, log_mu, t = _terms_d(coeff, log_r)
-        x = np.exp(1j * thetas)
-        return _result_d(coeff, _poly_at_points_d(t, x) * x ** lo, lo, hi,
-                         log_mu)
-    if level == "dd":
-        return _eval_dd(coeff, log_r, _cis_dd_of(thetas))
-    if level == "mp":
-        if dps is None:
-            raise ValueError("mp evaluation needs an explicit dps")
-        return _eval_points_mp(coeff, log_r, thetas, dps)
-    raise ValueError(f"unknown level {level!r}")
-
-
-def _ddc_pow_points(x, k):
-    acc = ((np.ones_like(x[0][0]), np.zeros_like(x[0][0])),
-           (np.zeros_like(x[0][0]), np.zeros_like(x[0][0])))
-    base = x
-    while k:
-        if k & 1:
-            acc = _dd.ddc_mul(acc, base)
-        k >>= 1
-        if k:
-            base = _dd.ddc_mul(base, base)
-    return acc
-
-
 _FIX_GUARD_BITS = 16
-_MP_BLOCK = 512  # angles per vectorised Horner pass; bounds the int arrays
+_HORNER_BLOCK = 512  # angles per vectorised Horner pass; bounds the int arrays
 _LN2 = math.log(2.0)
 
 # circles up to this size (nevanlinna's largest mesh) take the integer FFT;
@@ -457,37 +347,66 @@ def _fixed_cis_arrays(k: int, thetas, bits: int):
             np.array([s for _, s in cs], dtype=object))
 
 
-def _fixed_band(coeff: CoeffData, log_r: float, dps: int):
-    """(lo, hi, log_mu, P, [(n, re, im), ...]) for the mp band's nonzero
-    terms, highest n first.
+def _dd_fixed(x, bits: int) -> np.ndarray:
+    """int(hi 2^bits) + int(lo 2^bits) for a double-double array (hi, lo):
+    the values at scale 2^bits, each truncated part off by under 1."""
+    return np.array([int(h) + int(l) for h, l in
+                     zip(np.ldexp(x[0], bits).tolist(),
+                         np.ldexp(x[1], bits).tolist())], dtype=object)
 
-    The band keeps the terms within dps ln 10 + 40 nats of mu(r); its terms
-    t_n = a_n r^n / mu(r), from coeff.mp_logs(dps), are rounded to integers
-    at scale 2^P (see _fixed_bits).
+
+def _fixed_band(coeff: CoeffData, log_r: float, level: str,
+                dps: Optional[int]):
+    """((lo, hi, log_mu, P, (n, re, im)), floor_ln) at 'dd' or 'mp': the
+    band's nonzero terms t_n = a_n r^n / mu(r), highest n first, as an
+    index array and two object arrays of integers at scale 2^P, and the
+    level's noise floor.
+
+    A level decides only where the integers come from.  'dd' keeps the
+    terms within _BAND_CUT['dd'] nats of mu(r), built in double-double by
+    _rescaled_dd and truncated by _dd_fixed at P = _fixed_bits(32, N).
+    'mp' keeps those within dps ln 10 + 40 nats, from coeff.mp_logs(dps)
+    rounded to nearest at P = _fixed_bits(dps, N).  The band is cached as
+    its level's latest (see _cached_band).
     """
-    lo, hi, log_mu = _band(coeff, log_r, dps * math.log(10) + 40.0)
+    if level == "dd":
+        lo, hi, log_mu = _band(coeff, log_r, _BAND_CUT["dd"])
+        bits = _fixed_bits(32, hi - lo)
+        floor = _floor_ln(log_mu, _EPS_LN["dd"], coeff.rel_err_ln, hi - lo)
+        key = ("dd", lo, hi, log_r)
+
+        def terms(ns):
+            (rh, rl), (ih, il) = _rescaled_dd(coeff, log_r, lo, hi, log_mu)
+            k = ns - lo
+            return (_dd_fixed((rh[k], rl[k]), bits),
+                    _dd_fixed((ih[k], il[k]), bits))
+    elif level == "mp":
+        if dps is None:
+            raise ValueError("mp evaluation needs an explicit dps")
+        lo, hi, log_mu = _band(coeff, log_r, dps * math.log(10) + 40.0)
+        bits = _fixed_bits(dps, hi - lo)
+        floor = _floor_ln(log_mu, -0.95 * dps * math.log(10),
+                          coeff.data_floor_ln(dps), hi - lo)
+        key = ("mp", dps, lo, hi, log_r)
+
+        def terms(ns):
+            values = coeff.mp_logs(dps)
+            with mp.workprec(bits + 32):
+                lr = mp.mpf(float(log_r))
+                lmu = mp.mpf(log_mu)
+                ts = [values[n] * mp.exp(n * lr - lmu) for n in ns.tolist()]
+            return (np.array([_to_fixed(t.real._mpf_, bits) for t in ts],
+                             dtype=object),
+                    np.array([_to_fixed(t.imag._mpf_, bits) for t in ts],
+                             dtype=object))
+    else:
+        raise ValueError(f"unknown level {level!r}")
 
     def build():
-        values = coeff.mp_logs(dps)
-        bits = _fixed_bits(dps, hi - lo)
-        band = []
-        with mp.workprec(bits + 32):
-            lr = mp.mpf(float(log_r))
-            lmu = mp.mpf(log_mu)
-            for n in range(hi - 1, lo - 1, -1):
-                if not math.isfinite(coeff.lh[n]):
-                    continue
-                t = values[n] * mp.exp(n * lr - lmu)
-                band.append((n, _to_fixed(t.real._mpf_, bits),
-                             _to_fixed(t.imag._mpf_, bits)))
-        return lo, hi, log_mu, bits, band
+        ns = lo + np.nonzero(np.isfinite(coeff.lh[lo:hi]))[0][::-1]
+        return lo, hi, log_mu, bits, (ns, *terms(ns))
 
-    return _cached_band(coeff, ("mp", dps, lo, hi, log_r), build)
-
-
-def _floor_mp(coeff: CoeffData, log_mu: float, dps: int, width: int) -> float:
-    return _floor_ln(log_mu, -0.95 * dps * math.log(10),
-                     coeff.data_floor_ln(dps), width)
+    return _cached_band(coeff, key, build), floor
 
 
 _BIT_LENGTH = np.frompyfunc(int.bit_length, 1, 1)
@@ -537,49 +456,16 @@ def _horner_fixed(band, bits: int, ths):
     Vectorised over the angles with object arrays of Python integers; x^gap
     is rounded per gap, not formed by repeated multiplication.
     """
-    gaps = [hi[0] - lo[0] for hi, lo in zip(band, band[1:])]
+    ns, trs, tis = band
+    gaps = (ns[:-1] - ns[1:]).tolist()
     powers = {g: _fixed_cis_arrays(g, ths, bits) for g in set(gaps)}
-    _, ar, ai = band[0]
-    ar = np.full(len(ths), ar, dtype=object)
-    ai = np.full(len(ths), ai, dtype=object)
-    for g, (_, tr, ti) in zip(gaps, band[1:]):
+    ar = np.full(len(ths), trs[0], dtype=object)
+    ai = np.full(len(ths), tis[0], dtype=object)
+    for g, tr, ti in zip(gaps, trs[1:], tis[1:]):
         xr, xi = powers[g]
         ar, ai = (((ar * xr - ai * xi) >> bits) + tr,
                   ((ar * xi + ai * xr) >> bits) + ti)
     return ar, ai
-
-
-def _eval_points_mp(coeff: CoeffData, log_r: float, thetas, dps: int) -> EvalResult:
-    """Band-limited fixed-point Horner evaluation at `dps` digits.
-
-    On the band (see _fixed_band), f(r e^{i theta}) / mu(r) = sum t_n x^n
-    with |t_n| <= 1 and x = e^{i theta}, so the sum is run over Python
-    integers at scale 2^P: t_n and the powers x^gap are rounded to nearest
-    at scale 2^P, and each step acc <- (acc x^gap >> P) + t_n truncates once
-    per component.  For a band of N terms the partial sums obey
-    |acc_k| <= k, so the computed sum differs from the exact one by at most
-
-        (N + 1)^2 2^-P   relative to mu(r),
-
-    which P keeps below 2^-16 10^-dps, far under the returned floor_ln.  The
-    modulus comes from acc itself; the phase from acc times the fixed-point
-    cis of the lowest nonzero index times theta.
-    """
-    lo, hi, log_mu, bits, band = _fixed_band(coeff, log_r, dps)
-    thetas = [float(th) for th in thetas]
-    ar, ai = [], []
-    for start in range(0, len(thetas), _MP_BLOCK):
-        br, bi = _horner_fixed(band, bits, thetas[start:start + _MP_BLOCK])
-        ar.extend(br)
-        ai.extend(bi)
-    last = band[-1][0]
-
-    def turn(js):
-        return _fixed_cis_arrays(last, [thetas[j] for j in js], bits)
-
-    return _result_fixed(ar, ai, bits, log_mu,
-                         _floor_mp(coeff, log_mu, dps, hi - lo), "mp",
-                         turn if last else None)
 
 
 def _twiddles(m: int, bits: int):
@@ -678,12 +564,46 @@ def _circle_fixed(n, tr, ti, bits: int, m: int, offset: bool):
     return xr.reshape(m), xi.reshape(m), q
 
 
-def _dd_fixed(x, bits: int) -> np.ndarray:
-    """int(hi 2^bits) + int(lo 2^bits) for a double-double array (hi, lo):
-    the values at scale 2^bits, each truncated part off by under 1."""
-    return np.array([int(h) + int(l) for h, l in
-                     zip(np.ldexp(x[0], bits).tolist(),
-                         np.ldexp(x[1], bits).tolist())], dtype=object)
+def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
+                level: str = "dd", dps: Optional[int] = None) -> EvalResult:
+    """Evaluate ln|f|, arg f at arbitrary angles on |z| = e^{log_r}.
+
+    'd' sums the complex128 band by blocked Horner.  'dd' and 'mp' run one
+    fixed-point Horner over the band of _fixed_band: f(r e^{i theta}) /
+    mu(r) = sum t_n x^n with |t_n| <= 1 and x = e^{i theta}, summed over
+    Python integers at scale 2^P.  The powers x^gap are rounded to nearest
+    at scale 2^P, and each step acc <- (acc x^gap >> P) + t_n truncates
+    once per component.  For a band of N terms the partial sums obey
+    |acc_k| <= k, so the computed sum differs from the exact one by at most
+
+        (N + 1)^2 2^-P   relative to mu(r),
+
+    for the rounded mp terms and for the dd terms truncated by _dd_fixed
+    alike.  _fixed_bits keeps this below 2^-16 10^-dps (dps = 32 at 'dd'),
+    far under either level's floor_ln (2e-31 3 N at 'dd').  The modulus
+    comes from acc itself; the phase from acc times the fixed-point cis of
+    the lowest nonzero index times theta.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if level == "d":
+        lo, hi, log_mu, t = _terms_d(coeff, log_r)
+        x = np.exp(1j * thetas)
+        return _result_d(coeff, _poly_at_points_d(t, x) * x ** lo, lo, hi,
+                         log_mu)
+    (_, _, log_mu, bits, band), floor = _fixed_band(coeff, log_r, level, dps)
+    thetas = thetas.tolist()
+    ar, ai = [], []
+    for start in range(0, len(thetas), _HORNER_BLOCK):
+        br, bi = _horner_fixed(band, bits, thetas[start:start + _HORNER_BLOCK])
+        ar.extend(br)
+        ai.extend(bi)
+    last = int(band[0][-1])
+
+    def turn(js):
+        return _fixed_cis_arrays(last, [thetas[j] for j in js], bits)
+
+    return _result_fixed(ar, ai, bits, log_mu, floor, level,
+                         turn if last else None)
 
 
 def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
@@ -693,11 +613,12 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
     The offset mesh dodges the real axis, where test subjects habitually
     keep their zeros.  Every level folds the band mod m and runs one FFT:
     complex128 at 'd'; at 'dd' and 'mp', for m a power of two up to
-    _FFT_MAX_ANGLES, the integer FFT of _circle_fixed at the exact angles,
-    within (4 N + 3) 2^-P of f / mu(r) for a band of N terms, where P is
-    the band's fixed-point scale: _fixed_bits(dps, N) at 'mp',
-    _fixed_bits(32, N) for the dd terms at 'dd'.  Other m go through
-    eval_points on the float angles.
+    _FFT_MAX_ANGLES, the integer FFT of _circle_fixed at the exact angles
+    over the fixed-point band of _fixed_band (at 'dd', fixed-point integers
+    fed by the double-double band), within (4 N + 3) 2^-P of f / mu(r) for
+    a band of N terms, where P is the band's scale: _fixed_bits(dps, N) at
+    'mp', _fixed_bits(32, N) at 'dd'.  Other m go through eval_points on
+    the float angles.
     """
     if level == "d":
         lo, hi, log_mu, t = _terms_d(coeff, log_r)
@@ -709,23 +630,11 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
         folded = np.zeros(m, dtype=complex)
         np.add.at(folded, n % m, t)
         return _result_d(coeff, m * np.fft.ifft(folded), lo, hi, log_mu)
-    if m & (m - 1) or m > _FFT_MAX_ANGLES or level not in ("dd", "mp"):
+    if m & (m - 1) or m > _FFT_MAX_ANGLES:
         thetas = (2.0 * np.pi) * (np.arange(m) + (0.5 if offset else 0.0)) / m
         return eval_points(coeff, log_r, thetas, level=level, dps=dps)
-    if level == "dd":
-        lo, hi, log_mu, (re, im) = _terms_dd(coeff, log_r)
-        bits = _fixed_bits(32, hi - lo)
-        n, tr, ti = np.arange(lo, hi), _dd_fixed(re, bits), _dd_fixed(im, bits)
-        floor = _floor_ln(log_mu, _EPS_LN["dd"], coeff.rel_err_ln, hi - lo)
-    else:
-        if dps is None:
-            raise ValueError("mp evaluation needs an explicit dps")
-        lo, hi, log_mu, bits, band = _fixed_band(coeff, log_r, dps)
-        ns, res, ims = zip(*band)
-        n = np.array(ns)
-        tr, ti = np.array(res, dtype=object), np.array(ims, dtype=object)
-        floor = _floor_mp(coeff, log_mu, dps, hi - lo)
-    ar, ai, q = _circle_fixed(n, tr, ti, bits, m, offset)
+    (_, _, log_mu, bits, band), floor = _fixed_band(coeff, log_r, level, dps)
+    ar, ai, q = _circle_fixed(*band, bits, m, offset)
     return _result_fixed(ar, ai, q, log_mu, floor, level)
 
 

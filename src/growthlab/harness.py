@@ -258,12 +258,12 @@ def _grid_from(cfg: dict, key: str, default: tuple, path: str = "") -> np.ndarra
 
 
 def _solver_limits(cfg: dict, r_max: float, residual_tol: float,
-                   max_terms: int, n_start: int) -> tuple:
+                   max_terms: int, n_start, order: int) -> tuple:
     """(r_max, residual_tol, max_terms) of a config that runs auto_solve,
-    from the defaults given for missing fields.  r_max and residual_tol
-    must be positive finite numbers and max_terms an integer of at least
-    n_start, auto_solve's first length; anything else is a ConfigError at
-    the field's path."""
+    from the defaults given for missing fields.  n_start, auto_solve's
+    first length, must be an integer above the equation's order, r_max and
+    residual_tol positive finite numbers and max_terms an integer of at
+    least n_start; anything else is a ConfigError at the field's path."""
     def positive(key, default):
         v = cfg.get(key, default)
         try:
@@ -275,6 +275,10 @@ def _solver_limits(cfg: dict, r_max: float, residual_tol: float,
                               f"expected a positive number, got {v!r}")
         return x
 
+    if isinstance(n_start, bool) or not isinstance(n_start, int) \
+            or n_start <= order:
+        raise ConfigError("/n_start", f"expected an integer > {order} "
+                          f"(the equation's order), got {n_start!r}")
     n_cap = cfg.get("max_terms", max_terms)
     if isinstance(n_cap, bool) or not isinstance(n_cap, int) \
             or n_cap < n_start:
@@ -330,20 +334,22 @@ def check_wiman_valiron(f: ps.PowerSeries, grid: np.ndarray,
             break
     rep.truth(ok_bound, f"wv_bound[{tag}]", detail or "M < mu*(nu(2r)+2)")
 
+    # the max-modulus angle, f there and nu(r) per radius, for every order
+    at = []
+    for r in (grid if ratio_orders else ()):
+        lr = math.log(r)
+        theta = _argmax_angle(f, lr)
+        rf = _evalcore.eval_points(f.coeff, lr, np.array([theta]),
+                                   level="dd")
+        at.append((lr, theta, rf, ps.max_term(f, lr).nu))
     for order in ratio_orders:
         devs = []
         fk = f
         for _ in range(order):
             fk = ps.derivative(fk)
-        for r in grid:
-            lr = math.log(r)
-            lm = ps.log_max_modulus(f, lr)
-            theta = _argmax_angle(f, lr)
-            rf = _evalcore.eval_points(f.coeff, lr, np.array([theta]),
-                                       level="dd")
+        for lr, theta, rf, nu in at:
             rk = _evalcore.eval_points(fk.coeff, lr, np.array([theta]),
                                        level="dd")
-            nu = ps.max_term(f, lr).nu
             # (f^(n)/f) / (nu/z)^n in log-polar, without any division
             dlog = (rk.logabs[0] - rf.logabs[0]) \
                 - order * (math.log(nu) - lr)
@@ -516,9 +522,9 @@ def _run_solve(cfg: dict, report: Report, out_dir: Optional[str]) -> Report:
     eq = resolve_equation(_need(cfg, "equation", ""))
     init = ode.InitialData(tuple(complex(v) for v in
                                  _need(cfg, "init", "")))
-    n_start = int(cfg.get("n_start", 1 << 8))
+    n_start = cfg.get("n_start", 1 << 8)
     r_max, residual_tol, n_cap = _solver_limits(cfg, 5.0, 1e-8, 1 << 16,
-                                                n_start)
+                                                n_start, eq.k)
     sol, info = ode.auto_solve(eq, init, r_max, residual_tol=residual_tol,
                                n_start=n_start, n_cap=n_cap)
     report.info("n_terms", info["n_terms"])
@@ -822,7 +828,7 @@ def run_theorem_experiment(cfg: dict,
     wrapped = triple.wrapped()
     eq = resolve_equation(_need(cfg, "equation", ""))
     r_max, residual_tol, n_cap = _solver_limits(cfg, 12.0, 1e-8, 1 << 14,
-                                                _THEOREM_N_START)
+                                                _THEOREM_N_START, eq.k)
 
     ok, mu0, rho0 = _hypotheses(kind, cfg, eq, triple, rep)
     if not ok:

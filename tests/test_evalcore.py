@@ -65,27 +65,26 @@ CASES = [
 ]
 
 
+@pytest.mark.parametrize("level", ["dd", "mp"])
 @pytest.mark.parametrize("name,n_terms,r,thetas", CASES)
-def test_mp_kernel_matches_direct_sum(name, n_terms, r, thetas):
+def test_points_kernel_matches_direct_sum(name, n_terms, r, thetas, level):
+    """The fixed-point Horner at scattered float angles.
+
+    The mp sum must sit e^20 under its floor; the dd sum reads the
+    double-double terms, so only its floor is promised."""
     f = series.builtin(name, n_terms)
     log_r = math.log(r)
+    # the reference needs these digits at either level to resolve the
+    # deepest cancellation
     dps = _evalcore.dps_for_floor(f.coeff, log_r, min(0.0, log_r) - 45.0)
-    res = _evalcore.eval_points(f.coeff, log_r, thetas, level="mp", dps=dps)
+    res = _evalcore.eval_points(f.coeff, log_r, thetas, level=level,
+                                dps=dps if level == "mp" else None)
+    assert res.level == level
     ref = direct_sum(f.coeff, log_r, thetas, dps, res.log_mu)
-    # absolute error allowed: e^-20 below the floor, plus the float
-    # rounding of the returned (ln|f|, arg f) pair
-    floor_rel = mp.exp(res.floor_ln - res.log_mu - 20.0)
-    depth = []
-    with mp.workdps(dps + 40):
-        for j, want in enumerate(ref):
-            got = mp.exp(mp.mpc(res.logabs[j] - res.log_mu, res.phase[j]))
-            err = abs(got - want)
-            assert err <= floor_rel + 1e-12 * abs(want), (
-                f"theta={thetas[j]!r}: ln|err/mu| = {float(mp.log(err))}, "
-                f"floor {res.floor_ln - res.log_mu}")
-            depth.append(float(mp.log(abs(want))))
+    depth = _assert_matches(res, ref, range(len(thetas)),
+                            20.0 if level == "mp" else 0.0)
     # the case reaches deep cancellation: at least 180 nats below mu(r)
-    assert min(depth) < -180.0
+    assert depth < -180.0
 
 
 def _assert_matches(res, ref, picks, margin):

@@ -162,7 +162,8 @@ class TestCli:
 
     @pytest.mark.parametrize("field,value", [
         ("max_terms", 1), ("max_terms", 64.5), ("residual_tol", "abc"),
-        ("residual_tol", -1), ("r_max", -2)])
+        ("residual_tol", -1), ("r_max", -2), ("n_start", "abc"),
+        ("n_start", 1), ("n_start", 64.5), ("n_start", True)])
     def test_bad_solver_limit_exit_two_with_path(self, tmp_path, capsys,
                                                  field, value):
         cfg = harness.shipped_config("solve_airy")
