@@ -28,7 +28,8 @@ fold the band mod m and run one FFT: numpy's at 'd', one radix-2 FFT over
 Python integers at 'dd' and 'mp', with error at most (4 N + 3) 2^-P *
 mu(r) (see _circle_fixed), again far under the floor.  Circles therefore
 sample the exact angles 2 pi (j + 1/2) / m, points the float angles they
-are given.
+are given.  `eval_circle_at` reads a circle's values at chosen indices by
+whichever of the two kernels costs less.
 
 Every evaluation returns an explicit noise floor (in log scale) so callers
 can tell whether deep cancellation corrupted the values they care about, and
@@ -49,7 +50,7 @@ import numpy as np
 from . import _dd
 
 __all__ = ["CoeffData", "EvalResult", "log_max_term", "eval_circle",
-           "eval_points", "dps_for_floor", "LEVELS"]
+           "eval_circle_at", "eval_points", "dps_for_floor", "LEVELS"]
 
 LEVELS = ("d", "dd", "mp")
 
@@ -285,6 +286,9 @@ _LN2 = math.log(2.0)
 _FFT_MAX_ANGLES = 1 << 16
 _TW_GUARD_BITS = 64  # bits a cached twiddle table keeps below its scale
 _TWIDDLES = {}  # m -> (scale, re, im) of e^{i pi k / m}, k < m
+# eval_circle_at's crossover: N (p + this) is the cost of p Horner points
+# over N terms in the units of an m-angle circle's m log2 m
+_HORNER_STEP_COST = 10
 
 
 def _fixed_bits(dps: int, width: int) -> int:
@@ -636,6 +640,40 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
     (_, _, log_mu, bits, band), floor = _fixed_band(coeff, log_r, level, dps)
     ar, ai, q = _circle_fixed(*band, bits, m, offset)
     return _result_fixed(ar, ai, q, log_mu, floor, level)
+
+
+def eval_circle_at(coeff: CoeffData, log_r: float, m: int, idx,
+                   offset: bool = True, level: str = "dd",
+                   dps: Optional[int] = None) -> EvalResult:
+    """eval_circle's values at the indices idx of its m angles, by the
+    cheaper kernel.
+
+    At 'dd' and 'mp', for m a power of two up to _FFT_MAX_ANGLES, the whole
+    circle's integer FFT costs about m log2 m units of work, and eval_points
+    on p = len(idx) angles about N (p + _HORNER_STEP_COST) for a band of N
+    nonzero terms: each Horner step is a handful of numpy calls over object
+    arrays, whose overhead outweighs the big-integer products until p
+    reaches ~_HORNER_STEP_COST.  Timed with cached bands on ODE solutions
+    and builtins (N = 64 .. 750, dps 43 .. 64, m = 256 .. 16384), the
+    circle took 300 - 900 ns per unit and the points 550 - 1700 ns per
+    unit, so the circle runs where m log2 m <= N (p + _HORNER_STEP_COST),
+    and the points otherwise; a circle whose twiddle table is not yet
+    cached pays about as much again, once.  The circle gives the exact
+    angles 2 pi (j + offset/2) / m, the points those angles rounded to
+    floats: the two agree within the floor, not bit for bit.  At 'd' the
+    circle always runs.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    fft = level == "d"
+    if not fft and not m & (m - 1) and m <= _FFT_MAX_ANGLES:
+        (_, _, _, _, band), _ = _fixed_band(coeff, log_r, level, dps)
+        fft = m * math.log2(m) <= len(band[0]) * (len(idx) + _HORNER_STEP_COST)
+    if fft:
+        res = eval_circle(coeff, log_r, m, offset=offset, level=level, dps=dps)
+        return EvalResult(res.logabs[idx], res.phase[idx], res.floor_ln,
+                          res.log_mu, res.level)
+    thetas = (2.0 * np.pi) * (idx + (0.5 if offset else 0.0)) / m
+    return eval_points(coeff, log_r, thetas, level=level, dps=dps)
 
 
 _DPS_GUARD = 25.0  # nats of slack between the mp floor and the target

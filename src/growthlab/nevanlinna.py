@@ -14,7 +14,9 @@ module reduces to two numerical problems on the circle:
 * the winding number of f along the circle, which counts the enclosed
   zeros by the argument principle; the mesh is refined wherever the sampled
   phase increment exceeds pi/2 or the local rotation bound |z f'/f| says a
-  cell could hide a full turn.
+  cell could hide a full turn.  Each round's midpoints lie on one dyadic
+  circle, so f and f' are read there from one FFT circle each, or by
+  scattered points where those cost less.
 
 Both escalate through the evaluation engine's precision levels with
 explicit noise-floor accounting: values of |f| far below the maximum term
@@ -372,7 +374,16 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
     turn inside a cell, so cells are also refined while the local rotation
     bound |z f'/f| (which dominates d arg f / d theta for analytic f) times
     the cell width exceeds ~1 radian; only then is the wrapped increment
-    trusted.  If |f| anywhere on the mesh falls below zero_margin * mu(r)
+    trusted.  Refinement splits each bad cell at its midpoint.  A cell
+    turns bad only through its two end readings, so a cell never split
+    never turns bad, and every bad cell of round k = 0, 1, ... has width
+    2 pi / (m_start 2^k): round 0's midpoints are the non-offset m_start
+    circle, round k's the offset circle of m_start 2^k angles.  Each round
+    reads f and f' at its midpoints through _evalcore.eval_circle_at: one
+    FFT circle per series, or scattered eval_points past the kernels' cost
+    crossover (_evalcore._HORNER_STEP_COST) or past _FFT_MAX_ANGLES; a
+    round's margin and trust checks read only its midpoints.  If |f|
+    anywhere on the mesh falls below zero_margin * mu(r)
     (after the engine's own noise floor is cleared by escalating
     precision), a zero is too close to the circle and RetryPerturbedRadius
     carries the suggested replacement radii.  Pass zero_margin="auto" to
@@ -416,7 +427,7 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
         thetas = (2.0 * math.pi) * (np.arange(m_start) + 0.5) / m_start
         phases = res.phase
         tail_ok = True
-        for _round in range(48):
+        for k in range(48):
             dphi = _wrap_phase(np.diff(np.concatenate([phases,
                                                        [phases[0]]])))
             gaps = np.diff(np.concatenate([thetas,
@@ -431,8 +442,12 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
                     log_r, detail="mesh budget exhausted (zero on circle?)")
             nxt = np.concatenate([thetas[1:], [thetas[0] + 2.0 * math.pi]])
             mids = 0.5 * (thetas[bad] + nxt[bad])
-            mres, mvel = with_velocity(lambda c: _evalcore.eval_points(
-                c, log_r, mids % (2.0 * math.pi), level=level, dps=dps))
+            # round k's midpoints lie on the circle of m_start 2^k angles
+            size, offset = m_start << k, k > 0
+            idx = np.rint(mids * (size / (2.0 * math.pi)) - 0.5 * offset)
+            idx = idx.astype(np.int64) % size
+            mres, mvel = with_velocity(lambda c: _evalcore.eval_circle_at(
+                c, log_r, size, idx, offset=offset, level=level, dps=dps))
             mmin = float(np.min(mres.logabs))
             if mmin < mres.floor_ln + _TRUST_GUARD and level != "mp":
                 tail_ok = False

@@ -156,6 +156,55 @@ def test_circle_of_other_size_is_eval_points(level, dps):
     assert a.floor_ln == b.floor_ln
 
 
+@pytest.mark.parametrize("offset", [False, True])
+@pytest.mark.parametrize("m", [512, 1024])
+@pytest.mark.parametrize("level", ["dd", "mp"])
+def test_circle_at_indices_matches_points(monkeypatch, level, m, offset):
+    """eval_circle_at's FFT values at picked indices against eval_points at
+    the float angles theta_j = 2 pi (j + offset/2) / m.
+
+    Both read one band, and each is within its floor of the band's sum at
+    its own angle; the float angle is off the exact one by d_j < 2^-50,
+    which moves f by about d_j |z f'(z)|, taken here with a factor 2 to
+    spare.  So at a trusted value |f| the two agree to delta = 2 e^floor +
+    2 d_j |z f'|: ln|f| within -ln(1 - delta / |f|), the phase within
+    asin(delta / |f|), plus the float rounding of the returned pair.  A
+    neighbouring index moves the phase by about
+    2 pi r / m > 0.3 here, so a wrong index shows.
+    """
+    monkeypatch.setattr(_evalcore, "_HORNER_STEP_COST", math.inf)
+    f = series.builtin("sin", 700)
+    log_r = math.log(58.5)
+    dps = (_evalcore.dps_for_floor(f.coeff, log_r, min(0.0, log_r) - 45.0)
+           if level == "mp" else None)
+    idx = np.array(sorted(set(range(0, m, m // 16)) | {1, m // 2 + 1,
+                                                        m - 1}))
+    a = _evalcore.eval_circle_at(f.coeff, log_r, m, idx, offset=offset,
+                                 level=level, dps=dps)
+    thetas = (2.0 * np.pi) * (idx + (0.5 if offset else 0.0)) / m
+    b = _evalcore.eval_points(f.coeff, log_r, thetas, level=level, dps=dps)
+    assert a.floor_ln == b.floor_ln and a.log_mu == b.log_mu
+    zfp = log_r + _evalcore.eval_points(series.derivative(f).coeff, log_r,
+                                        thetas, level="dd").logabs
+    with mp.workdps(40):
+        off = [abs(mp.mpf(float(t)) - 2 * mp.pi * (int(j) + offset / 2) / m)
+               for t, j in zip(thetas, idx)]
+    trusted = 0
+    for k, d in enumerate(off):
+        low = min(a.logabs[k], b.logabs[k])
+        if low < a.floor_ln + 14.0:
+            continue
+        trusted += 1
+        rel = (2.0 * math.exp(a.floor_ln - low)
+               + 2.0 * float(d) * math.exp(zfp[k] - low))
+        assert rel < 1e-5
+        assert abs(a.logabs[k] - b.logabs[k]) <= (-math.log1p(-rel)
+                                                  + 1e-13 * abs(low))
+        dphi = (a.phase[k] - b.phase[k] + math.pi) % (2 * math.pi) - math.pi
+        assert abs(dphi) <= math.asin(rel) + 1e-13
+    assert trusted >= len(idx) // 2
+
+
 def test_twiddles_shifted_down_match_fresh():
     f = series.builtin("exp", 400)
     log_r = math.log(100.0)

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from growthlab import harness, ode
 from growthlab import nevanlinna as nev
 from growthlab import series
 
@@ -250,6 +251,152 @@ class TestWindingIntegrality:
         for r in [5.0, 12.0]:
             n = nev.zero_count(f, math.log(r), zero_margin="auto")
             assert isinstance(n, int)
+
+
+@pytest.fixture(scope="module")
+def mini_solution():
+    """f - z for the first solution of theorem_dominant in miniature (r_max
+    10, counts at 4.5, 5.6 and 6.3), marched in integers at the depth
+    harness._count_solution_zeros picks for it."""
+    cfg = harness.shipped_config("theorem_dominant")
+    eq = harness.resolve_equation(cfg["equation"])
+    g = harness.resolve_subject({"poly": [0.0, 1.0]}, "/oscillation/g")
+    got = []
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(nev, "count_zeros_grid",
+                       lambda h, radii, **kw: got.append(h))
+        harness._count_solution_zeros(eq, ode.InitialData.basis(eq.k, 0), g,
+                                      [4.5, 5.6, 6.3], 400)
+    return got[0]
+
+
+class _RoundLog:
+    """Records each refinement round of zero_count, per series: its level,
+    circle size m, offset, indices, the band's nonzero terms N, and whether
+    eval_circle_at answered by scattered eval_points."""
+
+    def __init__(self, monkeypatch):
+        self.rounds = []
+        at, points = nev._evalcore.eval_circle_at, nev._evalcore.eval_points
+        inside = []
+
+        def at_logged(coeff, log_r, m, idx, offset=True, level="dd",
+                      dps=None):
+            (_, _, _, _, band), _ = nev._evalcore._fixed_band(
+                coeff, log_r, level, dps)
+            inside.append(dict(level=level, m=m, offset=offset,
+                               idx=np.array(idx), n_band=len(band[0]),
+                               scattered=False))
+            try:
+                return at(coeff, log_r, m, idx, offset=offset, level=level,
+                          dps=dps)
+            finally:
+                self.rounds.append(inside.pop())
+
+        def points_logged(*args, **kw):
+            if inside:
+                inside[-1]["scattered"] = True
+            return points(*args, **kw)
+
+        monkeypatch.setattr(nev._evalcore, "eval_circle_at", at_logged)
+        monkeypatch.setattr(nev._evalcore, "eval_points", points_logged)
+
+
+def count_with(f, log_r, step_cost, level):
+    """(zero_count(f, log_r, "auto") or "retry", its rounds) with the
+    kernel crossover moved by step_cost: inf takes every round's circle,
+    -inf scattered points.  level "mp" distrusts every dd reading, so the
+    count escalates and refines at mp."""
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(nev._evalcore, "_HORNER_STEP_COST", step_cost)
+        if level == "mp":
+            mpatch.setattr(nev, "_TRUST_GUARD", 1e3)
+        log = _RoundLog(mpatch)
+        try:
+            n = nev.zero_count(f, log_r, zero_margin="auto")
+        except nev.RetryPerturbedRadius:
+            n = "retry"
+    return n, log.rounds
+
+
+def exp_cos():
+    return series.combine(series.builtin("exp", 400),
+                          series.builtin("cos", 400), "cauchy_product")
+
+
+class TestDyadicRefinement:
+    """zero_count's rounds read one FFT circle per series (round 0 the
+    non-offset start circle, round k >= 1 the offset one of m_start 2^k
+    angles); scattered points at the circle's float angles are the
+    reference."""
+
+    # each circle passes near a zero, so its count refines; sin's zeros
+    # k pi sit on the real axis, where round 1 refines the wrap cell (last
+    # angle to the first + 2 pi, midpoint angle 0)
+    CASES = {
+        "sin10": (lambda: series.builtin("sin", 700), 9.45, 7),
+        "sin20": (lambda: series.builtin("sin", 700), 18.9, 13),
+        "sin40": (lambda: series.builtin("sin", 700), 40.8, 25),
+        "sin60": (lambda: series.builtin("sin", 700), 60.0, 39),
+        # 0.004 outside cos's zero 7 pi / 2, the nearest below 12.5; cos
+        # vanishes at +-pi/2, +-3pi/2, +-5pi/2 and +-7pi/2 inside
+        "exp_cos": (exp_cos, 11.0, 8),
+        # zeros 0.01 inside the circle at angles 0 and +-2pi/3
+        "cube_roots": (lambda: series.builtin(
+            "poly", coeffs=[-1.0, 0.0, 0.0, 1.0]), 1.01, 3),
+    }
+    # cases whose dd count escalates before it refines
+    MP_FIRST = {"sin60", "exp_cos"}
+
+    @pytest.mark.parametrize("level", ["dd", "mp"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_counts_match_scattered(self, case, level):
+        make, r, want = self.CASES[case]
+        f = make()
+        got, rounds = count_with(f, math.log(r), math.inf, level)
+        ref, ref_rounds = count_with(f, math.log(r), -math.inf, level)
+        assert got == ref == want
+        at = "mp" if case in self.MP_FIRST else level
+        assert rounds and {x["level"] for x in rounds} == {at}
+        assert not any(x["scattered"] for x in rounds)
+        assert len(ref_rounds) == len(rounds)
+        assert all(x["scattered"] for x in ref_rounds)
+        assert any(not x["offset"] and 0 in x["idx"] for x in rounds)
+
+    @pytest.mark.parametrize("r,want", [(4.5, 7), (5.6, 11), (6.3, 19)])
+    def test_mini_solution_counts_match_scattered(self, mini_solution, r,
+                                                  want):
+        lr = math.log(r)
+        got, rounds = count_with(mini_solution, lr, math.inf, "dd")
+        ref, _ = count_with(mini_solution, lr, -math.inf, "dd")
+        assert got == ref == want
+        assert not any(x["scattered"] for x in rounds)
+
+    def test_rounds_lie_on_dyadic_circles(self):
+        # round k's circle has m_start 2^k angles, offset from round 1 on
+        _, rounds = count_with(series.builtin("sin", 700), math.log(40.8),
+                               math.inf, "dd")
+        per_series = rounds[0::2]
+        m_start = per_series[0]["m"]
+        assert len(per_series) == 4
+        for k, x in enumerate(per_series):
+            assert (x["m"], x["offset"]) == (m_start << k, k > 0)
+            assert x["idx"].tolist() == rounds[2 * k + 1]["idx"].tolist()
+
+    def test_call_count_regression(self, monkeypatch, mini_solution):
+        # at r = 6.3 the scattered mp points took 6 eval_points calls; now
+        # a round reads scattered points only past the kernel crossover
+        log = _RoundLog(monkeypatch)
+        assert nev.zero_count(mini_solution, math.log(6.3),
+                              zero_margin="auto", dps_budget=400) == 19
+        mp_rounds = [x for x in log.rounds if x["level"] == "mp"]
+        assert len(mp_rounds) >= 4
+        for x in mp_rounds:
+            m, p, n = x["m"], len(x["idx"]), x["n_band"]
+            circle = m * math.log2(m) <= n * (
+                p + nev._evalcore._HORNER_STEP_COST)
+            assert x["scattered"] != circle, x
+        assert sum(x["scattered"] for x in mp_rounds) <= 2
 
 
 class TestProximityOfRatio:
