@@ -132,3 +132,15 @@ def dd_exp(a):
         out_hi = np.where(tiny, 0.0, out_hi)
         out_lo = np.where(tiny, 0.0, out_lo)
     return out_hi, out_lo
+
+
+def dd_log(a):
+    """ln of a positive double-double, elementwise: one Newton step
+    y + (a - e^y) e^-y from y = ln(hi), with e^y from dd_exp.  The step
+    squares y's relative error (~1e-16), so what is left is dd_exp's
+    (~1e-31 absolute on y) and the rounding of the correction."""
+    hi, lo = a
+    y = np.log(hi)
+    ey = dd_exp((y, np.zeros_like(y)))
+    # hi - e^y is exact (Sterbenz): the two agree to ~1e-16
+    return two_sum(y, ((hi - ey[0]) + (lo - ey[1])) / ey[0])

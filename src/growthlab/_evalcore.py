@@ -69,10 +69,10 @@ class CoeffData:
     ph:    phase of a_n; the sentinel values 0, +-pi/2, +-pi (stored as the
            numpy constants) are treated as exact.
     rel_err_ln: ln of the relative error bound on the stored coefficients.
-    mp_factory: optional callable dps -> list of mpc coefficient values at
-           dps digits (exact zeros as mpc(0)), regenerating the series at
-           arbitrary precision.  A derived series' factory reads its
-           parents only through their mp_logs, so it shares their caches.
+    mp_factory: optional callable dps -> the exact coefficient values in
+           the format of mp_logs, regenerating the series at arbitrary
+           precision.  A derived series' factory reads its parents only
+           through their mp_logs, so it shares their caches.
 
     The exact values are cached as one (dps, values) entry, which serves
     every request at or below that dps; a deeper request replaces it.
@@ -92,21 +92,17 @@ class CoeffData:
         return len(self.lh)
 
     def mp_logs(self, dps: int) -> list:
-        """Coefficient values as a list of mpc at >= dps digits.
-
-        The name predates the value format (it once returned log-polar
-        pairs).  Without a factory the values come from the stored
-        double-double logs.
+        """The coefficient values for dps digits: each a triple (re, im, e)
+        of integers standing for (re + i im) 2^e, with at least
+        _exact_bits(dps) + 1 significant bits in the larger component, and
+        None for an exact zero.  The name predates the format (the values
+        were once log-polar pairs, then mpc).  Without a factory the values
+        come from the stored logs (_fixed_of_logs).
         """
         if self._mp_entry is None or self._mp_entry[0] < dps:
-            if self.mp_factory is not None:
-                values = self.mp_factory(dps)
-            else:
-                with mp.workdps(dps + 10):
-                    logs = [mp.mpf(h) + mp.mpf(l)
-                            for h, l in zip(self.lh, self.ll)]
-                    phases = [mp.mpf(p) for p in self.ph]
-                values = logs_to_values(logs, phases, dps)
+            values = (self.mp_factory(dps) if self.mp_factory is not None
+                      else _fixed_of_logs(self.lh, self.ll, self.ph,
+                                          _exact_bits(dps)))
             self._mp_entry = (dps, values)
         return self._mp_entry[1]
 
@@ -115,23 +111,15 @@ class CoeffData:
 
         Without dps (or without an mp factory) this is rel_err_ln.  With
         both it is 10^(-0.95 dps): a heuristic, not a bound.  It holds for
-        builtins, whose factory evaluates each coefficient at dps digits,
-        but an ODE solution inherits the rounding of its inputs A_j: for
-        f'' + e^z f = 0 (exp 220, init (1, 0), 2048 terms) at dps 52,
-        rounding A_0 to 52 digits alone moves coefficient 1097 by 1.0e-48
-        relative, against the 4.0e-50 claimed here.
+        builtins, whose values are exact to _exact_bits(dps) bits, but an
+        ODE solution inherits the rounding of its inputs A_j, amplified by
+        the recurrence: for f'' + e^z f = 0 (exp 220, init (1, 0), 2048
+        terms) at dps 52, rounding A_0 to P + 1 bits alone moves
+        coefficient 1097 by 5.4e-59 relative, against 4.0e-50 claimed.
         """
         if dps is not None and self.mp_factory is not None:
             return -0.95 * dps * math.log(10)
         return self.rel_err_ln
-
-
-def logs_to_values(logs, phases, dps: int) -> list:
-    """exp(L + i p) per (ln|a_n|, arg a_n) pair at dps digits; L = -inf
-    gives an exact zero."""
-    with mp.workdps(dps):
-        return [mp.exp(mp.mpc(L, p)) if mp.isfinite(L) else mp.mpc(0)
-                for L, p in zip(logs, phases)]
 
 
 def _floor_ln(log_mu: float, eps_ln: float, data_ln: float,
@@ -184,6 +172,11 @@ _EXACT_CIS = {
     float(np.pi / 2): (0.0, 1.0),
     float(-np.pi / 2): (0.0, -1.0),
 }
+
+
+def _wrap_pi(p):
+    """Angles reduced to [-pi, pi)."""
+    return (p + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def _coeff_cis(ph: np.ndarray):
@@ -308,32 +301,124 @@ def _to_fixed(v, bits: int) -> int:
     return lib.to_int(lib.mpf_shift(v, bits), lib.round_nearest)
 
 
+# Exact coefficient values are fixed-point triples (re, im, e) of integers,
+# standing for (re + i im) 2^e, with None for an exact zero (the format of
+# CoeffData.mp_logs).  Only these helpers and the integer kernels that sum
+# such values know the format.
+
 def _exact_bits(dps: int) -> int:
     """P = ceil(dps log2 10) + 32: the significant bits, beyond the top
-    one, that the exact-sum kernels (the integer march, the integer Cauchy
-    product) keep for dps digits."""
+    one, that exact values for dps digits keep, and with them the
+    exact-sum kernels (the integer march, the integer Cauchy product)."""
     return math.ceil(dps * math.log2(10)) + 32
 
 
-def _fixed_of(v, bits: int) -> tuple:
-    """An mpc as (re, im, e) with bits + 1 significant bits, rounded to
-    nearest: v ~ (re + i im) 2^e."""
-    xr, xi = v.real._mpf_, v.imag._mpf_
-    e = max(x[2] + x[3] for x in (xr, xi) if x[1]) - bits - 1
-    return _to_fixed(xr, -e), _to_fixed(xi, -e), e
+def _shift_round(re: int, im: int, s: int) -> tuple:
+    """(re, im) 2^-s, each rounded to the nearest integer."""
+    if s <= 0:
+        return re << -s, im << -s
+    half = 1 << (s - 1)
+    return (re + half) >> s, (im + half) >> s
 
 
-def _fixed_to_mpc(values: list, dps: int) -> list:
-    """(re, im, e) triples, or None for an exact zero, as mpc rounded once
-    to dps digits."""
-    with mp.workdps(dps):
-        prec, rnd = mp.mp.prec, mp.libmp.round_nearest
-        fme = mp.libmp.from_man_exp
-        zero = mp.mpc(0)
-        return [zero if v is None else
-                mp.mp.make_mpc((fme(v[0], v[2], prec, rnd),
-                                fme(v[1], v[2], prec, rnd)))
-                for v in values]
+def _fixed_round(v: tuple, bits: int) -> Optional[tuple]:
+    """v rounded to nearest with bits + 1 significant bits in its larger
+    component (bits + 2 after a carry), so within 2^-bits of |v|; a value
+    with fewer bits is shifted up exactly.  None for zero."""
+    re, im, e = v
+    s = max(abs(re), abs(im)).bit_length() - bits - 1
+    return (*_shift_round(re, im, s), e + s) if re or im else None
+
+
+def _fixed_of_complex(c) -> Optional[tuple]:
+    """A complex float as an exact triple; None for 0."""
+    (nr, dr), (ni, di) = (float(x).as_integer_ratio()
+                          for x in (c.real, c.imag))
+    k = max(dr, di).bit_length() - 1  # both denominators divide 2^k
+    return ((nr << k) // dr, (ni << k) // di, -k) if nr or ni else None
+
+
+def _fixed_div(re: int, im: int, e: int, d: int, bits: int) -> tuple:
+    """(re + i im) 2^e / d for a positive int d, as (re, im, e) with bits + 1
+    or bits + 2 significant bits: one floor division per component, so each
+    component is within 2^-bits |quotient| of the exact one."""
+    sh = bits + 1 - max(abs(re), abs(im)).bit_length() + d.bit_length()
+    if sh >= 0:
+        return (re << sh) // d, (im << sh) // d, e - sh
+    d <<= -sh
+    return re // d, im // d, e - sh
+
+
+def _fixed_mul(a: tuple, b: tuple, bits: int) -> Optional[tuple]:
+    """a b, formed exactly and rounded by _fixed_round."""
+    (ar, ai, ea), (br, bi, eb) = a, b
+    return _fixed_round((ar * br - ai * bi, ar * bi + ai * br, ea + eb), bits)
+
+
+def _fixed_add(a, b, sign: int, bits: int) -> Optional[tuple]:
+    """a + sign b for sign = +-1 (None is zero), formed exactly and rounded
+    by _fixed_round."""
+    if a is None or b is None:
+        return a if b is None else (sign * b[0], sign * b[1], b[2])
+    e = min(a[2], b[2])
+    sa, sb = a[2] - e, b[2] - e
+    return _fixed_round(((a[0] << sa) + sign * (b[0] << sb),
+                         (a[1] << sa) + sign * (b[1] << sb), e), bits)
+
+
+def _fixed_powers(x0: tuple, w: tuple, count: int, bits: int) -> list:
+    """x0 w^k for k < count, each from the one before by _fixed_mul: the
+    k-th within (1 + 2^-bits)^k - 1 relative of x0 w^k."""
+    out = [x0]
+    for _ in range(count - 1):
+        out.append(_fixed_mul(out[-1], w, bits))
+    return out
+
+
+def _fixed_exp(k: int, log_r: float, log_mu: float, bits: int) -> tuple:
+    """e^(k log_r - log_mu), the argument formed exactly, as a real triple
+    within 2^-bits (1/2 + 2^-8) relative."""
+    lib = mp.libmp
+    arg = lib.mpf_sub(lib.mpf_mul(lib.from_int(k), lib.from_float(log_r)),
+                      lib.from_float(log_mu))
+    _, man, e, _ = lib.mpf_exp(arg, bits + 9, lib.round_nearest)
+    return _fixed_round((man, 0, e), bits)
+
+
+def _fixed_of_logs(lh, ll, ph, bits: int) -> list:
+    """exp(lh + ll + i ph) per stored coefficient, within 2^-bits (1 +
+    2^-6) relative; None where lh = -inf.  Phases on the pi/2 grid
+    (_EXACT_CIS) are taken as exact."""
+    out = []
+    for h, l, p in zip(lh.tolist(), ll.tolist(), ph.tolist()):
+        cs = _EXACT_CIS.get(p)
+        cis = ((int(cs[0]), int(cs[1]), 0) if cs is not None
+               else (*_fixed_cis(1, p, bits + 8), -bits - 8))
+        out.append(_fixed_mul(_fixed_exp(1, h, -l, bits + 8), cis, bits)
+                   if math.isfinite(h) else None)
+    return out
+
+
+_LOG_BITS = 170  # 2 x 53 + 64: ln|v| to well past a double-double
+
+
+def _logs_of(values: list) -> tuple:
+    """(lh, ll, ph) of triples: ln|v| computed to _LOG_BITS bits and split
+    into the nearest double and the nearest double to the rest, arg v to
+    53 bits; -inf, 0, 0 for None.  Exactly real or imaginary values get
+    the phases 0, +-pi/2 and pi of the _EXACT_CIS grid."""
+    lib, rnd = mp.libmp, mp.libmp.round_nearest
+    lh = np.full(len(values), -np.inf)
+    ll, ph = np.zeros(len(values)), np.zeros(len(values))
+    for i in (i for i, v in enumerate(values) if v is not None):
+        re, im, e = values[i]
+        sq = lib.from_man_exp(re * re + im * im, 2 * e)  # |v|^2
+        L = lib.mpf_shift(lib.mpf_log(sq, _LOG_BITS, rnd), -1)
+        lh[i] = lib.to_float(L, rnd=rnd)
+        ll[i] = lib.to_float(lib.mpf_sub(L, lib.from_float(lh[i])), rnd=rnd)
+        ph[i] = lib.to_float(lib.mpf_atan2(lib.from_int(im), lib.from_int(re),
+                                           53, rnd))
+    return lh, ll, ph
 
 
 def _fixed_cis(k: int, theta: float, bits: int):
@@ -369,9 +454,13 @@ def _fixed_band(coeff: CoeffData, log_r: float, level: str,
     A level decides only where the integers come from.  'dd' keeps the
     terms within _BAND_CUT['dd'] nats of mu(r), built in double-double by
     _rescaled_dd and truncated by _dd_fixed at P = _fixed_bits(32, N).
-    'mp' keeps those within dps ln 10 + 40 nats, from coeff.mp_logs(dps)
-    rounded to nearest at P = _fixed_bits(dps, N).  The band is cached as
-    its level's latest (see _cached_band).
+    'mp' keeps those within dps ln 10 + 40 nats, at P = _fixed_bits(dps,
+    N): each value a_n of coeff.mp_logs(dps) times r^n / mu(r) from
+    _fixed_powers (start e^(lo ln r - ln mu), ratio r, by _fixed_exp) at
+    P + 24 + bitlen(hi - lo) bits, so within 2^-(P+23) relative, rounded
+    to nearest at scale 2^P: each component is within (1/2 + 2^-23 |t_n|)
+    2^-P of the exact a_n r^n / mu(r).  The band is cached as its level's
+    latest (see _cached_band).
     """
     if level == "dd":
         lo, hi, log_mu = _band(coeff, log_r, _BAND_CUT["dd"])
@@ -394,15 +483,14 @@ def _fixed_band(coeff: CoeffData, log_r: float, level: str,
         key = ("mp", dps, lo, hi, log_r)
 
         def terms(ns):
+            g = bits + 24 + (hi - lo).bit_length()
+            xs = _fixed_powers(_fixed_exp(lo, log_r, log_mu, g),
+                               _fixed_exp(1, log_r, 0.0, g), hi - lo, g)
             values = coeff.mp_logs(dps)
-            with mp.workprec(bits + 32):
-                lr = mp.mpf(float(log_r))
-                lmu = mp.mpf(log_mu)
-                ts = [values[n] * mp.exp(n * lr - lmu) for n in ns.tolist()]
-            return (np.array([_to_fixed(t.real._mpf_, bits) for t in ts],
-                             dtype=object),
-                    np.array([_to_fixed(t.imag._mpf_, bits) for t in ts],
-                             dtype=object))
+            ts = [(0, 0) if v is None else
+                  _shift_round(v[0] * x, v[1] * x, -bits - v[2] - ex)
+                  for v, (x, _, ex) in ((values[n], xs[n - lo]) for n in ns)]
+            return tuple(np.array(t, dtype=object) for t in zip(*ts))
     else:
         raise ValueError(f"unknown level {level!r}")
 
@@ -521,12 +609,13 @@ def _circle_fixed(n, tr, ti, bits: int, m: int, offset: bool):
     each twiddle product at scale 2^q.
 
     Error, relative to mu(r), for a band of N terms |t_n| <= 1, each given
-    to within delta 2^-bits (delta = sqrt2/2 for the rounded mp band,
-    2 sqrt2 for the truncated dd terms).  In units of 2^-q, each product
-    truncates by at most sqrt2 and carries its twiddle's rounding, sqrt2/2
-    times its operand.  An output sees each twist product once and, at
-    butterfly level s = 2 .. log2 m, one product per block of 2^s bins,
-    whose operands sum to at most N.  So the sums are within
+    to within delta 2^-bits (delta = sqrt2 (1/2 + 2^-23) for the mp band,
+    2 sqrt2 for the truncated dd terms; see _fixed_band).  In units of
+    2^-q, each product truncates by at most sqrt2 and carries its
+    twiddle's rounding, sqrt2/2 times its operand.  An output sees each
+    twist product once and, at butterfly level s = 2 .. log2 m, one
+    product per block of 2^s bins, whose operands sum to at most N.  So
+    the sums are within
 
         delta N 2^-bits + ((3/2) sqrt2 m + (sqrt2/2) N log2 m) 2^-q
             <= ((delta + 0.36) N + 2.2) 2^-bits

@@ -338,7 +338,7 @@ def check_wiman_valiron(f: ps.PowerSeries, grid: np.ndarray,
     at = []
     for r in (grid if ratio_orders else ()):
         lr = math.log(r)
-        theta = _argmax_angle(f, lr)
+        theta = ps._max_modulus(f, lr)[1]
         rf = _evalcore.eval_points(f.coeff, lr, np.array([theta]),
                                    level="dd")
         at.append((lr, theta, rf, ps.max_term(f, lr).nu))
@@ -360,24 +360,6 @@ def check_wiman_valiron(f: ps.PowerSeries, grid: np.ndarray,
         rep.leq(max(tail), 0.1, f"wv_ratio[{tag},n={order}]",
                 "tail of |f^(n)/f / (nu/z)^n - 1| at max-modulus angle")
     return rep
-
-
-def _argmax_angle(f: ps.PowerSeries, log_r: float) -> float:
-    sweep = _evalcore.eval_circle(f.coeff, log_r, 256, offset=False,
-                                  level="d")
-    j = int(np.argmax(sweep.logabs))
-    h = 2.0 * math.pi / 256
-    lo, hi = (j - 1) * h, (j + 1) * h
-    for _ in range(60):
-        m1 = lo + (hi - lo) * 0.382
-        m2 = lo + (hi - lo) * 0.618
-        v = _evalcore.eval_points(f.coeff, log_r, np.array([m1, m2]),
-                                  level="d").logabs
-        if v[0] < v[1]:
-            lo = m1
-        else:
-            hi = m2
-    return 0.5 * (lo + hi)
 
 
 def check_gundersen(f: ps.PowerSeries, chi: float, i: int, j: int,

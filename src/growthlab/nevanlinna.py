@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _evalcore
+from ._evalcore import _wrap_pi
 from .series import PowerSeries, max_term, valuation
 
 __all__ = ["CountingData", "RetryPerturbedRadius", "PrecisionBudgetError",
@@ -42,7 +43,7 @@ __all__ = ["CountingData", "RetryPerturbedRadius", "PrecisionBudgetError",
 
 _TRUST_GUARD = 14.0  # nats above the floor a value must sit to be believed
 _DPS_BUDGET = 600  # digits proximity_detailed may climb to
-_RETRY_STEP = 1e-3  # relative radius step RetryPerturbedRadius suggests
+_RETRY_STEP = 1e-3  # relative radius step of count_zeros_grid's retries
 _MAX_RETRIES = 3  # perturbed radii count_zeros_grid tries per grid radius
 _MAX_MESH = 1 << 18  # winding mesh points before zero_count gives up
 
@@ -66,14 +67,12 @@ _ITP_KAPPA1, _ITP_KAPPA2 = 0.2, 2
 class RetryPerturbedRadius(ArithmeticError):
     """A zero sits too close to the requested circle; retry nearby.
 
-    Carries suggested replacement radii r*(1 +/- 1e-3).  The perturbation
-    is caller-driven: this module never silently moves the radius.
+    Carries the radius it was raised at.  The perturbation is
+    caller-driven: count_zeros_grid retries at r (1 +- k retry_step).
     """
 
     def __init__(self, log_r: float, detail: str = ""):
         self.log_r = log_r
-        self.suggested_log_radii = (log_r + math.log1p(_RETRY_STEP),
-                                    log_r + math.log1p(-_RETRY_STEP))
         super().__init__(
             f"zero too close to |z| = e^{log_r:.6g}; retry at "
             f"r*(1+/-{_RETRY_STEP:g}). {detail}")
@@ -351,10 +350,6 @@ def proximity_of_ratio(num: PowerSeries, den: PowerSeries,
                          _RATIO_MAX_ANGLES)[0]
 
 
-def _wrap_phase(d: np.ndarray) -> np.ndarray:
-    return (d + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def winding_dps(coeff: _evalcore.CoeffData, log_r: float,
                 dps_budget: int) -> int:
     """Digits the mp winding on |z| = e^{log_r} needs: enough to put the
@@ -428,8 +423,7 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
         phases = res.phase
         tail_ok = True
         for k in range(48):
-            dphi = _wrap_phase(np.diff(np.concatenate([phases,
-                                                       [phases[0]]])))
+            dphi = _wrap_pi(np.diff(np.concatenate([phases, [phases[0]]])))
             gaps = np.diff(np.concatenate([thetas,
                                            [thetas[0] + 2.0 * math.pi]]))
             vmax = np.maximum(vels, np.roll(vels, -1))
@@ -464,8 +458,8 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
             raise RetryPerturbedRadius(log_r, detail="refinement stalled")
         if not tail_ok:
             continue
-        d = _wrap_phase(np.diff(phases))
-        total = float(np.sum(d) + _wrap_phase(phases[0] - phases[-1]))
+        d = _wrap_pi(np.diff(phases))
+        total = float(np.sum(d) + _wrap_pi(phases[0] - phases[-1]))
         w = total / (2.0 * math.pi)
         if abs(w - round(w)) > 1e-6:
             raise RetryPerturbedRadius(
@@ -475,7 +469,7 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
 
 
 def count_zeros_grid(f: PowerSeries, radii: Sequence[float],
-                     zero_margin="auto", retry_step: float = 1e-3,
+                     zero_margin="auto", retry_step: float = _RETRY_STEP,
                      dps_budget: int = 600) -> CountingData:
     """Counts over a radius grid, applying the perturbed-radius retry rule.
 

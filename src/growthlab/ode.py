@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 
 from . import series as ps
@@ -92,11 +91,11 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
 
     dps switches to the fixed-point integer march (same recurrence, dps
     digits, error bound in _solve_series_mp), whose values seed the
-    result's mp cache.  Either way the result carries the integer march as
-    its regeneration hook, so deep evaluation can ask for more digits
-    later.  _resume, an earlier double march of the same equation and
-    initial data, is extended or cut rather than marched again (see
-    _march_d); the integer march ignores it.
+    result's mp cache and give its logs (_evalcore._logs_of).  Either way
+    the result carries the integer march as its regeneration hook, so deep
+    evaluation can ask for more digits later.  _resume, an earlier double
+    march of the same equation and initial data, is extended or cut rather
+    than marched again (see _march_d); the integer march ignores it.
     """
     if n_terms <= eq.k:
         raise ValueError("n_terms must exceed the equation order")
@@ -110,19 +109,8 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
 
     if dps is not None:
         values = _solve_series_mp(eq, init, n_terms, dps)
-        lh = np.full(n_terms, -np.inf)
-        ll = np.zeros(n_terms)
-        ph = np.zeros(n_terms)
-        with mp.workdps(dps):
-            for i, v in enumerate(values):
-                if v == 0:
-                    continue
-                L = mp.log(abs(v))
-                hi = float(L)
-                lh[i], ll[i] = hi, float(L - hi)
-                ph[i] = float(mp.atan2(v.imag, v.real))
-        out = ps.make_series(lh, ll, ph, math.log(3e-16), "ode solution",
-                             mp_factory=factory)
+        out = ps.make_series(*_evalcore._logs_of(values), math.log(3e-16),
+                             "ode solution", mp_factory=factory)
         out.coeff._mp_entry = (dps, values)
         return out
 
@@ -330,38 +318,35 @@ def _logpolar_step(n: int, k: int, live: list, f_l, f_p, lc, pc,
 def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
                      dps: int) -> list:
     """The recurrence marched in fixed-point integers for dps digits: the
-    solution's coefficients as a list of mpc (exact zeros as mpc(0)).
+    solution's coefficients in the format of CoeffData.mp_logs.
 
     Every value is a triple (re, im, e) standing for (re + i im) 2^e with
-    P + 1 or P + 2 significant bits, P = ceil(dps log2 10) + 32.  A_j and F
-    come from their mp_logs(dps) and the initial data from its floats, each
-    rounded once to P + 1 bits.  Step n forms every product
+    P + 1 or P + 2 significant bits, P = _evalcore._exact_bits(dps), and
+    an exact zero is None.  A_j and F come from their mp_logs(dps),
+    rounded once to P + 1 bits (_fixed_round), and the initial data from
+    its floats, exactly.  Step n forms every product
     a_{j,m} c_{n-m+j} (n-m+j)!/(n-m)! exactly and adds these and F_n, M
     terms in all, at one exponent E = T - 2P - 16, where T bounds the top
     bit of the largest term: each is floored to a multiple of 2^E, so the
     sum is within M 2^E per component of the exact step on the stored
     inputs.  Dividing by (n+1)...(n+k) is one floor division to P + 1 bits,
-    a further 2^-P relative.  The values become mpc at dps digits once, at
-    the end.
+    a further 2^-P relative.
     """
     k = eq.k
     bits = _evalcore._exact_bits(dps)
     # each coefficient's nonzero terms (m, re, im, e), converted once, and
     # -F_n, so that a step's sum is -(c_{n+k} (n+1)...(n+k))
-    a_nz = [[(m,) + _evalcore._fixed_of(v, bits)
-             for m, v in enumerate(a.coeff.mp_logs(dps)) if v != 0]
+    a_nz = [[(m,) + _evalcore._fixed_round(v, bits)
+             for m, v in enumerate(a.coeff.mp_logs(dps)) if v is not None]
             for a in eq.coeffs]
-    neg_f = {}
-    if eq.rhs is not None:
-        for n, v in enumerate(eq.rhs.coeff.mp_logs(dps)):
-            if v != 0:
-                re, im, e = _evalcore._fixed_of(v, bits)
-                neg_f[n] = (-re, -im, e)
+    rhs = [] if eq.rhs is None else eq.rhs.coeff.mp_logs(dps)
+    neg_f = {n: _evalcore._fixed_round((-v[0], -v[1], v[2]), bits)
+             for n, v in enumerate(rhs) if v is not None}
     c = [None] * n_terms  # None is an exact zero
     for i, v in enumerate(init.values):
         if v != 0:
-            c[i] = _fixed_div(*_evalcore._fixed_of(mp.mpc(complex(v)), bits),
-                              math.factorial(i), bits)
+            c[i] = _evalcore._fixed_div(*_evalcore._fixed_of_complex(v),
+                                        math.factorial(i), bits)
     n_steps = n_terms - k
     # per j, the factorial ratio (i+1)...(i+j) of step index i = n - m and
     # its bit length; a product's components are below 2^(e + 2P + 5 + that)
@@ -409,20 +394,9 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
                 sr += re >> -s
                 si += im >> -s
         if sr or si:
-            c[n + k] = _fixed_div(-sr, -si, base,
-                                  math.prod(range(n + 1, n + k + 1)), bits)
-    return _evalcore._fixed_to_mpc(c, dps)
-
-
-def _fixed_div(re: int, im: int, e: int, d: int, bits: int) -> tuple:
-    """(re + i im) 2^e / d for a positive int d, as (re, im, e) with bits + 1
-    or bits + 2 significant bits: one floor division per component, so each
-    component is within 2^-bits |quotient| of the exact one."""
-    sh = bits + 1 - max(abs(re), abs(im)).bit_length() + d.bit_length()
-    if sh >= 0:
-        return (re << sh) // d, (im << sh) // d, e - sh
-    d <<= -sh
-    return re // d, im // d, e - sh
+            c[n + k] = _evalcore._fixed_div(
+                -sr, -si, base, math.prod(range(n + 1, n + k + 1)), bits)
+    return c
 
 
 def fundamental_system(eq: LinearODE, n_terms: int) -> list:
@@ -569,5 +543,4 @@ def airy_like(n_terms: int = 200) -> ps.PowerSeries:
     eq = LinearODE(2, (ps.builtin("poly", coeffs=[0.0, -1.0]),
                        ps.builtin("poly", coeffs=[0.0])))
     out = solve_series(eq, InitialData((1.0, 0.0)), n_terms)
-    return ps.PowerSeries(out.coeff, "airy_like", out.guaranteed_radius,
-                          out.tail_tol)
+    return ps.PowerSeries(out.coeff, "airy_like", out.guaranteed_radius)

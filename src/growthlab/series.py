@@ -4,14 +4,15 @@ Coefficients are held in log-polar form (double-double ln|a_n| plus phase),
 which is what every downstream consumer — maximum term, central index,
 max-modulus sweeps, quadrature — actually wants.  The `coeffs` property
 materializes ordinary ExtendedComplex scalars on demand.  For deep
-evaluation every series also regenerates its coefficients as mpmath values
-at any dps (CoeffData.mp_logs); a derived series computes them in one
-expression from its parents' cached values.
+evaluation every series also regenerates its exact coefficients at any dps
+as fixed-point integer triples (CoeffData.mp_logs); a derived series
+computes them in one expression from its parents' cached values.  A
+builtin's logs are derived from the same exact values.
 
 Each series carries a trusted radius (the field keeps its historical name,
 guaranteed_radius): the largest r on a geometric test grid where a geometric
 extrapolation of the last tenth of |a_n| r^n puts the truncation tail below
-tail_tol * mu(r).  It is an estimate, not a certificate: a tail that stops
+_TAIL_TOL * mu(r).  It is an estimate, not a certificate: a tail that stops
 decaying geometrically past the stored terms would fool it.  Evaluation
 beyond it raises TruncationError; the caller must rebuild with more terms.
 """
@@ -19,11 +20,12 @@ beyond it raises TruncationError; the caller must rebuild with more terms.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from . import _dd, _evalcore
@@ -38,6 +40,8 @@ __all__ = [
 ]
 
 BUILTIN_NAMES = ("exp", "sin", "cos", "poly", "exp_exp", "airy_like")
+
+_TAIL_TOL = 1e-12  # truncation tail a trusted radius allows, relative to mu
 
 
 class TruncationError(ValueError):
@@ -54,13 +58,12 @@ class PowerSeries:
 
     guaranteed_radius is not a certificate: it is the radius up to which the
     geometric extrapolation of the last tenth of the stored coefficients
-    (see _certify_radius) puts the truncation tail below tail_tol * mu(r).
+    (see _certify_radius) puts the truncation tail below _TAIL_TOL * mu(r).
     """
 
     coeff: _evalcore.CoeffData
     provenance: str
     guaranteed_radius: float
-    tail_tol: float = 1e-12
 
     @property
     def n_terms(self) -> int:
@@ -98,8 +101,8 @@ class MaxTermResult:
     nu: int
 
 
-def _certify_radius(lh: np.ndarray, tail_tol: float) -> float:
-    """Largest grid radius where the extrapolated tail is < tail_tol*mu(r).
+def _certify_radius(lh: np.ndarray) -> float:
+    """Largest grid radius where the extrapolated tail is < _TAIL_TOL mu(r).
 
     Despite the name this certifies nothing: the mean log-slope of the last
     tenth of the stored |a_n| is extrapolated as a geometric tail, which is
@@ -128,20 +131,22 @@ def _certify_radius(lh: np.ndarray, tail_tol: float) -> float:
         x = lh[finite] + finite * ln_r
         log_mu = float(np.max(x))
         ln_tail = lh[top] + top * ln_r + math.log(q / (1.0 - q))
-        if ln_tail < math.log(tail_tol) + log_mu:
+        if ln_tail < math.log(_TAIL_TOL) + log_mu:
             best = math.exp(ln_r)
     return best
 
 
 def make_series(lh, ll, ph, rel_err_ln: float, provenance: str,
-                mp_factory=None, tail_tol: float = 1e-12) -> PowerSeries:
-    """Assemble a PowerSeries from log-polar coefficient arrays."""
+                mp_factory=None, radius_cap: float = math.inf) -> PowerSeries:
+    """Assemble a PowerSeries from log-polar coefficient arrays; its
+    trusted radius is at most radius_cap."""
     lh = np.asarray(lh, dtype=float)
     ll = np.asarray(ll, dtype=float)
     ph = np.asarray(ph, dtype=float)
     ll = np.where(np.isfinite(lh), ll, 0.0)
     coeff = _evalcore.CoeffData(lh, ll, ph, rel_err_ln, mp_factory)
-    return PowerSeries(coeff, provenance, _certify_radius(lh, tail_tol), tail_tol)
+    return PowerSeries(coeff, provenance,
+                       min(_certify_radius(lh), radius_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -152,35 +157,7 @@ def make_series(lh, ll, ph, rel_err_ln: float, provenance: str,
 # without bound as new lengths are requested.
 _BUILTIN_CACHE: dict = {}
 
-_GEN_DPS = 50  # construction precision; gives double-double-grade logs
-
-
-def _split_mpf(x) -> tuple:
-    hi = float(x)
-    if not math.isfinite(hi):
-        return hi, 0.0
-    return hi, float(x - hi)
-
-
-def _exp_logs(n: int, dps: int):
-    with mp.workdps(dps):
-        logs = [-mp.loggamma(k + 1) for k in range(n)]
-        phases = [mp.mpf(0)] * n
-    return logs, phases
-
-
-def _sincos_logs(parity: int, n: int, dps: int):
-    """sin (parity 1) or cos (parity 0): terms of the other parity vanish."""
-    with mp.workdps(dps):
-        logs, phases = [], []
-        for k in range(n):
-            if k % 2 != parity:
-                logs.append(mp.mpf("-inf"))
-                phases.append(mp.mpf(0))
-            else:
-                logs.append(-mp.loggamma(k + 1))
-                phases.append(mp.mpf(0) if (k // 2) % 2 == 0 else +mp.pi)
-    return logs, phases
+_GEN_DPS = 50  # a builtin's logs come from its exact values at this dps
 
 
 @functools.lru_cache(maxsize=8)
@@ -202,29 +179,27 @@ def _bell_numbers(n: int) -> tuple:
     return tuple(bell)
 
 
-def _exp_exp_logs(n: int, dps: int):
-    bell = _bell_numbers(n)
-    with mp.workdps(dps):
-        logs = [mp.mpf(1) + mp.log(bell[k]) - mp.loggamma(k + 1) for k in range(n)]
-        phases = [mp.mpf(0)] * n
-    return logs, phases
-
-
-_MP_GENERATORS = {
-    "exp": _exp_logs,
-    "sin": functools.partial(_sincos_logs, 1),
-    "cos": functools.partial(_sincos_logs, 0),
-    "exp_exp": _exp_exp_logs,
+# the numerator of a_n n! for the builtins whose a_n n! is an integer
+_SIGNS = {
+    "exp": lambda n: 1,
+    "sin": lambda n: n % 2 * (-1) ** (n // 2),
+    "cos": lambda n: (1 - n % 2) * (-1) ** (n // 2),
 }
 
 
-def _phase_float(x) -> float:
-    """Phase as float with the pi/2 grid snapped to exact sentinels."""
-    p = float(x)
-    for exact in _evalcore._EXACT_CIS:
-        if abs(p - exact) < 1e-15:
-            return exact
-    return p
+def _builtin_values(name: str, n: int, bits: int) -> list:
+    """The exact a_0..a_{n-1} of a builtin in the format of mp_logs, with
+    bits + 1 or bits + 2 significant bits: +-1/k! or 0 for exp, sin and cos,
+    e B_k / k! for exp_exp, each a floor division (_fixed_div) within 2^-bits
+    relative; e enters 64 bits deeper (_evalcore._fixed_exp)."""
+    if name == "exp_exp":
+        e_man, _, e = _evalcore._fixed_exp(1, 1.0, 0.0, bits + 64)
+        nums = [e_man * b for b in _bell_numbers(n)]
+    else:
+        nums, e = [_SIGNS[name](k) for k in range(n)], 0
+    facts = itertools.accumulate(range(1, n), operator.mul, initial=1)
+    return [_evalcore._fixed_div(a, 0, e, fact, bits) if a else None
+            for a, fact in zip(nums, facts)]
 
 
 def builtin(name: str, n_terms: int = 400,
@@ -242,7 +217,7 @@ def builtin(name: str, n_terms: int = 400,
     if name == "airy_like":
         from . import ode
         return ode.airy_like(n_terms)
-    if name not in _MP_GENERATORS:
+    if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -250,16 +225,11 @@ def builtin(name: str, n_terms: int = 400,
     cached = _BUILTIN_CACHE.get(key)
     if cached is not None:
         return cached
-    gen = _MP_GENERATORS[name]
-    logs, phases = gen(n_terms, _GEN_DPS)
-    lh = np.empty(n_terms)
-    ll = np.empty(n_terms)
-    for i, L in enumerate(logs):
-        lh[i], ll[i] = _split_mpf(L)
-    ph = np.array([_phase_float(p) for p in phases])
-    out = make_series(lh, ll, ph, math.log(1e-28), name,
-                      mp_factory=lambda dps, _g=gen, _n=n_terms:
-                      _evalcore.logs_to_values(*_g(_n, dps), dps))
+    values = _builtin_values(name, n_terms, _evalcore._exact_bits(_GEN_DPS))
+    out = make_series(*_evalcore._logs_of(values), math.log(1e-28), name,
+                      mp_factory=lambda dps: _builtin_values(
+                          name, n_terms, _evalcore._exact_bits(dps)))
+    out.coeff._mp_entry = (_GEN_DPS, values)
     _BUILTIN_CACHE[key] = out
     return out
 
@@ -273,11 +243,13 @@ def _poly_series(coeffs: list) -> PowerSeries:
         c = complex(c)
         if c != 0:
             lh[i] = math.log(abs(c))
-            ph[i] = _phase_float(math.atan2(c.imag, c.real))
+            ph[i] = math.atan2(c.imag, c.real)
 
     def factory(dps, _c=list(coeffs)):
-        with mp.workdps(dps):
-            return [mp.mpc(complex(c)) for c in _c]
+        bits = _evalcore._exact_bits(dps)
+        return [None if c == 0 else
+                _evalcore._fixed_round(_evalcore._fixed_of_complex(c), bits)
+                for c in _c]
 
     return make_series(lh, ll, ph, math.log(3e-16), "poly", mp_factory=factory)
 
@@ -377,6 +349,12 @@ def log_max_modulus(f: PowerSeries, log_r: float) -> float:
     1e-9.  Max-picking is immune to the cancellation that plagues small
     values, so plain double significands suffice.
     """
+    return _max_modulus(f, log_r)[0]
+
+
+def _max_modulus(f: PowerSeries, log_r: float) -> tuple:
+    """(ln M(r, f), an angle where the search attained it), by
+    log_max_modulus's search."""
     f.check_radius(log_r)
     m0 = 64
     sweep = _evalcore.eval_circle(f.coeff, log_r, m0, offset=False, level="d")
@@ -396,7 +374,7 @@ def log_max_modulus(f: PowerSeries, log_r: float) -> float:
     x2 = lo + gr * (hi - lo)
     f1 = _evalcore.eval_points(f.coeff, log_r, x1, level="d").logabs
     f2 = _evalcore.eval_points(f.coeff, log_r, x2, level="d").logabs
-    best = float(np.max(v))
+    best, angle = float(np.max(v)), picked[0] * h
     for _ in range(80):
         move_right = f1 < f2
         lo = np.where(move_right, x1, lo)
@@ -412,66 +390,48 @@ def log_max_modulus(f: PowerSeries, log_r: float) -> float:
             f1n[~move_right] = got[:k]
             f2n[move_right] = got[k:]
         f1, f2 = f1n, f2n
-        new_best = max(float(np.nanmax(f1)), float(np.nanmax(f2)), best)
+        vals = np.concatenate([f1, f2])
+        j = int(np.nanargmax(vals))
+        angle = float(np.concatenate([x1, x2])[j]) if vals[j] > best else angle
+        new_best = max(float(vals[j]), best)
         if new_best - best <= 1e-9 * max(1.0, abs(new_best)) and _ > 4:
             best = new_best
             break
         best = new_best
-    return best
+    return best, angle
 
 
-# Grows to the longest series differentiated (up to 65,536 terms for an
-# ODE solution at auto_solve's cap) and is never cut back.
-_LN_INT_DD: dict = {}
-
-
-def _ln_int_dd(n: int):
-    """(hi, lo) arrays with entry i = ln(i + 1) as a double-double, for
-    i in [0, n); cached and extended on demand."""
-    have = _LN_INT_DD.get("n", 0)
-    if n > have:
-        hi = np.empty(n)
-        lo = np.empty(n)
-        if have:
-            hi[:have] = _LN_INT_DD["hi"][:have]
-            lo[:have] = _LN_INT_DD["lo"][:have]
-        with mp.workdps(40):
-            for i in range(have, n):
-                v = mp.log(i + 1)
-                h = float(v)
-                hi[i] = h
-                lo[i] = float(v - h)
-        _LN_INT_DD.update(n=n, hi=hi, lo=lo)
-    return _LN_INT_DD["hi"][:n], _LN_INT_DD["lo"][:n]
+def _shifted_logs(lh, ll, shift) -> tuple:
+    """(lh, ll) plus the double-double shift where lh is finite, and -inf
+    elsewhere (where make_series zeroes ll)."""
+    finite = np.isfinite(lh)
+    hi, lo = _dd.dd_add((np.where(finite, lh, 0.0), ll), shift)
+    return np.where(finite, hi, -np.inf), lo
 
 
 def derivative(f: PowerSeries) -> PowerSeries:
     """Coefficientwise derivative: (n+1) a_{n+1}, one term shorter.
 
-    The log-magnitude shift ln(n+1) is applied in double-double so the
-    derivative's coefficients stay as accurate as the parent's (a plain
-    double add of ~1e3-magnitude logs would cost ~1e-13 of relative
-    coefficient accuracy, which deep winding cannot afford).
+    The log-magnitude shift ln(n+1) is applied in double-double
+    (_dd.dd_log) so the derivative's coefficients stay as accurate as the
+    parent's (a plain double add of ~1e3-magnitude logs would cost ~1e-13
+    of relative coefficient accuracy, which deep winding cannot afford).
+    The exact values are the parent's times n + 1, exactly.
     """
     n = f.n_terms
     if n <= 1:
         return make_series(np.array([-np.inf]), np.zeros(1), np.zeros(1),
                            f.coeff.rel_err_ln, f.provenance + "'")
-    finite = np.isfinite(f.coeff.lh[1:])
-    lk_h, lk_l = _ln_int_dd(n - 1)
-    lh_in = np.where(finite, f.coeff.lh[1:], 0.0)
-    lh, ll = _dd.dd_add((lh_in, f.coeff.ll[1:]), (lk_h, lk_l))
-    lh = np.where(finite, lh, -np.inf)
-    ll = np.where(finite, ll, 0.0)
+    lh, ll = _shifted_logs(f.coeff.lh[1:], f.coeff.ll[1:],
+                           _dd.dd_log(_dd.dd_from_d(np.arange(1.0, n))))
     ph = f.coeff.ph[1:].copy()
 
     def factory(dps):
-        with mp.workdps(dps):
-            return [(i + 1) * v
-                    for i, v in enumerate(f.coeff.mp_logs(dps)[1:])]
+        return [None if v is None else (k * v[0], k * v[1], v[2])
+                for k, v in enumerate(f.coeff.mp_logs(dps)[1:], 1)]
 
     return make_series(lh, ll, ph, f.coeff.rel_err_ln, f.provenance + "'",
-                       mp_factory=factory, tail_tol=f.tail_tol)
+                       mp_factory=factory)
 
 
 def combine(f: PowerSeries, g: PowerSeries, op: str) -> PowerSeries:
@@ -504,15 +464,10 @@ def combine(f: PowerSeries, g: PowerSeries, op: str) -> PowerSeries:
         raise ValueError(f"unknown combine op {op!r}")
     rel = float(np.logaddexp(f.coeff.rel_err_ln, g.coeff.rel_err_ln))
     rel = float(np.logaddexp(rel, math.log(op_err)))
-    out = make_series(lh, np.zeros(len(lh)), ph, rel, name,
-                      mp_factory=_combine_factory(f, g, op))
-    out.guaranteed_radius = min(out.guaranteed_radius,
-                                f.guaranteed_radius, g.guaranteed_radius)
-    return out
-
-
-def _wrap_pi(p):
-    return (p + np.pi) % (2.0 * np.pi) - np.pi
+    return make_series(lh, np.zeros(len(lh)), ph, rel, name,
+                       mp_factory=_combine_factory(f, g, op),
+                       radius_cap=min(f.guaranteed_radius,
+                                      g.guaranteed_radius))
 
 
 def _cauchy_logpolar(lf, pf, lg, pg, n_out):
@@ -545,36 +500,35 @@ def _cauchy_logpolar(lf, pf, lg, pg, n_out):
 def _combine_factory(f: PowerSeries, g: PowerSeries, op: str):
     def factory(dps):
         a, b = f.coeff.mp_logs(dps), g.coeff.mp_logs(dps)
-        with mp.workdps(dps):
-            if op == "cauchy_product":
-                return _cauchy_fixed(a, b, dps)
-            zero, sign = mp.mpc(0), (-1 if op == "sub" else 1)
-            return [(a[i] if i < len(a) else zero)
-                    + sign * (b[i] if i < len(b) else zero)
-                    for i in range(max(len(a), len(b)))]
+        if op == "cauchy_product":
+            return _cauchy_fixed(a, b, dps)
+        bits, sign = _evalcore._exact_bits(dps), (-1 if op == "sub" else 1)
+        return [_evalcore._fixed_add(x, y, sign, bits)
+                for x, y in itertools.zip_longest(a, b)]
     return factory
 
 
 def _cauchy_fixed(a: list, b: list, dps: int) -> list:
-    """The Cauchy product of two lists of mpc, truncated to the shorter,
-    summed in fixed-point integers: mpc at dps digits, exact zeros mpc(0).
+    """The Cauchy product of two lists of values in the format of mp_logs,
+    truncated to the shorter, summed in fixed-point integers.
 
-    The nonzero values become (re, im, e) with P + 1 significant bits,
-    P = _evalcore._exact_bits(dps): each moves by at most 2^(-P-1) of its
-    modulus (a component far below the other loses its low digits), so a
-    product by at most 2^-P (1 + 2^-P) of its own modulus.  Output i forms
-    its products a_k b_{i-k} of nonzero values exactly, adds them at one
-    exponent E = T - 2P - 16, where T bounds the top bit of its largest
-    product, flooring each to a multiple of 2^E, and rounds the sum once
-    to dps digits.  Before that rounding it is within M 2^(-2P-13)
+    The nonzero values are rounded to P + 1 significant bits, P =
+    _evalcore._exact_bits(dps) (_fixed_round): each moves by at most half
+    a unit per component, 2^-P / sqrt2 of its modulus, so a product by at
+    most 2^-P (sqrt2 + 2^-P / 2) of its own.
+    Output i forms its products a_k b_{i-k} of nonzero values exactly,
+    adds them at one exponent E = T - 2P - 16, where T bounds the top bit
+    of its largest product, flooring each to a multiple of 2^E, and rounds
+    the sum once to P + 1 bits (_fixed_round), which moves it by at most
+    2^-P of its modulus.  Before that rounding it is within M 2^(-2P-13)
     max_k |a_k b_{i-k}| per component of the exact sum of the rounded
     products, M being its number of nonzero products; an output without
-    one is mpc(0).
+    one, or whose sum is exactly zero, is None.
     """
     n = min(len(a), len(b))
     bits = _evalcore._exact_bits(dps)
-    fa, fb = ([(k,) + _evalcore._fixed_of(v, bits)
-               for k, v in enumerate(x[:n]) if v != 0] for x in (a, b))
+    fa, fb = ([(k,) + _evalcore._fixed_round(v, bits)
+               for k, v in enumerate(x[:n]) if v is not None] for x in (a, b))
     # per output, the largest exponent sum of its products; every product
     # component is below 2^(that + 2P + 3)
     top = [None] * n
@@ -598,9 +552,9 @@ def _cauchy_fixed(a: list, b: list, dps: int) -> list:
             else:
                 sr[i] += re >> -s
                 si[i] += im >> -s
-    return _evalcore._fixed_to_mpc(
-        [None if t is None else (sr[i], si[i], t - 13)
-         for i, t in enumerate(top)], dps)
+    return [None if t is None else
+            _evalcore._fixed_round((sr[i], si[i], t - 13), bits)
+            for i, t in enumerate(top)]
 
 
 def scale_argument(f: PowerSeries, c: complex) -> PowerSeries:
@@ -610,30 +564,25 @@ def scale_argument(f: PowerSeries, c: complex) -> PowerSeries:
         raise ValueError("scale factor must be nonzero")
     n = np.arange(f.n_terms, dtype=float)
     # ln|c| as a double-double so n * ln|c| keeps coefficient-grade accuracy
-    with mp.workdps(40):
-        lc_mp = mp.log(abs(mp.mpc(c)))
-        lc_h = float(lc_mp)
-        lc_l = float(lc_mp - lc_h)
-    finite = np.isfinite(f.coeff.lh)
+    c_fix = _evalcore._fixed_of_complex(c)
+    (lc_h,), (lc_l,), _ = _evalcore._logs_of([c_fix])
     d = _dd.two_prod(n, lc_h)
-    d = (d[0], d[1] + n * lc_l)
-    lh_in = np.where(finite, f.coeff.lh, 0.0)
-    lh_dd = _dd.dd_add((lh_in, f.coeff.ll), d)
-    lh_dd = (np.where(finite, lh_dd[0], -np.inf),
-             np.where(finite, lh_dd[1], 0.0))
+    lh, ll = _shifted_logs(f.coeff.lh, f.coeff.ll, (d[0], d[1] + n * lc_l))
     ac = math.atan2(c.imag, c.real)
     ph = f.coeff.ph + (n * ac if ac != 0.0 else 0.0)
     if ac != 0.0:
-        ph = _wrap_pi(ph)
+        ph = _evalcore._wrap_pi(ph)
 
     def factory(dps):
-        with mp.workdps(dps):
-            cc = mp.mpc(c)
-            return [v * cc ** i for i, v in enumerate(f.coeff.mp_logs(dps))]
+        # c^n within 2^-(P+16) relative (_fixed_powers), P = _exact_bits
+        bits = _evalcore._exact_bits(dps)
+        powers = _evalcore._fixed_powers(
+            (1, 0, 0), c_fix, f.n_terms, bits + 16 + f.n_terms.bit_length())
+        return [None if v is None else _evalcore._fixed_mul(v, p, bits)
+                for v, p in zip(f.coeff.mp_logs(dps), powers)]
 
-    return make_series(lh_dd[0], lh_dd[1], ph, f.coeff.rel_err_ln,
-                       f"{f.provenance}(c z)", mp_factory=factory,
-                       tail_tol=f.tail_tol)
+    return make_series(lh, ll, ph, f.coeff.rel_err_ln,
+                       f"{f.provenance}(c z)", mp_factory=factory)
 
 
 def dump_csv(f: PowerSeries, path: str) -> None:

@@ -16,6 +16,7 @@ import pytest
 import growthlab
 from growthlab import _evalcore
 from growthlab import series
+from mpref import to_mpc
 
 
 def direct_sum(coeff, log_r, thetas, dps, log_mu):
@@ -26,7 +27,7 @@ def direct_sum(coeff, log_r, thetas, dps, log_mu):
     angle given as a Fraction is a number of turns, taken exactly: theta =
     2 pi t.
     """
-    values = coeff.mp_logs(dps)
+    values = to_mpc(coeff.mp_logs(dps))
     with mp.workdps(dps + 40):
         lr = mp.mpf(log_r)
         lmu = mp.mpf(log_mu)
@@ -222,6 +223,50 @@ def test_twiddles_shifted_down_match_fresh():
     shifted_table = _evalcore._twiddles(512, 300)
     assert all(list(a) == list(b) for a, b in zip(fresh_table, shifted_table))
     assert circle() == fresh
+
+
+def _scaled_series():
+    return series.scale_argument(series.builtin("exp", 300), 0.5 - 1.5j)
+
+
+def _ode_solution():
+    from growthlab import ode
+    eq = ode.LinearODE(2, (series.builtin("exp", 220),
+                           series.builtin("poly", coeffs=[0.0])))
+    return ode.solve_series(eq, ode.InitialData((1.0, 0.0)), 1024, dps=50)
+
+
+# (series, r, dps): a band in the middle of exp's stored range, sin's
+# zero terms, a complex series, an ODE solution and a derivative
+BANDS = [
+    (lambda: series.builtin("exp", 400), 40.0, 50),
+    (lambda: series.builtin("sin", 700), 200.0, 120),
+    (_scaled_series, 20.0, 45),
+    (_ode_solution, 6.0, 60),
+    (lambda: series.derivative(series.builtin("cos", 400)), 30.0, 40),
+]
+
+
+@pytest.mark.parametrize("make,r,dps", BANDS)
+def test_mp_band_matches_mpmath_product(make, r, dps):
+    """Each mp band integer against the stored value times r^n / mu(r),
+    taken in mpmath with 100 bits to spare, within the bound of
+    _fixed_band: (1/2 + 2^-23 |t_n|) 2^-P per component."""
+    f = make()
+    log_r = math.log(r)
+    f.coeff._a_cache.clear()
+    (lo, hi, log_mu, bits, (ns, tr, ti)), _ = _evalcore._fixed_band(
+        f.coeff, log_r, "mp", dps)
+    assert list(ns) == [n for n in range(hi - 1, lo - 1, -1)
+                        if math.isfinite(f.coeff.lh[n])]
+    values = to_mpc(f.coeff.mp_logs(dps))
+    with mp.workprec(bits + 100):
+        lr, lmu = mp.mpf(log_r), mp.mpf(log_mu)
+        for n, re, im in zip(ns.tolist(), tr, ti):
+            t = values[n] * mp.exp(n * lr - lmu) * mp.mpf(2) ** bits
+            bound = 0.5 + mp.mpf(2) ** -23 * abs(t) / mp.mpf(2) ** bits
+            assert abs(re - t.real) <= bound, n
+            assert abs(im - t.imag) <= bound, n
 
 
 def test_dd_band_cache_keeps_bytes():

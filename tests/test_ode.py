@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growthlab import ode
+from growthlab import _evalcore, ode
 from growthlab import series as ps
+from mpref import to_mpc
 
 
 def coeff_value(f, n):
@@ -424,10 +425,16 @@ def mpc_march(eq, init, n_terms, dps, work_dps):
     dps digits, marched in mpc arithmetic at work_dps digits, each product
     and sum rounded."""
     k = eq.k
+    bits = _evalcore._exact_bits(dps)
+
+    def inputs(s):  # rounded to P + 1 bits, as the march takes them
+        return to_mpc([None if v is None else _evalcore._fixed_round(v, bits)
+                       for v in s.coeff.mp_logs(dps)])
+
     with mp.workdps(work_dps):
-        a_nz = [[(m, v) for m, v in enumerate(a.coeff.mp_logs(dps)) if v != 0]
+        a_nz = [[(m, v) for m, v in enumerate(inputs(a)) if v != 0]
                 for a in eq.coeffs]
-        f_vals = eq.rhs.coeff.mp_logs(dps) if eq.rhs is not None else None
+        f_vals = inputs(eq.rhs) if eq.rhs is not None else None
         c = [mp.mpc(0)] * n_terms
         fact = mp.mpf(1)
         for i, v in enumerate(init.values):
@@ -453,11 +460,9 @@ def mpc_march(eq, init, n_terms, dps, work_dps):
 
 class TestIntegerMarch:
     """The fixed-point march against the mpc march at dps + 20 digits on the
-    same stored inputs, so what is checked is the march's own arithmetic.
-
-    The inputs are not compared with deeper ones: rounding A_j to dps
-    digits moves a few coefficients of the theorem solution by more than the
-    data floor, whichever march is used."""
+    same inputs, rounded to P + 1 bits as the march reads them, so what is
+    checked is the march's own arithmetic; and, on the theorem solution,
+    the march with its input rounding against a march 20 digits deeper."""
 
     CASES = {
         "theorem": (lambda: bessel_type_equation(220), (1.0, 0.0), 2048, 52),
@@ -480,14 +485,28 @@ class TestIntegerMarch:
         make_eq, init, n_terms, dps = self.CASES[case]
         eq, init = make_eq(), ode.InitialData(init)
         sol = ode.solve_series(eq, init, n_terms, dps=dps)
-        got = sol.coeff.mp_logs(dps)
+        raw = sol.coeff.mp_logs(dps)
+        got = to_mpc(raw)
         ref = mpc_march(eq, init, n_terms, dps, dps + 20)
         tol = mp.exp(sol.coeff.data_floor_ln(dps))
         assert len(got) == n_terms
         for n, (a, b) in enumerate(zip(got, ref)):
             if b == 0:
-                assert a == 0 and isinstance(a, mp.mpc), n
+                assert raw[n] is None, n
             else:
+                assert abs(a - b) <= tol * abs(b), n
+
+    def test_theorem_inputs_within_data_floor(self):
+        """A_j enter at P + 1 bits, so on f'' + e^z f = 0 the whole dps-52
+        march stays within the data floor of a march 20 digits deeper
+        (5.4e-59 at coefficient 1097 against 4.0e-50)."""
+        make_eq, init, n_terms, dps = self.CASES["theorem"]
+        eq, init = make_eq(), ode.InitialData(init)
+        got = to_mpc(ode._solve_series_mp(eq, init, n_terms, dps))
+        ref = to_mpc(ode._solve_series_mp(eq, init, n_terms, dps + 20))
+        tol = mp.exp(ps.builtin("exp", 220).coeff.data_floor_ln(dps))
+        with mp.workdps(dps + 20):
+            for n, (a, b) in enumerate(zip(got, ref)):
                 assert abs(a - b) <= tol * abs(b), n
 
     @pytest.mark.parametrize("parity", [0, 1])
@@ -495,8 +514,8 @@ class TestIntegerMarch:
         init = (1.0, 0.0) if parity == 0 else (0.0, 1.0)
         got = ode._solve_series_mp(oscillator(), ode.InitialData(init), 60,
                                    30)
-        assert all(v == 0 for v in got[1 - parity::2])
-        assert all(v != 0 for v in got[parity::2])
+        assert all(v is None for v in got[1 - parity::2])
+        assert all(v is not None for v in got[parity::2])
 
     def test_tracer_contract(self):
         """perfbench's tracer binds these parameters by name."""
@@ -573,7 +592,7 @@ class TestDoubleMarch:
         eq, init = make_eq(), ode.InitialData(init)
         sol = ode.solve_series(eq, init, n_terms)
         dps = 30
-        ref = ode._solve_series_mp(eq, init, n_terms, dps)
+        ref = to_mpc(ode._solve_series_mp(eq, init, n_terms, dps))
         with mp.workdps(dps):
             ref_ln = np.array([float(mp.log(abs(v))) if v != 0 else -np.inf
                                for v in ref])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from growthlab import series
 from growthlab.erfloat import ec_arg, ec_ln_abs, er_ln
+from mpref import to_mpc
 
 
 def coeff_value(f, n):
@@ -91,6 +92,60 @@ class TestBuiltins:
         f = series.builtin("exp", 6)
         cs = f.coeffs
         assert abs(er_ln(cs[3].re) + math.log(6.0)) < 1e-12
+
+
+def _loggamma_logs(name, n, dps=50):
+    """The builtins' logs from -loggamma at 50 digits, as the series once
+    generated them: (ln|a_k|, arg a_k) per k, -inf for a zero term."""
+    bell = series._bell_numbers(n) if name == "exp_exp" else None
+    with mp.workdps(dps):
+        out = []
+        for k in range(n):
+            if name in ("sin", "cos") and k % 2 != (name == "sin"):
+                out.append((mp.mpf("-inf"), mp.mpf(0)))
+            elif name == "exp_exp":
+                out.append((1 + mp.log(bell[k]) - mp.loggamma(k + 1),
+                            mp.mpf(0)))
+            else:
+                out.append((-mp.loggamma(k + 1),
+                            mp.pi if name != "exp" and k // 2 % 2 else
+                            mp.mpf(0)))
+        return out
+
+
+class TestBuiltinLogs:
+    """A builtin's logs, derived from its exact values, against the
+    -loggamma generators: ln|a_k| to the nearest double and the rest to
+    within 2^-105 |ln|a_k||, and the phases exactly."""
+
+    @pytest.mark.parametrize("name,n", [("exp", 2000), ("sin", 700),
+                                        ("cos", 700), ("exp_exp", 400)])
+    def test_matches_loggamma(self, name, n):
+        f = series.builtin(name, n)
+        with mp.workdps(50):
+            for k, (L, p) in enumerate(_loggamma_logs(name, n)):
+                if not mp.isfinite(L):
+                    assert f.coeff.lh[k] == -np.inf, k
+                    continue
+                assert f.coeff.lh[k] == float(L), k
+                got = mp.mpf(f.coeff.lh[k]) + mp.mpf(f.coeff.ll[k])
+                assert abs(got - L) <= mp.mpf(2) ** -105 * abs(L), k
+                assert f.coeff.ph[k] == float(p), k
+
+
+class TestLnInt:
+    """derivative's ln(k) for k = 1 .. n, one double-double Newton step on
+    dd_exp, against 40-digit mpmath logs."""
+
+    def test_within_1e_31_relative(self):
+        ks = np.concatenate([np.arange(1.0, 5001.0),
+                             np.arange(5001.0, 65537.0, 97.0), [65536.0]])
+        hi, lo = series._dd.dd_log(series._dd.dd_from_d(ks))
+        assert hi[0] == lo[0] == 0.0  # ln 1
+        with mp.workdps(40):
+            for k, h, l in zip(ks[1:], hi[1:], lo[1:]):
+                want = mp.log(int(k))
+                assert abs(mp.mpf(h) + mp.mpf(l) - want) <= 1e-31 * want, k
 
 
 class TestEvaluate:
@@ -317,10 +372,10 @@ class TestCombine:
 
 class TestCauchyFixed:
     """The integer Cauchy product against an mpc fsum at dps + 20 digits
-    on the same inputs, to the bound of its docstring: the final rounding,
-    2^-P (1 + 2^-P) of each product's modulus for the inputs' rounding to
-    P + 1 bits, and 2^(-2P-13) of the largest product per product and
-    component for the sum."""
+    on the same inputs, to the bound of its docstring: the final rounding
+    to P + 1 bits, 2^-P (1 + 2^-P) of each product's modulus for the
+    inputs' rounding to P + 1 bits, and 2^(-2P-13) of the largest product
+    per product and component for the sum."""
 
     CASES = {
         "exp_cos": (lambda: (series.builtin("exp", 300),
@@ -336,12 +391,13 @@ class TestCauchyFixed:
     def test_matches_fsum(self, case):
         make, dps = self.CASES[case]
         f, g = make()
-        a, b = f.coeff.mp_logs(dps), g.coeff.mp_logs(dps)
-        got = series._cauchy_fixed(a, b, dps)
+        raw = series._cauchy_fixed(f.coeff.mp_logs(dps), g.coeff.mp_logs(dps),
+                                   dps)
+        a, b = to_mpc(f.coeff.mp_logs(dps)), to_mpc(g.coeff.mp_logs(dps))
+        got = to_mpc(raw)
         assert len(got) == min(len(a), len(b))
-        with mp.workdps(dps):
-            rounding = mp.mpf(2) ** (1 - mp.mp.prec)
         bits = series._evalcore._exact_bits(dps)
+        rounding = mp.mpf(2) ** -bits
         inputs = mp.mpf(2) ** -bits * (1 + mp.mpf(2) ** -bits)
         summing = 2 * mp.mpf(2) ** (-2 * bits - 13)
         with mp.workdps(dps + 20):
@@ -349,7 +405,7 @@ class TestCauchyFixed:
                 terms = [a[k] * b[i - k] for k in range(i + 1)
                          if a[k] != 0 and b[i - k] != 0]
                 if not terms:
-                    assert v == 0 and isinstance(v, mp.mpc), i
+                    assert raw[i] is None, i
                     continue
                 ref = mp.fsum(terms)
                 mods = [abs(t) for t in terms]
@@ -382,7 +438,7 @@ class TestExactValues:
                     for k, v in enumerate(inv)]
 
     def check(self, f, want, scale=None):
-        got = f.coeff.mp_logs(self.DPS)
+        got = to_mpc(f.coeff.mp_logs(self.DPS))
         assert len(got) == len(want) == f.n_terms
         tol = mp.mpf(10) ** -(self.DPS - 5)
         with mp.workdps(self.DPS + 20):
@@ -424,7 +480,7 @@ class TestExactValues:
     def test_poly_values_are_exact(self):
         cs = [1.0, -2.5j, 0.0, 3 + 4j]
         got = series.builtin("poly", coeffs=cs).coeff.mp_logs(self.DPS)
-        assert got == [mp.mpc(c) for c in cs]
+        assert to_mpc(got) == [mp.mpc(c) for c in cs]
 
     def test_ode_solution(self):
         from growthlab import ode
@@ -466,14 +522,14 @@ class TestCertifiedRadius:
         assert f.guaranteed_radius > 100.0
 
     def test_tail_certificate_honest(self):
-        # at the certified radius the dropped tail is below tail_tol * mu
+        # at the certified radius the dropped tail is below _TAIL_TOL * mu
         f = series.builtin("exp", 60)
         r = f.guaranteed_radius
         with mp.workdps(40):
             tail = sum(mp.mpf(r) ** n / mp.factorial(n)
                        for n in range(60, 200))
         mu = math.exp(series.max_term(f, math.log(r)).log_mu)
-        assert float(tail) < 10.0 * f.tail_tol * mu
+        assert float(tail) < 10.0 * series._TAIL_TOL * mu
 
 
 class TestDumpCsv:
