@@ -199,12 +199,23 @@ def _rescaled(ldiff: np.ndarray, ph: np.ndarray) -> np.ndarray:
     return mag * cr + 1j * (mag * ci)
 
 
+def _mp_band(coeff: CoeffData, log_r: float, dps: int):
+    """(lo, hi, log_mu) of the mp band at dps digits: the terms within
+    dps ln 10 + 40 nats of mu(r).  _fixed_band evaluates it, and the
+    integer march of harness._count_solution_zeros is sized by it."""
+    return _band(coeff, log_r, dps * math.log(10) + 40.0)
+
+
 def _terms_d(coeff: CoeffData, log_r: float):
-    """Rescaled coefficients t_n = a_n r^n / mu(r) as complex128 on a band."""
-    lo, hi, log_mu = _band(coeff, log_r, _BAND_CUT["d"])
-    n = np.arange(lo, hi, dtype=float)
-    return lo, hi, log_mu, _rescaled(coeff.lh[lo:hi] + n * log_r - log_mu,
-                                     coeff.ph[lo:hi])
+    """Rescaled coefficients t_n = a_n r^n / mu(r) as complex128 on a band,
+    cached as the 'd' level's latest band (see _cached_band)."""
+    def build():
+        lo, hi, log_mu = _band(coeff, log_r, _BAND_CUT["d"])
+        n = np.arange(lo, hi, dtype=float)
+        return lo, hi, log_mu, _rescaled(
+            coeff.lh[lo:hi] + n * log_r - log_mu, coeff.ph[lo:hi])
+
+    return _cached_band(coeff, ("d", log_r), build)
 
 
 def _cached_band(coeff: CoeffData, key: tuple, build: Callable):
@@ -476,7 +487,7 @@ def _fixed_band(coeff: CoeffData, log_r: float, level: str,
     elif level == "mp":
         if dps is None:
             raise ValueError("mp evaluation needs an explicit dps")
-        lo, hi, log_mu = _band(coeff, log_r, dps * math.log(10) + 40.0)
+        lo, hi, log_mu = _mp_band(coeff, log_r, dps)
         bits = _fixed_bits(dps, hi - lo)
         floor = _floor_ln(log_mu, -0.95 * dps * math.log(10),
                           coeff.data_floor_ln(dps), hi - lo)

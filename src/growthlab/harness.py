@@ -765,6 +765,45 @@ def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
 
 
 _PROBE_TERMS = 1 << 11  # first length of the double probe march
+_RADIUS_SLACK = 1.02  # march radius over the top count radius
+# digits past the top count's dps that the march is sized for: a retry
+# radius's larger mu(r) can ask one digit more, which mp_logs marches anew
+_MARCH_SPARE_DIGITS = 1
+
+
+def _march_length(probe: ps.PowerSeries, h_probe: ps.PowerSeries,
+                  r_top: float, dps: int) -> int:
+    """Terms of the integer march that counting f - g up to r_top reads.
+
+    A band's end only grows with its radius and its cut, so every mp band
+    a count reads, of h = f - g and of h', lies inside the mp band at
+    _RADIUS_SLACK r_top and dps + _MARCH_SPARE_DIGITS digits, up to two
+    terms: h' at index i reads h at i + 1, and one term more keeps each
+    band strictly inside the march.  The radius slack covers the retry
+    radii (at most r_top (1 + 2 nev._RETRY_STEP)) and the ~1e-8 nats by
+    which the double probe's logs may miss the march's: at a band end n
+    above the central index nu, it is worth ~0.018 (n - nu) nats.  That
+    alone covers a digit (2.3 nats) only for n - nu above ~130; the spare
+    digit covers it at short lengths too.  A prefix of the probe whose
+    trusted radius falls short of _RADIUS_SLACK r_top is lengthened, by
+    bisection up to the probe's length, to one whose radius covers it, so
+    that check_radius passes at every count radius.
+    """
+    log_r = math.log(r_top * _RADIUS_SLACK)
+    deep = dps + _MARCH_SPARE_DIGITS
+    end_h = _evalcore._mp_band(h_probe.coeff, log_r, deep)[1]
+    end_dh = _evalcore._mp_band(ps.derivative(h_probe).coeff, log_r, deep)[1]
+
+    def trusted(n):
+        return ps._certify_radius(probe.coeff.lh[:n]) >= r_top * _RADIUS_SLACK
+
+    lo, hi = max(end_h, end_dh + 1) + 1, probe.n_terms
+    if lo >= hi or trusted(lo):
+        return min(lo, hi)
+    while hi - lo > 1:  # trusted(hi), or hi is the probe's length
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if trusted(mid) else (mid, hi)
+    return hi
 
 
 def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
@@ -774,10 +813,11 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
     depth nevanlinna.winding_dps gives for the top radius, so every count
     up to it reads the cached march (double-marched coefficients carry
     ~1e-11 relative error, far too coarse for winding at these depths).
-    The march length is the first of _PROBE_TERMS times 1, 2, 4, ... terms
-    whose trusted radius covers 1.02 times the top radius.  The double
-    probes are cut from sol, a double march of the same solution (as
-    auto_solve returns it), and marched only past its end."""
+    The double probe is the first of _PROBE_TERMS times 1, 2, 4, ... terms
+    whose trusted radius covers _RADIUS_SLACK times the top radius; the
+    integer march keeps only the terms counting reads (_march_length).
+    The double probes are cut from sol, a double march of the same
+    solution (as auto_solve returns it), and marched only past its end."""
     r_top = max(radii)
     n, longest = _PROBE_TERMS, sol
     while True:
@@ -785,13 +825,14 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
         if longest is None or n > longest.n_terms:
             longest = probe
         if min(probe.guaranteed_radius,
-               *(a.guaranteed_radius for a in eq.coeffs)) >= r_top * 1.02 \
-                or n >= (1 << 16):
+               *(a.guaranteed_radius for a in eq.coeffs)) \
+                >= r_top * _RADIUS_SLACK or n >= (1 << 16):
             break
         n *= 2
     h_probe = ps.combine(probe, g_series, "sub")
     dps = nev.winding_dps(h_probe.coeff, math.log(r_top), dps_budget)
-    sol_mp = ode.solve_series(eq, init, n, dps=dps)
+    sol_mp = ode.solve_series(
+        eq, init, _march_length(probe, h_probe, r_top, dps), dps=dps)
     h = ps.combine(sol_mp, g_series, "sub")
     return nev.count_zeros_grid(h, radii, zero_margin="auto",
                                 dps_budget=dps_budget)

@@ -124,11 +124,11 @@ def _certify_radius(lh: np.ndarray) -> float:
     mean_slope = float(np.mean(slopes))
     # per-index ratio of |a_n| r^n is q(r) = exp(mean_slope + ln r)
     ln_r_hi = -mean_slope + math.log(0.9)
-    n_idx = np.arange(len(lh), dtype=float)
+    lh_f, n_f = lh[finite], finite.astype(float)
     best = 0.0
     for ln_r in np.linspace(ln_r_hi - 12.0, ln_r_hi, 64):
         q = math.exp(mean_slope + ln_r)
-        x = lh[finite] + finite * ln_r
+        x = lh_f + n_f * ln_r
         log_mu = float(np.max(x))
         ln_tail = lh[top] + top * ln_r + math.log(q / (1.0 - q))
         if ln_tail < math.log(_TAIL_TOL) + log_mu:
@@ -409,21 +409,37 @@ def _shifted_logs(lh, ll, shift) -> tuple:
     return np.where(finite, hi, -np.inf), lo
 
 
+# ln 1, ln 2, ... as one double-double table, grown on demand by
+# _dd.dd_log over the new integers only
+_LN_TABLE = (np.zeros(0), np.zeros(0))
+
+
+def _ln_ints(count: int) -> tuple:
+    """(hi, lo) of ln k for k = 1 .. count, from the shared table."""
+    global _LN_TABLE
+    have = len(_LN_TABLE[0])
+    if have < count:
+        new = _dd.dd_log(_dd.dd_from_d(np.arange(have + 1.0, count + 1)))
+        _LN_TABLE = tuple(np.concatenate((t, x))
+                          for t, x in zip(_LN_TABLE, new))
+    return _LN_TABLE[0][:count], _LN_TABLE[1][:count]
+
+
 def derivative(f: PowerSeries) -> PowerSeries:
     """Coefficientwise derivative: (n+1) a_{n+1}, one term shorter.
 
     The log-magnitude shift ln(n+1) is applied in double-double
-    (_dd.dd_log) so the derivative's coefficients stay as accurate as the
-    parent's (a plain double add of ~1e3-magnitude logs would cost ~1e-13
-    of relative coefficient accuracy, which deep winding cannot afford).
-    The exact values are the parent's times n + 1, exactly.
+    (_dd.dd_log, through the shared table of _ln_ints) so the derivative's
+    coefficients stay as accurate as the parent's (a plain double add of
+    ~1e3-magnitude logs would cost ~1e-13 of relative coefficient
+    accuracy, which deep winding cannot afford).  The exact values are the
+    parent's times n + 1, exactly.
     """
     n = f.n_terms
     if n <= 1:
         return make_series(np.array([-np.inf]), np.zeros(1), np.zeros(1),
                            f.coeff.rel_err_ln, f.provenance + "'")
-    lh, ll = _shifted_logs(f.coeff.lh[1:], f.coeff.ll[1:],
-                           _dd.dd_log(_dd.dd_from_d(np.arange(1.0, n))))
+    lh, ll = _shifted_logs(f.coeff.lh[1:], f.coeff.ll[1:], _ln_ints(n - 1))
     ph = f.coeff.ph[1:].copy()
 
     def factory(dps):

@@ -13,6 +13,7 @@ import pytest
 
 from growthlab import growth, harness, nevanlinna as nev, ode, scale
 from growthlab import series as ps
+from marchref import assert_march_holds_bands, recording_marches
 
 
 def _announce(num, label, t0):
@@ -32,8 +33,17 @@ def hyper_triple():
 
 
 @pytest.fixture(scope="session")
-def theorem_report():
-    return harness.run_config(harness.shipped_config("theorem_dominant"))
+def theorem_run():
+    """The shipped theorem_dominant report, and the march record of each
+    counted solution (marchref.recording_marches)."""
+    with recording_marches() as recs:
+        rep = harness.run_config(harness.shipped_config("theorem_dominant"))
+    return rep, recs
+
+
+@pytest.fixture(scope="session")
+def theorem_report(theorem_run):
+    return theorem_run[0]
 
 
 def test_criterion_1_wiman_valiron_identity():
@@ -226,6 +236,15 @@ def test_criterion_8_theorem_experiment(theorem_report):
         assert by_name[f"residual[{tag}]"].measured < 1e-8
     print(f"\ncriterion 8 (dominant-coefficient theorem): PASS "
           f"(experiment {elapsed:.0f}s, asserts {time.time() - t0:.1f}s)")
+
+
+def test_theorem_marches_hold_every_band_read(theorem_run):
+    # each solution's integer march ends past every mp band its counts
+    # read, and short of the 2,048-term probe it was sized from
+    recs = theorem_run[1]
+    assert len(recs) == 3
+    for rec in recs:
+        assert_march_holds_bands(rec)
 
 
 def test_criterion_9_negative_control():

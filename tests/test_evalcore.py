@@ -132,9 +132,8 @@ def test_fft_circle_matches_direct_sum(name, n_terms, r, m, level, offset):
            if level == "mp" else None)
     res = _evalcore.eval_circle(f.coeff, log_r, m, offset=offset,
                                 level=level, dps=dps)
-    lo, hi, _ = _evalcore._band(
-        f.coeff, log_r, dps * math.log(10) + 40.0 if dps
-        else _evalcore._BAND_CUT["dd"])
+    lo, hi, _ = (_evalcore._mp_band(f.coeff, log_r, dps) if dps else
+                 _evalcore._band(f.coeff, log_r, _evalcore._BAND_CUT["dd"]))
     assert (hi - lo > m) == (m == 64)
     picks = sorted(set(range(0, m, m // 8)) | {int(np.argmin(res.logabs)),
                                                 m - 1})
@@ -284,6 +283,28 @@ def test_dd_band_cache_keeps_bytes():
     fresh = points()
     _evalcore.eval_circle(f.coeff, log_r, 256, level="dd")
     assert points() == fresh
+
+
+def test_d_band_is_built_once_per_radius():
+    """The d band is cached per (series, radius) like the dd and mp bands:
+    a circle and later points at one radius read the band the first
+    points built, with the bytes of a fresh build."""
+    f = series.builtin("exp", 400)
+    log_r = math.log(40.0)
+    thetas = np.linspace(0.0, 6.0, 13)
+
+    def points():
+        res = _evalcore.eval_points(f.coeff, log_r, thetas, level="d")
+        return res.logabs.tobytes() + res.phase.tobytes()
+
+    f.coeff._a_cache.clear()
+    fresh = points()
+    band = f.coeff._a_cache["d"]
+    _evalcore.eval_circle(f.coeff, log_r, 256, level="d")
+    assert points() == fresh
+    assert f.coeff._a_cache["d"] is band
+    _evalcore.eval_points(f.coeff, log_r + 0.1, thetas, level="d")
+    assert f.coeff._a_cache["d"][0] == ("d", log_r + 0.1)
 
 
 def loop_result(ar, ai, bits, log_mu, turn=None):

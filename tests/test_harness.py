@@ -8,6 +8,7 @@ import pytest
 from growthlab import cli, harness, ode
 from growthlab import series as ps
 from growthlab.harness import ConfigError
+from marchref import assert_march_holds_bands, recording_marches
 
 
 def minimal_analyze(**over):
@@ -236,3 +237,53 @@ class TestSolutionZeroCounts:
             ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 400)
         assert data.counts == (11,)
         assert len(marches) == 1
+
+
+@pytest.fixture(scope="module")
+def mini_count():
+    """Counting f - z for the first solution of theorem_dominant in
+    miniature (counts at 4.5, 5.6 and 6.3): its march record, with the
+    integer marches made as (n_terms, dps) under rec["marches"]."""
+    cfg = harness.shipped_config("theorem_dominant")
+    eq = harness.resolve_equation(cfg["equation"])
+    marches = []
+    march = ode._solve_series_mp
+
+    def counted(eq, init, n_terms, dps):
+        marches.append((n_terms, dps))
+        return march(eq, init, n_terms, dps)
+
+    with recording_marches() as recs, \
+            pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(ode, "_solve_series_mp", counted)
+        data = harness._count_solution_zeros(
+            eq, ode.InitialData.basis(eq.k, 0),
+            ps.builtin("poly", coeffs=[0.0, 1.0]), [4.5, 5.6, 6.3], 400)
+    (rec,) = recs
+    rec.update(marches=marches, counts=data.counts)
+    return rec
+
+
+class TestMarchLength:
+    def test_miniature_march_is_short_and_made_once(self, mini_count):
+        # the march was the probe's 2,048 terms; counting reads to ~800
+        assert mini_count["counts"] == (7, 11, 19)
+        assert len(mini_count["marches"]) == 1
+        assert mini_count["marches"][0][0] == mini_count["n"] < 1024
+
+    def test_miniature_march_holds_every_band_read(self, mini_count):
+        assert_march_holds_bands(mini_count)
+
+    def test_short_march_holds_every_band_read(self):
+        # cos z - z: at r = 10 the band ends ~90 terms past nu = 10, where
+        # the radius slack is worth ~1.6 nats, under one digit: the margin
+        # must hold at short lengths too
+        eq = ode.LinearODE(2, (ps.builtin("poly", coeffs=[1.0]),
+                               ps.builtin("poly", coeffs=[0.0])))
+        with recording_marches(count=False) as recs:
+            harness._count_solution_zeros(
+                eq, ode.InitialData((1.0, 0.0)),
+                ps.builtin("poly", coeffs=[0.0, 1.0]), [4.0, 10.0], 400)
+        (rec,) = recs
+        assert rec["n"] < 128
+        assert_march_holds_bands(rec)

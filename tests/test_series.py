@@ -147,6 +147,21 @@ class TestLnInt:
                 want = mp.log(int(k))
                 assert abs(mp.mpf(h) + mp.mpf(l) - want) <= 1e-31 * want, k
 
+    @pytest.mark.parametrize("order", ["growing", "longest_first"])
+    def test_shared_table_matches_fresh_logs(self, monkeypatch, order):
+        # the table grows by dd_log over the new integers only; every
+        # prefix keeps the bits of dd_log over 1 .. n - 1 computed afresh,
+        # whether it is read while growing or after a longer table exists
+        monkeypatch.setattr(series, "_LN_TABLE", (np.zeros(0), np.zeros(0)))
+        ns = [2, 3, 17, 100, 2047, 2048, 5000, 16385, 65536]
+        if order == "longest_first":
+            series._ln_ints(max(ns) - 1)
+        for n in ns:
+            want = series._dd.dd_log(series._dd.dd_from_d(np.arange(1.0, n)))
+            got = series._ln_ints(n - 1)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), n
+        assert len(series._LN_TABLE[0]) == max(ns) - 1
+
 
 class TestEvaluate:
     def test_exp_at_zero_arg(self):
