@@ -21,15 +21,16 @@ double can see at r = 100.  Three precision levels are therefore provided:
 
 A level decides only where its band's integers come from and its floor
 (_fixed_band); 'dd' and 'mp' then share the kernels.  Scattered angles
-(`eval_points`) are summed by fixed-point Horner, whose error is at most
-(N + 1)^2 2^-P * mu(r) for a band of N terms: below 2^-16 10^-dps (dps =
-32 for 'dd').  Equispaced circles (`eval_circle`) of power-of-two size m
-fold the band mod m and run one FFT: numpy's at 'd', one radix-2 FFT over
-Python integers at 'dd' and 'mp', with error at most (4 N + 3) 2^-P *
-mu(r) (see _circle_fixed), again far under the floor.  Circles therefore
-sample the exact angles 2 pi (j + 1/2) / m, points the float angles they
-are given.  `eval_circle_at` reads a circle's values at chosen indices by
-whichever of the two kernels costs less.
+(`eval_points`) are summed by a scalar fixed-point Horner per angle, with
+error at most (N + 1)^2 2^-P * mu(r) for a band of N terms: below 2^-16
+10^-dps (dps = 32 for 'dd').  Equispaced circles (`eval_circle`) of
+power-of-two size m fold the band mod m and run one FFT: numpy's at 'd',
+one radix-2 FFT over Python integers (twiddles cached per size) at 'dd'
+and 'mp', with error at most (4 N + 3) 2^-P * mu(r) (see _circle_fixed),
+again far under the floor.  Circles therefore sample the exact angles
+2 pi (j + 1/2) / m, points the float angles they are given.
+`eval_circle_at` reads a circle's values at chosen indices by whichever
+of the two kernels costs less.
 
 Every evaluation returns an explicit noise floor (in log scale) so callers
 can tell whether deep cancellation corrupted the values they care about, and
@@ -282,7 +283,6 @@ def _result_d(coeff: CoeffData, val: np.ndarray, lo: int, hi: int,
 
 
 _FIX_GUARD_BITS = 16
-_HORNER_BLOCK = 512  # angles per vectorised Horner pass; bounds the int arrays
 _LN2 = math.log(2.0)
 
 # circles up to this size (nevanlinna's largest mesh) take the integer FFT;
@@ -440,13 +440,6 @@ def _fixed_cis(k: int, theta: float, bits: int):
     return _to_fixed(c, bits), _to_fixed(s, bits)
 
 
-def _fixed_cis_arrays(k: int, thetas, bits: int):
-    """_fixed_cis(k, theta, bits) over the angles, as two object arrays."""
-    cs = [_fixed_cis(k, th, bits) for th in thetas]
-    return (np.array([c for c, _ in cs], dtype=object),
-            np.array([s for _, s in cs], dtype=object))
-
-
 def _dd_fixed(x, bits: int) -> np.ndarray:
     """int(hi 2^bits) + int(lo 2^bits) for a double-double array (hi, lo):
     the values at scale 2^bits, each truncated part off by under 1."""
@@ -553,54 +546,63 @@ def _result_fixed(ar, ai, bits: int, log_mu: float, floor: float,
 
 
 def _horner_fixed(band, bits: int, ths):
-    """The band's sum over x^(n - last) at x = e^{i theta} for each angle,
-    as fixed-point ints, where last is the band's lowest index.
-
-    Vectorised over the angles with object arrays of Python integers; x^gap
-    is rounded per gap, not formed by repeated multiplication.
-    """
+    """The band's sum over x^(n - last) at x = e^{i theta}, last the band's
+    lowest index, as an (re, im) pair of fixed-point ints per angle: one
+    scalar loop over Python ints per angle, with x^gap rounded per gap
+    (_fixed_cis), not formed by repeated multiplication."""
     ns, trs, tis = band
     gaps = (ns[:-1] - ns[1:]).tolist()
-    powers = {g: _fixed_cis_arrays(g, ths, bits) for g in set(gaps)}
-    ar = np.full(len(ths), trs[0], dtype=object)
-    ai = np.full(len(ths), tis[0], dtype=object)
-    for g, tr, ti in zip(gaps, trs[1:], tis[1:]):
-        xr, xi = powers[g]
-        ar, ai = (((ar * xr - ai * xi) >> bits) + tr,
-                  ((ar * xi + ai * xr) >> bits) + ti)
-    return ar, ai
+    steps = list(zip(gaps, trs[1:].tolist(), tis[1:].tolist()))
+    distinct = set(gaps)
+    sums = []
+    for th in ths:
+        powers = {g: _fixed_cis(g, th, bits) for g in distinct}
+        ar, ai = trs[0], tis[0]
+        for g, tr, ti in steps:
+            xr, xi = powers[g]
+            ar, ai = (((ar * xr - ai * xi) >> bits) + tr,
+                      ((ar * xi + ai * xr) >> bits) + ti)
+        sums.append((ar, ai))
+    return sums
 
 
 def _twiddles(m: int, bits: int):
     """e^{i pi k / m} for k < m, rounded to integers at scale 2^bits.
 
-    One table per m is cached, at the deepest scale asked for so far plus
-    _TW_GUARD_BITS, and rounded down to each request's scale: the same
-    integers a fresh table gives unless a value lies within 2^-64 units of
-    a rounding midpoint.  Only the first octant is computed; the rest
-    follows exactly from the symmetries of cos and sin.
+    One table per m is cached, at a multiple of _TW_GUARD_BITS at least
+    that far below the deepest scale asked for, and rounded down to each
+    request's scale: a fresh table's integers unless a value lies within
+    2^-64 units of a rounding midpoint.  A new table takes the depth and
+    integers of the largest cached table at least as deep (every (M/m)-th
+    entry of a larger M, or a smaller one's entries and the rest computed):
+    at equal depth, a fresh table's bit for bit, as all form pi_r k / m
+    exactly from one rounded pi_r.  Only the first octant is computed; the
+    rest follows exactly from the symmetries of cos and sin.
     """
-    deep = bits + _TW_GUARD_BITS
+    deep = (-(-bits // _TW_GUARD_BITS) + 1) * _TW_GUARD_BITS
     entry = _TWIDDLES.get(m)
     if entry is None or entry[0] < deep:
-        lib = mp.libmp
-        pi = lib.mpf_pi(deep + 16)
-        cs = [lib.mpf_cos_sin(lib.mpf_div(lib.mpf_mul(pi, lib.from_int(k)),
-                                          lib.from_int(m), deep + 16),
-                              deep + 8) for k in range(m // 4 + 1)]
-        first = [(_to_fixed(c, deep), _to_fixed(s, deep)) for c, s in cs]
-        cs = []
-        for k in range(m):
-            if k <= m // 4:
-                cs.append(first[k])
-            elif k <= m // 2:  # i conj(e^{i pi (m/2 - k)/m})
-                c, s = first[m // 2 - k]
-                cs.append((s, c))
-            else:  # i e^{i pi (k - m/2)/m}
-                c, s = cs[k - m // 2]
-                cs.append((-s, c))
-        entry = (deep, np.array([c for c, _ in cs], dtype=object),
-                 np.array([s for _, s in cs], dtype=object))
+        near = max((k for k, e in _TWIDDLES.items() if e[0] >= deep),
+                   default=0)
+        if near > m:
+            d, *parts = _TWIDDLES[near]
+            entry = (d, *(v[::near // m].copy() for v in parts))
+        else:
+            cs = [None] * (m // 4 + 1)
+            if near:
+                deep, re, im = _TWIDDLES[near]
+                cs[::m // near] = zip(re[:near // 4 + 1], im[:near // 4 + 1])
+            lib = mp.libmp
+            pi = lib.mpf_pi(deep + 16)
+            for k in (k for k, v in enumerate(cs) if v is None):
+                arg = lib.mpf_div(lib.mpf_mul(pi, lib.from_int(k)),
+                                  lib.from_int(m), deep + 16)
+                cs[k] = tuple(_to_fixed(v, deep)
+                              for v in lib.mpf_cos_sin(arg, deep + 8))
+            # i conj(e^{i pi (m/2 - k)/m}) to m/2, then i e^{i pi (k - m/2)/m}
+            cs += [cs[m // 2 - k][::-1] for k in range(m // 4 + 1, m // 2 + 1)]
+            cs += [(-s, c) for c, s in cs[1:m // 2]]
+            entry = (deep, *(np.array(v, dtype=object) for v in zip(*cs)))
         _TWIDDLES[m] = entry
     shift = entry[0] - bits
     half = 1 << (shift - 1)
@@ -672,13 +674,14 @@ def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
                 level: str = "dd", dps: Optional[int] = None) -> EvalResult:
     """Evaluate ln|f|, arg f at arbitrary angles on |z| = e^{log_r}.
 
-    'd' sums the complex128 band by blocked Horner.  'dd' and 'mp' run one
-    fixed-point Horner over the band of _fixed_band: f(r e^{i theta}) /
-    mu(r) = sum t_n x^n with |t_n| <= 1 and x = e^{i theta}, summed over
-    Python integers at scale 2^P.  The powers x^gap are rounded to nearest
-    at scale 2^P, and each step acc <- (acc x^gap >> P) + t_n truncates
-    once per component.  For a band of N terms the partial sums obey
-    |acc_k| <= k, so the computed sum differs from the exact one by at most
+    'd' sums the complex128 band by blocked Horner.  'dd' and 'mp' run a
+    scalar fixed-point Horner per angle over the band of _fixed_band
+    (_horner_fixed): f(r e^{i theta}) / mu(r) = sum t_n x^n with |t_n| <=
+    1 and x = e^{i theta}, summed over Python integers at scale 2^P.  The
+    powers x^gap are rounded to nearest at scale 2^P, and each step acc <-
+    (acc x^gap >> P) + t_n truncates once per component.  For a band of N
+    terms the partial sums obey |acc_k| <= k, so the computed sum differs
+    from the exact one by at most
 
         (N + 1)^2 2^-P   relative to mu(r),
 
@@ -696,15 +699,13 @@ def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
                          log_mu)
     (_, _, log_mu, bits, band), floor = _fixed_band(coeff, log_r, level, dps)
     thetas = thetas.tolist()
-    ar, ai = [], []
-    for start in range(0, len(thetas), _HORNER_BLOCK):
-        br, bi = _horner_fixed(band, bits, thetas[start:start + _HORNER_BLOCK])
-        ar.extend(br)
-        ai.extend(bi)
+    ar, ai = np.array(_horner_fixed(band, bits, thetas),
+                      dtype=object).reshape(-1, 2).T
     last = int(band[0][-1])
 
     def turn(js):
-        return _fixed_cis_arrays(last, [thetas[j] for j in js], bits)
+        return np.array([_fixed_cis(last, thetas[j], bits) for j in js],
+                        dtype=object).reshape(-1, 2).T
 
     return _result_fixed(ar, ai, bits, log_mu, floor, level,
                          turn if last else None)
@@ -751,17 +752,16 @@ def eval_circle_at(coeff: CoeffData, log_r: float, m: int, idx,
     At 'dd' and 'mp', for m a power of two up to _FFT_MAX_ANGLES, the whole
     circle's integer FFT costs about m log2 m units of work, and eval_points
     on p = len(idx) angles about N (p + _HORNER_STEP_COST) for a band of N
-    nonzero terms: each Horner step is a handful of numpy calls over object
-    arrays, whose overhead outweighs the big-integer products until p
-    reaches ~_HORNER_STEP_COST.  Timed with cached bands on ODE solutions
-    and builtins (N = 64 .. 750, dps 43 .. 64, m = 256 .. 16384), the
-    circle took 300 - 900 ns per unit and the points 550 - 1700 ns per
-    unit, so the circle runs where m log2 m <= N (p + _HORNER_STEP_COST),
-    and the points otherwise; a circle whose twiddle table is not yet
-    cached pays about as much again, once.  The circle gives the exact
-    angles 2 pi (j + offset/2) / m, the points those angles rounded to
-    floats: the two agree within the floor, not bit for bit.  At 'd' the
-    circle always runs.
+    nonzero terms; the cheaper runs.  Timed with cached bands and twiddles
+    on an ODE solution and builtins (N = 64 .. 654, dps 47 .. 64, m = 256
+    .. 16384), the circle took 320 - 1400 ns per unit, and a Horner step
+    (one angle's sum by one term) 590 - 1700 ns at p = 8 and 64, 760 -
+    3700 ns at p = 1: a call's fixed cost is one or two steps per term, not
+    the ~10 of the object-array kernel _HORNER_STEP_COST was measured on.
+    An uncached twiddle table costs up to a circle again, once.  The
+    circle gives the exact angles 2 pi (j + offset/2) / m, the points
+    those angles rounded to floats: the two agree within the floor, not
+    bit for bit.  At 'd' the circle always runs.
     """
     idx = np.asarray(idx, dtype=np.int64)
     fft = level == "d"

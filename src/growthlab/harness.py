@@ -817,16 +817,23 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
     whose trusted radius covers _RADIUS_SLACK times the top radius; the
     integer march keeps only the terms counting reads (_march_length).
     The double probes are cut from sol, a double march of the same
-    solution (as auto_solve returns it), and marched only past its end."""
+    solution (as auto_solve returns it), and marched only past its end.
+    A coefficient A_j trusted to less than _RADIUS_SLACK times the top
+    radius raises ConfigError before any probe: no probe length can
+    raise it."""
     r_top = max(radii)
+    for j, a in enumerate(eq.coeffs):
+        if a.guaranteed_radius < r_top * _RADIUS_SLACK:
+            raise ConfigError(
+                "/oscillation/radii", f"counting up to r = {r_top:g} needs "
+                f"A_{j} trusted to {r_top * _RADIUS_SLACK:g}; it is trusted "
+                f"to {a.guaranteed_radius:.4g}")
     n, longest = _PROBE_TERMS, sol
     while True:
         probe = ode.solve_series(eq, init, n, _resume=longest)
         if longest is None or n > longest.n_terms:
             longest = probe
-        if min(probe.guaranteed_radius,
-               *(a.guaranteed_radius for a in eq.coeffs)) \
-                >= r_top * _RADIUS_SLACK or n >= (1 << 16):
+        if probe.guaranteed_radius >= r_top * _RADIUS_SLACK or n >= (1 << 16):
             break
         n *= 2
     h_probe = ps.combine(probe, g_series, "sub")

@@ -224,6 +224,86 @@ def test_twiddles_shifted_down_match_fresh():
     assert circle() == fresh
 
 
+def test_twiddle_tables_derived_from_cached_match_fresh(monkeypatch):
+    """A table subsampled from a larger cached one, or built around a
+    smaller one's entries, holds the integers of a fresh table at its
+    depth; a request a few bits deeper finds the cached table, and a
+    deeper request for a small circle leaves the larger tables be."""
+    _evalcore._TWIDDLES.clear()
+    _evalcore._twiddles(1024, 300)
+    big = _evalcore._TWIDDLES[1024]
+    _evalcore._twiddles(1024, 302)
+    assert _evalcore._TWIDDLES[1024] is big
+    cis_calls = []
+    cos_sin = mp.libmp.mpf_cos_sin
+    monkeypatch.setattr(mp.libmp, "mpf_cos_sin",
+                        lambda *a: cis_calls.append(a) or cos_sin(*a))
+    # both shallower than the 1024 table, so both take its depth
+    _evalcore._twiddles(256, 200)
+    assert cis_calls == []
+    _evalcore._twiddles(4096, 200)
+    assert len(cis_calls) == 4096 // 4 + 1 - (1024 // 4 + 1)
+    derived = {m: _evalcore._TWIDDLES[m] for m in (256, 4096)}
+    _evalcore._twiddles(256, 400)
+    assert _evalcore._TWIDDLES[1024] is big
+    assert _evalcore._TWIDDLES[4096] is derived[4096]
+    for m, (depth, re, im) in derived.items():
+        assert depth == big[0]
+        _evalcore._TWIDDLES.clear()
+        _evalcore._twiddles(m, depth - _evalcore._TW_GUARD_BITS)
+        fresh = _evalcore._TWIDDLES[m]
+        assert fresh[0] == depth
+        assert list(fresh[1]) == list(re) and list(fresh[2]) == list(im)
+
+
+def objarray_horner(band, bits, ths):
+    """The fixed-point Horner vectorised over the angles with object
+    arrays, one numpy pass per term: the reference the scalar kernel's
+    integers must equal."""
+    ns, trs, tis = band
+    gaps = (ns[:-1] - ns[1:]).tolist()
+
+    def cis_arrays(g):
+        cs = [_evalcore._fixed_cis(g, th, bits) for th in ths]
+        return (np.array([c for c, _ in cs], dtype=object),
+                np.array([s for _, s in cs], dtype=object))
+
+    powers = {g: cis_arrays(g) for g in set(gaps)}
+    ar = np.full(len(ths), trs[0], dtype=object)
+    ai = np.full(len(ths), tis[0], dtype=object)
+    for g, tr, ti in zip(gaps, trs[1:], tis[1:]):
+        xr, xi = powers[g]
+        ar, ai = (((ar * xr - ai * xi) >> bits) + tr,
+                  ((ar * xi + ai * xr) >> bits) + ti)
+    return list(zip(ar, ai))
+
+
+def _gappy_exp():
+    """exp 400 with every coefficient at n divisible by 3 or 5 removed:
+    a band with gaps 1, 2 and 3, valued from the stored logs."""
+    c = series.builtin("exp", 400).coeff
+    n = np.arange(c.n_terms)
+    lh = np.where((n % 3 == 0) | (n % 5 == 0), -np.inf, c.lh)
+    return _evalcore.CoeffData(lh, c.ll.copy(), c.ph.copy(), c.rel_err_ln)
+
+
+@pytest.mark.parametrize("n_angles", [1, 2, 8, 513])
+@pytest.mark.parametrize("level", ["dd", "mp"])
+@pytest.mark.parametrize("make,gaps", [
+    (lambda: series.builtin("exp", 400).coeff, {1}),
+    (lambda: series.builtin("sin", 700).coeff, {2}),
+    (_gappy_exp, {1, 2, 3}),
+])
+def test_scalar_horner_matches_objarray_horner(make, gaps, level, n_angles):
+    coeff = make()
+    (_, _, _, bits, band), _ = _evalcore._fixed_band(
+        coeff, math.log(20.0), level, 40 if level == "mp" else None)
+    assert set((band[0][:-1] - band[0][1:]).tolist()) == gaps
+    thetas = np.random.default_rng(n_angles).uniform(-7.0, 7.0, n_angles)
+    got = _evalcore._horner_fixed(band, bits, thetas.tolist())
+    assert got == objarray_horner(band, bits, thetas.tolist())
+
+
 def _scaled_series():
     return series.scale_argument(series.builtin("exp", 300), 0.5 - 1.5j)
 

@@ -238,6 +238,40 @@ class TestSolutionZeroCounts:
         assert data.counts == (11,)
         assert len(marches) == 1
 
+    def test_coefficient_short_of_top_radius_raises(self, monkeypatch):
+        """f'' + P f = 0, P the 20-term exp (trusted to 1.99): counting
+        f - z up to r = 4 raises before any probe, instead of marching
+        the probe to its 65,536-term cap and counting past A_0's radius."""
+        lengths = []
+        solve = ode.solve_series
+
+        def recorded(eq, init, n_terms, **kw):
+            lengths.append(n_terms)
+            return solve(eq, init, n_terms, **kw)
+
+        monkeypatch.setattr(ode, "solve_series", recorded)
+        eq = ode.LinearODE(2, (ps.builtin("exp", 20),
+                               ps.builtin("poly", coeffs=[0.0])))
+        with pytest.raises(ConfigError, match=r"A_0 .* 1\.99") as err:
+            harness._count_solution_zeros(
+                eq, ode.InitialData((1.0, 0.0)),
+                ps.builtin("poly", coeffs=[0.0, 1.0]), [2.0, 4.0], 400)
+        assert err.value.path == "/oscillation/radii"
+        assert all(n <= harness._PROBE_TERMS for n in lengths)
+
+    def test_radii_past_a_coefficient_exit_two(self, tmp_path, capsys):
+        # exp 220 is trusted to ~106: counting up to 120 is a config error
+        cfg = harness.shipped_config("theorem_dominant_first_order")
+        cfg["oscillation"] = {"enabled": True, "n_subjects": 1,
+                              "radii": [5.0, 120.0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["verify", "--config", str(path),
+                       "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "/oscillation/radii" in err and "A_0" in err
+
 
 @pytest.fixture(scope="module")
 def mini_count():
