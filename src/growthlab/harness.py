@@ -765,6 +765,7 @@ def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
 
 
 _PROBE_TERMS = 1 << 11  # first length of the double probe march
+_PROBE_CAP = 1 << 16  # longest double probe
 _RADIUS_SLACK = 1.02  # march radius over the top count radius
 # digits past the top count's dps that the march is sized for: a retry
 # radius's larger mu(r) can ask one digit more, which mp_logs marches anew
@@ -814,30 +815,48 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
     up to it reads the cached march (double-marched coefficients carry
     ~1e-11 relative error, far too coarse for winding at these depths).
     The double probe is the first of _PROBE_TERMS times 1, 2, 4, ... terms
-    whose trusted radius covers _RADIUS_SLACK times the top radius; the
-    integer march keeps only the terms counting reads (_march_length).
-    The double probes are cut from sol, a double march of the same
-    solution (as auto_solve returns it), and marched only past its end.
-    A coefficient A_j trusted to less than _RADIUS_SLACK times the top
-    radius raises ConfigError before any probe: no probe length can
-    raise it."""
+    whose trusted radius covers _RADIUS_SLACK times the top radius and
+    whose mp band of f - g there, at that depth, ends before its last
+    term; the integer march keeps only the terms counting reads
+    (_march_length).  The double probes are cut from sol, a double march
+    of the same solution (as auto_solve returns it), and marched only past
+    its end.  Each of these raises ConfigError before any integer march:
+    a coefficient A_j trusted to less than _RADIUS_SLACK times the top
+    radius (before any probe: no probe length can raise it), a depth past
+    dps_budget, and a probe of _PROBE_CAP terms that falls short."""
     r_top = max(radii)
+    r_march = r_top * _RADIUS_SLACK
     for j, a in enumerate(eq.coeffs):
-        if a.guaranteed_radius < r_top * _RADIUS_SLACK:
+        if a.guaranteed_radius < r_march:
             raise ConfigError(
                 "/oscillation/radii", f"counting up to r = {r_top:g} needs "
-                f"A_{j} trusted to {r_top * _RADIUS_SLACK:g}; it is trusted "
+                f"A_{j} trusted to {r_march:g}; it is trusted "
                 f"to {a.guaranteed_radius:.4g}")
     n, longest = _PROBE_TERMS, sol
     while True:
         probe = ode.solve_series(eq, init, n, _resume=longest)
         if longest is None or n > longest.n_terms:
             longest = probe
-        if probe.guaranteed_radius >= r_top * _RADIUS_SLACK or n >= (1 << 16):
+        held = probe.guaranteed_radius >= r_march
+        if held:
+            h_probe = ps.combine(probe, g_series, "sub")
+            try:
+                dps = nev.winding_dps(h_probe.coeff, math.log(r_top),
+                                      dps_budget)
+            except nev.PrecisionBudgetError as exc:
+                raise ConfigError("/oscillation/radii",
+                                  f"counting up to r = {r_top:g}: {exc}") \
+                    from exc
+            held = _evalcore._mp_band(h_probe.coeff, math.log(r_march),
+                                      dps)[1] < n
+        if held:
             break
+        if n >= _PROBE_CAP:
+            raise ConfigError(
+                "/oscillation/radii", f"counting up to r = {r_top:g}: the "
+                f"{n}-term probe is not trusted to {r_march:g}, or its mp "
+                f"band there reaches its last term")
         n *= 2
-    h_probe = ps.combine(probe, g_series, "sub")
-    dps = nev.winding_dps(h_probe.coeff, math.log(r_top), dps_budget)
     sol_mp = ode.solve_series(
         eq, init, _march_length(probe, h_probe, r_top, dps), dps=dps)
     h = ps.combine(sol_mp, g_series, "sub")

@@ -5,11 +5,12 @@ For f^(k) + A_{k-1} f^(k-1) + ... + A_0 f = F the Taylor coefficients obey
     c_{n+k} (n+k)!/n! = F_n - sum_j sum_m a_{j,m} c_{n-m+j} (n-m+j)!/(n-m)!
 
 The double march stores each coefficient in log-polar form (ln|c|, arg c),
-so the wide dynamic range costs nothing, and sums each step as k complex
-dot products over block-scaled values: each block of steps rescales the
-coefficients by e^(t mu), mu being their recent decay rate, so the values
-it multiplies stay near 1, and puts the step's e^(-n mu) back in the logs
-(see _march_d).  Factorial ratios are short sums of ln(i), never a
+so the wide dynamic range costs nothing, and sums each step as one complex
+dot product over block-scaled values, the histories of every A_j
+interleaved in one array: each block of steps rescales the coefficients by
+e^(t mu), mu being their recent decay rate, so the values it multiplies
+stay near 1, and puts the step's e^(-n mu) back in the logs (see
+_march_d).  Factorial ratios are short sums of ln(i), never a
 difference of two large lgammas, which would leak absolute error into
 every coefficient, and subtractive cancellation only spends the ~15 digits
 a double significand carries.  Each coefficient depends only on those
@@ -25,11 +26,13 @@ _solve_series_mp).
 
 The residual certificate (residual_norm) is computed at its radius r in
 the scaled variable w = z / r: every series enters as its band
-a_n r^n / mu(r), built in double-double from the stored logs, each
-product A_j f^(j) is one numpy FFT product of two bands, and the sum is
-kept relative to the largest ln mu in play.  So no logarithm of the size
-of ln mu(r) is rounded, and the FFT's error, bounded after Higham in
-residual_norm's docstring, is the arithmetic that limits it.
+a_n r^n / mu(r), built in double-double from the stored logs (each
+derivative f^(j) as f's band times exact integer weights, see
+_derivative_band), each product A_j f^(j) is one numpy FFT product of two
+bands, and the sum is kept relative to the largest ln mu in play.  So no
+logarithm of the size of ln mu(r) is rounded, and the FFT's error, bounded
+after Higham in residual_norm's docstring, is the arithmetic that limits
+it.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
     # rel_err_ln, n 2e-12, is an observed bound relative to the larger of
     # |c_i| and the largest term of its step over (n+1)...(n+k), i = n + k:
     # at 2048 terms the cases of tests/test_ode.py::TestDoubleMarch reach
-    # 8.1e-12 of its 4.1e-9.  Relative to |c_i| alone a cancelling step
+    # 5.4e-12 of its 4.1e-9.  Relative to |c_i| alone a cancelling step
     # can exceed it: index 4 of the theorem_type solution, an exact zero,
     # is stored as e^-39.
     out = ps.make_series(lc, np.zeros(n_terms), pc,
@@ -129,7 +132,9 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
 
 # steps in a block of the double march; each block picks its scale afresh
 # from the coefficients below it
-_BLOCK = 64
+_BLOCK = 256
+# coefficients on each side of a scale pick's slope estimate
+_SLOPE = 32
 # the scaled values of the double march stay within e^(+-_SAFE_LN)
 _SAFE_LN = 300.0
 # the scale's slope mu is a multiple of 2^-_MU_BITS below 2^10, so that
@@ -143,24 +148,30 @@ def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
 
     With D_j[t] = c_{t+j} (t+1)...(t+j), the coefficients of f^(j), step n
     is c_{n+k} = (F_n - sum_j sum_m a_{j,m} D_j[n-m]) / ((n+1)...(n+k)).
-    The sum runs as one complex dot product per j over scaled values
+    The sum runs over scaled values
 
         Ah_j[m] = a_{j,m} e^(m mu - alpha),   Dh_j[t] = D_j[t] e^(t mu - beta),
 
-    whose products are a_{j,m} D_j[n-m] e^(n mu - alpha - beta).  mu is
-    the recent decay rate of ln|c_t|, so the window of Dh a step reads is
-    nearly flat; alpha and beta make |Ah| <= 1 and the window's largest
-    |Dh| <= 1.  The scale is picked at every _BLOCK-th step n, from the
-    coefficients that step reads (those below index n + k), and again
-    after any new Dh entry leaves [e^-_SAFE_LN, e^_SAFE_LN].  So
-    |Dh| <= e^_SAFE_LN throughout, and a factor or product lost to
-    underflow (below e^-745) costs under e^(_SAFE_LN - 745) per term.  A
-    scaled sum is used only if its modulus is at least e^-_SAFE_LN, so
-    that loss is below M e^-145 of it for a step of M terms.  A step whose
-    sum is smaller (or zero, or whose F_n is too large to scale) is summed
-    in log-polar form instead (_logpolar_step), as the march always did:
-    a coefficient is an exact zero only when every term of its step is,
-    or its rescaled sum cancels exactly.
+    whose products are a_{j,m} D_j[n-m] e^(n mu - alpha - beta).  The Dh_j
+    of the K coefficients A_j with a nonzero term are held in one array,
+    row W + t holding Dh_j[t] for each such j, W being the longest A_j and
+    the W rows below index 0 zero; the Ah_j are held reversed in a W-row
+    array of the same layout, zero past A_j's end.  So each step's sum is
+    one complex dot product of W K values over a contiguous window.  mu is
+    the recent decay rate of ln|c_t| (its slope over the last 2 _SLOPE
+    coefficients), so the window of Dh a step reads is nearly flat; alpha
+    and beta make |Ah| <= 1 and the window's largest |Dh| <= 1.  The scale
+    is picked at every _BLOCK-th step n, from the coefficients that step
+    reads (those below index n + k), and again after any new Dh entry
+    leaves [e^-_SAFE_LN, e^_SAFE_LN].  So |Dh| <= e^_SAFE_LN throughout,
+    and a factor or product lost to underflow (below e^-745) costs under
+    e^(_SAFE_LN - 745) per term.  A scaled sum is used only if its modulus
+    is at least e^-_SAFE_LN, so that loss is below M e^-145 of it for a
+    step of M terms.  A step whose sum is smaller (or zero, or whose F_n
+    is too large to scale) is summed in log-polar form instead
+    (_logpolar_step), as the march always did: a coefficient is an exact
+    zero only when every term of its step is, or its rescaled sum cancels
+    exactly.
 
     Each coefficient is stored as (ln|c|, arg c), and its Dh entries are
     formed from those stored doubles.  So the march at every index depends
@@ -205,14 +216,19 @@ def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
             if np.isfinite(a.coeff.lh).any()]
     f_l = eq.rhs.coeff.lh if eq.rhs is not None else np.zeros(0)
     f_p = eq.rhs.coeff.ph if eq.rhs is not None else np.zeros(0)
-    ah = [None] * len(live)  # Ah_j reversed, per live j
-    dh = {j: np.zeros(n_terms, dtype=complex) for j, _, _ in live}
+    n_live = len(live)
+    width = max((len(al) for _, al, _ in live), default=0)
+    # ah[width - 1 - m, i] = Ah_j[m] and dh[width + t, i] = Dh_j[t] for the
+    # i-th live j; step n reads dh's rows n + 1 ... n + width
+    ah = np.zeros((width, n_live), dtype=complex)
+    dh = np.zeros((width + n_terms, n_live), dtype=complex)
+    ah_flat, dh_flat = ah.reshape(-1), dh.reshape(-1)
 
     def pick_scale(n):
         """mu, alpha + beta and beta for the steps from n on, with Ah and
         the Dh window they read rewritten under them."""
         top = n + k - 1
-        w = min(_BLOCK // 2, (top + 1) // 2)
+        w = min(_SLOPE, (top + 1) // 2)
         mu = 0.0
         if w:
             old = float(np.max(lc[top + 1 - 2 * w:top + 1 - w]))
@@ -235,16 +251,19 @@ def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
                                                             xs_d)):
             z = np.empty(len(al), dtype=complex)
             z.real, z.imag = xa - alpha, ap
-            ah[i] = np.exp(z)[::-1].copy()
+            ah[width - len(al):, i] = np.exp(z)[::-1]
             z = np.empty(len(xd), dtype=complex)
             z.real, z.imag = xd - beta, pc[lo + j:lo + j + len(xd)]
-            dh[j][lo:lo + len(xd)] = np.exp(z)
+            dh[width + lo:width + lo + len(xd), i] = np.exp(z)
         return mu, alpha + beta, beta
 
-    # scalar reads in the loop go through .item, which returns a float
-    r_k = rising[k].item
-    r_live = [rising[j].item for j, _, _ in live]
-    rows = [(len(al), dh[j]) for j, al, _ in live]
+    # the loop reads scalars from lists of floats
+    r_k = rising[k].tolist()
+    # per live j: its column i, its lag k - j and its rising values
+    writes = [(i, k - j, rising[j].tolist())
+              for i, (j, _, _) in enumerate(live)]
+    span = width * n_live
+    n_f = len(f_l)
     floor = math.exp(-_SAFE_LN)
     rescale = True
     with np.errstate(under="ignore"):
@@ -252,36 +271,33 @@ def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
             if rescale or n % _BLOCK == 0:
                 mu, ab, beta = pick_scale(n)
                 rescale = False
-            if n >= start:
+            if n < start:
+                c_l, p = lc.item(n + k), pc.item(n + k)
+            else:
                 off = n * mu - ab
-                s = 0j
-                for ahj, (la, drow) in zip(ah, rows):
-                    if n >= la - 1:
-                        s -= ahj.dot(drow[n + 1 - la:n + 1])
-                    else:
-                        s -= ahj[la - 1 - n:].dot(drow[:n + 1])
-                if n < len(f_l):
+                at = (n + 1) * n_live
+                s = -complex(ah_flat.dot(dh_flat[at:at + span]))
+                if n < n_f:
                     xf = f_l.item(n) + off
-                    s = s + cmath.exp(complex(xf, f_p[n])) \
+                    s = s + cmath.exp(complex(xf, f_p.item(n))) \
                         if xf <= _SAFE_LN else math.nan
                 size = abs(s)
                 if floor <= size < math.inf:
-                    lc[n + k] = (math.log(size) - off) - r_k(n)
-                    pc[n + k] = math.atan2(s.imag, s.real)
+                    c_l = (math.log(size) - off) - r_k[n]
+                    p = math.atan2(s.imag, s.real)
                 else:
-                    step = _logpolar_step(n, k, live, f_l, f_p, lc, pc,
-                                          rising)
-                    if step is not None:
-                        lc[n + k], pc[n + k] = step
-            L = float(lc[n + k])
-            if L == -math.inf:
+                    c_l, p = _logpolar_step(n, k, live, f_l, f_p, lc, pc,
+                                            rising) or (-math.inf, 0.0)
+                lc[n + k] = c_l
+                pc[n + k] = p
+            if c_l == -math.inf:
                 continue
-            p = float(pc[n + k])
-            for (j, _, _), r_j, (_, drow) in zip(live, r_live, rows):
-                t = n + k - j
-                x = (L + t * mu + r_j(t)) - beta
+            for i, lag, r_j in writes:
+                t = n + lag
+                x = (c_l + t * mu + r_j[t]) - beta
                 if -_SAFE_LN <= x <= _SAFE_LN:
-                    drow[t] = cmath.exp(complex(x, p))
+                    dh_flat[(width + t) * n_live + i] = \
+                        cmath.exp(complex(x, p))
                 else:
                     rescale = True
     return lc, pc
@@ -419,6 +435,32 @@ def _scaled_band(f: ps.PowerSeries, log_r: float) -> Optional[tuple]:
     return lo, log_mu, 0.0, re + 1j * im
 
 
+def _derivative_band(band: tuple, j: int, log_r: float) -> Optional[tuple]:
+    """The band of f^(j) at the radius of f's band (lo, h, l, t), formed
+    from it: f^(j)(r w) = r^-j e^(h + l) sum_n t_n n(n-1)...(n-j+1) w^(n-j),
+    so coefficient n - j carries t_n times its weight, an integer held
+    exactly while below 2^53, rescaled by the power of two 2^-e that puts
+    the largest in [1/2, 1); ln of the band's scale is h + (l - j ln r +
+    e ln 2).  It holds the terms of f's band, so it drops the terms of
+    f^(j) whose parent term lies below f's band cut.  None when no term of
+    f's band survives j derivatives."""
+    lo, h, l, t = band
+    first = max(lo, j)  # the terms below z^j vanish
+    if first >= lo + len(t):
+        return None
+    n = np.arange(first, lo + len(t), dtype=float)
+    weight = n.copy()
+    for s in range(1, j):
+        weight *= n - s
+    tj = t[first - lo:] * weight
+    top = float(np.max(np.abs(tj)))
+    if top == 0.0:
+        return None
+    e = math.frexp(top)[1]
+    return first - j, h, l + (e * math.log(2.0) - j * log_r), \
+        tj * math.ldexp(1.0, -e)
+
+
 def _fft_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The full product of two coefficient arrays, by one numpy FFT of
     length L = 2^t >= len(a) + len(b) - 1 (error bound in residual_norm)."""
@@ -451,6 +493,10 @@ def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float) -> float:
     t_n = a_n r^n / mu(r) (|t_n| <= 1; terms under e^-130 dropped), built
     in double-double from the stored logs: no logarithm of the size of
     ln mu(r), 1e4 and more for the theorem solutions, is ever rounded.
+    f's band is built once, and each f^(j)'s band is formed from it
+    (_derivative_band): coefficient n - j carries t_n n(n-1)...(n-j+1),
+    its exact integer weight, rescaled by a power of two.  No derivative
+    series is built.
     Each A_j(rw) f^(j)(rw) / (mu_A mu_j) is the full product c = a * b of
     the two bands, by one FFT (_fft_product).  The contributions, as
     series in w relative to the largest ln mu in play, are summed by
@@ -476,16 +522,18 @@ def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float) -> float:
     60-digit evaluation of the stored coefficients to 1e-4 relative
     (tests/test_ode.py checks both the bound and the agreement).
     """
-    # the bands of f^(k) and of each nonzero A_j f^(j); each derivative is
-    # dropped once its band is taken
-    lhs, d = [], f
-    for j in range(eq.k):
-        ba, bd = _scaled_band(eq.coeffs[j], log_r), _scaled_band(d, log_r)
+    # f's band once, and each f^(j)'s band from it
+    fb = _scaled_band(f, log_r)
+    bands = [fb] + [None if fb is None else _derivative_band(fb, j, log_r)
+                    for j in range(1, eq.k + 1)]
+    # the bands of f^(k) and of each nonzero A_j f^(j)
+    lhs = [bands[eq.k]]
+    for a, bd in zip(eq.coeffs, bands):
+        ba = _scaled_band(a, log_r)
         if ba is not None and bd is not None:
-            lhs.append((ba[0] + bd[0], *_dd.two_sum(ba[1], bd[1]),
+            h, l = _dd.two_sum(ba[1], bd[1])
+            lhs.append((ba[0] + bd[0], h, l + (ba[2] + bd[2]),
                         _fft_product(ba[3], bd[3])))
-        d = ps.derivative(d)
-    lhs.insert(0, _scaled_band(d, log_r))
     lhs = [b for b in lhs if b is not None]
     rhs = [] if eq.rhs is None else [_scaled_band(eq.rhs, log_r)]
     rhs = [b for b in rhs if b is not None]

@@ -208,6 +208,9 @@ def test_circle_at_indices_matches_points(monkeypatch, level, m, offset):
 def test_twiddles_shifted_down_match_fresh():
     f = series.builtin("exp", 400)
     log_r = math.log(100.0)
+    # the exact values at the deepest dps first, so that both dps-60
+    # circles read the same band integers whatever ran before
+    f.coeff.mp_logs(200)
 
     def circle():
         res = _evalcore.eval_circle(f.coeff, log_r, 512, level="mp", dps=60)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from growthlab import cli, harness, ode
+from growthlab import _evalcore, cli, harness, ode
 from growthlab import series as ps
 from growthlab.harness import ConfigError
 from marchref import assert_march_holds_bands, recording_marches
@@ -271,6 +271,71 @@ class TestSolutionZeroCounts:
         assert rc == 2
         err = capsys.readouterr().err
         assert "/oscillation/radii" in err and "A_0" in err
+
+    def test_depth_past_budget_raises_before_any_march(self, monkeypatch):
+        """Counting f - z up to r = 5.6 needs 47 digits; with a budget of
+        20 the depth is a config error, raised before any integer march."""
+        marches = []
+        monkeypatch.setattr(ode, "_solve_series_mp",
+                            lambda *args: marches.append(args))
+        eq = ode.LinearODE(2, (ps.builtin("exp", 60),
+                               ps.builtin("poly", coeffs=[0.0])))
+        with pytest.raises(ConfigError, match="budget is 20") as err:
+            harness._count_solution_zeros(
+                eq, ode.InitialData((1.0, 0.0)),
+                ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 20)
+        assert err.value.path == "/oscillation/radii"
+        assert marches == []
+
+    def test_radii_past_the_digit_budget_exit_two(self, tmp_path, capsys):
+        # radii inside A_0's trusted radius (~106), but no probe up to
+        # 65,536 terms is trusted to 102, and r = 100 would wind at ~54,000
+        # digits against a budget of 400 (which used to escape as a
+        # traceback)
+        cfg = harness.shipped_config("theorem_dominant_first_order")
+        cfg["oscillation"] = {"enabled": True, "n_subjects": 1,
+                              "radii": [5.0, 100.0], "min_radius": 4.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["verify", "--config", str(path),
+                       "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert "/oscillation/radii" in capsys.readouterr().err
+
+    def test_probe_holds_the_band_it_sizes(self, monkeypatch):
+        """With 64-term probes, the 512-term probe is trusted to 1.02 r at
+        r = 5.6, but its mp band of f - z there, at the 47 digits chosen,
+        reaches its last term; the probe doubles until the band ends
+        inside it, and the march stops short of the probe."""
+        monkeypatch.setattr(harness, "_PROBE_TERMS", 64)
+        eq = ode.LinearODE(2, (ps.builtin("exp", 60),
+                               ps.builtin("poly", coeffs=[0.0])))
+        with recording_marches(count=False) as recs:
+            harness._count_solution_zeros(
+                eq, ode.InitialData((1.0, 0.0)),
+                ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 400)
+        (rec,) = recs
+        probe = rec["h_probe"]
+        assert rec["dps"] == 47 and probe.n_terms == 1024
+        assert ps._certify_radius(probe.coeff.lh[:512]) >= 5.6 * 1.02
+        log_r = math.log(5.6 * harness._RADIUS_SLACK)
+        assert _evalcore._mp_band(probe.coeff, log_r, 47)[1] < 1024
+        short = ps.make_series(probe.coeff.lh[:512], probe.coeff.ll[:512],
+                               probe.coeff.ph[:512], 0.0, "512-term probe")
+        assert _evalcore._mp_band(short.coeff, log_r, 47)[1] == 512
+        assert rec["n"] < probe.n_terms
+        assert_march_holds_bands(rec)
+
+    def test_probe_short_at_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "_PROBE_TERMS", 64)
+        monkeypatch.setattr(harness, "_PROBE_CAP", 512)
+        eq = ode.LinearODE(2, (ps.builtin("exp", 60),
+                               ps.builtin("poly", coeffs=[0.0])))
+        with pytest.raises(ConfigError, match="512-term probe") as err:
+            harness._count_solution_zeros(
+                eq, ode.InitialData((1.0, 0.0)),
+                ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 400)
+        assert err.value.path == "/oscillation/radii"
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Series solver: recurrence correctness, linearity, residual certificates."""
 
+import cmath
 import inspect
 import math
 
@@ -322,6 +323,45 @@ class TestResidual:
         assert 0 < err <= fft_product_bound(a, b)
 
 
+    @pytest.mark.parametrize("case", ["bessel_solution",
+                                      "theorem_type_solution"])
+    def test_derived_bands_match_derivative_series(self, case, request):
+        """Each f^(j) band residual_norm forms from f's band agrees with
+        the band of the j-th derivative series to a few ulps of the high
+        parts, on the indices both hold; each holds past the other's ends
+        only terms below e^-120 of its largest."""
+        eq, sol, info = request.getfixturevalue(case)
+        log_r = math.log(info["checked_radius"])
+        fb = ode._scaled_band(sol, log_r)
+        d = sol
+        for j in range(1, eq.k + 1):
+            d = ps.derivative(d)
+            lo_r, log_mu, _, tr = ode._scaled_band(d, log_r)
+            lo_d, h, l, td = ode._derivative_band(fb, j, log_r)
+            lo = max(lo_r, lo_d)
+            hi = min(lo_r + len(tr), lo_d + len(td))
+            assert hi - lo > 0.99 * len(tr)
+            got = td[lo - lo_d:hi - lo_d] * math.exp((h - log_mu) + l)
+            want = tr[lo - lo_r:hi - lo_r]
+            assert np.array_equal(got == 0, want == 0)
+            assert np.all(np.abs(got - want) <= 5 * 2.0 ** -52 * np.abs(want))
+            for t, a, b in ((tr, lo - lo_r, hi - lo_r),
+                            (td, lo - lo_d, hi - lo_d)):
+                rest = np.concatenate([t[:a], t[b:]])
+                assert np.all(np.abs(rest) <= math.exp(-120.0))
+
+    def test_derived_band_of_a_short_series(self):
+        """A band holding no term at or above z^j has no f^(j) band, and
+        the weights n(n-1)...(n-j+1) drop the terms below z^j."""
+        band = (0, 0.0, 0.0, np.array([1.0, 0.5j, 0.25]))
+        assert ode._derivative_band(band, 3, 0.0) is None
+        lo, h, l, t = ode._derivative_band(band, 1, math.log(2.0))
+        # 0.5j + 0.5 w, rescaled by 2^-0 and ln mu = ln 1/2
+        assert lo == 0 and h == 0.0
+        assert l == pytest.approx(-math.log(2.0), rel=1e-15)
+        assert t.tolist() == [0.5j, 0.5]
+
+
 class TestAutoSolve:
     def test_cap_binds_honestly(self):
         eq = bessel_type_equation()
@@ -566,6 +606,110 @@ def fallback_steps(monkeypatch):
     return calls
 
 
+def perj_march(eq, init, n_terms, block=64):
+    """Reference for ode._march_d: the double march as it was before its
+    one-dot step, fresh from index 0.  Each live A_j keeps its own scaled
+    arrays, a step sums one dot product per j (over a shorter window while
+    n is below A_j's length), and the scale is picked every `block` steps
+    from a slope over the last 64 coefficients."""
+    k = eq.k
+    n_steps = n_terms - k
+    lc = np.full(n_terms, -np.inf)
+    pc = np.zeros(n_terms)
+    lgam = 0.0
+    for i, v in enumerate(init.values):
+        if i:
+            lgam += math.log(i)
+        v = complex(v)
+        if v != 0:
+            lc[i] = math.log(abs(v)) - lgam
+            pc[i] = math.atan2(v.imag, v.real)
+    ln_table = np.concatenate([[0.0], np.log(np.arange(1, n_terms + k + 1,
+                                                       dtype=float))])
+    rising = [np.zeros(n_terms)]
+    for j in range(1, k + 1):
+        rising.append(rising[-1] + ln_table[j:j + n_terms])
+    live = [(j, a.coeff.lh, a.coeff.ph) for j, a in enumerate(eq.coeffs)
+            if np.isfinite(a.coeff.lh).any()]
+    f_l = eq.rhs.coeff.lh if eq.rhs is not None else np.zeros(0)
+    f_p = eq.rhs.coeff.ph if eq.rhs is not None else np.zeros(0)
+    ah = [None] * len(live)
+    dh = {j: np.zeros(n_terms, dtype=complex) for j, _, _ in live}
+
+    def pick_scale(n):
+        top = n + k - 1
+        w = min(32, (top + 1) // 2)
+        mu = 0.0
+        if w:
+            old = float(np.max(lc[top + 1 - 2 * w:top + 1 - w]))
+            new = float(np.max(lc[top + 1 - w:top + 1]))
+            if math.isfinite(old) and math.isfinite(new):
+                mu = max(-1023.0, min(1023.0, (old - new) / w))
+                mu = math.ldexp(round(math.ldexp(mu, ode._MU_BITS)),
+                                -ode._MU_BITS)
+        xs_a, xs_d = [], []
+        for j, al, _ in live:
+            xs_a.append(al + np.arange(len(al)) * mu)
+            lo, hi = max(0, n - len(al) + 1), top - j
+            t = np.arange(lo, hi + 1)
+            xs_d.append((lo, (lc[lo + j:hi + j + 1] + t * mu)
+                         + rising[j][lo:hi + 1]))
+        alpha = max((float(np.max(x)) for x in xs_a), default=-math.inf)
+        beta = max((float(np.max(x)) for _, x in xs_d), default=-math.inf)
+        alpha = float(math.ceil(alpha)) if alpha > -math.inf else 0.0
+        beta = float(math.ceil(beta)) if beta > -math.inf else 0.0
+        for i, ((j, al, ap), xa, (lo, xd)) in enumerate(zip(live, xs_a,
+                                                            xs_d)):
+            z = np.empty(len(al), dtype=complex)
+            z.real, z.imag = xa - alpha, ap
+            ah[i] = np.exp(z)[::-1].copy()
+            z = np.empty(len(xd), dtype=complex)
+            z.real, z.imag = xd - beta, pc[lo + j:lo + j + len(xd)]
+            dh[j][lo:lo + len(xd)] = np.exp(z)
+        return mu, alpha + beta, beta
+
+    rows = [(len(al), dh[j]) for j, al, _ in live]
+    floor = math.exp(-ode._SAFE_LN)
+    rescale = True
+    with np.errstate(under="ignore"):
+        for n in range(n_steps):
+            if rescale or n % block == 0:
+                mu, ab, beta = pick_scale(n)
+                rescale = False
+            off = n * mu - ab
+            s = 0j
+            for ahj, (la, drow) in zip(ah, rows):
+                if n >= la - 1:
+                    s -= ahj.dot(drow[n + 1 - la:n + 1])
+                else:
+                    s -= ahj[la - 1 - n:].dot(drow[:n + 1])
+            if n < len(f_l):
+                xf = f_l.item(n) + off
+                s = s + cmath.exp(complex(xf, f_p[n])) \
+                    if xf <= ode._SAFE_LN else math.nan
+            size = abs(s)
+            if floor <= size < math.inf:
+                lc[n + k] = (math.log(size) - off) - rising[k][n]
+                pc[n + k] = math.atan2(s.imag, s.real)
+            else:
+                step = ode._logpolar_step(n, k, live, f_l, f_p, lc, pc,
+                                          rising)
+                if step is not None:
+                    lc[n + k], pc[n + k] = step
+            L = float(lc[n + k])
+            if L == -math.inf:
+                continue
+            p = float(pc[n + k])
+            for j, _, _ in live:
+                t = n + k - j
+                x = (L + t * mu + rising[j][t]) - beta
+                if -ode._SAFE_LN <= x <= ode._SAFE_LN:
+                    dh[j][t] = cmath.exp(complex(x, p))
+                else:
+                    rescale = True
+    return lc, pc
+
+
 class TestDoubleMarch:
     """The block-scaled double march against the integer march at dps 30.
 
@@ -610,6 +754,29 @@ class TestDoubleMarch:
                 got = mp.exp(mp.mpc(sol.coeff.lh[i], sol.coeff.ph[i]))
                 assert abs(got - v) <= tol * mp.exp(scale_ln), i
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_perj_reference(self, case):
+        """The one-dot march against the per-j march it replaced, within
+        rel_err_ln on the same scale as test_matches_integer_march (taken
+        from the reference's logs); both keep the same exact zeros."""
+        make_eq, init, n_terms = self.CASES[case]
+        eq, init = make_eq(), ode.InitialData(init)
+        sol = ode.solve_series(eq, init, n_terms)
+        lc, pc = perj_march(eq, init, n_terms)
+        assert np.array_equal(np.isfinite(lc), np.isfinite(sol.coeff.lh))
+        tol = math.exp(sol.coeff.rel_err_ln)
+        for i in np.nonzero(np.isfinite(lc))[0].tolist():
+            scale_ln = lc[i]
+            if i >= eq.k:
+                n = i - eq.k
+                scale_ln = max(scale_ln, step_top_ln(eq, lc, n)
+                               - sum(math.log(n + s)
+                                     for s in range(1, eq.k + 1)))
+            got = cmath.exp(complex(sol.coeff.lh[i] - scale_ln,
+                                    sol.coeff.ph[i]))
+            want = cmath.exp(complex(lc[i] - scale_ln, pc[i]))
+            assert abs(got - want) <= tol, i
+
     @pytest.mark.parametrize("parity", [0, 1])
     def test_oscillator_keeps_exact_zeros(self, parity):
         init = (1.0, 0.0) if parity == 0 else (0.0, 1.0)
@@ -637,10 +804,12 @@ class TestDoubleMarch:
         assert np.max(np.abs(long.coeff.lh[both] - fresh.coeff.lh[both])) \
             < 1e-9
 
-    @pytest.mark.parametrize("n_prev", [3, 65, 66, 67, 130, 500])
+    @pytest.mark.parametrize("n_prev", [3, 65, 66, 67, 130, 257, 258, 259,
+                                        500, 513, 514, 515])
     def test_resume_at_block_edges_matches_fresh(self, n_prev):
         """Resumes just before, at and just after a block start (step
-        n_prev - 2) replay the block's scale and keep the fresh bytes."""
+        n_prev - 2 = 256 or 512) replay the block's scale and keep the
+        fresh bytes, as do resumes inside a block."""
         eq = theorem_type_equation()
         init = ode.InitialData((0.3 + 0.7j, -1.1 + 0.2j))
         fresh = ode.solve_series(eq, init, 600)
