@@ -47,16 +47,12 @@ _RETRY_STEP = 1e-3  # relative radius step of count_zeros_grid's retries
 _MAX_RETRIES = 3  # perturbed radii count_zeros_grid tries per grid radius
 _MAX_MESH = 1 << 18  # winding mesh points before zero_count gives up
 
-# m(r, f): angle doubling from _PROX_START to _PROX_MAX_ANGLES until two
-# estimates agree to max(_PROX_REL_TOL max(1, m), _PROX_ABS_TOL);
-# m(r, num/den) likewise, with the _RATIO_ constants, masking
-# |den| < _RATIO_MASK mu_den(r)
+# m(r, f), m(r, num/den): angles doubled from _PROX_START to _PROX_MAX_ANGLES
+# until two estimates agree to max(_PROX_REL_TOL max(1, m), _PROX_ABS_TOL)
 _PROX_START, _PROX_REL_TOL, _PROX_MAX_ANGLES = 128, 1e-8, 1 << 16
 _PROX_ABS_TOL = 1e-10
-_RATIO_START, _RATIO_REL_TOL, _RATIO_MAX_ANGLES = 256, 1e-6, 1 << 14
-_RATIO_MASK = 1e-8
 
-# crossings of ln|f| = 0 (_crossings): located to +/- h 2^-_CROSS_BITS in a
+# crossings of g = 0 (_crossings): located to +/- h 2^-_CROSS_BITS in a
 # mesh cell of width h, by an ITP search with slack _ITP_N0 and truncation
 # constants _ITP_KAPPA1 (in units of 1/h) and _ITP_KAPPA2
 _CROSS_BITS = 43
@@ -136,11 +132,11 @@ _GREGORY = np.array([0.2948680004409171, 1.5258793540564375,
                      0.9231368496472663, 1.00935653659612])
 
 
-def _crossings(coeff, log_r, level, dps, a, h, fa, fb):
+def _crossings(read, a, h, fa, fb):
     """Midpoints of brackets of width at most 2 eps, eps = h 2^-_CROSS_BITS,
     (or of adjacent floats, where eps is below an ulp) around the crossings
-    of ln|f| = 0 in the cells [a, a + h], whose end readings fa and fb lie
-    on opposite sides of the rule v > 0.
+    of g = 0 in the cells [a, a + h], whose end readings fa and fb lie on
+    opposite sides of the rule v > 0; read(thetas) gives g at the angles.
 
     An ITP search (Oliveira & Takahashi, ACM TOMS 47(1), 2020) runs over
     all cells at once and evaluates only the unconverged ones.  Round j
@@ -150,7 +146,7 @@ def _crossings(coeff, log_r, level, dps, a, h, fa, fb):
     eps 2^(n_max - j) - (b - a)/2 about the midpoint, n_max = n_half +
     _ITP_N0 with n_half = _CROSS_BITS - 1 the bisection rounds from h to
     2 eps.  So a cell takes at most n_max evaluations, and on analytic
-    ln|f| converges superlinearly.  delta is floored at eps: the textbook
+    g converges superlinearly.  delta is floored at eps: the textbook
     kappa1 (b - a)^2 drops below an ulp near the root, and the bracket
     then shrinks by about that much per round until the projection forces
     a bisection.
@@ -176,8 +172,7 @@ def _crossings(coeff, log_r, level, dps, a, h, fa, fb):
         xt = np.where(delta <= np.abs(ml - xf), xf + sigma * delta, ml)
         rad = np.maximum(eps * 2.0 ** (n_max - j) - 0.5 * w, 0.0)
         x = np.where(np.abs(xt - ml) <= rad, xt, ml - sigma * rad)
-        fx = _evalcore.eval_points(coeff, log_r, x, level=level,
-                                   dps=dps).logabs
+        fx = read(x)
         left = (fal > 0) != (fx > 0)
         a[live] = np.where(left, al, x)
         fa[live] = np.where(left, fal, fx)
@@ -196,27 +191,10 @@ def _reject_unc(log_mu: float, n_terms: int) -> float:
 
 
 def _logplus_quadrature(coeff, log_r, m, level, dps):
-    """One pass of (1/2pi) int log+|f| at resolution m.
-
-    ln|f| is analytic along the circle away from zeros; only its positive
-    part has kinks, exactly where ln|f| crosses 0.  Without crossings the
-    periodic trapezoid rule on the m circle values is spectrally accurate.
-    Otherwise `_crossings` locates them, and each positive arc [c1, c2]
-    is integrated in three parts: the mesh nodes x_0 .. x_n strictly
-    inside it by the trapezoid rule with Gregory end corrections of order
-    _GREGORY_K (Fornberg, SIAM Rev. 63(1), 2021), exact for polynomials of
-    degree <= _GREGORY_K and so O(h^(_GREGORY_K + 1)) on smooth ln|f|, from
-    the circle values already in hand; and the partial cells [c1, x_0] and
-    [x_n, c2] by 4-node Gauss.  An arc with fewer than _GREGORY_K + 1
-    interior nodes takes composite 4-node Gauss panels of width <= h
-    across it instead.  All Gauss nodes of a pass go into one eval_points
-    call.  The rule's rate near a zero of f is set by that zero's distance
-    from the circle (Trefethen & Weideman, SIAM Rev. 56, 2014).
-
-    Returns (estimate, floor-driven uncertainty bound).  A pass whose
-    uncertainty already exceeds _reject_unc returns the plain trapezoid
-    mean before any search: _until_stable rejects it either way.
-    """
+    """One pass of m(r, f) at resolution m: _arc_quadrature of ln|f| from
+    its circle, and the floor-driven uncertainty bound.  A pass whose
+    uncertainty exceeds _reject_unc returns the plain trapezoid mean
+    before any search: _until_stable rejects it either way."""
     res = _evalcore.eval_circle(coeff, log_r, m, offset=True,
                                 level=level, dps=dps)
     v = res.logabs
@@ -224,17 +202,37 @@ def _logplus_quadrature(coeff, log_r, m, level, dps):
     # Points reading below the trust line have unknown true value in
     # (-inf, trust]; when trust <= 0 their log+ contribution is exactly 0.
     unc = float(np.count_nonzero(v < trust)) / m * max(trust, 0.0)
+    if unc > _reject_unc(res.log_mu, coeff.n_terms):
+        return float(np.mean(np.maximum(v, 0.0))), unc
+    return _arc_quadrature(v, m, lambda t: _evalcore.eval_points(
+        coeff, log_r, t, level=level, dps=dps).logabs), unc
 
+
+def _arc_quadrature(v, m, read):
+    """(1/2pi) int g+ over the circle from g's readings v at the m offset
+    angles; read(thetas) gives g anywhere.  g (ln|f|, or ln|num| - ln|den|)
+    is analytic along the circle away from zeros, and g+ has kinks only
+    where g crosses 0.  Without crossings (or with over m / 4 crossing
+    cells) this is the periodic trapezoid rule on v, spectrally accurate
+    in the first case.  Otherwise `_crossings` locates them, and each
+    positive arc [c1, c2] is integrated in three parts: the mesh nodes x_0
+    .. x_n strictly inside it by the trapezoid rule with Gregory end
+    corrections of order _GREGORY_K (Fornberg, SIAM Rev. 63(1), 2021),
+    exact for polynomials of degree <= _GREGORY_K and so O(h^(_GREGORY_K +
+    1)) on smooth g, from v; and the partial cells [c1, x_0] and [x_n, c2]
+    by 4-node Gauss.  An arc with fewer than _GREGORY_K + 1 interior nodes
+    takes composite 4-node Gauss panels of width <= h across it instead.
+    All Gauss nodes go into one read.  The rule's rate near a zero is set
+    by that zero's distance from the circle (Trefethen & Weideman, SIAM
+    Rev. 56, 2014)."""
     pos = v > 0.0
     cells = np.nonzero(pos != np.roll(pos, -1))[0]
-    if (len(cells) == 0 or len(cells) > m // 4
-            or unc > _reject_unc(res.log_mu, coeff.n_terms)):
-        return float(np.mean(np.maximum(v, 0.0))), unc
+    if len(cells) == 0 or len(cells) > m // 4:
+        return float(np.mean(np.maximum(v, 0.0)))
 
     h = 2.0 * math.pi / m
     a = (2.0 * math.pi) * (cells + 0.5) / m
-    x = _crossings(coeff, log_r, level, dps, a, h, v[cells],
-                   v[(cells + 1) % m])
+    x = _crossings(read, a, h, v[cells], v[(cells + 1) % m])
     # cells alternate between rising and falling; pair each rising cell
     # with the falling one after it
     k = int(np.argmax(~pos[cells]))
@@ -258,11 +256,10 @@ def _logplus_quadrature(coeff, log_r, m, level, dps):
     mids = 0.5 * (np.array(lo) + np.array(hi))
     halfw = 0.5 * (np.array(hi) - np.array(lo))
     pts = (mids[:, None] + halfw[:, None] * _GL_NODES[None, :]).ravel()
-    gv = _evalcore.eval_points(coeff, log_r, pts % (2.0 * math.pi),
-                               level=level, dps=dps).logabs.reshape(-1, 4)
+    gv = read(pts % (2.0 * math.pi)).reshape(-1, 4)
     total += float(np.sum(halfw[:, None] * _GL_WTS[None, :]
                           * np.maximum(gv, 0.0)))
-    return float(total) / (2.0 * math.pi), unc
+    return float(total) / (2.0 * math.pi)
 
 
 def _until_stable(estimate, m: int, rel_tol: float, max_angles: int,
@@ -328,26 +325,29 @@ def characteristic_entire(f: PowerSeries, log_r: float) -> float:
 
 def proximity_of_ratio(num: PowerSeries, den: PowerSeries,
                        log_r: float) -> float:
-    """m(r, num/den) by quadrature of (ln|num| - ln|den|)+.
-
-    Angles where |den| falls below 1e-8 mu_den(r) are masked out of the
-    quadrature (their ratio is numerically unreliable near zeros of the
-    denominator); the estimate is therefore a slightly trimmed mean.
+    """m(r, num/den): _arc_quadrature of ln|num| - ln|den| at dd, in the
+    angle loop of m(r, f).  A pass where den reads below its trust line
+    (floor + _TRUST_GUARD) takes the trapezoid mean with those angles
+    masked out instead: a trimmed mean, as the ratio is unreadable there.
     """
     num.check_radius(log_r)
     den.check_radius(log_r)
 
+    def read(thetas):
+        return (_evalcore.eval_points(num.coeff, log_r, thetas).logabs
+                - _evalcore.eval_points(den.coeff, log_r, thetas).logabs)
+
     def estimate(m):
         rn = _evalcore.eval_circle(num.coeff, log_r, m, offset=True, level="dd")
         rd = _evalcore.eval_circle(den.coeff, log_r, m, offset=True, level="dd")
-        mask_ln = max(rd.log_mu + math.log(_RATIO_MASK),
-                      rd.floor_ln + _TRUST_GUARD)
-        ok = rd.logabs >= mask_ln
-        diff = np.where(ok, np.maximum(rn.logabs - rd.logabs, 0.0), 0.0)
-        return float(np.mean(diff)), 0.0
+        v = rn.logabs - rd.logabs
+        ok = rd.logabs >= rd.floor_ln + _TRUST_GUARD
+        if ok.all():
+            return _arc_quadrature(v, m, read), 0.0
+        return float(np.mean(np.where(ok, np.maximum(v, 0.0), 0.0))), 0.0
 
-    return _until_stable(estimate, _RATIO_START, _RATIO_REL_TOL,
-                         _RATIO_MAX_ANGLES)[0]
+    return _until_stable(estimate, _PROX_START, _PROX_REL_TOL,
+                         _PROX_MAX_ANGLES, abs_tol=_PROX_ABS_TOL)[0]
 
 
 def winding_dps(coeff: _evalcore.CoeffData, log_r: float,

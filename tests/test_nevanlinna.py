@@ -398,6 +398,24 @@ class TestDyadicRefinement:
         assert sum(x["scattered"] for x in mp_rounds) <= 2
 
 
+@pytest.fixture(scope="module")
+def exp_exp_log_derivative():
+    """(f', f, radii) of the shipped log_derivative_exp_exp run: f =
+    exp(e^z) with 400 terms, on the grid its run keeps."""
+    cfg = harness.shipped_config("log_derivative_exp_exp")
+    f = harness.resolve_subject(cfg["subject"])
+    grid = harness._grid_from(cfg, "grid", (2.0, 20.0, 12))
+    return series.derivative(f), f, grid[grid <= f.guaranteed_radius * 0.999]
+
+
+def noisy_sin():
+    """sin 200 claiming coefficients good only to 1e-12, which lifts its dd
+    trust line above |sin| near the real axis on |z| = 12."""
+    s = series.builtin("sin", 200)
+    return series.make_series(s.coeff.lh, s.coeff.ll, s.coeff.ph,
+                              math.log(1e-12), "noisy sin")
+
+
 class TestProximityOfRatio:
     def test_exp_ratio_is_zero(self):
         # f'/f = 1 for exp: log+ |1| = 0
@@ -412,16 +430,82 @@ class TestProximityOfRatio:
         val = nev.proximity_of_ratio(c, s, math.log(12.0))
         assert 0.0 <= val < 0.5
 
+    @pytest.mark.parametrize("i", range(8))
+    def test_exp_exp_log_derivative_is_r_over_pi(self, exp_exp_log_derivative,
+                                                 i):
+        # f'/f = e^z for f = exp(e^z), and m(r, e^z) = r/pi; at r = 3.2166
+        # most of the circle reads |f| below 1e-8 mu(r), far above dd's floor
+        fp, f, radii = exp_exp_log_derivative
+        assert len(radii) == 8
+        r = float(radii[i])
+        got = nev.proximity_of_ratio(fp, f, math.log(r))
+        assert got == pytest.approx(r / math.pi, rel=1e-9, abs=0.0)
 
-def bisect_crossings(coeff, log_r, level, dps, a, h, fa, fb):
+    def test_cot_against_reference(self):
+        # the trapezoid mean of (ln|cos| - ln|sin|)+ on 65,536 angles, from
+        # numpy's complex cos and sin, is within 3e-11 of the integral
+        m = 1 << 16
+        z = 12.0 * np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)
+        ref = float(np.mean(np.maximum(
+            np.log(np.abs(np.cos(z))) - np.log(np.abs(np.sin(z))), 0.0)))
+        got = nev.proximity_of_ratio(series.builtin("cos", 200),
+                                     series.builtin("sin", 200),
+                                     math.log(12.0))
+        tol = max(nev._PROX_REL_TOL * max(1.0, ref), nev._PROX_ABS_TOL)
+        assert abs(got - ref) <= tol
+
+    def test_masked_pass_takes_the_trimmed_mean(self, monkeypatch):
+        # den reads below its trust line at some angles of every pass: the
+        # pass is the trapezoid mean over the other angles, with no search
+        num, den, lr = series.builtin("cos", 200), noisy_sin(), math.log(12.0)
+        masked = []
+
+        def masked_mean(m):
+            rn = nev._evalcore.eval_circle(num.coeff, lr, m, level="dd")
+            rd = nev._evalcore.eval_circle(den.coeff, lr, m, level="dd")
+            ok = rd.logabs >= rd.floor_ln + nev._TRUST_GUARD
+            masked.append(np.count_nonzero(~ok))
+            v = np.where(ok, np.maximum(rn.logabs - rd.logabs, 0.0), 0.0)
+            return float(np.mean(v)), 0.0
+
+        want = nev._until_stable(masked_mean, nev._PROX_START,
+                                 nev._PROX_REL_TOL, nev._PROX_MAX_ANGLES,
+                                 abs_tol=nev._PROX_ABS_TOL)[0]
+        assert all(0 < k < m for k, m in zip(
+            masked, nev._PROX_START << np.arange(len(masked))))
+
+        def no_arcs(*args):
+            raise AssertionError("a masked pass took the Gregory arcs")
+
+        monkeypatch.setattr(nev, "_arc_quadrature", no_arcs)
+        assert nev.proximity_of_ratio(num, den, lr) == want
+
+    def test_call_count_regression(self, monkeypatch, exp_exp_log_derivative):
+        # the plain trapezoid mean doubled to 2,048 or 4,096 angles (8 or 10
+        # dd circles) at every radius; the Gregory arcs stop after 2 passes
+        fp, f, radii = exp_exp_log_derivative
+        circle = nev._evalcore.eval_circle
+        sizes = []
+
+        def circle_logged(coeff, log_r, m, *args, **kw):
+            sizes.append(m)
+            return circle(coeff, log_r, m, *args, **kw)
+
+        monkeypatch.setattr(nev._evalcore, "eval_circle", circle_logged)
+        for r in radii:
+            sizes.clear()
+            nev.proximity_of_ratio(fp, f, math.log(r))
+            assert len(sizes) <= 4 and max(sizes) <= 2 * nev._PROX_START, r
+
+
+def bisect_crossings(read, a, h, fa, fb):
     """Reference crossing search: the 42 fixed bisection rounds the ITP
     search replaced, with nev._crossings' signature."""
     a = np.asarray(a, dtype=float)
     b = a + h
     for _ in range(42):
         mid = 0.5 * (a + b)
-        fm = nev._evalcore.eval_points(coeff, log_r, mid, level=level,
-                                       dps=dps).logabs
+        fm = read(mid)
         left = (fa > 0) != (fm > 0)
         b = np.where(left, mid, b)
         a = np.where(left, a, mid)
@@ -446,10 +530,10 @@ class _PassLog:
                                     zeros=0, crossings=None, h=None))
             return quad(coeff, log_r, m, level, dps)
 
-        def cross_logged(coeff, log_r, level, dps, a, h, fa, fb):
+        def cross_logged(read, a, h, fa, fb):
             searching[0] = True
             try:
-                x = cross(coeff, log_r, level, dps, a, h, fa, fb)
+                x = cross(read, a, h, fa, fb)
             finally:
                 searching[0] = False
             self.passes[-1].update(crossings=x, h=h)
@@ -532,12 +616,11 @@ class TestCrossings:
             v[rng.random(len(thetas)) < 0.05] = 0.0
             return nev._evalcore.EvalResult(v, v, 0.0, -np.inf, "d")
 
-        monkeypatch.setattr(nev._evalcore, "eval_points", noise)
         m = 256
         h = 2.0 * math.pi / m
         cells = np.sort(rng.choice(m, 24, replace=False))
         a = (2.0 * math.pi) * (cells + 0.5) / m
-        x = nev._crossings(None, 0.0, "d", None, a, h,
+        x = nev._crossings(lambda t: noise(None, 0.0, t).logabs, a, h,
                            np.where(cells % 2 == 0, 1.0, -1.0),
                            np.where(cells % 2 == 0, -1.0, 1.0))
         assert 1 <= len(calls) <= 43
@@ -570,9 +653,10 @@ def panel_quadrature(coeff, log_r, m, level, dps):
         return float(np.mean(np.maximum(v, 0.0))), unc
     h = 2.0 * math.pi / m
     thetas = (2.0 * math.pi) * (np.arange(m) + 0.5) / m
-    crossings = np.sort(nev._crossings(coeff, log_r, level, dps,
-                                       thetas[cells], h, v[cells],
-                                       v[(cells + 1) % m]))
+    crossings = np.sort(nev._crossings(
+        lambda t: nev._evalcore.eval_points(coeff, log_r, t, level=level,
+                                            dps=dps).logabs,
+        thetas[cells], h, v[cells], v[(cells + 1) % m]))
     idx = int(np.searchsorted(thetas, crossings[0]))
     sign_after = bool(pos[idx % m])
     starts = crossings[0::2] if sign_after else crossings[1::2]
