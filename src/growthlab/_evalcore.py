@@ -253,24 +253,33 @@ def _rescaled_dd(coeff: CoeffData, log_r: float, lo: int, hi: int,
 
 
 def _poly_at_points_d(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum t_s x^s over unit-modulus points x, blocked for BLAS speed."""
-    n = len(t)
+    """sum t_s x^s over unit-modulus points x, blocked for BLAS speed.
+
+    t may be a stack of bands of one length, shape (k, N): the result is
+    then (k, len(x)), and each row is bit for bit the 1-D call on that row
+    of t.  Each band takes the 1-D call's own matmul: one batched product
+    over the stack timed slower under OpenBLAS's default threads on a
+    2-core machine.  The Horner steps run on flat rows of all k len(x) sums:
+    numpy rounds a complex product on a contiguous 1-D array alike at
+    every position, but not always alike on a broadcast 2-D one."""
+    lead, n = t.shape[:-1], t.shape[-1]
     if n == 0:
-        return np.zeros_like(x)
+        return np.zeros(lead + x.shape, dtype=complex)
     b = max(1, int(math.isqrt(n)))
     q = -(-n // b)
-    tt = np.zeros(q * b, dtype=complex)
-    tt[:n] = t
+    tt = np.zeros(lead + (q * b,), dtype=complex)
+    tt[..., :n] = t
     xs = np.empty((b, len(x)), dtype=complex)
     xs[0] = 1.0
     for s in range(1, b):
         xs[s] = xs[s - 1] * x
-    inner = tt.reshape(q, b) @ xs
-    xb = xs[b - 1] * x
+    inner = np.stack([band.reshape(q, b) @ xs
+                      for band in tt.reshape(-1, q * b)], axis=1).reshape(q, -1)
+    xb = np.tile(xs[b - 1] * x, math.prod(lead))
     acc = inner[q - 1]
     for row in range(q - 2, -1, -1):
         acc = acc * xb + inner[row]
-    return acc
+    return acc.reshape(lead + x.shape)
 
 
 def _result_d(coeff: CoeffData, val: np.ndarray, lo: int, hi: int,

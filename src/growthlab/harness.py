@@ -301,6 +301,11 @@ def check_wiman_valiron(f: ps.PowerSeries, grid: np.ndarray,
          the bound is fixed at R = 2r);
     (iii) for the orders requested, |f^(n)(z*)/f(z*)| matches (nu(r)/z*)^n
          at the max-modulus angle z*, with tail deviation < 0.1.
+
+    Each radius is searched once (series._max_modulus), and (ii) and (iii)
+    share the result.  z*^n f^(n)(z*)/f(z*) for every order comes from one
+    stacked sum over f's d band with falling-factorial weights
+    (series._derivative_quotients): no derivative series is built.
     """
     rep = report or Report(label or f.provenance, "wiman_valiron", {})
     tag = label or f.provenance
@@ -318,13 +323,21 @@ def check_wiman_valiron(f: ps.PowerSeries, grid: np.ndarray,
     rep.leq(worst, 1e-9, f"wv_identity[{tag}]",
             "max |step-integral - scan| over grid")
 
+    # one max-modulus search per radius, shared by the bound and the ratio
+    peaks: dict = {}
+
+    def peak(lr):
+        if lr not in peaks:
+            peaks[lr] = ps._max_modulus(f, lr)
+        return peaks[lr]
+
     ok_bound = True
     detail = ""
     for r in grid:
         if 2.0 * r > f.guaranteed_radius:
             break
         lr = math.log(r)
-        lhs = ps.log_max_modulus(f, lr)
+        lhs = peak(lr)[0]
         mt = ps.max_term(f, lr)
         nu2 = ps.max_term(f, lr + math.log(2.0)).nu
         rhs = mt.log_mu + math.log(nu2 + 2.0)
@@ -334,28 +347,17 @@ def check_wiman_valiron(f: ps.PowerSeries, grid: np.ndarray,
             break
     rep.truth(ok_bound, f"wv_bound[{tag}]", detail or "M < mu*(nu(2r)+2)")
 
-    # the max-modulus angle, f there and nu(r) per radius, for every order
+    # z^n f^(n)/f at the max-modulus angle and nu(r), per radius, for
+    # every order at once
     at = []
     for r in (grid if ratio_orders else ()):
         lr = math.log(r)
-        theta = ps._max_modulus(f, lr)[1]
-        rf = _evalcore.eval_points(f.coeff, lr, np.array([theta]),
-                                   level="dd")
-        at.append((lr, theta, rf, ps.max_term(f, lr).nu))
+        at.append((ps._derivative_quotients(f, lr, peak(lr)[1],
+                                            max(ratio_orders)),
+                   ps.max_term(f, lr).nu))
     for order in ratio_orders:
-        devs = []
-        fk = f
-        for _ in range(order):
-            fk = ps.derivative(fk)
-        for lr, theta, rf, nu in at:
-            rk = _evalcore.eval_points(fk.coeff, lr, np.array([theta]),
-                                       level="dd")
-            # (f^(n)/f) / (nu/z)^n in log-polar, without any division
-            dlog = (rk.logabs[0] - rf.logabs[0]) \
-                - order * (math.log(nu) - lr)
-            dph = (rk.phase[0] - rf.phase[0]) + order * theta
-            devs.append(abs(complex(math.exp(dlog) * math.cos(dph),
-                                    math.exp(dlog) * math.sin(dph)) - 1.0))
+        # (f^(n)/f) / (nu/z)^n = z^n f^(n)/f / nu^n
+        devs = [abs(quot[order - 1] / nu ** order - 1.0) for quot, nu in at]
         tail = devs[-max(1, len(devs) // 3):]
         rep.leq(max(tail), 0.1, f"wv_ratio[{tag},n={order}]",
                 "tail of |f^(n)/f / (nu/z)^n - 1| at max-modulus angle")
@@ -420,30 +422,40 @@ def check_log_derivative(f: ps.PowerSeries, triple: ScaleTriple, rho: float,
     """m(r, f^(k)/f) against exp(alpha^{-1}((rho + 1/4) beta(log gamma r))).
 
     rho is the caller's a-priori wrapped-order estimate of f.  The verdict
-    asks for a bounded tail ratio with at most 10% of radii violating.
+    asks for a bounded tail ratio with at most 10% of radii violating.  The
+    detail names the radii whose m is a trimmed mean or did not converge
+    (see nevanlinna.proximity_of_ratio).
     """
     rep = report or Report(label or f.provenance, "log_derivative", {})
     tag = label or f.provenance
     fk = f
     for _ in range(k):
         fk = ps.derivative(fk)
-    ratios = []
+    ratios, trimmed, unconverged = [], [], []
     eps = 0.25
     alpha_min = growth.eval_scale(triple.alpha, triple.alpha.x0)
     for r in grid:
         lr = math.log(r)
-        m_val = nev.proximity_of_ratio(fk, f, lr)
+        prox = nev.proximity_of_ratio(fk, f, lr)
+        if prox.trimmed:
+            trimmed.append(round(float(r), 4))
+        if not prox.converged:
+            unconverged.append(round(float(r), 4))
         g_val = growth.eval_scale(triple.gamma, r)
         b_val = growth.eval_scale(triple.beta, math.log(max(g_val, 1e-300)))
         # clamp into the scale's range: below its minimum the generalized
         # inverse is the freeze point
         y = max((rho + eps) * b_val, alpha_min)
         bound = math.exp(min(inverse_scale(triple.alpha, y), 700.0))
-        ratios.append(m_val / bound)
+        ratios.append(prox.value / bound)
     tail = ratios[-max(2, len(ratios) // 4):]
     viol = sum(1 for x in tail if x > ratio_bound)
-    rep.leq(viol / len(tail), 0.10, f"log_derivative[{tag},k={k}]",
-            f"tail ratios m/bound = {[round(x, 4) for x in tail]!r}")
+    detail = f"tail ratios m/bound = {[round(x, 4) for x in tail]!r}"
+    if trimmed:
+        detail += f"; trimmed mean at r = {trimmed!r}"
+    if unconverged:
+        detail += f"; unconverged at r = {unconverged!r}"
+    rep.leq(viol / len(tail), 0.10, f"log_derivative[{tag},k={k}]", detail)
     return rep
 
 

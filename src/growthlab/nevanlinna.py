@@ -108,11 +108,16 @@ class CountingData:
 
 @dataclass(frozen=True)
 class ProximityResult:
+    """m(r) as `value`, with the angles and level of the pass that gave
+    it, whether two passes agreed, the floor uncertainty, and whether the
+    pass was a trimmed mean (proximity_of_ratio's masked angles)."""
+
     value: float
     n_angles: int
     converged: bool
     level: str
     uncertainty: float
+    trimmed: bool = False
 
 
 _GL_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
@@ -324,30 +329,38 @@ def characteristic_entire(f: PowerSeries, log_r: float) -> float:
 
 
 def proximity_of_ratio(num: PowerSeries, den: PowerSeries,
-                       log_r: float) -> float:
+                       log_r: float) -> ProximityResult:
     """m(r, num/den): _arc_quadrature of ln|num| - ln|den| at dd, in the
     angle loop of m(r, f).  A pass where den reads below its trust line
     (floor + _TRUST_GUARD) takes the trapezoid mean with those angles
     masked out instead: a trimmed mean, as the ratio is unreadable there.
+    The result is at level "dd", trimmed if its last pass was, and not
+    converged if the loop stopped at _PROX_MAX_ANGLES; its uncertainty is
+    0, as no floor term is carried for the ratio.
     """
     num.check_radius(log_r)
     den.check_radius(log_r)
+    trimmed = False
 
     def read(thetas):
         return (_evalcore.eval_points(num.coeff, log_r, thetas).logabs
                 - _evalcore.eval_points(den.coeff, log_r, thetas).logabs)
 
     def estimate(m):
+        nonlocal trimmed
         rn = _evalcore.eval_circle(num.coeff, log_r, m, offset=True, level="dd")
         rd = _evalcore.eval_circle(den.coeff, log_r, m, offset=True, level="dd")
         v = rn.logabs - rd.logabs
         ok = rd.logabs >= rd.floor_ln + _TRUST_GUARD
-        if ok.all():
+        trimmed = not ok.all()
+        if not trimmed:
             return _arc_quadrature(v, m, read), 0.0
         return float(np.mean(np.where(ok, np.maximum(v, 0.0), 0.0))), 0.0
 
-    return _until_stable(estimate, _PROX_START, _PROX_REL_TOL,
-                         _PROX_MAX_ANGLES, abs_tol=_PROX_ABS_TOL)[0]
+    est, m, converged, unc = _until_stable(
+        estimate, _PROX_START, _PROX_REL_TOL, _PROX_MAX_ANGLES,
+        abs_tol=_PROX_ABS_TOL)
+    return ProximityResult(est, m, converged, "dd", unc, trimmed)
 
 
 def winding_dps(coeff: _evalcore.CoeffData, log_r: float,

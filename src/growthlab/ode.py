@@ -474,16 +474,16 @@ def _band_series(band: tuple, shift: float) -> ps.PowerSeries:
     l, t).  shift is the largest h in play, so h - shift is exact where it
     matters (Sterbenz) and every stored log is of the size of ln|t|.  Its
     rel_err_ln, the rounding of one double, is not read by residual_norm.
-    A band is a polynomial in w, trusted everywhere, so its radius is set
-    to inf without series._certify_radius."""
+    A band is a polynomial in w, trusted everywhere without
+    series._certify_radius."""
     lo, h, l, t = band
     nz = t != 0
     lh = np.full(lo + len(t), -np.inf)
     ph = np.zeros(lo + len(t))
     lh[lo:][nz] = np.log(np.abs(t[nz])) + ((h - shift) + l)
     ph[lo:][nz] = np.angle(t[nz])
-    coeff = _evalcore.CoeffData(lh, np.zeros(len(lh)), ph, math.log(3e-16))
-    return ps.PowerSeries(coeff, "residual term", math.inf)
+    return ps.make_series(lh, np.zeros(len(lh)), ph, math.log(3e-16),
+                          "residual term", polynomial=True)
 
 
 def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float) -> float:

@@ -137,16 +137,19 @@ def _certify_radius(lh: np.ndarray) -> float:
 
 
 def make_series(lh, ll, ph, rel_err_ln: float, provenance: str,
-                mp_factory=None, radius_cap: float = math.inf) -> PowerSeries:
+                mp_factory=None, radius_cap: float = math.inf,
+                polynomial: bool = False) -> PowerSeries:
     """Assemble a PowerSeries from log-polar coefficient arrays; its
-    trusted radius is at most radius_cap."""
+    trusted radius is at most radius_cap.  A polynomial (its stored terms
+    are all of the function) is trusted everywhere, without
+    _certify_radius."""
     lh = np.asarray(lh, dtype=float)
     ll = np.asarray(ll, dtype=float)
     ph = np.asarray(ph, dtype=float)
     ll = np.where(np.isfinite(lh), ll, 0.0)
     coeff = _evalcore.CoeffData(lh, ll, ph, rel_err_ln, mp_factory)
-    return PowerSeries(coeff, provenance,
-                       min(_certify_radius(lh), radius_cap))
+    return PowerSeries(coeff, provenance, math.inf if polynomial
+                       else min(_certify_radius(lh), radius_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +254,8 @@ def _poly_series(coeffs: list) -> PowerSeries:
                 _evalcore._fixed_round(_evalcore._fixed_of_complex(c), bits)
                 for c in _c]
 
-    return make_series(lh, ll, ph, math.log(3e-16), "poly", mp_factory=factory)
+    return make_series(lh, ll, ph, math.log(3e-16), "poly", mp_factory=factory,
+                       polynomial=True)
 
 
 # ---------------------------------------------------------------------------
@@ -344,61 +348,98 @@ def log_mu_from_jumps(f: PowerSeries, log_r: float,
 def log_max_modulus(f: PowerSeries, log_r: float) -> float:
     """ln M(r, f) = max over the circle of ln|f|.
 
-    64 equispaced angles seed the search; the best three local maxima are
-    refined by golden-section until the relative improvement drops below
-    1e-9.  Max-picking is immune to the cancellation that plagues small
-    values, so plain double significands suffice.
+    A 64-angle d circle seeds the search: its (up to) three largest local
+    maxima, no two adjacent, are refined at once by safeguarded Newton
+    steps on g(theta) = ln|f(r e^{i theta})|, each inside its bracket of
+    one grid step either side (see _max_modulus).  A pick stops when the
+    gain its Newton model still promises falls below 1e-15 max(1, |g|)
+    plus the d arithmetic noise of g there, so ln M is under-read by about
+    that much (a few 1e-16 relative on the shipped subjects).  Max-picking
+    is immune to the cancellation that plagues small values, so plain
+    double significands suffice.
     """
     return _max_modulus(f, log_r)[0]
 
 
+# _max_modulus: seed angles, picks refined, the stop rule's relative gain
+# and the guard on its stacked sums per search
+_PEAK_SEED, _PEAK_PICKS, _PEAK_REL_GAIN, _PEAK_MAX_SUMS = 64, 3, 1e-15, 24
+
+
 def _max_modulus(f: PowerSeries, log_r: float) -> tuple:
     """(ln M(r, f), an angle where the search attained it), by
-    log_max_modulus's search."""
+    log_max_modulus's search.
+
+    On f's d band t_n = a_n r^n / mu(r), S_k = sum w^k t_n e^{i n theta}
+    with w = n - c (c the band's middle index) give g' = -Im(S_1/S_0) and
+    g'' = Re((S_1/S_0)^2 - S_2/S_0); one stacked _poly_at_points_d call
+    reads S_0, S_1, S_2 at every live pick.  g' > 0 moves a pick's
+    bracket's left end to it, g' < 0 its right end; the next point is the
+    Newton step x - g'/g'', or the bracket's midpoint when g'' >= 0 or the
+    step leaves the bracket.  A pick stops at a stationary point (g' = 0,
+    as everywhere for z^k), when its model gain g'^2 / (2 |g''|) is below
+    the tolerance, or when g plus that gain cannot beat the best value
+    read; _PEAK_MAX_SUMS stacked calls are a guard, not a stop rule.
+    """
     f.check_radius(log_r)
-    m0 = 64
-    sweep = _evalcore.eval_circle(f.coeff, log_r, m0, offset=False, level="d")
-    v = sweep.logabs
-    order = np.argsort(v)[::-1]
+    m0 = _PEAK_SEED
+    v = _evalcore.eval_circle(f.coeff, log_r, m0, offset=False,
+                              level="d").logabs
+    peaks = np.nonzero((v >= np.roll(v, 1)) & (v >= np.roll(v, -1)))[0]
     picked: list = []
-    for idx in order:
+    for idx in peaks[np.argsort(-v[peaks], kind="stable")]:
         if all(min((idx - p) % m0, (p - idx) % m0) > 1 for p in picked):
             picked.append(int(idx))
-        if len(picked) == 3:
-            break
+            if len(picked) == _PEAK_PICKS:
+                break
+    lo, hi, log_mu, t = _evalcore._terms_d(f.coeff, log_r)
+    w = np.arange(hi - lo) - 0.5 * (hi - lo - 1)
+    rows = np.stack([t, w * t, w * w * t])
+    noise_ln = _evalcore._floor_ln(log_mu, _evalcore._EPS_LN["d"], -np.inf,
+                                   hi - lo)
     h = 2.0 * np.pi / m0
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = np.array([p * h - h for p in picked])
-    hi = np.array([p * h + h for p in picked])
-    x1 = hi - gr * (hi - lo)
-    x2 = lo + gr * (hi - lo)
-    f1 = _evalcore.eval_points(f.coeff, log_r, x1, level="d").logabs
-    f2 = _evalcore.eval_points(f.coeff, log_r, x2, level="d").logabs
-    best, angle = float(np.max(v)), picked[0] * h
-    for _ in range(80):
-        move_right = f1 < f2
-        lo = np.where(move_right, x1, lo)
-        hi = np.where(move_right, hi, x2)
-        x1 = np.where(move_right, x2, hi - gr * (hi - lo))
-        x2 = np.where(move_right, lo + gr * (hi - lo), x2)
-        f1n = np.where(move_right, f2, np.nan)
-        f2n = np.where(move_right, np.nan, f1)
-        need = np.concatenate([x1[~move_right], x2[move_right]])
-        if len(need):
-            got = _evalcore.eval_points(f.coeff, log_r, need, level="d").logabs
-            k = np.count_nonzero(~move_right)
-            f1n[~move_right] = got[:k]
-            f2n[move_right] = got[k:]
-        f1, f2 = f1n, f2n
-        vals = np.concatenate([f1, f2])
-        j = int(np.nanargmax(vals))
-        angle = float(np.concatenate([x1, x2])[j]) if vals[j] > best else angle
-        new_best = max(float(vals[j]), best)
-        if new_best - best <= 1e-9 * max(1.0, abs(new_best)) and _ > 4:
-            best = new_best
+    x = np.array(picked) * h
+    a, b = x - h, x + h
+    best, angle = -np.inf, float(x[0])
+    for _ in range(_PEAK_MAX_SUMS):
+        s0, s1, s2 = _evalcore._poly_at_points_d(rows, np.exp(1j * x))
+        g = log_mu + np.log(np.abs(s0))
+        q1 = s1 / s0
+        d1, d2 = -q1.imag, (q1 * q1 - s2 / s0).real
+        j = int(np.argmax(g))
+        if g[j] > best:
+            best, angle = float(g[j]), float(x[j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where(d2 < 0.0, d1 * d1 / (-2.0 * d2), np.inf)
+        tol = (_PEAK_REL_GAIN * np.maximum(1.0, np.abs(g))
+               + np.exp(noise_ln - g))
+        live = (d1 != 0.0) & (gain >= tol) & (g + gain > best)
+        if not live.any():
             break
-        best = new_best
+        a = np.where(d1 > 0.0, x, a)
+        b = np.where(d1 < 0.0, x, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - d1 / d2
+        inside = (d2 < 0.0) & (step > a) & (step < b)
+        x = np.where(inside, step, 0.5 * (a + b))
+        x, a, b = x[live], a[live], b[live]
     return best, angle
+
+
+def _derivative_quotients(f: PowerSeries, log_r: float, theta: float,
+                          order: int) -> np.ndarray:
+    """z^k f^(k)(z) / f(z) for k = 1 .. order at z = r e^{i theta}: S_k /
+    S_0 for S_k = sum n(n-1)...(n-k+1) t_n e^{i n theta} over f's d band,
+    all read by one stacked _poly_at_points_d call at theta."""
+    f.check_radius(log_r)
+    lo, hi, _, t = _evalcore._terms_d(f.coeff, log_r)
+    n = np.arange(lo, hi, dtype=float)
+    rows = [t]
+    for s in range(order):
+        rows.append(rows[-1] * (n - s))
+    sums = _evalcore._poly_at_points_d(np.stack(rows),
+                                       np.exp(1j * np.array([theta])))[:, 0]
+    return sums[1:] / sums[0]
 
 
 def _shifted_logs(lh, ll, shift) -> tuple:
@@ -455,7 +496,9 @@ def combine(f: PowerSeries, g: PowerSeries, op: str) -> PowerSeries:
 
     The Cauchy product is truncated to the shorter input's length: beyond it
     the convolution would be missing contributions from unstored
-    coefficients, so those entries are not the truncation of f*g.
+    coefficients, so those entries are not the truncation of f*g.  So a
+    sum or difference of two polynomials (trusted radius inf) is one, and
+    a product is not.
     """
     if op in ("add", "sub"):
         n = max(f.n_terms, g.n_terms)
@@ -480,10 +523,10 @@ def combine(f: PowerSeries, g: PowerSeries, op: str) -> PowerSeries:
         raise ValueError(f"unknown combine op {op!r}")
     rel = float(np.logaddexp(f.coeff.rel_err_ln, g.coeff.rel_err_ln))
     rel = float(np.logaddexp(rel, math.log(op_err)))
+    cap = min(f.guaranteed_radius, g.guaranteed_radius)
     return make_series(lh, np.zeros(len(lh)), ph, rel, name,
-                       mp_factory=_combine_factory(f, g, op),
-                       radius_cap=min(f.guaranteed_radius,
-                                      g.guaranteed_radius))
+                       mp_factory=_combine_factory(f, g, op), radius_cap=cap,
+                       polynomial=op != "cauchy_product" and cap == math.inf)
 
 
 def _cauchy_logpolar(lf, pf, lg, pg, n_out):

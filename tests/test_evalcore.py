@@ -390,6 +390,21 @@ def test_d_band_is_built_once_per_radius():
     assert f.coeff._a_cache["d"][0] == ("d", log_r + 0.1)
 
 
+@pytest.mark.parametrize("n", [1, 17, 401, 7300])
+@pytest.mark.parametrize("p", [1, 3, 64])
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_band_rows_match_one_band_calls(n, p, k):
+    """Each row of a stacked (k, N) _poly_at_points_d call is bit for bit
+    the 1-D call on that band (series._max_modulus reads its S_0, S_1, S_2
+    from one call)."""
+    rng = np.random.default_rng(1000 * n + 10 * p + k)
+    t = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+    x = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, p))
+    got = _evalcore._poly_at_points_d(t, x)
+    assert got.shape == (k, p)
+    for row, band in zip(got, t):
+        assert row.tobytes() == _evalcore._poly_at_points_d(band, x).tobytes()
+
 def loop_result(ar, ai, bits, log_mu, turn=None):
     """(logabs, phase) by the per-point loop that _result_fixed vectorises:
     the reference its bytes must equal."""

@@ -3,9 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from growthlab import _evalcore, cli, harness, ode
+from growthlab import nevanlinna as nev
 from growthlab import series as ps
 from growthlab.harness import ConfigError
 from marchref import assert_march_holds_bands, recording_marches
@@ -386,3 +388,113 @@ class TestMarchLength:
         (rec,) = recs
         assert rec["n"] < 128
         assert_march_holds_bands(rec)
+
+
+class TestMaxModulusSearch:
+    @pytest.mark.parametrize("name", ["wiman_valiron", "analyze_exp",
+                                      "theorem_type",
+                                      "theorem_dominant_first_order"])
+    def test_at_most_one_circle_and_six_sums(self, monkeypatch, name):
+        # the shipped experiments that read ln M(r): each search runs its
+        # seed circle and at most 6 stacked band sums
+        counts, per_search = {"circle": 0, "sums": 0}, []
+        circle, sums = _evalcore.eval_circle, _evalcore._poly_at_points_d
+        search = ps._max_modulus
+
+        def circle_counted(*args, **kw):
+            counts["circle"] += 1
+            return circle(*args, **kw)
+
+        def sums_counted(t, x):
+            counts["sums"] += t.ndim == 2
+            return sums(t, x)
+
+        def search_counted(f, log_r):
+            counts.update(circle=0, sums=0)
+            out = search(f, log_r)
+            per_search.append(dict(counts))
+            return out
+
+        monkeypatch.setattr(_evalcore, "eval_circle", circle_counted)
+        monkeypatch.setattr(_evalcore, "_poly_at_points_d", sums_counted)
+        monkeypatch.setattr(ps, "_max_modulus", search_counted)
+        assert harness.run_config(harness.shipped_config(name)).verdict \
+            == "pass"
+        assert per_search
+        assert max(c["circle"] for c in per_search) == 1
+        assert max(c["sums"] for c in per_search) <= 6
+
+    def test_one_search_per_radius(self, monkeypatch):
+        # wv_bound and wv_ratio share each radius' search
+        radii, search = [], ps._max_modulus
+
+        def search_logged(f, log_r):
+            radii.append(log_r)
+            return search(f, log_r)
+
+        monkeypatch.setattr(ps, "_max_modulus", search_logged)
+        grid = np.geomspace(1.0, 50.0, 24)
+        rep = harness.check_wiman_valiron(ps.builtin("exp", 400), grid,
+                                          ratio_orders=(1, 2))
+        assert rep.verdict == "pass"
+        assert sorted(radii) == sorted(set(radii))
+        assert len(radii) == len(grid)
+
+
+def old_wv_quotient(f, log_r, theta, order):
+    """z^n f^(n)/f at r e^{i theta} as wv_ratio read it before: the
+    derivative series f^(n), and f and f^(n) at dd."""
+    fk = f
+    for _ in range(order):
+        fk = ps.derivative(fk)
+    rf, rk = (_evalcore.eval_points(g.coeff, log_r, np.array([theta]),
+                                    level="dd") for g in (f, fk))
+    dlog = rk.logabs[0] - rf.logabs[0] + order * log_r
+    dph = rk.phase[0] - rf.phase[0] + order * theta
+    return complex(math.exp(dlog) * math.cos(dph),
+                   math.exp(dlog) * math.sin(dph))
+
+
+@pytest.mark.parametrize("name", ["exp", "cos", "exp_exp"])
+def test_wv_quotients_match_derivative_series(name):
+    f = ps.builtin(name, 400)
+    for r in np.geomspace(1.0, min(30.0, f.guaranteed_radius / 2.0), 6):
+        lr = math.log(r)
+        theta = ps._max_modulus(f, lr)[1]
+        got = ps._derivative_quotients(f, lr, theta, 3)
+        for order in (1, 2, 3):
+            want = old_wv_quotient(f, lr, theta, order)
+            assert abs(got[order - 1] - want) <= 1e-10 * abs(want)
+
+
+def noisy_sin():
+    """sin 200 claiming coefficients good only to 1e-12: on |z| = 12 its
+    dd trust line lies above |sin| near the real axis."""
+    s = ps.builtin("sin", 200)
+    return ps.make_series(s.coeff.lh, s.coeff.ll, s.coeff.ph,
+                          math.log(1e-12), "noisy sin")
+
+
+class TestLogDerivativeDetail:
+    triple = harness.resolve_triple({"alpha": {"kind": "log_plus"},
+                                     "beta": {"kind": "identity"},
+                                     "gamma": {"kind": "identity"}})
+
+    def detail(self, f):
+        rep = harness.check_log_derivative(f, self.triple, 1.0, 1,
+                                           np.array([10.0, 12.0]))
+        return rep.checks[0].detail
+
+    def test_clean_radii_keep_the_plain_detail(self):
+        assert self.detail(ps.builtin("sin", 200)).startswith(
+            "tail ratios m/bound = [")
+        assert ";" not in self.detail(ps.builtin("sin", 200))
+
+    def test_names_trimmed_radii(self):
+        assert self.detail(noisy_sin()).endswith(
+            "; trimmed mean at r = [10.0, 12.0]")
+
+    def test_names_unconverged_radii(self, monkeypatch):
+        monkeypatch.setattr(nev, "_PROX_MAX_ANGLES", nev._PROX_START)
+        assert self.detail(ps.builtin("sin", 200)).endswith(
+            "; unconverged at r = [10.0, 12.0]")

@@ -421,13 +421,13 @@ class TestProximityOfRatio:
         # f'/f = 1 for exp: log+ |1| = 0
         f = series.builtin("exp", 200)
         fp = series.derivative(f)
-        assert nev.proximity_of_ratio(fp, f, math.log(9.0)) \
+        assert nev.proximity_of_ratio(fp, f, math.log(9.0)).value \
             == pytest.approx(0.0, abs=1e-9)
 
     def test_cot_stays_small(self):
         s = series.builtin("sin", 200)
         c = series.builtin("cos", 200)
-        val = nev.proximity_of_ratio(c, s, math.log(12.0))
+        val = nev.proximity_of_ratio(c, s, math.log(12.0)).value
         assert 0.0 <= val < 0.5
 
     @pytest.mark.parametrize("i", range(8))
@@ -438,7 +438,7 @@ class TestProximityOfRatio:
         fp, f, radii = exp_exp_log_derivative
         assert len(radii) == 8
         r = float(radii[i])
-        got = nev.proximity_of_ratio(fp, f, math.log(r))
+        got = nev.proximity_of_ratio(fp, f, math.log(r)).value
         assert got == pytest.approx(r / math.pi, rel=1e-9, abs=0.0)
 
     def test_cot_against_reference(self):
@@ -450,7 +450,7 @@ class TestProximityOfRatio:
             np.log(np.abs(np.cos(z))) - np.log(np.abs(np.sin(z))), 0.0)))
         got = nev.proximity_of_ratio(series.builtin("cos", 200),
                                      series.builtin("sin", 200),
-                                     math.log(12.0))
+                                     math.log(12.0)).value
         tol = max(nev._PROX_REL_TOL * max(1.0, ref), nev._PROX_ABS_TOL)
         assert abs(got - ref) <= tol
 
@@ -468,9 +468,9 @@ class TestProximityOfRatio:
             v = np.where(ok, np.maximum(rn.logabs - rd.logabs, 0.0), 0.0)
             return float(np.mean(v)), 0.0
 
-        want = nev._until_stable(masked_mean, nev._PROX_START,
-                                 nev._PROX_REL_TOL, nev._PROX_MAX_ANGLES,
-                                 abs_tol=nev._PROX_ABS_TOL)[0]
+        want, m_want, conv_want, _ = nev._until_stable(
+            masked_mean, nev._PROX_START, nev._PROX_REL_TOL,
+            nev._PROX_MAX_ANGLES, abs_tol=nev._PROX_ABS_TOL)
         assert all(0 < k < m for k, m in zip(
             masked, nev._PROX_START << np.arange(len(masked))))
 
@@ -478,7 +478,23 @@ class TestProximityOfRatio:
             raise AssertionError("a masked pass took the Gregory arcs")
 
         monkeypatch.setattr(nev, "_arc_quadrature", no_arcs)
-        assert nev.proximity_of_ratio(num, den, lr) == want
+        assert nev.proximity_of_ratio(num, den, lr) == nev.ProximityResult(
+            want, m_want, conv_want, "dd", 0.0, trimmed=True)
+
+    def test_result_names_level_angles_and_convergence(self):
+        res = nev.proximity_of_ratio(series.builtin("cos", 200),
+                                     series.builtin("sin", 200),
+                                     math.log(12.0))
+        assert (res.level, res.converged, res.trimmed, res.uncertainty) \
+            == ("dd", True, False, 0.0)
+        assert nev._PROX_START <= res.n_angles <= nev._PROX_MAX_ANGLES
+
+    def test_unconverged_at_the_angle_cap(self, monkeypatch):
+        monkeypatch.setattr(nev, "_PROX_MAX_ANGLES", nev._PROX_START)
+        res = nev.proximity_of_ratio(series.builtin("cos", 200),
+                                     series.builtin("sin", 200),
+                                     math.log(12.0))
+        assert (res.n_angles, res.converged) == (nev._PROX_START, False)
 
     def test_call_count_regression(self, monkeypatch, exp_exp_log_derivative):
         # the plain trapezoid mean doubled to 2,048 or 4,096 angles (8 or 10

@@ -287,6 +287,18 @@ class TestResidual:
         homogeneous = ode.LinearODE(2, eq.coeffs)
         assert ode.residual_norm(homogeneous, sol, math.log(3.0)) >= 1e-2
 
+    def test_runs_no_radius_extrapolation(self, monkeypatch):
+        # every series residual_norm builds or combines is a polynomial in
+        # w, trusted everywhere without series._certify_radius
+        eq = exp_equation()
+        sol = ode.solve_series(eq, ode.InitialData((1.0,)), 60)
+
+        def refuse(lh):
+            raise AssertionError("residual_norm extrapolated a radius")
+
+        monkeypatch.setattr(ps, "_certify_radius", refuse)
+        assert ode.residual_norm(eq, sol, math.log(5.0)) < 1e-12
+
     @pytest.mark.parametrize("case", ["bessel_solution",
                                       "theorem_type_solution"])
     def test_matches_a_60_digit_reference(self, case, request):
@@ -361,6 +373,26 @@ class TestResidual:
         assert l == pytest.approx(-math.log(2.0), rel=1e-15)
         assert t.tolist() == [0.5j, 0.5]
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMaxModulus:
+    @pytest.mark.parametrize("r", [1.0, 2.3, 4.0, 7.0])
+    def test_against_a_dense_circle(self, theorem_type_solution, r):
+        # the 16,384-term theorem_type solution: the best of a 65,536-angle
+        # d circle, refined twice on 2,001 d points across its two cells
+        _, sol, _ = theorem_type_solution
+        lr = math.log(r)
+        m = 1 << 16
+        v = _evalcore.eval_circle(sol.coeff, lr, m, offset=False,
+                                  level="d").logabs
+        mid, step = 2.0 * math.pi * int(np.argmax(v)) / m, 2.0 * math.pi / m
+        for _ in range(2):
+            th = np.linspace(mid - step, mid + step, 2001)
+            v = _evalcore.eval_points(sol.coeff, lr, th, level="d").logabs
+            mid, step = th[int(np.argmax(v))], th[1] - th[0]
+        want = float(np.max(v))
+        got = ps.log_max_modulus(sol, lr)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 class TestAutoSolve:
     def test_cap_binds_honestly(self):

@@ -298,6 +298,107 @@ class TestLogMaxModulus:
                 assert lhs < mt.log_mu + math.log(nu2 + 2.0)
 
 
+def dense_peak(g, m=1 << 16):
+    """max of g (a vectorised function of the angle) over m equispaced
+    angles, refined twice on 2,001 angles across the best one's cells: to
+    within |g''| (2 pi / m / 1e6)^2 of the true max."""
+    step = 2.0 * np.pi / m
+    th = step * np.arange(m)
+    mid = th[int(np.argmax(g(th)))]
+    for _ in range(2):
+        th = np.linspace(mid - step, mid + step, 2001)
+        mid, step = th[int(np.argmax(g(th)))], th[1] - th[0]
+    return float(np.max(g(th)))
+
+
+def ln_abs_exp_sum(a, b):
+    """ln|e^a + e^b| for complex arrays a, b, without overflow."""
+    big = np.where(a.real >= b.real, a, b)
+    small = np.where(a.real >= b.real, b, a)
+    return big.real + np.log(np.abs(1.0 + np.exp(small - big)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMaxModulusSearch:
+    """The safeguarded Newton search of series._max_modulus."""
+
+    @pytest.mark.parametrize("r", [0.7, 3.0, 11.0, 40.0])
+    def test_exp_cz_at_off_grid_argument(self, r):
+        # ln M(r, e^{cz}) = |c| r, attained at theta = -arg c, between the
+        # seed circle's angles
+        c = 1.3 + 0.7j
+        f = series.scale_argument(series.builtin("exp", 400), c)
+        got = series.log_max_modulus(f, math.log(r))
+        assert abs(got - abs(c) * r) <= 1e-13 * abs(c) * r
+
+    @pytest.mark.parametrize("r", [0.5, 3.0, 20.0, 50.0])
+    def test_cos_is_log_cosh(self, r):
+        f = series.builtin("cos", 400)
+        want = float(mp.log(mp.cosh(r)))
+        got = series.log_max_modulus(f, math.log(r))
+        assert abs(got - want) <= 1e-13 * max(1.0, want)
+
+    @pytest.mark.parametrize("coeffs,ln_a,k", [([0.0, 0.0, 0.0, 2.5], 2.5, 3),
+                                               ([-4.0], 4.0, 0)])
+    def test_monomial_and_constant(self, coeffs, ln_a, k):
+        # |f| is constant on the circle: every angle is stationary
+        f = series.builtin("poly", coeffs=coeffs)
+        for r in (0.3, 2.0, 100.0):
+            want = math.log(ln_a) + k * math.log(r)
+            got, angle = series._max_modulus(f, math.log(r))
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+            assert math.isfinite(angle)
+
+    @pytest.mark.parametrize("r", [2.0, 10.0, 30.0])
+    def test_conjugate_maxima_of_a_real_series(self, r):
+        # e^{cz} + e^{conj(c) z} has real coefficients, so |f| is symmetric
+        # in the real axis, with two equal maxima near theta = -+ arg c
+        c = 1.2 * np.exp(0.9j)
+        e = series.builtin("exp", 400)
+        f = series.combine(series.scale_argument(e, c),
+                           series.scale_argument(e, c.conjugate()), "add")
+        assert np.all(np.abs(np.sin(f.coeff.ph)) < 1e-12)
+
+        def g(th):
+            z = r * np.exp(1j * th)
+            return ln_abs_exp_sum(c * z, c.conjugate() * z)
+
+        want = dense_peak(g)
+        got, angle = series._max_modulus(f, math.log(r))
+        assert abs(got - want) <= 1e-13 * want
+        assert abs(abs(angle) - 0.9) < 0.1 or abs(abs(angle - 2 * np.pi)
+                                                  - 0.9) < 0.1
+        assert g(np.array([angle]))[0] == pytest.approx(want, rel=1e-13)
+
+
+    @pytest.mark.parametrize("r", [1.0, 1.3])
+    def test_steps_stay_in_their_brackets(self, monkeypatch, r):
+        # p(w) = sum_{j<8} w^j / j! at w = (e^{0.047 i} z)^32: 32 equal
+        # peaks two seed steps apart, so Newton steps from the seed's
+        # local maxima overshoot; every angle read stays within one seed
+        # step of its pick, and ln M is ln p(r^32)
+        coeffs = np.zeros(32 * 7 + 1, dtype=complex)
+        for j in range(8):
+            coeffs[32 * j] = np.exp(0.047j * 32 * j) / math.factorial(j)
+        f = series.builtin("poly", coeffs=list(coeffs))
+        reads, sums = [], series._evalcore._poly_at_points_d
+
+        def logged(t, x):
+            reads.append(np.angle(x))
+            return sums(t, x)
+
+        monkeypatch.setattr(series._evalcore, "_poly_at_points_d", logged)
+        got = series.log_max_modulus(f, math.log(r))
+        want = math.log(sum(r ** (32 * j) / math.factorial(j)
+                            for j in range(8)))
+        assert abs(got - want) <= 1e-13 * max(1.0, want)
+        h = 2.0 * np.pi / series._PEAK_SEED
+        picks = reads[0]
+        for angles in reads[1:]:
+            apart = np.abs(np.angle(np.exp(1j * (angles[:, None]
+                                                 - picks[None, :]))))
+            assert np.all(apart.min(axis=1) <= h * (1.0 + 1e-9))
+
 class TestDerivative:
     def test_derivative_of_exp(self):
         f = series.builtin("exp", 50)
@@ -531,6 +632,32 @@ class TestCertifiedRadius:
     def test_polynomials_certified_everywhere(self):
         f = series.builtin("poly", coeffs=[1.0, 0.0, 3.0])
         assert f.guaranteed_radius == math.inf
+
+    @pytest.mark.parametrize("coeffs", [[1, 1, 1, 1], [1, 2, 3, 4, 5]])
+    def test_polynomials_read_at_r_100(self, coeffs):
+        # no tail extrapolation: the trusted radius is inf, and ln M(100)
+        # is ln p(100), all coefficients being positive
+        f = series.builtin("poly", coeffs=coeffs)
+        assert f.guaranteed_radius == math.inf
+        want = math.log(sum(c * 100.0 ** n for n, c in enumerate(coeffs)))
+        lr = math.log(100.0)
+        assert series.log_max_modulus(f, lr) == pytest.approx(want,
+                                                               rel=1e-15)
+        assert float(ec_ln_abs(series.evaluate(f, (lr, 0.0)))) \
+            == pytest.approx(want, rel=1e-15)
+
+    def test_sums_of_polynomials_skip_extrapolation(self, monkeypatch):
+        p = series.builtin("poly", coeffs=[1, 2, 3, 4, 5])
+        q = series.builtin("poly", coeffs=[0, 1, 0, 0, 0, 0, 7])
+
+        def refuse(lh):
+            raise AssertionError("extrapolated the radius of a polynomial")
+
+        monkeypatch.setattr(series, "_certify_radius", refuse)
+        for op in ("add", "sub"):
+            assert series.combine(p, q, op).guaranteed_radius == math.inf
+        with pytest.raises(AssertionError):
+            series.combine(p, q, "cauchy_product")
 
     def test_exp_400_covers_100(self):
         f = series.builtin("exp", 400)
