@@ -145,11 +145,6 @@ class Report:
         return self.add(CheckRecord(name, measured, f"<= {bound:g}", None,
                                     "pass" if ok else "fail", detail))
 
-    def geq(self, measured, bound, name, detail="") -> CheckRecord:
-        ok = measured >= bound
-        return self.add(CheckRecord(name, measured, f">= {bound:g}", None,
-                                    "pass" if ok else "fail", detail))
-
     def truth(self, ok, name, detail="") -> CheckRecord:
         return self.add(CheckRecord(name, bool(ok), True, None,
                                     "pass" if ok else "fail", detail))

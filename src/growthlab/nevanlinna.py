@@ -99,12 +99,6 @@ class CountingData:
         if any(c < self.count_at_zero for c in self.counts):
             raise ValueError("counts cannot be below the origin multiplicity")
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("r,n,N\n")
-            for r, n in zip(self.radii, self.counts):
-                fh.write(f"{r!r},{n},{integrated_count(self, math.log(r))!r}\n")
-
 
 @dataclass(frozen=True)
 class ProximityResult:

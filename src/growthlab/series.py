@@ -2,8 +2,7 @@
 
 Coefficients are held in log-polar form (double-double ln|a_n| plus phase),
 which is what every downstream consumer — maximum term, central index,
-max-modulus sweeps, quadrature — actually wants.  The `coeffs` property
-materializes ordinary ExtendedComplex scalars on demand.  For deep
+max-modulus sweeps, quadrature — actually wants.  For deep
 evaluation every series also regenerates its exact coefficients at any dps
 as fixed-point integer triples (CoeffData.mp_logs); a derived series
 computes them in one expression from its parents' cached values.  A
@@ -29,8 +28,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _dd, _evalcore
-from .erfloat import (ExtendedComplex, EC_ZERO, er_exp,
-                      er_from_float, er_mul)
 
 __all__ = [
     "PowerSeries", "MaxTermResult", "TruncationError", "DegenerateSeriesError",
@@ -68,21 +65,6 @@ class PowerSeries:
     @property
     def n_terms(self) -> int:
         return self.coeff.n_terms
-
-    @property
-    def coeffs(self) -> tuple:
-        """Coefficients as ExtendedComplex scalars (materialized on demand)."""
-        out = []
-        for L, p in zip(self.coeff.lh, self.coeff.ph):
-            if not math.isfinite(L):
-                out.append(EC_ZERO)
-            else:
-                mag = er_exp(float(L))
-                out.append(ExtendedComplex(
-                    er_mul(mag, er_from_float(math.cos(p))),
-                    er_mul(mag, er_from_float(math.sin(p))),
-                ))
-        return tuple(out)
 
     def check_radius(self, log_r: float) -> None:
         if log_r > math.log(self.guaranteed_radius) + 1e-12:
@@ -261,21 +243,17 @@ def _poly_series(coeffs: list) -> PowerSeries:
 # ---------------------------------------------------------------------------
 # operations
 
-def evaluate(f: PowerSeries, log_z: tuple) -> ExtendedComplex:
-    """Value at z given as (ln|z|, arg z), in extended range.
+def evaluate(f: PowerSeries, log_z: tuple) -> tuple:
+    """(ln|f|, arg f, floor_ln) at z given as (ln|z|, arg z).
 
-    Relative accuracy is O(N eps) away from zeros of f; near zeros only
-    absolute accuracy relative to mu(r) is possible in fixed precision.
+    An exact zero reads ln|f| = -inf.  Relative accuracy is O(N eps) away
+    from zeros of f; near zeros only absolute accuracy relative to mu(r) is
+    possible in fixed precision.  floor_ln is the dd sum's noise floor.
     """
     log_r, theta = log_z
     f.check_radius(log_r)
     res = _evalcore.eval_points(f.coeff, log_r, np.array([theta]), level="dd")
-    if not math.isfinite(res.logabs[0]):
-        return EC_ZERO
-    mag = er_exp(float(res.logabs[0]))
-    p = float(res.phase[0])
-    return ExtendedComplex(er_mul(mag, er_from_float(math.cos(p))),
-                           er_mul(mag, er_from_float(math.sin(p))))
+    return float(res.logabs[0]), float(res.phase[0]), float(res.floor_ln)
 
 
 def max_term(f: PowerSeries, log_r: float) -> MaxTermResult:

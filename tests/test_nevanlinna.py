@@ -211,14 +211,6 @@ class TestCountingData:
         got = nev.integrated_count(data, math.log(20.0))
         assert got == pytest.approx(want, abs=1e-9)
 
-    def test_csv(self, tmp_path):
-        data = nev.CountingData((1.0, 2.0, 4.0), (0, 1, 3))
-        p = tmp_path / "counts.csv"
-        data.to_csv(str(p))
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == "r,n,N"
-        assert len(lines) == 4
-
 
 class TestJensenConsistency:
     @pytest.mark.parametrize("name,n,r_top", [("cos", 300, 25.0),

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthlab import series
-from growthlab.erfloat import ec_arg, ec_ln_abs, er_ln
 from mpref import to_mpc
 
 
@@ -88,11 +87,6 @@ class TestBuiltins:
         assert coeff_value(f, 0) == pytest.approx(1.0)
         assert coeff_value(f, 3) == pytest.approx(1.0 / 6.0, rel=1e-13)
 
-    def test_coeffs_materialize_extended(self):
-        f = series.builtin("exp", 6)
-        cs = f.coeffs
-        assert abs(er_ln(cs[3].re) + math.log(6.0)) < 1e-12
-
 
 def _loggamma_logs(name, n, dps=50):
     """The builtins' logs from -loggamma at 50 digits, as the series once
@@ -166,14 +160,13 @@ class TestLnInt:
 class TestEvaluate:
     def test_exp_at_zero_arg(self):
         f = series.builtin("exp", 30)
-        v = series.evaluate(f, (0.0, 0.0))  # z = 1
-        assert math.exp(er_ln(v.re)) == pytest.approx(math.e, rel=1e-12)
+        ln_abs, _, _ = series.evaluate(f, (0.0, 0.0))  # z = 1
+        assert math.exp(ln_abs) == pytest.approx(math.e, rel=1e-12)
 
     def test_sin_at_pi_is_tiny(self):
         f = series.builtin("sin", 60)
-        v = series.evaluate(f, (math.log(math.pi), 0.0))
-        mag = ec_ln_abs(v) if (v.re or v.im) else -math.inf
-        assert mag < math.log(1e-10)
+        ln_abs, _, _ = series.evaluate(f, (math.log(math.pi), 0.0))
+        assert ln_abs < math.log(1e-10)
 
     def test_truncation_error_beyond_radius(self):
         f = series.builtin("exp", 20)
@@ -182,15 +175,31 @@ class TestEvaluate:
 
     def test_evaluate_agrees_with_mpmath(self):
         f = series.builtin("cos", 80)
-        v = series.evaluate(f, (math.log(3.0), 1.1))
+        ln_abs, arg, _ = series.evaluate(f, (math.log(3.0), 1.1))
         with mp.workdps(30):
             z = 3.0 * mp.exp(1j * mp.mpf(1.1))
             want = mp.cos(z)
-            assert ec_ln_abs(v) == pytest.approx(float(mp.log(abs(want))),
-                                                 abs=1e-10)
-            assert ec_arg(v) == pytest.approx(float(mp.atan2(want.imag,
-                                                             want.real)),
-                                              abs=1e-10)
+            assert ln_abs == pytest.approx(float(mp.log(abs(want))),
+                                           abs=1e-10)
+            assert arg == pytest.approx(float(mp.atan2(want.imag,
+                                                       want.real)),
+                                        abs=1e-10)
+
+    @pytest.mark.parametrize("name,n,log_z", [
+        ("exp", 30, (0.0, 0.0)),
+        ("sin", 60, (math.log(math.pi), 0.0)),
+        ("cos", 80, (math.log(3.0), 1.1)),
+    ])
+    def test_floor_is_the_dd_sums_floor(self, name, n, log_z):
+        # floor_ln bounds only the fixed-point sum's noise, not the dd
+        # output's rounding, so it is compared with eval_points, not with
+        # the true value
+        f = series.builtin(name, n)
+        ln_abs, _, floor_ln = series.evaluate(f, log_z)
+        res = series._evalcore.eval_points(f.coeff, log_z[0],
+                                           np.array([log_z[1]]), level="dd")
+        assert floor_ln == res.floor_ln
+        assert floor_ln < ln_abs
 
 
 class TestMaxTerm:
@@ -643,8 +652,8 @@ class TestCertifiedRadius:
         lr = math.log(100.0)
         assert series.log_max_modulus(f, lr) == pytest.approx(want,
                                                                rel=1e-15)
-        assert float(ec_ln_abs(series.evaluate(f, (lr, 0.0)))) \
-            == pytest.approx(want, rel=1e-15)
+        assert series.evaluate(f, (lr, 0.0))[0] == pytest.approx(want,
+                                                                 rel=1e-15)
 
     def test_sums_of_polynomials_skip_extrapolation(self, monkeypatch):
         p = series.builtin("poly", coeffs=[1, 2, 3, 4, 5])
