@@ -21,9 +21,6 @@ from . import harness
 
 CORE_SUITE = ("analyze_exp", "solve_airy", "wiman_valiron", "gundersen_exp",
               "log_derivative_exp_exp", "propositions", "scales_default")
-FULL_SUITE = CORE_SUITE + ("theorem_dominant_first_order", "theorem_type",
-                           "theorem_proximity", "theorem_proximity_liminf",
-                           "theorem_dominant_negative", "theorem_dominant")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,8 +102,11 @@ def main(argv=None) -> int:
             if args.config:
                 cfgs = [_load(args.config)]
             else:
-                names = args.names or list(
-                    CORE_SUITE if args.suite in (None, "core") else FULL_SUITE)
+                names = args.names or list(CORE_SUITE)
+                if args.names is None and args.suite == "full":
+                    # every shipped experiment, the core suite first
+                    names += [n for n in harness.shipped_names()
+                              if n not in CORE_SUITE]
                 cfgs = [harness.shipped_config(n) for n in names]
             ok = True
             for cfg in cfgs:

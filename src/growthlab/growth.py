@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .nevanlinna import CountingData, characteristic_entire, integrated_count
+from .nevanlinna import CountingData, characteristic_entire
 from .scale import ScaleTriple, compose_with_log, eval_scale
 from .series import PowerSeries, log_max_modulus
 
@@ -31,7 +31,9 @@ __all__ = ["GrowthSample", "OrderEstimate", "Profile", "DegenerateScaleError",
            "profile_product", "profile_scalar_multiple",
            "profile_from_descriptor"]
 
-QUANTITIES = ("log_T", "log2_M", "log_n", "log_N")
+QUANTITIES = ("log_T", "log2_M")
+
+_TAIL_FRACTION = 0.25  # share of a sample's radii the estimators read
 
 
 class DegenerateScaleError(ValueError):
@@ -52,7 +54,6 @@ class GrowthSample:
     quantity: str
     radii: np.ndarray
     values: np.ndarray
-    source: str
 
     def __post_init__(self):
         if np.any(np.diff(self.radii) <= 0):
@@ -70,7 +71,6 @@ class OrderEstimate:
     tail_fraction: float
     trend: str
     ratios: tuple = field(repr=False)
-    radii: tuple = field(repr=False)
 
     def as_dict(self) -> dict:
         """Report serialization (the full ratio series is retained so a
@@ -174,20 +174,22 @@ def profile_scalar_multiple(p: Profile, a: float) -> Profile:
 # ---------------------------------------------------------------------------
 # sampling
 
-def sample(src: Union[PowerSeries, Profile, CountingData], quantity: str,
+def sample(src: Union[PowerSeries, Profile], quantity: str,
            grid: np.ndarray) -> GrowthSample:
-    """Sample one growth quantity over a radius grid.
+    """Sample log T(r) ("log_T") or log log M(r) ("log2_M") of a series or
+    a closed-form profile over a radius grid.
 
-    Radii where the quantity is undefined (T <= 0, n = 0, ...) are dropped;
-    at least three usable radii must remain.
+    Radii where the quantity is undefined (T <= 0, ln M <= 0) are dropped;
+    at least three usable radii must remain.  Zero counts are not sampled
+    here: estimate_lambda reads log n(r) from the CountingData itself.
     """
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}; expected one of "
+                         f"{QUANTITIES}")
     grid = np.asarray(grid, dtype=float)
     radii, values = [], []
     if isinstance(src, Profile):
-        vals = src.log_T(grid) if quantity == "log_T" else src.log2_M(grid) \
-            if quantity == "log2_M" else None
-        if vals is None:
-            raise ValueError(f"profiles cannot supply {quantity}")
+        vals = src.log_T(grid) if quantity == "log_T" else src.log2_M(grid)
         keep = np.isfinite(vals)
         radii, values = grid[keep], np.asarray(vals)[keep]
         name = src.name
@@ -195,39 +197,19 @@ def sample(src: Union[PowerSeries, Profile, CountingData], quantity: str,
         name = src.provenance
         for r in grid:
             if quantity == "log_T":
-                t = characteristic_entire(src, math.log(r))
-                if t > 0:
-                    radii.append(r)
-                    values.append(math.log(t))
-            elif quantity == "log2_M":
-                lm = log_max_modulus(src, math.log(r))
-                if lm > 0:
-                    radii.append(r)
-                    values.append(math.log(lm))
+                v = characteristic_entire(src, math.log(r))
             else:
-                raise ValueError(f"series cannot supply {quantity}")
-    elif isinstance(src, CountingData):
-        name = "counting"
-        if quantity == "log_n":
-            for r, n in zip(src.radii, src.counts):
-                if n >= 1:
-                    radii.append(r)
-                    values.append(math.log(n))
-        elif quantity == "log_N":
-            for r in src.radii:
-                big_n = integrated_count(src, math.log(r))
-                if big_n > 0:
-                    radii.append(r)
-                    values.append(math.log(big_n))
-        else:
-            raise ValueError(f"counting data cannot supply {quantity}")
+                v = log_max_modulus(src, math.log(r))
+            if v > 0:
+                radii.append(r)
+                values.append(math.log(v))
     else:
         raise TypeError(f"cannot sample from {type(src).__name__}")
     radii = np.asarray(radii, float)
     values = np.asarray(values, float)
     if len(radii) < 3:
         raise ValueError(f"fewer than 3 usable radii for {quantity} of {name}")
-    return GrowthSample(quantity, radii, values, name)
+    return GrowthSample(quantity, radii, values)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +238,7 @@ def _beta_log_gamma(t: ScaleTriple, radii: np.ndarray) -> np.ndarray:
 
 
 def _tail_slope_estimate(beta_vals: np.ndarray, alpha_vals: np.ndarray,
-                         radii: np.ndarray, mode: str,
-                         tail_fraction: float) -> OrderEstimate:
+                         mode: str, tail_fraction: float) -> OrderEstimate:
     if mode not in ("upper", "lower"):
         raise ValueError("mode must be 'upper' or 'lower'")
     valid = (beta_vals > 1e-12) & np.isfinite(alpha_vals) \
@@ -267,10 +248,9 @@ def _tail_slope_estimate(beta_vals: np.ndarray, alpha_vals: np.ndarray,
             "denominator scale vanishes on (almost) the whole grid")
     b = beta_vals[valid]
     a = alpha_vals[valid]
-    r = radii[valid]
     ratios = a / b
     k = max(3, int(math.ceil(tail_fraction * len(b))))
-    bt, at, rt = b[-k:], a[-k:], r[-k:]
+    bt, at = b[-k:], a[-k:]
     span = bt[-1] - bt[0]
     if span <= 1e-9:
         raise DegenerateScaleError("tail has no denominator spread")
@@ -282,29 +262,28 @@ def _tail_slope_estimate(beta_vals: np.ndarray, alpha_vals: np.ndarray,
     value = float(np.max(slopes) if mode == "upper" else np.min(slopes))
     return OrderEstimate(value, mode, tail_fraction,
                          _classify_trend(ratios[-k:]),
-                         tuple(float(x) for x in ratios),
-                         tuple(float(x) for x in r))
+                         tuple(float(x) for x in ratios))
 
 
-def estimate_order(s: GrowthSample, t: ScaleTriple, mode: str,
-                   tail_fraction: float = 0.25) -> OrderEstimate:
-    """Order estimate: slope of alpha(v) against beta(log gamma(r)).
+def estimate_order(s: GrowthSample, t: ScaleTriple,
+                   mode: str) -> OrderEstimate:
+    """Order estimate: slope of alpha(v) against beta(log gamma(r)) over
+    the last _TAIL_FRACTION of the sample.
 
     mode 'upper' plays the role of the lim sup, 'lower' of the lim inf;
     upper >= lower always holds for estimates from the same sample.
     """
     alpha_vals = eval_scale(t.alpha, s.values)
     beta_vals = _beta_log_gamma(t, s.radii)
-    return _tail_slope_estimate(beta_vals, alpha_vals, s.radii, mode,
-                                tail_fraction)
+    return _tail_slope_estimate(beta_vals, alpha_vals, mode, _TAIL_FRACTION)
 
 
 def estimate_type(s: GrowthSample, t: ScaleTriple, rho_or_mu: float,
-                  mode: str, tail_fraction: float = 0.25) -> OrderEstimate:
+                  mode: str) -> OrderEstimate:
     """Type estimate at a given finite positive order.
 
     Works in log space: ln ratio = alpha(v) - rho * beta(log gamma(r)), and
-    reports exp of the tail extreme.
+    reports exp of the extreme over the last _TAIL_FRACTION of the sample.
     """
     if not 0.0 < rho_or_mu < math.inf:
         raise ValueError("type needs a finite positive order")
@@ -316,55 +295,45 @@ def estimate_type(s: GrowthSample, t: ScaleTriple, rho_or_mu: float,
     if np.count_nonzero(valid) < 3:
         raise DegenerateScaleError("type estimate needs 3 usable radii")
     d = alpha_vals[valid] - rho_or_mu * beta_vals[valid]
-    r = s.radii[valid]
-    k = max(3, int(math.ceil(tail_fraction * len(d))))
+    k = max(3, int(math.ceil(_TAIL_FRACTION * len(d))))
     tail = d[-k:]
     pick = float(np.max(tail) if mode == "upper" else np.min(tail))
     ratios = np.exp(d)
-    return OrderEstimate(math.exp(pick), mode, tail_fraction,
+    return OrderEstimate(math.exp(pick), mode, _TAIL_FRACTION,
                          _classify_trend(ratios[-k:]),
-                         tuple(float(x) for x in ratios),
-                         tuple(float(x) for x in r))
+                         tuple(float(x) for x in ratios))
 
 
-def estimate_lambda(c: CountingData, t: ScaleTriple, form: str = "n_based",
+def estimate_lambda(c: CountingData, t: ScaleTriple, *,
                     log_wrap: bool = False, mode: str = "upper",
-                    tail_fraction: float = 0.25) -> OrderEstimate:
-    """Zero-sequence convergence exponent estimate from counting data.
+                    tail_fraction: float = _TAIL_FRACTION) -> OrderEstimate:
+    """Zero-sequence convergence exponent estimate: the slope of alpha(log
+    n(r)) against beta(log gamma(r)), over the radii with n(r) >= 1.
 
-    form picks the n(r) or N(r) numerator; log_wrap replaces alpha by
-    alpha(log) (the scale under which solution growth matches coefficient
-    growth).  All-zero counts are a degenerate case: estimate 0.
+    n(r) and N(r) have the same order, so log n(r) is the one numerator.
+    log_wrap replaces alpha by alpha(log) (the scale under which solution
+    growth matches coefficient growth).  All-zero counts are a degenerate
+    case: estimate 0.
     """
-    if form == "n_based":
-        usable = [(r, math.log(n)) for r, n in zip(c.radii, c.counts) if n >= 1]
-    elif form == "N_based":
-        usable = []
-        for r in c.radii:
-            big_n = integrated_count(c, math.log(r))
-            if big_n > 0:
-                usable.append((r, math.log(big_n)))
-    else:
-        raise ValueError("form must be 'n_based' or 'N_based'")
+    usable = [(r, math.log(n)) for r, n in zip(c.radii, c.counts) if n >= 1]
     if len(usable) < 3:
-        return OrderEstimate(0.0, mode, tail_fraction, "degenerate", (), ())
+        return OrderEstimate(0.0, mode, tail_fraction, "degenerate", ())
     radii = np.array([u[0] for u in usable])
     vals = np.array([u[1] for u in usable])
     alpha = compose_with_log(t.alpha) if log_wrap else t.alpha
     alpha_vals = eval_scale(alpha, vals)
     beta_vals = _beta_log_gamma(t, radii)
-    return _tail_slope_estimate(beta_vals, alpha_vals, radii, mode,
-                                tail_fraction)
+    return _tail_slope_estimate(beta_vals, alpha_vals, mode, tail_fraction)
 
 
-def compare_characteristics(s1: GrowthSample, s2: GrowthSample,
-                            tail_fraction: float = 0.25) -> float:
-    """Tail max of T1/T2 from two log T samples on the same grid.
+def compare_characteristics(s1: GrowthSample, s2: GrowthSample) -> float:
+    """Tail max of T1/T2 from two log T samples on the same grid, over the
+    last _TAIL_FRACTION of the radii.
 
     Small values support T1 = o(T2); a ratio near a positive constant is
     the equal-growth negative control.
     """
     if len(s1.radii) != len(s2.radii) or not np.allclose(s1.radii, s2.radii):
         raise ValueError("samples must share the same radius grid")
-    k = max(1, int(math.ceil(tail_fraction * len(s1.radii))))
+    k = max(1, int(math.ceil(_TAIL_FRACTION * len(s1.radii))))
     return float(np.max(np.exp(s1.values[-k:] - s2.values[-k:])))

@@ -60,34 +60,6 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A validated experiment: name, kind, seed, and the raw config dict.
-
-    Construction performs the schema/kind validation shared by every
-    pipeline; the kind-specific fields stay in `raw` and are validated by
-    the pipeline that consumes them (errors carry JSON-pointer-ish paths).
-    """
-
-    name: str
-    kind: str
-    seed: int
-    raw: dict
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        if not isinstance(cfg, dict):
-            raise ConfigError("", "config must be a JSON object")
-        if cfg.get("schema") != SCHEMA:
-            raise ConfigError("/schema", f"expected {SCHEMA!r}")
-        kind = _need(cfg, "kind", "")
-        if kind not in KINDS:
-            raise ConfigError("/kind", f"unknown kind {kind!r}; "
-                              f"expected one of {KINDS}")
-        return cls(cfg.get("name", kind), kind, int(cfg.get("seed", 0)),
-                   dict(cfg))
-
-
 @dataclass
 class CheckRecord:
     name: str
@@ -497,8 +469,8 @@ def _run_analyze(cfg: dict, report: Report) -> Report:
         radii = _grid_from(cz, "grid", (5.0, 50.0, 12), "/count_zeros")
         data = nev.count_zeros_grid(subject, radii,
                                     zero_margin=cz.get("zero_margin", "auto"))
-        lam = growth.estimate_lambda(data, triple, "n_based",
-                                     bool(cz.get("log_wrap", False)), "upper")
+        lam = growth.estimate_lambda(data, triple,
+                                     log_wrap=bool(cz.get("log_wrap", False)))
         report.info("lambda_upper", lam.value, f"counts {data.counts!r}")
         if "expected_lambda" in cz:
             band = cz["expected_lambda"]
@@ -953,9 +925,8 @@ def run_theorem_experiment(cfg: dict,
                       f"zeros_beyond_{min_r:g}[{tag}]",
                       "counts are nondecreasing, so this extends upward")
             # the conclusion ties the LOWER zero exponent to mu[A0]
-            lam = growth.estimate_lambda(data, triple, "n_based",
-                                         log_wrap=True, mode="lower",
-                                         tail_fraction=1.0)
+            lam = growth.estimate_lambda(data, triple, log_wrap=True,
+                                         mode="lower", tail_fraction=1.0)
             rep.close(lam.value, mu0, lam_tol, f"lambda_wrapped[{tag}]",
                       "simple-zero assumption: distinct = all")
             rep.truth(lam.trend in ("increasing", "converging"),
@@ -970,9 +941,15 @@ def run_theorem_experiment(cfg: dict,
 def run_config(cfg: dict, out_dir: Optional[str] = None) -> Report:
     """Validate and run one experiment config; returns its Report."""
     t0 = time.time()
-    exp = ExperimentConfig.from_dict(cfg)
-    kind = exp.kind
-    report = Report(exp.name, kind, dict(exp.raw))
+    if not isinstance(cfg, dict):
+        raise ConfigError("", "config must be a JSON object")
+    if cfg.get("schema") != SCHEMA:
+        raise ConfigError("/schema", f"expected {SCHEMA!r}")
+    kind = _need(cfg, "kind", "")
+    if kind not in KINDS:
+        raise ConfigError("/kind", f"unknown kind {kind!r}; "
+                          f"expected one of {KINDS}")
+    report = Report(cfg.get("name", kind), kind, dict(cfg))
     if kind == "analyze":
         _run_analyze(cfg, report)
     elif kind == "solve":

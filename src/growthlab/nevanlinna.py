@@ -39,7 +39,7 @@ from .series import PowerSeries, max_term, valuation
 __all__ = ["CountingData", "RetryPerturbedRadius", "PrecisionBudgetError",
            "proximity", "proximity_detailed", "characteristic_entire",
            "zero_count", "winding_dps", "count_zeros_grid",
-           "integrated_count", "proximity_of_ratio"]
+           "proximity_of_ratio"]
 
 _TRUST_GUARD = 14.0  # nats above the floor a value must sit to be believed
 _DPS_BUDGET = 600  # digits proximity_detailed may climb to
@@ -64,7 +64,7 @@ class RetryPerturbedRadius(ArithmeticError):
     """A zero sits too close to the requested circle; retry nearby.
 
     Carries the radius it was raised at.  The perturbation is
-    caller-driven: count_zeros_grid retries at r (1 +- k retry_step).
+    caller-driven: count_zeros_grid retries at r (1 +- k _RETRY_STEP).
     """
 
     def __init__(self, log_r: float, detail: str = ""):
@@ -261,20 +261,20 @@ def _arc_quadrature(v, m, read):
     return float(total) / (2.0 * math.pi)
 
 
-def _until_stable(estimate, m: int, rel_tol: float, max_angles: int,
-                  abs_tol: float = 0.0):
-    """Run estimate(m) -> (value, uncertainty) at m, 2m, 4m, ... until two
-    successive values agree to tol = max(rel_tol max(1, |value|), abs_tol)
-    or m reaches max_angles.  Returns (value, m, converged, uncertainty),
-    or None once the uncertainty exceeds tol / 2 (the caller escalates)."""
-    prev = None
+def _until_stable(estimate):
+    """Run estimate(m) -> (value, uncertainty) at m = _PROX_START, 2m, 4m,
+    ... until two successive values agree to tol = max(_PROX_REL_TOL
+    max(1, |value|), _PROX_ABS_TOL) or m reaches _PROX_MAX_ANGLES.  Returns
+    (value, m, converged, uncertainty), or None once the uncertainty
+    exceeds tol / 2 (the caller escalates)."""
+    prev, m = None, _PROX_START
     while True:
         est, unc = estimate(m)
-        tol = max(rel_tol * max(1.0, abs(est)), abs_tol)
+        tol = max(_PROX_REL_TOL * max(1.0, abs(est)), _PROX_ABS_TOL)
         if unc > 0.5 * tol:
             return None
         converged = prev is not None and abs(est - prev) <= tol
-        if converged or m >= max_angles:
+        if converged or m >= _PROX_MAX_ANGLES:
             return est, m, converged, unc
         prev = est
         m *= 2
@@ -301,9 +301,7 @@ def proximity_detailed(f: PowerSeries, log_r: float) -> ProximityResult:
         dps = (_mp_dps(coeff, log_r, -2.0 * _TRUST_GUARD, _DPS_BUDGET, "m(r)")
                if level == "mp" else None)
         out = _until_stable(
-            lambda m: _logplus_quadrature(coeff, log_r, m, level, dps),
-            _PROX_START, _PROX_REL_TOL, _PROX_MAX_ANGLES,
-            abs_tol=_PROX_ABS_TOL)
+            lambda m: _logplus_quadrature(coeff, log_r, m, level, dps))
         if out is not None:
             est, m, converged, unc = out
             return ProximityResult(est, m, converged, level, unc)
@@ -351,9 +349,7 @@ def proximity_of_ratio(num: PowerSeries, den: PowerSeries,
             return _arc_quadrature(v, m, read), 0.0
         return float(np.mean(np.where(ok, np.maximum(v, 0.0), 0.0))), 0.0
 
-    est, m, converged, unc = _until_stable(
-        estimate, _PROX_START, _PROX_REL_TOL, _PROX_MAX_ANGLES,
-        abs_tol=_PROX_ABS_TOL)
+    est, m, converged, unc = _until_stable(estimate)
     return ProximityResult(est, m, converged, "dd", unc, trimmed)
 
 
@@ -476,16 +472,15 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
 
 
 def count_zeros_grid(f: PowerSeries, radii: Sequence[float],
-                     zero_margin="auto", retry_step: float = _RETRY_STEP,
-                     dps_budget: int = 600) -> CountingData:
+                     zero_margin="auto", dps_budget: int = 600) -> CountingData:
     """Counts over a radius grid, applying the perturbed-radius retry rule.
 
     A radius r that raises RetryPerturbedRadius is retried at r(1 + s),
-    r(1 - s), r(1 + 2s), ... with s = retry_step, up to 3 times.  Candidates
-    at or below the last radius used are skipped, so the recorded radii
-    (the ones actually used, after perturbation) stay increasing on a tight
-    grid; with no candidate left the radius raises RetryPerturbedRadius.
-    The nominal radii must be strictly increasing.
+    r(1 - s), r(1 + 2s), ... with s = _RETRY_STEP, up to _MAX_RETRIES
+    times.  Candidates at or below the last radius used are skipped, so
+    the recorded radii (the ones actually used, after perturbation) stay
+    increasing on a tight grid; with no candidate left the radius raises
+    RetryPerturbedRadius.  The nominal radii must be strictly increasing.
     """
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
@@ -494,7 +489,7 @@ def count_zeros_grid(f: PowerSeries, radii: Sequence[float],
     for r in radii:
         cands = [math.log(r)]
         for a in range(_MAX_RETRIES):
-            step = (a // 2 + 1) * retry_step
+            step = (a // 2 + 1) * _RETRY_STEP
             cands.append(math.log(r) + math.log1p(-step if a % 2 else step))
         cands = [lr for lr in cands if not used or math.exp(lr) > used[-1]]
         if not cands:
@@ -512,29 +507,3 @@ def count_zeros_grid(f: PowerSeries, radii: Sequence[float],
             counts.append(n)
             break
     return CountingData(tuple(used), tuple(counts), m0)
-
-
-def integrated_count(data: CountingData, log_r: float) -> float:
-    """A lower bound on N(r) = int_0^r (n(t) - n(0))/t dt + n(0) log r.
-
-    The integral is a left-endpoint step sum: n(t) is taken as n(r_i) on
-    [r_i, r_{i+1}), and zeros below the first recorded radius (other than
-    the origin's) are ignored.  Since n is nondecreasing, the sum never
-    exceeds the true N(r).  Radii must cover the requested r (no
-    extrapolation).
-    """
-    r = math.exp(log_r)
-    if not data.radii:
-        return 0.0
-    if r > data.radii[-1] * (1.0 + 1e-12):
-        raise ValueError(f"requested r = {r:.6g} beyond counted range "
-                         f"{data.radii[-1]:.6g}")
-    n0 = data.count_at_zero
-    terms = []
-    for i, (ri, ni) in enumerate(zip(data.radii, data.counts)):
-        if ri >= r:
-            break
-        r_next = min(r, data.radii[i + 1]) if i + 1 < len(data.radii) else r
-        if ni > n0:
-            terms.append((ni - n0) * (math.log(r_next) - math.log(ri)))
-    return math.fsum(terms) + n0 * log_r

@@ -294,44 +294,38 @@ def _default_pair_grid(s: ScaleFunction):
 
 @dataclass(frozen=True)
 class ScaleTriple:
-    """The (alpha, beta, gamma) scales with their declared class flags.
+    """The (alpha, beta, gamma) scales, audited on construction.
 
-    Construction audits every declared flag on a deterministic grid and
-    refuses triples whose declarations are falsifiable by sampling; gamma
-    must be declared subadditive.
+    Construction audits alpha for L1 (with constant l1_constant), beta for
+    L2 and gamma for L3 on deterministic grids, keeps the three reports in
+    `audits`, and refuses a triple that any of them falsifies.
     """
 
     alpha: ScaleFunction
     beta: ScaleFunction
     gamma: ScaleFunction
-    declared_classes: tuple = (True, True, True)
     l1_constant: float = 1.0
     audits: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        if not self.declared_classes[2]:
-            raise ValueError("gamma must be declared subadditive (L3)")
-        reports = []
-        if self.declared_classes[0]:
-            reports.append(audit_class(self.alpha, "L1",
-                                       _default_pair_grid(self.alpha),
-                                       c=self.l1_constant))
-        if self.declared_classes[1]:
-            shifts = _default_pair_grid(self.beta)
-            shifts[:, 1] = np.linspace(0.5, 5.0, len(shifts))
-            reports.append(audit_class(self.beta, "L2", shifts))
-        reports.append(audit_class(self.gamma, "L3",
-                                   _default_pair_grid(self.gamma)))
+        shifts = _default_pair_grid(self.beta)
+        shifts[:, 1] = np.linspace(0.5, 5.0, len(shifts))
+        reports = (audit_class(self.alpha, "L1",
+                               _default_pair_grid(self.alpha),
+                               c=self.l1_constant),
+                   audit_class(self.beta, "L2", shifts),
+                   audit_class(self.gamma, "L3",
+                               _default_pair_grid(self.gamma)))
         for rep in reports:
             if rep.falsified:
                 raise ValueError(f"declared class falsified: {rep}")
-        object.__setattr__(self, "audits", tuple(reports))
+        object.__setattr__(self, "audits", reports)
 
     def wrapped(self) -> "ScaleTriple":
         """The triple with alpha replaced by alpha(log): the scale under
         which solution growth matches coefficient growth."""
         return ScaleTriple(compose_with_log(self.alpha), self.beta,
-                           self.gamma, self.declared_classes, self.l1_constant)
+                           self.gamma, self.l1_constant)
 
     def __repr__(self) -> str:
         return f"({self.alpha!r},{self.beta!r},{self.gamma!r})"

@@ -248,10 +248,18 @@ def evaluate(f: PowerSeries, log_z: tuple) -> tuple:
 
     An exact zero reads ln|f| = -inf.  Relative accuracy is O(N eps) away
     from zeros of f; near zeros only absolute accuracy relative to mu(r) is
-    possible in fixed precision.  floor_ln is the dd sum's noise floor.
+    possible in fixed precision.  floor_ln is the dd sum's noise floor; at
+    z = 0 (ln|z| = -inf) the sum is the one term a_0, with that term's
+    floor, and a_0 = 0 reads (-inf, 0, -inf).
     """
     log_r, theta = log_z
     f.check_radius(log_r)
+    if log_r == -math.inf:
+        ln_a0 = float(f.coeff.lh[0])
+        if ln_a0 == -math.inf:
+            return -math.inf, 0.0, -math.inf
+        return ln_a0, float(f.coeff.ph[0]), _evalcore._floor_ln(
+            ln_a0, _evalcore._EPS_LN["dd"], f.coeff.rel_err_ln, 1)
     res = _evalcore.eval_points(f.coeff, log_r, np.array([theta]), level="dd")
     return float(res.logabs[0]), float(res.phase[0]), float(res.floor_ln)
 

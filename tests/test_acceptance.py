@@ -150,10 +150,8 @@ def test_criterion_6_zero_exponent_calibration(identity_triple):
     s = ps.builtin("sin", 700)
     data = nev.count_zeros_grid(s, growth.make_grid(5.0, 200.0, 16),
                                 zero_margin="auto")
-    up = growth.estimate_lambda(data, identity_triple, "n_based", False,
-                                "upper").value
-    lo = growth.estimate_lambda(data, identity_triple, "n_based", False,
-                                "lower").value
+    up = growth.estimate_lambda(data, identity_triple, mode="upper").value
+    lo = growth.estimate_lambda(data, identity_triple, mode="lower").value
     assert 0.85 <= lo <= 1.1, f"lambda lower = {lo}"
     assert 0.85 <= up <= 1.1, f"lambda upper = {up}"
     assert time.time() - t0 < 60.0

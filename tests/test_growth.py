@@ -36,12 +36,6 @@ class TestSampling:
         s = growth.sample(f, "log2_M", growth.make_grid(5, 50, 8))
         assert np.allclose(s.values, np.log(s.radii), atol=1e-9)
 
-    def test_counting_log_n(self):
-        data = nev.CountingData((1.0, 2.0, 4.0, 8.0), (0, 1, 3, 9))
-        s = growth.sample(data, "log_n", None if False else
-                          growth.make_grid(1, 8, 4))
-        assert len(s.radii) == 3  # the zero-count radius is dropped
-
     def test_too_few_radii_rejected(self):
         p = exp_profile()
         with pytest.raises(ValueError):
@@ -108,14 +102,14 @@ class TestOrderCalibration:
         radii = np.geomspace(5, 500, 24)
         for _ in range(20):
             vals = np.cumsum(rng.uniform(0.01, 1.0, 24))  # increasing
-            s = growth.GrowthSample("log_T", radii, vals, "random")
+            s = growth.GrowthSample("log_T", radii, vals)
             up = growth.estimate_order(s, idt(), "upper").value
             lo = growth.estimate_order(s, idt(), "lower").value
             assert up >= lo - 1e-12
 
     def test_degenerate_denominator(self):
         s = growth.GrowthSample("log_T", np.array([0.1, 0.2, 0.3]),
-                                np.array([1.0, 2.0, 3.0]), "tiny-radii")
+                                np.array([1.0, 2.0, 3.0]))
         with pytest.raises(growth.DegenerateScaleError):
             growth.estimate_order(s, idt(), "upper")
 
@@ -159,17 +153,23 @@ class TestLambda:
     def test_bounded_count_gives_zero(self):
         data = nev.CountingData(tuple(np.geomspace(2, 2000, 24)),
                                 (3,) * 24)
-        est = growth.estimate_lambda(data, idt(), "n_based", False, "upper")
+        est = growth.estimate_lambda(data, idt(), mode="upper")
         assert abs(est.value) < 1e-12
 
     def test_sin_lambda_n_and_big_n(self):
         radii = np.geomspace(5, 200, 16)
         counts = tuple(2 * int(r / math.pi) + 1 for r in radii)
         data = nev.CountingData(tuple(radii), counts, 1)
-        for form in ("n_based", "N_based"):
-            up = growth.estimate_lambda(data, idt(), form, False, "upper")
-            lo = growth.estimate_lambda(data, idt(), form, False, "lower")
-            assert 0.85 <= lo.value <= up.value <= 1.1
+        up = growth.estimate_lambda(data, idt(), mode="upper")
+        lo = growth.estimate_lambda(data, idt(), mode="lower")
+        assert 0.85 <= lo.value <= up.value <= 1.1
+
+    def test_options_after_the_triple_are_keyword_only(self):
+        # a positional third argument (once the n/N form) must not bind to
+        # log_wrap
+        data = nev.CountingData((1.0, 5.0, 25.0), (1, 2, 4))
+        with pytest.raises(TypeError):
+            growth.estimate_lambda(data, idt(), "n_based")
 
 
 class TestCompare:
@@ -202,8 +202,8 @@ class TestSlopeInvariance:
         # (as long as the shift keeps values above the identity freeze point)
         radii = np.geomspace(5, 500, 24)
         vals = np.log(radii / math.pi)
-        s1 = growth.GrowthSample("log_T", radii, vals, "base")
-        s2 = growth.GrowthSample("log_T", radii, vals + c, "shifted")
+        s1 = growth.GrowthSample("log_T", radii, vals)
+        s2 = growth.GrowthSample("log_T", radii, vals + c)
         v1 = growth.estimate_order(s1, idt(), "upper").value
         v2 = growth.estimate_order(s2, idt(), "upper").value
         assert v1 == pytest.approx(v2, abs=1e-12)

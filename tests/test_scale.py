@@ -130,12 +130,6 @@ class TestAudits:
 
 
 class TestTriple:
-    def test_requires_subadditive_gamma_declaration(self):
-        with pytest.raises(ValueError):
-            scale.ScaleTriple(scale.identity(), scale.identity(),
-                              scale.identity(),
-                              declared_classes=(True, True, False))
-
     def test_construction_audits_stored(self):
         t = scale.ScaleTriple(scale.log_plus(), scale.identity(),
                               scale.identity())

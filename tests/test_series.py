@@ -201,6 +201,26 @@ class TestEvaluate:
         assert floor_ln == res.floor_ln
         assert floor_ln < ln_abs
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name,n,coeffs,a0", [
+        ("exp", 40, None, 1.0),
+        ("sin", 40, None, 0.0),
+        ("poly", 400, [0.0, 1.0], 0.0),
+    ])
+    def test_origin_reads_a0(self, name, n, coeffs, a0):
+        # z = 0 is log_z = (-inf, theta): f(0) = a_0 with no sum
+        f = series.builtin(name, n, coeffs)
+        ln_abs, arg, floor_ln = series.evaluate(f, (-math.inf, 0.7))
+        if a0 == 0.0:
+            assert (ln_abs, arg, floor_ln) == (-math.inf, 0.0, -math.inf)
+            return
+        assert (ln_abs, arg) == (math.log(a0), 0.0)
+        # the floor of the one-term dd sum, as at a radius where a_1 z is
+        # below the band cut
+        res = series._evalcore.eval_points(f.coeff, -800.0, np.array([0.7]),
+                                           level="dd")
+        assert floor_ln == res.floor_ln < ln_abs
+
 
 class TestMaxTerm:
     def test_poly_cube(self):
