@@ -23,12 +23,13 @@ A level decides only where its band's integers come from and its floor
 (_fixed_band); 'dd' and 'mp' then share the kernels.  Scattered angles
 (`eval_points`) are summed by a scalar fixed-point Horner per angle, with
 error at most (N + 1)^2 2^-P * mu(r) for a band of N terms: below 2^-16
-10^-dps (dps = 32 for 'dd').  Equispaced circles (`eval_circle`) of
-power-of-two size m fold the band mod m and run one FFT: numpy's at 'd',
+10^-dps (dps = 32 for 'dd').  Equispaced circles (`eval_circle`) of m
+angles fold the band mod m and run one FFT: numpy's at 'd', for any m;
 one radix-2 FFT over Python integers (twiddles cached per size) at 'dd'
-and 'mp', with error at most (4 N + 3) 2^-P * mu(r) (see _circle_fixed),
-again far under the floor.  Circles therefore sample the exact angles
-2 pi (j + 1/2) / m, points the float angles they are given.
+and 'mp', for m a power of two up to _FFT_MAX_ANGLES, with error at most
+(4 N + 3) 2^-P * mu(r) (see _circle_fixed), again far under the floor.
+Circles therefore sample the exact angles 2 pi (j + 1/2) / m, points the
+float angles they are given.
 `eval_circle_at` reads a circle's values at chosen indices by whichever
 of the two kernels costs less.
 
@@ -146,7 +147,15 @@ class EvalResult:
 
 
 def log_max_term(coeff: CoeffData, log_r: float):
-    """(ln mu(r), nu(r)): max of ln|a_n| + n ln r and the LARGEST argmax."""
+    """(ln mu(r), nu(r)): max of ln|a_n| + n ln r and the LARGEST argmax;
+    (ln|a_0|, 0) at z = 0 (log_r = -inf), where a_0 = 0 is a ValueError,
+    as is the zero series at any radius."""
+    if log_r == -math.inf:
+        if math.isfinite(coeff.lh[0]):
+            return float(coeff.lh[0]), 0
+        raise ValueError("a_0 = 0: no maximum term at z = 0"
+                         if np.isfinite(coeff.lh).any()
+                         else "all coefficients vanish")
     n = np.arange(coeff.n_terms, dtype=float)
     x = coeff.lh + n * log_r
     if not np.any(np.isfinite(x)):
@@ -282,13 +291,20 @@ def _poly_at_points_d(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc.reshape(lead + x.shape)
 
 
+def _logpolar(shift, v: np.ndarray) -> tuple:
+    """(shift + ln|v|, arg v) of complex values v, and (-inf, 0) where v is
+    0; shift is a float or an array of v's shape."""
+    nz = v != 0
+    with np.errstate(divide="ignore"):
+        lh = np.where(nz, shift + np.log(np.abs(v)), -np.inf)
+    return lh, np.where(nz, np.angle(v), 0.0)
+
+
 def _result_d(coeff: CoeffData, val: np.ndarray, lo: int, hi: int,
               log_mu: float) -> EvalResult:
     """EvalResult of band sums val = f / mu(r) computed in complex128."""
     floor = _floor_ln(log_mu, _EPS_LN["d"], coeff.rel_err_ln, hi - lo)
-    with np.errstate(divide="ignore"):
-        logabs = np.where(val != 0, log_mu + np.log(np.abs(val)), -np.inf)
-    return EvalResult(logabs, np.angle(val), floor, log_mu, "d")
+    return EvalResult(*_logpolar(log_mu, val), floor, log_mu, "d")
 
 
 _FIX_GUARD_BITS = 16
@@ -731,8 +747,9 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
     over the fixed-point band of _fixed_band (at 'dd', fixed-point integers
     fed by the double-double band), within (4 N + 3) 2^-P of f / mu(r) for
     a band of N terms, where P is the band's scale: _fixed_bits(dps, N) at
-    'mp', _fixed_bits(32, N) at 'dd'.  Other m go through eval_points on
-    the float angles.
+    'mp', _fixed_bits(32, N) at 'dd'.  Any other m is a ValueError at 'dd'
+    and 'mp' (eval_circle_at reads larger circles by eval_points); 'd'
+    takes any m.
     """
     if level == "d":
         lo, hi, log_mu, t = _terms_d(coeff, log_r)
@@ -744,9 +761,9 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
         folded = np.zeros(m, dtype=complex)
         np.add.at(folded, n % m, t)
         return _result_d(coeff, m * np.fft.ifft(folded), lo, hi, log_mu)
-    if m & (m - 1) or m > _FFT_MAX_ANGLES:
-        thetas = (2.0 * np.pi) * (np.arange(m) + (0.5 if offset else 0.0)) / m
-        return eval_points(coeff, log_r, thetas, level=level, dps=dps)
+    if m < 1 or m & (m - 1) or m > _FFT_MAX_ANGLES:
+        raise ValueError(f"a {level} circle takes a power of two up to "
+                         f"{_FFT_MAX_ANGLES} angles, not {m}")
     (_, _, log_mu, bits, band), floor = _fixed_band(coeff, log_r, level, dps)
     ar, ai, q = _circle_fixed(*band, bits, m, offset)
     return _result_fixed(ar, ai, q, log_mu, floor, level)

@@ -117,11 +117,9 @@ def main(argv=None) -> int:
             print("error: --config is required", file=sys.stderr)
             return 2
         cfg = _load(args.config)
-        expected_kind = {"analyze": "analyze", "solve": "solve",
-                         "scales": "scales"}[args.command]
-        if cfg.get("kind") != expected_kind:
+        if cfg.get("kind") != args.command:
             raise harness.ConfigError(
-                "/kind", f"{args.command} needs a kind={expected_kind} config")
+                "/kind", f"{args.command} needs a kind={args.command} config")
         report = _run_one(cfg, args)
         return 0 if _verdict_ok(report, cfg) else 1
     except harness.ConfigError as exc:

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .nevanlinna import CountingData, characteristic_entire
-from .scale import ScaleTriple, compose_with_log, eval_scale
+from .scale import ScaleTriple, beta_log_gamma, compose_with_log, eval_scale
 from .series import PowerSeries, log_max_modulus
 
 __all__ = ["GrowthSample", "OrderEstimate", "Profile", "DegenerateScaleError",
@@ -231,12 +231,6 @@ def _classify_trend(ratios: np.ndarray) -> str:
     return "oscillating"
 
 
-def _beta_log_gamma(t: ScaleTriple, radii: np.ndarray) -> np.ndarray:
-    """beta(log gamma(r)), the denominator scale of every estimator."""
-    return eval_scale(t.beta, np.log(np.maximum(eval_scale(t.gamma, radii),
-                                                1e-300)))
-
-
 def _tail_slope_estimate(beta_vals: np.ndarray, alpha_vals: np.ndarray,
                          mode: str, tail_fraction: float) -> OrderEstimate:
     if mode not in ("upper", "lower"):
@@ -274,7 +268,7 @@ def estimate_order(s: GrowthSample, t: ScaleTriple,
     upper >= lower always holds for estimates from the same sample.
     """
     alpha_vals = eval_scale(t.alpha, s.values)
-    beta_vals = _beta_log_gamma(t, s.radii)
+    beta_vals = beta_log_gamma(t.beta, t.gamma, s.radii)
     return _tail_slope_estimate(beta_vals, alpha_vals, mode, _TAIL_FRACTION)
 
 
@@ -290,7 +284,7 @@ def estimate_type(s: GrowthSample, t: ScaleTriple, rho_or_mu: float,
     if mode not in ("upper", "lower"):
         raise ValueError("mode must be 'upper' or 'lower'")
     alpha_vals = eval_scale(t.alpha, s.values)
-    beta_vals = _beta_log_gamma(t, s.radii)
+    beta_vals = beta_log_gamma(t.beta, t.gamma, s.radii)
     valid = np.isfinite(alpha_vals) & np.isfinite(beta_vals)
     if np.count_nonzero(valid) < 3:
         raise DegenerateScaleError("type estimate needs 3 usable radii")
@@ -322,7 +316,7 @@ def estimate_lambda(c: CountingData, t: ScaleTriple, *,
     vals = np.array([u[1] for u in usable])
     alpha = compose_with_log(t.alpha) if log_wrap else t.alpha
     alpha_vals = eval_scale(alpha, vals)
-    beta_vals = _beta_log_gamma(t, radii)
+    beta_vals = beta_log_gamma(t.beta, t.gamma, radii)
     return _tail_slope_estimate(beta_vals, alpha_vals, mode, tail_fraction)
 
 

@@ -5,17 +5,8 @@ field; run_config validates it, dispatches on "kind", and returns a Report
 whose check records are deterministic given the config and seed (timing and
 environment live in an isolated sub-object excluded from that promise).
 
-Experiment kinds:
-  analyze          growth functionals of one subject under a scale triple
-  solve            power-series solution + residual certificate + CSV dump
-  wiman_valiron    max-term/central-index identity and modulus bound suite
-  gundersen        logarithmic-derivative quotient bound suite
-  log_derivative   proximity bound on f^(k)/f against the order-driven cap
-  theorem_dominant growth + oscillation of solutions under a dominant
-                   coefficient (lower-order dominance)
-  theorem_type     same, dominance expressed through maximum-term types
-  theorem_proximity same, dominance expressed through proximity ratios
-  proposition_suite sum/product/scalar order laws on closed-form profiles
+The experiment kinds, KINDS, are the keys of _PIPELINES, each described
+there.
 
 Hypothesis gating: theorem experiments verify their hypotheses empirically
 first and mark the report "hypotheses-not-met" instead of asserting any
@@ -37,7 +28,7 @@ import numpy as np
 from . import __version__, growth, nevanlinna as nev, ode
 from . import series as ps
 from . import _evalcore
-from .scale import (ScaleTriple, audit_condition_ii,
+from .scale import (ScaleTriple, audit_condition_ii, beta_log_gamma,
                     inverse_scale, scale_from_descriptor)
 
 __all__ = ["ConfigError", "CheckRecord", "Report", "run_config", "emit",
@@ -46,11 +37,6 @@ __all__ = ["ConfigError", "CheckRecord", "Report", "run_config", "emit",
            "SCHEMA"]
 
 SCHEMA = "growthlab-experiment/1"
-
-KINDS = ("analyze", "solve", "wiman_valiron", "gundersen", "log_derivative",
-         "theorem_dominant", "theorem_type", "theorem_proximity",
-         "proposition_suite", "scales")
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; carries a JSON-pointer-ish path."""
@@ -331,6 +317,13 @@ def check_wiman_valiron(f: ps.PowerSeries, grid: np.ndarray,
     return rep
 
 
+def _derivative(f: ps.PowerSeries, k: int) -> ps.PowerSeries:
+    """f^(k), by k calls of series.derivative."""
+    for _ in range(k):
+        f = ps.derivative(f)
+    return f
+
+
 def check_gundersen(f: ps.PowerSeries, chi: float, i: int, j: int,
                     grid: np.ndarray, report: Optional[Report] = None,
                     label: str = "") -> Report:
@@ -348,11 +341,8 @@ def check_gundersen(f: ps.PowerSeries, chi: float, i: int, j: int,
         raise ValueError("chi must exceed 1")
     rep = report or Report(label or f.provenance, "gundersen", {})
     tag = label or f.provenance
-    fi, fj = f, f
-    for _ in range(i):
-        fi = ps.derivative(fi)
-    for _ in range(j):
-        fj = ps.derivative(fj)
+    fi = _derivative(f, i)
+    fj = _derivative(fi, j - i)
     b_req = []
     for r in grid:
         lr = math.log(r)
@@ -395,9 +385,7 @@ def check_log_derivative(f: ps.PowerSeries, triple: ScaleTriple, rho: float,
     """
     rep = report or Report(label or f.provenance, "log_derivative", {})
     tag = label or f.provenance
-    fk = f
-    for _ in range(k):
-        fk = ps.derivative(fk)
+    fk = _derivative(f, k)
     ratios, trimmed, unconverged = [], [], []
     eps = 0.25
     alpha_min = growth.eval_scale(triple.alpha, triple.alpha.x0)
@@ -408,8 +396,7 @@ def check_log_derivative(f: ps.PowerSeries, triple: ScaleTriple, rho: float,
             trimmed.append(round(float(r), 4))
         if not prox.converged:
             unconverged.append(round(float(r), 4))
-        g_val = growth.eval_scale(triple.gamma, r)
-        b_val = growth.eval_scale(triple.beta, math.log(max(g_val, 1e-300)))
+        b_val = beta_log_gamma(triple.beta, triple.gamma, r)
         # clamp into the scale's range: below its minimum the generalized
         # inverse is the freeze point
         y = max((rho + eps) * b_val, alpha_min)
@@ -429,7 +416,13 @@ def check_log_derivative(f: ps.PowerSeries, triple: ScaleTriple, rho: float,
 # ---------------------------------------------------------------------------
 # kind pipelines
 
-def _run_analyze(cfg: dict, report: Report) -> Report:
+def _expect(report: Report, cfg: dict, key: str, value: float) -> None:
+    """A within-band check named key, if cfg gives the band [lo, hi]."""
+    if key in cfg:
+        report.within(value, float(cfg[key][0]), float(cfg[key][1]), key)
+
+
+def _run_analyze(cfg: dict, report: Report, _out_dir) -> Report:
     triple = resolve_triple(_need(cfg, "scales", ""))
     subject = resolve_subject(_need(cfg, "subject", ""))
     grid_default = (5.0, 100.0, 32)
@@ -450,20 +443,14 @@ def _run_analyze(cfg: dict, report: Report) -> Report:
     report.info("order_upper_estimate", up.as_dict())
     report.info("order_lower_estimate", lo.as_dict())
     report.truth(up.value >= lo.value - 1e-12, "order_upper_ge_lower")
-    for key, target in (("expected_order", up), ("expected_lower_order", lo)):
-        if key in cfg:
-            band = cfg[key]
-            report.within(target.value, float(band[0]), float(band[1]),
-                          key)
+    _expect(report, cfg, "expected_order", up.value)
+    _expect(report, cfg, "expected_lower_order", lo.value)
     if "expected_type" in cfg or "type_order" in cfg:
         rho = float(cfg.get("type_order", up.value))
         if 0 < rho < math.inf:
             t_up = growth.estimate_type(s, triple, rho, "upper")
             report.info("type_upper", t_up.value, f"at order {rho:g}")
-            if "expected_type" in cfg:
-                band = cfg["expected_type"]
-                report.within(t_up.value, float(band[0]), float(band[1]),
-                              "expected_type")
+            _expect(report, cfg, "expected_type", t_up.value)
     if cfg.get("count_zeros") and isinstance(subject, ps.PowerSeries):
         cz = cfg["count_zeros"]
         radii = _grid_from(cz, "grid", (5.0, 50.0, 12), "/count_zeros")
@@ -472,10 +459,7 @@ def _run_analyze(cfg: dict, report: Report) -> Report:
         lam = growth.estimate_lambda(data, triple,
                                      log_wrap=bool(cz.get("log_wrap", False)))
         report.info("lambda_upper", lam.value, f"counts {data.counts!r}")
-        if "expected_lambda" in cz:
-            band = cz["expected_lambda"]
-            report.within(lam.value, float(band[0]), float(band[1]),
-                          "expected_lambda")
+        _expect(report, cz, "expected_lambda", lam.value)
     return report
 
 
@@ -494,13 +478,14 @@ def _run_solve(cfg: dict, report: Report, out_dir: Optional[str]) -> Report:
                "residual", f"at r = {info['checked_radius']:.6g}")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"{cfg.get('name', 'solution')}.csv")
-        ps.dump_csv(sol, path)
-        report.info("coefficients_csv", path)
+        # named relative to out_dir, where emit writes the report
+        name = f"{cfg.get('name', 'solution')}.csv"
+        ps.dump_csv(sol, os.path.join(out_dir, name))
+        report.info("coefficients_csv", name)
     return report
 
 
-def _run_wiman_valiron(cfg: dict, report: Report) -> Report:
+def _run_wiman_valiron(cfg: dict, report: Report, _out_dir) -> Report:
     grid = _grid_from(cfg, "grid", (1.0, 50.0, 24))
     for i, desc in enumerate(_need(cfg, "subjects", "")):
         subject = resolve_subject(desc, f"/subjects/{i}")
@@ -513,7 +498,7 @@ def _run_wiman_valiron(cfg: dict, report: Report) -> Report:
     return report
 
 
-def _run_gundersen(cfg: dict, report: Report) -> Report:
+def _run_gundersen(cfg: dict, report: Report, _out_dir) -> Report:
     subject = resolve_subject(_need(cfg, "subject", ""))
     chi = float(cfg.get("chi", 2.0))
     grid = _grid_from(cfg, "grid", (2.0, 40.0, 16))
@@ -523,7 +508,7 @@ def _run_gundersen(cfg: dict, report: Report) -> Report:
     return report
 
 
-def _run_log_derivative(cfg: dict, report: Report) -> Report:
+def _run_log_derivative(cfg: dict, report: Report, _out_dir) -> Report:
     subject = resolve_subject(_need(cfg, "subject", ""))
     triple = resolve_triple(_need(cfg, "scales", ""))
     grid = _grid_from(cfg, "grid", (2.0, 20.0, 12))
@@ -535,7 +520,7 @@ def _run_log_derivative(cfg: dict, report: Report) -> Report:
     return report
 
 
-def _run_propositions(cfg: dict, report: Report) -> Report:
+def _run_propositions(cfg: dict, report: Report, _out_dir) -> Report:
     """Sum/product/scalar order laws and characteristic domination, on
     closed-form profiles (the estimators' calibration set)."""
     triple = resolve_triple(cfg.get("scales", {
@@ -545,9 +530,9 @@ def _run_propositions(cfg: dict, report: Report) -> Report:
     tol = float(cfg.get("tolerance", 0.05))
     grid = _grid_from(cfg, "grid", (10.0, 2000.0, 48))
 
-    def wrapped_order(profile, mode):
+    def order(profile, mode, t=wrapped):
         s = growth.sample(profile, "log_T", grid)
-        return growth.estimate_order(s, wrapped, mode).value
+        return growth.estimate_order(s, t, mode).value
 
     f1 = growth.profile_from_descriptor(
         {"name": "logT=r", "log_T": {"form": "c_rp", "c": 1.0, "p": 1.0}})
@@ -556,23 +541,23 @@ def _run_propositions(cfg: dict, report: Report) -> Report:
     g3 = growth.profile_from_descriptor(
         {"name": "logT=r^3", "log_T": {"form": "c_rp", "c": 1.0, "p": 3.0}})
 
-    r1 = wrapped_order(f1, "upper")
-    r2 = wrapped_order(f2, "upper")
+    r1 = order(f1, "upper")
+    r2 = order(f2, "upper")
     report.close(r1, 1.0, tol, "calibration_order[f1]")
     report.close(r2, 2.0, tol, "calibration_order[f2]")
 
-    s_sum = wrapped_order(growth.profile_sum(f1, f2), "upper")
+    s_sum = order(growth.profile_sum(f1, f2), "upper")
     report.leq(s_sum, max(r1, r2) + tol, "sum_order_law")
-    s_prod = wrapped_order(growth.profile_product(f1, f2), "upper")
+    s_prod = order(growth.profile_product(f1, f2), "upper")
     report.leq(s_prod, max(r1, r2) + tol, "product_order_law")
     report.close(s_sum, max(r1, r2), tol, "sum_order_equality",
                  "distinct orders: equality holds")
 
     # lower-order laws: mu(f+g) <= max(rho(f), mu(g)), equality when
     # mu(g) > rho(f)
-    mu_g = wrapped_order(g3, "lower")
-    mu_sum = wrapped_order(growth.profile_sum(f2, g3), "lower")
-    mu_prod = wrapped_order(growth.profile_product(f2, g3), "lower")
+    mu_g = order(g3, "lower")
+    mu_sum = order(growth.profile_sum(f2, g3), "lower")
+    mu_prod = order(growth.profile_product(f2, g3), "lower")
     report.leq(mu_sum, max(r2, mu_g) + tol, "lower_sum_law")
     report.close(mu_sum, mu_g, tol, "lower_sum_equality",
                  "mu(g) > rho(f) forces equality")
@@ -581,16 +566,13 @@ def _run_propositions(cfg: dict, report: Report) -> Report:
     # scalar invariance: T(af) = T(f) + ln+|a|, so order estimates agree to
     # the suite tolerance at desk radii (the additive shift decays like
     # ln|a| / T(r); exact equality is an asymptotic statement)
-    idt = triple
     pe = growth.profile_from_descriptor(
         {"name": "exp", "log_T": {"form": "ln_c_rp", "c": 1 / math.pi,
                                   "p": 1.0}})
     pe5 = growth.profile_scalar_multiple(pe, 5.0)
-    o1 = growth.estimate_order(growth.sample(pe, "log_T", grid), idt,
-                               "upper").value
-    o2 = growth.estimate_order(growth.sample(pe5, "log_T", grid), idt,
-                               "upper").value
-    report.close(o2, o1, tol, "scalar_order_invariance")
+    o1 = order(pe, "upper", triple)
+    report.close(order(pe5, "upper", triple), o1, tol,
+                 "scalar_order_invariance")
 
     # characteristic domination: T(poly) = o(T(exp)); equal-order control
     big_grid = growth.make_grid(float(cfg.get("dominance_r_min", 100.0)),
@@ -616,7 +598,7 @@ def _run_propositions(cfg: dict, report: Report) -> Report:
     return report
 
 
-def _run_scales(cfg: dict, report: Report) -> Report:
+def _run_scales(cfg: dict, report: Report, _out_dir) -> Report:
     triple = resolve_triple(_need(cfg, "scales", ""))
     for rep in triple.audits:
         report.truth(not rep.falsified, f"audit[{rep.property_name}]",
@@ -634,33 +616,32 @@ def _run_scales(cfg: dict, report: Report) -> Report:
 
 def _coeff_order_estimates(eq: ode.LinearODE, triple: ScaleTriple,
                            grid: np.ndarray, report: Report):
-    """(mu0_hat, rho0_hat, [rho_j for j >= 1], [samples]) for the equation's
-    coefficients, from max-modulus growth on the coefficient grid."""
-    rho_others = []
-    samples = []
+    """(mu0_hat, rho0_hat, A_0's sample, [(j, rho_j, sample) for j >= 1])
+    for the equation's coefficients, from max-modulus growth on the
+    coefficient grid; a zero A_j has rho_j = 0 and no sample."""
+    others = []
     for j, a in enumerate(eq.coeffs):
         try:
             ps.max_term(a, 0.0)
         except ps.DegenerateSeriesError:
             if j == 0:
                 raise ConfigError("/equation/A/0", "A_0 must be nonzero")
-            rho_others.append((j, 0.0, None))
-            samples.append(None)
+            others.append((j, 0.0, None))
             continue
         g = grid[grid <= a.guaranteed_radius * 0.999]
         s = growth.sample(a, "log2_M", g)
-        samples.append(s)
         if j == 0:
+            s0 = s
             mu0 = growth.estimate_order(s, triple, "lower").value
             rho0 = growth.estimate_order(s, triple, "upper").value
         else:
-            rho_others.append((j, growth.estimate_order(s, triple,
-                                                        "upper").value, s))
+            others.append((j, growth.estimate_order(s, triple,
+                                                    "upper").value, s))
     report.info("mu_hat[A0]", mu0)
     report.info("rho_hat[A0]", rho0)
-    for j, v, _ in rho_others:
+    for j, v, _ in others:
         report.info(f"rho_hat[A{j}]", v)
-    return mu0, rho0, rho_others, samples
+    return mu0, rho0, s0, others
 
 
 def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
@@ -668,38 +649,34 @@ def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
     """Empirical hypothesis verification; returns (ok, mu0, rho0)."""
     margin = float(cfg.get("hypothesis_margin", 0.2))
     coeff_grid = _grid_from(cfg, "coeff_grid", (5.0, 120.0, 24))
-    mu0, rho0, rho_others, samples = _coeff_order_estimates(
+    mu0, rho0, s0, rho_others = _coeff_order_estimates(
         eq, triple, coeff_grid, report)
     worst_other = max((v for _, v, _ in rho_others), default=0.0)
-    ok = True
-
     if kind == "theorem_dominant":
         ok = worst_other + margin <= mu0 and rho0 < math.inf
         report.truth(ok, "hypothesis_dominant_lower_order",
                      f"max rho[A_j] = {worst_other:.4g} vs mu[A0] = "
                      f"{mu0:.4g} (margin {margin:g})")
-    elif kind == "theorem_type":
-        ok = worst_other <= mu0 + 0.05 and 0 < rho0 < math.inf
+    elif kind in ("theorem_type", "theorem_proximity"):
+        ok = worst_other <= mu0 + 0.05 and (kind == "theorem_proximity"
+                                            or 0 < rho0 < math.inf)
         report.truth(ok, "hypothesis_orders_weakly_dominated",
                      f"max rho[A_j] = {worst_other:.4g} vs mu[A0] = {mu0:.4g}")
-        if ok:
-            s0 = samples[0]
-            tau0_lower = growth.estimate_type(s0, triple, mu0,
-                                              "lower").value
-            tau1 = 0.0
-            for j, v, s in rho_others:
-                if s is not None and abs(v - mu0) <= 0.1:
-                    tau1 = max(tau1, growth.estimate_type(
-                        s, triple, mu0, "upper").value)
-            type_margin = float(cfg.get("type_margin", 0.1))
-            ok = tau1 + type_margin <= tau0_lower
-            report.truth(ok, "hypothesis_dominant_type",
-                         f"tau1 = {tau1:.4g} vs lower type[A0] = "
-                         f"{tau0_lower:.4g}")
+    else:
+        raise ConfigError("/kind", f"not a theorem kind: {kind}")
+    if kind == "theorem_type" and ok:
+        tau0_lower = growth.estimate_type(s0, triple, mu0, "lower").value
+        tau1 = 0.0
+        for j, v, s in rho_others:
+            if s is not None and abs(v - mu0) <= 0.1:
+                tau1 = max(tau1, growth.estimate_type(
+                    s, triple, mu0, "upper").value)
+        type_margin = float(cfg.get("type_margin", 0.1))
+        ok = tau1 + type_margin <= tau0_lower
+        report.truth(ok, "hypothesis_dominant_type",
+                     f"tau1 = {tau1:.4g} vs lower type[A0] = "
+                     f"{tau0_lower:.4g}")
     elif kind == "theorem_proximity":
-        ok = worst_other <= mu0 + 0.05
-        report.truth(ok, "hypothesis_orders_weakly_dominated",
-                     f"max rho[A_j] = {worst_other:.4g} vs mu[A0] = {mu0:.4g}")
         prox_grid = _grid_from(cfg, "proximity_grid", (5.0, 60.0, 8))
         cap = min(a.guaranteed_radius for a in eq.coeffs) * 0.999
         prox_grid = prox_grid[prox_grid <= cap]
@@ -717,29 +694,22 @@ def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
                     pass
             ratios.append(m_sum / m0)
         tail = ratios[-max(1, len(ratios) // 2):]
-        if cfg.get("variant") == "liminf":
-            stat = min(tail) if tail else math.inf
-            report.info("proximity_ratio_tail_min", stat)
-            ok2 = stat < 1.0 - 0.05
-            if ok:
-                ok = ok2
-            report.truth(ok2, "hypothesis_proximity_liminf",
-                         "lim inf sum m(r,A_j)/m(r,A_0) < 1")
+        liminf = cfg.get("variant") == "liminf"
+        stat = (min if liminf else max)(tail, default=math.inf)
+        report.info(f"proximity_ratio_tail_{'min' if liminf else 'max'}",
+                    stat)
+        lim = "inf" if liminf else "sup"
+        ok2 = stat < 1.0 - 0.05
+        report.truth(ok2, f"hypothesis_proximity_lim{lim}",
+                     f"lim {lim} sum m(r,A_j)/m(r,A_0) < 1")
+        ok = ok and ok2
+        if liminf:
             reg = abs(rho0 - mu0) <= 0.1
             report.truth(reg, "hypothesis_regular_growth",
                          f"mu[A0] = {mu0:.4g} vs rho[A0] = {rho0:.4g}")
             transc = eq.coeffs[0].provenance != "poly"
             report.truth(transc, "hypothesis_A0_transcendental")
             ok = ok and reg and transc
-        else:
-            stat = max(tail) if tail else math.inf
-            report.info("proximity_ratio_tail_max", stat)
-            ok2 = stat < 1.0 - 0.05
-            report.truth(ok2, "hypothesis_proximity_limsup",
-                         "lim sup sum m(r,A_j)/m(r,A_0) < 1")
-            ok = ok and ok2
-    else:
-        raise ConfigError("/kind", f"not a theorem kind: {kind}")
     return ok, mu0, rho0
 
 
@@ -938,6 +908,31 @@ def run_theorem_experiment(cfg: dict,
 # ---------------------------------------------------------------------------
 # dispatch, emit, shipped configs
 
+def _run_theorem(cfg: dict, report: Report, _out_dir) -> Report:
+    run_theorem_experiment(cfg, report)
+    if report.verdict == "hypotheses-not-met" \
+            and cfg.get("expect") == "hypotheses-not-met":
+        report.notes.append("hypotheses-not-met was the expected outcome")
+    return report
+
+
+# kind -> pipeline(cfg, report, out_dir); only solve writes to out_dir
+_PIPELINES = {
+    "analyze": _run_analyze,  # growth functionals of one subject
+    "solve": _run_solve,  # power-series solution, residual and CSV dump
+    "wiman_valiron": _run_wiman_valiron,  # max-term identity, M(r) bound
+    "gundersen": _run_gundersen,  # logarithmic-derivative quotient bound
+    "log_derivative": _run_log_derivative,  # m(r, f^(k)/f) against a cap
+    # growth and zeros of solutions under a dominant coefficient, with
+    # dominance by lower order, by maximum-term type or by proximity
+    "theorem_dominant": _run_theorem, "theorem_type": _run_theorem,
+    "theorem_proximity": _run_theorem,
+    "proposition_suite": _run_propositions,  # order laws on profiles
+    "scales": _run_scales,  # audits of a scale triple's class conditions
+}
+KINDS = tuple(_PIPELINES)
+
+
 def run_config(cfg: dict, out_dir: Optional[str] = None) -> Report:
     """Validate and run one experiment config; returns its Report."""
     t0 = time.time()
@@ -950,25 +945,7 @@ def run_config(cfg: dict, out_dir: Optional[str] = None) -> Report:
         raise ConfigError("/kind", f"unknown kind {kind!r}; "
                           f"expected one of {KINDS}")
     report = Report(cfg.get("name", kind), kind, dict(cfg))
-    if kind == "analyze":
-        _run_analyze(cfg, report)
-    elif kind == "solve":
-        _run_solve(cfg, report, out_dir)
-    elif kind == "wiman_valiron":
-        _run_wiman_valiron(cfg, report)
-    elif kind == "gundersen":
-        _run_gundersen(cfg, report)
-    elif kind == "log_derivative":
-        _run_log_derivative(cfg, report)
-    elif kind == "proposition_suite":
-        _run_propositions(cfg, report)
-    elif kind == "scales":
-        _run_scales(cfg, report)
-    else:
-        run_theorem_experiment(cfg, report)
-        if report.verdict == "hypotheses-not-met" \
-                and cfg.get("expect") == "hypotheses-not-met":
-            report.notes.append("hypotheses-not-met was the expected outcome")
+    _PIPELINES[kind](cfg, report, out_dir)
     return _stamp(report, t0)
 
 

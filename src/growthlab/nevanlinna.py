@@ -37,9 +37,8 @@ from ._evalcore import _wrap_pi
 from .series import PowerSeries, max_term, valuation
 
 __all__ = ["CountingData", "RetryPerturbedRadius", "PrecisionBudgetError",
-           "proximity", "proximity_detailed", "characteristic_entire",
-           "zero_count", "winding_dps", "count_zeros_grid",
-           "proximity_of_ratio"]
+           "proximity_detailed", "characteristic_entire", "zero_count",
+           "winding_dps", "count_zeros_grid", "proximity_of_ratio"]
 
 _TRUST_GUARD = 14.0  # nats above the floor a value must sit to be believed
 _DPS_BUDGET = 600  # digits proximity_detailed may climb to
@@ -292,7 +291,10 @@ def _mp_dps(coeff, log_r: float, target_ln: float, dps_budget: int,
 
 
 def proximity_detailed(f: PowerSeries, log_r: float) -> ProximityResult:
-    """m(r, f) with convergence and precision-escalation diagnostics."""
+    """m(r, f): the log+ quadrature of _logplus_quadrature with the angles
+    doubled until two estimates agree (_until_stable), climbing the
+    precision levels; with convergence and precision-escalation
+    diagnostics."""
     f.check_radius(log_r)
     coeff = f.coeff
     for level in _evalcore.LEVELS:
@@ -308,16 +310,10 @@ def proximity_detailed(f: PowerSeries, log_r: float) -> ProximityResult:
     raise PrecisionBudgetError("proximity could not reach the noise target")
 
 
-def proximity(f: PowerSeries, log_r: float) -> float:
-    """m(r, f): the log+ quadrature of _logplus_quadrature over m
-    equispaced angles, m doubled until successive estimates agree to 1e-8
-    relative (or the angle cap is reached)."""
-    return proximity_detailed(f, log_r).value
-
-
 def characteristic_entire(f: PowerSeries, log_r: float) -> float:
-    """T(r, f) for entire f: equals m(r, f) since N(r, f) = 0."""
-    return proximity(f, log_r)
+    """T(r, f) for entire f: equals m(r, f) since N(r, f) = 0, the value
+    of proximity_detailed."""
+    return proximity_detailed(f, log_r).value
 
 
 def proximity_of_ratio(num: PowerSeries, den: PowerSeries,
@@ -412,20 +408,28 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
             m_start = 1 << max(8, min(12, int(math.ceil(
                 math.log2(8.0 * (mt.nu + 4))))))
 
-        res, vels = with_velocity(lambda c: _evalcore.eval_circle(
+        # the start circle, then each round's midpoints, are read, checked
+        # and merged into the mesh by one loop body
+        res, mvel = with_velocity(lambda c: _evalcore.eval_circle(
             c, log_r, m_start, offset=True, level=level, dps=dps))
         margin_ln = (res.floor_ln + 9.0 if auto
                      else res.log_mu + math.log(zero_margin))
-        vmin = float(np.min(res.logabs))
-        if vmin < res.floor_ln + _TRUST_GUARD and level != "mp":
-            continue  # cannot certify the margin at this level; escalate
-        if vmin < margin_ln:
-            raise RetryPerturbedRadius(log_r, detail=f"min ln|f| = {vmin:.4g}"
-                                       f" below margin {margin_ln:.4g}")
-        thetas = (2.0 * math.pi) * (np.arange(m_start) + 0.5) / m_start
-        phases = res.phase
-        tail_ok = True
-        for k in range(48):
+        mids = (2.0 * math.pi) * (np.arange(m_start) + 0.5) / m_start
+        thetas, phases, vels = np.zeros(0), np.zeros(0), np.zeros(0)
+        for k in range(49):
+            vmin = float(np.min(res.logabs))
+            if vmin < res.floor_ln + _TRUST_GUARD and level != "mp":
+                break  # cannot certify the margin at this level; escalate
+            if vmin < margin_ln:
+                raise RetryPerturbedRadius(
+                    log_r, detail=f"min ln|f| = {vmin:.4g} below margin "
+                    f"{margin_ln:.4g}")
+            order = np.argsort(np.concatenate([thetas, mids]))
+            thetas = np.concatenate([thetas, mids])[order]
+            phases = np.concatenate([phases, res.phase])[order]
+            vels = np.concatenate([vels, mvel])[order]
+            if k == 48:
+                raise RetryPerturbedRadius(log_r, detail="refinement stalled")
             dphi = _wrap_pi(np.diff(np.concatenate([phases, [phases[0]]])))
             gaps = np.diff(np.concatenate([thetas,
                                            [thetas[0] + 2.0 * math.pi]]))
@@ -433,7 +437,14 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
             bad = np.nonzero((np.abs(dphi) > 0.5 * math.pi)
                              | (gaps * vmax > 1.0))[0]
             if len(bad) == 0:
-                break
+                d = _wrap_pi(np.diff(phases))
+                total = float(np.sum(d) + _wrap_pi(phases[0] - phases[-1]))
+                w = total / (2.0 * math.pi)
+                if abs(w - round(w)) > 1e-6:
+                    raise RetryPerturbedRadius(
+                        log_r, detail=f"winding {w:.8f} not close to an "
+                        "integer")
+                return int(round(w))
             if len(thetas) + len(bad) > _MAX_MESH:
                 raise RetryPerturbedRadius(
                     log_r, detail="mesh budget exhausted (zero on circle?)")
@@ -443,31 +454,8 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
             size, offset = m_start << k, k > 0
             idx = np.rint(mids * (size / (2.0 * math.pi)) - 0.5 * offset)
             idx = idx.astype(np.int64) % size
-            mres, mvel = with_velocity(lambda c: _evalcore.eval_circle_at(
+            res, mvel = with_velocity(lambda c: _evalcore.eval_circle_at(
                 c, log_r, size, idx, offset=offset, level=level, dps=dps))
-            mmin = float(np.min(mres.logabs))
-            if mmin < mres.floor_ln + _TRUST_GUARD and level != "mp":
-                tail_ok = False
-                break
-            if mmin < margin_ln:
-                raise RetryPerturbedRadius(
-                    log_r, detail=f"refined min ln|f| = {mmin:.4g} below "
-                    f"margin {margin_ln:.4g}")
-            order = np.argsort(np.concatenate([thetas, mids]))
-            thetas = np.concatenate([thetas, mids])[order]
-            phases = np.concatenate([phases, mres.phase])[order]
-            vels = np.concatenate([vels, mvel])[order]
-        else:
-            raise RetryPerturbedRadius(log_r, detail="refinement stalled")
-        if not tail_ok:
-            continue
-        d = _wrap_pi(np.diff(phases))
-        total = float(np.sum(d) + _wrap_pi(phases[0] - phases[-1]))
-        w = total / (2.0 * math.pi)
-        if abs(w - round(w)) > 1e-6:
-            raise RetryPerturbedRadius(
-                log_r, detail=f"winding {w:.8f} not close to an integer")
-        return int(round(w))
     raise PrecisionBudgetError("zero_count escalation failed")
 
 

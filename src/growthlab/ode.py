@@ -47,8 +47,8 @@ import numpy as np
 from . import series as ps
 from . import _dd, _evalcore
 
-__all__ = ["LinearODE", "InitialData", "solve_series", "fundamental_system",
-           "residual_norm", "auto_solve", "airy_like"]
+__all__ = ["LinearODE", "InitialData", "solve_series", "residual_norm",
+           "auto_solve", "airy_like"]
 
 
 @dataclass(frozen=True)
@@ -415,14 +415,6 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
     return c
 
 
-def fundamental_system(eq: LinearODE, n_terms: int) -> list:
-    """The k canonical solutions (basis initial vectors)."""
-    if not eq.homogeneous:
-        raise ValueError("fundamental systems are for homogeneous equations")
-    return [solve_series(eq, InitialData.basis(eq.k, i), n_terms)
-            for i in range(eq.k)]
-
-
 def _scaled_band(f: ps.PowerSeries, log_r: float) -> Optional[tuple]:
     """f's band at radius r in the scaled variable w = z / r: (lo, h, l, t)
     with t[i] = a_{lo+i} r^(lo+i) / mu(r) as complex128 (the high parts of
@@ -477,11 +469,9 @@ def _band_series(band: tuple, shift: float) -> ps.PowerSeries:
     A band is a polynomial in w, trusted everywhere without
     series._certify_radius."""
     lo, h, l, t = band
-    nz = t != 0
-    lh = np.full(lo + len(t), -np.inf)
-    ph = np.zeros(lo + len(t))
-    lh[lo:][nz] = np.log(np.abs(t[nz])) + ((h - shift) + l)
-    ph[lo:][nz] = np.angle(t[nz])
+    lh, ph = _evalcore._logpolar((h - shift) + l, t)
+    lh = np.concatenate((np.full(lo, -np.inf), lh))
+    ph = np.concatenate((np.zeros(lo), ph))
     return ps.make_series(lh, np.zeros(len(lh)), ph, math.log(3e-16),
                           "residual term", polynomial=True)
 

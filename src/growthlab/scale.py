@@ -23,9 +23,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 __all__ = ["ScaleFunction", "ScaleTriple", "AuditReport", "eval_scale",
-           "inverse_scale", "compose_with_log", "audit_class",
-           "audit_condition_ii", "identity", "log_plus", "iterated_log",
-           "power", "linear", "user_table", "scale_from_descriptor"]
+           "inverse_scale", "compose_with_log", "beta_log_gamma",
+           "audit_class", "audit_condition_ii", "identity", "log_plus",
+           "iterated_log", "power", "linear", "user_table",
+           "scale_from_descriptor"]
 
 _E = math.e
 
@@ -246,11 +247,10 @@ def audit_class(s: ScaleFunction, cls: str, grid: Sequence,
     raise ValueError(f"unknown class {cls!r}")
 
 
-def _iter_log(x: np.ndarray, p: int) -> np.ndarray:
-    out = np.asarray(x, dtype=float)
-    for _ in range(p):
-        out = np.log(out)
-    return out
+def beta_log_gamma(beta: ScaleFunction, gamma: ScaleFunction, x):
+    """beta(log gamma(x)), gamma floored at 1e-300 before the log: the
+    denominator scale of every growth estimator.  Scalar or ndarray x."""
+    return eval_scale(beta, np.log(np.maximum(eval_scale(gamma, x), 1e-300)))
 
 
 def audit_condition_ii(alpha: ScaleFunction, beta: ScaleFunction,
@@ -269,8 +269,8 @@ def audit_condition_ii(alpha: ScaleFunction, beta: ScaleFunction,
     q = max(1, len(x) // 4)
     reports = []
 
-    num = eval_scale(alpha, _iter_log(x, p))
-    den = eval_scale(beta, np.log(np.maximum(eval_scale(gamma, x), 1e-300)))
+    num = eval_scale(alpha, eval_scale(iterated_log(p), x))
+    den = beta_log_gamma(beta, gamma, x)
     ratio = num / np.maximum(den, 1e-300)
     worst = float(np.max(ratio[-q:]))
     reports.append(AuditReport(f"alpha(log^[{p}])=o(beta(log gamma))",

@@ -497,9 +497,7 @@ def combine(f: PowerSeries, g: PowerSeries, op: str) -> PowerSeries:
         lmax_safe = np.where(np.isfinite(lmax), lmax, 0.0)
         vals = (_evalcore._rescaled(lf - lmax_safe, pf)
                 + sign * _evalcore._rescaled(lg - lmax_safe, pg))
-        with np.errstate(divide="ignore"):
-            lh = np.where(vals != 0, lmax_safe + np.log(np.abs(vals)), -np.inf)
-        ph = np.where(vals != 0, np.angle(vals), 0.0)
+        lh, ph = _evalcore._logpolar(lmax_safe, vals)
         op_err, name = 3e-16, f"({f.provenance} {op} {g.provenance})"
     elif op == "cauchy_product":
         lh, ph = _cauchy_logpolar(f.coeff.lh, f.coeff.ph, g.coeff.lh, g.coeff.ph,
@@ -515,19 +513,29 @@ def combine(f: PowerSeries, g: PowerSeries, op: str) -> PowerSeries:
                        polynomial=op != "cauchy_product" and cap == math.inf)
 
 
-def _cauchy_logpolar(lf, pf, lg, pg, n_out):
-    """Log-polar Cauchy convolution via a two-pass rescaled accumulation.
-
-    Both passes loop over f's finite indices and run vector operations over
-    g.  The indices run from the top down, so every output receives its
-    terms in increasing g index.
-    """
+def _max_plus(lf, lg, n_out: int) -> tuple:
+    """(lmax, outer): lmax[i] the maximum over k + m = i of lf[k] + lg[m]
+    for i < n_out, -inf where no pair is finite, and outer the finite
+    indices of lf below n_out from the top down, the order the pass loops
+    over them in (vector operations over lg).  On integer exponents below
+    2^53 every sum, and so the maximum, is exact."""
     outer = [m for m in range(min(len(lf), n_out) - 1, -1, -1)
              if math.isfinite(lf[m])]
     lmax = np.full(n_out, -np.inf)
     for m in outer:
         span = min(n_out - m, len(lg))
         np.maximum(lmax[m:m + span], lf[m] + lg[:span], out=lmax[m:m + span])
+    return lmax, outer
+
+
+def _cauchy_logpolar(lf, pf, lg, pg, n_out):
+    """Log-polar Cauchy convolution via a two-pass rescaled accumulation.
+
+    The first pass is _max_plus; the second loops over the same indices
+    of f, from the top down, and runs vector operations over g, so every
+    output receives its terms in increasing g index.
+    """
+    lmax, outer = _max_plus(lf, lg, n_out)
     acc = np.zeros(n_out, dtype=complex)
     lmax_safe = np.where(np.isfinite(lmax), lmax, 0.0)
     with np.errstate(under="ignore"):
@@ -536,10 +544,7 @@ def _cauchy_logpolar(lf, pf, lg, pg, n_out):
             mag = np.exp(lf[m] + lg[:span] - lmax_safe[m:m + span])
             angs = pf[m] + pg[:span]
             acc[m:m + span] += mag * np.cos(angs) + 1j * (mag * np.sin(angs))
-    with np.errstate(divide="ignore"):
-        lh = np.where(acc != 0, lmax_safe + np.log(np.abs(acc)), -np.inf)
-    ph = np.where(acc != 0, np.angle(acc), 0.0)
-    return lh, ph
+    return _evalcore._logpolar(lmax_safe, acc)
 
 
 def _combine_factory(f: PowerSeries, g: PowerSeries, op: str):
@@ -574,15 +579,14 @@ def _cauchy_fixed(a: list, b: list, dps: int) -> list:
     bits = _evalcore._exact_bits(dps)
     fa, fb = ([(k,) + _evalcore._fixed_round(v, bits)
                for k, v in enumerate(x[:n]) if v is not None] for x in (a, b))
-    # per output, the largest exponent sum of its products; every product
-    # component is below 2^(that + 2P + 3)
-    top = [None] * n
-    for k, _, _, ea in fa:
-        for m, _, _, eb in fb:
-            if k + m >= n:
-                break
-            if top[k + m] is None or ea + eb > top[k + m]:
-                top[k + m] = ea + eb
+    # per output, the largest exponent sum of its products (_max_plus of
+    # the two exponent arrays, -inf at a zero); every product component is
+    # below 2^(that + 2P + 3)
+    exp_a, exp_b = np.full(n, -np.inf), np.full(n, -np.inf)
+    exp_a[[v[0] for v in fa]] = [v[3] for v in fa]
+    exp_b[[v[0] for v in fb]] = [v[3] for v in fb]
+    top = [None if t == -math.inf else int(t)
+           for t in _max_plus(exp_a, exp_b, n)[0].tolist()]
     sr, si = [0] * n, [0] * n
     for k, ar, ai, ea in fa:
         for m, br, bi, eb in fb:

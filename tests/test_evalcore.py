@@ -145,15 +145,14 @@ def test_fft_circle_matches_direct_sum(name, n_terms, r, m, level, offset):
 
 
 @pytest.mark.parametrize("level,dps", [("dd", None), ("mp", 40)])
-def test_circle_of_other_size_is_eval_points(level, dps):
+def test_circle_of_other_size_is_refused(level, dps):
+    # dd and mp circles take a power of two up to _FFT_MAX_ANGLES; d any m
     f = series.builtin("sin", 700)
     log_r = math.log(58.5)
-    thetas = (2.0 * np.pi) * (np.arange(96) + 0.5) / 96
-    a = _evalcore.eval_circle(f.coeff, log_r, 96, level=level, dps=dps)
-    b = _evalcore.eval_points(f.coeff, log_r, thetas, level=level, dps=dps)
-    assert a.logabs.tobytes() == b.logabs.tobytes()
-    assert a.phase.tobytes() == b.phase.tobytes()
-    assert a.floor_ln == b.floor_ln
+    for m in (96, 0, 2 * _evalcore._FFT_MAX_ANGLES):
+        with pytest.raises(ValueError, match="power of two"):
+            _evalcore.eval_circle(f.coeff, log_r, m, level=level, dps=dps)
+    assert len(_evalcore.eval_circle(f.coeff, log_r, 96).logabs) == 96
 
 
 @pytest.mark.parametrize("offset", [False, True])

@@ -11,6 +11,7 @@ from growthlab import nevanlinna as nev
 from growthlab import series as ps
 from growthlab.harness import ConfigError
 from marchref import assert_march_holds_bands, recording_marches
+from reports import differing, load_reports
 
 
 def minimal_analyze(**over):
@@ -162,6 +163,19 @@ class TestCli:
                        "--out", str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "solve_airy.csv").exists()
+
+    def test_solve_report_is_independent_of_out_dir(self, tmp_path):
+        # the CSV is named relative to --out, beside the report
+        dirs = [str(tmp_path / "a"), str(tmp_path / "b" / "deeper")]
+        for d in dirs:
+            assert cli.main(["verify", "--name", "solve_airy",
+                             "--out", d]) == 0
+        assert differing(*dirs) == []
+        (report,) = load_reports(dirs[0]).values()
+        (rec,) = [c for c in report["checks"]
+                  if c["name"] == "coefficients_csv"]
+        assert rec["measured"] == "solve_airy.csv"
+        assert (tmp_path / "b" / "deeper" / "solve_airy.csv").exists()
 
     @pytest.mark.parametrize("field,value", [
         ("max_terms", 1), ("max_terms", 64.5), ("residual_tol", "abc"),
@@ -388,6 +402,44 @@ class TestMarchLength:
         (rec,) = recs
         assert rec["n"] < 128
         assert_march_holds_bands(rec)
+
+
+    def test_untrusted_prefix_is_lengthened_by_bisection(self):
+        # a short band (h) on a long probe whose prefix up to that band's
+        # end is trusted only to r ~ 0.01: the march takes the shortest
+        # prefix trusted to _RADIUS_SLACK r_top
+        probe = ps.builtin("exp", 400)
+        h = ps.builtin("poly", coeffs=[1.0, 1.0, 0.5, 1.0 / 6.0])
+        r_top = 3.0
+
+        def trusted(n):
+            return (ps._certify_radius(probe.coeff.lh[:n])
+                    >= harness._RADIUS_SLACK * r_top)
+
+        n = harness._march_length(probe, h, r_top, 30)
+        assert not trusted(5)  # the band's end, plus one
+        assert 5 < n < probe.n_terms
+        assert trusted(n) and not trusted(n - 1)
+
+
+class TestAnalyzeCountZeros:
+    def test_sin_zero_exponent(self):
+        # n(r, 1/sin) = 2 [r / pi] + 1, whose exponent of convergence is 1
+        cfg = minimal_analyze(
+            subject={"builtin": "sin", "n_terms": 700},
+            grid={"r_min": 5.0, "r_max": 40.0, "points": 12},
+            expected_order=[0.9, 1.1],
+            count_zeros={"grid": {"r_min": 10.0, "r_max": 60.0,
+                                  "points": 8},
+                         "expected_lambda": [0.9, 1.1]})
+        rep = harness.run_config(cfg)
+        assert rep.verdict == "pass"
+        (lam,) = [c for c in rep.checks if c.name == "lambda_upper"]
+        radii = np.geomspace(10.0, 60.0, 8)
+        counts = tuple(2 * int(r // math.pi) + 1 for r in radii)
+        assert lam.detail == f"counts {counts!r}"
+        assert abs(lam.measured - 1.0) < 0.05
+        assert [c.name for c in rep.checks][-1] == "expected_lambda"
 
 
 class TestMaxModulusSearch:

@@ -228,14 +228,22 @@ class TestLinearity:
 
 
 class TestFundamentalSystem:
+    """The canonical solutions: solve_series on the basis initial data, as
+    harness.run_theorem_experiment builds them."""
+
+    @staticmethod
+    def basis(eq, n_terms):
+        return [ode.solve_series(eq, ode.InitialData.basis(eq.k, i), n_terms)
+                for i in range(eq.k)]
+
     def test_oscillator_basis(self):
-        sols = ode.fundamental_system(oscillator(), 40)
+        sols = self.basis(oscillator(), 40)
         assert coeff_value(sols[0], 0) == pytest.approx(1.0)  # cos-like
         assert coeff_value(sols[1], 1) == pytest.approx(1.0)  # sin-like
 
     def test_wronskian_at_origin(self):
         # f1 f2' - f1' f2 = 1 at z = 0 by construction of the basis
-        sols = ode.fundamental_system(
+        sols = self.basis(
             ode.LinearODE(2, (ps.builtin("exp", 60),
                               ps.builtin("poly", coeffs=[0.0]))), 60)
         f1_0 = coeff_value(sols[0], 0)
@@ -243,12 +251,6 @@ class TestFundamentalSystem:
         f1p_0 = coeff_value(sols[0], 1)
         f2_0 = coeff_value(sols[1], 0)
         assert f1_0 * f2p_0 - f1p_0 * f2_0 == pytest.approx(1.0, rel=1e-14)
-
-    def test_needs_homogeneous(self):
-        eq = ode.LinearODE(1, (ps.builtin("poly", coeffs=[0.0]),),
-                           rhs=ps.builtin("poly", coeffs=[1.0]))
-        with pytest.raises(ValueError):
-            ode.fundamental_system(eq, 10)
 
 
 class TestResidual:
@@ -740,6 +742,30 @@ def perj_march(eq, init, n_terms, block=64):
                 else:
                     rescale = True
     return lc, pc
+
+
+@pytest.mark.filterwarnings("error")
+def test_forcing_too_large_to_scale_is_summed_in_logpolar(monkeypatch):
+    # f' = 1e174 z^2: F_2 is past e^_SAFE_LN, so its step is summed in
+    # log-polar form, and f = 2 + 1e174 z^3 / 3 exactly
+    steps = []
+    logpolar = ode._logpolar_step
+
+    def spy(n, *args):
+        out = logpolar(n, *args)
+        steps.append((n, out))
+        return out
+
+    monkeypatch.setattr(ode, "_logpolar_step", spy)
+    eq = ode.LinearODE(1, (ps.builtin("poly", coeffs=[0.0]),),
+                       rhs=ps.builtin("poly", coeffs=[0.0, 0.0, 1e174]))
+    sol = ode.solve_series(eq, ode.InitialData((2.0,)), 8)
+    assert [n for n, out in steps if out is not None] == [2]
+    assert sol.coeff.lh[3] == pytest.approx(math.log(1e174 / 3.0),
+                                            rel=1e-15)
+    assert sol.coeff.ph[3] == 0.0
+    assert sol.coeff.lh[0] == math.log(2.0)
+    assert np.all(sol.coeff.lh[[1, 2, 4, 5, 6, 7]] == -np.inf)
 
 
 class TestDoubleMarch:

@@ -254,6 +254,20 @@ class TestMaxTerm:
         f = series.builtin("poly", coeffs=[1.0, 0.0, 1.0])
         assert series.max_term(f, 0.0).nu == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_at_the_origin_is_a0(self):
+        # z = 0 (ln r = -inf): the only term is a_0
+        assert series.max_term(series.builtin("exp", 40), -math.inf) == \
+            series.MaxTermResult(0.0, 0)
+        for f in (series.builtin("sin", 40),
+                  series.builtin("poly", coeffs=[0.0, 1.0])):
+            with pytest.raises(series.DegenerateSeriesError,
+                               match="a_0 = 0.*z = 0"):
+                series.max_term(f, -math.inf)
+        with pytest.raises(series.DegenerateSeriesError,
+                           match="all coefficients vanish"):
+            series.max_term(series.builtin("poly", coeffs=[0.0]), -math.inf)
+
 
 class TestJumps:
     def test_one_plus_z(self):
@@ -513,6 +527,34 @@ class TestCombine:
         for n in range(30):
             assert coeff_value(g, n) == pytest.approx(
                 2.0 ** n / math.factorial(n), rel=1e-12)
+
+
+@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("nf,ng,n_out", [(7, 40, 46), (40, 7, 20),
+                                         (25, 25, 25), (1, 30, 30),
+                                         (0, 5, 5)])
+def test_max_plus_is_the_pair_maximum(nf, ng, n_out, integer):
+    """_max_plus against the maximum over every pair k + m = i, on floats
+    and on integer exponents (the integer Cauchy product's case), with
+    absent terms at -inf."""
+    rng = np.random.default_rng(100 * nf + ng + integer)
+
+    def logs(n):
+        v = rng.normal(scale=3000.0, size=n)
+        v = np.round(v) if integer else v
+        v[rng.random(n) < 0.3] = -np.inf
+        return v
+
+    lf, lg = logs(nf), logs(ng)
+    want = np.full(n_out, -np.inf)
+    for k in range(nf):
+        for m in range(ng):
+            if k + m < n_out:
+                want[k + m] = max(want[k + m], lf[k] + lg[m])
+    got, outer = series._max_plus(lf, lg, n_out)
+    assert np.array_equal(got, want)
+    assert outer == [k for k in range(min(nf, n_out) - 1, -1, -1)
+                     if np.isfinite(lf[k])]
 
 
 class TestCauchyFixed:
