@@ -69,12 +69,8 @@ def dd_add(a, b):
     return quick_two_sum(s, e)
 
 
-def dd_neg(a):
-    return (-a[0], -a[1])
-
-
 def dd_sub(a, b):
-    return dd_add(a, dd_neg(b))
+    return dd_add(a, (-b[0], -b[1]))
 
 
 def dd_mul(a, b):

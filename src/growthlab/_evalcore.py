@@ -30,7 +30,7 @@ and 'mp', for m a power of two up to _FFT_MAX_ANGLES, with error at most
 (4 N + 3) 2^-P * mu(r) (see _circle_fixed), again far under the floor.
 Circles therefore sample the exact angles 2 pi (j + 1/2) / m, points the
 float angles they are given.
-`eval_circle_at` reads a circle's values at chosen indices by whichever
+`eval_circle_at` reads an mp circle's values at chosen indices by whichever
 of the two kernels costs less.
 
 Every evaluation returns an explicit noise floor (in log scale) so callers
@@ -596,38 +596,28 @@ def _twiddles(m: int, bits: int):
 
     One table per m is cached, at a multiple of _TW_GUARD_BITS at least
     that far below the deepest scale asked for, and rounded down to each
-    request's scale: a fresh table's integers unless a value lies within
-    2^-64 units of a rounding midpoint.  A new table takes the depth and
-    integers of the largest cached table at least as deep (every (M/m)-th
-    entry of a larger M, or a smaller one's entries and the rest computed):
-    at equal depth, a fresh table's bit for bit, as all form pi_r k / m
-    exactly from one rounded pi_r.  Only the first octant is computed; the
-    rest follows exactly from the symmetries of cos and sin.
+    request's scale: the correctly rounded integers unless a value lies
+    within 2^-63 units of a rounding midpoint.  A table is built one way,
+    whatever else is cached: w = e^{i pi / m} from one mpf_cos_sin, and
+    w^k for k <= m / 4 by _fixed_powers at g = depth + 16 + bitlen(m)
+    bits, each within (1 + 2^-4) k 2^-g < 2^-(depth + 17) of e^{i pi k /
+    m}, rounded to nearest at the table's depth.  The rest follows exactly
+    from the symmetries of cos and sin.
     """
     deep = (-(-bits // _TW_GUARD_BITS) + 1) * _TW_GUARD_BITS
     entry = _TWIDDLES.get(m)
     if entry is None or entry[0] < deep:
-        near = max((k for k, e in _TWIDDLES.items() if e[0] >= deep),
-                   default=0)
-        if near > m:
-            d, *parts = _TWIDDLES[near]
-            entry = (d, *(v[::near // m].copy() for v in parts))
-        else:
-            cs = [None] * (m // 4 + 1)
-            if near:
-                deep, re, im = _TWIDDLES[near]
-                cs[::m // near] = zip(re[:near // 4 + 1], im[:near // 4 + 1])
-            lib = mp.libmp
-            pi = lib.mpf_pi(deep + 16)
-            for k in (k for k, v in enumerate(cs) if v is None):
-                arg = lib.mpf_div(lib.mpf_mul(pi, lib.from_int(k)),
-                                  lib.from_int(m), deep + 16)
-                cs[k] = tuple(_to_fixed(v, deep)
-                              for v in lib.mpf_cos_sin(arg, deep + 8))
-            # i conj(e^{i pi (m/2 - k)/m}) to m/2, then i e^{i pi (k - m/2)/m}
-            cs += [cs[m // 2 - k][::-1] for k in range(m // 4 + 1, m // 2 + 1)]
-            cs += [(-s, c) for c, s in cs[1:m // 2]]
-            entry = (deep, *(np.array(v, dtype=object) for v in zip(*cs)))
+        g = deep + 16 + m.bit_length()
+        lib = mp.libmp
+        arg = lib.mpf_div(lib.mpf_pi(g + 8), lib.from_int(m), g + 8)
+        w = (*(_to_fixed(v, g + 4) for v in lib.mpf_cos_sin(arg, g + 8)),
+             -g - 4)
+        cs = [_shift_round(re, im, -deep - e) for re, im, e in
+              _fixed_powers((1, 0, 0), w, m // 4 + 1, g)]
+        # i conj(e^{i pi (m/2 - k)/m}) to m/2, then i e^{i pi (k - m/2)/m}
+        cs += [cs[m // 2 - k][::-1] for k in range(m // 4 + 1, m // 2 + 1)]
+        cs += [(-s, c) for c, s in cs[1:m // 2]]
+        entry = (deep, *(np.array(v, dtype=object) for v in zip(*cs)))
         _TWIDDLES[m] = entry
     shift = entry[0] - bits
     half = 1 << (shift - 1)
@@ -769,15 +759,14 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
     return _result_fixed(ar, ai, q, log_mu, floor, level)
 
 
-def eval_circle_at(coeff: CoeffData, log_r: float, m: int, idx,
-                   offset: bool = True, level: str = "dd",
-                   dps: Optional[int] = None) -> EvalResult:
-    """eval_circle's values at the indices idx of its m angles, by the
-    cheaper kernel.
+def eval_circle_at(coeff: CoeffData, log_r: float, m: int, idx, dps: int,
+                   offset: bool = True) -> EvalResult:
+    """The mp circle's values at the indices idx of its m angles, at dps
+    digits, by the cheaper kernel.
 
-    At 'dd' and 'mp', for m a power of two up to _FFT_MAX_ANGLES, the whole
-    circle's integer FFT costs about m log2 m units of work, and eval_points
-    on p = len(idx) angles about N (p + _HORNER_STEP_COST) for a band of N
+    For m a power of two up to _FFT_MAX_ANGLES, the whole circle's integer
+    FFT costs about m log2 m units of work, and eval_points on p =
+    len(idx) angles about N (p + _HORNER_STEP_COST) for a band of N
     nonzero terms; the cheaper runs.  Timed with cached bands and twiddles
     on an ODE solution and builtins (N = 64 .. 654, dps 47 .. 64, m = 256
     .. 16384), the circle took 320 - 1400 ns per unit, and a Horner step
@@ -787,19 +776,18 @@ def eval_circle_at(coeff: CoeffData, log_r: float, m: int, idx,
     An uncached twiddle table costs up to a circle again, once.  The
     circle gives the exact angles 2 pi (j + offset/2) / m, the points
     those angles rounded to floats: the two agree within the floor, not
-    bit for bit.  At 'd' the circle always runs.
+    bit for bit.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    fft = level == "d"
-    if not fft and not m & (m - 1) and m <= _FFT_MAX_ANGLES:
-        (_, _, _, _, band), _ = _fixed_band(coeff, log_r, level, dps)
-        fft = m * math.log2(m) <= len(band[0]) * (len(idx) + _HORNER_STEP_COST)
-    if fft:
-        res = eval_circle(coeff, log_r, m, offset=offset, level=level, dps=dps)
-        return EvalResult(res.logabs[idx], res.phase[idx], res.floor_ln,
-                          res.log_mu, res.level)
+    if not m & (m - 1) and m <= _FFT_MAX_ANGLES:
+        (_, _, _, _, band), _ = _fixed_band(coeff, log_r, "mp", dps)
+        if m * math.log2(m) <= len(band[0]) * (len(idx) + _HORNER_STEP_COST):
+            res = eval_circle(coeff, log_r, m, offset=offset, level="mp",
+                              dps=dps)
+            return EvalResult(res.logabs[idx], res.phase[idx], res.floor_ln,
+                              res.log_mu, res.level)
     thetas = (2.0 * np.pi) * (idx + (0.5 if offset else 0.0)) / m
-    return eval_points(coeff, log_r, thetas, level=level, dps=dps)
+    return eval_points(coeff, log_r, thetas, level="mp", dps=dps)
 
 
 _DPS_GUARD = 25.0  # nats of slack between the mp floor and the target

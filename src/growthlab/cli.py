@@ -77,9 +77,8 @@ def _load(path: str) -> dict:
 def _run_one(cfg: dict, args) -> harness.Report:
     report = harness.run_config(_apply_overrides(cfg, args), out_dir=args.out)
     harness.emit(report, fmt=args.format, out_dir=args.out)
-    expected_hnm = cfg.get("expect") == "hypotheses-not-met"
     shown = report.verdict
-    if report.verdict == "hypotheses-not-met" and expected_hnm:
+    if shown != "pass" and _verdict_ok(report, cfg):
         shown += " (expected)"
     print(f"{report.name}: {shown} "
           f"({sum(1 for c in report.checks if c.verdict == 'pass')} pass / "
@@ -88,11 +87,9 @@ def _run_one(cfg: dict, args) -> harness.Report:
 
 
 def _verdict_ok(report: harness.Report, cfg: dict) -> bool:
-    if report.verdict == "pass":
-        return True
-    if report.verdict == "hypotheses-not-met":
-        return cfg.get("expect") == "hypotheses-not-met"
-    return False
+    """A pass, or hypotheses-not-met where the config expects it."""
+    return (report.verdict == "pass"
+            or report.verdict == cfg.get("expect") == "hypotheses-not-met")
 
 
 def main(argv=None) -> int:

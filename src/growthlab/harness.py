@@ -142,19 +142,32 @@ def _need(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _at(path: str, fn, *args):
+    """fn(*args), a ValueError, TypeError, KeyError or AttributeError raised
+    as a ConfigError at path; a ConfigError passes unchanged."""
+    try:
+        return fn(*args)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _positive(cfg: dict, key: str, default, path: str = "") -> float:
+    """cfg.get(key, default) if a positive finite number, as a float."""
+    x = _at(f"{path}/{key}", float, cfg.get(key, default))
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(f"{path}/{key}", f"need a positive number, not {x}")
+    return x
+
+
 def resolve_triple(desc: dict, path: str = "/scales") -> ScaleTriple:
     if not isinstance(desc, dict):
         raise ConfigError(path, "scales must be an object")
-    try:
-        alpha = scale_from_descriptor(_need(desc, "alpha", path))
-        beta = scale_from_descriptor(_need(desc, "beta", path))
-        gamma = scale_from_descriptor(_need(desc, "gamma", path))
-        return ScaleTriple(alpha, beta, gamma,
-                           l1_constant=float(desc.get("l1_constant", 1.0)))
-    except ConfigError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _at(path, lambda: ScaleTriple(
+        *(scale_from_descriptor(_need(desc, k, path))
+          for k in ("alpha", "beta", "gamma")),
+        l1_constant=float(desc.get("l1_constant", 1.0))))
 
 
 def resolve_subject(desc: dict, path: str = "/subject"):
@@ -162,21 +175,18 @@ def resolve_subject(desc: dict, path: str = "/subject"):
     if not isinstance(desc, dict):
         raise ConfigError(path, "subject must be an object")
     if "profile" in desc:
-        try:
-            return growth.profile_from_descriptor(desc["profile"])
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(path + "/profile", str(exc)) from exc
+        return _at(path + "/profile", growth.profile_from_descriptor,
+                   desc["profile"])
     if "poly" in desc:
-        return ps.builtin("poly", coeffs=desc["poly"])
+        return _at(path + "/poly",
+                   lambda: ps.builtin("poly", coeffs=desc["poly"]))
     if "builtin" in desc:
-        name = desc["builtin"]
-        n = int(desc.get("n_terms", 400))
-        try:
-            out = ps.builtin(name, n, coeffs=desc.get("coeffs"))
-        except ValueError as exc:
-            raise ConfigError(path + "/builtin", str(exc)) from exc
+        n = _at(path + "/n_terms", int, desc.get("n_terms", 400))
+        out = _at(path + "/builtin", ps.builtin, desc["builtin"], n,
+                  desc.get("coeffs"))
         if "z_scale" in desc:
-            out = ps.scale_argument(out, complex(desc["z_scale"]))
+            out = _at(path + "/z_scale", lambda: ps.scale_argument(
+                out, complex(desc["z_scale"])))
         return out
     raise ConfigError(path, "subject needs 'builtin', 'poly' or 'profile'")
 
@@ -201,13 +211,9 @@ def resolve_equation(desc: dict, path: str = "/equation") -> ode.LinearODE:
 
 def _grid_from(cfg: dict, key: str, default: tuple, path: str = "") -> np.ndarray:
     g = cfg.get(key, {})
-    r_min = float(g.get("r_min", default[0]))
-    r_max = float(g.get("r_max", default[1]))
-    points = int(g.get("points", default[2]))
-    try:
-        return growth.make_grid(r_min, r_max, points)
-    except ValueError as exc:
-        raise ConfigError(f"{path}/{key}", str(exc)) from exc
+    return _at(f"{path}/{key}", lambda: growth.make_grid(
+        float(g.get("r_min", default[0])), float(g.get("r_max", default[1])),
+        int(g.get("points", default[2]))))
 
 
 def _solver_limits(cfg: dict, r_max: float, residual_tol: float,
@@ -217,17 +223,6 @@ def _solver_limits(cfg: dict, r_max: float, residual_tol: float,
     first length, must be an integer above the equation's order, r_max and
     residual_tol positive finite numbers and max_terms an integer of at
     least n_start; anything else is a ConfigError at the field's path."""
-    def positive(key, default):
-        v = cfg.get(key, default)
-        try:
-            x = float(v)
-        except (TypeError, ValueError):
-            x = math.nan
-        if not (math.isfinite(x) and x > 0):
-            raise ConfigError(f"/{key}",
-                              f"expected a positive number, got {v!r}")
-        return x
-
     if isinstance(n_start, bool) or not isinstance(n_start, int) \
             or n_start <= order:
         raise ConfigError("/n_start", f"expected an integer > {order} "
@@ -237,8 +232,8 @@ def _solver_limits(cfg: dict, r_max: float, residual_tol: float,
             or n_cap < n_start:
         raise ConfigError("/max_terms", f"expected an integer >= {n_start} "
                           f"(the first series length), got {n_cap!r}")
-    return positive("r_max", r_max), positive("residual_tol",
-                                              residual_tol), n_cap
+    return (_positive(cfg, "r_max", r_max),
+            _positive(cfg, "residual_tol", residual_tol), n_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +426,8 @@ def _run_analyze(cfg: dict, report: Report, _out_dir) -> Report:
                        "log_T" if isinstance(subject, growth.Profile)
                        else "log2_M")
     if isinstance(subject, ps.PowerSeries):
+        if not np.isfinite(subject.coeff.lh).any():
+            raise ConfigError("/subject", "the zero series has no growth")
         r_cap = subject.guaranteed_radius * 0.999
         grid = grid[grid <= r_cap]
         if len(grid) < 4:
@@ -454,8 +451,12 @@ def _run_analyze(cfg: dict, report: Report, _out_dir) -> Report:
     if cfg.get("count_zeros") and isinstance(subject, ps.PowerSeries):
         cz = cfg["count_zeros"]
         radii = _grid_from(cz, "grid", (5.0, 50.0, 12), "/count_zeros")
-        data = nev.count_zeros_grid(subject, radii,
-                                    zero_margin=cz.get("zero_margin", "auto"))
+        margin = ("auto" if cz.get("zero_margin", "auto") == "auto"
+                  else _positive(cz, "zero_margin", None, "/count_zeros"))
+        try:
+            data = nev.count_zeros_grid(subject, radii, zero_margin=margin)
+        except nev.PrecisionBudgetError as exc:
+            raise ConfigError("/count_zeros/grid", str(exc)) from exc
         lam = growth.estimate_lambda(data, triple,
                                      log_wrap=bool(cz.get("log_wrap", False)))
         report.info("lambda_upper", lam.value, f"counts {data.counts!r}")
@@ -465,8 +466,9 @@ def _run_analyze(cfg: dict, report: Report, _out_dir) -> Report:
 
 def _run_solve(cfg: dict, report: Report, out_dir: Optional[str]) -> Report:
     eq = resolve_equation(_need(cfg, "equation", ""))
-    init = ode.InitialData(tuple(complex(v) for v in
-                                 _need(cfg, "init", "")))
+    init = _at("/init", lambda: ode.InitialData(tuple(
+        complex(v) for v in _need(cfg, "init", ""))))
+    _at("/init", eq.check_init, init)
     n_start = cfg.get("n_start", 1 << 8)
     r_max, residual_tol, n_cap = _solver_limits(cfg, 5.0, 1e-8, 1 << 16,
                                                 n_start, eq.k)
@@ -489,7 +491,10 @@ def _run_wiman_valiron(cfg: dict, report: Report, _out_dir) -> Report:
     grid = _grid_from(cfg, "grid", (1.0, 50.0, 24))
     for i, desc in enumerate(_need(cfg, "subjects", "")):
         subject = resolve_subject(desc, f"/subjects/{i}")
-        orders = tuple(desc.get("ratio_orders", ()))
+        orders = desc.get("ratio_orders", [])
+        if not (isinstance(orders, list)
+                and all(type(n) is int and n > 0 for n in orders)):
+            raise ConfigError(f"/subjects/{i}/ratio_orders", "need ints >= 1")
         sub_grid = grid[grid <= subject.guaranteed_radius / 2.001] \
             if math.isfinite(subject.guaranteed_radius) else grid
         check_wiman_valiron(subject, sub_grid, report,
@@ -503,8 +508,10 @@ def _run_gundersen(cfg: dict, report: Report, _out_dir) -> Report:
     chi = float(cfg.get("chi", 2.0))
     grid = _grid_from(cfg, "grid", (2.0, 40.0, 16))
     grid = grid[grid <= subject.guaranteed_radius / (chi * 1.001)]
-    check_gundersen(subject, chi, int(cfg.get("i", 0)), int(cfg.get("j", 1)),
-                    grid, report, label=cfg.get("name", ""))
+    i, j = int(cfg.get("i", 0)), int(cfg.get("j", 1))
+    if not 0 <= i < j:
+        raise ConfigError("/j", f"need 0 <= i < j, got i = {i}, j = {j}")
+    check_gundersen(subject, chi, i, j, grid, report, cfg.get("name", ""))
     return report
 
 
@@ -513,8 +520,11 @@ def _run_log_derivative(cfg: dict, report: Report, _out_dir) -> Report:
     triple = resolve_triple(_need(cfg, "scales", ""))
     grid = _grid_from(cfg, "grid", (2.0, 20.0, 12))
     grid = grid[grid <= subject.guaranteed_radius * 0.999]
-    check_log_derivative(subject, triple, float(_need(cfg, "rho", "")),
-                         int(cfg.get("k", 1)), grid, report,
+    k = int(cfg.get("k", 1))
+    if k < 1:
+        raise ConfigError("/k", f"expected a derivative order >= 1, got {k}")
+    check_log_derivative(subject, triple, float(_need(cfg, "rho", "")), k,
+                         grid, report,
                          ratio_bound=float(cfg.get("ratio_bound", 2.0)),
                          label=cfg.get("name", ""))
     return report

@@ -18,10 +18,12 @@ module reduces to two numerical problems on the circle:
   circle, so f and f' are read there from one FFT circle each, or by
   scattered points where those cost less.
 
-Both escalate through the evaluation engine's precision levels with
-explicit noise-floor accounting: values of |f| far below the maximum term
-are invisible to fixed-precision arithmetic, and pretending otherwise
-silently corrupts m(r, f) (positive noise readings) and winding phases.
+Both keep explicit noise-floor accounting: values of |f| far below the
+maximum term are invisible to fixed-precision arithmetic, and pretending
+otherwise silently corrupts m(r, f) (positive noise readings) and winding
+phases.  So m(r, f) climbs the evaluation engine's precision levels d ->
+dd -> mp until its floor is cleared, and the winding runs once, at mp, at
+a depth that puts the floor 45 nats below min(1, r) (winding_dps).
 """
 
 from __future__ import annotations
@@ -364,7 +366,9 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
     """n(r, 1/f): zeros in |z| <= r, by the winding number of f.
 
     The argument increments of f along an adaptive angular mesh are
-    accumulated.  A sampled increment alone cannot rule out a hidden full
+    accumulated, all read at mp at winding_dps digits (PrecisionBudgetError
+    past dps_budget), from a start circle of 2^8 .. 2^12 angles, about 8
+    (nu(r) + 4).  A sampled increment alone cannot rule out a hidden full
     turn inside a cell, so cells are also refined while the local rotation
     bound |z f'/f| (which dominates d arg f / d theta for analytic f) times
     the cell width exceeds ~1 radian; only then is the wrapped increment
@@ -376,19 +380,17 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
     reads f and f' at its midpoints through _evalcore.eval_circle_at: one
     FFT circle per series, or scattered eval_points past the kernels' cost
     crossover (_evalcore._HORNER_STEP_COST) or past _FFT_MAX_ANGLES; a
-    round's margin and trust checks read only its midpoints.  If |f|
-    anywhere on the mesh falls below zero_margin * mu(r)
-    (after the engine's own noise floor is cleared by escalating
-    precision), a zero is too close to the circle and RetryPerturbedRadius
-    carries the suggested replacement radii.  Pass zero_margin="auto" to
-    accept whatever the arithmetic can actually resolve.
+    round's margin check reads only its midpoints.  If |f| anywhere on the
+    mesh falls below zero_margin * mu(r), a zero is too close to the
+    circle and RetryPerturbedRadius carries the suggested replacement
+    radii.  Pass zero_margin="auto" to accept whatever the arithmetic can
+    actually resolve: 9 nats above the mp floor.
     """
     from .series import derivative  # local import avoids cycle at load
 
     f.check_radius(log_r)
     coeff = f.coeff
     fp = derivative(f)
-    mt = max_term(f, log_r)
 
     def with_velocity(evaluate):
         """evaluate(coeff) for f and f', and the rotation bound |z f'/f|."""
@@ -397,66 +399,53 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
             vel = np.exp(np.minimum(rd.logabs - rf.logabs + log_r, 700.0))
         return rf, vel
 
-    auto = zero_margin == "auto"
-    for level in ("dd", "mp"):
-        dps = None
-        if level == "mp":
-            dps = winding_dps(coeff, log_r, dps_budget)
-            # expensive per point: start coarse, let refinement concentrate
-            m_start = 512
-        else:
-            m_start = 1 << max(8, min(12, int(math.ceil(
-                math.log2(8.0 * (mt.nu + 4))))))
-
-        # the start circle, then each round's midpoints, are read, checked
-        # and merged into the mesh by one loop body
-        res, mvel = with_velocity(lambda c: _evalcore.eval_circle(
-            c, log_r, m_start, offset=True, level=level, dps=dps))
-        margin_ln = (res.floor_ln + 9.0 if auto
-                     else res.log_mu + math.log(zero_margin))
-        mids = (2.0 * math.pi) * (np.arange(m_start) + 0.5) / m_start
-        thetas, phases, vels = np.zeros(0), np.zeros(0), np.zeros(0)
-        for k in range(49):
-            vmin = float(np.min(res.logabs))
-            if vmin < res.floor_ln + _TRUST_GUARD and level != "mp":
-                break  # cannot certify the margin at this level; escalate
-            if vmin < margin_ln:
+    dps = winding_dps(coeff, log_r, dps_budget)
+    nu = max_term(f, log_r).nu
+    m_start = 1 << max(8, min(12, math.ceil(math.log2(8.0 * (nu + 4)))))
+    # the start circle, then each round's midpoints, are read, checked and
+    # merged into the mesh by one loop body
+    res, mvel = with_velocity(lambda c: _evalcore.eval_circle(
+        c, log_r, m_start, offset=True, level="mp", dps=dps))
+    margin_ln = (res.floor_ln + 9.0 if zero_margin == "auto"
+                 else res.log_mu + math.log(zero_margin))
+    mids = (2.0 * math.pi) * (np.arange(m_start) + 0.5) / m_start
+    thetas, phases, vels = np.zeros(0), np.zeros(0), np.zeros(0)
+    for k in range(49):
+        vmin = float(np.min(res.logabs))
+        if vmin < margin_ln:
+            raise RetryPerturbedRadius(
+                log_r, detail=f"min ln|f| = {vmin:.4g} below margin "
+                f"{margin_ln:.4g}")
+        order = np.argsort(np.concatenate([thetas, mids]))
+        thetas = np.concatenate([thetas, mids])[order]
+        phases = np.concatenate([phases, res.phase])[order]
+        vels = np.concatenate([vels, mvel])[order]
+        if k == 48:
+            raise RetryPerturbedRadius(log_r, detail="refinement stalled")
+        dphi = _wrap_pi(np.diff(np.concatenate([phases, [phases[0]]])))
+        gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * math.pi]]))
+        vmax = np.maximum(vels, np.roll(vels, -1))
+        bad = np.nonzero((np.abs(dphi) > 0.5 * math.pi)
+                         | (gaps * vmax > 1.0))[0]
+        if len(bad) == 0:
+            d = _wrap_pi(np.diff(phases))
+            total = float(np.sum(d) + _wrap_pi(phases[0] - phases[-1]))
+            w = total / (2.0 * math.pi)
+            if abs(w - round(w)) > 1e-6:
                 raise RetryPerturbedRadius(
-                    log_r, detail=f"min ln|f| = {vmin:.4g} below margin "
-                    f"{margin_ln:.4g}")
-            order = np.argsort(np.concatenate([thetas, mids]))
-            thetas = np.concatenate([thetas, mids])[order]
-            phases = np.concatenate([phases, res.phase])[order]
-            vels = np.concatenate([vels, mvel])[order]
-            if k == 48:
-                raise RetryPerturbedRadius(log_r, detail="refinement stalled")
-            dphi = _wrap_pi(np.diff(np.concatenate([phases, [phases[0]]])))
-            gaps = np.diff(np.concatenate([thetas,
-                                           [thetas[0] + 2.0 * math.pi]]))
-            vmax = np.maximum(vels, np.roll(vels, -1))
-            bad = np.nonzero((np.abs(dphi) > 0.5 * math.pi)
-                             | (gaps * vmax > 1.0))[0]
-            if len(bad) == 0:
-                d = _wrap_pi(np.diff(phases))
-                total = float(np.sum(d) + _wrap_pi(phases[0] - phases[-1]))
-                w = total / (2.0 * math.pi)
-                if abs(w - round(w)) > 1e-6:
-                    raise RetryPerturbedRadius(
-                        log_r, detail=f"winding {w:.8f} not close to an "
-                        "integer")
-                return int(round(w))
-            if len(thetas) + len(bad) > _MAX_MESH:
-                raise RetryPerturbedRadius(
-                    log_r, detail="mesh budget exhausted (zero on circle?)")
-            nxt = np.concatenate([thetas[1:], [thetas[0] + 2.0 * math.pi]])
-            mids = 0.5 * (thetas[bad] + nxt[bad])
-            # round k's midpoints lie on the circle of m_start 2^k angles
-            size, offset = m_start << k, k > 0
-            idx = np.rint(mids * (size / (2.0 * math.pi)) - 0.5 * offset)
-            idx = idx.astype(np.int64) % size
-            res, mvel = with_velocity(lambda c: _evalcore.eval_circle_at(
-                c, log_r, size, idx, offset=offset, level=level, dps=dps))
-    raise PrecisionBudgetError("zero_count escalation failed")
+                    log_r, detail=f"winding {w:.8f} not close to an integer")
+            return int(round(w))
+        if len(thetas) + len(bad) > _MAX_MESH:
+            raise RetryPerturbedRadius(
+                log_r, detail="mesh budget exhausted (zero on circle?)")
+        nxt = np.concatenate([thetas[1:], [thetas[0] + 2.0 * math.pi]])
+        mids = 0.5 * (thetas[bad] + nxt[bad])
+        # round k's midpoints lie on the circle of m_start 2^k angles
+        size, offset = m_start << k, k > 0
+        idx = np.rint(mids * (size / (2.0 * math.pi)) - 0.5 * offset)
+        idx = idx.astype(np.int64) % size
+        res, mvel = with_velocity(lambda c: _evalcore.eval_circle_at(
+            c, log_r, size, idx, dps, offset=offset))
 
 
 def count_zeros_grid(f: PowerSeries, radii: Sequence[float],

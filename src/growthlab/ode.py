@@ -71,6 +71,13 @@ class LinearODE:
     def homogeneous(self) -> bool:
         return self.rhs is None
 
+    def check_init(self, init: InitialData) -> None:
+        """ValueError unless init is k values, not all 0 if homogeneous."""
+        if len(init.values) != self.k:
+            raise ValueError(f"initial data must have length k = {self.k}")
+        if self.homogeneous and all(v == 0 for v in init.values):
+            raise ValueError("zero initial data makes the trivial solution")
+
 
 @dataclass(frozen=True)
 class InitialData:
@@ -102,10 +109,7 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
     """
     if n_terms <= eq.k:
         raise ValueError("n_terms must exceed the equation order")
-    if len(init.values) != eq.k:
-        raise ValueError(f"initial data must have length k = {eq.k}")
-    if eq.homogeneous and all(v == 0 for v in init.values):
-        raise ValueError("zero initial data makes the trivial solution")
+    eq.check_init(init)
 
     def factory(dps_req):
         return _solve_series_mp(eq, init, n_terms, dps_req)

@@ -157,7 +157,7 @@ def test_circle_of_other_size_is_refused(level, dps):
 
 @pytest.mark.parametrize("offset", [False, True])
 @pytest.mark.parametrize("m", [512, 1024])
-@pytest.mark.parametrize("level", ["dd", "mp"])
+@pytest.mark.parametrize("level", ["mp"])  # the one level eval_circle_at reads
 def test_circle_at_indices_matches_points(monkeypatch, level, m, offset):
     """eval_circle_at's FFT values at picked indices against eval_points at
     the float angles theta_j = 2 pi (j + offset/2) / m.
@@ -174,12 +174,10 @@ def test_circle_at_indices_matches_points(monkeypatch, level, m, offset):
     monkeypatch.setattr(_evalcore, "_HORNER_STEP_COST", math.inf)
     f = series.builtin("sin", 700)
     log_r = math.log(58.5)
-    dps = (_evalcore.dps_for_floor(f.coeff, log_r, min(0.0, log_r) - 45.0)
-           if level == "mp" else None)
+    dps = _evalcore.dps_for_floor(f.coeff, log_r, min(0.0, log_r) - 45.0)
     idx = np.array(sorted(set(range(0, m, m // 16)) | {1, m // 2 + 1,
                                                         m - 1}))
-    a = _evalcore.eval_circle_at(f.coeff, log_r, m, idx, offset=offset,
-                                 level=level, dps=dps)
+    a = _evalcore.eval_circle_at(f.coeff, log_r, m, idx, dps, offset=offset)
     thetas = (2.0 * np.pi) * (idx + (0.5 if offset else 0.0)) / m
     b = _evalcore.eval_points(f.coeff, log_r, thetas, level=level, dps=dps)
     assert a.floor_ln == b.floor_ln and a.log_mu == b.log_mu
@@ -226,36 +224,27 @@ def test_twiddles_shifted_down_match_fresh():
     assert circle() == fresh
 
 
-def test_twiddle_tables_derived_from_cached_match_fresh(monkeypatch):
-    """A table subsampled from a larger cached one, or built around a
-    smaller one's entries, holds the integers of a fresh table at its
-    depth; a request a few bits deeper finds the cached table, and a
-    deeper request for a small circle leaves the larger tables be."""
-    _evalcore._TWIDDLES.clear()
-    _evalcore._twiddles(1024, 300)
-    big = _evalcore._TWIDDLES[1024]
-    _evalcore._twiddles(1024, 302)
-    assert _evalcore._TWIDDLES[1024] is big
-    cis_calls = []
-    cos_sin = mp.libmp.mpf_cos_sin
-    monkeypatch.setattr(mp.libmp, "mpf_cos_sin",
-                        lambda *a: cis_calls.append(a) or cos_sin(*a))
-    # both shallower than the 1024 table, so both take its depth
-    _evalcore._twiddles(256, 200)
-    assert cis_calls == []
-    _evalcore._twiddles(4096, 200)
-    assert len(cis_calls) == 4096 // 4 + 1 - (1024 // 4 + 1)
-    derived = {m: _evalcore._TWIDDLES[m] for m in (256, 4096)}
-    _evalcore._twiddles(256, 400)
-    assert _evalcore._TWIDDLES[1024] is big
-    assert _evalcore._TWIDDLES[4096] is derived[4096]
-    for m, (depth, re, im) in derived.items():
-        assert depth == big[0]
-        _evalcore._TWIDDLES.clear()
-        _evalcore._twiddles(m, depth - _evalcore._TW_GUARD_BITS)
-        fresh = _evalcore._TWIDDLES[m]
-        assert fresh[0] == depth
-        assert list(fresh[1]) == list(re) and list(fresh[2]) == list(im)
+@pytest.mark.parametrize("m", [1, 2, 4, 64, 1024])
+def test_twiddles_are_correctly_rounded(monkeypatch, m):
+    """_twiddles(m, bits) against e^{i pi k / m} 2^bits, computed by
+    mpmath 64 bits past the scale and rounded to nearest.  Deep tables of
+    zeros cached for the sizes m / 2 and 2 m must not be read; a request a
+    few bits deeper reads the cached table."""
+    monkeypatch.setattr(_evalcore, "_TWIDDLES", {})
+    for other in {m // 2, 2 * m} - {0}:
+        zeros = np.zeros(other, dtype=object)
+        _evalcore._TWIDDLES[other] = (1 << 12, zeros, zeros)
+    bits = 300
+    re, im = _evalcore._twiddles(m, bits)
+    table = _evalcore._TWIDDLES[m]
+    _evalcore._twiddles(m, bits + 2)
+    assert _evalcore._TWIDDLES[m] is table
+    assert len(re) == len(im) == m
+    with mp.workprec(bits + 64):
+        for k in range(m):
+            w = mp.expjpi(mp.mpf(k) / m) * mp.mpf(2) ** bits
+            assert (re[k], im[k]) == (int(mp.nint(w.real)),
+                                      int(mp.nint(w.imag))), k
 
 
 def objarray_horner(band, bits, ths):

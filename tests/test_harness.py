@@ -215,6 +215,106 @@ class TestCli:
         assert rc == 0
 
 
+def _bad_configs():
+    """Configs, each invalid in one field, with that field's path: a
+    config error must exit 2 and name it."""
+    def shipped(name, **over):
+        cfg = harness.shipped_config(name)
+        cfg.update(over)
+        return cfg
+
+    small = {"r_min": 5.0, "r_max": 20.0, "points": 4}
+    wv = shipped("wiman_valiron")
+    wv["subjects"][0]["ratio_orders"] = [0]
+    cases = [
+        ("grid_not_object", shipped("analyze_exp", grid=5), "/grid"),
+        ("grid_null", shipped("analyze_exp", grid={"r_min": None}), "/grid"),
+        ("zero_margin", shipped("analyze_exp", count_zeros={
+            "zero_margin": "x", "grid": small}), "/count_zeros/zero_margin"),
+        ("ratio_order_0", wv, "/subjects/0/ratio_orders"),
+        # sin 4000 at r = 1300 winds at ~603 digits, past the 600 budget
+        ("winding_budget", shipped(
+            "analyze_exp", subject={"builtin": "sin", "n_terms": 4000},
+            grid=small, count_zeros={"grid": {
+                "r_min": 1300.0, "r_max": 1400.0, "points": 4}}),
+         "/count_zeros/grid"),
+        ("poly_empty", shipped("analyze_exp", subject={"poly": []}),
+         "/subject/poly"),
+        ("poly_zero", shipped("analyze_exp", subject={"poly": [0]}),
+         "/subject"),
+        ("n_terms", shipped("analyze_exp", subject={
+            "builtin": "exp", "n_terms": "x"}), "/subject/n_terms"),
+        ("z_scale", shipped("analyze_exp", subject={
+            "builtin": "exp", "n_terms": 100, "z_scale": 0}),
+         "/subject/z_scale"),
+        ("init_length", shipped("solve_airy", init=[1.0]), "/init"),
+        ("init_zero", shipped("solve_airy", init=[0.0, 0.0]), "/init"),
+        ("gundersen_i_above_j", shipped("gundersen_exp", i=2, j=1), "/j"),
+        ("log_derivative_k0", shipped("log_derivative_exp_exp", k=0), "/k"),
+    ]
+    return [pytest.param(cfg, path, id=name) for name, cfg, path in cases]
+
+
+class TestCliConfigErrors:
+    @pytest.mark.parametrize("cfg,path", _bad_configs())
+    def test_exit_two_with_path(self, tmp_path, capsys, cfg, path):
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps(cfg))
+        rc = cli.main(["verify", "--config", str(file),
+                       "--out", str(tmp_path / "rep")])
+        err = capsys.readouterr().err
+        assert rc == 2 and f"config error: {path}: " in err, err
+
+    def test_zero_coefficient_is_still_valid(self):
+        # the zero series is rejected as an analyze subject only
+        eq = harness.resolve_equation({"k": 2, "A": [
+            {"poly": [0.0, -1.0]}, {"poly": [0]}]})
+        assert eq.coeffs[1].n_terms == 1
+
+
+class TestCliPaths:
+    def test_overrides_reach_the_config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_analyze()))
+        rc = cli.main(["verify", "--config", str(path), "--r-max", "40",
+                       "--grid-points", "12", "--max-terms", "500",
+                       "--seed", "7", "--out", str(tmp_path / "rep")])
+        assert rc == 0
+        cfg = json.loads((tmp_path / "rep" / "t_analyze.report.json")
+                         .read_text())["config"]
+        assert cfg["grid"] == {"r_min": 5.0, "r_max": 40.0, "points": 12}
+        assert (cfg["r_max"], cfg["max_terms"], cfg["seed"]) == (40.0, 500, 7)
+
+    def test_expected_hypotheses_not_met_exits_zero(self, tmp_path, capsys):
+        rc = cli.main(["verify", "--name", "theorem_dominant_negative",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert "theorem_dominant_negative: hypotheses-not-met (expected) " \
+            in capsys.readouterr().out
+
+    def test_analyze_needs_config(self, capsys):
+        assert cli.main(["analyze"]) == 2
+        assert "--config is required" in capsys.readouterr().err
+
+    def test_forcing_term_from_config(self, tmp_path):
+        # f' = 1 + 2z, f(0) = 0: f = z + z^2
+        cfg = {"schema": harness.SCHEMA, "kind": "solve", "name": "forced",
+               "equation": {"k": 1, "A": [{"poly": [0.0]}],
+                            "F": {"poly": [1.0, 2.0]}},
+               "init": [0.0], "n_start": 16}
+        path = tmp_path / "forced.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["solve", "--config", str(path),
+                         "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "forced.csv").read_text().splitlines()[1:]]
+        ln_abs = [float(r[1]) for r in rows]
+        assert ln_abs[0] == -math.inf
+        assert abs(ln_abs[1]) < 1e-14 and abs(ln_abs[2]) < 1e-14
+        assert all(abs(float(r[2])) < 1e-14 for r in rows[1:3])
+        assert all(v == -math.inf for v in ln_abs[3:])
+
+
 class TestOverrides:
     def test_seed_override_changes_config(self, tmp_path):
         cfg = minimal_analyze()

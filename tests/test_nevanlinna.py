@@ -242,52 +242,53 @@ def mini_solution():
 
 
 class _RoundLog:
-    """Records each refinement round of zero_count, per series: its level,
-    circle size m, offset, indices, the band's nonzero terms N, and whether
-    eval_circle_at answered by scattered eval_points."""
+    """Records each refinement round of zero_count, per series: its circle
+    size m, offset, indices, the mp band's nonzero terms N, and whether
+    eval_circle_at answered by scattered eval_points; and the level of
+    every eval_circle and eval_points call, in `levels`."""
 
     def __init__(self, monkeypatch):
-        self.rounds = []
-        at, points = nev._evalcore.eval_circle_at, nev._evalcore.eval_points
+        self.rounds, self.levels = [], []
+        ev = nev._evalcore
+        at, circle, points = ev.eval_circle_at, ev.eval_circle, ev.eval_points
         inside = []
 
-        def at_logged(coeff, log_r, m, idx, offset=True, level="dd",
-                      dps=None):
-            (_, _, _, _, band), _ = nev._evalcore._fixed_band(
-                coeff, log_r, level, dps)
-            inside.append(dict(level=level, m=m, offset=offset,
-                               idx=np.array(idx), n_band=len(band[0]),
-                               scattered=False))
+        def at_logged(coeff, log_r, m, idx, dps, offset=True):
+            (_, _, _, _, band), _ = ev._fixed_band(coeff, log_r, "mp", dps)
+            inside.append(dict(m=m, offset=offset, idx=np.array(idx),
+                               n_band=len(band[0]), scattered=False))
             try:
-                return at(coeff, log_r, m, idx, offset=offset, level=level,
-                          dps=dps)
+                return at(coeff, log_r, m, idx, dps, offset=offset)
             finally:
                 self.rounds.append(inside.pop())
 
-        def points_logged(*args, **kw):
+        def circle_logged(*args, level="d", **kw):
+            self.levels.append(level)
+            return circle(*args, level=level, **kw)
+
+        def points_logged(*args, level="dd", **kw):
+            self.levels.append(level)
             if inside:
                 inside[-1]["scattered"] = True
-            return points(*args, **kw)
+            return points(*args, level=level, **kw)
 
-        monkeypatch.setattr(nev._evalcore, "eval_circle_at", at_logged)
-        monkeypatch.setattr(nev._evalcore, "eval_points", points_logged)
+        monkeypatch.setattr(ev, "eval_circle_at", at_logged)
+        monkeypatch.setattr(ev, "eval_circle", circle_logged)
+        monkeypatch.setattr(ev, "eval_points", points_logged)
 
 
-def count_with(f, log_r, step_cost, level):
-    """(zero_count(f, log_r, "auto") or "retry", its rounds) with the
+def count_with(f, log_r, step_cost):
+    """(zero_count(f, log_r, "auto") or "retry", its _RoundLog) with the
     kernel crossover moved by step_cost: inf takes every round's circle,
-    -inf scattered points.  level "mp" distrusts every dd reading, so the
-    count escalates and refines at mp."""
+    -inf scattered points."""
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(nev._evalcore, "_HORNER_STEP_COST", step_cost)
-        if level == "mp":
-            mpatch.setattr(nev, "_TRUST_GUARD", 1e3)
         log = _RoundLog(mpatch)
         try:
             n = nev.zero_count(f, log_r, zero_margin="auto")
         except nev.RetryPerturbedRadius:
             n = "retry"
-    return n, log.rounds
+    return n, log
 
 
 def exp_cos():
@@ -316,20 +317,20 @@ class TestDyadicRefinement:
         "cube_roots": (lambda: series.builtin(
             "poly", coeffs=[-1.0, 0.0, 0.0, 1.0]), 1.01, 3),
     }
-    # cases whose dd count escalates before it refines
-    MP_FIRST = {"sin60", "exp_cos"}
 
-    @pytest.mark.parametrize("level", ["dd", "mp"])
+    # every evaluation of a count, start circle and rounds alike, is at
+    # this level
+    @pytest.mark.parametrize("level", ["mp"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_counts_match_scattered(self, case, level):
         make, r, want = self.CASES[case]
         f = make()
-        got, rounds = count_with(f, math.log(r), math.inf, level)
-        ref, ref_rounds = count_with(f, math.log(r), -math.inf, level)
+        got, log = count_with(f, math.log(r), math.inf)
+        ref, ref_log = count_with(f, math.log(r), -math.inf)
         assert got == ref == want
-        at = "mp" if case in self.MP_FIRST else level
-        assert rounds and {x["level"] for x in rounds} == {at}
-        assert not any(x["scattered"] for x in rounds)
+        assert set(log.levels) == set(ref_log.levels) == {level}
+        rounds, ref_rounds = log.rounds, ref_log.rounds
+        assert rounds and not any(x["scattered"] for x in rounds)
         assert len(ref_rounds) == len(rounds)
         assert all(x["scattered"] for x in ref_rounds)
         assert any(not x["offset"] and 0 in x["idx"] for x in rounds)
@@ -338,21 +339,22 @@ class TestDyadicRefinement:
     def test_mini_solution_counts_match_scattered(self, mini_solution, r,
                                                   want):
         lr = math.log(r)
-        got, rounds = count_with(mini_solution, lr, math.inf, "dd")
-        ref, _ = count_with(mini_solution, lr, -math.inf, "dd")
+        got, log = count_with(mini_solution, lr, math.inf)
+        ref, _ = count_with(mini_solution, lr, -math.inf)
         assert got == ref == want
-        assert not any(x["scattered"] for x in rounds)
+        assert set(log.levels) == {"mp"}
+        assert not any(x["scattered"] for x in log.rounds)
 
     def test_rounds_lie_on_dyadic_circles(self):
         # round k's circle has m_start 2^k angles, offset from round 1 on
-        _, rounds = count_with(series.builtin("sin", 700), math.log(40.8),
-                               math.inf, "dd")
-        per_series = rounds[0::2]
+        _, log = count_with(series.builtin("sin", 700), math.log(40.8),
+                            math.inf)
+        per_series = log.rounds[0::2]
         m_start = per_series[0]["m"]
         assert len(per_series) == 4
         for k, x in enumerate(per_series):
             assert (x["m"], x["offset"]) == (m_start << k, k > 0)
-            assert x["idx"].tolist() == rounds[2 * k + 1]["idx"].tolist()
+            assert x["idx"].tolist() == log.rounds[2 * k + 1]["idx"].tolist()
 
     def test_call_count_regression(self, monkeypatch, mini_solution):
         # at r = 6.3 the scattered mp points took 6 eval_points calls; now
@@ -360,14 +362,13 @@ class TestDyadicRefinement:
         log = _RoundLog(monkeypatch)
         assert nev.zero_count(mini_solution, math.log(6.3),
                               zero_margin="auto", dps_budget=400) == 19
-        mp_rounds = [x for x in log.rounds if x["level"] == "mp"]
-        assert len(mp_rounds) >= 4
-        for x in mp_rounds:
+        assert len(log.rounds) >= 4
+        for x in log.rounds:
             m, p, n = x["m"], len(x["idx"]), x["n_band"]
             circle = m * math.log2(m) <= n * (
                 p + nev._evalcore._HORNER_STEP_COST)
             assert x["scattered"] != circle, x
-        assert sum(x["scattered"] for x in mp_rounds) <= 2
+        assert sum(x["scattered"] for x in log.rounds) <= 2
 
 
 @pytest.fixture(scope="module")
