@@ -12,22 +12,23 @@ resolve cancellation much deeper than its significand: the sum above can be
 as small as e^{-2r} relative to mu(r) (e.g. e^z at theta = pi), which no
 double can see at r = 100.  Three precision levels are therefore provided:
 
-  'd'   plain complex128, noise floor ~3e-16 * N * mu(r)
-  'dd'  fixed-point integers fed by the double-double band: terms built in
-        double-double and converted at scale 2^P, P = _fixed_bits(32, N),
-        floor ~1e-31 * N * mu(r)
+  'd'   plain complex128 from the stored logs, noise floor
+        ~3e-16 * N * mu(r)
+  'dd'  the 'mp' band at 32 digits (_DD_DPS) with a cut of 130 nats:
+        fixed-point integers fed by the exact coefficients, P =
+        _fixed_bits(32, N), floor ~3 N 10^-30.4 * mu(r)
   'mp'  fixed-point integers fed by the exact coefficients at dps digits,
         P = _fixed_bits(dps, N), floor ~3 N 10^(-0.95 dps) * mu(r)
 
-A level decides only where its band's integers come from and its floor
-(_fixed_band); 'dd' and 'mp' then share the kernels.  Scattered angles
-(`eval_points`) are summed by a scalar fixed-point Horner per angle, with
-error at most (N + 1)^2 2^-P * mu(r) for a band of N terms: below 2^-16
-10^-dps (dps = 32 for 'dd').  Equispaced circles (`eval_circle`) of m
-angles fold the band mod m and run one FFT: numpy's at 'd', for any m;
-one radix-2 FFT over Python integers (twiddles cached per size) at 'dd'
-and 'mp', for m a power of two up to _FFT_MAX_ANGLES, with error at most
-(4 N + 3) 2^-P * mu(r) (see _circle_fixed), again far under the floor.
+'dd' and 'mp' differ only in their band's cut and digits (_fixed_band)
+and share the kernels.  Scattered angles (`eval_points`) are summed by a
+scalar fixed-point Horner per angle, with error at most (N + 1)^2 2^-P *
+mu(r) for a band of N terms: below 2^-16 10^-dps (dps = 32 for 'dd').
+Equispaced circles (`eval_circle`) of m angles fold the band mod m and
+run one FFT: numpy's at 'd', for any m; one radix-2 FFT over Python
+integers (twiddles cached per size) at 'dd' and 'mp', for m a power of
+two up to _FFT_MAX_ANGLES, with error at most (2 N + 3) 2^-P * mu(r)
+(see _circle_fixed), again far under the floor.
 Circles therefore sample the exact angles 2 pi (j + 1/2) / m, points the
 float angles they are given.
 `eval_circle_at` reads an mp circle's values at chosen indices by whichever
@@ -35,9 +36,10 @@ of the two kernels costs less.
 
 Every evaluation returns an explicit noise floor (in log scale) so callers
 can tell whether deep cancellation corrupted the values they care about, and
-escalate.  Phases of coefficients that are exact multiples of pi/2 are
-propagated exactly; everything else is honestly accounted for in the
-coefficient-data error bound carried by CoeffData.rel_err_ln.
+escalate.  At 'd', phases of coefficients that are exact multiples of
+pi/2 are propagated exactly, and everything else is accounted for in the
+coefficient-data error bound CoeffData.rel_err_ln; 'dd' and 'mp' read
+the exact values, whose accuracy is CoeffData.data_floor_ln(dps).
 """
 
 from __future__ import annotations
@@ -49,28 +51,32 @@ from typing import Callable, Optional
 import mpmath as mp
 import numpy as np
 
-from . import _dd
-
 __all__ = ["CoeffData", "EvalResult", "log_max_term", "eval_circle",
            "eval_circle_at", "eval_points", "dps_for_floor", "LEVELS"]
 
 LEVELS = ("d", "dd", "mp")
 
-_EPS_LN = {"d": math.log(3e-16), "dd": math.log(2e-31)}
+_EPS_LN_D = math.log(3e-16)  # the d level's arithmetic floor
 
 # band cutoffs: terms this far (in nats) below the max term cannot move the
 # result above the level's noise floor
 _BAND_CUT = {"d": 60.0, "dd": 130.0}
+
+_DD_DPS = 32  # the digits of the 'dd' level's exact values and floor
 
 
 @dataclass
 class CoeffData:
     """Log-polar coefficient storage for one truncated power series.
 
-    lh/ll: double-double split of ln|a_n| (ll may be zeros), -inf for a_n=0.
+    lh:    ln|a_n|, -inf for a_n = 0; the nearest double where the series
+           has exact values (a builtin, an integer march).
     ph:    phase of a_n; the sentinel values 0, +-pi/2, +-pi (stored as the
            numpy constants) are treated as exact.
-    rel_err_ln: ln of the relative error bound on the stored coefficients.
+    rel_err_ln: ln of the relative error bound on the stored logs: the
+           data error of the 'd' level, and of 'dd' and 'mp' for a series
+           without a factory, whose exact values are read from the logs
+           (_fixed_of_logs).
     mp_factory: optional callable dps -> the exact coefficient values in
            the format of mp_logs, regenerating the series at arbitrary
            precision.  A derived series' factory reads its parents only
@@ -82,7 +88,6 @@ class CoeffData:
     """
 
     lh: np.ndarray
-    ll: np.ndarray
     ph: np.ndarray
     rel_err_ln: float
     mp_factory: Optional[Callable[[int], list]] = None
@@ -103,7 +108,7 @@ class CoeffData:
         """
         if self._mp_entry is None or self._mp_entry[0] < dps:
             values = (self.mp_factory(dps) if self.mp_factory is not None
-                      else _fixed_of_logs(self.lh, self.ll, self.ph,
+                      else _fixed_of_logs(self.lh, self.ph,
                                           _exact_bits(dps)))
             self._mp_entry = (dps, values)
         return self._mp_entry[1]
@@ -129,6 +134,15 @@ def _floor_ln(log_mu: float, eps_ln: float, data_ln: float,
     """Noise floor of a band sum of `width` terms: the larger of the
     arithmetic and data errors, times 3 width, relative to mu(r)."""
     return log_mu + max(eps_ln, data_ln) + math.log(3.0 * width)
+
+
+def _fixed_floor(coeff: CoeffData, log_mu: float, dps: int,
+                 width: int) -> float:
+    """The 'dd' and 'mp' floor of a band sum of `width` terms at dps
+    digits: the arithmetic error 10^(-0.95 dps) against the exact values'
+    data_floor_ln(dps)."""
+    return _floor_ln(log_mu, -0.95 * dps * math.log(10),
+                     coeff.data_floor_ln(dps), width)
 
 
 @dataclass
@@ -240,27 +254,6 @@ def _cached_band(coeff: CoeffData, key: tuple, build: Callable):
     return entry
 
 
-def _rescaled_dd(coeff: CoeffData, log_r: float, lo: int, hi: int,
-                 log_mu: float):
-    """t_n = a_n r^n / mu(r) for lo <= n < hi as complex double-double
-    arrays ((re_hi, re_lo), (im_hi, im_lo))."""
-    n = np.arange(lo, hi, dtype=float)
-    # vanished coefficients inside the band are computed at a finite
-    # sentinel and forced to exact zero afterwards (keeps dd kernels NaN-free)
-    gone = ~np.isfinite(coeff.lh[lo:hi])
-    lh = np.where(gone, log_mu, coeff.lh[lo:hi])
-    # ldiff = (lh - log_mu) + ll + n*log_r, assembled in double-double
-    d0 = _dd.two_sum(lh, -log_mu)
-    d0 = (d0[0], d0[1] + coeff.ll[lo:hi])
-    nr = _dd.two_prod(n, log_r)
-    ldiff = _dd.dd_add(d0, nr)
-    if np.any(gone):
-        ldiff = (np.where(gone, -1e5, ldiff[0]), np.where(gone, 0.0, ldiff[1]))
-    mag = _dd.dd_exp(ldiff)
-    cr, ci = _coeff_cis(coeff.ph[lo:hi])
-    return (mag[0] * cr, mag[1] * cr), (mag[0] * ci, mag[1] * ci)
-
-
 def _poly_at_points_d(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum t_s x^s over unit-modulus points x, blocked for BLAS speed.
 
@@ -303,7 +296,7 @@ def _logpolar(shift, v: np.ndarray) -> tuple:
 def _result_d(coeff: CoeffData, val: np.ndarray, lo: int, hi: int,
               log_mu: float) -> EvalResult:
     """EvalResult of band sums val = f / mu(r) computed in complex128."""
-    floor = _floor_ln(log_mu, _EPS_LN["d"], coeff.rel_err_ln, hi - lo)
+    floor = _floor_ln(log_mu, _EPS_LN_D, coeff.rel_err_ln, hi - lo)
     return EvalResult(*_logpolar(log_mu, val), floor, log_mu, "d")
 
 
@@ -421,40 +414,38 @@ def _fixed_exp(k: int, log_r: float, log_mu: float, bits: int) -> tuple:
     return _fixed_round((man, 0, e), bits)
 
 
-def _fixed_of_logs(lh, ll, ph, bits: int) -> list:
-    """exp(lh + ll + i ph) per stored coefficient, within 2^-bits (1 +
-    2^-6) relative; None where lh = -inf.  Phases on the pi/2 grid
-    (_EXACT_CIS) are taken as exact."""
+def _fixed_of_logs(lh, ph, bits: int) -> list:
+    """exp(lh + i ph) per stored coefficient, within 2^-bits (1 + 2^-6)
+    relative; None where lh = -inf.  Phases on the pi/2 grid (_EXACT_CIS)
+    are taken as exact."""
     out = []
-    for h, l, p in zip(lh.tolist(), ll.tolist(), ph.tolist()):
+    for h, p in zip(lh.tolist(), ph.tolist()):
         cs = _EXACT_CIS.get(p)
         cis = ((int(cs[0]), int(cs[1]), 0) if cs is not None
                else (*_fixed_cis(1, p, bits + 8), -bits - 8))
-        out.append(_fixed_mul(_fixed_exp(1, h, -l, bits + 8), cis, bits)
+        out.append(_fixed_mul(_fixed_exp(1, h, 0.0, bits + 8), cis, bits)
                    if math.isfinite(h) else None)
     return out
 
 
-_LOG_BITS = 170  # 2 x 53 + 64: ln|v| to well past a double-double
+_LOG_BITS = 53 + 64  # ln|v| to 64 bits past a double, then rounded
 
 
 def _logs_of(values: list) -> tuple:
-    """(lh, ll, ph) of triples: ln|v| computed to _LOG_BITS bits and split
-    into the nearest double and the nearest double to the rest, arg v to
-    53 bits; -inf, 0, 0 for None.  Exactly real or imaginary values get
-    the phases 0, +-pi/2 and pi of the _EXACT_CIS grid."""
+    """(lh, ph) of triples: ln|v| to the nearest double (computed to
+    _LOG_BITS bits and rounded once), arg v to 53 bits; -inf, 0 for None.
+    Exactly real or imaginary values get the phases 0, +-pi/2 and pi of
+    the _EXACT_CIS grid."""
     lib, rnd = mp.libmp, mp.libmp.round_nearest
-    lh = np.full(len(values), -np.inf)
-    ll, ph = np.zeros(len(values)), np.zeros(len(values))
+    lh, ph = np.full(len(values), -np.inf), np.zeros(len(values))
     for i in (i for i, v in enumerate(values) if v is not None):
         re, im, e = values[i]
         sq = lib.from_man_exp(re * re + im * im, 2 * e)  # |v|^2
-        L = lib.mpf_shift(lib.mpf_log(sq, _LOG_BITS, rnd), -1)
-        lh[i] = lib.to_float(L, rnd=rnd)
-        ll[i] = lib.to_float(lib.mpf_sub(L, lib.from_float(lh[i])), rnd=rnd)
+        lh[i] = lib.to_float(lib.mpf_shift(lib.mpf_log(sq, _LOG_BITS, rnd),
+                                           -1), rnd=rnd)
         ph[i] = lib.to_float(lib.mpf_atan2(lib.from_int(im), lib.from_int(re),
                                            53, rnd))
-    return lh, ll, ph
+    return lh, ph
 
 
 def _fixed_cis(k: int, theta: float, bits: int):
@@ -465,69 +456,48 @@ def _fixed_cis(k: int, theta: float, bits: int):
     return _to_fixed(c, bits), _to_fixed(s, bits)
 
 
-def _dd_fixed(x, bits: int) -> np.ndarray:
-    """int(hi 2^bits) + int(lo 2^bits) for a double-double array (hi, lo):
-    the values at scale 2^bits, each truncated part off by under 1."""
-    return np.array([int(h) + int(l) for h, l in
-                     zip(np.ldexp(x[0], bits).tolist(),
-                         np.ldexp(x[1], bits).tolist())], dtype=object)
-
-
 def _fixed_band(coeff: CoeffData, log_r: float, level: str,
                 dps: Optional[int]):
     """((lo, hi, log_mu, P, (n, re, im)), floor_ln) at 'dd' or 'mp': the
     band's nonzero terms t_n = a_n r^n / mu(r), highest n first, as an
     index array and two object arrays of integers at scale 2^P, and the
-    level's noise floor.
+    level's noise floor (_fixed_floor).
 
-    A level decides only where the integers come from.  'dd' keeps the
-    terms within _BAND_CUT['dd'] nats of mu(r), built in double-double by
-    _rescaled_dd and truncated by _dd_fixed at P = _fixed_bits(32, N).
-    'mp' keeps those within dps ln 10 + 40 nats, at P = _fixed_bits(dps,
-    N): each value a_n of coeff.mp_logs(dps) times r^n / mu(r) from
-    _fixed_powers (start e^(lo ln r - ln mu), ratio r, by _fixed_exp) at
-    P + 24 + bitlen(hi - lo) bits, so within 2^-(P+23) relative, rounded
-    to nearest at scale 2^P: each component is within (1/2 + 2^-23 |t_n|)
-    2^-P of the exact a_n r^n / mu(r).  The band is cached as its level's
-    latest (see _cached_band).
+    Both levels read the exact values coeff.mp_logs(dps); they differ in
+    their cut and digits.  'mp' keeps the terms within dps ln 10 + 40
+    nats of mu(r) (_mp_band); 'dd' keeps those within _BAND_CUT['dd'] nats,
+    at dps = _DD_DPS.  P = _fixed_bits(dps, N), and each value a_n times
+    r^n / mu(r) from _fixed_powers (start e^(lo ln r - ln mu), ratio r, by
+    _fixed_exp) at P + 24 + bitlen(hi - lo) bits, so within 2^-(P+23)
+    relative, is rounded to nearest at scale 2^P: each component is
+    within (1/2 + 2^-23 |t_n|) 2^-P of the exact a_n r^n / mu(r).  The
+    band is cached as its level's latest (see _cached_band).
     """
     if level == "dd":
+        dps = _DD_DPS
         lo, hi, log_mu = _band(coeff, log_r, _BAND_CUT["dd"])
-        bits = _fixed_bits(32, hi - lo)
-        floor = _floor_ln(log_mu, _EPS_LN["dd"], coeff.rel_err_ln, hi - lo)
-        key = ("dd", lo, hi, log_r)
-
-        def terms(ns):
-            (rh, rl), (ih, il) = _rescaled_dd(coeff, log_r, lo, hi, log_mu)
-            k = ns - lo
-            return (_dd_fixed((rh[k], rl[k]), bits),
-                    _dd_fixed((ih[k], il[k]), bits))
     elif level == "mp":
         if dps is None:
             raise ValueError("mp evaluation needs an explicit dps")
         lo, hi, log_mu = _mp_band(coeff, log_r, dps)
-        bits = _fixed_bits(dps, hi - lo)
-        floor = _floor_ln(log_mu, -0.95 * dps * math.log(10),
-                          coeff.data_floor_ln(dps), hi - lo)
-        key = ("mp", dps, lo, hi, log_r)
-
-        def terms(ns):
-            g = bits + 24 + (hi - lo).bit_length()
-            xs = _fixed_powers(_fixed_exp(lo, log_r, log_mu, g),
-                               _fixed_exp(1, log_r, 0.0, g), hi - lo, g)
-            values = coeff.mp_logs(dps)
-            ts = [(0, 0) if v is None else
-                  _shift_round(v[0] * x, v[1] * x, -bits - v[2] - ex)
-                  for v, (x, _, ex) in ((values[n], xs[n - lo]) for n in ns)]
-            return tuple(np.array(t, dtype=object) for t in zip(*ts))
     else:
         raise ValueError(f"unknown level {level!r}")
+    bits = _fixed_bits(dps, hi - lo)
 
     def build():
         ns = lo + np.nonzero(np.isfinite(coeff.lh[lo:hi]))[0][::-1]
-        return lo, hi, log_mu, bits, (ns, *terms(ns))
+        g = bits + 24 + (hi - lo).bit_length()
+        xs = _fixed_powers(_fixed_exp(lo, log_r, log_mu, g),
+                           _fixed_exp(1, log_r, 0.0, g), hi - lo, g)
+        values = coeff.mp_logs(dps)
+        ts = [(0, 0) if v is None else
+              _shift_round(v[0] * x, v[1] * x, -bits - v[2] - ex)
+              for v, (x, _, ex) in ((values[n], xs[n - lo]) for n in ns)]
+        return lo, hi, log_mu, bits, (ns, *(np.array(t, dtype=object)
+                                            for t in zip(*ts)))
 
-    return _cached_band(coeff, key, build), floor
+    return (_cached_band(coeff, (level, dps, lo, hi, log_r), build),
+            _fixed_floor(coeff, log_mu, dps, hi - lo))
 
 
 _BIT_LENGTH = np.frompyfunc(int.bit_length, 1, 1)
@@ -637,8 +607,8 @@ def _circle_fixed(n, tr, ti, bits: int, m: int, offset: bool):
     each twiddle product at scale 2^q.
 
     Error, relative to mu(r), for a band of N terms |t_n| <= 1, each given
-    to within delta 2^-bits (delta = sqrt2 (1/2 + 2^-23) for the mp band,
-    2 sqrt2 for the truncated dd terms; see _fixed_band).  In units of
+    to within delta 2^-bits (delta = sqrt2 (1/2 + 2^-23) for the dd and mp
+    bands alike; see _fixed_band).  In units of
     2^-q, each product truncates by at most sqrt2 and carries its
     twiddle's rounding, sqrt2/2 times its operand.  An output sees each
     twist product once and, at butterfly level s = 2 .. log2 m, one
@@ -648,9 +618,9 @@ def _circle_fixed(n, tr, ti, bits: int, m: int, offset: bool):
         delta N 2^-bits + ((3/2) sqrt2 m + (sqrt2/2) N log2 m) 2^-q
             <= ((delta + 0.36) N + 2.2) 2^-bits
 
-    of the exact ones: under (2 N + 3) 2^-bits for mp, (4 N + 3) 2^-bits
-    for dd, and so, with bits from _fixed_bits, under 2^-15 10^-dps (dps =
-    32 for dd), far below both levels' floors.
+    of the exact ones: under (2 N + 3) 2^-bits, and so, with bits from
+    _fixed_bits, under 2^-15 10^-dps (dps = 32 for dd), far below both
+    levels' floors.
     """
     log_m = m.bit_length() - 1
     k = n % m
@@ -700,9 +670,9 @@ def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
 
         (N + 1)^2 2^-P   relative to mu(r),
 
-    for the rounded mp terms and for the dd terms truncated by _dd_fixed
-    alike.  _fixed_bits keeps this below 2^-16 10^-dps (dps = 32 at 'dd'),
-    far under either level's floor_ln (2e-31 3 N at 'dd').  The modulus
+    for the rounded terms of _fixed_band.  _fixed_bits keeps this below
+    2^-16 10^-dps (dps = 32 at 'dd'), far under either level's floor_ln
+    (3 N 10^-30.4 at 'dd').  The modulus
     comes from acc itself; the phase from acc times the fixed-point cis of
     the lowest nonzero index times theta.
     """
@@ -734,10 +704,10 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
     keep their zeros.  Every level folds the band mod m and runs one FFT:
     complex128 at 'd'; at 'dd' and 'mp', for m a power of two up to
     _FFT_MAX_ANGLES, the integer FFT of _circle_fixed at the exact angles
-    over the fixed-point band of _fixed_band (at 'dd', fixed-point integers
-    fed by the double-double band), within (4 N + 3) 2^-P of f / mu(r) for
-    a band of N terms, where P is the band's scale: _fixed_bits(dps, N) at
-    'mp', _fixed_bits(32, N) at 'dd'.  Any other m is a ValueError at 'dd'
+    over the fixed-point band of _fixed_band, within (2 N + 3) 2^-P of f /
+    mu(r) for a band of N terms, where P is the band's scale:
+    _fixed_bits(dps, N) at 'mp', _fixed_bits(32, N) at 'dd'.  Any other m
+    is a ValueError at 'dd'
     and 'mp' (eval_circle_at reads larger circles by eval_points); 'd'
     takes any m.
     """

@@ -153,6 +153,15 @@ def _at(path: str, fn, *args):
         raise ConfigError(path, str(exc)) from exc
 
 
+def _integer(cfg: dict, key: str, default, path: str = "") -> int:
+    """cfg.get(key, default) if an integer (a bool is not one), else a
+    ConfigError at path/key: a float such as 31.5 is not truncated."""
+    x = cfg.get(key, default)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ConfigError(f"{path}/{key}", f"expected an integer, got {x!r}")
+    return x
+
+
 def _positive(cfg: dict, key: str, default, path: str = "") -> float:
     """cfg.get(key, default) if a positive finite number, as a float."""
     x = _at(f"{path}/{key}", float, cfg.get(key, default))
@@ -194,7 +203,8 @@ def resolve_subject(desc: dict, path: str = "/subject"):
 def resolve_equation(desc: dict, path: str = "/equation") -> ode.LinearODE:
     if not isinstance(desc, dict):
         raise ConfigError(path, "equation must be an object")
-    k = int(_need(desc, "k", path))
+    _need(desc, "k", path)
+    k = _integer(desc, "k", None, path)
     a_descs = _need(desc, "A", path)
     if not isinstance(a_descs, list) or len(a_descs) != k:
         raise ConfigError(path + "/A", f"need exactly k = {k} coefficients")
@@ -213,7 +223,7 @@ def _grid_from(cfg: dict, key: str, default: tuple, path: str = "") -> np.ndarra
     g = cfg.get(key, {})
     return _at(f"{path}/{key}", lambda: growth.make_grid(
         float(g.get("r_min", default[0])), float(g.get("r_max", default[1])),
-        int(g.get("points", default[2]))))
+        _integer(g, "points", default[2], f"{path}/{key}")))
 
 
 def _solver_limits(cfg: dict, r_max: float, residual_tol: float,
@@ -227,9 +237,8 @@ def _solver_limits(cfg: dict, r_max: float, residual_tol: float,
             or n_start <= order:
         raise ConfigError("/n_start", f"expected an integer > {order} "
                           f"(the equation's order), got {n_start!r}")
-    n_cap = cfg.get("max_terms", max_terms)
-    if isinstance(n_cap, bool) or not isinstance(n_cap, int) \
-            or n_cap < n_start:
+    n_cap = _integer(cfg, "max_terms", max_terms)
+    if n_cap < n_start:
         raise ConfigError("/max_terms", f"expected an integer >= {n_start} "
                           f"(the first series length), got {n_cap!r}")
     return (_positive(cfg, "r_max", r_max),
@@ -505,10 +514,12 @@ def _run_wiman_valiron(cfg: dict, report: Report, _out_dir) -> Report:
 
 def _run_gundersen(cfg: dict, report: Report, _out_dir) -> Report:
     subject = resolve_subject(_need(cfg, "subject", ""))
-    chi = float(cfg.get("chi", 2.0))
+    chi = _at("/chi", float, cfg.get("chi", 2.0))
+    if not (math.isfinite(chi) and chi > 1.0):
+        raise ConfigError("/chi", f"need a finite chi > 1, got {chi}")
     grid = _grid_from(cfg, "grid", (2.0, 40.0, 16))
     grid = grid[grid <= subject.guaranteed_radius / (chi * 1.001)]
-    i, j = int(cfg.get("i", 0)), int(cfg.get("j", 1))
+    i, j = _integer(cfg, "i", 0), _integer(cfg, "j", 1)
     if not 0 <= i < j:
         raise ConfigError("/j", f"need 0 <= i < j, got i = {i}, j = {j}")
     check_gundersen(subject, chi, i, j, grid, report, cfg.get("name", ""))
@@ -520,7 +531,7 @@ def _run_log_derivative(cfg: dict, report: Report, _out_dir) -> Report:
     triple = resolve_triple(_need(cfg, "scales", ""))
     grid = _grid_from(cfg, "grid", (2.0, 20.0, 12))
     grid = grid[grid <= subject.guaranteed_radius * 0.999]
-    k = int(cfg.get("k", 1))
+    k = _integer(cfg, "k", 1)
     if k < 1:
         raise ConfigError("/k", f"expected a derivative order >= 1, got {k}")
     check_log_derivative(subject, triple, float(_need(cfg, "rho", "")), k,

@@ -26,13 +26,13 @@ _solve_series_mp).
 
 The residual certificate (residual_norm) is computed at its radius r in
 the scaled variable w = z / r: every series enters as its band
-a_n r^n / mu(r), built in double-double from the stored logs (each
-derivative f^(j) as f's band times exact integer weights, see
+a_n r^n / mu(r), formed from the stored logs by error-free transforms
+(each derivative f^(j) as f's band times exact integer weights, see
 _derivative_band), each product A_j f^(j) is one numpy FFT product of two
-bands, and the sum is kept relative to the largest ln mu in play.  So no
-logarithm of the size of ln mu(r) is rounded, and the FFT's error, bounded
-after Higham in residual_norm's docstring, is the arithmetic that limits
-it.
+bands, and the sum is kept relative to the largest ln mu in play and read
+on a 64-angle double circle.  So no logarithm of the size of ln mu(r) is
+rounded, and the FFTs' error, bounded after Higham in residual_norm's
+docstring, is the arithmetic that limits it.
 """
 
 from __future__ import annotations
@@ -101,11 +101,12 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
 
     dps switches to the fixed-point integer march (same recurrence, dps
     digits, error bound in _solve_series_mp), whose values seed the
-    result's mp cache and give its logs (_evalcore._logs_of).  Either way
-    the result carries the integer march as its regeneration hook, so deep
-    evaluation can ask for more digits later.  _resume, an earlier double
-    march of the same equation and initial data, is extended or cut rather
-    than marched again (see _march_d); the integer march ignores it.
+    result's mp cache and give its logs, the nearest doubles
+    (_evalcore._logs_of).  Either way the result carries the integer
+    march as its regeneration hook, so dd and mp evaluation read its exact
+    values, at any depth.  _resume, an earlier double march of the same
+    equation and initial data, is extended or cut rather than marched
+    again (see _march_d); the integer march ignores it.
     """
     if n_terms <= eq.k:
         raise ValueError("n_terms must exceed the equation order")
@@ -128,8 +129,7 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
     # 5.4e-12 of its 4.1e-9.  Relative to |c_i| alone a cancelling step
     # can exceed it: index 4 of the theorem_type solution, an exact zero,
     # is stored as e^-39.
-    out = ps.make_series(lc, np.zeros(n_terms), pc,
-                         math.log(max(64.0, n_terms) * 2e-12),
+    out = ps.make_series(lc, pc, math.log(max(64.0, n_terms) * 2e-12),
                          "ode solution", mp_factory=factory)
     return out
 
@@ -421,14 +421,24 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
 
 def _scaled_band(f: ps.PowerSeries, log_r: float) -> Optional[tuple]:
     """f's band at radius r in the scaled variable w = z / r: (lo, h, l, t)
-    with t[i] = a_{lo+i} r^(lo+i) / mu(r) as complex128 (the high parts of
-    _evalcore._rescaled_dd, not cached on f) and ln mu(r) = h + l; None
-    for the zero series."""
+    with t[i] = a_{lo+i} r^(lo+i) / mu(r) as complex128, not cached on f,
+    and ln mu(r) = h + l; None for the zero series.
+
+    The band keeps the terms within _BAND_CUT['dd'] nats of mu(r).  Its
+    exponent ln|a_n| - ln mu + n ln r is formed exactly as x + y by
+    two_sum and two_prod (up to the rounding of y, a few ulps of x), and
+    t_n is e^x (1 + y) times the cis of arg a_n: no rounding of a
+    logarithm of the size of ln mu(r) reaches it."""
     if not np.isfinite(f.coeff.lh).any():
         return None
     lo, hi, log_mu = _evalcore._band(f.coeff, log_r, _evalcore._BAND_CUT["dd"])
-    (re, _), (im, _) = _evalcore._rescaled_dd(f.coeff, log_r, lo, hi, log_mu)
-    return lo, log_mu, 0.0, re + 1j * im
+    lh = f.coeff.lh[lo:hi]
+    gone = ~np.isfinite(lh)
+    s, e = _dd.two_sum(np.where(gone, log_mu, lh), -log_mu)
+    p, q = _dd.two_prod(np.arange(lo, hi, dtype=float), log_r)
+    x, y = _dd.two_sum(s, p)
+    t = _evalcore._rescaled(np.where(gone, -np.inf, x), f.coeff.ph[lo:hi])
+    return lo, log_mu, 0.0, t * (1.0 + (y + (e + q)))
 
 
 def _derivative_band(band: tuple, j: int, log_r: float) -> Optional[tuple]:
@@ -476,8 +486,8 @@ def _band_series(band: tuple, shift: float) -> ps.PowerSeries:
     lh, ph = _evalcore._logpolar((h - shift) + l, t)
     lh = np.concatenate((np.full(lo, -np.inf), lh))
     ph = np.concatenate((np.zeros(lo), ph))
-    return ps.make_series(lh, np.zeros(len(lh)), ph, math.log(3e-16),
-                          "residual term", polynomial=True)
+    return ps.make_series(lh, ph, math.log(3e-16), "residual term",
+                          polynomial=True)
 
 
 def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float) -> float:
@@ -486,9 +496,10 @@ def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float) -> float:
     f^(k) and A_j f^(j).
 
     It is computed in the scaled variable w = z / r, on each series' band
-    t_n = a_n r^n / mu(r) (|t_n| <= 1; terms under e^-130 dropped), built
-    in double-double from the stored logs: no logarithm of the size of
-    ln mu(r), 1e4 and more for the theorem solutions, is ever rounded.
+    t_n = a_n r^n / mu(r) (|t_n| <= 1; terms under e^-130 dropped), formed
+    from the stored logs by error-free transforms (_scaled_band): no
+    logarithm of the size of ln mu(r), 1e4 and more for the theorem
+    solutions, is ever rounded.
     f's band is built once, and each f^(j)'s band is formed from it
     (_derivative_band): coefficient n - j carries t_n n(n-1)...(n-j+1),
     its exact integer weight, rescaled by a power of two.  No derivative
@@ -496,8 +507,8 @@ def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float) -> float:
     Each A_j(rw) f^(j)(rw) / (mu_A mu_j) is the full product c = a * b of
     the two bands, by one FFT (_fft_product).  The contributions, as
     series in w relative to the largest ln mu in play, are summed by
-    series.combine and evaluated on the 64-angle offset mesh by the dd
-    circle.
+    series.combine and evaluated on the 64-angle offset mesh by the double
+    circle (_evalcore.eval_circle at 'd').
 
     FFT error (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., Thm 24.2 and Lemma 3.5): a radix-2 FFT of length L = 2^t
@@ -512,11 +523,19 @@ def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float) -> float:
                                 (||a||_1 ||b||_2 + ||a||_2 ||b||_1)
 
     relative to mu_A mu_j, and at an angle the product is off by at most
-    sqrt(len c) times that.  This worst case is loose: on the theorem_type
-    solutions (bands of 7,300 terms, L = 8192) it is 2e-11 in 2-norm and
-    2e-9 at an angle, while the residuals, near 2e-11, agree with a
-    60-digit evaluation of the stored coefficients to 1e-4 relative
-    (tests/test_ode.py checks both the bound and the agreement).
+    sqrt(len c) times that.  The double circle then re-forms the summed
+    series' N terms c_n from their logs (each within a few u), twists and
+    folds them into 64 bins (each bin within gamma_{ceil(N/64) + 2} of the
+    sum of its terms' moduli) and runs one numpy FFT of length 64, t = 6:
+    within eps_64 ||bins||_2 in 2-norm by the same theorem, so at an angle
+    within 8 eps_64 ||c||_1.  So the circle reads each angle within
+    (gamma_{ceil(N/64) + 6} + 8 eps_64) ||c||_1, about (N/64 + 380) u
+    ||c||_1, relative to the summed series' maximum term.  This worst case
+    is loose: on the theorem_type solutions (bands of 7,300 terms, L =
+    8192) the product's bound is 2e-11 in 2-norm and 2e-9 at an angle,
+    while the residuals, near 2e-11, agree with a 60-digit evaluation of
+    the stored coefficients to 1e-4 relative (tests/test_ode.py checks the
+    product's bound and the agreement).
     """
     # f's band once, and each f^(j)'s band from it
     fb = _scaled_band(f, log_r)
@@ -545,8 +564,7 @@ def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float) -> float:
     if not np.isfinite(total.coeff.lh).any():
         return 0.0
     scale_ln = max(ps.max_term(t, 0.0).log_mu for t in terms)
-    res = _evalcore.eval_circle(total.coeff, 0.0, 64, offset=True,
-                                level="dd")
+    res = _evalcore.eval_circle(total.coeff, 0.0, 64, offset=True)
     return math.exp(float(np.max(res.logabs)) - scale_ln)
 
 

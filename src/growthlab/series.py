@@ -1,12 +1,13 @@
 """Entire functions as truncated power series with extended-range coefficients.
 
-Coefficients are held in log-polar form (double-double ln|a_n| plus phase),
+Coefficients are held in log-polar form (ln|a_n| and phase as doubles),
 which is what every downstream consumer — maximum term, central index,
 max-modulus sweeps, quadrature — actually wants.  For deep
-evaluation every series also regenerates its exact coefficients at any dps
-as fixed-point integer triples (CoeffData.mp_logs); a derived series
-computes them in one expression from its parents' cached values.  A
-builtin's logs are derived from the same exact values.
+evaluation (the 'dd' and 'mp' levels) every series also regenerates its
+exact coefficients at any dps as fixed-point integer triples
+(CoeffData.mp_logs); a derived series computes them in one expression
+from its parents' cached values.  A builtin's logs are the nearest
+doubles to the logs of the same exact values.
 
 Each series carries a trusted radius (the field keeps its historical name,
 guaranteed_radius): the largest r on a geometric test grid where a geometric
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _dd, _evalcore
+from . import _evalcore
 
 __all__ = [
     "PowerSeries", "MaxTermResult", "TruncationError", "DegenerateSeriesError",
@@ -118,7 +119,7 @@ def _certify_radius(lh: np.ndarray) -> float:
     return best
 
 
-def make_series(lh, ll, ph, rel_err_ln: float, provenance: str,
+def make_series(lh, ph, rel_err_ln: float, provenance: str,
                 mp_factory=None, radius_cap: float = math.inf,
                 polynomial: bool = False) -> PowerSeries:
     """Assemble a PowerSeries from log-polar coefficient arrays; its
@@ -126,10 +127,8 @@ def make_series(lh, ll, ph, rel_err_ln: float, provenance: str,
     are all of the function) is trusted everywhere, without
     _certify_radius."""
     lh = np.asarray(lh, dtype=float)
-    ll = np.asarray(ll, dtype=float)
     ph = np.asarray(ph, dtype=float)
-    ll = np.where(np.isfinite(lh), ll, 0.0)
-    coeff = _evalcore.CoeffData(lh, ll, ph, rel_err_ln, mp_factory)
+    coeff = _evalcore.CoeffData(lh, ph, rel_err_ln, mp_factory)
     return PowerSeries(coeff, provenance, math.inf if polynomial
                        else min(_certify_radius(lh), radius_cap))
 
@@ -222,7 +221,6 @@ def builtin(name: str, n_terms: int = 400,
 def _poly_series(coeffs: list) -> PowerSeries:
     n = len(coeffs)
     lh = np.full(n, -np.inf)
-    ll = np.zeros(n)
     ph = np.zeros(n)
     for i, c in enumerate(coeffs):
         c = complex(c)
@@ -236,7 +234,7 @@ def _poly_series(coeffs: list) -> PowerSeries:
                 _evalcore._fixed_round(_evalcore._fixed_of_complex(c), bits)
                 for c in _c]
 
-    return make_series(lh, ll, ph, math.log(3e-16), "poly", mp_factory=factory,
+    return make_series(lh, ph, math.log(3e-16), "poly", mp_factory=factory,
                        polynomial=True)
 
 
@@ -249,8 +247,8 @@ def evaluate(f: PowerSeries, log_z: tuple) -> tuple:
     An exact zero reads ln|f| = -inf.  Relative accuracy is O(N eps) away
     from zeros of f; near zeros only absolute accuracy relative to mu(r) is
     possible in fixed precision.  floor_ln is the dd sum's noise floor; at
-    z = 0 (ln|z| = -inf) the sum is the one term a_0, with that term's
-    floor, and a_0 = 0 reads (-inf, 0, -inf).
+    z = 0 (ln|z| = -inf) the sum is the one term a_0, with the dd floor of
+    a one-term band, and a_0 = 0 reads (-inf, 0, -inf).
     """
     log_r, theta = log_z
     f.check_radius(log_r)
@@ -258,8 +256,8 @@ def evaluate(f: PowerSeries, log_z: tuple) -> tuple:
         ln_a0 = float(f.coeff.lh[0])
         if ln_a0 == -math.inf:
             return -math.inf, 0.0, -math.inf
-        return ln_a0, float(f.coeff.ph[0]), _evalcore._floor_ln(
-            ln_a0, _evalcore._EPS_LN["dd"], f.coeff.rel_err_ln, 1)
+        return ln_a0, float(f.coeff.ph[0]), _evalcore._fixed_floor(
+            f.coeff, ln_a0, _evalcore._DD_DPS, 1)
     res = _evalcore.eval_points(f.coeff, log_r, np.array([theta]), level="dd")
     return float(res.logabs[0]), float(res.phase[0]), float(res.floor_ln)
 
@@ -381,7 +379,7 @@ def _max_modulus(f: PowerSeries, log_r: float) -> tuple:
     lo, hi, log_mu, t = _evalcore._terms_d(f.coeff, log_r)
     w = np.arange(hi - lo) - 0.5 * (hi - lo - 1)
     rows = np.stack([t, w * t, w * w * t])
-    noise_ln = _evalcore._floor_ln(log_mu, _evalcore._EPS_LN["d"], -np.inf,
+    noise_ln = _evalcore._floor_ln(log_mu, _evalcore._EPS_LN_D, -np.inf,
                                    hi - lo)
     h = 2.0 * np.pi / m0
     x = np.array(picked) * h
@@ -428,52 +426,25 @@ def _derivative_quotients(f: PowerSeries, log_r: float, theta: float,
     return sums[1:] / sums[0]
 
 
-def _shifted_logs(lh, ll, shift) -> tuple:
-    """(lh, ll) plus the double-double shift where lh is finite, and -inf
-    elsewhere (where make_series zeroes ll)."""
-    finite = np.isfinite(lh)
-    hi, lo = _dd.dd_add((np.where(finite, lh, 0.0), ll), shift)
-    return np.where(finite, hi, -np.inf), lo
-
-
-# ln 1, ln 2, ... as one double-double table, grown on demand by
-# _dd.dd_log over the new integers only
-_LN_TABLE = (np.zeros(0), np.zeros(0))
-
-
-def _ln_ints(count: int) -> tuple:
-    """(hi, lo) of ln k for k = 1 .. count, from the shared table."""
-    global _LN_TABLE
-    have = len(_LN_TABLE[0])
-    if have < count:
-        new = _dd.dd_log(_dd.dd_from_d(np.arange(have + 1.0, count + 1)))
-        _LN_TABLE = tuple(np.concatenate((t, x))
-                          for t, x in zip(_LN_TABLE, new))
-    return _LN_TABLE[0][:count], _LN_TABLE[1][:count]
-
-
 def derivative(f: PowerSeries) -> PowerSeries:
     """Coefficientwise derivative: (n+1) a_{n+1}, one term shorter.
 
-    The log-magnitude shift ln(n+1) is applied in double-double
-    (_dd.dd_log, through the shared table of _ln_ints) so the derivative's
-    coefficients stay as accurate as the parent's (a plain double add of
-    ~1e3-magnitude logs would cost ~1e-13 of relative coefficient
-    accuracy, which deep winding cannot afford).  The exact values are the
-    parent's times n + 1, exactly.
+    The logs are ln|a_{n+1}| + ln(n+1) in double, for the 'd' level; the
+    exact values, which 'dd' and 'mp' read, are the parent's times n + 1,
+    exactly.
     """
     n = f.n_terms
     if n <= 1:
-        return make_series(np.array([-np.inf]), np.zeros(1), np.zeros(1),
+        return make_series(np.array([-np.inf]), np.zeros(1),
                            f.coeff.rel_err_ln, f.provenance + "'")
-    lh, ll = _shifted_logs(f.coeff.lh[1:], f.coeff.ll[1:], _ln_ints(n - 1))
+    lh = f.coeff.lh[1:] + np.log(np.arange(1.0, n))
     ph = f.coeff.ph[1:].copy()
 
     def factory(dps):
         return [None if v is None else (k * v[0], k * v[1], v[2])
                 for k, v in enumerate(f.coeff.mp_logs(dps)[1:], 1)]
 
-    return make_series(lh, ll, ph, f.coeff.rel_err_ln, f.provenance + "'",
+    return make_series(lh, ph, f.coeff.rel_err_ln, f.provenance + "'",
                        mp_factory=factory)
 
 
@@ -508,7 +479,7 @@ def combine(f: PowerSeries, g: PowerSeries, op: str) -> PowerSeries:
     rel = float(np.logaddexp(f.coeff.rel_err_ln, g.coeff.rel_err_ln))
     rel = float(np.logaddexp(rel, math.log(op_err)))
     cap = min(f.guaranteed_radius, g.guaranteed_radius)
-    return make_series(lh, np.zeros(len(lh)), ph, rel, name,
+    return make_series(lh, ph, rel, name,
                        mp_factory=_combine_factory(f, g, op), radius_cap=cap,
                        polynomial=op != "cauchy_product" and cap == math.inf)
 
@@ -612,11 +583,8 @@ def scale_argument(f: PowerSeries, c: complex) -> PowerSeries:
     if c == 0:
         raise ValueError("scale factor must be nonzero")
     n = np.arange(f.n_terms, dtype=float)
-    # ln|c| as a double-double so n * ln|c| keeps coefficient-grade accuracy
     c_fix = _evalcore._fixed_of_complex(c)
-    (lc_h,), (lc_l,), _ = _evalcore._logs_of([c_fix])
-    d = _dd.two_prod(n, lc_h)
-    lh, ll = _shifted_logs(f.coeff.lh, f.coeff.ll, (d[0], d[1] + n * lc_l))
+    lh = f.coeff.lh + n * math.log(abs(c))
     ac = math.atan2(c.imag, c.real)
     ph = f.coeff.ph + (n * ac if ac != 0.0 else 0.0)
     if ac != 0.0:
@@ -630,7 +598,7 @@ def scale_argument(f: PowerSeries, c: complex) -> PowerSeries:
         return [None if v is None else _evalcore._fixed_mul(v, p, bits)
                 for v, p in zip(f.coeff.mp_logs(dps), powers)]
 
-    return make_series(lh, ll, ph, f.coeff.rel_err_ln,
+    return make_series(lh, ph, f.coeff.rel_err_ln,
                        f"{f.provenance}(c z)", mp_factory=factory)
 
 

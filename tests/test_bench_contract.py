@@ -5,8 +5,10 @@ succeed, every span it names in EXPECTED_CALLS to record calls, and
 `fixed_precision` to evaluate no mp point.  These tests run one traced
 pass per workload (perfbench/child.py, in a fresh interpreter from the
 repository root) and assert the same, so a change that breaks the
-benchmark's call graph fails here.  They read perfbench/ and write
-nothing.
+benchmark's call graph fails here.  They also require `fixed_precision`
+to run no integer ODE march: its dd evaluations read exact values, and
+on a double-marched solution those would come from one.  They read
+perfbench/ and write nothing.
 """
 
 import json
@@ -44,3 +46,4 @@ def test_traced_pass_keeps_the_benchmark_contract(workload):
     assert not silent, f"spans with no calls: {silent}"
     if workload == "fixed_precision":
         assert out["layers"]["evalcore.points.mp"] == 0
+        assert out["calls"].get("ode._solve_series_mp", 0) == 0

@@ -275,7 +275,7 @@ def _gappy_exp():
     c = series.builtin("exp", 400).coeff
     n = np.arange(c.n_terms)
     lh = np.where((n % 3 == 0) | (n % 5 == 0), -np.inf, c.lh)
-    return _evalcore.CoeffData(lh, c.ll.copy(), c.ph.copy(), c.rel_err_ln)
+    return _evalcore.CoeffData(lh, c.ph.copy(), c.rel_err_ln)
 
 
 @pytest.mark.parametrize("n_angles", [1, 2, 8, 513])
@@ -354,6 +354,23 @@ def test_dd_band_cache_keeps_bytes():
     fresh = points()
     _evalcore.eval_circle(f.coeff, log_r, 256, level="dd")
     assert points() == fresh
+
+
+def test_dd_reads_the_exact_values():
+    """The dd band comes from the exact values (mp_logs), not from the
+    stored logs: exp 400 with its logs moved by 1e-12 reads ln|e^z| at
+    dd, at points and on a circle, as exp 400 does, to 1e-14."""
+    f = series.builtin("exp", 400)
+    bent = series.make_series(f.coeff.lh + 1e-12, f.coeff.ph,
+                              f.coeff.rel_err_ln, "bent exp",
+                              mp_factory=f.coeff.mp_factory)
+    log_r = math.log(10.0)
+    thetas = np.append(np.linspace(-3.0, 3.0, 9), math.pi)
+    for read in (lambda c: _evalcore.eval_points(c, log_r, thetas,
+                                                 level="dd"),
+                 lambda c: _evalcore.eval_circle(c, log_r, 64, level="dd")):
+        want, got = read(f.coeff).logabs, read(bent.coeff).logabs
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_d_band_is_built_once_per_radius():

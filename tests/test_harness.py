@@ -251,6 +251,17 @@ def _bad_configs():
         ("init_zero", shipped("solve_airy", init=[0.0, 0.0]), "/init"),
         ("gundersen_i_above_j", shipped("gundersen_exp", i=2, j=1), "/j"),
         ("log_derivative_k0", shipped("log_derivative_exp_exp", k=0), "/k"),
+        ("gundersen_chi_1", shipped("gundersen_exp", chi=1.0), "/chi"),
+        ("gundersen_chi_text", shipped("gundersen_exp", chi="x"), "/chi"),
+        ("gundersen_i_text", shipped("gundersen_exp", i="x"), "/i"),
+        ("gundersen_j_float", shipped("gundersen_exp", j=1.5), "/j"),
+        ("log_derivative_k_text", shipped("log_derivative_exp_exp", k="x"),
+         "/k"),
+        ("grid_points_float", shipped("gundersen_exp", grid={
+            "r_min": 2.0, "r_max": 40.0, "points": 31.5}), "/grid/points"),
+        ("equation_k_float", shipped("solve_airy", equation={
+            "k": 2.5, "A": [{"poly": [0.0, -1.0]}, {"poly": [0]}]}),
+         "/equation/k"),
     ]
     return [pytest.param(cfg, path, id=name) for name, cfg, path in cases]
 
@@ -436,8 +447,8 @@ class TestSolutionZeroCounts:
         assert ps._certify_radius(probe.coeff.lh[:512]) >= 5.6 * 1.02
         log_r = math.log(5.6 * harness._RADIUS_SLACK)
         assert _evalcore._mp_band(probe.coeff, log_r, 47)[1] < 1024
-        short = ps.make_series(probe.coeff.lh[:512], probe.coeff.ll[:512],
-                               probe.coeff.ph[:512], 0.0, "512-term probe")
+        short = ps.make_series(probe.coeff.lh[:512], probe.coeff.ph[:512],
+                               0.0, "512-term probe")
         assert _evalcore._mp_band(short.coeff, log_r, 47)[1] == 512
         assert rec["n"] < probe.n_terms
         assert_march_holds_bands(rec)
@@ -623,8 +634,8 @@ def noisy_sin():
     """sin 200 claiming coefficients good only to 1e-12: on |z| = 12 its
     dd trust line lies above |sin| near the real axis."""
     s = ps.builtin("sin", 200)
-    return ps.make_series(s.coeff.lh, s.coeff.ll, s.coeff.ph,
-                          math.log(1e-12), "noisy sin")
+    return ps.make_series(s.coeff.lh, s.coeff.ph, math.log(1e-12),
+                          "noisy sin")
 
 
 class TestLogDerivativeDetail:

@@ -385,8 +385,8 @@ def noisy_sin():
     """sin 200 claiming coefficients good only to 1e-12, which lifts its dd
     trust line above |sin| near the real axis on |z| = 12."""
     s = series.builtin("sin", 200)
-    return series.make_series(s.coeff.lh, s.coeff.ll, s.coeff.ph,
-                              math.log(1e-12), "noisy sin")
+    return series.make_series(s.coeff.lh, s.coeff.ph, math.log(1e-12),
+                              "noisy sin")
 
 
 class TestProximityOfRatio:

@@ -52,20 +52,25 @@ def forced_equation():
                          ps.builtin("cos", 200))
 
 
-def exact_circle(f, log_r, bits=300, cut=100.0):
-    """(ln mu(r), f(r w_j) for the 64 offsets w_j = e^(i pi (2j + 1) / 64))
-    from f's stored coefficients, as mpc: the terms within e^-cut of mu(r)
-    are formed in mpmath, rounded to integers at scale 2^bits and folded
-    mod 128 (where the offset mesh repeats) exactly, and the 128 bins are
-    summed against each angle at bits + 64 bits."""
-    x = f.coeff.lh + np.arange(f.n_terms) * log_r
+def exact_circle(f, log_r, j=0, bits=300, cut=100.0):
+    """(ln mu(r), f^(j)(r w_j) for the 64 offsets w_j = e^(i pi (2j + 1)
+    / 64)) from f's stored coefficients, as mpc: the terms of f^(j) within
+    e^-cut of mu(r), a_{n+j} (n+1)...(n+j) r^n, are formed in mpmath,
+    rounded to integers at scale 2^bits and folded mod 128 (where the
+    offset mesh repeats) exactly, and the 128 bins are summed against each
+    angle at bits + 64 bits."""
+    n_all = np.arange(f.n_terms - j)
+    x = f.coeff.lh[j:] + n_all * log_r
+    for s in range(1, j + 1):
+        x = x + np.log(n_all + s)
     log_mu = float(np.max(x))
     bins_re, bins_im = [0] * 128, [0] * 128
     with mp.workprec(bits + 64):
         lr, lmu = mp.mpf(log_r), mp.mpf(log_mu)
         for n in np.nonzero(x >= log_mu - cut)[0].tolist():
-            t = mp.exp(mp.mpf(f.coeff.lh[n]) + mp.mpf(f.coeff.ll[n])
-                       + n * lr - lmu) * mp.expj(mp.mpf(f.coeff.ph[n]))
+            t = mp.exp(mp.mpf(f.coeff.lh[n + j])
+                       + mp.log(mp.mpf(math.prod(range(n + 1, n + j + 1))))
+                       + n * lr - lmu) * mp.expj(mp.mpf(f.coeff.ph[n + j]))
             bins_re[n % 128] += int(mp.nint(mp.ldexp(t.real, bits)))
             bins_im[n % 128] += int(mp.nint(mp.ldexp(t.imag, bits)))
         bins = [mp.mpc(mp.ldexp(a, -bits), mp.ldexp(b, -bits))
@@ -79,18 +84,20 @@ def exact_circle(f, log_r, bits=300, cut=100.0):
 
 def reference_residual(eq, f, log_r):
     """residual_norm of the stored coefficients at 60 digits: the residual
-    from exact_circle values, over a scale whose products come from
-    direct (non-FFT) convolutions of the double bands."""
+    from exact_circle values (each f^(j) formed from f's logs in mpmath),
+    over a scale whose products come from direct (non-FFT) convolutions
+    of the double bands of the derivative series."""
     derivs = [f]
     for _ in range(eq.k):
         derivs.append(ps.derivative(derivs[-1]))
     with mp.workdps(60):
-        scale, total = exact_circle(derivs[eq.k], log_r)
-        for a, d in zip(eq.coeffs, derivs):
+        scale, total = exact_circle(f, log_r, eq.k)
+        for j, (a, d) in enumerate(zip(eq.coeffs, derivs)):
             if not (np.isfinite(a.coeff.lh).any()
                     and np.isfinite(d.coeff.lh).any()):
                 continue
-            (la, va), (ld, vd) = exact_circle(a, log_r), exact_circle(d, log_r)
+            (la, va), (ld, vd) = exact_circle(a, log_r), exact_circle(f, log_r,
+                                                                      j)
             total = [s + p * q for s, p, q in zip(total, va, vd)]
             bands = []
             for g, lmu in ((a, la), (d, ld)):
@@ -102,6 +109,17 @@ def reference_residual(eq, f, log_r):
             _, vf = exact_circle(eq.rhs, log_r)
             total = [s - v for s, v in zip(total, vf)]
         return float(max(abs(v) for v in total) / mp.exp(scale))
+
+
+_REFERENCES = {}
+
+
+def cached_reference(case, eq, f, log_r):
+    """reference_residual(eq, f, log_r) for a module fixture's solution,
+    computed once per case."""
+    if case not in _REFERENCES:
+        _REFERENCES[case] = reference_residual(eq, f, log_r)
+    return _REFERENCES[case]
 
 
 def fft_product_bound(a, b):
@@ -308,7 +326,25 @@ class TestResidual:
         log_r = math.log(info["checked_radius"])
         got = ode.residual_norm(eq, sol, log_r)
         assert got == info["residual"]
-        want = reference_residual(eq, sol, log_r)
+        want = cached_reference(case, eq, sol, log_r)
+        assert abs(got - want) <= 1e-2 * want
+
+    @pytest.mark.parametrize("case", ["bessel_solution",
+                                      "theorem_type_solution"])
+    def test_builds_no_fixed_point_band(self, case, request, monkeypatch):
+        """residual_norm sums and reads in double: with the dd and mp band
+        builder refused, it gives the residual auto_solve recorded, and
+        that agrees with the 60-digit reference."""
+        eq, sol, info = request.getfixturevalue(case)
+
+        def refuse(*args):
+            raise AssertionError("residual_norm built a dd or mp band")
+
+        monkeypatch.setattr(_evalcore, "_fixed_band", refuse)
+        log_r = math.log(info["checked_radius"])
+        got = ode.residual_norm(eq, sol, log_r)
+        assert got == info["residual"]
+        want = cached_reference(case, eq, sol, log_r)
         assert abs(got - want) <= 1e-2 * want
 
     @pytest.mark.parametrize("case", ["bessel_solution",
@@ -340,23 +376,39 @@ class TestResidual:
     @pytest.mark.parametrize("case", ["bessel_solution",
                                       "theorem_type_solution"])
     def test_derived_bands_match_derivative_series(self, case, request):
-        """Each f^(j) band residual_norm forms from f's band agrees with
-        the band of the j-th derivative series to a few ulps of the high
-        parts, on the indices both hold; each holds past the other's ends
-        only terms below e^-120 of its largest."""
+        """Each f^(j) band (lo, h, l, t) residual_norm forms from f's band
+        (lo, h, 0, t) holds l = e ln 2 - j ln r to a few ulps, and t
+        agrees to a few ulps with f^(j)'s terms a_{n+j} (n+1)...(n+j)
+        r^(n+j) / (e^h 2^e) formed from f's logs at 120 bits, on the
+        indices it and the band of the j-th derivative series both hold;
+        each band holds past the other's ends only terms below e^-120 of
+        its largest.  (The derivative series' logs are ln|a_{n+j}| +
+        ln((n+1)...(n+j)) rounded to doubles, a few 1e-13 off at these
+        sizes, so its band only sets the indices.)"""
         eq, sol, info = request.getfixturevalue(case)
         log_r = math.log(info["checked_radius"])
         fb = ode._scaled_band(sol, log_r)
         d = sol
         for j in range(1, eq.k + 1):
             d = ps.derivative(d)
-            lo_r, log_mu, _, tr = ode._scaled_band(d, log_r)
+            lo_r, _, _, tr = ode._scaled_band(d, log_r)
             lo_d, h, l, td = ode._derivative_band(fb, j, log_r)
             lo = max(lo_r, lo_d)
             hi = min(lo_r + len(tr), lo_d + len(td))
             assert hi - lo > 0.99 * len(tr)
-            got = td[lo - lo_d:hi - lo_d] * math.exp((h - log_mu) + l)
-            want = tr[lo - lo_r:hi - lo_r]
+            assert fb[2] == 0.0 and h == fb[1]
+            e = round((l + j * log_r) / math.log(2.0))
+            got = td[lo - lo_d:hi - lo_d]
+            with mp.workprec(120):
+                lr = mp.mpf(log_r)
+                assert abs(mp.mpf(l) - (e * mp.ln2 - j * lr)) \
+                    <= 4 * 2.0 ** -52 * abs(l)
+                scale = mp.mpf(h) + e * mp.ln2
+                want = np.array([complex(
+                    mp.exp(mp.mpf(sol.coeff.lh[n + j]) + (n + j) * lr - scale
+                           + mp.log(math.prod(range(n + 1, n + j + 1))))
+                    * mp.expj(mp.mpf(sol.coeff.ph[n + j])))
+                    for n in range(lo, hi)])
             assert np.array_equal(got == 0, want == 0)
             assert np.all(np.abs(got - want) <= 5 * 2.0 ** -52 * np.abs(want))
             for t, a, b in ((tr, lo - lo_r, hi - lo_r),
@@ -487,7 +539,7 @@ class TestResume:
         prev = ode.solve_series(eq, init, 100)
         lh = prev.coeff.lh.copy()
         lh[99] += 1.0
-        bent = ps.make_series(lh, np.zeros(100), prev.coeff.ph, 0.0, "bent")
+        bent = ps.make_series(lh, prev.coeff.ph, 0.0, "bent")
         got = ode.solve_series(eq, init, 200, _resume=bent)
         fresh = ode.solve_series(eq, init, 200)
         assert np.array_equal(got.coeff.lh[:100], lh)

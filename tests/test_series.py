@@ -109,8 +109,8 @@ def _loggamma_logs(name, n, dps=50):
 
 class TestBuiltinLogs:
     """A builtin's logs, derived from its exact values, against the
-    -loggamma generators: ln|a_k| to the nearest double and the rest to
-    within 2^-105 |ln|a_k||, and the phases exactly."""
+    -loggamma generators: ln|a_k| is the nearest double, and the phases
+    are exact."""
 
     @pytest.mark.parametrize("name,n", [("exp", 2000), ("sin", 700),
                                         ("cos", 700), ("exp_exp", 400)])
@@ -122,39 +122,7 @@ class TestBuiltinLogs:
                     assert f.coeff.lh[k] == -np.inf, k
                     continue
                 assert f.coeff.lh[k] == float(L), k
-                got = mp.mpf(f.coeff.lh[k]) + mp.mpf(f.coeff.ll[k])
-                assert abs(got - L) <= mp.mpf(2) ** -105 * abs(L), k
                 assert f.coeff.ph[k] == float(p), k
-
-
-class TestLnInt:
-    """derivative's ln(k) for k = 1 .. n, one double-double Newton step on
-    dd_exp, against 40-digit mpmath logs."""
-
-    def test_within_1e_31_relative(self):
-        ks = np.concatenate([np.arange(1.0, 5001.0),
-                             np.arange(5001.0, 65537.0, 97.0), [65536.0]])
-        hi, lo = series._dd.dd_log(series._dd.dd_from_d(ks))
-        assert hi[0] == lo[0] == 0.0  # ln 1
-        with mp.workdps(40):
-            for k, h, l in zip(ks[1:], hi[1:], lo[1:]):
-                want = mp.log(int(k))
-                assert abs(mp.mpf(h) + mp.mpf(l) - want) <= 1e-31 * want, k
-
-    @pytest.mark.parametrize("order", ["growing", "longest_first"])
-    def test_shared_table_matches_fresh_logs(self, monkeypatch, order):
-        # the table grows by dd_log over the new integers only; every
-        # prefix keeps the bits of dd_log over 1 .. n - 1 computed afresh,
-        # whether it is read while growing or after a longer table exists
-        monkeypatch.setattr(series, "_LN_TABLE", (np.zeros(0), np.zeros(0)))
-        ns = [2, 3, 17, 100, 2047, 2048, 5000, 16385, 65536]
-        if order == "longest_first":
-            series._ln_ints(max(ns) - 1)
-        for n in ns:
-            want = series._dd.dd_log(series._dd.dd_from_d(np.arange(1.0, n)))
-            got = series._ln_ints(n - 1)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), n
-        assert len(series._LN_TABLE[0]) == max(ns) - 1
 
 
 class TestEvaluate:
