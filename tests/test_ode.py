@@ -53,7 +53,7 @@ def forced_equation():
 
 
 def exact_circle(f, log_r, j=0, bits=300, cut=100.0):
-    """(ln mu(r), f^(j)(r w_j) for the 64 offsets w_j = e^(i pi (2j + 1)
+    """(ln mu(r), f^(j)(r w_k) for the 64 offsets w_k = e^(i pi (2k + 1)
     / 64)) from f's stored coefficients, as mpc: the terms of f^(j) within
     e^-cut of mu(r), a_{n+j} (n+1)...(n+j) r^n, are formed in mpmath,
     rounded to integers at scale 2^bits and folded mod 128 (where the
@@ -96,8 +96,8 @@ def reference_residual(eq, f, log_r):
             if not (np.isfinite(a.coeff.lh).any()
                     and np.isfinite(d.coeff.lh).any()):
                 continue
-            (la, va), (ld, vd) = exact_circle(a, log_r), exact_circle(f, log_r,
-                                                                      j)
+            la, va = exact_circle(a, log_r)
+            ld, vd = exact_circle(f, log_r, j)
             total = [s + p * q for s, p, q in zip(total, va, vd)]
             bands = []
             for g, lmu in ((a, la), (d, ld)):
