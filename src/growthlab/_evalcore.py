@@ -275,9 +275,13 @@ def _poly_at_points_d(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     xs[0] = 1.0
     for s in range(1, b):
         xs[s] = xs[s - 1] * x
-    inner = np.stack([band.reshape(q, b) @ xs
-                      for band in tt.reshape(-1, q * b)], axis=1).reshape(q, -1)
-    xb = np.tile(xs[b - 1] * x, math.prod(lead))
+    if lead:
+        inner = np.stack([band.reshape(q, b) @ xs for band in
+                          tt.reshape(-1, q * b)], axis=1).reshape(q, -1)
+        xb = np.tile(xs[b - 1] * x, math.prod(lead))
+    else:  # one band: its product and step row need no stack or tile
+        inner = tt.reshape(q, b) @ xs
+        xb = xs[b - 1] * x
     acc = inner[q - 1]
     for row in range(q - 2, -1, -1):
         acc = acc * xb + inner[row]

@@ -219,6 +219,22 @@ def resolve_equation(desc: dict, path: str = "/equation") -> ode.LinearODE:
         raise ConfigError(path, str(exc)) from exc
 
 
+def _integer_at_least(cfg: dict, key: str, default, path: str = "",
+                      least: int = 0) -> int:
+    """_integer(cfg, key, default, path), which must be at least least."""
+    x = _integer(cfg, key, default, path)
+    if x < least:
+        raise ConfigError(f"{path}/{key}",
+                          f"expected an integer >= {least}, got {x}")
+    return x
+
+
+def _finite(x) -> bool:
+    """x is a finite int or float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and math.isfinite(x)
+
+
 def _grid_from(cfg: dict, key: str, default: tuple, path: str = "") -> np.ndarray:
     g = cfg.get(key, {})
     return _at(f"{path}/{key}", lambda: growth.make_grid(
@@ -665,10 +681,46 @@ def _coeff_order_estimates(eq: ode.LinearODE, triple: ScaleTriple,
     return mu0, rho0, s0, others
 
 
+def _theorem_settings(cfg: dict) -> dict:
+    """A theorem config's own fields, each checked before any march: a
+    bad value is a ConfigError at its path."""
+    band = cfg.get("solution_band", [0.8, 1.1])
+    if not (isinstance(band, (list, tuple)) and len(band) == 2
+            and all(_finite(x) for x in band) and band[0] < band[1]):
+        raise ConfigError("/solution_band", "expected two finite numbers "
+                          f"lo < hi, got {band!r}")
+    osc = cfg.get("oscillation", {})
+    if not isinstance(osc, dict):
+        raise ConfigError("/oscillation", "oscillation must be an object")
+    radii = osc.get("radii")
+    if radii is not None and not (
+            isinstance(radii, list) and radii
+            and all(_finite(r) and r > 0 for r in radii)):
+        raise ConfigError("/oscillation/radii", "expected a nonempty list "
+                          f"of positive finite numbers, got {radii!r}")
+    return {
+        "seed": _integer_at_least(cfg, "seed", 20240401),
+        "n_random": _integer_at_least(cfg, "n_random", 1),
+        "band": tuple(float(x) for x in band),
+        "lam_tol": _positive(cfg, "lambda_tolerance", 0.3),
+        "margin": _positive(cfg, "hypothesis_margin", 0.2),
+        "type_margin": _positive(cfg, "type_margin", 0.1),
+        "classical_min": _positive(cfg, "classical_min", 3.0),
+        "osc_enabled": osc.get("enabled", True),
+        "g": resolve_subject(osc.get("g", {"poly": [0.0, 1.0]}),
+                             "/oscillation/g"),
+        "radii": radii,
+        "n_subjects": _integer_at_least(osc, "n_subjects", 3,
+                                        "/oscillation"),
+        "min_radius": _positive(osc, "min_radius", 8.0, "/oscillation"),
+        "dps_budget": _integer_at_least(osc, "dps_budget", 400,
+                                        "/oscillation", 1),
+    }
+
+
 def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
-                report: Report):
+                report: Report, margin: float, type_margin: float):
     """Empirical hypothesis verification; returns (ok, mu0, rho0)."""
-    margin = float(cfg.get("hypothesis_margin", 0.2))
     coeff_grid = _grid_from(cfg, "coeff_grid", (5.0, 120.0, 24))
     mu0, rho0, s0, rho_others = _coeff_order_estimates(
         eq, triple, coeff_grid, report)
@@ -692,7 +744,6 @@ def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
             if s is not None and abs(v - mu0) <= 0.1:
                 tau1 = max(tau1, growth.estimate_type(
                     s, triple, mu0, "upper").value)
-        type_margin = float(cfg.get("type_margin", 0.1))
         ok = tau1 + type_margin <= tau0_lower
         report.truth(ok, "hypothesis_dominant_type",
                      f"tau1 = {tau1:.4g} vs lower type[A0] = "
@@ -788,10 +839,11 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
     whose trusted radius covers _RADIUS_SLACK times the top radius and
     whose mp band of f - g there, at that depth, ends before its last
     term; the integer march keeps only the terms counting reads
-    (_march_length).  The double probes are cut from sol, a double march
-    of the same solution (as auto_solve returns it), and marched only past
-    its end.  Each of these raises ConfigError before any integer march:
-    a coefficient A_j trusted to less than _RADIUS_SLACK times the top
+    (_march_length).  The double probes are cut from sol, a double
+    solution of the same equation and initial data (a march as auto_solve
+    returns it, or a basis combination), and marched only past its end.
+    Each of these raises ConfigError before any integer march: a
+    coefficient A_j trusted to less than _RADIUS_SLACK times the top
     radius (before any probe: no probe length can raise it), a depth past
     dps_budget, and a probe of _PROBE_CAP terms that falls short."""
     r_top = max(radii)
@@ -838,6 +890,44 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
 _THEOREM_N_START = 1 << 10
 
 
+def _initial_vectors(k: int, seed: int, n_random: int) -> list:
+    """The k basis vectors, then n_random random unit vectors in C^k."""
+    rng = np.random.default_rng(seed)
+    inits = [ode.InitialData.basis(k, i) for i in range(k)]
+    for _ in range(n_random):
+        vec = rng.normal(size=2 * k)
+        vec = vec / np.linalg.norm(vec)
+        inits.append(ode.InitialData(tuple(
+            complex(vec[2 * t], vec[2 * t + 1]) for t in range(k))))
+    return inits
+
+
+def _theorem_solutions(eq: ode.LinearODE, inits: list, r_max: float,
+                       residual_tol: float, n_cap: int) -> list:
+    """(solution, info) for each initial vector, as auto_solve returns
+    them.  The first k, the basis vectors, are marched by auto_solve.  For
+    a homogeneous equation each other one is formed from the basis
+    marches (ode.basis_combination) and kept if ode.final_check accepts
+    it with its residual below residual_tol; otherwise it is marched by
+    auto_solve too."""
+    def march(init):
+        return ode.auto_solve(eq, init, r_max, residual_tol=residual_tol,
+                              n_start=_THEOREM_N_START, n_cap=n_cap)
+
+    solved = [march(init) for init in inits[:eq.k]]
+    basis = [sol for sol, _ in solved]
+    for init in inits[eq.k:]:
+        info = None
+        if eq.homogeneous:
+            sol = ode.basis_combination(eq, basis, init)
+            info = ode.final_check(eq, sol, r_max, residual_tol, n_cap)
+        if info is not None and info["residual"] < residual_tol:
+            solved.append((sol, info))
+        else:
+            solved.append(march(init))
+    return solved
+
+
 def run_theorem_experiment(cfg: dict,
                            report: Optional[Report] = None) -> Report:
     """Hypotheses -> solutions -> growth estimates -> oscillation clause."""
@@ -848,37 +938,26 @@ def run_theorem_experiment(cfg: dict,
     eq = resolve_equation(_need(cfg, "equation", ""))
     r_max, residual_tol, n_cap = _solver_limits(cfg, 12.0, 1e-8, 1 << 14,
                                                 _THEOREM_N_START, eq.k)
+    opt = _theorem_settings(cfg)
 
-    ok, mu0, rho0 = _hypotheses(kind, cfg, eq, triple, rep)
+    ok, mu0, rho0 = _hypotheses(kind, cfg, eq, triple, rep, opt["margin"],
+                                opt["type_margin"])
     if not ok:
         rep.verdict = "hypotheses-not-met"
         rep.notes.append("hypotheses not met: conclusions skipped")
         return rep
 
-    seed = int(cfg.get("seed", 20240401))
-    n_random = int(cfg.get("n_random", 1))
-    rng = np.random.default_rng(seed)
-    inits = [ode.InitialData.basis(eq.k, i) for i in range(eq.k)]
-    for _ in range(n_random):
-        vec = rng.normal(size=2 * eq.k)
-        vec = vec / np.linalg.norm(vec)
-        inits.append(ode.InitialData(tuple(
-            complex(vec[2 * t], vec[2 * t + 1]) for t in range(eq.k))))
-
-    band_lo, band_hi = cfg.get("solution_band", (0.8, 1.1))
-    lam_tol = float(cfg.get("lambda_tolerance", 0.3))
-    osc_cfg = cfg.get("oscillation", {})
-    osc_enabled = osc_cfg.get("enabled", True)
-    g_series = resolve_subject(osc_cfg.get("g", {"poly": [0.0, 1.0]}),
-                               "/oscillation/g")
+    inits = _initial_vectors(eq.k, opt["seed"], opt["n_random"])
+    band_lo, band_hi = opt["band"]
+    min_r = opt["min_radius"]
     rep.truth(mu0 > 0.3, "oscillation_g_dominated",
               "polynomial g has wrapped order 0 < mu[A0]")
 
+    solved = _theorem_solutions(eq, inits, r_max, residual_tol, n_cap)
     for s_idx, init in enumerate(inits):
         tag = f"sol{s_idx}"
-        sol, info = ode.auto_solve(eq, init, r_max,
-                                   residual_tol=residual_tol,
-                                   n_start=_THEOREM_N_START, n_cap=n_cap)
+        # the list lets go of each solution, and its caches, once checked
+        (sol, info), solved[s_idx] = solved[s_idx], None
         rep.leq(info["residual"], residual_tol, f"residual[{tag}]",
                 f"n = {info['n_terms']}, certified r = "
                 f"{info['certified_radius']:.4g}")
@@ -895,19 +974,17 @@ def run_theorem_experiment(cfg: dict,
         rep.truth(mu_hat <= rho_hat + 1e-9, f"mu_le_rho[{tag}]")
         if cfg.get("expect_infinite_classical", True):
             cls = growth.estimate_order(s, triple, "upper")
-            rep.truth(cls.value > float(cfg.get("classical_min", 3.0))
+            rep.truth(cls.value > opt["classical_min"]
                       and cls.trend in ("increasing", "converging"),
                       f"classical_diverges[{tag}]",
                       f"estimate {cls.value:.3g}, trend {cls.trend}")
-        if osc_enabled and s_idx < int(osc_cfg.get("n_subjects", 3)):
-            min_r = float(osc_cfg.get("min_radius", 8.0))
-            radii = osc_cfg.get("radii")
+        if opt["osc_enabled"] and s_idx < opt["n_subjects"]:
+            radii = opt["radii"]
             if radii is None:
                 top = min(min_r + 0.05, info["certified_radius"] * 0.85)
                 radii = [5.0, 6.3, 7.1, top]
-            data = _count_solution_zeros(
-                eq, init, g_series, radii,
-                int(osc_cfg.get("dps_budget", 400)), sol)
+            data = _count_solution_zeros(eq, init, opt["g"], radii,
+                                         opt["dps_budget"], sol)
             rep.info(f"zero_counts[{tag}]",
                      [list(data.radii), list(data.counts)])
             covered = [n for r, n in zip(data.radii, data.counts)
@@ -918,7 +995,8 @@ def run_theorem_experiment(cfg: dict,
             # the conclusion ties the LOWER zero exponent to mu[A0]
             lam = growth.estimate_lambda(data, triple, log_wrap=True,
                                          mode="lower", tail_fraction=1.0)
-            rep.close(lam.value, mu0, lam_tol, f"lambda_wrapped[{tag}]",
+            rep.close(lam.value, mu0, opt["lam_tol"],
+                      f"lambda_wrapped[{tag}]",
                       "simple-zero assumption: distinct = all")
             rep.truth(lam.trend in ("increasing", "converging"),
                       f"lambda_trend[{tag}]", f"trend {lam.trend}; ratios "

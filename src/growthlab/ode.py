@@ -24,6 +24,15 @@ downstream consumers (deep zero counting) need coefficients better than
 and rounds once, within a stated bound of the exact step (see
 _solve_series_mp).
 
+The solutions of a homogeneous equation are linear in their initial data,
+so basis_combination forms the solution with initial data v as
+sum_i v_i f_i from double marches of the k basis solutions, summed
+termwise in log-polar form; its rel_err_ln adds the sum's largest
+cancellation to the basis error, and its exact values are still the
+integer march of v.  final_check, auto_solve's rule for accepting a
+candidate (its residual measured where it decides), accepts or refuses a
+combination the same way.
+
 The residual certificate (residual_norm) is computed at its radius r in
 the scaled variable w = z / r: every series enters as its band
 a_n r^n / mu(r), formed from the stored logs by error-free transforms
@@ -48,7 +57,7 @@ from . import series as ps
 from . import _dd, _evalcore
 
 __all__ = ["LinearODE", "InitialData", "solve_series", "residual_norm",
-           "auto_solve", "airy_like"]
+           "final_check", "auto_solve", "basis_combination", "airy_like"]
 
 
 @dataclass(frozen=True)
@@ -104,17 +113,15 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
     result's mp cache and give its logs, the nearest doubles
     (_evalcore._logs_of).  Either way the result carries the integer
     march as its regeneration hook, so dd and mp evaluation read its exact
-    values, at any depth.  _resume, an earlier double march of the same
-    equation and initial data, is extended or cut rather than marched
-    again (see _march_d); the integer march ignores it.
+    values, at any depth.  _resume, a double solution of the same
+    equation and initial data (a march, or a basis_combination), is
+    extended or cut rather than marched again (see _march_d), and the
+    result's rel_err_ln is no less than its; the integer march ignores it.
     """
     if n_terms <= eq.k:
         raise ValueError("n_terms must exceed the equation order")
     eq.check_init(init)
-
-    def factory(dps_req):
-        return _solve_series_mp(eq, init, n_terms, dps_req)
-
+    factory = _integer_factory(eq, init, n_terms)
     if dps is not None:
         values = _solve_series_mp(eq, init, n_terms, dps)
         out = ps.make_series(*_evalcore._logs_of(values), math.log(3e-16),
@@ -129,9 +136,17 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
     # 5.4e-12 of its 4.1e-9.  Relative to |c_i| alone a cancelling step
     # can exceed it: index 4 of the theorem_type solution, an exact zero,
     # is stored as e^-39.
-    out = ps.make_series(lc, pc, math.log(max(64.0, n_terms) * 2e-12),
-                         "ode solution", mp_factory=factory)
-    return out
+    rel = math.log(max(64.0, n_terms) * 2e-12)
+    if _resume is not None:  # its error reaches the indices marched from it
+        rel = max(rel, _resume.coeff.rel_err_ln)
+    return ps.make_series(lc, pc, rel, "ode solution", mp_factory=factory)
+
+
+def _integer_factory(eq: LinearODE, init: InitialData, n_terms: int):
+    """The mp_factory of a solution of n_terms terms: its integer march."""
+    def factory(dps):
+        return _solve_series_mp(eq, init, n_terms, dps)
+    return factory
 
 
 # steps in a block of the double march; each block picks its scale afresh
@@ -180,7 +195,7 @@ def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
     Each coefficient is stored as (ln|c|, arg c), and its Dh entries are
     formed from those stored doubles.  So the march at every index depends
     only on the stored coefficients below it: a march does not depend on
-    its length.  prev, an earlier march of the same equation and initial
+    its length.  prev, a double solution of the same equation and initial
     data (or None), is kept as it stands; the march replays the Dh entries
     and scale picks of prev's last block from its stored coefficients and
     marches only the indices past it.  A shorter request is prev's prefix.
@@ -568,36 +583,105 @@ def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float) -> float:
     return math.exp(float(np.max(res.logabs)) - scale_ln)
 
 
+def final_check(eq: LinearODE, sol: ps.PowerSeries, r_max: float,
+                residual_tol: float, n_cap: int) -> Optional[dict]:
+    """auto_solve's rule for a candidate solution: its info when it is an
+    answer, None when the answer is to march further.
+
+    sol is an answer when its trusted radius (and every A_j's) covers r_max
+    and the residual at r_max is below residual_tol, or when its length
+    has reached n_cap; it is then capped, and the residual is read at the
+    smaller radius.  Short of r_max and of the cap the answer is to march
+    further, whatever the residual, so the residual is computed only when
+    it can decide.  info records the length, the certified radius, the
+    radius actually checked, the residual, and whether the cap bound.
+    """
+    n = sol.n_terms
+    r_cert = min(sol.guaranteed_radius,
+                 *(a.guaranteed_radius for a in eq.coeffs))
+    if r_cert < r_max and n < n_cap:
+        return None
+    r_check = min(r_max, r_cert)
+    resid = residual_norm(eq, sol, math.log(r_check)) \
+        if r_check > 0 else math.inf
+    ok = r_cert >= r_max and resid < residual_tol
+    if not ok and n < n_cap:
+        return None
+    return {"n_terms": n, "certified_radius": r_cert,
+            "checked_radius": r_check, "residual": resid, "capped": not ok}
+
+
 def auto_solve(eq: LinearODE, init: InitialData, r_max: float,
                residual_tol: float = 1e-8, n_start: int = 1 << 10,
                n_cap: int = 1 << 16, dps: Optional[int] = None) -> tuple:
-    """Double n_terms until the certified radius covers r_max and the
-    residual there passes; cap at n_cap.  Each doubling resumes the last
-    march, and the residual is computed only where it decides the answer.
+    """Double n_terms until final_check answers: the certified radius
+    covers r_max and the residual there passes, or the length is n_cap.
+    Each doubling resumes the last march, and the residual is computed
+    only where it decides the answer.
 
-    Returns (solution, info) where info records the certified radius, the
-    radius actually checked, the residual, and whether the cap bound.
-    A cap below n_start is a ValueError: the first march would ignore it.
+    Returns (solution, info), info as final_check gives it.  A solution
+    of a homogeneous equation can instead be formed from marched basis
+    solutions (basis_combination) and accepted when final_check passes
+    its residual.  A cap below n_start is a ValueError: the first march
+    would ignore it.
     """
     if n_cap < n_start:
         raise ValueError(f"n_cap = {n_cap} is below n_start = {n_start}")
     n, sol = n_start, None
     while True:
         sol = solve_series(eq, init, n, dps=dps, _resume=sol)
-        r_cert = min(sol.guaranteed_radius,
-                     *(a.guaranteed_radius for a in eq.coeffs))
-        # short of r_max and of the cap the answer is to double, whatever
-        # the residual, so it is computed only when it can decide
-        if r_cert >= r_max or n >= n_cap:
-            r_check = min(r_max, r_cert)
-            resid = residual_norm(eq, sol, math.log(r_check)) \
-                if r_check > 0 else math.inf
-            ok = r_cert >= r_max and resid < residual_tol
-            if ok or n >= n_cap:
-                return sol, {"n_terms": n, "certified_radius": r_cert,
-                             "checked_radius": r_check, "residual": resid,
-                             "capped": not ok}
+        info = final_check(eq, sol, r_max, residual_tol, n_cap)
+        if info is not None:
+            return sol, info
         n *= 2
+
+
+def basis_combination(eq: LinearODE, basis: list,
+                      init: InitialData) -> ps.PowerSeries:
+    """The solution with initial data init formed as sum_i v_i f_i, v =
+    init.values, from double marches basis[i] of InitialData.basis(k, i):
+    the solutions of a homogeneous equation are linear in their initial
+    data.
+
+    It has the longest basis march's length; a shorter one is extended
+    (solve_series with _resume), with the bytes of a fresh march of that
+    length.  Each coefficient sum_i v_i c_{i,n} is summed in log-polar
+    form relative to its largest term, as series.combine's add is; a sum
+    that cancels exactly is stored as an exact zero, as in _march_d.  Its
+    rel_err_ln is the largest basis rel_err_ln plus ln of the
+    amplification max_n sum_i |v_i c_{i,n}| / |sum_i v_i c_{i,n}| over
+    the nonzero sums, read from the same logs.  Its exact values are the
+    integer march of init, the mp_factory solve_series gives, so a dd or
+    mp read of it is that of a direct march.
+    """
+    if not eq.homogeneous:
+        raise ValueError("basis combinations solve only homogeneous "
+                         "equations")
+    if len(basis) != eq.k:
+        raise ValueError(f"need exactly k = {eq.k} basis solutions")
+    eq.check_init(init)
+    n = max(f.n_terms for f in basis)
+    basis = [f if f.n_terms == n else
+             solve_series(eq, InitialData.basis(eq.k, i), n, _resume=f)
+             for i, f in enumerate(basis)]
+    # ln|v_i c_{i,n}| and arg(v_i c_{i,n}), one row per nonzero v_i
+    weights = [complex(v) for v in init.values]
+    tl = np.array([math.log(abs(v)) + f.coeff.lh
+                   for v, f in zip(weights, basis) if v != 0])
+    tp = np.array([cmath.phase(v) + f.coeff.ph
+                   for v, f in zip(weights, basis) if v != 0])
+    lmax = np.max(tl, axis=0)
+    lmax_safe = np.where(np.isfinite(lmax), lmax, 0.0)
+    total = _evalcore._rescaled(tl - lmax_safe, tp).sum(axis=0)
+    with np.errstate(under="ignore"):
+        size = np.exp(tl - lmax_safe).sum(axis=0)
+    nz = total != 0
+    amp_ln = float(np.max(np.log(size[nz]) - np.log(np.abs(total[nz])),
+                          initial=0.0))
+    lh, ph = _evalcore._logpolar(lmax_safe, total)
+    return ps.make_series(
+        lh, ph, max(f.coeff.rel_err_ln for f in basis) + amp_ln,
+        "ode combination", mp_factory=_integer_factory(eq, init, n))
 
 
 def airy_like(n_terms: int = 200) -> ps.PowerSeries:

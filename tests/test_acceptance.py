@@ -269,7 +269,8 @@ def test_criterion_10_proposition_suite():
 
 def test_criterion_11_determinism():
     t0 = time.time()
-    names = ["analyze_exp", "propositions", "scales_default"]
+    names = ["analyze_exp", "propositions", "scales_default",
+             "theorem_dominant_first_order"]
     first, second = [], []
     for round_out in (first, second):
         for name in names:

@@ -263,6 +263,55 @@ def _bad_configs():
             "k": 2.5, "A": [{"poly": [0.0, -1.0]}, {"poly": [0]}]}),
          "/equation/k"),
     ]
+    return [pytest.param(cfg, path, id=name) for name, cfg, path in cases] \
+        + _bad_theorem_configs()
+
+
+def _bad_theorem_configs():
+    """Theorem configs, each invalid in one of its own fields: the error
+    must come before any march."""
+    def theorem(**over):
+        cfg = harness.shipped_config("theorem_dominant")
+        cfg.update(over)
+        return cfg
+
+    def oscillation(**over):
+        cfg = harness.shipped_config("theorem_dominant")
+        cfg["oscillation"].update(over)
+        return cfg
+
+    cases = [
+        ("n_random_negative", theorem(n_random=-1), "/n_random"),
+        ("n_random_float", theorem(n_random=1.5), "/n_random"),
+        ("n_random_text", theorem(n_random="two"), "/n_random"),
+        ("seed_text", theorem(seed="x"), "/seed"),
+        ("seed_negative", theorem(seed=-1), "/seed"),
+        ("solution_band_one", theorem(solution_band=[1.0]),
+         "/solution_band"),
+        ("solution_band_reversed", theorem(solution_band=[1.1, 0.8]),
+         "/solution_band"),
+        ("solution_band_text", theorem(solution_band=["a", "b"]),
+         "/solution_band"),
+        ("lambda_tolerance_text", theorem(lambda_tolerance="x"),
+         "/lambda_tolerance"),
+        ("hypothesis_margin_negative", theorem(hypothesis_margin=-0.2),
+         "/hypothesis_margin"),
+        ("type_margin_text", theorem(type_margin="x"), "/type_margin"),
+        ("classical_min_nan", theorem(classical_min="nan"),
+         "/classical_min"),
+        ("oscillation_not_object", theorem(oscillation=[]), "/oscillation"),
+        ("radii_text", oscillation(radii="x"), "/oscillation/radii"),
+        ("radii_negative", oscillation(radii=[-1.0]), "/oscillation/radii"),
+        ("radii_empty", oscillation(radii=[]), "/oscillation/radii"),
+        ("n_subjects_text", oscillation(n_subjects="x"),
+         "/oscillation/n_subjects"),
+        ("min_radius_text", oscillation(min_radius="x"),
+         "/oscillation/min_radius"),
+        ("dps_budget_text", oscillation(dps_budget="x"),
+         "/oscillation/dps_budget"),
+        ("dps_budget_zero", oscillation(dps_budget=0),
+         "/oscillation/dps_budget"),
+    ]
     return [pytest.param(cfg, path, id=name) for name, cfg, path in cases]
 
 
@@ -275,6 +324,17 @@ class TestCliConfigErrors:
                        "--out", str(tmp_path / "rep")])
         err = capsys.readouterr().err
         assert rc == 2 and f"config error: {path}: " in err, err
+
+    @pytest.mark.parametrize("cfg,path", _bad_theorem_configs())
+    def test_theorem_fields_fail_before_any_march(self, monkeypatch, cfg,
+                                                  path):
+        def refuse(*args, **kw):
+            raise AssertionError("marched before the config was checked")
+
+        monkeypatch.setattr(ode, "_march_d", refuse)
+        with pytest.raises(ConfigError) as err:
+            harness.run_config(cfg)
+        assert err.value.path == path
 
     def test_zero_coefficient_is_still_valid(self):
         # the zero series is rejected as an analyze subject only
@@ -463,6 +523,71 @@ class TestSolutionZeroCounts:
                 eq, ode.InitialData((1.0, 0.0)),
                 ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 400)
         assert err.value.path == "/oscillation/radii"
+
+
+class TestTheoremSolutions:
+    @pytest.mark.parametrize("name", ["theorem_type",
+                                      "theorem_dominant_first_order"])
+    def test_only_the_basis_is_marched(self, monkeypatch, name):
+        marched, march = set(), ode._march_d
+
+        def recorded(eq, init, n_terms, prev):
+            marched.add(init.values)
+            return march(eq, init, n_terms, prev)
+
+        monkeypatch.setattr(ode, "_march_d", recorded)
+        rep = harness.run_config(harness.shipped_config(name))
+        assert rep.verdict == "pass"
+        assert marched == {(1.0, 0.0), (0.0, 1.0)}
+
+    def test_rejected_combination_is_marched_directly(self, monkeypatch):
+        """A combination whose residual fails is dropped, and its initial
+        vector is marched by auto_solve, with the bytes and info of that
+        march."""
+        residual = ode.residual_norm
+
+        def failing(eq, f, log_r):
+            if f.provenance == "ode combination":
+                return math.inf
+            return residual(eq, f, log_r)
+
+        monkeypatch.setattr(ode, "residual_norm", failing)
+        cfg = harness.shipped_config("theorem_dominant_first_order")
+        eq = harness.resolve_equation(cfg["equation"])
+        inits = harness._initial_vectors(eq.k, cfg["seed"], 1)
+        args = (cfg["r_max"], 1e-8, cfg["max_terms"])
+        (sol, info), = harness._theorem_solutions(eq, inits, *args)[2:]
+        want, want_info = ode.auto_solve(
+            eq, inits[2], cfg["r_max"], n_start=harness._THEOREM_N_START,
+            n_cap=cfg["max_terms"])
+        assert sol.provenance == "ode solution" and info == want_info
+        assert sol.coeff.lh.tobytes() == want.coeff.lh.tobytes()
+        assert sol.coeff.ph.tobytes() == want.coeff.ph.tobytes()
+
+    def test_accepted_combination_keeps_its_check(self):
+        cfg = harness.shipped_config("theorem_dominant_first_order")
+        eq = harness.resolve_equation(cfg["equation"])
+        solved = harness._theorem_solutions(
+            eq, harness._initial_vectors(eq.k, cfg["seed"], 1), cfg["r_max"],
+            1e-8, cfg["max_terms"])
+        (sol, info), = solved[2:]
+        assert sol.provenance == "ode combination"
+        assert sol.n_terms == max(s.n_terms for s, _ in solved[:2])
+        assert info == ode.final_check(eq, sol, cfg["r_max"], 1e-8,
+                                       cfg["max_terms"])
+        assert info["residual"] < 1e-8
+
+    def test_forced_equation_marches_every_solution(self):
+        # f'' + e^z f = cos z: a combination of its solutions solves it
+        # only when the weights sum to 1, so each one is marched
+        eq = ode.LinearODE(2, (ps.builtin("exp", 200),
+                               ps.builtin("poly", coeffs=[0.0])),
+                           ps.builtin("cos", 200))
+        inits = harness._initial_vectors(eq.k, 5, 1)
+        solved = harness._theorem_solutions(eq, inits, 5.0, 1e-8, 4096)
+        assert [s.provenance for s, _ in solved] == ["ode solution"] * 3
+        want = ode.auto_solve(eq, inits[2], 5.0, n_start=1024, n_cap=4096)
+        assert solved[2][0].coeff.lh.tobytes() == want[0].coeff.lh.tobytes()
 
 
 @pytest.fixture(scope="module")

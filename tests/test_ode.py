@@ -533,17 +533,28 @@ class TestResume:
         assert got.guaranteed_radius == fresh.guaranteed_radius
 
     def test_resume_continues_from_the_given_coefficients(self):
-        """Only the indices past prev are marched: a change to prev's last
-        coefficient is kept and carries into the extension."""
-        eq, init = bessel_type_equation(), ode.InitialData((1.0, 0.0))
-        prev = ode.solve_series(eq, init, 100)
-        lh = prev.coeff.lh.copy()
+        """Only the indices past prev are marched: prev's coefficients (a
+        march with its last one changed, or a basis combination, which
+        differs from the march in its last bits) are kept and carry into
+        the extension, with prev's error."""
+        eq = bessel_type_equation()
+        init = ode.InitialData((1.0, 0.0))
+        march = ode.solve_series(eq, init, 100)
+        lh = march.coeff.lh.copy()
         lh[99] += 1.0
-        bent = ps.make_series(lh, prev.coeff.ph, 0.0, "bent")
-        got = ode.solve_series(eq, init, 200, _resume=bent)
-        fresh = ode.solve_series(eq, init, 200)
-        assert np.array_equal(got.coeff.lh[:100], lh)
-        assert not np.array_equal(got.coeff.lh[100:], fresh.coeff.lh[100:])
+        mixed = ode.InitialData((0.3 + 0.7j, -1.1 + 0.2j))
+        cases = [(init, ps.make_series(lh, march.coeff.ph, 0.0, "bent")),
+                 (mixed, ode.basis_combination(eq, [
+                     ode.solve_series(eq, ode.InitialData.basis(2, i), 100)
+                     for i in range(2)], mixed))]
+        for init, prev in cases:
+            got = ode.solve_series(eq, init, 200, _resume=prev)
+            fresh = ode.solve_series(eq, init, 200)
+            assert got.coeff.lh[:100].tobytes() == prev.coeff.lh.tobytes()
+            assert got.coeff.ph[:100].tobytes() == prev.coeff.ph.tobytes()
+            assert not np.array_equal(got.coeff.lh[100:],
+                                      fresh.coeff.lh[100:])
+            assert got.coeff.rel_err_ln >= prev.coeff.rel_err_ln
 
 
 def mpc_march(eq, init, n_terms, dps, work_dps):
@@ -820,6 +831,30 @@ def test_forcing_too_large_to_scale_is_summed_in_logpolar(monkeypatch):
     assert np.all(sol.coeff.lh[[1, 2, 4, 5, 6, 7]] == -np.inf)
 
 
+def assert_matches_integer_march(eq, init, sol):
+    """Each coefficient of the double solution sol lies within
+    e^rel_err_ln of the integer march at dps 30, relative to the larger of
+    |c_ref| and the largest term of its step divided by (n+1)...(n+k)."""
+    dps = 30
+    ref = to_mpc(ode._solve_series_mp(eq, init, sol.n_terms, dps))
+    with mp.workdps(dps):
+        ref_ln = np.array([float(mp.log(abs(v))) if v != 0 else -np.inf
+                           for v in ref])
+        tol = mp.exp(sol.coeff.rel_err_ln)
+        for i, v in enumerate(ref):
+            if v == 0:
+                assert sol.coeff.lh[i] == -np.inf, i
+                continue
+            scale_ln = ref_ln[i]
+            if i >= eq.k:
+                n = i - eq.k
+                scale_ln = max(scale_ln, step_top_ln(eq, ref_ln, n)
+                               - sum(math.log(n + s)
+                                     for s in range(1, eq.k + 1)))
+            got = mp.exp(mp.mpc(sol.coeff.lh[i], sol.coeff.ph[i]))
+            assert abs(got - v) <= tol * mp.exp(scale_ln), i
+
+
 class TestDoubleMarch:
     """The block-scaled double march against the integer march at dps 30.
 
@@ -844,25 +879,8 @@ class TestDoubleMarch:
     def test_matches_integer_march(self, case):
         make_eq, init, n_terms = self.CASES[case]
         eq, init = make_eq(), ode.InitialData(init)
-        sol = ode.solve_series(eq, init, n_terms)
-        dps = 30
-        ref = to_mpc(ode._solve_series_mp(eq, init, n_terms, dps))
-        with mp.workdps(dps):
-            ref_ln = np.array([float(mp.log(abs(v))) if v != 0 else -np.inf
-                               for v in ref])
-            tol = mp.exp(sol.coeff.rel_err_ln)
-            for i, v in enumerate(ref):
-                if v == 0:
-                    assert sol.coeff.lh[i] == -np.inf, i
-                    continue
-                scale_ln = ref_ln[i]
-                if i >= eq.k:
-                    n = i - eq.k
-                    scale_ln = max(scale_ln, step_top_ln(eq, ref_ln, n)
-                                   - sum(math.log(n + s)
-                                         for s in range(1, eq.k + 1)))
-                got = mp.exp(mp.mpc(sol.coeff.lh[i], sol.coeff.ph[i]))
-                assert abs(got - v) <= tol * mp.exp(scale_ln), i
+        assert_matches_integer_march(eq, init,
+                                     ode.solve_series(eq, init, n_terms))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_perj_reference(self, case):
@@ -935,3 +953,69 @@ class TestDoubleMarch:
         for eq in (theorem_type_equation(), bessel_type_equation(220)):
             ode.solve_series(eq, ode.InitialData((1.0, 0.0)), 4096)
         assert calls == []
+
+
+def first_order_equation():
+    # f'' + z f' + e^z f = 0, as in the theorem_dominant_first_order
+    # experiment
+    return ode.LinearODE(2, (ps.builtin("exp", 220),
+                             ps.builtin("poly", coeffs=[0.0, 1.0])))
+
+
+class TestBasisCombination:
+    """Solutions formed from the two basis marches at 2048 terms."""
+
+    CASES = {"theorem_type": theorem_type_equation,
+             "first_order": first_order_equation}
+    INIT = ode.InitialData((0.3 + 0.7j, -1.1 + 0.2j))
+
+    @staticmethod
+    def basis(eq, *lengths):
+        return [ode.solve_series(eq, ode.InitialData.basis(eq.k, i), n)
+                for i, n in enumerate(lengths)]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_direct_march(self, case):
+        """Within e^rel_err_ln of the direct march of the same initial
+        data, relative to sum |v_i c_{i,n}|; rel_err_ln is the basis error
+        plus ln of the largest sum |v_i c_{i,n}| / |c_n|."""
+        eq = self.CASES[case]()
+        basis = self.basis(eq, 2048, 2048)
+        got = ode.basis_combination(eq, basis, self.INIT)
+        direct = ode.solve_series(eq, self.INIT, 2048)
+        size_ln = np.logaddexp(*(math.log(abs(v)) + f.coeff.lh for v, f
+                                 in zip(self.INIT.values, basis)))
+        amp_ln = float(np.max(size_ln - got.coeff.lh))
+        assert got.coeff.rel_err_ln == pytest.approx(
+            basis[0].coeff.rel_err_ln + amp_ln, abs=1e-12)
+        assert 0.0 < amp_ln < 5.0
+        diff = (np.exp(got.coeff.lh - size_ln + 1j * got.coeff.ph)
+                - np.exp(direct.coeff.lh - size_ln + 1j * direct.coeff.ph))
+        assert np.max(np.abs(diff)) <= math.exp(got.coeff.rel_err_ln)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_integer_march(self, case):
+        eq = self.CASES[case]()
+        assert_matches_integer_march(eq, self.INIT, ode.basis_combination(
+            eq, self.basis(eq, 2048, 2048), self.INIT))
+
+    def test_shorter_basis_march_is_extended(self):
+        eq = first_order_equation()
+        got = ode.basis_combination(eq, self.basis(eq, 1024, 2048),
+                                    self.INIT)
+        want = ode.basis_combination(eq, self.basis(eq, 2048, 2048),
+                                     self.INIT)
+        assert got.n_terms == 2048
+        assert got.coeff.lh.tobytes() == want.coeff.lh.tobytes()
+        assert got.coeff.ph.tobytes() == want.coeff.ph.tobytes()
+
+    def test_exact_values_are_the_integer_march(self):
+        eq = first_order_equation()
+        got = ode.basis_combination(eq, self.basis(eq, 256, 256), self.INIT)
+        assert got.coeff.mp_logs(30) \
+            == ode._solve_series_mp(eq, self.INIT, 256, 30)
+
+    def test_inhomogeneous_equation_refused(self):
+        eq = forced_equation()
+        with pytest.raises(ValueError, match="homogeneous"):
+            ode.basis_combination(eq, self.basis(eq, 64, 64), self.INIT)
