@@ -77,20 +77,24 @@ class CoeffData:
            data error of the 'd' level, and of 'dd' and 'mp' for a series
            without a factory, whose exact values are read from the logs
            (_fixed_of_logs).
-    mp_factory: optional callable dps -> the exact coefficient values in
-           the format of mp_logs, regenerating the series at arbitrary
-           precision.  A derived series' factory reads its parents only
-           through their mp_logs, so it shares their caches.
+    mp_factory: optional callable (dps, n) -> a_0..a_{n-1}, the exact
+           coefficient values in the format of mp_logs, regenerating the
+           series at arbitrary precision.  It is prefix-exact: its value
+           at index i does not depend on n.  A derived series' factory
+           reads its parents only through their mp_logs, so it shares
+           their caches.
 
     The exact values are cached as one (dps, values) entry, which serves
-    every request at or below that dps; a deeper request replaces it.
-    _a_cache keeps the latest band per level (see _cached_band).
+    every request at or below its dps and length; any other request
+    replaces it by factory(max(dps, cached dps), max(n, cached length)),
+    so the entry never loses depth or length.  _a_cache keeps the latest
+    band per level (see _cached_band).
     """
 
     lh: np.ndarray
     ph: np.ndarray
     rel_err_ln: float
-    mp_factory: Optional[Callable[[int], list]] = None
+    mp_factory: Optional[Callable[[int, int], list]] = None
     _mp_entry: Optional[tuple] = field(default=None, repr=False)
     _a_cache: dict = field(default_factory=dict, repr=False)
 
@@ -98,20 +102,25 @@ class CoeffData:
     def n_terms(self) -> int:
         return len(self.lh)
 
-    def mp_logs(self, dps: int) -> list:
-        """The coefficient values for dps digits: each a triple (re, im, e)
-        of integers standing for (re + i im) 2^e, with at least
-        _exact_bits(dps) + 1 significant bits in the larger component, and
-        None for an exact zero.  The name predates the format (the values
-        were once log-polar pairs, then mpc).  Without a factory the values
-        come from the stored logs (_fixed_of_logs).
+    def mp_logs(self, dps: int, n: Optional[int] = None) -> list:
+        """The values a_0..a_{n-1} for dps digits (every stored term for
+        n None): each a triple (re, im, e) of integers standing for
+        (re + i im) 2^e, with at least _exact_bits(dps) + 1 significant
+        bits in the larger component, and None for an exact zero.  The
+        name predates the format (the values were once log-polar pairs,
+        then mpc).  Without a factory the values come from the stored logs
+        (_fixed_of_logs).
         """
-        if self._mp_entry is None or self._mp_entry[0] < dps:
-            values = (self.mp_factory(dps) if self.mp_factory is not None
-                      else _fixed_of_logs(self.lh, self.ph,
-                                          _exact_bits(dps)))
-            self._mp_entry = (dps, values)
-        return self._mp_entry[1]
+        n = self.n_terms if n is None else min(n, self.n_terms)
+        entry = self._mp_entry
+        if entry is None or entry[0] < dps or len(entry[1]) < n:
+            d, m = (dps, n) if entry is None else (max(dps, entry[0]),
+                                                   max(n, len(entry[1])))
+            values = (self.mp_factory(d, m) if self.mp_factory is not None
+                      else _fixed_of_logs(self.lh[:m], self.ph[:m],
+                                          _exact_bits(d)))
+            entry = self._mp_entry = (d, values)
+        return entry[1] if len(entry[1]) == n else entry[1][:n]
 
     def data_floor_ln(self, dps: Optional[int] = None) -> float:
         """ln of the relative accuracy claimed for the stored coefficients.
@@ -225,8 +234,8 @@ def _rescaled(ldiff: np.ndarray, ph: np.ndarray) -> np.ndarray:
 
 def _mp_band(coeff: CoeffData, log_r: float, dps: int):
     """(lo, hi, log_mu) of the mp band at dps digits: the terms within
-    dps ln 10 + 40 nats of mu(r).  _fixed_band evaluates it, and the
-    integer march of harness._count_solution_zeros is sized by it."""
+    dps ln 10 + 40 nats of mu(r).  _fixed_band evaluates it, and
+    harness._count_solution_zeros fills the exact values it reads."""
     return _band(coeff, log_r, dps * math.log(10) + 40.0)
 
 
@@ -467,15 +476,16 @@ def _fixed_band(coeff: CoeffData, log_r: float, level: str,
     index array and two object arrays of integers at scale 2^P, and the
     level's noise floor (_fixed_floor).
 
-    Both levels read the exact values coeff.mp_logs(dps); they differ in
-    their cut and digits.  'mp' keeps the terms within dps ln 10 + 40
-    nats of mu(r) (_mp_band); 'dd' keeps those within _BAND_CUT['dd'] nats,
-    at dps = _DD_DPS.  P = _fixed_bits(dps, N), and each value a_n times
-    r^n / mu(r) from _fixed_powers (start e^(lo ln r - ln mu), ratio r, by
-    _fixed_exp) at P + 24 + bitlen(hi - lo) bits, so within 2^-(P+23)
-    relative, is rounded to nearest at scale 2^P: each component is
-    within (1/2 + 2^-23 |t_n|) 2^-P of the exact a_n r^n / mu(r).  The
-    band is cached as its level's latest (see _cached_band).
+    Both levels read the exact values up to the band's end,
+    coeff.mp_logs(dps, hi); they differ in their cut and digits.  'mp'
+    keeps the terms within dps ln 10 + 40 nats of mu(r) (_mp_band); 'dd'
+    keeps those within _BAND_CUT['dd'] nats, at dps = _DD_DPS.
+    P = _fixed_bits(dps, N), and each value a_n times r^n / mu(r) from
+    _fixed_powers (start e^(lo ln r - ln mu), ratio r, by _fixed_exp) at
+    P + 24 + bitlen(hi - lo) bits, so within 2^-(P+23) relative, is
+    rounded to nearest at scale 2^P: each component is within
+    (1/2 + 2^-23 |t_n|) 2^-P of the exact a_n r^n / mu(r).  The band is
+    cached as its level's latest (see _cached_band).
     """
     if level == "dd":
         dps = _DD_DPS
@@ -493,7 +503,7 @@ def _fixed_band(coeff: CoeffData, log_r: float, level: str,
         g = bits + 24 + (hi - lo).bit_length()
         xs = _fixed_powers(_fixed_exp(lo, log_r, log_mu, g),
                            _fixed_exp(1, log_r, 0.0, g), hi - lo, g)
-        values = coeff.mp_logs(dps)
+        values = coeff.mp_logs(dps, hi)
         ts = [(0, 0) if v is None else
               _shift_round(v[0] * x, v[1] * x, -bits - v[2] - ex)
               for v, (x, _, ex) in ((values[n], xs[n - lo]) for n in ns)]

@@ -162,6 +162,16 @@ def _integer(cfg: dict, key: str, default, path: str = "") -> int:
     return x
 
 
+def _boolean(cfg: dict, key: str, default: bool, path: str = "") -> bool:
+    """cfg.get(key, default) if a JSON boolean (the string "false" is not
+    false), else a ConfigError at path/key."""
+    x = cfg.get(key, default)
+    if not isinstance(x, bool):
+        raise ConfigError(f"{path}/{key}",
+                          f"expected true or false, got {x!r}")
+    return x
+
+
 def _positive(cfg: dict, key: str, default, path: str = "") -> float:
     """cfg.get(key, default) if a positive finite number, as a float."""
     x = _at(f"{path}/{key}", float, cfg.get(key, default))
@@ -698,6 +708,9 @@ def _theorem_settings(cfg: dict) -> dict:
             and all(_finite(r) and r > 0 for r in radii)):
         raise ConfigError("/oscillation/radii", "expected a nonempty list "
                           f"of positive finite numbers, got {radii!r}")
+    if cfg.get("variant", "liminf") != "liminf":
+        raise ConfigError("/variant", 'expected "liminf" or no variant, '
+                          f"got {cfg['variant']!r}")
     return {
         "seed": _integer_at_least(cfg, "seed", 20240401),
         "n_random": _integer_at_least(cfg, "n_random", 1),
@@ -706,7 +719,8 @@ def _theorem_settings(cfg: dict) -> dict:
         "margin": _positive(cfg, "hypothesis_margin", 0.2),
         "type_margin": _positive(cfg, "type_margin", 0.1),
         "classical_min": _positive(cfg, "classical_min", 3.0),
-        "osc_enabled": osc.get("enabled", True),
+        "classical": _boolean(cfg, "expect_infinite_classical", True),
+        "osc_enabled": _boolean(osc, "enabled", True, "/oscillation"),
         "g": resolve_subject(osc.get("g", {"poly": [0.0, 1.0]}),
                              "/oscillation/g"),
         "radii": radii,
@@ -788,58 +802,24 @@ def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
 _PROBE_TERMS = 1 << 11  # first length of the double probe march
 _PROBE_CAP = 1 << 16  # longest double probe
 _RADIUS_SLACK = 1.02  # march radius over the top count radius
-# digits past the top count's dps that the march is sized for: a retry
-# radius's larger mu(r) can ask one digit more, which mp_logs marches anew
-_MARCH_SPARE_DIGITS = 1
-
-
-def _march_length(probe: ps.PowerSeries, h_probe: ps.PowerSeries,
-                  r_top: float, dps: int) -> int:
-    """Terms of the integer march that counting f - g up to r_top reads.
-
-    A band's end only grows with its radius and its cut, so every mp band
-    a count reads, of h = f - g and of h', lies inside the mp band at
-    _RADIUS_SLACK r_top and dps + _MARCH_SPARE_DIGITS digits, up to two
-    terms: h' at index i reads h at i + 1, and one term more keeps each
-    band strictly inside the march.  The radius slack covers the retry
-    radii (at most r_top (1 + 2 nev._RETRY_STEP)) and the ~1e-8 nats by
-    which the double probe's logs may miss the march's: at a band end n
-    above the central index nu, it is worth ~0.018 (n - nu) nats.  That
-    alone covers a digit (2.3 nats) only for n - nu above ~130; the spare
-    digit covers it at short lengths too.  A prefix of the probe whose
-    trusted radius falls short of _RADIUS_SLACK r_top is lengthened, by
-    bisection up to the probe's length, to one whose radius covers it, so
-    that check_radius passes at every count radius.
-    """
-    log_r = math.log(r_top * _RADIUS_SLACK)
-    deep = dps + _MARCH_SPARE_DIGITS
-    end_h = _evalcore._mp_band(h_probe.coeff, log_r, deep)[1]
-    end_dh = _evalcore._mp_band(ps.derivative(h_probe).coeff, log_r, deep)[1]
-
-    def trusted(n):
-        return ps._certify_radius(probe.coeff.lh[:n]) >= r_top * _RADIUS_SLACK
-
-    lo, hi = max(end_h, end_dh + 1) + 1, probe.n_terms
-    if lo >= hi or trusted(lo):
-        return min(lo, hi)
-    while hi - lo > 1:  # trusted(hi), or hi is the probe's length
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if trusted(mid) else (mid, hi)
-    return hi
 
 
 def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
                           g_series: ps.PowerSeries, radii, dps_budget: int,
                           sol: Optional[ps.PowerSeries] = None):
-    """Counting data for f - g with f re-marched in integers once, at the
-    depth nevanlinna.winding_dps gives for the top radius, so every count
-    up to it reads the cached march (double-marched coefficients carry
-    ~1e-11 relative error, far too coarse for winding at these depths).
-    The double probe is the first of _PROBE_TERMS times 1, 2, 4, ... terms
-    whose trusted radius covers _RADIUS_SLACK times the top radius and
-    whose mp band of f - g there, at that depth, ends before its last
-    term; the integer march keeps only the terms counting reads
-    (_march_length).  The double probes are cut from sol, a double
+    """Counting data for h = f - g, counted on a double probe of f.
+
+    The probe is the first of _PROBE_TERMS times 1, 2, 4, ... terms whose
+    trusted radius covers _RADIUS_SLACK times the top radius and whose mp
+    band of h there, at the depth nevanlinna.winding_dps gives for the top
+    radius, ends before its last term.  Its exact values come from the
+    integer march (double-marched coefficients carry ~1e-11 relative
+    error, far too coarse for winding at these depths), which h's exact
+    values are filled from once, at that depth, as far as the mp bands of
+    h and of h' reach at the slack radius: h' at index i reads h at i + 1.
+    A band only grows with its radius and its depth, so every count up to
+    the top radius, and every retry radius, reads that one march unless
+    its depth is higher.  The double probes are cut from sol, a double
     solution of the same equation and initial data (a march as auto_solve
     returns it, or a basis combination), and marched only past its end.
     Each of these raises ConfigError before any integer march: a
@@ -848,6 +828,7 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
     dps_budget, and a probe of _PROBE_CAP terms that falls short."""
     r_top = max(radii)
     r_march = r_top * _RADIUS_SLACK
+    log_r = math.log(r_march)
     for j, a in enumerate(eq.coeffs):
         if a.guaranteed_radius < r_march:
             raise ConfigError(
@@ -861,16 +842,15 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
             longest = probe
         held = probe.guaranteed_radius >= r_march
         if held:
-            h_probe = ps.combine(probe, g_series, "sub")
+            h = ps.combine(probe, g_series, "sub")
             try:
-                dps = nev.winding_dps(h_probe.coeff, math.log(r_top),
-                                      dps_budget)
+                dps = nev.winding_dps(h.coeff, math.log(r_top), dps_budget)
             except nev.PrecisionBudgetError as exc:
                 raise ConfigError("/oscillation/radii",
                                   f"counting up to r = {r_top:g}: {exc}") \
                     from exc
-            held = _evalcore._mp_band(h_probe.coeff, math.log(r_march),
-                                      dps)[1] < n
+            end = _evalcore._mp_band(h.coeff, log_r, dps)[1]
+            held = end < n
         if held:
             break
         if n >= _PROBE_CAP:
@@ -879,9 +859,8 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
                 f"{n}-term probe is not trusted to {r_march:g}, or its mp "
                 f"band there reaches its last term")
         n *= 2
-    sol_mp = ode.solve_series(
-        eq, init, _march_length(probe, h_probe, r_top, dps), dps=dps)
-    h = ps.combine(sol_mp, g_series, "sub")
+    end_dh = _evalcore._mp_band(ps.derivative(h).coeff, log_r, dps)[1]
+    h.coeff.mp_logs(dps, max(end, end_dh + 1))
     return nev.count_zeros_grid(h, radii, zero_margin="auto",
                                 dps_budget=dps_budget)
 
@@ -972,7 +951,7 @@ def run_theorem_experiment(cfg: dict,
         rep.within(rho_hat, band_lo, band_hi, f"wrapped_rho[{tag}]",
                    f"target rho[A0] = {rho0:.4g}")
         rep.truth(mu_hat <= rho_hat + 1e-9, f"mu_le_rho[{tag}]")
-        if cfg.get("expect_infinite_classical", True):
+        if opt["classical"]:
             cls = growth.estimate_order(s, triple, "upper")
             rep.truth(cls.value > opt["classical_min"]
                       and cls.trend in ("increasing", "converging"),

@@ -112,16 +112,21 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
     digits, error bound in _solve_series_mp), whose values seed the
     result's mp cache and give its logs, the nearest doubles
     (_evalcore._logs_of).  Either way the result carries the integer
-    march as its regeneration hook, so dd and mp evaluation read its exact
-    values, at any depth.  _resume, a double solution of the same
-    equation and initial data (a march, or a basis_combination), is
-    extended or cut rather than marched again (see _march_d), and the
-    result's rel_err_ln is no less than its; the integer march ignores it.
+    march as its mp_factory, so dd and mp evaluation read its exact
+    values, at any depth; a read of the first n values marches n terms,
+    the same integers as any longer march.  _resume, a double solution of
+    the same equation and initial data (a march, or a basis_combination),
+    is extended or cut rather than marched again (see _march_d), and the
+    result's rel_err_ln is no less than its; the integer march ignores
+    it.
     """
     if n_terms <= eq.k:
         raise ValueError("n_terms must exceed the equation order")
     eq.check_init(init)
-    factory = _integer_factory(eq, init, n_terms)
+
+    def factory(dps, n):
+        return _solve_series_mp(eq, init, n, dps)
+
     if dps is not None:
         values = _solve_series_mp(eq, init, n_terms, dps)
         out = ps.make_series(*_evalcore._logs_of(values), math.log(3e-16),
@@ -140,13 +145,6 @@ def solve_series(eq: LinearODE, init: InitialData, n_terms: int,
     if _resume is not None:  # its error reaches the indices marched from it
         rel = max(rel, _resume.coeff.rel_err_ln)
     return ps.make_series(lc, pc, rel, "ode solution", mp_factory=factory)
-
-
-def _integer_factory(eq: LinearODE, init: InitialData, n_terms: int):
-    """The mp_factory of a solution of n_terms terms: its integer march."""
-    def factory(dps):
-        return _solve_series_mp(eq, init, n_terms, dps)
-    return factory
 
 
 # steps in a block of the double march; each block picks its scale afresh
@@ -372,13 +370,14 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
     # each coefficient's nonzero terms (m, re, im, e), converted once, and
     # -F_n, so that a step's sum is -(c_{n+k} (n+1)...(n+k))
     a_nz = [[(m,) + _evalcore._fixed_round(v, bits)
-             for m, v in enumerate(a.coeff.mp_logs(dps)) if v is not None]
+             for m, v in enumerate(a.coeff.mp_logs(dps, n_terms))
+             if v is not None]
             for a in eq.coeffs]
-    rhs = [] if eq.rhs is None else eq.rhs.coeff.mp_logs(dps)
+    rhs = [] if eq.rhs is None else eq.rhs.coeff.mp_logs(dps, n_terms)
     neg_f = {n: _evalcore._fixed_round((-v[0], -v[1], v[2]), bits)
              for n, v in enumerate(rhs) if v is not None}
     c = [None] * n_terms  # None is an exact zero
-    for i, v in enumerate(init.values):
+    for i, v in enumerate(init.values[:n_terms]):
         if v != 0:
             c[i] = _evalcore._fixed_div(*_evalcore._fixed_of_complex(v),
                                         math.factorial(i), bits)
@@ -681,7 +680,8 @@ def basis_combination(eq: LinearODE, basis: list,
     lh, ph = _evalcore._logpolar(lmax_safe, total)
     return ps.make_series(
         lh, ph, max(f.coeff.rel_err_ln for f in basis) + amp_ln,
-        "ode combination", mp_factory=_integer_factory(eq, init, n))
+        "ode combination",
+        mp_factory=lambda dps, n: _solve_series_mp(eq, init, n, dps))
 
 
 def airy_like(n_terms: int = 200) -> ps.PowerSeries:

@@ -4,10 +4,11 @@ Coefficients are held in log-polar form (ln|a_n| and phase as doubles),
 which is what every downstream consumer — maximum term, central index,
 max-modulus sweeps, quadrature — actually wants.  For deep
 evaluation (the 'dd' and 'mp' levels) every series also regenerates its
-exact coefficients at any dps as fixed-point integer triples
-(CoeffData.mp_logs); a derived series computes them in one expression
-from its parents' cached values.  A builtin's logs are the nearest
-doubles to the logs of the same exact values.
+exact coefficients at any dps, for any prefix a_0..a_{n-1}, as
+fixed-point integer triples (CoeffData.mp_logs); a derived series
+computes them in one expression from the same prefix of its parents'
+cached values.  A builtin's logs are the nearest doubles to the logs of
+the same exact values.
 
 Each series carries a trusted radius (the field keeps its historical name,
 guaranteed_radius): the largest r on a geometric test grid where a geometric
@@ -171,14 +172,15 @@ _SIGNS = {
 }
 
 
-def _builtin_values(name: str, n: int, bits: int) -> list:
-    """The exact a_0..a_{n-1} of a builtin in the format of mp_logs, with
-    bits + 1 or bits + 2 significant bits: +-1/k! or 0 for exp, sin and cos,
-    e B_k / k! for exp_exp, each a floor division (_fixed_div) within 2^-bits
-    relative; e enters 64 bits deeper (_evalcore._fixed_exp)."""
+def _builtin_values(name: str, n_terms: int, n: int, bits: int) -> list:
+    """The exact a_0..a_{n-1} of a builtin of n_terms terms in the format of
+    mp_logs, with bits + 1 or bits + 2 significant bits: +-1/k! or 0 for
+    exp, sin and cos, e B_k / k! for exp_exp (B_k from the n_terms table),
+    each a floor division (_fixed_div) within 2^-bits relative; e enters
+    64 bits deeper (_evalcore._fixed_exp)."""
     if name == "exp_exp":
         e_man, _, e = _evalcore._fixed_exp(1, 1.0, 0.0, bits + 64)
-        nums = [e_man * b for b in _bell_numbers(n)]
+        nums = [e_man * b for b in _bell_numbers(n_terms)[:n]]
     else:
         nums, e = [_SIGNS[name](k) for k in range(n)], 0
     facts = itertools.accumulate(range(1, n), operator.mul, initial=1)
@@ -209,10 +211,11 @@ def builtin(name: str, n_terms: int = 400,
     cached = _BUILTIN_CACHE.get(key)
     if cached is not None:
         return cached
-    values = _builtin_values(name, n_terms, _evalcore._exact_bits(_GEN_DPS))
+    values = _builtin_values(name, n_terms, n_terms,
+                             _evalcore._exact_bits(_GEN_DPS))
     out = make_series(*_evalcore._logs_of(values), math.log(1e-28), name,
-                      mp_factory=lambda dps: _builtin_values(
-                          name, n_terms, _evalcore._exact_bits(dps)))
+                      mp_factory=lambda dps, n: _builtin_values(
+                          name, n_terms, n, _evalcore._exact_bits(dps)))
     out.coeff._mp_entry = (_GEN_DPS, values)
     _BUILTIN_CACHE[key] = out
     return out
@@ -228,11 +231,11 @@ def _poly_series(coeffs: list) -> PowerSeries:
             lh[i] = math.log(abs(c))
             ph[i] = math.atan2(c.imag, c.real)
 
-    def factory(dps, _c=list(coeffs)):
+    def factory(dps, n, _c=list(coeffs)):
         bits = _evalcore._exact_bits(dps)
         return [None if c == 0 else
                 _evalcore._fixed_round(_evalcore._fixed_of_complex(c), bits)
-                for c in _c]
+                for c in _c[:n]]
 
     return make_series(lh, ph, math.log(3e-16), "poly", mp_factory=factory,
                        polynomial=True)
@@ -440,9 +443,9 @@ def derivative(f: PowerSeries) -> PowerSeries:
     lh = f.coeff.lh[1:] + np.log(np.arange(1.0, n))
     ph = f.coeff.ph[1:].copy()
 
-    def factory(dps):
+    def factory(dps, n):
         return [None if v is None else (k * v[0], k * v[1], v[2])
-                for k, v in enumerate(f.coeff.mp_logs(dps)[1:], 1)]
+                for k, v in enumerate(f.coeff.mp_logs(dps, n + 1)[1:], 1)]
 
     return make_series(lh, ph, f.coeff.rel_err_ln, f.provenance + "'",
                        mp_factory=factory)
@@ -519,8 +522,8 @@ def _cauchy_logpolar(lf, pf, lg, pg, n_out):
 
 
 def _combine_factory(f: PowerSeries, g: PowerSeries, op: str):
-    def factory(dps):
-        a, b = f.coeff.mp_logs(dps), g.coeff.mp_logs(dps)
+    def factory(dps, n):
+        a, b = f.coeff.mp_logs(dps, n), g.coeff.mp_logs(dps, n)
         if op == "cauchy_product":
             return _cauchy_fixed(a, b, dps)
         bits, sign = _evalcore._exact_bits(dps), (-1 if op == "sub" else 1)
@@ -531,7 +534,9 @@ def _combine_factory(f: PowerSeries, g: PowerSeries, op: str):
 
 def _cauchy_fixed(a: list, b: list, dps: int) -> list:
     """The Cauchy product of two lists of values in the format of mp_logs,
-    truncated to the shorter, summed in fixed-point integers.
+    truncated to the shorter, summed in fixed-point integers: output i
+    reads only the pairs k + m = i, so a prefix of the inputs gives the
+    same prefix of the output.
 
     The nonzero values are rounded to P + 1 significant bits, P =
     _evalcore._exact_bits(dps) (_fixed_round): each moves by at most half
@@ -590,13 +595,14 @@ def scale_argument(f: PowerSeries, c: complex) -> PowerSeries:
     if ac != 0.0:
         ph = _evalcore._wrap_pi(ph)
 
-    def factory(dps):
-        # c^n within 2^-(P+16) relative (_fixed_powers), P = _exact_bits
+    def factory(dps, n):
+        # c^k within 2^-(P+16) relative (_fixed_powers), P = _exact_bits,
+        # at a precision set by f's length, so the same for any prefix n
         bits = _evalcore._exact_bits(dps)
         powers = _evalcore._fixed_powers(
-            (1, 0, 0), c_fix, f.n_terms, bits + 16 + f.n_terms.bit_length())
+            (1, 0, 0), c_fix, n, bits + 16 + f.n_terms.bit_length())
         return [None if v is None else _evalcore._fixed_mul(v, p, bits)
-                for v, p in zip(f.coeff.mp_logs(dps), powers)]
+                for v, p in zip(f.coeff.mp_logs(dps, n), powers)]
 
     return make_series(lh, ph, f.coeff.rel_err_ln,
                        f"{f.provenance}(c z)", mp_factory=factory)

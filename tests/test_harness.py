@@ -311,6 +311,14 @@ def _bad_theorem_configs():
          "/oscillation/dps_budget"),
         ("dps_budget_zero", oscillation(dps_budget=0),
          "/oscillation/dps_budget"),
+        ("enabled_text", oscillation(enabled="false"),
+         "/oscillation/enabled"),
+        ("enabled_number", oscillation(enabled=0), "/oscillation/enabled"),
+        ("expect_infinite_classical_text",
+         theorem(expect_infinite_classical="false"),
+         "/expect_infinite_classical"),
+        ("variant_limsup", theorem(variant="limsup"), "/variant"),
+        ("variant_null", theorem(variant=None), "/variant"),
     ]
     return [pytest.param(cfg, path, id=name) for name, cfg, path in cases]
 
@@ -493,7 +501,8 @@ class TestSolutionZeroCounts:
         """With 64-term probes, the 512-term probe is trusted to 1.02 r at
         r = 5.6, but its mp band of f - z there, at the 47 digits chosen,
         reaches its last term; the probe doubles until the band ends
-        inside it, and the march stops short of the probe."""
+        inside it, f - z is counted on it, and the march stops short of
+        it."""
         monkeypatch.setattr(harness, "_PROBE_TERMS", 64)
         eq = ode.LinearODE(2, (ps.builtin("exp", 60),
                                ps.builtin("poly", coeffs=[0.0])))
@@ -502,15 +511,15 @@ class TestSolutionZeroCounts:
                 eq, ode.InitialData((1.0, 0.0)),
                 ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 400)
         (rec,) = recs
-        probe = rec["h_probe"]
-        assert rec["dps"] == 47 and probe.n_terms == 1024
+        probe, ((n, dps),) = rec["h"], rec["marches"]
+        assert dps == 47 and probe.n_terms == 1024
         assert ps._certify_radius(probe.coeff.lh[:512]) >= 5.6 * 1.02
         log_r = math.log(5.6 * harness._RADIUS_SLACK)
         assert _evalcore._mp_band(probe.coeff, log_r, 47)[1] < 1024
         short = ps.make_series(probe.coeff.lh[:512], probe.coeff.ph[:512],
                                0.0, "512-term probe")
         assert _evalcore._mp_band(short.coeff, log_r, 47)[1] == 512
-        assert rec["n"] < probe.n_terms
+        assert n < probe.n_terms
         assert_march_holds_bands(rec)
 
     def test_probe_short_at_the_cap_raises(self, monkeypatch):
@@ -593,42 +602,33 @@ class TestTheoremSolutions:
 @pytest.fixture(scope="module")
 def mini_count():
     """Counting f - z for the first solution of theorem_dominant in
-    miniature (counts at 4.5, 5.6 and 6.3): its march record, with the
-    integer marches made as (n_terms, dps) under rec["marches"]."""
+    miniature (counts at 4.5, 5.6 and 6.3): its march record
+    (marchref.recording_marches), with the counts."""
     cfg = harness.shipped_config("theorem_dominant")
     eq = harness.resolve_equation(cfg["equation"])
-    marches = []
-    march = ode._solve_series_mp
-
-    def counted(eq, init, n_terms, dps):
-        marches.append((n_terms, dps))
-        return march(eq, init, n_terms, dps)
-
-    with recording_marches() as recs, \
-            pytest.MonkeyPatch.context() as mpatch:
-        mpatch.setattr(ode, "_solve_series_mp", counted)
+    with recording_marches() as recs:
         data = harness._count_solution_zeros(
             eq, ode.InitialData.basis(eq.k, 0),
             ps.builtin("poly", coeffs=[0.0, 1.0]), [4.5, 5.6, 6.3], 400)
     (rec,) = recs
-    rec.update(marches=marches, counts=data.counts)
+    rec.update(counts=data.counts)
     return rec
 
 
 class TestMarchLength:
     def test_miniature_march_is_short_and_made_once(self, mini_count):
-        # the march was the probe's 2,048 terms; counting reads to ~800
+        # counting reads to ~800 of the probe's 2,048 terms
         assert mini_count["counts"] == (7, 11, 19)
-        assert len(mini_count["marches"]) == 1
-        assert mini_count["marches"][0][0] == mini_count["n"] < 1024
+        ((n, _),) = mini_count["marches"]
+        assert n < 1024 < mini_count["h"].n_terms
 
     def test_miniature_march_holds_every_band_read(self, mini_count):
         assert_march_holds_bands(mini_count)
 
     def test_short_march_holds_every_band_read(self):
         # cos z - z: at r = 10 the band ends ~90 terms past nu = 10, where
-        # the radius slack is worth ~1.6 nats, under one digit: the margin
-        # must hold at short lengths too
+        # the radius slack is worth ~1.6 nats, under one digit: the march
+        # must hold every band at short lengths too
         eq = ode.LinearODE(2, (ps.builtin("poly", coeffs=[1.0]),
                                ps.builtin("poly", coeffs=[0.0])))
         with recording_marches(count=False) as recs:
@@ -636,26 +636,8 @@ class TestMarchLength:
                 eq, ode.InitialData((1.0, 0.0)),
                 ps.builtin("poly", coeffs=[0.0, 1.0]), [4.0, 10.0], 400)
         (rec,) = recs
-        assert rec["n"] < 128
+        assert rec["marches"][0][0] < 128
         assert_march_holds_bands(rec)
-
-
-    def test_untrusted_prefix_is_lengthened_by_bisection(self):
-        # a short band (h) on a long probe whose prefix up to that band's
-        # end is trusted only to r ~ 0.01: the march takes the shortest
-        # prefix trusted to _RADIUS_SLACK r_top
-        probe = ps.builtin("exp", 400)
-        h = ps.builtin("poly", coeffs=[1.0, 1.0, 0.5, 1.0 / 6.0])
-        r_top = 3.0
-
-        def trusted(n):
-            return (ps._certify_radius(probe.coeff.lh[:n])
-                    >= harness._RADIUS_SLACK * r_top)
-
-        n = harness._march_length(probe, h, r_top, 30)
-        assert not trusted(5)  # the band's end, plus one
-        assert 5 < n < probe.n_terms
-        assert trusted(n) and not trusted(n - 1)
 
 
 class TestAnalyzeCountZeros:

@@ -448,6 +448,28 @@ class TestMaxModulus:
         got = ps.log_max_modulus(sol, lr)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
+class TestPrefixReads:
+    def test_dd_read_marches_only_its_band(self, monkeypatch,
+                                           theorem_type_solution):
+        # m(3, f) of the 16,384-term theorem_type solution finishes at dd,
+        # on terms 0-422: the integer march runs on those, not on all
+        from growthlab import nevanlinna as nev
+        _, sol, _ = theorem_type_solution
+        fresh = ps.make_series(sol.coeff.lh, sol.coeff.ph,
+                               sol.coeff.rel_err_ln, sol.provenance,
+                               mp_factory=sol.coeff.mp_factory)
+        marches, march = [], ode._solve_series_mp
+
+        def recorded(eq, init, n_terms, dps):
+            marches.append(n_terms)
+            return march(eq, init, n_terms, dps)
+
+        monkeypatch.setattr(ode, "_solve_series_mp", recorded)
+        res = nev.proximity_detailed(fresh, math.log(3.0))
+        assert (res.value, res.level) == (2.210235627520492, "dd")
+        assert marches and max(marches) <= 512
+
+
 class TestAutoSolve:
     def test_cap_binds_honestly(self):
         eq = bessel_type_equation()

@@ -575,6 +575,23 @@ class TestCauchyFixed:
                                     30)
         assert h.coeff.mp_logs(30) == want
 
+    def test_band_read_forms_only_its_pairs(self, monkeypatch):
+        # m(12.5, e^z cos z) reads the product's dd band, which ends at
+        # index 126: no pair at index 128 or above is formed
+        from growthlab import nevanlinna as nev
+        lengths, product = [], series._cauchy_fixed
+
+        def recorded(a, b, dps):
+            lengths.append(min(len(a), len(b)))
+            return product(a, b, dps)
+
+        monkeypatch.setattr(series, "_cauchy_fixed", recorded)
+        fg = series.combine(series.builtin("exp", 400),
+                            series.builtin("cos", 400), "cauchy_product")
+        res = nev.proximity_detailed(fg, math.log(12.5))
+        assert (res.value, res.level) == (9.10063973796944, "dd")
+        assert lengths and max(lengths) <= 128
+
 
 class TestExactValues:
     """mp_logs(dps) of derived series against mpmath sums of the parents'
@@ -656,15 +673,92 @@ class TestExactValues:
         f = series.builtin("poly", coeffs=[1.0, 2.0, 3.0])
         calls = []
         factory = f.coeff.mp_factory
-        f.coeff.mp_factory = lambda dps: calls.append(dps) or factory(dps)
+        f.coeff.mp_factory = lambda dps, n: (calls.append((dps, n))
+                                             or factory(dps, n))
         vals = f.coeff.mp_logs(50)
         assert f.coeff.mp_logs(30) is vals
+        assert f.coeff.mp_logs(50, 2) == vals[:2]
         # derived series read their parent through the same cache
         series.derivative(f).coeff.mp_logs(45)
-        series.scale_argument(f, 2.0).coeff.mp_logs(50)
-        assert calls == [50]
+        series.scale_argument(f, 2.0).coeff.mp_logs(50, 1)
+        assert calls == [(50, 3)]
         f.coeff.mp_logs(60)
-        assert calls == [50, 60]
+        assert calls == [(50, 3), (60, 3)]
+
+    def test_entry_keeps_its_depth_and_length(self):
+        # a request outside the entry replaces it by one that also holds
+        # the entry's own depth and length
+        from growthlab import ode
+        eq = ode.LinearODE(2, (series.builtin("exp", 80),
+                               series.builtin("poly", coeffs=[0.0])))
+        sol = ode.solve_series(eq, ode.InitialData((1.0, 0.5)), 80)
+        calls = []
+        factory = sol.coeff.mp_factory
+        sol.coeff.mp_factory = lambda dps, n: (calls.append((dps, n))
+                                               or factory(dps, n))
+        sol.coeff.mp_logs(40, 30)
+        sol.coeff.mp_logs(30, 20)
+        sol.coeff.mp_logs(30, 50)
+        sol.coeff.mp_logs(45, 10)
+        sol.coeff.mp_logs(45, 50)
+        assert calls == [(40, 30), (40, 50), (45, 50)]
+        assert sol.coeff.mp_logs(45, 50) == factory(45, 50)
+
+
+def _exact_value_kinds():
+    """One fresh series per kind of mp_factory, by name."""
+    from growthlab import ode
+
+    def exp(n=60):
+        return series.builtin("exp", n)
+
+    def march(init=(0.3 + 0.1j, -0.7)):
+        eq = ode.LinearODE(2, (series.builtin("exp", 80),
+                               series.builtin("poly", coeffs=[0.0])))
+        return ode.solve_series(eq, ode.InitialData(init), 80)
+
+    def combination():
+        eq = ode.LinearODE(2, (series.builtin("exp", 80),
+                               series.builtin("poly", coeffs=[0.0])))
+        basis = [ode.solve_series(eq, ode.InitialData.basis(2, i), 80)
+                 for i in range(2)]
+        return ode.basis_combination(eq, basis,
+                                     ode.InitialData((0.3 + 0.1j, -0.7)))
+
+    return {
+        "exp": exp,
+        "sin": lambda: series.builtin("sin", 60),
+        "cos": lambda: series.builtin("cos", 60),
+        "exp_exp": lambda: series.builtin("exp_exp", 60),
+        "poly": lambda: series.builtin("poly", coeffs=[1.0, -2.5j, 0.0,
+                                                       3 + 4j, 0.5]),
+        "derivative": lambda: series.derivative(exp()),
+        "scale_argument": lambda: series.scale_argument(exp(), 0.3 - 0.7j),
+        "add": lambda: series.combine(exp(), series.builtin("cos", 45),
+                                      "add"),
+        "sub": lambda: series.combine(exp(45), series.builtin("cos", 60),
+                                      "sub"),
+        "cauchy_product": lambda: series.combine(
+            exp(), series.builtin("cos", 45), "cauchy_product"),
+        "integer_march": march,
+        "basis_combination": combination,
+        "logs": lambda: series.make_series(exp().coeff.lh, exp().coeff.ph,
+                                           -30.0, "no factory"),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_exact_value_kinds()))
+@pytest.mark.parametrize("n", [1, 3, 23])
+def test_prefix_read_is_the_full_reads_prefix(kind, n):
+    # each factory is prefix-exact: the first n values, read alone from an
+    # empty entry, are the bytes of a full read's first n, at a depth past
+    # the builtins' own entry (50 digits)
+    f = _exact_value_kinds()[kind]()
+    f.coeff._mp_entry = None
+    prefix = f.coeff.mp_logs(60, n)
+    assert len(prefix) == min(n, f.n_terms)
+    f.coeff._mp_entry = None
+    assert prefix == f.coeff.mp_logs(60)[:n]
 
 
 class TestCertifiedRadius:
