@@ -243,12 +243,26 @@ def _terms_d(coeff: CoeffData, log_r: float):
     """Rescaled coefficients t_n = a_n r^n / mu(r) as complex128 on a band,
     cached as the 'd' level's latest band (see _cached_band)."""
     def build():
-        lo, hi, log_mu = _band(coeff, log_r, _BAND_CUT["d"])
-        n = np.arange(lo, hi, dtype=float)
-        return lo, hi, log_mu, _rescaled(
-            coeff.lh[lo:hi] + n * log_r - log_mu, coeff.ph[lo:hi])
+        lo, hi, log_mu, t = _bands_d(coeff, [log_r])
+        return int(lo[0]), int(hi[0]), float(log_mu[0]), t
 
     return _cached_band(coeff, ("d", log_r), build)
+
+
+def _bands_d(coeff: CoeffData, log_rs):
+    """The d bands of _terms_d at several log radii, uncached: (lo, hi,
+    log_mu) as arrays, one entry per radius, and every band's terms end to
+    end in one complex128 array, from one exp, cos and sin over all of
+    them.  Each step is elementwise, so a band has the same bits as at its
+    radius alone."""
+    ends = [_band(coeff, lr, _BAND_CUT["d"]) for lr in log_rs]
+    lo, hi, log_mu = (np.array(v) for v in zip(*ends))
+    width = hi - lo
+    n = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - lo,
+                                           width)
+    ldiff = (coeff.lh[n] + n.astype(float) * np.repeat(log_rs, width)
+             - np.repeat(log_mu, width))
+    return lo, hi, log_mu, _rescaled(ldiff, coeff.ph[n])
 
 
 def _cached_band(coeff: CoeffData, key: tuple, build: Callable):
@@ -264,37 +278,46 @@ def _cached_band(coeff: CoeffData, key: tuple, build: Callable):
 
 
 def _poly_at_points_d(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum t_s x^s over unit-modulus points x, blocked for BLAS speed.
+    """sum t_n x^n (n < N) over unit-modulus points x, from a power table.
+
+    With b = isqrt(N) and q = ceil(N / b), each power x^n, n = r b + s,
+    is (x^b)^r x^s: the table is held as its two factors, the running
+    products x^s (s < b, one np.cumprod) and (x^b)^r (r < q, a second
+    one from x^b = x^(b-1) x).  x^n thus carries s + r(b + 1) rounded
+    products of unit-modulus numbers, at most about N + sqrt(N) of them:
+    the same class as the blocked Horner this replaces, whose steps acc x^b
+    carried the same (x^b)^r.  Each band row, cut into q blocks of b terms,
+    is summed against the table by 1-D complex dots (np.vecdot), q b-term
+    dots per point and then one q-term dot per point.
+
+    No matrix product is made: OpenBLAS runs even a tiny complex matrix
+    product on two threads of a 2-core machine, and waking them costs far
+    more than the product (an (85, 86) @ (86, 1) product took 436 us per
+    call, against 5.2 us on one thread).  A 1-D dot runs on one thread up
+    to 10,000 terms, past which OpenBLAS splits it, and its rounding, by
+    thread count; these dots are about sqrt(N) terms long.
 
     t may be a stack of bands of one length, shape (k, N): the result is
     then (k, len(x)), and each row is bit for bit the 1-D call on that row
-    of t.  Each band takes the 1-D call's own matmul: one batched product
-    over the stack timed slower under OpenBLAS's default threads on a
-    2-core machine.  The Horner steps run on flat rows of all k len(x) sums:
-    numpy rounds a complex product on a contiguous 1-D array alike at
-    every position, but not always alike on a broadcast 2-D one."""
+    of t, since each of its sums is the same dot of the same vectors.
+    np.vecdot conjugates its first operand, so the table is built from
+    conj(x), whose running products are exactly the conjugates of x's."""
     lead, n = t.shape[:-1], t.shape[-1]
     if n == 0:
         return np.zeros(lead + x.shape, dtype=complex)
-    b = max(1, int(math.isqrt(n)))
+    b = max(1, math.isqrt(n))
     q = -(-n // b)
+    xc = np.conj(x)[:, None]
+    low = np.ones((len(x), b), dtype=complex)
+    low[:, 1:] = xc
+    np.cumprod(low, axis=1, out=low)
+    high = np.ones((len(x), q), dtype=complex)
+    high[:, 1:] = low[:, -1:] * xc
+    np.cumprod(high, axis=1, out=high)
     tt = np.zeros(lead + (q * b,), dtype=complex)
     tt[..., :n] = t
-    xs = np.empty((b, len(x)), dtype=complex)
-    xs[0] = 1.0
-    for s in range(1, b):
-        xs[s] = xs[s - 1] * x
-    if lead:
-        inner = np.stack([band.reshape(q, b) @ xs for band in
-                          tt.reshape(-1, q * b)], axis=1).reshape(q, -1)
-        xb = np.tile(xs[b - 1] * x, math.prod(lead))
-    else:  # one band: its product and step row need no stack or tile
-        inner = tt.reshape(q, b) @ xs
-        xb = xs[b - 1] * x
-    acc = inner[q - 1]
-    for row in range(q - 2, -1, -1):
-        acc = acc * xb + inner[row]
-    return acc.reshape(lead + x.shape)
+    inner = np.vecdot(low[:, None, :], tt.reshape(lead + (1, q, b)))
+    return np.vecdot(high, inner)
 
 
 def _logpolar(shift, v: np.ndarray) -> tuple:

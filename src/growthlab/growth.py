@@ -179,6 +179,10 @@ def sample(src: Union[PowerSeries, Profile], quantity: str,
     """Sample log T(r) ("log_T") or log log M(r) ("log2_M") of a series or
     a closed-form profile over a radius grid.
 
+    On a series the grid must hold finite, positive, strictly increasing
+    radii: anything else is a ValueError naming the radius, raised before
+    any evaluation.  ln M(r) comes from one log_max_modulus search over
+    the whole grid; log T from characteristic_entire per radius.
     Radii where the quantity is undefined (T <= 0, ln M <= 0) are dropped;
     at least three usable radii must remain.  Zero counts are not sampled
     here: estimate_lambda reads log n(r) from the CountingData itself.
@@ -187,7 +191,6 @@ def sample(src: Union[PowerSeries, Profile], quantity: str,
         raise ValueError(f"unknown quantity {quantity!r}; expected one of "
                          f"{QUANTITIES}")
     grid = np.asarray(grid, dtype=float)
-    radii, values = [], []
     if isinstance(src, Profile):
         vals = src.log_T(grid) if quantity == "log_T" else src.log2_M(grid)
         keep = np.isfinite(vals)
@@ -195,21 +198,38 @@ def sample(src: Union[PowerSeries, Profile], quantity: str,
         name = src.name
     elif isinstance(src, PowerSeries):
         name = src.provenance
-        for r in grid:
-            if quantity == "log_T":
-                v = characteristic_entire(src, math.log(r))
-            else:
-                v = log_max_modulus(src, math.log(r))
-            if v > 0:
-                radii.append(r)
-                values.append(math.log(v))
+        _check_radii(grid)
+        log_r = np.array([math.log(r) for r in grid.tolist()])
+        if quantity == "log_T":
+            v = np.array([characteristic_entire(src, lr)
+                          for lr in log_r.tolist()])
+        else:
+            v = log_max_modulus(src, log_r)
+        keep = v > 0
+        radii = grid[keep]
+        values = np.array([math.log(x) for x in v[keep].tolist()])
     else:
         raise TypeError(f"cannot sample from {type(src).__name__}")
-    radii = np.asarray(radii, float)
-    values = np.asarray(values, float)
     if len(radii) < 3:
         raise ValueError(f"fewer than 3 usable radii for {quantity} of {name}")
     return GrowthSample(quantity, radii, values)
+
+
+def _check_radii(grid: np.ndarray) -> None:
+    """ValueError, naming the radius, unless the grid is a 1-D array of
+    finite, positive, strictly increasing radii."""
+    if grid.ndim != 1:
+        raise ValueError("the radius grid must be a 1-D array")
+    prev = None
+    for i, r in enumerate(grid.tolist()):
+        if not math.isfinite(r):
+            raise ValueError(f"radius {r!r} (index {i}) is not finite")
+        if r <= 0:
+            raise ValueError(f"radius {r!r} (index {i}) is not positive")
+        if prev is not None and r <= prev:
+            raise ValueError(f"radius {r!r} (index {i}) does not exceed "
+                             f"{prev!r} before it")
+        prev = r
 
 
 # ---------------------------------------------------------------------------

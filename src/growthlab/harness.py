@@ -285,10 +285,11 @@ def check_wiman_valiron(f: ps.PowerSeries, grid: np.ndarray,
     (iii) for the orders requested, |f^(n)(z*)/f(z*)| matches (nu(r)/z*)^n
          at the max-modulus angle z*, with tail deviation < 0.1.
 
-    Each radius is searched once (series._max_modulus), and (ii) and (iii)
-    share the result.  z*^n f^(n)(z*)/f(z*) for every order comes from one
-    stacked sum over f's d band with falling-factorial weights
-    (series._derivative_quotients): no derivative series is built.
+    The radii (ii) and (iii) read are searched once, in one grid search
+    (series._max_modulus), and the two share the result.  z*^n
+    f^(n)(z*)/f(z*) for every order comes from one stacked sum over f's d
+    band with falling-factorial weights (series._derivative_quotients): no
+    derivative series is built.
     """
     rep = report or Report(label or f.provenance, "wiman_valiron", {})
     tag = label or f.provenance
@@ -306,21 +307,18 @@ def check_wiman_valiron(f: ps.PowerSeries, grid: np.ndarray,
     rep.leq(worst, 1e-9, f"wv_identity[{tag}]",
             "max |step-integral - scan| over grid")
 
-    # one max-modulus search per radius, shared by the bound and the ratio
-    peaks: dict = {}
-
-    def peak(lr):
-        if lr not in peaks:
-            peaks[lr] = ps._max_modulus(f, lr)
-        return peaks[lr]
+    # one max-modulus search over every radius the bound or the ratio
+    # reads: the bound's stop below R = 2r, the ratio's whole grid
+    log_r = [math.log(r) for r in grid]
+    n_bound = next((i for i, r in enumerate(grid)
+                    if 2.0 * r > f.guaranteed_radius), len(grid))
+    n_read = len(grid) if ratio_orders else n_bound
+    peak_ln, peak_theta = (ps._max_modulus(f, np.array(log_r[:n_read]))
+                           if n_read else ((), ()))
 
     ok_bound = True
     detail = ""
-    for r in grid:
-        if 2.0 * r > f.guaranteed_radius:
-            break
-        lr = math.log(r)
-        lhs = peak(lr)[0]
+    for r, lr, lhs in zip(grid[:n_bound], log_r, peak_ln):
         mt = ps.max_term(f, lr)
         nu2 = ps.max_term(f, lr + math.log(2.0)).nu
         rhs = mt.log_mu + math.log(nu2 + 2.0)
@@ -332,12 +330,9 @@ def check_wiman_valiron(f: ps.PowerSeries, grid: np.ndarray,
 
     # z^n f^(n)/f at the max-modulus angle and nu(r), per radius, for
     # every order at once
-    at = []
-    for r in (grid if ratio_orders else ()):
-        lr = math.log(r)
-        at.append((ps._derivative_quotients(f, lr, peak(lr)[1],
-                                            max(ratio_orders)),
-                   ps.max_term(f, lr).nu))
+    at = [(ps._derivative_quotients(f, lr, theta, max(ratio_orders)),
+           ps.max_term(f, lr).nu)
+          for lr, theta in zip(log_r, peak_theta)] if ratio_orders else []
     for order in ratio_orders:
         # (f^(n)/f) / (nu/z)^n = z^n f^(n)/f / nu^n
         devs = [abs(quot[order - 1] / nu ** order - 1.0) for quot, nu in at]
@@ -801,7 +796,15 @@ def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
 
 _PROBE_TERMS = 1 << 11  # first length of the double probe march
 _PROBE_CAP = 1 << 16  # longest double probe
-_RADIUS_SLACK = 1.02  # march radius over the top count radius
+
+
+def _march_log_radius(r_top: float) -> float:
+    """ln of the largest radius count_zeros_grid counts at for the top
+    radius r_top: its largest retry above it, r_top (1 + s), s =
+    ((_MAX_RETRIES - 1) // 2 + 1) _RETRY_STEP (1.002 r_top), formed as the
+    retry forms it."""
+    step = ((nev._MAX_RETRIES - 1) // 2 + 1) * nev._RETRY_STEP
+    return math.log(r_top) + math.log1p(step)
 
 
 def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
@@ -810,25 +813,26 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
     """Counting data for h = f - g, counted on a double probe of f.
 
     The probe is the first of _PROBE_TERMS times 1, 2, 4, ... terms whose
-    trusted radius covers _RADIUS_SLACK times the top radius and whose mp
-    band of h there, at the depth nevanlinna.winding_dps gives for the top
-    radius, ends before its last term.  Its exact values come from the
+    trusted radius covers the march radius (_march_log_radius, the
+    largest retry radius above the top radius) and whose mp band of h
+    there, at the depth nevanlinna.winding_dps gives for the top radius,
+    ends before its last term.  Its exact values come from the
     integer march (double-marched coefficients carry ~1e-11 relative
     error, far too coarse for winding at these depths), which h's exact
     values are filled from once, at that depth, as far as the mp bands of
-    h and of h' reach at the slack radius: h' at index i reads h at i + 1.
+    h and of h' reach at the march radius: h' at index i reads h at i + 1.
     A band only grows with its radius and its depth, so every count up to
     the top radius, and every retry radius, reads that one march unless
     its depth is higher.  The double probes are cut from sol, a double
     solution of the same equation and initial data (a march as auto_solve
     returns it, or a basis combination), and marched only past its end.
     Each of these raises ConfigError before any integer march: a
-    coefficient A_j trusted to less than _RADIUS_SLACK times the top
-    radius (before any probe: no probe length can raise it), a depth past
-    dps_budget, and a probe of _PROBE_CAP terms that falls short."""
+    coefficient A_j trusted to less than the march radius (before any
+    probe: no probe length can raise it), a depth past dps_budget, and a
+    probe of _PROBE_CAP terms that falls short."""
     r_top = max(radii)
-    r_march = r_top * _RADIUS_SLACK
-    log_r = math.log(r_march)
+    log_r = _march_log_radius(r_top)
+    r_march = math.exp(log_r)
     for j, a in enumerate(eq.coeffs):
         if a.guaranteed_radius < r_march:
             raise ConfigError(

@@ -363,7 +363,9 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
     bit of the largest term: each is floored to a multiple of 2^E, so the
     sum is within M 2^E per component of the exact step on the stored
     inputs.  Dividing by (n+1)...(n+k) is one floor division to P + 1 bits,
-    a further 2^-P relative.
+    a further 2^-P relative.  When every A_j, F and initial value is real,
+    so is every value, and the products that would form only zero
+    imaginary parts are skipped.
     """
     k = eq.k
     bits = _evalcore._exact_bits(dps)
@@ -381,6 +383,9 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
         if v != 0:
             c[i] = _evalcore._fixed_div(*_evalcore._fixed_of_complex(v),
                                         math.factorial(i), bits)
+    real = (all(v[2] == 0 for a in a_nz for v in a)
+            and all(v[1] == 0 for v in neg_f.values())
+            and all(complex(v).imag == 0 for v in init.values))
     n_steps = n_terms - k
     # per j, the factorial ratio (i+1)...(i+j) of step index i = n - m and
     # its bit length; a product's components are below 2^(e + 2P + 5 + that)
@@ -399,8 +404,10 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
                 if cv is None:
                     continue
                 cr, ci, ec = cv
-                re = ar * cr - ai * ci
-                im = ar * ci + ai * cr
+                if real:
+                    re, im = ar * cr, 0
+                else:
+                    re, im = ar * cr - ai * ci, ar * ci + ai * cr
                 e = t = ea + ec
                 if j:
                     r = rj[n - m]

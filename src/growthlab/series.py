@@ -69,6 +69,8 @@ class PowerSeries:
         return self.coeff.n_terms
 
     def check_radius(self, log_r: float) -> None:
+        if math.isnan(log_r):
+            raise ValueError("radius ln r = nan is not a number")
         if log_r > math.log(self.guaranteed_radius) + 1e-12:
             raise TruncationError(
                 f"radius e^{log_r:.6g} exceeds certified radius "
@@ -332,75 +334,151 @@ def log_mu_from_jumps(f: PowerSeries, log_r: float,
     return total + math.fsum(terms)
 
 
-def log_max_modulus(f: PowerSeries, log_r: float) -> float:
-    """ln M(r, f) = max over the circle of ln|f|.
+def log_max_modulus(f: PowerSeries, log_r):
+    """ln M(r, f) = max over the circle of ln|f|: a float for one log
+    radius, an array for an increasing array of them, searched in one
+    pass (see _max_modulus).  At r = 0 (log_r = -inf) it is ln|a_0|.
 
     A 64-angle d circle seeds the search: its (up to) three largest local
     maxima, no two adjacent, are refined at once by safeguarded Newton
     steps on g(theta) = ln|f(r e^{i theta})|, each inside its bracket of
-    one grid step either side (see _max_modulus).  A pick stops when the
+    one grid step either side.  A pick stops when the
     gain its Newton model still promises falls below 1e-15 max(1, |g|)
     plus the d arithmetic noise of g there, so ln M is under-read by about
     that much (a few 1e-16 relative on the shipped subjects).  Max-picking
     is immune to the cancellation that plagues small values, so plain
-    double significands suffice.
+    double significands suffice.  Each radius reads the same bits whether
+    it is searched alone or in a grid.
     """
     return _max_modulus(f, log_r)[0]
 
 
 # _max_modulus: seed angles, picks refined, the stop rule's relative gain
-# and the guard on its stacked sums per search
+# and the guard on its stacked sums per radius
 _PEAK_SEED, _PEAK_PICKS, _PEAK_REL_GAIN, _PEAK_MAX_SUMS = 64, 3, 1e-15, 24
 
 
-def _max_modulus(f: PowerSeries, log_r: float) -> tuple:
-    """(ln M(r, f), an angle where the search attained it), by
-    log_max_modulus's search.
+def _check_log_radii(log_r: np.ndarray) -> None:
+    """ValueError, naming the radius, unless the log radii increase
+    strictly and none is nan or +inf (r = 0, ln r = -inf, may lead)."""
+    prev = None
+    for i, lr in enumerate(log_r.tolist()):
+        if math.isnan(lr) or lr == math.inf:
+            raise ValueError(f"radius ln r = {lr!r} (index {i}) is not "
+                             "finite")
+        if prev is not None and not lr > prev:
+            raise ValueError(f"radius ln r = {lr!r} (index {i}) does not "
+                             f"exceed ln r = {prev!r} before it")
+        prev = lr
 
-    On f's d band t_n = a_n r^n / mu(r), S_k = sum w^k t_n e^{i n theta}
-    with w = n - c (c the band's middle index) give g' = -Im(S_1/S_0) and
-    g'' = Re((S_1/S_0)^2 - S_2/S_0); one stacked _poly_at_points_d call
-    reads S_0, S_1, S_2 at every live pick.  g' > 0 moves a pick's
+
+def _max_modulus(f: PowerSeries, log_r) -> tuple:
+    """(ln M(r, f), an angle where the search attained it), by
+    log_max_modulus's search: floats for one log radius, arrays for a
+    grid.  The grid is checked (_check_log_radii) and its largest radius
+    checked against f's trusted radius before any search runs.
+
+    On f's d band t_n = a_n r^n / mu(r) at each radius, S_k = sum w^k t_n
+    e^{i n theta} with w = n - c (c the band's middle index) give g' =
+    -Im(S_1/S_0) and g'' = Re((S_1/S_0)^2 - S_2/S_0).  The seed circles of
+    all radii are folded into one (radii, 64) array and transformed by one
+    FFT, and picks are made per radius.  Each Newton round then reads S_0,
+    S_1, S_2 at a radius's live picks by one stacked _poly_at_points_d call
+    on its own band, and steps every live (radius, pick) pair at once.
+    g' > 0 moves a pick's
     bracket's left end to it, g' < 0 its right end; the next point is the
     Newton step x - g'/g'', or the bracket's midpoint when g'' >= 0 or the
     step leaves the bracket.  A pick stops at a stationary point (g' = 0,
     as everywhere for z^k), when its model gain g'^2 / (2 |g''|) is below
     the tolerance, or when g plus that gain cannot beat the best value
-    read; _PEAK_MAX_SUMS stacked calls are a guard, not a stop rule.
+    read at its radius; _PEAK_MAX_SUMS stacked calls per radius are a
+    guard, not a stop rule.  Every step is elementwise on contiguous
+    arrays, or one row of the FFT, so a radius reads the same bits alone
+    as in a grid.  At r = 0 the result is (ln|a_0|, 0), and a_0 = 0 is a
+    DegenerateSeriesError.
     """
-    f.check_radius(log_r)
-    m0 = _PEAK_SEED
-    v = _evalcore.eval_circle(f.coeff, log_r, m0, offset=False,
-                              level="d").logabs
-    peaks = np.nonzero((v >= np.roll(v, 1)) & (v >= np.roll(v, -1)))[0]
-    picked: list = []
-    for idx in peaks[np.argsort(-v[peaks], kind="stable")]:
-        if all(min((idx - p) % m0, (p - idx) % m0) > 1 for p in picked):
-            picked.append(int(idx))
-            if len(picked) == _PEAK_PICKS:
-                break
-    lo, hi, log_mu, t = _evalcore._terms_d(f.coeff, log_r)
-    w = np.arange(hi - lo) - 0.5 * (hi - lo - 1)
+    one = np.ndim(log_r) == 0
+    grid = np.atleast_1d(np.asarray(log_r, dtype=float))
+    if grid.ndim != 1 or not len(grid):
+        raise ValueError("log radii must be one value or a nonempty 1-D "
+                         "array")
+    _check_log_radii(grid)
+    f.check_radius(float(grid[-1]))
+    if not np.isfinite(f.coeff.lh).any():
+        raise DegenerateSeriesError("all coefficients vanish")
+    best = np.full(len(grid), -np.inf)
+    angle = np.zeros(len(grid))
+    first = int(grid[0] == -np.inf)  # r = 0: M(0) = |a_0|
+    if first:
+        if f.coeff.lh[0] == -np.inf:
+            raise DegenerateSeriesError("a_0 = 0: ln M(0) is -inf")
+        best[0] = f.coeff.lh[0]
+    if first < len(grid):
+        best[first:], angle[first:] = _search(
+            *_evalcore._bands_d(f.coeff, grid[first:]))
+    return (float(best[0]), float(angle[0])) if one else (best, angle)
+
+
+def _search(lo, hi, log_mu, t) -> tuple:
+    """(ln M, angle) per radius, as lists, from the d bands of
+    _evalcore._bands_d: the search of _max_modulus."""
+    m0, k = _PEAK_SEED, len(lo)
+    width = hi - lo
+    start = np.cumsum(width) - width  # each band's offset in t
+    # the band index n and the weight w = n - c of every term, end to end
+    n = np.arange(len(t)) - np.repeat(start - lo, width)
+    w = (n - np.repeat(lo, width)) - np.repeat(0.5 * (width - 1), width)
+    # seed circles: fold each band by n mod m0 into its radius' row, in
+    # index order as eval_circle does, and transform every row at once
+    folded = np.zeros(k * m0, dtype=complex)
+    np.add.at(folded, np.repeat(np.arange(k) * m0, width) + n % m0, t)
+    with np.errstate(divide="ignore"):
+        v = log_mu[:, None] + np.log(np.abs(m0 * np.fft.ifft(
+            folded.reshape(k, m0), axis=1)))
+    peak = (v >= np.roll(v, 1, axis=1)) & (v >= np.roll(v, -1, axis=1))
+    order = np.argsort(np.where(peak, -v, np.inf), axis=1, kind="stable")
+    picks, owner, first = [], [], []
+    for r, (row, is_peak) in enumerate(zip(order.tolist(), peak.tolist())):
+        picked: list = []
+        for idx in (i for i in row if is_peak[i]):
+            if all(min((idx - p) % m0, (p - idx) % m0) > 1 for p in picked):
+                picked.append(idx)
+                if len(picked) == _PEAK_PICKS:
+                    break
+        picks += picked
+        owner += [r] * len(picked)
+        first.append(picked[0])
     rows = np.stack([t, w * t, w * w * t])
-    noise_ln = _evalcore._floor_ln(log_mu, _evalcore._EPS_LN_D, -np.inf,
-                                   hi - lo)
+    noise_ln = np.array([_evalcore._floor_ln(mu, _evalcore._EPS_LN_D,
+                                             -np.inf, n_t) for mu, n_t in
+                         zip(log_mu.tolist(), width.tolist())])
+    spans = list(zip(start.tolist(), (start + width).tolist()))
     h = 2.0 * np.pi / m0
-    x = np.array(picked) * h
-    a, b = x - h, x + h
-    best, angle = -np.inf, float(x[0])
+    x = np.array(picks) * h
+    a, b, own = x - h, x + h, np.array(owner)
+    best, angle = [-math.inf] * k, [p * h for p in first]
     for _ in range(_PEAK_MAX_SUMS):
-        s0, s1, s2 = _evalcore._poly_at_points_d(rows, np.exp(1j * x))
-        g = log_mu + np.log(np.abs(s0))
+        # the live pairs of each radius are contiguous, in radius order
+        cut = [0, *(np.flatnonzero(np.diff(own)) + 1).tolist(), len(own)]
+        z = np.exp(1j * x)
+        s0, s1, s2 = np.concatenate([
+            _evalcore._poly_at_points_d(rows[:, slice(*spans[own[i]])],
+                                        z[i:j])
+            for i, j in zip(cut, cut[1:])], axis=1)
+        g = log_mu[own] + np.log(np.abs(s0))
         q1 = s1 / s0
         d1, d2 = -q1.imag, (q1 * q1 - s2 / s0).real
-        j = int(np.argmax(g))
-        if g[j] > best:
-            best, angle = float(g[j]), float(x[j])
+        gl, xl = g.tolist(), x.tolist()
+        for i, j in zip(cut, cut[1:]):
+            top = max(range(i, j), key=gl.__getitem__)
+            r = int(own[i])
+            if gl[top] > best[r]:
+                best[r], angle[r] = gl[top], xl[top]
         with np.errstate(divide="ignore", invalid="ignore"):
             gain = np.where(d2 < 0.0, d1 * d1 / (-2.0 * d2), np.inf)
         tol = (_PEAK_REL_GAIN * np.maximum(1.0, np.abs(g))
-               + np.exp(noise_ln - g))
-        live = (d1 != 0.0) & (gain >= tol) & (g + gain > best)
+               + np.exp(noise_ln[own] - g))
+        live = (d1 != 0.0) & (gain >= tol) & (g + gain > np.array(best)[own])
         if not live.any():
             break
         a = np.where(d1 > 0.0, x, a)
@@ -409,7 +487,7 @@ def _max_modulus(f: PowerSeries, log_r: float) -> tuple:
             step = x - d1 / d2
         inside = (d2 < 0.0) & (step > a) & (step < b)
         x = np.where(inside, step, 0.5 * (a + b))
-        x, a, b = x[live], a[live], b[live]
+        x, a, b, own = x[live], a[live], b[live], own[live]
     return best, angle
 
 

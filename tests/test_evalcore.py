@@ -395,6 +395,32 @@ def test_d_band_is_built_once_per_radius():
     assert f.coeff._a_cache["d"][0] == ("d", log_r + 0.1)
 
 
+def band_like(rng, n):
+    """n terms shaped like a d band: random phases, |t_n| 1 at the middle
+    and e^-60 at the ends (the d cut)."""
+    u = (np.arange(n) - 0.5 * (n - 1)) / max(0.5 * (n - 1), 1.0)
+    return np.exp(-60.0 * u * u + 1j * rng.uniform(-math.pi, math.pi, n))
+
+
+@pytest.mark.parametrize("n,p", [(1, 1), (1, 64), (2, 3), (60, 64),
+                                 (401, 1), (401, 64), (1442, 17),
+                                 (4840, 64), (4993, 1)])
+def test_power_table_kernel_matches_mpmath(n, p):
+    """_poly_at_points_d on a band of n terms at p points agrees with the
+    sum of the same doubles at 30 digits within the d floor, 3e-16 3 n
+    relative to the largest term (_evalcore._floor_ln)."""
+    rng = np.random.default_rng(7 * n + p)
+    t = band_like(rng, n)
+    x = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, p))
+    got = _evalcore._poly_at_points_d(t, x)
+    with mp.workdps(30):
+        coeffs = [mp.mpc(c) for c in t[::-1]]
+        want = [complex(mp.polyval(coeffs, mp.mpc(z))) for z in x]
+    floor = math.exp(_evalcore._floor_ln(0.0, _evalcore._EPS_LN_D, -math.inf,
+                                         n))
+    assert np.max(np.abs(got - np.array(want))) <= floor
+
+
 @pytest.mark.parametrize("n", [1, 17, 401, 7300])
 @pytest.mark.parametrize("p", [1, 3, 64])
 @pytest.mark.parametrize("k", [1, 3])
@@ -461,16 +487,20 @@ res = _evalcore.eval_points(f.coeff, math.log(200.0),
 eq = ode.LinearODE(2, (series.scale_argument(series.builtin("exp", 300), 2.0),
                        series.builtin("exp", 300)))
 sol = ode.solve_series(eq, ode.InitialData((0.3 + 0.7j, -1.1 + 0.2j)), 2048)
+peaks = [series._max_modulus(g, np.log(np.geomspace(0.5, hi, 12)))
+         for g, hi in ((f, 200.0), (sol, 0.99 * sol.guaranteed_radius))]
 print(hashlib.sha256(res.logabs.tobytes() + res.phase.tobytes()
-                     + sol.coeff.lh.tobytes() + sol.coeff.ph.tobytes())
+                     + sol.coeff.lh.tobytes() + sol.coeff.ph.tobytes()
+                     + b"".join(v.tobytes() for p in peaks for v in p))
       .hexdigest())
 """
 
 
 def _d_digest(threads):
-    """Digest of a level-d eval_points (a BLAS matmul) and of a double ODE
-    march (BLAS dot products) in a fresh process, with the BLAS thread
-    count pinned, or left to the library (None)."""
+    """Digest of a level-d eval_points (the d kernel's dots), of a double
+    ODE march (BLAS dot products) and of grid max-modulus searches on both
+    series in a fresh process, with the BLAS thread count pinned, or left
+    to the library (None)."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(growthlab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(

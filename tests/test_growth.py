@@ -41,6 +41,38 @@ class TestSampling:
         with pytest.raises(ValueError):
             growth.sample(p, "log_T", np.array([0.1, 0.2]))
 
+    def test_series_log2_m_is_one_grid_search(self, monkeypatch):
+        grids, search = [], series.log_max_modulus
+
+        def logged(f, log_r):
+            grids.append(np.array(log_r))
+            return search(f, log_r)
+
+        monkeypatch.setattr(growth, "log_max_modulus", logged)
+        f = series.builtin("exp", 400)
+        grid = growth.make_grid(5, 50, 8)
+        s = growth.sample(f, "log2_M", grid)
+        (searched,) = grids
+        assert searched.tolist() == [math.log(r) for r in grid]
+        assert s.values.tolist() == [math.log(series.log_max_modulus(
+            f, math.log(r))) for r in grid]
+
+    @pytest.mark.parametrize("quantity", ["log2_M", "log_T"])
+    @pytest.mark.parametrize("grid,bad", [
+        ([1.0, math.nan, 3.0], "nan"), ([1.0, 2.0, math.inf], "inf"),
+        ([-1.0, 2.0, 3.0], "-1.0"), ([0.0, 1.0, 2.0], "0.0"),
+        ([3.0, 2.0, 4.0], "2.0")])
+    def test_bad_series_grid_raises_before_any_evaluation(
+            self, monkeypatch, quantity, grid, bad):
+        def no_evaluation(*args):
+            raise AssertionError("evaluated a bad grid")
+
+        monkeypatch.setattr(growth, "log_max_modulus", no_evaluation)
+        monkeypatch.setattr(growth, "characteristic_entire", no_evaluation)
+        with pytest.raises(ValueError, match=f"radius {bad} "):
+            growth.sample(series.builtin("exp", 400), quantity,
+                          np.array(grid))
+
 
 class TestOrderCalibration:
     def test_exp_order_is_one(self):

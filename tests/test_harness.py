@@ -498,11 +498,11 @@ class TestSolutionZeroCounts:
         assert "/oscillation/radii" in capsys.readouterr().err
 
     def test_probe_holds_the_band_it_sizes(self, monkeypatch):
-        """With 64-term probes, the 512-term probe is trusted to 1.02 r at
-        r = 5.6, but its mp band of f - z there, at the 47 digits chosen,
-        reaches its last term; the probe doubles until the band ends
-        inside it, f - z is counted on it, and the march stops short of
-        it."""
+        """With 64-term probes, the 512-term probe is trusted to the march
+        radius 1.002 r at r = 5.6, but its mp band of f - z there, at the
+        47 digits chosen, reaches its last term; the probe doubles until
+        the band ends inside it, f - z is counted on it, and the march
+        stops short of it."""
         monkeypatch.setattr(harness, "_PROBE_TERMS", 64)
         eq = ode.LinearODE(2, (ps.builtin("exp", 60),
                                ps.builtin("poly", coeffs=[0.0])))
@@ -513,8 +513,8 @@ class TestSolutionZeroCounts:
         (rec,) = recs
         probe, ((n, dps),) = rec["h"], rec["marches"]
         assert dps == 47 and probe.n_terms == 1024
-        assert ps._certify_radius(probe.coeff.lh[:512]) >= 5.6 * 1.02
-        log_r = math.log(5.6 * harness._RADIUS_SLACK)
+        log_r = harness._march_log_radius(5.6)
+        assert math.log(ps._certify_radius(probe.coeff.lh[:512])) >= log_r
         assert _evalcore._mp_band(probe.coeff, log_r, 47)[1] < 1024
         short = ps.make_series(probe.coeff.lh[:512], probe.coeff.ph[:512],
                                0.0, "512-term probe")
@@ -665,9 +665,10 @@ class TestMaxModulusSearch:
                                       "theorem_type",
                                       "theorem_dominant_first_order"])
     def test_at_most_one_circle_and_six_sums(self, monkeypatch, name):
-        # the shipped experiments that read ln M(r): each search runs its
-        # seed circle and at most 6 stacked band sums
-        counts, per_search = {"circle": 0, "sums": 0}, []
+        # the shipped experiments that read ln M(r): each grid search
+        # folds its seed circles itself, with no eval_circle call, and
+        # each of its radii reads at most 6 stacked band sums
+        counts, per_search = {"circle": 0, "sums": {}}, []
         circle, sums = _evalcore.eval_circle, _evalcore._poly_at_points_d
         search = ps._max_modulus
 
@@ -676,13 +677,16 @@ class TestMaxModulusSearch:
             return circle(*args, **kw)
 
         def sums_counted(t, x):
-            counts["sums"] += t.ndim == 2
+            if t.ndim == 2:  # a radius' stacked band, keyed by its address
+                key = t.ctypes.data
+                counts["sums"][key] = counts["sums"].get(key, 0) + 1
             return sums(t, x)
 
         def search_counted(f, log_r):
-            counts.update(circle=0, sums=0)
+            counts.update(circle=0, sums={})
             out = search(f, log_r)
-            per_search.append(dict(counts))
+            per_search.append((np.size(log_r), counts["circle"],
+                               list(counts["sums"].values())))
             return out
 
         monkeypatch.setattr(_evalcore, "eval_circle", circle_counted)
@@ -691,15 +695,18 @@ class TestMaxModulusSearch:
         assert harness.run_config(harness.shipped_config(name)).verdict \
             == "pass"
         assert per_search
-        assert max(c["circle"] for c in per_search) == 1
-        assert max(c["sums"] for c in per_search) <= 6
+        for radii, circles, per_radius in per_search:
+            assert circles == 0
+            assert len(per_radius) == radii
+            assert max(per_radius) <= 6
 
     def test_one_search_per_radius(self, monkeypatch):
-        # wv_bound and wv_ratio share each radius' search
-        radii, search = [], ps._max_modulus
+        # wv_bound and wv_ratio share one grid search, which reads each
+        # radius once
+        grids, search = [], ps._max_modulus
 
         def search_logged(f, log_r):
-            radii.append(log_r)
+            grids.append(np.array(log_r, dtype=float))
             return search(f, log_r)
 
         monkeypatch.setattr(ps, "_max_modulus", search_logged)
@@ -707,8 +714,8 @@ class TestMaxModulusSearch:
         rep = harness.check_wiman_valiron(ps.builtin("exp", 400), grid,
                                           ratio_orders=(1, 2))
         assert rep.verdict == "pass"
-        assert sorted(radii) == sorted(set(radii))
-        assert len(radii) == len(grid)
+        (searched,) = grids
+        assert searched.tolist() == [math.log(r) for r in grid]
 
 
 def old_wv_quotient(f, log_r, theta, order):

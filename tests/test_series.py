@@ -1,6 +1,7 @@
 """Power series: builtins, evaluation, max term, jumps, modulus, combine."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -409,6 +410,104 @@ class TestMaxModulusSearch:
             apart = np.abs(np.angle(np.exp(1j * (angles[:, None]
                                                  - picks[None, :]))))
             assert np.all(apart.min(axis=1) <= h * (1.0 + 1e-9))
+
+def order_ten_series():
+    """16,384 terms with ln|a_n| = -ln Gamma(n/10 + 1) and random phases:
+    an order-10 series whose d bands widen from 62 to 4,993 terms over
+    radii 0.42 .. 1.87 (its trusted radius is 1.877)."""
+    lh = -np.array([math.lgamma(k / 10 + 1) for k in range(1 << 14)])
+    ph = np.random.default_rng(3).uniform(-np.pi, np.pi, len(lh))
+    return series.make_series(lh, ph, math.log(3e-16), "order 10")
+
+
+def exp_cz_sum():
+    c = 1.2 * np.exp(0.9j)
+    e = series.builtin("exp", 400)
+    return series.combine(series.scale_argument(e, c),
+                          series.scale_argument(e, c.conjugate()), "add")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGridSearch:
+    """log_max_modulus over a grid of radii in one pass."""
+
+    @pytest.mark.parametrize("make,lo,hi,k", [
+        pytest.param(lambda: series.builtin("exp", 400), 0.5, 50.0, 24,
+                     id="exp"),
+        pytest.param(lambda: series.scale_argument(series.builtin("exp", 220),
+                                                   2.0), 1.0, 40.0, 24,
+                     id="exp_2z"),
+        pytest.param(lambda: series.builtin("cos", 400), 0.2, 45.0, 17,
+                     id="cos"),
+        pytest.param(exp_cz_sum, 1.0, 30.0, 9, id="conjugate_maxima"),
+        pytest.param(order_ten_series, 0.42, 1.87, 20, id="order_ten")])
+    def test_each_radius_reads_alike_alone_and_in_the_grid(self, make, lo,
+                                                           hi, k):
+        f = make()
+        grid = np.log(np.geomspace(lo, hi, k))
+        ln_m, theta = series._max_modulus(f, grid)
+        assert ln_m.shape == theta.shape == (k,)
+        assert series.log_max_modulus(f, grid).tobytes() == ln_m.tobytes()
+        for lr, got_m, got_theta in zip(grid.tolist(), ln_m, theta):
+            alone = series._max_modulus(f, lr)
+            assert isinstance(alone[0], float)
+            assert (alone[0], alone[1]) == (got_m, got_theta)
+            assert series.log_max_modulus(f, lr) == got_m
+        # and in any sub-grid, here every other radius
+        sub = series._max_modulus(f, grid[1::2])
+        assert sub[0].tobytes() == ln_m[1::2].tobytes()
+        assert sub[1].tobytes() == theta[1::2].tobytes()
+
+    def test_grid_bands_span_60_to_4840_terms(self):
+        f = order_ten_series()
+        lo, hi, _, _ = series._evalcore._bands_d(
+            f.coeff, np.log(np.geomspace(0.42, 1.87, 20)))
+        width = hi - lo
+        assert width.min() <= 62 and width.max() >= 4840
+
+    def test_zero_radius_is_ln_abs_a0(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exp = series.builtin("exp", 400)
+            assert series.log_max_modulus(exp, -math.inf) == 0.0
+            p = series.builtin("poly", coeffs=[-2.5, 1.0, 3.0])
+            assert series._max_modulus(p, -math.inf) == (math.log(2.5), 0.0)
+            grid = np.array([-math.inf, 0.0, math.log(7.0)])
+            got = series.log_max_modulus(exp, grid)
+            assert got[0] == 0.0
+            assert got[1:].tolist() == [series.log_max_modulus(exp, lr)
+                                        for lr in grid[1:].tolist()]
+
+    @pytest.mark.parametrize("name,coeffs", [("sin", None),
+                                             ("poly", [0.0, 1.0])])
+    def test_zero_radius_with_a0_zero_raises(self, name, coeffs):
+        f = series.builtin(name, 400, coeffs=coeffs)
+        with pytest.raises(series.DegenerateSeriesError, match="a_0 = 0"):
+            series.log_max_modulus(f, -math.inf)
+
+    @pytest.mark.parametrize("grid,bad", [
+        ([math.nan], "nan"), ([0.0, math.nan, 1.0], "nan"),
+        ([0.0, math.inf], "inf"), ([1.0, 0.5, 2.0], "0.5"),
+        ([0.0, 0.0], "index 1"), ([-math.inf, -math.inf], "-inf")])
+    def test_bad_grid_raises_before_any_search(self, monkeypatch, grid,
+                                               bad):
+        def no_search(*args):
+            raise AssertionError("searched a bad grid")
+
+        monkeypatch.setattr(series, "_search", no_search)
+        f = series.builtin("exp", 400)
+        with pytest.raises(ValueError, match="radius ln r = .*" + bad):
+            series.log_max_modulus(f, np.array(grid))
+
+    def test_zero_series_raises(self):
+        f = series.builtin("poly", coeffs=[0.0, 0.0])
+        with pytest.raises(series.DegenerateSeriesError, match="vanish"):
+            series.log_max_modulus(f, np.log([1.0, 2.0]))
+
+    def test_nan_radius_fails_check_radius(self):
+        with pytest.raises(ValueError, match="nan"):
+            series.builtin("exp", 400).check_radius(math.nan)
+
 
 class TestDerivative:
     def test_derivative_of_exp(self):
