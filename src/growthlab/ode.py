@@ -9,20 +9,23 @@ so the wide dynamic range costs nothing, and sums each step as one complex
 dot product over block-scaled values, the histories of every A_j
 interleaved in one array: each block of steps rescales the coefficients by
 e^(t mu), mu being their recent decay rate, so the values it multiplies
-stay near 1, and puts the step's e^(-n mu) back in the logs (see
-_march_d).  Factorial ratios are short sums of ln(i), never a
-difference of two large lgammas, which would leak absolute error into
-every coefficient, and subtractive cancellation only spends the ~15 digits
-a double significand carries.  Each coefficient depends only on those
-below it, so a longer march resumes a shorter one instead of starting
-again at index 0: the doublings of auto_solve march every index once, and
-its residual is checked only where it decides the answer (usually once,
-on the candidate it returns).  A second march, in fixed-point Python
-integers, produces the same solution at arbitrary precision when
-downstream consumers (deep zero counting) need coefficients better than
-1e-13 relative: each step adds its exact products at one common exponent
-and rounds once, within a stated bound of the exact step (see
-_solve_series_mp).
+stay near 1, and puts the step's e^(-n mu) back in the logs.  The dot
+reads only the scaled A_j terms within e^-120 of the largest, and the
+whole window when the rest could reach 2^-60 of its sum; a dot of more
+than 8,192 terms is summed in chunks, so that its bytes do not depend on
+the BLAS thread count (see _march_d).  Factorial ratios are short sums
+of ln(i), never a difference of two large lgammas, which would leak
+absolute error into every coefficient, and subtractive cancellation only
+spends the ~15 digits a double significand carries.  Each coefficient
+depends only on those below it, so a longer march resumes a shorter one
+instead of starting again at index 0: the doublings of auto_solve march
+every index once, and its residual is checked only where it decides the
+answer (usually once, on the candidate it returns).  A second march, in
+fixed-point Python integers, produces the same solution at arbitrary
+precision when downstream consumers (deep zero counting) need
+coefficients better than 1e-13 relative: each step adds its exact
+products at one common exponent and rounds once, within a stated bound of
+the exact step (see _solve_series_mp).
 
 The solutions of a homogeneous equation are linear in their initial data,
 so basis_combination forms the solution with initial data v as
@@ -90,13 +93,16 @@ class LinearODE:
 
 @dataclass(frozen=True)
 class InitialData:
-    """f(0), f'(0), ..., f^(k-1)(0)."""
+    """f(0), f'(0), ..., f^(k-1)(0), each finite."""
 
     values: tuple
 
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("initial data cannot be empty")
+        for i, v in enumerate(self.values):
+            if not cmath.isfinite(complex(v)):
+                raise ValueError(f"initial value {i} is not finite: {v}")
 
     @classmethod
     def basis(cls, k: int, i: int) -> "InitialData":
@@ -157,6 +163,36 @@ _SAFE_LN = 300.0
 # the scale's slope mu is a multiple of 2^-_MU_BITS below 2^10, so that
 # t mu is exact for every index t < 2^22
 _MU_BITS = 20
+# a step sums the Ah rows within e^-_ROW_CUT of the largest row, and the
+# rest only when their bound exceeds 2^-_TAIL_BITS of that sum
+_ROW_CUT = 120.0
+_TAIL_BITS = 60
+# a dot product of more terms is summed as dots of _CHUNK terms added in
+# index order: OpenBLAS splits a dot of over 10,000 terms across its
+# threads, and its rounding with them
+_CHUNK = 8192
+
+
+def _dotter(a: np.ndarray):
+    """The function b -> sum a_i b_i over len(a) terms, with the same bytes
+    at any BLAS thread count: a's dot method, or dots of _CHUNK terms added
+    in index order."""
+    if len(a) <= _CHUNK:
+        return a.dot
+    chunks = [(i, a[i:i + _CHUNK]) for i in range(0, len(a), _CHUNK)]
+    return lambda b: sum(c.dot(b[i:i + _CHUNK]) for i, c in chunks)
+
+
+def _kept_rows(ah: np.ndarray) -> tuple:
+    """(r, tail) for the reversed scaled coefficients ah of _march_d: the
+    trailing r rows hold every row whose largest |Ah| is within
+    e^-_ROW_CUT of the largest row's, and tail is the sum of |Ah| over the
+    rows above them."""
+    size = np.abs(ah).reshape(-1)
+    near = np.flatnonzero(size >= size.max(initial=0.0)
+                          * math.exp(-_ROW_CUT))
+    first = int(near[0]) // ah.shape[1] if len(near) else len(ah)
+    return len(ah) - first, float(size[:first * ah.shape[1]].sum())
 
 
 def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
@@ -190,15 +226,32 @@ def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
     zero only when every term of its step is, or its rescaled sum cancels
     exactly.
 
+    Scaled, an A_j of an entire function falls off fast in m: on the
+    theorem_type equation 52 to 115 of the 300 rows of Ah lie within
+    e^-_ROW_CUT of its largest row, and the rest reach down into subnormal
+    doubles, which make a dot several times slower.  So at each pick the
+    march keeps the trailing rows of ah (m < R) that hold every row within
+    e^-_ROW_CUT of the largest (_kept_rows), and each step sums those R K
+    terms only.  The dropped terms sum to at most T max(1, e^xmax) in
+    modulus, T the sum of |Ah| over the dropped rows and xmax the largest
+    Dh exponent written since the pick (the entries the pick wrote are at
+    most 1).  A step takes the narrowed sum when that bound is at most
+    2^-_TAIL_BITS of its modulus (F_n included), far below the sum's own
+    rounding; otherwise it sums the whole window.  A dot of more than
+    _CHUNK terms is summed as dots of _CHUNK terms added in index order
+    (_dotter), since OpenBLAS splits a longer one across its threads, and
+    its rounding with them: a march has the same bytes at any BLAS thread
+    count.
+
     Each coefficient is stored as (ln|c|, arg c), and its Dh entries are
     formed from those stored doubles.  So the march at every index depends
     only on the stored coefficients below it: a march does not depend on
     its length.  prev, a double solution of the same equation and initial
-    data (or None), is kept as it stands; the march replays the Dh entries
-    and scale picks of prev's last block from its stored coefficients and
-    marches only the indices past it.  A shorter request is prev's prefix.
-    Either way the arrays are byte-identical to a march from index 0 with
-    prev's coefficients.
+    data (or None), is kept as it stands; the march replays the Dh entries,
+    scale picks, kept rows and xmax of prev's last block from its stored
+    coefficients and marches only the indices past it.  A shorter request
+    is prev's prefix.  Either way the arrays are byte-identical to a march
+    from index 0 with prev's coefficients.
     """
     k = eq.k
     n_steps = n_terms - k
@@ -280,25 +333,42 @@ def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
     writes = [(i, k - j, rising[j].tolist())
               for i, (j, _, _) in enumerate(live)]
     span = width * n_live
+    # step n reads dh_flat[n n_live + n_live:n n_live + hi], its kept rows
+    # from n n_live + near_lo
+    hi = span + n_live
+    full = _dotter(ah_flat)
     n_f = len(f_l)
     floor = math.exp(-_SAFE_LN)
+    tail_scale = math.ldexp(1.0, _TAIL_BITS)
     rescale = True
     with np.errstate(under="ignore"):
         for n in range(start - start % _BLOCK, n_steps):
             if rescale or n % _BLOCK == 0:
                 mu, ab, beta = pick_scale(n)
                 rescale = False
+                rows, tail = _kept_rows(ah)
+                near_lo = hi - rows * n_live
+                near = _dotter(ah_flat[span - rows * n_live:])
+                # the dropped rows' bound, over 2^-_TAIL_BITS; |Dh| <= e^xmax
+                # for every entry written since the pick, and <= 1 before
+                xmax = 0.0
+                bound = tail * tail_scale
             if n < start:
                 c_l, p = lc.item(n + k), pc.item(n + k)
             else:
                 off = n * mu - ab
-                at = (n + 1) * n_live
-                s = -complex(ah_flat.dot(dh_flat[at:at + span]))
+                at = n * n_live
+                s = -complex(near(dh_flat[at + near_lo:at + hi]))
+                fn = 0.0
                 if n < n_f:
                     xf = f_l.item(n) + off
-                    s = s + cmath.exp(complex(xf, f_p.item(n))) \
+                    fn = cmath.exp(complex(xf, f_p.item(n))) \
                         if xf <= _SAFE_LN else math.nan
+                    s += fn
                 size = abs(s)
+                if size < bound:
+                    s = fn - complex(full(dh_flat[at + n_live:at + hi]))
+                    size = abs(s)
                 if floor <= size < math.inf:
                     c_l = (math.log(size) - off) - r_k[n]
                     p = math.atan2(s.imag, s.real)
@@ -315,6 +385,9 @@ def _march_d(eq: LinearODE, init: InitialData, n_terms: int,
                 if -_SAFE_LN <= x <= _SAFE_LN:
                     dh_flat[(width + t) * n_live + i] = \
                         cmath.exp(complex(x, p))
+                    if x > xmax:
+                        xmax = x
+                        bound = tail * tail_scale * math.exp(x)
                 else:
                     rescale = True
     return lc, pc

@@ -229,6 +229,8 @@ def _poly_series(coeffs: list) -> PowerSeries:
     ph = np.zeros(n)
     for i, c in enumerate(coeffs):
         c = complex(c)
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError(f"poly coefficient {i} is not finite: {c}")
         if c != 0:
             lh[i] = math.log(abs(c))
             ph[i] = math.atan2(c.imag, c.real)

@@ -4,10 +4,14 @@ Loads every *.report.json in a directory with its `environment` block
 removed, the one part of a report outside the determinism promise.  Run as
 a script,
 
-    python tests/reports.py DIR_A DIR_B
+    python tests/reports.py DIR_A DIR_B [--values]
 
 it prints the name of each report that differs, or is in one directory
-only, and exits 1 if there is any; 0 otherwise.  Standard library only.
+only, and exits 1 if there is any; 0 otherwise.  With --values it also
+prints, under each report in both directories, every check whose measured
+value, verdict or detail changed (numbers with their relative change,
+verdict changes flagged), and any other top-level field that changed.
+Standard library only.
 """
 
 import json
@@ -33,13 +37,60 @@ def differing(dir_a, dir_b):
     return sorted(n for n in set(a) | set(b) if a.get(n) != b.get(n))
 
 
+def _number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def check_changes(report_a, report_b):
+    """Lines describing each check of the two reports whose measured
+    value, verdict or detail changed, in report_a's order, then each other
+    top-level field that changed."""
+    checks_a = {c["name"]: c for c in report_a.get("checks", [])}
+    checks_b = {c["name"]: c for c in report_b.get("checks", [])}
+    lines = []
+    for name in list(checks_a) + [n for n in checks_b if n not in checks_a]:
+        ca, cb = checks_a.get(name), checks_b.get(name)
+        if ca is None or cb is None:
+            lines.append(f"{name}: only in {'B' if ca is None else 'A'}")
+            continue
+        va, vb = ca.get("measured"), cb.get("measured")
+        if va != vb:
+            line = f"{name}: {va!r} -> {vb!r}"
+            if _number(va) and _number(vb) and va != 0:
+                line += f" (relative {(vb - va) / abs(va):+.2e})"
+            lines.append(line)
+        if ca.get("verdict") != cb.get("verdict"):
+            lines.append(f"{name}: VERDICT {ca.get('verdict')} -> "
+                         f"{cb.get('verdict')}")
+        if ca.get("detail") != cb.get("detail"):
+            lines.append(f"{name}: detail {ca.get('detail')!r} -> "
+                         f"{cb.get('detail')!r}")
+    for key in sorted(set(report_a) | set(report_b)):
+        if key != "checks" and report_a.get(key) != report_b.get(key):
+            if key == "verdict":
+                lines.append(f"report VERDICT {report_a.get(key)} -> "
+                             f"{report_b.get(key)}")
+            else:
+                lines.append(f"field {key} changed")
+    return lines
+
+
 def main(argv):
+    values = "--values" in argv
+    argv = [a for a in argv if a != "--values"]
     if len(argv) != 2:
-        print("usage: python tests/reports.py DIR_A DIR_B", file=sys.stderr)
+        print("usage: python tests/reports.py DIR_A DIR_B [--values]",
+              file=sys.stderr)
         return 2
     names = differing(*argv)
+    a, b = (load_reports(d) for d in argv) if values else ({}, {})
     for name in names:
         print(name)
+        if values and name in a and name in b:
+            for line in check_changes(a[name], b[name]):
+                print("  " + line)
+        elif values:
+            print(f"  only in {'A' if name in a else 'B'}")
     return 1 if names else 0
 
 

@@ -487,20 +487,28 @@ res = _evalcore.eval_points(f.coeff, math.log(200.0),
 eq = ode.LinearODE(2, (series.scale_argument(series.builtin("exp", 300), 2.0),
                        series.builtin("exp", 300)))
 sol = ode.solve_series(eq, ode.InitialData((0.3 + 0.7j, -1.1 + 0.2j)), 2048)
+rng = np.random.default_rng(30)
+wide = ode.LinearODE(2, tuple(
+    series.builtin("poly", coeffs=list(rng.normal(size=6000)
+                                       + 1j * rng.normal(size=6000)))
+    for _ in range(2)))
+long = ode.solve_series(wide, ode.InitialData((1.0, 0.5j)), 8192)
 peaks = [series._max_modulus(g, np.log(np.geomspace(0.5, hi, 12)))
          for g, hi in ((f, 200.0), (sol, 0.99 * sol.guaranteed_radius))]
 print(hashlib.sha256(res.logabs.tobytes() + res.phase.tobytes()
                      + sol.coeff.lh.tobytes() + sol.coeff.ph.tobytes()
+                     + long.coeff.lh.tobytes() + long.coeff.ph.tobytes()
                      + b"".join(v.tobytes() for p in peaks for v in p))
       .hexdigest())
 """
 
 
 def _d_digest(threads):
-    """Digest of a level-d eval_points (the d kernel's dots), of a double
-    ODE march (BLAS dot products) and of grid max-modulus searches on both
-    series in a fresh process, with the BLAS thread count pinned, or left
-    to the library (None)."""
+    """Digest of a level-d eval_points (the d kernel's dots), of two double
+    ODE marches (BLAS dot products; the second sums 12,000-term windows,
+    past OpenBLAS's threading threshold) and of grid max-modulus searches
+    on the first two series in a fresh process, with the BLAS thread count
+    pinned, or left to the library (None)."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(growthlab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(

@@ -11,6 +11,7 @@ from growthlab import nevanlinna as nev
 from growthlab import series as ps
 from growthlab.harness import ConfigError
 from marchref import assert_march_holds_bands, recording_marches
+import reports
 from reports import differing, load_reports
 
 
@@ -131,6 +132,72 @@ class TestReports:
             assert cfg.get("kind") in harness.KINDS
 
 
+def _record(name, measured, verdict="pass", detail=""):
+    return {"name": name, "measured": measured, "expected": None,
+            "tolerance": None, "verdict": verdict, "detail": detail}
+
+
+class TestReportsTool:
+    """tests/reports.py on two synthetic report directories."""
+
+    @staticmethod
+    def write(directory, reports_by_name):
+        directory.mkdir()
+        for name, rep in reports_by_name.items():
+            (directory / f"{name}.report.json").write_text(json.dumps(rep))
+
+    def dirs(self, tmp_path):
+        def report(env, checks, verdict="pass"):
+            return {"schema": "growthlab-report/1", "name": "x",
+                    "verdict": verdict, "environment": {"host": env},
+                    "checks": checks}
+
+        same = [_record("n", 3, "info")]
+        self.write(tmp_path / "a", {
+            "equal": report("a", same),
+            "moved": report("a", [
+                _record("r", 2.0, "info"), _record("ok", True, detail="d"),
+                _record("counts", [1, 2]), _record("zero", 0.0, "info"),
+                _record("gone", 1.0, "info")]),
+            "only_a": report("a", same)})
+        self.write(tmp_path / "b", {
+            "equal": report("b", same),
+            "moved": report("b", [
+                _record("r", 2.5, "info"),
+                _record("ok", False, "fail", detail="e"),
+                _record("counts", [1, 2]), _record("zero", 1e-3, "info"),
+                _record("new", 1.0, "info")], verdict="fail")})
+        return str(tmp_path / "a"), str(tmp_path / "b")
+
+    def test_names_only_by_default(self, tmp_path, capsys):
+        a, b = self.dirs(tmp_path)
+        assert reports.main([a, b]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "moved.report.json", "only_a.report.json"]
+
+    def test_values_list_every_changed_check(self, tmp_path, capsys):
+        a, b = self.dirs(tmp_path)
+        assert reports.main([a, b, "--values"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "moved.report.json",
+            "  r: 2.0 -> 2.5 (relative +2.50e-01)",
+            "  ok: True -> False",
+            "  ok: VERDICT pass -> fail",
+            "  ok: detail 'd' -> 'e'",
+            "  zero: 0.0 -> 0.001",
+            "  gone: only in A",
+            "  new: only in B",
+            "  report VERDICT pass -> fail",
+            "only_a.report.json",
+            "  only in A"]
+
+    def test_equal_directories_exit_zero(self, tmp_path, capsys):
+        a, _ = self.dirs(tmp_path)
+        assert reports.main([a, a, "--values"]) == 0
+        assert capsys.readouterr().out == ""
+        assert reports.main([a]) == 2
+
+
 class TestCli:
     def test_verify_single_config_exit_zero(self, tmp_path):
         cfg = minimal_analyze()
@@ -249,6 +316,15 @@ def _bad_configs():
          "/subject/z_scale"),
         ("init_length", shipped("solve_airy", init=[1.0]), "/init"),
         ("init_zero", shipped("solve_airy", init=[0.0, 0.0]), "/init"),
+        ("init_nan", shipped("solve_airy", init=[math.nan, 0.0]), "/init"),
+        # 1e400 in a JSON file reads as inf
+        ("init_inf", shipped("solve_airy", init=[math.inf, 0.0]), "/init"),
+        ("poly_nan", shipped("solve_airy", equation={
+            "k": 2, "A": [{"poly": [0.0, math.nan]}, {"poly": [0.0]}]}),
+         "/equation/A/0/poly"),
+        ("poly_inf", shipped("solve_airy", equation={
+            "k": 2, "A": [{"poly": [0.0, -1.0]}, {"poly": [-math.inf]}]}),
+         "/equation/A/1/poly"),
         ("gundersen_i_above_j", shipped("gundersen_exp", i=2, j=1), "/j"),
         ("log_derivative_k0", shipped("log_derivative_exp_exp", k=0), "/k"),
         ("gundersen_chi_1", shipped("gundersen_exp", chi=1.0), "/chi"),

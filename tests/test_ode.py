@@ -172,6 +172,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             ode.solve_series(oscillator(), ode.InitialData((1.0,)), 20)
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf,
+                                   complex(0.0, math.nan)])
+    def test_nonfinite_init_rejected(self, v):
+        with pytest.raises(ValueError, match="initial value 1"):
+            ode.InitialData((1.0, v))
+
 
 class TestRecurrence:
     def test_exp_defining_property(self):
@@ -725,6 +731,25 @@ def fallback_steps(monkeypatch):
     return calls
 
 
+def dot_lengths(monkeypatch):
+    """The length of every dot product the double march sums, recorded
+    from now on: each step sums its kept rows, and a step whose dropped
+    rows could reach its sum sums the whole window again."""
+    lengths = []
+    dotter = ode._dotter
+
+    def counted(a):
+        dot = dotter(a)
+
+        def recorded(b):
+            lengths.append(len(a))
+            return dot(b)
+        return recorded
+
+    monkeypatch.setattr(ode, "_dotter", counted)
+    return lengths
+
+
 def perj_march(eq, init, n_terms, block=64):
     """Reference for ode._march_d: the double march as it was before its
     one-dot step, fresh from index 0.  Each live A_j keeps its own scaled
@@ -975,6 +1000,57 @@ class TestDoubleMarch:
         for eq in (theorem_type_equation(), bessel_type_equation(220)):
             ode.solve_series(eq, ode.InitialData((1.0, 0.0)), 4096)
         assert calls == []
+
+    def test_each_pick_keeps_at_most_half_the_rows(self, monkeypatch):
+        """On theorem_type's 16,384-term basis marches each scale pick
+        keeps at most 150 of the 300 Ah rows, every step sums those rows,
+        and fewer than one block of steps takes the full dot."""
+        kept = []
+        rows = ode._kept_rows
+
+        def recorded(ah):
+            out = rows(ah)
+            kept.append(out[0])
+            return out
+
+        monkeypatch.setattr(ode, "_kept_rows", recorded)
+        lengths = dot_lengths(monkeypatch)
+        eq = theorem_type_equation()
+        for i in range(2):
+            kept.clear()
+            lengths.clear()
+            ode.solve_series(eq, ode.InitialData.basis(2, i), 1 << 14)
+            assert len(kept) >= (1 << 14) // ode._BLOCK
+            assert max(kept) <= 150
+            full = lengths.count(600)
+            assert len(lengths) - full == (1 << 14) - 2
+            assert all(n <= 2 * 150 for n in lengths if n != 600)
+            assert full < ode._BLOCK
+
+    def test_full_dot_steps_match_integer_march(self, monkeypatch):
+        """The first block of theorem_type's basis march starts at mu = 0,
+        so its later sums fall far below the rows it drops and take the
+        full dot; the march still matches the integer march."""
+        eq, init = theorem_type_equation(), ode.InitialData((1.0, 0.0))
+        lengths = dot_lengths(monkeypatch)
+        sol = ode.solve_series(eq, init, 600)
+        assert lengths.count(600) > 0
+        assert_matches_integer_march(eq, init, sol)
+
+    def test_kept_rows_and_their_tail(self):
+        """The trailing rows from the first row within e^-_ROW_CUT of the
+        largest are kept, a small row among them too, and the tail is the
+        sum of |Ah| over every dropped entry, not of each row's largest."""
+        cut = ode._ROW_CUT
+        logs = [[-cut - 8.0, -cut - 10.0], [-cut - 5.0, -math.inf],
+                [-cut + 1.0, -900.0], [-0.5, -2.0], [-300.0, -math.inf],
+                [-1.0, 0.0]]
+        ah = np.exp(np.array(logs) + 0.3j)
+        assert ode._kept_rows(ah) == (4, pytest.approx(
+            math.exp(-cut - 8.0) + math.exp(-cut - 10.0)
+            + math.exp(-cut - 5.0), rel=1e-15, abs=0.0))
+        assert ode._kept_rows(ah[3:]) == (3, 0.0)
+        assert ode._kept_rows(np.zeros((0, 0), dtype=complex)) == (0, 0.0)
 
 
 def first_order_equation():

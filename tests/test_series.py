@@ -83,6 +83,12 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             series.builtin("poly")
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf,
+                                   complex(math.inf, 0.0)])
+    def test_poly_needs_finite_coeffs(self, c):
+        with pytest.raises(ValueError, match="poly coefficient 2"):
+            series.builtin("poly", coeffs=[1.0, 0.0, c])
+
     def test_airy_like_routes_to_ode(self):
         f = series.builtin("airy_like", 40)
         assert coeff_value(f, 0) == pytest.approx(1.0)
