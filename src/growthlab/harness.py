@@ -143,13 +143,15 @@ def _need(cfg: dict, key: str, path: str):
 
 
 def _at(path: str, fn, *args):
-    """fn(*args), a ValueError, TypeError, KeyError or AttributeError raised
-    as a ConfigError at path; a ConfigError passes unchanged."""
+    """fn(*args), a ValueError, TypeError, KeyError, AttributeError or
+    OverflowError (an infinite int or complex) raised as a ConfigError at
+    path; a ConfigError passes unchanged."""
     try:
         return fn(*args)
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError,
+            OverflowError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -247,8 +249,12 @@ def _finite(x) -> bool:
 
 def _grid_from(cfg: dict, key: str, default: tuple, path: str = "") -> np.ndarray:
     g = cfg.get(key, {})
+    r_max = _at(f"{path}/{key}", lambda: float(g.get("r_max", default[1])))
+    if not math.isfinite(r_max):
+        raise ConfigError(f"{path}/{key}/r_max", f"need a finite radius, "
+                          f"not {r_max}")
     return _at(f"{path}/{key}", lambda: growth.make_grid(
-        float(g.get("r_min", default[0])), float(g.get("r_max", default[1])),
+        float(g.get("r_min", default[0])), r_max,
         _integer(g, "points", default[2], f"{path}/{key}")))
 
 
@@ -660,14 +666,14 @@ def _coeff_order_estimates(eq: ode.LinearODE, triple: ScaleTriple,
                            grid: np.ndarray, report: Report):
     """(mu0_hat, rho0_hat, A_0's sample, [(j, rho_j, sample) for j >= 1])
     for the equation's coefficients, from max-modulus growth on the
-    coefficient grid; a zero A_j has rho_j = 0 and no sample."""
+    coefficient grid; a constant (or zero) A_j has rho_j = 0 and no
+    sample, and a constant A_0 is a ConfigError."""
     others = []
     for j, a in enumerate(eq.coeffs):
-        try:
-            ps.max_term(a, 0.0)
-        except ps.DegenerateSeriesError:
+        if not np.isfinite(a.coeff.lh[1:]).any():
             if j == 0:
-                raise ConfigError("/equation/A/0", "A_0 must be nonzero")
+                raise ConfigError("/equation/A/0", "A_0 must be "
+                                  "nonconstant: it has no growth")
             others.append((j, 0.0, None))
             continue
         g = grid[grid <= a.guaranteed_radius * 0.999]

@@ -23,9 +23,10 @@ every index once, and its residual is checked only where it decides the
 answer (usually once, on the candidate it returns).  A second march, in
 fixed-point Python integers, produces the same solution at arbitrary
 precision when downstream consumers (deep zero counting) need
-coefficients better than 1e-13 relative: each step adds its exact
-products at one common exponent and rounds once, within a stated bound of
-the exact step (see _solve_series_mp).
+coefficients better than 1e-13 relative: each block of steps rescales
+by an exact power of two per index, sums each step as C-level integer
+dots aligned at one exponent per side, and rounds once, within a stated
+bound of the exact step (see _solve_series_mp).
 
 The solutions of a homogeneous equation are linear in their initial data,
 so basis_combination forms the solution with initial data v as
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -421,6 +423,16 @@ def _logpolar_step(n: int, k: int, live: list, f_l, f_p, lc, pc,
             math.atan2(num.imag, num.real))
 
 
+# the integer march's longest block and its guard bits (_solve_series_mp)
+_MP_BLOCK = 64
+_MP_GUARD = 32
+
+
+def _with_top(v: tuple) -> tuple:
+    """(re, im, e, top), 2^(top-1) <= max(|re|, |im|) 2^e < 2^top."""
+    return v + (max(abs(v[0]), abs(v[1])).bit_length() + v[2],)
+
+
 def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
                      dps: int) -> list:
     """The recurrence marched in fixed-point integers for dps digits: the
@@ -430,86 +442,114 @@ def _solve_series_mp(eq: LinearODE, init: InitialData, n_terms: int,
     P + 1 or P + 2 significant bits, P = _evalcore._exact_bits(dps), and
     an exact zero is None.  A_j and F come from their mp_logs(dps),
     rounded once to P + 1 bits (_fixed_round), and the initial data from
-    its floats, exactly.  Step n forms every product
-    a_{j,m} c_{n-m+j} (n-m+j)!/(n-m)! exactly and adds these and F_n, M
-    terms in all, at one exponent E = T - 2P - 16, where T bounds the top
-    bit of the largest term: each is floored to a multiple of 2^E, so the
-    sum is within M 2^E per component of the exact step on the stored
-    inputs.  Dividing by (n+1)...(n+k) is one floor division to P + 1 bits,
-    a further 2^-P relative.  When every A_j, F and initial value is real,
-    so is every value, and the products that would form only zero
-    imaginary parts are skipped.
+    its floats, exactly.  Step n is c_{n+k} (n+1)...(n+k) = F_n - S_n,
+    S_n = sum_j sum_m a_{j,m} D_j[n-m], D_j[t] = c_{t+j} (t+1)...(t+j).
+
+    S_n is an aligned fixed-point dot, after Arb's arb_dot (Johansson,
+    ARITH 26, 2019).  A block of min(_MP_BLOCK, n0 / 4) steps from n0 (at
+    least one) takes s, the rounded slope of log2|c_i| below index n0 + k:
+    a_{j,m} D_j[n-m] = A'_m D'_{n-m} 2^sn, A'_m = a_{j,m} 2^-sm and D'_t =
+    D_j[t] 2^-st.  It holds each D' exactly at 2^eC, _MP_GUARD bits below
+    the least exponent of its window at n0, ending after a step whose new
+    D' falls below that, and rounds each A' to 2^eA, sigma + P + _MP_GUARD
+    bits below the top of its largest A', sigma being the C' spread (the
+    top bits of the window's largest and least D' apart); the A' that
+    round to zero at either end drop out.  So S_n is one C-level
+    sum(map(mul, ...)) per j and component (real ones only for real A, F
+    and initial data), with F_n at 2^(eA + eC + sn), or alone.  Picks and
+    block ends depend only on the index and the coefficients below it.
+
+    On its inputs, step n is within 2^(eA + sn) sum |D'_{n-m}| / sqrt2 <=
+    M 2^(2 - P - _MP_GUARD) rho max|A'| min|D'| 2^sn of S_n for M terms,
+    min and max over the window at n0 and rho the largest |D'| step n
+    reads over the largest there (plus 2^(eA + eC + sn) / sqrt2 for F_n):
+    M 2^(2 - P - _MP_GUARD) rho of S_n's largest term when the largest A'
+    meets a D' no less than the least.  The division by (n+1)...(n+k) is
+    one floor to P + 1 bits (_fixed_div), a further 2^-P relative.
     """
     k = eq.k
     bits = _evalcore._exact_bits(dps)
-    # each coefficient's nonzero terms (m, re, im, e), converted once, and
-    # -F_n, so that a step's sum is -(c_{n+k} (n+1)...(n+k))
-    a_nz = [[(m,) + _evalcore._fixed_round(v, bits)
-             for m, v in enumerate(a.coeff.mp_logs(dps, n_terms))
-             if v is not None]
-            for a in eq.coeffs]
-    rhs = [] if eq.rhs is None else eq.rhs.coeff.mp_logs(dps, n_terms)
+    # A_j up to every index a block reads; -F_n, as a step sums S_n - F_n
+    a_fix = [[v and _with_top(_evalcore._fixed_round(v, bits))
+              for v in a.coeff.mp_logs(dps, n_terms + _MP_BLOCK)]
+             for a in eq.coeffs]
+    live = [j for j in range(k) if any(a_fix[j])]
     neg_f = {n: _evalcore._fixed_round((-v[0], -v[1], v[2]), bits)
-             for n, v in enumerate(rhs) if v is not None}
-    c = [None] * n_terms  # None is an exact zero
-    for i, v in enumerate(init.values[:n_terms]):
-        if v != 0:
-            c[i] = _evalcore._fixed_div(*_evalcore._fixed_of_complex(v),
-                                        math.factorial(i), bits)
-    real = (all(v[2] == 0 for a in a_nz for v in a)
+             for n, v in enumerate(eq.rhs.coeff.mp_logs(dps, n_terms)
+                                   if eq.rhs is not None else ()) if v}
+    real = (all(v[1] == 0 for a in a_fix for v in a if v)
             and all(v[1] == 0 for v in neg_f.values())
             and all(complex(v).imag == 0 for v in init.values))
-    n_steps = n_terms - k
-    # per j, the factorial ratio (i+1)...(i+j) of step index i = n - m and
-    # its bit length; a product's components are below 2^(e + 2P + 5 + that)
-    ratio = [[math.prod(range(i + 1, i + j + 1)) for i in range(n_steps)]
-             for j in range(k)]
-    ratio_bits = [[r.bit_length() for r in rj] for rj in ratio]
-    for n in range(n_steps):
-        terms = []
-        top = -math.inf  # T - 2P - 5
-        for j in range(k):
-            rj, bj = ratio[j], ratio_bits[j]
-            for m, ar, ai, ea in a_nz[j]:
-                if m > n:
-                    break
-                cv = c[n - m + j]
-                if cv is None:
-                    continue
-                cr, ci, ec = cv
-                if real:
-                    re, im = ar * cr, 0
-                else:
-                    re, im = ar * cr - ai * ci, ar * ci + ai * cr
-                e = t = ea + ec
-                if j:
-                    r = rj[n - m]
-                    re *= r
-                    im *= r
-                    t += bj[n - m]
-                terms.append((re, im, e))
-                if t > top:
-                    top = t
-        fn = neg_f.get(n)
-        if fn is not None:
-            terms.append(fn)
-            # F_n's components are below 2^(e + P + 2)
-            top = max(top, fn[2] - bits - 3)
-        if not terms:
-            continue  # c_{n+k} = 0 exactly
-        base = top - 11  # E = T - 2P - 16
-        sr = si = 0
-        for re, im, e in terms:
-            s = e - base
-            if s >= 0:
-                sr += re << s
-                si += im << s
-            else:
-                sr += re >> -s
-                si += im >> -s
-        if sr or si:
-            c[n + k] = _evalcore._fixed_div(
-                -sr, -si, base, math.prod(range(n + 1, n + k + 1)), bits)
+    c, top = [None] * n_terms, [None] * n_terms  # None is an exact zero
+    dx = {j: [None] * n_terms for j in live}  # D_j[t], with its top
+
+    def put(i, v):
+        c[i], top[i] = v, _with_top(v)[3]
+        for j in (j for j in live if j <= i):
+            r = math.prod(range(i - j + 1, i + 1))
+            dx[j][i - j] = _with_top((v[0] * r, v[1] * r, v[2]))
+
+    def held(v, t):  # D'_t at 2^eC, or None below it
+        d = v[2] - s * t - e_c if v else 0
+        return None if d < 0 else (v[0] << d, v[1] << d) if v else (0, 0)
+
+    for i, v in enumerate(init.values[:n_terms]):
+        if v != 0:
+            put(i, _evalcore._fixed_div(*_evalcore._fixed_of_complex(v),
+                                        math.factorial(i), bits))
+    n_steps, n = n_terms - k, 0
+    while n < n_steps:
+        n1 = n + max(1, min(_MP_BLOCK, n // 4))
+        w = min(_SLOPE, (n + k) // 2)
+        old = [x for x in top[n + k - 2 * w:n + k - w] if x is not None]
+        new = [x for x in top[n + k - w:n + k] if x is not None]
+        s = round((max(new) - max(old)) / w) if old and new else 0
+        d_win, a_top, rows = [], [], []  # D' (top, exponent), A' tops
+        for j in live:
+            t0 = max(0, n + 1 - len(a_fix[j][:n1]))
+            d_win += [(v[3] - s * t, v[2] - s * t)
+                      for t, v in enumerate(dx[j][t0:n + k - j], t0) if v]
+            a_top += [v[3] - s * m for m, v in enumerate(a_fix[j][:n1]) if v]
+        if d_win and a_top:
+            e_c = min(e for _, e in d_win) - _MP_GUARD
+            e_a = max(a_top) - max(d_win)[0] + min(d_win)[0] - bits \
+                - _MP_GUARD
+        for j in live if d_win and a_top else ():
+            fl = [v and _evalcore._shift_round(v[0], v[1], e_a + s * m - v[2])
+                  or (0, 0) for m, v in enumerate(a_fix[j][:n1])]
+            nz = [m for m, x in enumerate(fl) if x != (0, 0)]
+            if nz:  # A'_hi ... A'_lo, read against D'_{n-hi} ... D'_{n-lo}
+                hi, t0 = nz[-1], max(0, n - nz[-1])
+                a_r, a_i = zip(*fl[nz[0]:hi + 1][::-1])
+                d_r, d_i = map(list, zip(*[held(v, t) for t, v in enumerate(
+                    dx[j][t0:n + k - j], t0)]))
+                rows.append((j, hi, a_r, any(a_i) and a_i, t0, d_r, d_i))
+        while n < min(n1, n_steps):
+            sr = si = 0
+            for j, hi, a_r, a_i, t0, d_r, d_i in rows:
+                xa = slice(hi - min(hi, n), None)  # from A'_min(hi,n)
+                xd = slice(n - min(hi, n) - t0, None)  # from D'_{n-min(hi,n)}
+                sr += sum(map(operator.mul, a_r[xa], d_r[xd]))
+                si += 0 if real else sum(map(operator.mul, a_r[xa], d_i[xd]))
+                if a_i:
+                    si += sum(map(operator.mul, a_i[xa], d_r[xd]))
+                    sr -= sum(map(operator.mul, a_i[xa], d_i[xd]))
+            e, fn = e_a + e_c + s * n if rows else None, neg_f.get(n)
+            if fn and (sr or si):
+                x, y = _evalcore._shift_round(fn[0], fn[1], e - fn[2])
+                sr, si = sr + x, si + y
+            elif fn:
+                sr, si, e = fn
+            if sr or si:
+                put(n + k, _evalcore._fixed_div(
+                    -sr, -si, e, math.prod(range(n + 1, n + k + 1)), bits))
+            news = [held(dx[r[0]][n + k - r[0]], n + k - r[0]) for r in rows]
+            n += 1
+            if None in news or not rows:  # a D' below 2^eC ends the block
+                break
+            for (*_, d_r, d_i), (x, y) in zip(rows, news):
+                d_r.append(x)
+                d_i.append(y)
     return c
 
 

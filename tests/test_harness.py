@@ -427,6 +427,56 @@ class TestCliConfigErrors:
         assert eq.coeffs[1].n_terms == 1
 
 
+def _non_finite_configs():
+    """Shipped configs with one numeric leaf set to Infinity, and that
+    leaf."""
+    def at(name, leaf):
+        cfg = harness.shipped_config(name)
+        *keys, last = leaf.strip("/").split("/")
+        node = cfg
+        for key in keys:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        node[last] = math.inf
+        return pytest.param(cfg, leaf, id=name + leaf)
+
+    first_order = "theorem_dominant_first_order"
+    return [at(first_order, "/equation/A/0/n_terms"),
+            at(first_order, "/equation/A/0/z_scale"),
+            at(first_order, "/coeff_grid/r_max"),
+            at(first_order, "/solution_grid/r_max"),
+            at("analyze_exp", "/grid/r_max"),
+            at("theorem_proximity", "/proximity_grid/r_max")]
+
+
+class TestDegenerateLeaves:
+    @pytest.mark.parametrize("cfg,leaf", _non_finite_configs())
+    def test_non_finite_leaf_is_config_error(self, cfg, leaf):
+        with pytest.raises(ConfigError) as err:
+            harness.run_config(cfg)
+        assert err.value.path == leaf
+
+    def test_constant_coefficient_has_order_zero(self):
+        # f'' - f' + e^z f = 0: A_1 = -1 grows like a zero A_1, not at all
+        cfg = harness.shipped_config("theorem_dominant")
+        cfg["equation"]["A"][1] = {"poly": [-1.0]}
+        cfg["oscillation"]["enabled"] = False
+        rep = harness.run_config(cfg)
+        (rho1,) = [c for c in rep.checks if c.name == "rho_hat[A1]"]
+        assert rho1.measured == 0.0 and rep.verdict == "pass"
+
+    def test_constant_dominant_coefficient_is_config_error(self,
+                                                           monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("marched before the config was checked")
+
+        monkeypatch.setattr(ode, "_march_d", refuse)
+        cfg = harness.shipped_config("theorem_dominant")
+        cfg["equation"]["A"][0] = {"poly": [2.0]}
+        with pytest.raises(ConfigError) as err:
+            harness.run_config(cfg)
+        assert err.value.path == "/equation/A/0"
+
+
 class TestCliPaths:
     def test_overrides_reach_the_config(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growthlab import _evalcore, ode
+from growthlab import _evalcore, harness, ode
 from growthlab import series as ps
+from marchref import reference_march
 from mpref import to_mpc
 
 
@@ -686,6 +687,49 @@ class TestIntegerMarch:
         """perfbench's tracer binds these parameters by name."""
         params = inspect.signature(ode._solve_series_mp).parameters
         assert "n_terms" in params and "dps" in params
+
+
+def theorem_dominant_init(i):
+    """InitialData of theorem_dominant's solution i: the basis vectors, then
+    the complex random combination."""
+    cfg = harness.shipped_config("theorem_dominant")
+    return harness._initial_vectors(2, cfg["seed"], cfg["n_random"])[i]
+
+
+class TestAlignedMarch:
+    """The integer march's aligned dots against reference_march, the loop
+    over every product that they replaced (tests/marchref.py): on these
+    cases each coefficient is the same triple, which the restated bound of
+    _solve_series_mp allows and does not require."""
+
+    CASES = dict(TestIntegerMarch.CASES,
+                 dominant_sol0=(lambda: bessel_type_equation(220),
+                                (1.0, 0.0), 1657, 75),
+                 dominant_sol2=(lambda: bessel_type_equation(220),
+                                theorem_dominant_init(2).values, 1654, 75))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference_march(self, case):
+        make_eq, init, n_terms, dps = self.CASES[case]
+        eq, init = make_eq(), ode.InitialData(init)
+        got = ode._solve_series_mp(eq, init, n_terms, dps)
+        want = reference_march(eq, init, n_terms, dps)
+        assert len(got) == n_terms
+        for n, (a, b) in enumerate(zip(got, want)):
+            assert a == b, n
+
+    @pytest.mark.parametrize("make_eq,n_terms", [(oscillator, 600),
+                                                 (bessel_type_equation, 160)])
+    def test_falling_coefficients_stay_exact(self, make_eq, n_terms):
+        """Coefficients that fall ever faster (1/n! for f'' + f = 0, and
+        the first terms of f'' + e^z f = 0) put values in a block's
+        window far below its largest, and new ones below its guard.
+        Holding C' from the window's largest value, or keeping a new C'
+        below the guard in place of ending the block, loses low bits (or
+        cannot hold them), and the march leaves the reference."""
+        eq, init = make_eq(), ode.InitialData((1.0, 0.0))
+        got = ode._solve_series_mp(eq, init, n_terms, 60)
+        assert got == reference_march(eq, init, n_terms, 60)
 
 
 def theorem_type_equation(n_a=300):
