@@ -5,8 +5,7 @@ field; run_config validates it, dispatches on "kind", and returns a Report
 whose check records are deterministic given the config and seed (timing and
 environment live in an isolated sub-object excluded from that promise).
 
-The experiment kinds, KINDS, are the keys of _PIPELINES, each described
-there.
+The experiment kinds, KINDS, are the keys of _KINDS, each described there.
 
 Hypothesis gating: theorem experiments verify their hypotheses empirically
 first and mark the report "hypotheses-not-met" instead of asserting any
@@ -19,6 +18,7 @@ import json
 import math
 import os
 import platform
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,7 +34,7 @@ from .scale import (ScaleTriple, audit_condition_ii, beta_log_gamma,
 __all__ = ["ConfigError", "CheckRecord", "Report", "run_config", "emit",
            "check_wiman_valiron", "check_gundersen", "check_log_derivative",
            "run_theorem_experiment", "shipped_config", "shipped_names",
-           "SCHEMA"]
+           "validate", "SCHEMA"]
 
 SCHEMA = "growthlab-experiment/1"
 
@@ -134,147 +134,226 @@ def _stamp(report: Report, t0: float) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# config resolution
+# config schema.  A spec checks one field: spec(value, path) returns the
+# value the pipelines read or raises ConfigError at path.  The kind tables
+# at the end are the schema reference.
 
-def _need(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigError(f"{path}/{key}", "missing required field")
-    return cfg[key]
-
-
-def _at(path: str, fn, *args):
-    """fn(*args), a ValueError, TypeError, KeyError, AttributeError or
-    OverflowError (an infinite int or complex) raised as a ConfigError at
-    path; a ConfigError passes unchanged."""
-    try:
-        return fn(*args)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError, AttributeError,
-            OverflowError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+_REQUIRED = object()
 
 
-def _integer(cfg: dict, key: str, default, path: str = "") -> int:
-    """cfg.get(key, default) if an integer (a bool is not one), else a
-    ConfigError at path/key: a float such as 31.5 is not truncated."""
-    x = cfg.get(key, default)
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ConfigError(f"{path}/{key}", f"expected an integer, got {x!r}")
-    return x
+def _require(ok, path: str, message: str) -> None:
+    if not ok:
+        raise ConfigError(path, message)
 
 
-def _boolean(cfg: dict, key: str, default: bool, path: str = "") -> bool:
-    """cfg.get(key, default) if a JSON boolean (the string "false" is not
-    false), else a ConfigError at path/key."""
-    x = cfg.get(key, default)
-    if not isinstance(x, bool):
-        raise ConfigError(f"{path}/{key}",
-                          f"expected true or false, got {x!r}")
-    return x
+class _Shape:
+    """An object: fields maps each key to (spec, default), the default
+    _REQUIRED, None (no value) or a value checked as if given; other keys
+    are ignored.  Its value is build(checked fields, path), if given."""
+
+    def __init__(self, fields: dict, build=None, path: str = ""):
+        self.fields, self.build, self.path = fields, build, path
+
+    def __call__(self, desc, path: Optional[str] = None):
+        path = self.path if path is None else path
+        _require(isinstance(desc, dict), path, f"need an object, got {desc!r}")
+        out = {}
+        for key, (spec, default) in self.fields.items():
+            at = f"{path}/{key}"
+            _require(key in desc or default is not _REQUIRED, at,
+                     "missing required field")
+            out[key] = spec(desc[key], at) if key in desc else \
+                None if default is None else spec(default, at)
+        return self.build(out, path) if self.build else out
 
 
-def _positive(cfg: dict, key: str, default, path: str = "") -> float:
-    """cfg.get(key, default) if a positive finite number, as a float."""
-    x = _at(f"{path}/{key}", float, cfg.get(key, default))
-    if not (math.isfinite(x) and x > 0):
-        raise ConfigError(f"{path}/{key}", f"need a positive number, not {x}")
-    return x
+def _list(item, least: int = 1):
+    """At least least items, a shaped one checked at its index, any other
+    at the list's path."""
+    def check(x, path):
+        _require(isinstance(x, (list, tuple)) and len(x) >= least, path,
+                 f"expected a list of at least {least} items, got {x!r}")
+        return [item(v, f"{path}/{i}" if isinstance(item, _Shape) else path)
+                for i, v in enumerate(x)]
+    return check
 
 
-def resolve_triple(desc: dict, path: str = "/scales") -> ScaleTriple:
-    if not isinstance(desc, dict):
-        raise ConfigError(path, "scales must be an object")
-    return _at(path, lambda: ScaleTriple(
-        *(scale_from_descriptor(_need(desc, k, path))
-          for k in ("alpha", "beta", "gamma")),
-        l1_constant=float(desc.get("l1_constant", 1.0))))
+def _leaf(ok, want: str, convert=None):
+    """A spec taking x where ok(x), as convert(x) if given."""
+    def check(x, path):
+        _require(ok(x), path, f"expected {want}, got {x!r}")
+        return convert(x) if convert else x
+    return check
 
 
-def resolve_subject(desc: dict, path: str = "/subject"):
-    """A series or profile from its config descriptor."""
-    if not isinstance(desc, dict):
-        raise ConfigError(path, "subject must be an object")
-    if "profile" in desc:
-        return _at(path + "/profile", growth.profile_from_descriptor,
-                   desc["profile"])
-    if "poly" in desc:
-        return _at(path + "/poly",
-                   lambda: ps.builtin("poly", coeffs=desc["poly"]))
-    if "builtin" in desc:
-        n = _at(path + "/n_terms", int, desc.get("n_terms", 400))
-        out = _at(path + "/builtin", ps.builtin, desc["builtin"], n,
-                  desc.get("coeffs"))
-        if "z_scale" in desc:
-            out = _at(path + "/z_scale", lambda: ps.scale_argument(
-                out, complex(desc["z_scale"])))
-        return out
-    raise ConfigError(path, "subject needs 'builtin', 'poly' or 'profile'")
+def _number(x, types=(int, float)) -> bool:
+    return isinstance(x, types) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max  # exact for ints, false for nan
 
 
-def resolve_equation(desc: dict, path: str = "/equation") -> ode.LinearODE:
-    if not isinstance(desc, dict):
-        raise ConfigError(path, "equation must be an object")
-    _need(desc, "k", path)
-    k = _integer(desc, "k", None, path)
-    a_descs = _need(desc, "A", path)
-    if not isinstance(a_descs, list) or len(a_descs) != k:
-        raise ConfigError(path + "/A", f"need exactly k = {k} coefficients")
-    coeffs = tuple(resolve_subject(d, f"{path}/A/{i}")
-                   for i, d in enumerate(a_descs))
-    rhs = None
-    if desc.get("F") is not None:
-        rhs = resolve_subject(desc["F"], path + "/F")
-    try:
-        return ode.LinearODE(k, coeffs, rhs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+def _real(low: float, closed: bool = False):
+    return _leaf(lambda x: _number(x) and (x >= low if closed else x > low),
+                 f"a finite number {'>=' if closed else '>'} {low:g}", float)
 
 
-def _integer_at_least(cfg: dict, key: str, default, path: str = "",
-                      least: int = 0) -> int:
-    """_integer(cfg, key, default, path), which must be at least least."""
-    x = _integer(cfg, key, default, path)
-    if x < least:
-        raise ConfigError(f"{path}/{key}",
-                          f"expected an integer >= {least}, got {x}")
-    return x
+def _int(least: int):
+    return _leaf(lambda x: type(x) is int and x >= least,
+                 f"an integer >= {least}")
 
 
-def _finite(x) -> bool:
-    """x is a finite int or float, not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and math.isfinite(x)
+def _one_of(*choices):
+    return _leaf(lambda x: isinstance(x, str) and x in choices,
+                 f"one of {choices}")
 
 
-def _grid_from(cfg: dict, key: str, default: tuple, path: str = "") -> np.ndarray:
-    g = cfg.get(key, {})
-    r_max = _at(f"{path}/{key}", lambda: float(g.get("r_max", default[1])))
-    if not math.isfinite(r_max):
-        raise ConfigError(f"{path}/{key}/r_max", f"need a finite radius, "
-                          f"not {r_max}")
-    return _at(f"{path}/{key}", lambda: growth.make_grid(
-        float(g.get("r_min", default[0])), r_max,
-        _integer(g, "points", default[2], f"{path}/{key}")))
+def _opaque(build):
+    """A spec (or build) for what build(x) checks itself: an error it
+    raises is a ConfigError at path."""
+    def check(x, path):
+        try:
+            return build(x)
+        except (ValueError, TypeError, KeyError, AttributeError,
+                OverflowError) as exc:
+            raise ConfigError(path, str(exc)) from exc
+    return check
 
 
-def _solver_limits(cfg: dict, r_max: float, residual_tol: float,
-                   max_terms: int, n_start, order: int) -> tuple:
-    """(r_max, residual_tol, max_terms) of a config that runs auto_solve,
-    from the defaults given for missing fields.  n_start, auto_solve's
-    first length, must be an integer above the equation's order, r_max and
-    residual_tol positive finite numbers and max_terms an integer of at
-    least n_start; anything else is a ConfigError at the field's path."""
-    if isinstance(n_start, bool) or not isinstance(n_start, int) \
-            or n_start <= order:
-        raise ConfigError("/n_start", f"expected an integer > {order} "
-                          f"(the equation's order), got {n_start!r}")
-    n_cap = _integer(cfg, "max_terms", max_terms)
-    if n_cap < n_start:
-        raise ConfigError("/max_terms", f"expected an integer >= {n_start} "
-                          f"(the first series length), got {n_cap!r}")
-    return (_positive(cfg, "r_max", r_max),
-            _positive(cfg, "residual_tol", residual_tol), n_cap)
+_POSITIVE = _real(0.0)
+_bool = _leaf(lambda x: isinstance(x, bool), "true or false")
+_text = _leaf(lambda x: isinstance(x, str), "a string")
+_any = _leaf(lambda x: True, "")
+_complex = _leaf(lambda x: _number(x, (int, float, complex)),
+                 "a finite number")
+_band = _leaf(lambda x: isinstance(x, (list, tuple)) and len(x) == 2
+              and all(_number(v) for v in x) and x[0] < x[1],
+              "two finite numbers lo < hi", lambda x: tuple(map(float, x)))
+
+
+def _grid(r_min: float, r_max: Optional[float], points: int) -> _Shape:
+    """A radius grid with these defaults, as (r_min, r_max, points): 0 <
+    r_min < r_max finite, points an integer >= 3, a null the grid's fault.
+    r_max None: a theorem's solution grid ends at each certified radius."""
+    def build(g, path):
+        lo, hi, n = g["r_min"], g["r_max"], g["points"]
+        _require(None not in (lo, n) and (hi is not None or r_max is None),
+                 path, f"expected numbers r_min, r_max and points, got {g!r}")
+        lo, n = _POSITIVE(lo, path + "/r_min"), _int(3)(n, path + "/points")
+        hi = hi if hi is None else _POSITIVE(hi, path + "/r_max")
+        _require(hi is None or lo < hi, path, f"need r_min < r_max, got {g!r}")
+        return lo, hi, n
+    return _Shape({"r_min": (_any, r_min), "r_max": (_any, r_max),
+                   "points": (_any, points)}, build)
+
+
+def _series(s: dict, path: str) -> ps.PowerSeries:
+    if s["poly"] is not None:
+        return ps.builtin("poly", coeffs=s["poly"])
+    _require(s["builtin"], path, "needs 'builtin' or 'poly' (or an analyze "
+             "'profile')")
+    f = ps.builtin(s["builtin"], s["n_terms"])
+    return f if s["z_scale"] is None else ps.scale_argument(f, s["z_scale"])
+
+
+# the shared shapes (an analyze subject may be a closed-form profile)
+_SCALE = _opaque(scale_from_descriptor)
+resolve_triple = _Shape({
+    "alpha": (_SCALE, _REQUIRED), "beta": (_SCALE, _REQUIRED),
+    "gamma": (_SCALE, _REQUIRED), "l1_constant": (_POSITIVE, 1.0)},
+    _opaque(lambda t: ScaleTriple(**t)), "/scales")
+_SERIES_FIELDS = {  # "poly" is spelled {"poly": [a_0, a_1, ...]}
+    "builtin": (_one_of(*(n for n in ps.BUILTIN_NAMES if n != "poly")),
+                None),
+    "n_terms": (_int(1), 400), "poly": (_list(_complex), None),
+    "z_scale": (_leaf(lambda x: _number(x, (int, float, complex)) and x != 0,
+                      "a finite nonzero number"), None)}
+_SERIES = _Shape(_SERIES_FIELDS, _series, "/subject")
+resolve_subject = _Shape({
+    **_SERIES_FIELDS,
+    "profile": (_opaque(growth.profile_from_descriptor), None)},
+    lambda s, path: s["profile"] or _series(s, path), "/subject")
+resolve_equation = _Shape({
+    "k": (_int(1), _REQUIRED), "A": (_list(_SERIES), _REQUIRED),
+    "F": (lambda x, path: x if x is None else _SERIES(x, path), None)},
+    lambda e, path: _require(len(e["A"]) == e["k"], path + "/A",
+                             f"need exactly k = {e['k']} coefficients")
+    or ode.LinearODE(e["k"], tuple(e["A"]), e["F"]), "/equation")
+
+# the first series length auto_solve marches for each theorem solution
+_THEOREM_N_START = 1 << 10
+# one table per kind besides schema, kind and name (see validate); a
+# default of None that a pipeline fills in is noted
+_ANALYZE = _Shape({
+    "scales": (resolve_triple, _REQUIRED),
+    "subject": (resolve_subject, _REQUIRED),
+    "grid": (_grid(5.0, 100.0, 32), {}),
+    # None: log_T of a profile, log2_M of a series
+    "quantity": (_one_of(*growth.QUANTITIES), None),
+    "expected_order": (_band, None), "expected_lower_order": (_band, None),
+    "type_order": (_POSITIVE, None),  # None: the upper order estimate
+    "expected_type": (_band, None),
+    "count_zeros": (_Shape({
+        "grid": (_grid(5.0, 50.0, 12), {}),
+        "zero_margin": (lambda x, path: x if x == "auto"
+                        else _POSITIVE(x, path), "auto"),
+        "log_wrap": (_bool, False), "expected_lambda": (_band, None)}),
+        None)})
+_SOLVE = _Shape({
+    "equation": (resolve_equation, _REQUIRED),
+    "init": (_list(_complex), _REQUIRED),
+    "r_max": (_POSITIVE, 5.0), "residual_tol": (_POSITIVE, 1e-8),
+    "n_start": (_int(1), 1 << 8), "max_terms": (_int(1), 1 << 16)},
+    lambda v, _: _require(v["n_start"] > v["equation"].k, "/n_start",
+                          "expected an integer above the equation's order")
+    or _require(v["max_terms"] >= v["n_start"], "/max_terms",
+                "expected an integer >= n_start, the first series length")
+    or v)
+_WIMAN_VALIRON = _Shape({
+    "grid": (_grid(1.0, 50.0, 24), {}),
+    "subjects": (_list(_Shape({
+        **_SERIES_FIELDS, "label": (_text, None),  # None: the provenance
+        "ratio_orders": (_list(_int(1), 0), [])},
+        lambda s, path: dict(s, series=_series(s, path)))), _REQUIRED)})
+_GUNDERSEN = _Shape({
+    "subject": (_SERIES, _REQUIRED), "chi": (_real(1.0), 2.0),
+    "grid": (_grid(2.0, 40.0, 16), {}), "i": (_int(0), 0),
+    "j": (_int(1), 1)},
+    lambda v, _: _require(v["i"] < v["j"], "/j", "need i < j") or v)
+_LOG_DERIVATIVE = _Shape({
+    "subject": (_SERIES, _REQUIRED), "scales": (resolve_triple, _REQUIRED),
+    "grid": (_grid(2.0, 20.0, 12), {}),
+    "rho": (_real(0.0, closed=True), _REQUIRED), "k": (_int(1), 1),
+    "ratio_bound": (_POSITIVE, 2.0)})
+_PROPOSITIONS = _Shape({
+    "scales": (resolve_triple, dict.fromkeys(("alpha", "beta", "gamma"),
+                                             {"kind": "identity"})),
+    "tolerance": (_POSITIVE, 0.05), "grid": (_grid(10.0, 2000.0, 48), {}),
+    "dominance_r_min": (_POSITIVE, 100.0),
+    "dominance_r_max": (_POSITIVE, 1e4)},
+    lambda v, _: _require(v["dominance_r_min"] < v["dominance_r_max"],
+                          "/dominance_r_max", "need dominance_r_min < "
+                          "dominance_r_max") or v)
+_SCALES = _Shape({"scales": (resolve_triple, _REQUIRED),
+                  "grid": (_grid(100.0, 1e80, 64), {}), "p": (_int(1), 2)})
+_THEOREM = _Shape({  # theorem_dominant, theorem_type and theorem_proximity
+    "expect": (_one_of("hypotheses-not-met"), None),
+    "variant": (_one_of("liminf"), None),  # None: lim sup (proximity)
+    "scales": (resolve_triple, _REQUIRED),
+    "equation": (resolve_equation, _REQUIRED),
+    "coeff_grid": (_grid(5.0, 120.0, 24), {}),
+    "proximity_grid": (_grid(5.0, 60.0, 8), {}),
+    "r_max": (_POSITIVE, 12.0), "residual_tol": (_POSITIVE, 1e-8),
+    "max_terms": (_int(_THEOREM_N_START), 1 << 14),
+    "solution_grid": (_grid(4.0, None, 20), {}),
+    "solution_band": (_band, [0.8, 1.1]),
+    "seed": (_int(0), 20240401), "n_random": (_int(0), 1),
+    "lambda_tolerance": (_POSITIVE, 0.3), "classical_min": (_POSITIVE, 3.0),
+    "hypothesis_margin": (_POSITIVE, 0.2), "type_margin": (_POSITIVE, 0.1),
+    "expect_infinite_classical": (_bool, True),
+    "oscillation": (_Shape({
+        "enabled": (_bool, True), "g": (_SERIES, {"poly": [0.0, 1.0]}),
+        "radii": (_list(_POSITIVE), None),  # None: 5 to past min_radius
+        "n_subjects": (_int(0), 3), "min_radius": (_POSITIVE, 8.0),
+        "dps_budget": (_int(1), 400)}), {})})
 
 
 # ---------------------------------------------------------------------------
@@ -447,27 +526,22 @@ def check_log_derivative(f: ps.PowerSeries, triple: ScaleTriple, rho: float,
 # ---------------------------------------------------------------------------
 # kind pipelines
 
-def _expect(report: Report, cfg: dict, key: str, value: float) -> None:
-    """A within-band check named key, if cfg gives the band [lo, hi]."""
-    if key in cfg:
-        report.within(value, float(cfg[key][0]), float(cfg[key][1]), key)
+def _expect(report: Report, v: dict, key: str, value: float) -> None:
+    """A within-band check named key, if v gives the band."""
+    if v[key] is not None:
+        report.within(value, *v[key], key)
 
 
-def _run_analyze(cfg: dict, report: Report, _out_dir) -> Report:
-    triple = resolve_triple(_need(cfg, "scales", ""))
-    subject = resolve_subject(_need(cfg, "subject", ""))
-    grid_default = (5.0, 100.0, 32)
-    grid = _grid_from(cfg, "grid", grid_default)
-    quantity = cfg.get("quantity",
-                       "log_T" if isinstance(subject, growth.Profile)
-                       else "log2_M")
+def _run_analyze(v: dict, report: Report, _out_dir) -> Report:
+    triple, subject = v["scales"], v["subject"]
+    grid = growth.make_grid(*v["grid"])
+    quantity = v["quantity"] or ("log_T" if isinstance(subject, growth.Profile)
+                                 else "log2_M")
     if isinstance(subject, ps.PowerSeries):
-        if not np.isfinite(subject.coeff.lh).any():
-            raise ConfigError("/subject", "the zero series has no growth")
-        r_cap = subject.guaranteed_radius * 0.999
-        grid = grid[grid <= r_cap]
-        if len(grid) < 4:
-            raise ConfigError("/grid", "grid exceeds the certified radius")
+        _require(np.isfinite(subject.coeff.lh).any(), "/subject",
+                 "the zero series has no growth")
+        grid = grid[grid <= subject.guaranteed_radius * 0.999]
+        _require(len(grid) >= 4, "/grid", "grid exceeds the certified radius")
     s = growth.sample(subject, quantity, grid)
     up = growth.estimate_order(s, triple, "upper")
     lo = growth.estimate_order(s, triple, "lower")
@@ -476,107 +550,76 @@ def _run_analyze(cfg: dict, report: Report, _out_dir) -> Report:
     report.info("order_upper_estimate", up.as_dict())
     report.info("order_lower_estimate", lo.as_dict())
     report.truth(up.value >= lo.value - 1e-12, "order_upper_ge_lower")
-    _expect(report, cfg, "expected_order", up.value)
-    _expect(report, cfg, "expected_lower_order", lo.value)
-    if "expected_type" in cfg or "type_order" in cfg:
-        rho = float(cfg.get("type_order", up.value))
+    _expect(report, v, "expected_order", up.value)
+    _expect(report, v, "expected_lower_order", lo.value)
+    if v["expected_type"] is not None or v["type_order"] is not None:
+        rho = up.value if v["type_order"] is None else v["type_order"]
         if 0 < rho < math.inf:
             t_up = growth.estimate_type(s, triple, rho, "upper")
             report.info("type_upper", t_up.value, f"at order {rho:g}")
-            _expect(report, cfg, "expected_type", t_up.value)
-    if cfg.get("count_zeros") and isinstance(subject, ps.PowerSeries):
-        cz = cfg["count_zeros"]
-        radii = _grid_from(cz, "grid", (5.0, 50.0, 12), "/count_zeros")
-        margin = ("auto" if cz.get("zero_margin", "auto") == "auto"
-                  else _positive(cz, "zero_margin", None, "/count_zeros"))
+            _expect(report, v, "expected_type", t_up.value)
+    cz = v["count_zeros"]
+    if cz is not None and isinstance(subject, ps.PowerSeries):
         try:
-            data = nev.count_zeros_grid(subject, radii, zero_margin=margin)
+            data = nev.count_zeros_grid(subject, growth.make_grid(*cz["grid"]),
+                                        zero_margin=cz["zero_margin"])
         except nev.PrecisionBudgetError as exc:
             raise ConfigError("/count_zeros/grid", str(exc)) from exc
-        lam = growth.estimate_lambda(data, triple,
-                                     log_wrap=bool(cz.get("log_wrap", False)))
+        lam = growth.estimate_lambda(data, triple, log_wrap=cz["log_wrap"])
         report.info("lambda_upper", lam.value, f"counts {data.counts!r}")
         _expect(report, cz, "expected_lambda", lam.value)
     return report
 
 
-def _run_solve(cfg: dict, report: Report, out_dir: Optional[str]) -> Report:
-    eq = resolve_equation(_need(cfg, "equation", ""))
-    init = _at("/init", lambda: ode.InitialData(tuple(
-        complex(v) for v in _need(cfg, "init", ""))))
-    _at("/init", eq.check_init, init)
-    n_start = cfg.get("n_start", 1 << 8)
-    r_max, residual_tol, n_cap = _solver_limits(cfg, 5.0, 1e-8, 1 << 16,
-                                                n_start, eq.k)
-    sol, info = ode.auto_solve(eq, init, r_max, residual_tol=residual_tol,
-                               n_start=n_start, n_cap=n_cap)
+def _run_solve(v: dict, report: Report, out_dir: Optional[str]) -> Report:
+    eq, init = v["equation"], ode.InitialData(tuple(map(complex, v["init"])))
+    _opaque(eq.check_init)(init, "/init")
+    sol, info = ode.auto_solve(eq, init, v["r_max"],
+                               residual_tol=v["residual_tol"],
+                               n_start=v["n_start"], n_cap=v["max_terms"])
     report.info("n_terms", info["n_terms"])
     report.info("certified_radius", info["certified_radius"])
-    report.leq(info["residual"], residual_tol,
+    report.leq(info["residual"], v["residual_tol"],
                "residual", f"at r = {info['checked_radius']:.6g}")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         # named relative to out_dir, where emit writes the report
-        name = f"{cfg.get('name', 'solution')}.csv"
-        ps.dump_csv(sol, os.path.join(out_dir, name))
-        report.info("coefficients_csv", name)
+        ps.dump_csv(sol, os.path.join(out_dir, f"{report.name}.csv"))
+        report.info("coefficients_csv", f"{report.name}.csv")
     return report
 
 
-def _run_wiman_valiron(cfg: dict, report: Report, _out_dir) -> Report:
-    grid = _grid_from(cfg, "grid", (1.0, 50.0, 24))
-    for i, desc in enumerate(_need(cfg, "subjects", "")):
-        subject = resolve_subject(desc, f"/subjects/{i}")
-        orders = desc.get("ratio_orders", [])
-        if not (isinstance(orders, list)
-                and all(type(n) is int and n > 0 for n in orders)):
-            raise ConfigError(f"/subjects/{i}/ratio_orders", "need ints >= 1")
-        sub_grid = grid[grid <= subject.guaranteed_radius / 2.001] \
-            if math.isfinite(subject.guaranteed_radius) else grid
-        check_wiman_valiron(subject, sub_grid, report,
-                            label=desc.get("label", subject.provenance),
-                            ratio_orders=orders)
+def _run_wiman_valiron(v: dict, report: Report, _out_dir) -> Report:
+    grid = growth.make_grid(*v["grid"])
+    for s in v["subjects"]:
+        f = s["series"]
+        sub_grid = grid[grid <= f.guaranteed_radius / 2.001] \
+            if math.isfinite(f.guaranteed_radius) else grid
+        check_wiman_valiron(f, sub_grid, report, label=s["label"] or "",
+                            ratio_orders=s["ratio_orders"])
     return report
 
 
-def _run_gundersen(cfg: dict, report: Report, _out_dir) -> Report:
-    subject = resolve_subject(_need(cfg, "subject", ""))
-    chi = _at("/chi", float, cfg.get("chi", 2.0))
-    if not (math.isfinite(chi) and chi > 1.0):
-        raise ConfigError("/chi", f"need a finite chi > 1, got {chi}")
-    grid = _grid_from(cfg, "grid", (2.0, 40.0, 16))
-    grid = grid[grid <= subject.guaranteed_radius / (chi * 1.001)]
-    i, j = _integer(cfg, "i", 0), _integer(cfg, "j", 1)
-    if not 0 <= i < j:
-        raise ConfigError("/j", f"need 0 <= i < j, got i = {i}, j = {j}")
-    check_gundersen(subject, chi, i, j, grid, report, cfg.get("name", ""))
-    return report
+def _run_gundersen(v: dict, report: Report, _out_dir) -> Report:
+    f, chi, grid = v["subject"], v["chi"], growth.make_grid(*v["grid"])
+    grid = grid[grid <= f.guaranteed_radius / (chi * 1.001)]
+    return check_gundersen(f, chi, v["i"], v["j"], grid, report,
+                           v["name"] or "")
 
 
-def _run_log_derivative(cfg: dict, report: Report, _out_dir) -> Report:
-    subject = resolve_subject(_need(cfg, "subject", ""))
-    triple = resolve_triple(_need(cfg, "scales", ""))
-    grid = _grid_from(cfg, "grid", (2.0, 20.0, 12))
-    grid = grid[grid <= subject.guaranteed_radius * 0.999]
-    k = _integer(cfg, "k", 1)
-    if k < 1:
-        raise ConfigError("/k", f"expected a derivative order >= 1, got {k}")
-    check_log_derivative(subject, triple, float(_need(cfg, "rho", "")), k,
-                         grid, report,
-                         ratio_bound=float(cfg.get("ratio_bound", 2.0)),
-                         label=cfg.get("name", ""))
-    return report
+def _run_log_derivative(v: dict, report: Report, _out_dir) -> Report:
+    f, grid = v["subject"], growth.make_grid(*v["grid"])
+    grid = grid[grid <= f.guaranteed_radius * 0.999]
+    return check_log_derivative(f, v["scales"], v["rho"], v["k"], grid, report,
+                                ratio_bound=v["ratio_bound"],
+                                label=v["name"] or "")
 
 
-def _run_propositions(cfg: dict, report: Report, _out_dir) -> Report:
+def _run_propositions(v: dict, report: Report, _out_dir) -> Report:
     """Sum/product/scalar order laws and characteristic domination, on
     closed-form profiles (the estimators' calibration set)."""
-    triple = resolve_triple(cfg.get("scales", {
-        "alpha": {"kind": "identity"}, "beta": {"kind": "identity"},
-        "gamma": {"kind": "identity"}}))
-    wrapped = triple.wrapped()
-    tol = float(cfg.get("tolerance", 0.05))
-    grid = _grid_from(cfg, "grid", (10.0, 2000.0, 48))
+    triple, tol = v["scales"], v["tolerance"]
+    wrapped, grid = triple.wrapped(), growth.make_grid(*v["grid"])
 
     def order(profile, mode, t=wrapped):
         s = growth.sample(profile, "log_T", grid)
@@ -623,8 +666,8 @@ def _run_propositions(cfg: dict, report: Report, _out_dir) -> Report:
                  "scalar_order_invariance")
 
     # characteristic domination: T(poly) = o(T(exp)); equal-order control
-    big_grid = growth.make_grid(float(cfg.get("dominance_r_min", 100.0)),
-                                float(cfg.get("dominance_r_max", 1e4)), 32)
+    big_grid = growth.make_grid(v["dominance_r_min"], v["dominance_r_max"],
+                                32)
     p_poly = growth.profile_from_descriptor(
         {"name": "poly3", "log_T": {"form": "ln_c_lnr", "c": 3.0}})
     p_exp2 = growth.profile_from_descriptor(
@@ -646,14 +689,13 @@ def _run_propositions(cfg: dict, report: Report, _out_dir) -> Report:
     return report
 
 
-def _run_scales(cfg: dict, report: Report, _out_dir) -> Report:
-    triple = resolve_triple(_need(cfg, "scales", ""))
+def _run_scales(v: dict, report: Report, _out_dir) -> Report:
+    triple = v["scales"]
     for rep in triple.audits:
         report.truth(not rep.falsified, f"audit[{rep.property_name}]",
                      f"worst violation {rep.worst_violation:.3g}; {rep.note}")
-    grid = _grid_from(cfg, "grid", (100.0, 1e80, 64))
     for rep in audit_condition_ii(triple.alpha, triple.beta, triple.gamma,
-                                  grid, p=int(cfg.get("p", 2))):
+                                  growth.make_grid(*v["grid"]), p=v["p"]):
         report.truth(not rep.falsified, f"audit[{rep.property_name}]",
                      f"worst tail ratio {rep.worst_violation:.3g}; {rep.note}")
     return report
@@ -671,9 +713,8 @@ def _coeff_order_estimates(eq: ode.LinearODE, triple: ScaleTriple,
     others = []
     for j, a in enumerate(eq.coeffs):
         if not np.isfinite(a.coeff.lh[1:]).any():
-            if j == 0:
-                raise ConfigError("/equation/A/0", "A_0 must be "
-                                  "nonconstant: it has no growth")
+            _require(j != 0, "/equation/A/0",
+                     "A_0 must be nonconstant: it has no growth")
             others.append((j, 0.0, None))
             continue
         g = grid[grid <= a.guaranteed_radius * 0.999]
@@ -692,79 +733,36 @@ def _coeff_order_estimates(eq: ode.LinearODE, triple: ScaleTriple,
     return mu0, rho0, s0, others
 
 
-def _theorem_settings(cfg: dict) -> dict:
-    """A theorem config's own fields, each checked before any march: a
-    bad value is a ConfigError at its path."""
-    band = cfg.get("solution_band", [0.8, 1.1])
-    if not (isinstance(band, (list, tuple)) and len(band) == 2
-            and all(_finite(x) for x in band) and band[0] < band[1]):
-        raise ConfigError("/solution_band", "expected two finite numbers "
-                          f"lo < hi, got {band!r}")
-    osc = cfg.get("oscillation", {})
-    if not isinstance(osc, dict):
-        raise ConfigError("/oscillation", "oscillation must be an object")
-    radii = osc.get("radii")
-    if radii is not None and not (
-            isinstance(radii, list) and radii
-            and all(_finite(r) and r > 0 for r in radii)):
-        raise ConfigError("/oscillation/radii", "expected a nonempty list "
-                          f"of positive finite numbers, got {radii!r}")
-    if cfg.get("variant", "liminf") != "liminf":
-        raise ConfigError("/variant", 'expected "liminf" or no variant, '
-                          f"got {cfg['variant']!r}")
-    return {
-        "seed": _integer_at_least(cfg, "seed", 20240401),
-        "n_random": _integer_at_least(cfg, "n_random", 1),
-        "band": tuple(float(x) for x in band),
-        "lam_tol": _positive(cfg, "lambda_tolerance", 0.3),
-        "margin": _positive(cfg, "hypothesis_margin", 0.2),
-        "type_margin": _positive(cfg, "type_margin", 0.1),
-        "classical_min": _positive(cfg, "classical_min", 3.0),
-        "classical": _boolean(cfg, "expect_infinite_classical", True),
-        "osc_enabled": _boolean(osc, "enabled", True, "/oscillation"),
-        "g": resolve_subject(osc.get("g", {"poly": [0.0, 1.0]}),
-                             "/oscillation/g"),
-        "radii": radii,
-        "n_subjects": _integer_at_least(osc, "n_subjects", 3,
-                                        "/oscillation"),
-        "min_radius": _positive(osc, "min_radius", 8.0, "/oscillation"),
-        "dps_budget": _integer_at_least(osc, "dps_budget", 400,
-                                        "/oscillation", 1),
-    }
-
-
-def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
-                report: Report, margin: float, type_margin: float):
+def _hypotheses(v: dict, report: Report):
     """Empirical hypothesis verification; returns (ok, mu0, rho0)."""
-    coeff_grid = _grid_from(cfg, "coeff_grid", (5.0, 120.0, 24))
+    kind, eq, triple = v["kind"], v["equation"], v["scales"]
     mu0, rho0, s0, rho_others = _coeff_order_estimates(
-        eq, triple, coeff_grid, report)
-    worst_other = max((v for _, v, _ in rho_others), default=0.0)
+        eq, triple, growth.make_grid(*v["coeff_grid"]), report)
+    worst_other = max((rho for _, rho, _ in rho_others), default=0.0)
     if kind == "theorem_dominant":
+        margin = v["hypothesis_margin"]
         ok = worst_other + margin <= mu0 and rho0 < math.inf
         report.truth(ok, "hypothesis_dominant_lower_order",
                      f"max rho[A_j] = {worst_other:.4g} vs mu[A0] = "
                      f"{mu0:.4g} (margin {margin:g})")
-    elif kind in ("theorem_type", "theorem_proximity"):
+    else:
         ok = worst_other <= mu0 + 0.05 and (kind == "theorem_proximity"
                                             or 0 < rho0 < math.inf)
         report.truth(ok, "hypothesis_orders_weakly_dominated",
                      f"max rho[A_j] = {worst_other:.4g} vs mu[A0] = {mu0:.4g}")
-    else:
-        raise ConfigError("/kind", f"not a theorem kind: {kind}")
     if kind == "theorem_type" and ok:
         tau0_lower = growth.estimate_type(s0, triple, mu0, "lower").value
         tau1 = 0.0
-        for j, v, s in rho_others:
-            if s is not None and abs(v - mu0) <= 0.1:
+        for j, rho, s in rho_others:
+            if s is not None and abs(rho - mu0) <= 0.1:
                 tau1 = max(tau1, growth.estimate_type(
                     s, triple, mu0, "upper").value)
-        ok = tau1 + type_margin <= tau0_lower
+        ok = tau1 + v["type_margin"] <= tau0_lower
         report.truth(ok, "hypothesis_dominant_type",
                      f"tau1 = {tau1:.4g} vs lower type[A0] = "
                      f"{tau0_lower:.4g}")
     elif kind == "theorem_proximity":
-        prox_grid = _grid_from(cfg, "proximity_grid", (5.0, 60.0, 8))
+        prox_grid = growth.make_grid(*v["proximity_grid"])
         cap = min(a.guaranteed_radius for a in eq.coeffs) * 0.999
         prox_grid = prox_grid[prox_grid <= cap]
         ratios = []
@@ -781,7 +779,7 @@ def _hypotheses(kind: str, cfg: dict, eq: ode.LinearODE, triple: ScaleTriple,
                     pass
             ratios.append(m_sum / m0)
         tail = ratios[-max(1, len(ratios) // 2):]
-        liminf = cfg.get("variant") == "liminf"
+        liminf = v["variant"] == "liminf"
         stat = (min if liminf else max)(tail, default=math.inf)
         report.info(f"proximity_ratio_tail_{'min' if liminf else 'max'}",
                     stat)
@@ -840,11 +838,9 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
     log_r = _march_log_radius(r_top)
     r_march = math.exp(log_r)
     for j, a in enumerate(eq.coeffs):
-        if a.guaranteed_radius < r_march:
-            raise ConfigError(
-                "/oscillation/radii", f"counting up to r = {r_top:g} needs "
-                f"A_{j} trusted to {r_march:g}; it is trusted "
-                f"to {a.guaranteed_radius:.4g}")
+        _require(a.guaranteed_radius >= r_march, "/oscillation/radii",
+                 f"counting up to r = {r_top:g} needs A_{j} trusted to "
+                 f"{r_march:g}; it is trusted to {a.guaranteed_radius:.4g}")
     n, longest = _PROBE_TERMS, sol
     while True:
         probe = ode.solve_series(eq, init, n, _resume=longest)
@@ -863,20 +859,14 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
             held = end < n
         if held:
             break
-        if n >= _PROBE_CAP:
-            raise ConfigError(
-                "/oscillation/radii", f"counting up to r = {r_top:g}: the "
-                f"{n}-term probe is not trusted to {r_march:g}, or its mp "
-                f"band there reaches its last term")
+        _require(n < _PROBE_CAP, "/oscillation/radii", f"counting up to r = "
+                 f"{r_top:g}: the {n}-term probe is not trusted to "
+                 f"{r_march:g}, or its mp band there reaches its last term")
         n *= 2
     end_dh = _evalcore._mp_band(ps.derivative(h).coeff, log_r, dps)[1]
     h.coeff.mp_logs(dps, max(end, end_dh + 1))
     return nev.count_zeros_grid(h, radii, zero_margin="auto",
                                 dps_budget=dps_budget)
-
-
-# the first series length auto_solve marches for each theorem solution
-_THEOREM_N_START = 1 << 10
 
 
 def _initial_vectors(k: int, seed: int, n_random: int) -> list:
@@ -919,30 +909,31 @@ def _theorem_solutions(eq: ode.LinearODE, inits: list, r_max: float,
 
 def run_theorem_experiment(cfg: dict,
                            report: Optional[Report] = None) -> Report:
-    """Hypotheses -> solutions -> growth estimates -> oscillation clause."""
-    kind = cfg.get("kind", "theorem_dominant")
-    rep = report or Report(cfg.get("name", kind), kind, cfg)
-    triple = resolve_triple(_need(cfg, "scales", ""))
+    """Hypotheses -> solutions -> growth estimates -> oscillation clause,
+    for a theorem config (checked here unless validate returned it)."""
+    v = cfg if isinstance(cfg, _Checked) else validate(cfg)
+    kind = v["kind"]
+    _require(_KINDS[kind][1] is _run_theorem, "/kind",
+             f"not a theorem kind: {kind}")
+    rep = report or Report(v["name"] or kind, kind, cfg)
+    triple, eq, osc = v["scales"], v["equation"], v["oscillation"]
     wrapped = triple.wrapped()
-    eq = resolve_equation(_need(cfg, "equation", ""))
-    r_max, residual_tol, n_cap = _solver_limits(cfg, 12.0, 1e-8, 1 << 14,
-                                                _THEOREM_N_START, eq.k)
-    opt = _theorem_settings(cfg)
+    r_max, residual_tol = v["r_max"], v["residual_tol"]
 
-    ok, mu0, rho0 = _hypotheses(kind, cfg, eq, triple, rep, opt["margin"],
-                                opt["type_margin"])
+    ok, mu0, rho0 = _hypotheses(v, rep)
     if not ok:
         rep.verdict = "hypotheses-not-met"
         rep.notes.append("hypotheses not met: conclusions skipped")
         return rep
 
-    inits = _initial_vectors(eq.k, opt["seed"], opt["n_random"])
-    band_lo, band_hi = opt["band"]
-    min_r = opt["min_radius"]
+    inits = _initial_vectors(eq.k, v["seed"], v["n_random"])
+    band_lo, band_hi = v["solution_band"]
+    min_r = osc["min_radius"]
     rep.truth(mu0 > 0.3, "oscillation_g_dominated",
               "polynomial g has wrapped order 0 < mu[A0]")
 
-    solved = _theorem_solutions(eq, inits, r_max, residual_tol, n_cap)
+    solved = _theorem_solutions(eq, inits, r_max, residual_tol,
+                                v["max_terms"])
     for s_idx, init in enumerate(inits):
         tag = f"sol{s_idx}"
         # the list lets go of each solution, and its caches, once checked
@@ -951,8 +942,11 @@ def run_theorem_experiment(cfg: dict,
                 f"n = {info['n_terms']}, certified r = "
                 f"{info['certified_radius']:.4g}")
         r_eff = min(r_max, info["certified_radius"] * 0.999)
-        sol_grid = _grid_from(cfg, "solution_grid", (4.0, r_eff, 20))
+        g_min, g_max, points = v["solution_grid"]
+        sol_grid = np.geomspace(g_min, g_max or r_eff, points)
         sol_grid = sol_grid[sol_grid <= r_eff]
+        _require(g_min < r_eff and len(sol_grid) >= 3, "/solution_grid",
+                 f"fewer than 3 radii within {tag}'s certified radius")
         s = growth.sample(sol, "log2_M", sol_grid)
         mu_hat = growth.estimate_order(s, wrapped, "lower").value
         rho_hat = growth.estimate_order(s, wrapped, "upper").value
@@ -961,19 +955,19 @@ def run_theorem_experiment(cfg: dict,
         rep.within(rho_hat, band_lo, band_hi, f"wrapped_rho[{tag}]",
                    f"target rho[A0] = {rho0:.4g}")
         rep.truth(mu_hat <= rho_hat + 1e-9, f"mu_le_rho[{tag}]")
-        if opt["classical"]:
+        if v["expect_infinite_classical"]:
             cls = growth.estimate_order(s, triple, "upper")
-            rep.truth(cls.value > opt["classical_min"]
+            rep.truth(cls.value > v["classical_min"]
                       and cls.trend in ("increasing", "converging"),
                       f"classical_diverges[{tag}]",
                       f"estimate {cls.value:.3g}, trend {cls.trend}")
-        if opt["osc_enabled"] and s_idx < opt["n_subjects"]:
-            radii = opt["radii"]
+        if osc["enabled"] and s_idx < osc["n_subjects"]:
+            radii = osc["radii"]
             if radii is None:
                 top = min(min_r + 0.05, info["certified_radius"] * 0.85)
                 radii = [5.0, 6.3, 7.1, top]
-            data = _count_solution_zeros(eq, init, opt["g"], radii,
-                                         opt["dps_budget"], sol)
+            data = _count_solution_zeros(eq, init, osc["g"], radii,
+                                         osc["dps_budget"], sol)
             rep.info(f"zero_counts[{tag}]",
                      [list(data.radii), list(data.counts)])
             covered = [n for r, n in zip(data.radii, data.counts)
@@ -984,7 +978,7 @@ def run_theorem_experiment(cfg: dict,
             # the conclusion ties the LOWER zero exponent to mu[A0]
             lam = growth.estimate_lambda(data, triple, log_wrap=True,
                                          mode="lower", tail_fraction=1.0)
-            rep.close(lam.value, mu0, opt["lam_tol"],
+            rep.close(lam.value, mu0, v["lambda_tolerance"],
                       f"lambda_wrapped[{tag}]",
                       "simple-zero assumption: distinct = all")
             rep.truth(lam.trend in ("increasing", "converging"),
@@ -996,44 +990,48 @@ def run_theorem_experiment(cfg: dict,
 # ---------------------------------------------------------------------------
 # dispatch, emit, shipped configs
 
-def _run_theorem(cfg: dict, report: Report, _out_dir) -> Report:
-    run_theorem_experiment(cfg, report)
-    if report.verdict == "hypotheses-not-met" \
-            and cfg.get("expect") == "hypotheses-not-met":
+def _run_theorem(v: dict, report: Report, _out_dir) -> Report:
+    run_theorem_experiment(v, report)
+    if report.verdict == v["expect"] == "hypotheses-not-met":
         report.notes.append("hypotheses-not-met was the expected outcome")
     return report
 
 
-# kind -> pipeline(cfg, report, out_dir); only solve writes to out_dir
-_PIPELINES = {
-    "analyze": _run_analyze,  # growth functionals of one subject
-    "solve": _run_solve,  # power-series solution, residual and CSV dump
-    "wiman_valiron": _run_wiman_valiron,  # max-term identity, M(r) bound
-    "gundersen": _run_gundersen,  # logarithmic-derivative quotient bound
-    "log_derivative": _run_log_derivative,  # m(r, f^(k)/f) against a cap
-    # growth and zeros of solutions under a dominant coefficient, with
-    # dominance by lower order, by maximum-term type or by proximity
-    "theorem_dominant": _run_theorem, "theorem_type": _run_theorem,
-    "theorem_proximity": _run_theorem,
-    "proposition_suite": _run_propositions,  # order laws on profiles
-    "scales": _run_scales,  # audits of a scale triple's class conditions
+# kind -> (table, pipeline(v, report, out_dir)); only solve writes to out_dir
+_KINDS = {
+    "analyze": (_ANALYZE, _run_analyze),  # growth functionals of a subject
+    "solve": (_SOLVE, _run_solve),  # series solution, residual, CSV dump
+    "wiman_valiron": (_WIMAN_VALIRON, _run_wiman_valiron),  # mu, nu, M(r)
+    "gundersen": (_GUNDERSEN, _run_gundersen),  # derivative-quotient bound
+    "log_derivative": (_LOG_DERIVATIVE, _run_log_derivative),  # m(r, f'/f)
+    # solutions under a coefficient dominant by lower order, type or m(r)
+    **dict.fromkeys(("theorem_dominant", "theorem_type",
+                     "theorem_proximity"), (_THEOREM, _run_theorem)),
+    "proposition_suite": (_PROPOSITIONS, _run_propositions),  # order laws
+    "scales": (_SCALES, _run_scales),  # a scale triple's class conditions
 }
-KINDS = tuple(_PIPELINES)
+KINDS = tuple(_KINDS)
+
+
+class _Checked(dict):
+    """A config's values as validate returns them."""
+
+
+def validate(cfg: dict) -> dict:
+    """cfg, left as it is, checked against its kind's table before any
+    work: the values the pipelines read, or a bad field's ConfigError."""
+    head = _Shape({"schema": (_one_of(SCHEMA), _REQUIRED),
+                   "kind": (_one_of(*KINDS), _REQUIRED),
+                   "name": (_text, None)})(cfg)
+    return _Checked(_KINDS[head["kind"]][0](cfg), **head)
 
 
 def run_config(cfg: dict, out_dir: Optional[str] = None) -> Report:
     """Validate and run one experiment config; returns its Report."""
     t0 = time.time()
-    if not isinstance(cfg, dict):
-        raise ConfigError("", "config must be a JSON object")
-    if cfg.get("schema") != SCHEMA:
-        raise ConfigError("/schema", f"expected {SCHEMA!r}")
-    kind = _need(cfg, "kind", "")
-    if kind not in KINDS:
-        raise ConfigError("/kind", f"unknown kind {kind!r}; "
-                          f"expected one of {KINDS}")
-    report = Report(cfg.get("name", kind), kind, dict(cfg))
-    _PIPELINES[kind](cfg, report, out_dir)
+    v = validate(cfg)
+    report = Report(v["name"] or v["kind"], v["kind"], dict(cfg))
+    _KINDS[v["kind"]][1](v, report, out_dir)
     return _stamp(report, t0)
 
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import re
+import runpy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -356,7 +360,18 @@ def _bad_theorem_configs():
         cfg["oscillation"].update(over)
         return cfg
 
+    def solution_grid(**over):
+        cfg = harness.shipped_config("theorem_dominant")
+        cfg["solution_grid"].update(over)
+        return cfg
+
     cases = [
+        ("solution_grid_r_min_text", solution_grid(r_min="x"),
+         "/solution_grid/r_min"),
+        ("solution_grid_r_max_nan", solution_grid(r_max=math.nan),
+         "/solution_grid/r_max"),
+        ("solution_grid_two_points", solution_grid(points=2),
+         "/solution_grid/points"),
         ("n_random_negative", theorem(n_random=-1), "/n_random"),
         ("n_random_float", theorem(n_random=1.5), "/n_random"),
         ("n_random_text", theorem(n_random="two"), "/n_random"),
@@ -475,6 +490,155 @@ class TestDegenerateLeaves:
         with pytest.raises(ConfigError) as err:
             harness.run_config(cfg)
         assert err.value.path == "/equation/A/0"
+
+
+def _leaves(node, path=""):
+    """The path of every numeric leaf under node, bools excluded."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}/{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}/{i}")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _keys(node, path=""):
+    """The path of every object key under node."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if isinstance(node, dict):
+            yield f"{path}/{key}"
+        yield from _keys(value, f"{path}/{key}")
+
+
+def _with(cfg, path, value):
+    """A deep copy of cfg with the value at path replaced."""
+    cfg = json.loads(json.dumps(cfg))
+    *keys, last = path.strip("/").split("/")
+    node = cfg
+    for key in keys:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return cfg
+
+
+def _names_leaf_or_parent(cfg, path):
+    """validate(cfg) raises a ConfigError naming path or its parent."""
+    with pytest.raises(ConfigError) as err:
+        harness.validate(cfg)
+    assert err.value.path in (path, path.rsplit("/", 1)[0]), (path, err.value)
+
+
+def _legal(path, value):
+    """A mutation the schema accepts: -1 as a polynomial coefficient, an
+    initial value, an argument scale or the low end of a band."""
+    return value == -1.0 and re.search(
+        r"/(poly|init)/\d+$|/z_scale$|/(expected_\w+|solution_band)/0$",
+        path) is not None
+
+
+def _perfbench_configs():
+    """The configs perfbench's fixed_precision and oscillation workloads
+    hand to run_config, from its own workload code."""
+    workloads = runpy.run_path(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench", "workloads.py"))
+    given = []
+    gl = SimpleNamespace(harness=SimpleNamespace(
+        shipped_config=harness.shipped_config, run_config=given.append))
+    for name in ("fixed_precision", "oscillation"):
+        for op in workloads[name](gl, 1)[1]:
+            op.run()
+    return given
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Validation only: a march or a circle evaluation fails the test."""
+    def refuse(*args, **kw):
+        raise AssertionError("validation marched or evaluated")
+
+    for mod, name in ((ode, "_march_d"), (ode, "_solve_series_mp"),
+                      (_evalcore, "eval_circle"), (_evalcore, "eval_points")):
+        monkeypatch.setattr(mod, name, refuse)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("name", harness.shipped_names())
+    def test_every_numeric_leaf_is_checked(self, no_work, name):
+        """Each numeric leaf set to nan, Infinity, -1 and "x": a legal
+        mutation validates, any other is a ConfigError at that leaf or its
+        parent."""
+        cfg = harness.shipped_config(name)
+        for path in _leaves(cfg):
+            for value in (math.nan, math.inf, -1.0, "x"):
+                bad = _with(cfg, path, value)
+                if _legal(path, value):
+                    harness.validate(bad)
+                else:
+                    _names_leaf_or_parent(bad, path)
+
+    @pytest.mark.parametrize("name,path,value,where", [
+        ("analyze_exp", "/quantity", "foo", "/quantity"),
+        ("analyze_exp", "/expected_order", [1.0], "/expected_order"),
+        ("analyze_exp", "/expected_order", 0.5, "/expected_order"),
+        ("analyze_exp", "/count_zeros", {"log_wrap": "no"},
+         "/count_zeros/log_wrap"),
+        ("scales_default", "/p", 2.5, "/p"),
+        ("gundersen_exp", "/name", 5, "/name")])
+    def test_non_numeric_leaf_is_checked(self, no_work, name, path, value,
+                                         where):
+        with pytest.raises(ConfigError) as err:
+            harness.validate(_with(harness.shipped_config(name), path, value))
+        assert err.value.path == where
+
+    @pytest.mark.parametrize("cfg", [
+        *(pytest.param(harness.shipped_config(n), id=n)
+          for n in harness.shipped_names()),
+        *(pytest.param(cfg, id="perfbench-" + cfg["name"])
+          for cfg in _perfbench_configs())])
+    def test_every_key_given_is_declared(self, no_work, cfg):
+        """A key the tables do not declare would be ignored: each key of a
+        shipped config, and of each config perfbench runs, set to a value
+        no spec takes is a ConfigError at that key or its parent."""
+        harness.validate(cfg)
+        for path in _keys(cfg):
+            _names_leaf_or_parent(_with(cfg, path, object()), path)
+
+    def test_validate_leaves_the_config_as_given(self):
+        for name in harness.shipped_names():
+            cfg = harness.shipped_config(name)
+            harness.validate(cfg)
+            assert cfg == harness.shipped_config(name)
+
+    def test_theorem_config_is_resolved_once(self, monkeypatch):
+        made = []
+
+        def counted(cls):
+            def make(*args, **kw):
+                made.append(cls.__name__)
+                return cls(*args, **kw)
+            return make
+
+        monkeypatch.setattr(harness, "ScaleTriple",
+                            counted(harness.ScaleTriple))
+        monkeypatch.setattr(ode, "LinearODE", counted(ode.LinearODE))
+        rep = harness.run_config(
+            harness.shipped_config("theorem_dominant_negative"))
+        assert rep.verdict == "hypotheses-not-met"
+        assert sorted(made) == ["LinearODE", "ScaleTriple"]
+
+    def test_run_theorem_experiment_checks_its_config(self, no_work):
+        cfg = harness.shipped_config("theorem_dominant")
+        cfg["seed"] = -1
+        with pytest.raises(ConfigError, match="^/seed: "):
+            harness.run_theorem_experiment(cfg)
+        with pytest.raises(ConfigError, match="^/kind: "):
+            harness.run_theorem_experiment(
+                harness.shipped_config("analyze_exp"))
 
 
 class TestCliPaths:

@@ -375,9 +375,8 @@ class TestDyadicRefinement:
 def exp_exp_log_derivative():
     """(f', f, radii) of the shipped log_derivative_exp_exp run: f =
     exp(e^z) with 400 terms, on the grid its run keeps."""
-    cfg = harness.shipped_config("log_derivative_exp_exp")
-    f = harness.resolve_subject(cfg["subject"])
-    grid = harness._grid_from(cfg, "grid", (2.0, 20.0, 12))
+    v = harness.validate(harness.shipped_config("log_derivative_exp_exp"))
+    f, grid = v["subject"], np.geomspace(*v["grid"])
     return series.derivative(f), f, grid[grid <= f.guaranteed_radius * 0.999]
 
 

@@ -665,7 +665,8 @@ class TestIntegerMarch:
     def test_theorem_inputs_within_data_floor(self):
         """A_j enter at P + 1 bits, so on f'' + e^z f = 0 the whole dps-52
         march stays within the data floor of a march 20 digits deeper
-        (5.4e-59 at coefficient 1097 against 4.0e-50)."""
+        (3.9e-58 at coefficient 1097 against 4.0e-50; rounding the inputs
+        alone gives 5.4e-59)."""
         make_eq, init, n_terms, dps = self.CASES["theorem"]
         eq, init = make_eq(), ode.InitialData(init)
         got = to_mpc(ode._solve_series_mp(eq, init, n_terms, dps))
