@@ -84,26 +84,22 @@ class OrderEstimate:
 # profiles: closed-form growth curves for calibrating the estimators
 # independently of the series machinery
 
+# form -> (its parameters, log T or log log M at radii r given them)
+_FORMS = {
+    "c_rp": (("c", "p"), lambda r, c, p: c * r ** p),
+    "ln_c_rp": (("c", "p"), lambda r, c, p: math.log(c) + p * np.log(r)),
+    "c_lnr": (("c",), lambda r, c: c * np.log(r)),
+    "ln_c_lnr": (("c",), lambda r, c: np.log(c * np.log(r))),
+    # log T of e^{e^z}
+    "r_adj": ((), lambda r: r - 0.5 * np.log(2.0 * math.pi * r)),
+    "r": ((), lambda r: r),
+}
+
+
 def _formula(desc: dict) -> Callable[[np.ndarray], np.ndarray]:
-    form = desc.get("form")
-    if form == "c_rp":          # c * r^p
-        c, p = float(desc["c"]), float(desc["p"])
-        return lambda r: c * np.asarray(r, float) ** p
-    if form == "ln_c_rp":       # ln(c * r^p)
-        c, p = float(desc["c"]), float(desc["p"])
-        return lambda r: math.log(c) + p * np.log(np.asarray(r, float))
-    if form == "c_lnr":         # c * ln r
-        c = float(desc["c"])
-        return lambda r: c * np.log(np.asarray(r, float))
-    if form == "ln_c_lnr":      # ln(c * ln r)
-        c = float(desc["c"])
-        return lambda r: np.log(c * np.log(np.asarray(r, float)))
-    if form == "r_adj":         # r - ln(2 pi r)/2 (log T of e^{e^z})
-        return lambda r: np.asarray(r, float) \
-            - 0.5 * np.log(2.0 * math.pi * np.asarray(r, float))
-    if form == "r":             # plain r
-        return lambda r: np.asarray(r, float)
-    raise ValueError(f"unknown profile formula {form!r}")
+    params, fn = _FORMS[desc["form"]]
+    args = [float(desc[k]) for k in params]
+    return lambda r: fn(np.asarray(r, float), *args)
 
 
 @dataclass(frozen=True)
@@ -126,9 +122,10 @@ class Profile:
 
 
 def profile_from_descriptor(desc: dict) -> Profile:
+    """A closed-form profile; a formula given as None is left out."""
     name = desc.get("name", "profile")
-    lt = _formula(desc["log_T"]) if "log_T" in desc else None
-    lm = _formula(desc["log2_M"]) if "log2_M" in desc else None
+    lt = _formula(desc["log_T"]) if desc.get("log_T") else None
+    lm = _formula(desc["log2_M"]) if desc.get("log2_M") else None
     if lt is None and lm is None:
         raise ValueError("profile descriptor needs log_T and/or log2_M")
     return Profile(name, lt, lm)

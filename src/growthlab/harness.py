@@ -25,11 +25,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, growth, nevanlinna as nev, ode
+from . import __version__, growth, nevanlinna as nev, ode, scale
 from . import series as ps
 from . import _evalcore
 from .scale import (ScaleTriple, audit_condition_ii, beta_log_gamma,
-                    inverse_scale, scale_from_descriptor)
+                    inverse_scale)
 
 __all__ = ["ConfigError", "CheckRecord", "Report", "run_config", "emit",
            "check_wiman_valiron", "check_gundersen", "check_log_derivative",
@@ -218,12 +218,30 @@ def _opaque(build):
     return check
 
 
+def _tagged(tag: str, kinds: dict):
+    """A descriptor: an object whose tag field names one of kinds, each
+    (factory, fields).  The fields are checked as a _Shape's, and the value
+    is factory(**the checked fields), a factory's error a ConfigError at
+    the descriptor's path."""
+    def check(desc, path):
+        kind = _Shape({tag: (_one_of(*kinds), _REQUIRED)})(desc, path)[tag]
+        factory, fields = kinds[kind]
+        return _Shape(fields, _opaque(lambda v: factory(**v)))(desc, path)
+    return check
+
+
 _POSITIVE = _real(0.0)
+_FINITE = _leaf(_number, "a finite number", float)
 _bool = _leaf(lambda x: isinstance(x, bool), "true or false")
 _text = _leaf(lambda x: isinstance(x, str), "a string")
 _any = _leaf(lambda x: True, "")
 _complex = _leaf(lambda x: _number(x, (int, float, complex)),
                  "a finite number")
+_radii = _leaf(lambda x: isinstance(x, (list, tuple)) and len(x) >= 1
+               and all(_number(v) and v > 0 for v in x)
+               and all(a < b for a, b in zip(x, x[1:])),
+               "strictly increasing finite numbers > 0",
+               lambda x: list(map(float, x)))
 _band = _leaf(lambda x: isinstance(x, (list, tuple)) and len(x) == 2
               and all(_number(v) for v in x) and x[0] < x[1],
               "two finite numbers lo < hi", lambda x: tuple(map(float, x)))
@@ -254,8 +272,28 @@ def _series(s: dict, path: str) -> ps.PowerSeries:
     return f if s["z_scale"] is None else ps.scale_argument(f, s["z_scale"])
 
 
-# the shared shapes (an analyze subject may be a closed-form profile)
-_SCALE = _opaque(scale_from_descriptor)
+# the shared shapes (an analyze subject may be a closed-form profile).  A
+# scale is {"kind": ..., parameters}; its factory in scale checks the
+# parameters' joint domain (power c <= 1, user_table knot order)
+_SCALE_KINDS = {
+    "identity": (scale.identity, {}),
+    "log_plus": (scale.log_plus, {"x0": (_real(1.0), math.e)}),
+    "iterated_log": (scale.iterated_log, {"p": (_int(1), 1)}),
+    "power": (scale.power, {"c": (_POSITIVE, _REQUIRED)}),
+    "linear": (scale.linear, {"a": (_POSITIVE, _REQUIRED),
+                              "b": (_FINITE, 0.0)}),
+    "user_table": (scale.user_table, dict.fromkeys(
+        ("xs", "ys"), (_list(_FINITE, 2), _REQUIRED))),
+    "composed_log": (scale.compose_with_log, {
+        "inner": (lambda x, path: _SCALE(x, path), _REQUIRED)})}
+_SCALE = _tagged("kind", _SCALE_KINDS)
+# a profile formula {"form": ..., parameters} of growth._FORMS, as
+# checked: each parameter a finite number > 0
+_PROFILE_FORMS = {
+    form: (dict, {"form": (_text, _REQUIRED),
+                  **dict.fromkeys(params, (_POSITIVE, _REQUIRED))})
+    for form, (params, _) in growth._FORMS.items()}
+_FORM = _tagged("form", _PROFILE_FORMS)
 resolve_triple = _Shape({
     "alpha": (_SCALE, _REQUIRED), "beta": (_SCALE, _REQUIRED),
     "gamma": (_SCALE, _REQUIRED), "l1_constant": (_POSITIVE, 1.0)},
@@ -269,7 +307,9 @@ _SERIES_FIELDS = {  # "poly" is spelled {"poly": [a_0, a_1, ...]}
 _SERIES = _Shape(_SERIES_FIELDS, _series, "/subject")
 resolve_subject = _Shape({
     **_SERIES_FIELDS,
-    "profile": (_opaque(growth.profile_from_descriptor), None)},
+    "profile": (_Shape({"name": (_text, "profile"),
+                        "log_T": (_FORM, None), "log2_M": (_FORM, None)},
+                       _opaque(growth.profile_from_descriptor)), None)},
     lambda s, path: s["profile"] or _series(s, path), "/subject")
 resolve_equation = _Shape({
     "k": (_int(1), _REQUIRED), "A": (_list(_SERIES), _REQUIRED),
@@ -351,7 +391,7 @@ _THEOREM = _Shape({  # theorem_dominant, theorem_type and theorem_proximity
     "expect_infinite_classical": (_bool, True),
     "oscillation": (_Shape({
         "enabled": (_bool, True), "g": (_SERIES, {"poly": [0.0, 1.0]}),
-        "radii": (_list(_POSITIVE), None),  # None: 5 to past min_radius
+        "radii": (_radii, None),  # None: 5 to past min_radius
         "n_subjects": (_int(0), 3), "min_radius": (_POSITIVE, 8.0),
         "dps_budget": (_int(1), 400)}), {})})
 
@@ -526,6 +566,23 @@ def check_log_derivative(f: ps.PowerSeries, triple: ScaleTriple, rho: float,
 # ---------------------------------------------------------------------------
 # kind pipelines
 
+# ln (1 + s), s = ((_MAX_RETRIES - 1) // 2 + 1) _RETRY_STEP: how far above
+# a radius r count_zeros_grid's largest retry, r (1 + s), lies
+_RETRY_REACH = math.log1p(
+    ((nev._MAX_RETRIES - 1) // 2 + 1) * nev._RETRY_STEP)
+
+
+def _within(grid: np.ndarray, limit: float, path: str,
+            least: int = 3) -> np.ndarray:
+    """The radii of grid up to limit, a series' guaranteed_radius less a
+    margin; a ConfigError at path if fewer than least remain."""
+    kept = grid[grid <= limit]
+    _require(len(kept) >= least, path, f"{len(kept)} of its radii lie "
+             f"within r = {limit:.6g}, where the series is trusted; need "
+             f"{least}")
+    return kept
+
+
 def _expect(report: Report, v: dict, key: str, value: float) -> None:
     """A within-band check named key, if v gives the band."""
     if v[key] is not None:
@@ -540,8 +597,7 @@ def _run_analyze(v: dict, report: Report, _out_dir) -> Report:
     if isinstance(subject, ps.PowerSeries):
         _require(np.isfinite(subject.coeff.lh).any(), "/subject",
                  "the zero series has no growth")
-        grid = grid[grid <= subject.guaranteed_radius * 0.999]
-        _require(len(grid) >= 4, "/grid", "grid exceeds the certified radius")
+        grid = _within(grid, subject.guaranteed_radius * 0.999, "/grid", 4)
     s = growth.sample(subject, quantity, grid)
     up = growth.estimate_order(s, triple, "upper")
     lo = growth.estimate_order(s, triple, "lower")
@@ -560,8 +616,12 @@ def _run_analyze(v: dict, report: Report, _out_dir) -> Report:
             _expect(report, v, "expected_type", t_up.value)
     cz = v["count_zeros"]
     if cz is not None and isinstance(subject, ps.PowerSeries):
+        # every retry radius of count_zeros_grid inside the trusted one
+        cz_grid = _within(growth.make_grid(*cz["grid"]), math.exp(
+            math.log(subject.guaranteed_radius) - _RETRY_REACH),
+            "/count_zeros/grid")
         try:
-            data = nev.count_zeros_grid(subject, growth.make_grid(*cz["grid"]),
+            data = nev.count_zeros_grid(subject, cz_grid,
                                         zero_margin=cz["zero_margin"])
         except nev.PrecisionBudgetError as exc:
             raise ConfigError("/count_zeros/grid", str(exc)) from exc
@@ -593,23 +653,25 @@ def _run_wiman_valiron(v: dict, report: Report, _out_dir) -> Report:
     grid = growth.make_grid(*v["grid"])
     for s in v["subjects"]:
         f = s["series"]
-        sub_grid = grid[grid <= f.guaranteed_radius / 2.001] \
-            if math.isfinite(f.guaranteed_radius) else grid
-        check_wiman_valiron(f, sub_grid, report, label=s["label"] or "",
+        check_wiman_valiron(f, _within(grid, f.guaranteed_radius / 2.001,
+                                       "/grid"),
+                            report, label=s["label"] or "",
                             ratio_orders=s["ratio_orders"])
     return report
 
 
 def _run_gundersen(v: dict, report: Report, _out_dir) -> Report:
-    f, chi, grid = v["subject"], v["chi"], growth.make_grid(*v["grid"])
-    grid = grid[grid <= f.guaranteed_radius / (chi * 1.001)]
+    f, chi = v["subject"], v["chi"]
+    grid = _within(growth.make_grid(*v["grid"]),
+                   f.guaranteed_radius / (chi * 1.001), "/grid", 4)
     return check_gundersen(f, chi, v["i"], v["j"], grid, report,
                            v["name"] or "")
 
 
 def _run_log_derivative(v: dict, report: Report, _out_dir) -> Report:
-    f, grid = v["subject"], growth.make_grid(*v["grid"])
-    grid = grid[grid <= f.guaranteed_radius * 0.999]
+    f = v["subject"]
+    grid = _within(growth.make_grid(*v["grid"]), f.guaranteed_radius * 0.999,
+                   "/grid")
     return check_log_derivative(f, v["scales"], v["rho"], v["k"], grid, report,
                                 ratio_bound=v["ratio_bound"],
                                 label=v["name"] or "")
@@ -717,8 +779,8 @@ def _coeff_order_estimates(eq: ode.LinearODE, triple: ScaleTriple,
                      "A_0 must be nonconstant: it has no growth")
             others.append((j, 0.0, None))
             continue
-        g = grid[grid <= a.guaranteed_radius * 0.999]
-        s = growth.sample(a, "log2_M", g)
+        s = growth.sample(a, "log2_M", _within(
+            grid, a.guaranteed_radius * 0.999, "/coeff_grid"))
         if j == 0:
             s0 = s
             mu0 = growth.estimate_order(s, triple, "lower").value
@@ -762,9 +824,8 @@ def _hypotheses(v: dict, report: Report):
                      f"tau1 = {tau1:.4g} vs lower type[A0] = "
                      f"{tau0_lower:.4g}")
     elif kind == "theorem_proximity":
-        prox_grid = growth.make_grid(*v["proximity_grid"])
-        cap = min(a.guaranteed_radius for a in eq.coeffs) * 0.999
-        prox_grid = prox_grid[prox_grid <= cap]
+        prox_grid = _within(growth.make_grid(*v["proximity_grid"]), min(
+            a.guaranteed_radius for a in eq.coeffs) * 0.999, "/proximity_grid")
         ratios = []
         for r in prox_grid:
             lr = math.log(r)
@@ -804,11 +865,9 @@ _PROBE_CAP = 1 << 16  # longest double probe
 
 def _march_log_radius(r_top: float) -> float:
     """ln of the largest radius count_zeros_grid counts at for the top
-    radius r_top: its largest retry above it, r_top (1 + s), s =
-    ((_MAX_RETRIES - 1) // 2 + 1) _RETRY_STEP (1.002 r_top), formed as the
+    radius r_top: its largest retry above it (1.002 r_top), formed as the
     retry forms it."""
-    step = ((nev._MAX_RETRIES - 1) // 2 + 1) * nev._RETRY_STEP
-    return math.log(r_top) + math.log1p(step)
+    return math.log(r_top) + _RETRY_REACH
 
 
 def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,

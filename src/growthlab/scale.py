@@ -25,8 +25,7 @@ import numpy as np
 __all__ = ["ScaleFunction", "ScaleTriple", "AuditReport", "eval_scale",
            "inverse_scale", "compose_with_log", "beta_log_gamma",
            "audit_class", "audit_condition_ii", "identity", "log_plus",
-           "iterated_log", "power", "linear", "user_table",
-           "scale_from_descriptor"]
+           "iterated_log", "power", "linear", "user_table"]
 
 _E = math.e
 
@@ -100,10 +99,52 @@ def user_table(xs: Sequence[float], ys: Sequence[float]) -> ScaleFunction:
     return ScaleFunction("user_table", xs[0], (xs, ys), label="user_table")
 
 
-def compose_with_log(s: ScaleFunction) -> ScaleFunction:
-    """The scale x -> s(log x), frozen below exp(x0 of s)."""
-    return ScaleFunction("composed_log", math.exp(min(s.x0, 700.0)),
-                         inner=s, label=f"{s!r}(log)")
+def compose_with_log(inner: ScaleFunction) -> ScaleFunction:
+    """The scale x -> inner(log x), frozen below exp(x0 of inner)."""
+    return ScaleFunction("composed_log", math.exp(min(inner.x0, 700.0)),
+                         inner=inner, label=f"{inner!r}(log)")
+
+
+def _iterate(fn, x, p: int):
+    for _ in range(p):
+        x = fn(x)
+    return x
+
+
+def _table_map(s: ScaleFunction, x: np.ndarray) -> np.ndarray:
+    xs, ys = s.params
+    out = np.interp(x, xs, ys)
+    beyond = x > xs[-1]
+    if np.any(beyond):
+        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        out[beyond] = ys[-1] + slope * (x[beyond] - xs[-1])
+    return out
+
+
+def _table_inverse(s: ScaleFunction, y: float) -> float:
+    """Closed form on the first segment whose right knot reaches y, else
+    on the extrapolated last one.  y exceeds the first knot's value, so
+    the segment climbs: the knot left of it lies below y."""
+    xs, ys = s.params
+    i = next((i for i in range(1, len(ys)) if ys[i] >= y), len(ys) - 1)
+    return xs[i - 1] + (y - ys[i - 1]) * (xs[i] - xs[i - 1]) \
+        / (ys[i] - ys[i - 1])
+
+
+# kind -> (map on x >= x0 as an array, inverse at y above the frozen value)
+_KINDS = {
+    "identity": (lambda s, x: x, lambda s, y: float(y)),
+    "log_plus": (lambda s, x: np.log(x), lambda s, y: math.exp(y)),
+    "iterated_log": (lambda s, x: _iterate(np.log, x, s.params[0]),
+                     lambda s, y: _iterate(math.exp, float(y), s.params[0])),
+    "power": (lambda s, x: x ** s.params[0],
+              lambda s, y: float(y) ** (1.0 / s.params[0])),
+    "linear": (lambda s, x: s.params[0] * x + s.params[1],
+               lambda s, y: (y - s.params[1]) / s.params[0]),
+    "user_table": (_table_map, _table_inverse),
+    "composed_log": (lambda s, x: eval_scale(s.inner, np.log(x)),
+                     lambda s, y: math.exp(inverse_scale(s.inner, y))),
+}
 
 
 def eval_scale(s: ScaleFunction, x):
@@ -111,78 +152,20 @@ def eval_scale(s: ScaleFunction, x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).copy()
-    frozen = arr < s.x0
-    arr[frozen] = s.x0
-    if s.kind == "identity":
-        out = arr
-    elif s.kind == "log_plus":
-        out = np.log(arr)
-    elif s.kind == "iterated_log":
-        out = arr
-        for _ in range(s.params[0]):
-            out = np.log(out)
-    elif s.kind == "power":
-        out = arr ** s.params[0]
-    elif s.kind == "linear":
-        a, b = s.params
-        out = a * arr + b
-    elif s.kind == "user_table":
-        xs, ys = s.params
-        out = np.interp(arr, xs, ys)
-        beyond = arr > xs[-1]
-        if np.any(beyond):
-            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            out[beyond] = ys[-1] + slope * (arr[beyond] - xs[-1])
-    elif s.kind == "composed_log":
-        out = eval_scale(s.inner, np.log(arr))
-    else:
-        raise ValueError(f"unknown scale kind {s.kind!r}")
-    out = np.atleast_1d(np.asarray(out, dtype=float))
+    arr[arr < s.x0] = s.x0
+    out = np.atleast_1d(np.asarray(_KINDS[s.kind][0](s, arr), dtype=float))
     return float(out[0]) if scalar else out
 
 
 def inverse_scale(s: ScaleFunction, y: float) -> float:
-    """Smallest x with s(x) >= y.
-
-    Closed forms for the analytic kinds; monotone bisection to an absolute
-    tolerance of 1e-12 * max(1, |x|) otherwise.  y below s(x0) is a domain
-    error (the scale never takes such values).
-    """
+    """Smallest x with s(x) >= y, in closed form.  y below s(x0) is a
+    domain error (the scale never takes such values)."""
     base = eval_scale(s, s.x0)
     if y < base - 1e-12 * max(1.0, abs(base)):
         raise ValueError(f"{y} below the scale's minimum value {base}")
     if y <= base:
         return s.x0
-    if s.kind == "identity":
-        return float(y)
-    if s.kind == "log_plus":
-        return math.exp(y)
-    if s.kind == "iterated_log":
-        x = float(y)
-        for _ in range(s.params[0]):
-            x = math.exp(x)
-        return x
-    if s.kind == "power":
-        return float(y) ** (1.0 / s.params[0])
-    if s.kind == "linear":
-        a, b = s.params
-        return (y - b) / a
-    if s.kind == "composed_log":
-        return math.exp(inverse_scale(s.inner, y))
-    # bisection fallback (user_table)
-    hi = max(s.x0 + 1.0, 1.0)
-    while eval_scale(s, hi) < y:
-        hi = s.x0 + 2.0 * (hi - s.x0) + 1.0
-        if hi > 1e300:
-            raise ValueError("inverse_scale bracket exceeded float range")
-    lo = s.x0
-    while hi - lo > 1e-12 * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if eval_scale(s, mid) >= y:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _KINDS[s.kind][1](s, y)
 
 
 @dataclass(frozen=True)
@@ -330,23 +313,3 @@ class ScaleTriple:
     def __repr__(self) -> str:
         return f"({self.alpha!r},{self.beta!r},{self.gamma!r})"
 
-
-_DESCRIPTOR_KINDS = {
-    "identity": lambda d: identity(),
-    "log_plus": lambda d: log_plus(float(d.get("x0", _E))),
-    "iterated_log": lambda d: iterated_log(int(d.get("p", 1))),
-    "power": lambda d: power(float(d["c"])),
-    "linear": lambda d: linear(float(d["a"]), float(d.get("b", 0.0))),
-    "user_table": lambda d: user_table(d["xs"], d["ys"]),
-    "composed_log": lambda d: compose_with_log(scale_from_descriptor(d["inner"])),
-}
-
-
-def scale_from_descriptor(desc: dict) -> ScaleFunction:
-    """Build a scale from its JSON config form, e.g. {"kind": "log_plus"}."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ValueError("scale descriptor must be an object with a 'kind'")
-    kind = desc["kind"]
-    if kind not in _DESCRIPTOR_KINDS:
-        raise ValueError(f"unknown scale kind {kind!r}")
-    return _DESCRIPTOR_KINDS[kind](desc)

@@ -54,6 +54,18 @@ class TestValidation:
             harness.run_config(cfg)
         assert "/scales" in str(err.value)
 
+    def test_descriptor_round_trip(self):
+        def triple(alpha):
+            return harness.resolve_triple({"alpha": alpha,
+                                           "beta": {"kind": "identity"},
+                                           "gamma": {"kind": "identity"}})
+
+        t = triple({"kind": "iterated_log", "p": 2})
+        assert t.alpha.kind == "iterated_log" and t.alpha.params == (2,)
+        with pytest.raises(ConfigError) as err:
+            triple({"kind": "does_not_exist"})
+        assert err.value.path == "/scales/alpha/kind"
+
     def test_missing_subject_field(self):
         cfg = minimal_analyze()
         del cfg["subject"]
@@ -294,10 +306,44 @@ def _bad_configs():
         cfg.update(over)
         return cfg
 
-    small = {"r_min": 5.0, "r_max": 20.0, "points": 4}
+    def alpha(**desc):
+        return shipped("scales_default", scales={
+            "alpha": desc, "beta": {"kind": "identity"},
+            "gamma": {"kind": "identity"}})
+
+    def grid(r_min, r_max, points=8):
+        return {"r_min": r_min, "r_max": r_max, "points": points}
+
+    small = grid(5.0, 20.0, 4)
     wv = shipped("wiman_valiron")
     wv["subjects"][0]["ratio_orders"] = [0]
     cases = [
+        ("iterated_log_p_float", alpha(kind="iterated_log", p=2.5),
+         "/scales/alpha/p"),
+        ("log_plus_x0_text", alpha(kind="log_plus", x0="5"),
+         "/scales/alpha/x0"),
+        ("power_c_nan", alpha(kind="power", c=math.nan), "/scales/alpha/c"),
+        ("power_c_above_1", alpha(kind="power", c=2.0), "/scales/alpha"),
+        ("user_table_xs_text", alpha(kind="user_table", xs="0123",
+                                     ys=[0, 1, 2, 3]), "/scales/alpha/xs"),
+        ("composed_log_no_inner", alpha(kind="composed_log"),
+         "/scales/alpha/inner"),
+        ("profile_c_text", shipped("analyze_exp", quantity="log_T", subject={
+            "profile": {"log_T": {"form": "ln_c_rp", "c": "2", "p": 1.0}}}),
+         "/subject/profile/log_T/c"),
+        # each grid wholly past its series' trusted radius
+        ("wv_grid_past_radius", shipped("wiman_valiron",
+                                        grid=grid(300.0, 400.0)), "/grid"),
+        ("gundersen_grid_past_radius", shipped("gundersen_exp",
+                                               grid=grid(300.0, 400.0)),
+         "/grid"),
+        ("log_derivative_grid_past_radius", shipped(
+            "log_derivative_exp_exp", grid=grid(50.0, 60.0)), "/grid"),
+        # sin 200 is trusted to about 97: 2 of these radii lie within
+        ("count_zeros_grid_past_radius", shipped(
+            "analyze_exp", subject={"builtin": "sin", "n_terms": 200},
+            count_zeros={"grid": grid(10.0, 400.0, 4)}),
+         "/count_zeros/grid"),
         ("grid_not_object", shipped("analyze_exp", grid=5), "/grid"),
         ("grid_null", shipped("analyze_exp", grid={"r_min": None}), "/grid"),
         ("zero_margin", shipped("analyze_exp", count_zeros={
@@ -365,7 +411,15 @@ def _bad_theorem_configs():
         cfg["solution_grid"].update(over)
         return cfg
 
+    # exp 220 is trusted to about 106, e^{2z} of 300 terms to about 88
+    past = {"r_min": 200.0, "r_max": 300.0, "points": 8}
+    proximity = harness.shipped_config("theorem_proximity")
+    proximity["proximity_grid"] = past
     cases = [
+        ("radii_decreasing", oscillation(radii=[6.0, 5.0]),
+         "/oscillation/radii"),
+        ("coeff_grid_past_radius", theorem(coeff_grid=past), "/coeff_grid"),
+        ("proximity_grid_past_radius", proximity, "/proximity_grid"),
         ("solution_grid_r_min_text", solution_grid(r_min="x"),
          "/solution_grid/r_min"),
         ("solution_grid_r_max_nan", solution_grid(r_max=math.nan),
@@ -555,6 +609,26 @@ def _perfbench_configs():
     return given
 
 
+# a legal value of each parameter of the scale kinds (tag "kind") and of
+# the profile forms (tag "form"); an int marks an integer field
+_PARAMETERS = {
+    "kind": {"x0": 5.0, "p": 2, "c": 0.5, "a": 2.0, "b": 1.0,
+             "xs": [0.0, 1.0, 2.0], "ys": [0.0, 1.0, 3.0],
+             "inner": {"kind": "log_plus"}},
+    "form": {"c": 2.0, "p": 1.5}}
+
+
+def _descriptors():
+    """Each scale kind and profile form, as a descriptor giving every
+    parameter, with its spec."""
+    for tag, kinds, spec in (("kind", harness._SCALE_KINDS, harness._SCALE),
+                             ("form", harness._PROFILE_FORMS, harness._FORM)):
+        for kind, (_, fields) in kinds.items():
+            desc = {tag: kind, **{f: _PARAMETERS[tag][f]
+                                  for f in fields if f != tag}}
+            yield pytest.param(spec, tag, desc, fields, id=f"{tag}={kind}")
+
+
 @pytest.fixture
 def no_work(monkeypatch):
     """Validation only: a march or a circle evaluation fails the test."""
@@ -607,6 +681,38 @@ class TestSchema:
         harness.validate(cfg)
         for path in _keys(cfg):
             _names_leaf_or_parent(_with(cfg, path, object()), path)
+
+    @pytest.mark.parametrize("spec,tag,desc,fields", _descriptors())
+    def test_every_descriptor_parameter_is_checked(self, spec, tag, desc,
+                                                   fields):
+        """Each parameter, and each number in it, set to nan, Infinity, -1,
+        "x", true (and 2.5 in an integer field) is a ConfigError at that
+        leaf, its parent or the descriptor; the legal ones, -1 as linear's
+        b or as user_table's first knot, build.  A parameter left out
+        builds with its default or is missing at its path."""
+        spec(desc, "/d")
+        params = [f for f in fields if f != tag]
+        for path in sorted({f"/{f}" for f in params} | set(_leaves(desc))):
+            int_field = type(desc.get(path[1:])) is int
+            for value in [math.nan, math.inf, -1.0, "x", True] \
+                    + [2.5] * int_field:
+                bad = _with(desc, path, value)
+                if value == -1.0 and path in ("/b", "/xs/0"):
+                    spec(bad, "/d")
+                    continue
+                with pytest.raises(ConfigError) as err:
+                    spec(bad, "/d")
+                assert err.value.path in (
+                    "/d" + path, "/d" + path.rsplit("/", 1)[0], "/d"), \
+                    (desc, path, value, err.value)
+        for f in params:
+            short = {k: v for k, v in desc.items() if k != f}
+            if fields[f][1] is not harness._REQUIRED:
+                spec(short, "/d")
+                continue
+            with pytest.raises(ConfigError, match="missing") as err:
+                spec(short, "/d")
+            assert err.value.path == f"/d/{f}"
 
     def test_validate_leaves_the_config_as_given(self):
         for name in harness.shipped_names():

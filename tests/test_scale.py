@@ -53,11 +53,16 @@ class TestInverse:
             scale.inverse_scale(scale.log_plus(), 0.5)  # min value is 1
 
     def test_user_table_defining_property(self):
-        s = scale.user_table([1, 2, 4, 9], [0.5, 1.0, 3.0, 4.0])
-        for y in [0.6, 1.7, 3.2, 7.5]:
-            x = scale.inverse_scale(s, y)
-            assert scale.eval_scale(s, x) >= y - 1e-9
-            assert scale.eval_scale(s, x - 1e-6) < y + 1e-9
+        # the second table has a flat segment; its inputs are each knot
+        # value and values past the last knot
+        for ys, inputs in (([0.5, 1.0, 3.0, 4.0], [0.6, 1.7, 3.2, 7.5]),
+                           ([0.5, 1.0, 1.0, 4.0], [0.75, 1.0, 2.5, 4.0, 5.0,
+                                                   1e6])):
+            s = scale.user_table([1, 2, 4, 9], ys)
+            for y in inputs:
+                x = scale.inverse_scale(s, y)
+                assert scale.eval_scale(s, x) >= y - 1e-9
+                assert scale.eval_scale(s, x - 1e-6) < y, (ys, y, x)
 
     @given(st.floats(min_value=0.1, max_value=50.0))
     @settings(max_examples=200)
@@ -141,9 +146,3 @@ class TestTriple:
                               scale.identity())
         w = t.wrapped()
         assert abs(scale.eval_scale(w.alpha, math.e ** 4) - 4.0) < 1e-12
-
-    def test_descriptor_round_trip(self):
-        t = scale.scale_from_descriptor({"kind": "iterated_log", "p": 2})
-        assert t.kind == "iterated_log" and t.params == (2,)
-        with pytest.raises(ValueError):
-            scale.scale_from_descriptor({"kind": "does_not_exist"})
