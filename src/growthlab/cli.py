@@ -7,8 +7,10 @@ Subcommands:
   scales    audit a scale triple's declared class conditions
 
 Configs are JSON documents with a versioned "schema" field; shipped
-experiments live inside the package and are addressed by name.  Exit codes:
-0 = all verdicts pass, 1 = any fail, 2 = config or runtime error.
+experiments live inside the package and are addressed by name; a run's
+parameters are the config's own fields (edit the config to change one).
+Exit codes: 0 = all verdicts pass, 1 = any fail, 2 = config or runtime
+error.
 """
 
 from __future__ import annotations
@@ -28,12 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to an experiment JSON")
     common.add_argument("--out", default="reports",
                         help="output directory for reports/CSVs")
-    common.add_argument("--r-max", type=float, help="override grid r_max")
-    common.add_argument("--grid-points", type=int,
-                        help="override grid point count")
-    common.add_argument("--max-terms", type=int,
-                        help="override the series term cap")
-    common.add_argument("--seed", type=int, help="override the random seed")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = argparse.ArgumentParser(
@@ -56,26 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    if args.r_max is not None:
-        cfg.setdefault("grid", {})["r_max"] = args.r_max
-        cfg["r_max"] = args.r_max
-    if args.grid_points is not None:
-        cfg.setdefault("grid", {})["points"] = args.grid_points
-    if args.max_terms is not None:
-        cfg["max_terms"] = args.max_terms
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    return cfg
-
-
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def _run_one(cfg: dict, args) -> harness.Report:
-    report = harness.run_config(_apply_overrides(cfg, args), out_dir=args.out)
+    report = harness.run_config(cfg, out_dir=args.out)
     harness.emit(report, fmt=args.format, out_dir=args.out)
     shown = report.verdict
     if shown != "pass" and _verdict_ok(report, cfg):

@@ -6,6 +6,11 @@ whose check records are deterministic given the config and seed (timing and
 environment live in an isolated sub-object excluded from that promise).
 
 The experiment kinds, KINDS, are the keys of _KINDS, each described there.
+A config gives what an experiment is about: the scales, the subject or
+equation, the radii and the bands it expects.  How a check reads its
+estimates is fixed, once, by module constants (_THEOREM_RESIDUAL_TOL to
+_PROPOSITION_TOL below, and nevanlinna's digit budget and zero margin).
+A key its kind's table does not declare is a ConfigError at its path.
 
 Hypothesis gating: theorem experiments verify their hypotheses empirically
 first and mark the report "hypotheses-not-met" instead of asserting any
@@ -148,15 +153,21 @@ def _require(ok, path: str, message: str) -> None:
 
 class _Shape:
     """An object: fields maps each key to (spec, default), the default
-    _REQUIRED, None (no value) or a value checked as if given; other keys
-    are ignored.  Its value is build(checked fields, path), if given."""
+    _REQUIRED, None (no value) or a value checked as if given.  Any other
+    key is a ConfigError at its path unless free names it (free None: any
+    key); a free key is not read.  Its value is build(checked fields,
+    path), if given."""
 
-    def __init__(self, fields: dict, build=None, path: str = ""):
+    def __init__(self, fields: dict, build=None, path: str = "", free=()):
         self.fields, self.build, self.path = fields, build, path
+        self.free = free
 
     def __call__(self, desc, path: Optional[str] = None):
         path = self.path if path is None else path
         _require(isinstance(desc, dict), path, f"need an object, got {desc!r}")
+        for key in () if self.free is None else desc:
+            _require(key in self.fields or key in self.free, f"{path}/{key}",
+                     f"unknown field; expected one of {sorted(self.fields)}")
         out = {}
         for key, (spec, default) in self.fields.items():
             at = f"{path}/{key}"
@@ -220,13 +231,15 @@ def _opaque(build):
 
 def _tagged(tag: str, kinds: dict):
     """A descriptor: an object whose tag field names one of kinds, each
-    (factory, fields).  The fields are checked as a _Shape's, and the value
-    is factory(**the checked fields), a factory's error a ConfigError at
-    the descriptor's path."""
+    (factory, fields).  The fields, with the tag, are checked as a
+    _Shape's, and the value is factory(**the checked fields), a factory's
+    error a ConfigError at the descriptor's path."""
     def check(desc, path):
-        kind = _Shape({tag: (_one_of(*kinds), _REQUIRED)})(desc, path)[tag]
+        kind = _Shape({tag: (_one_of(*kinds), _REQUIRED)},
+                      free=None)(desc, path)[tag]
         factory, fields = kinds[kind]
-        return _Shape(fields, _opaque(lambda v: factory(**v)))(desc, path)
+        return _Shape(fields, _opaque(lambda v: factory(**v)),
+                      free=(tag,))(desc, path)
     return check
 
 
@@ -320,6 +333,13 @@ resolve_equation = _Shape({
 
 # the first series length auto_solve marches for each theorem solution
 _THEOREM_N_START = 1 << 10
+# how the checks read their estimates: one value each, not config fields
+_THEOREM_RESIDUAL_TOL = 1e-8  # residual[solN] bound of a theorem solution
+_LAMBDA_TOLERANCE = 0.3  # |lambda_wrapped - mu[A0]| a theorem allows
+_HYPOTHESIS_MARGIN = 0.2  # theorem_dominant: max rho[A_j] + it <= mu[A0]
+_TYPE_MARGIN = 0.1  # theorem_type: tau1 + it <= the lower type of A_0
+_RATIO_BOUND = 2.0  # log_derivative: the tail ratio m / bound allowed
+_PROPOSITION_TOL = 0.05  # proposition_suite: each order law's tolerance
 # one table per kind besides schema, kind and name (see validate); a
 # default of None that a pipeline fills in is noted
 _ANALYZE = _Shape({
@@ -333,10 +353,12 @@ _ANALYZE = _Shape({
     "expected_type": (_band, None),
     "count_zeros": (_Shape({
         "grid": (_grid(5.0, 50.0, 12), {}),
-        "zero_margin": (lambda x, path: x if x == "auto"
-                        else _POSITIVE(x, path), "auto"),
         "log_wrap": (_bool, False), "expected_lambda": (_band, None)}),
-        None)})
+        None)},
+    lambda v, _: _require(
+        v["count_zeros"] is None or isinstance(v["subject"], ps.PowerSeries),
+        "/count_zeros", "zeros are counted on a series subject, not a "
+        "profile") or v)
 _SOLVE = _Shape({
     "equation": (resolve_equation, _REQUIRED),
     "init": (_list(_complex), _REQUIRED),
@@ -361,12 +383,11 @@ _GUNDERSEN = _Shape({
 _LOG_DERIVATIVE = _Shape({
     "subject": (_SERIES, _REQUIRED), "scales": (resolve_triple, _REQUIRED),
     "grid": (_grid(2.0, 20.0, 12), {}),
-    "rho": (_real(0.0, closed=True), _REQUIRED), "k": (_int(1), 1),
-    "ratio_bound": (_POSITIVE, 2.0)})
+    "rho": (_real(0.0, closed=True), _REQUIRED), "k": (_int(1), 1)})
 _PROPOSITIONS = _Shape({
     "scales": (resolve_triple, dict.fromkeys(("alpha", "beta", "gamma"),
                                              {"kind": "identity"})),
-    "tolerance": (_POSITIVE, 0.05), "grid": (_grid(10.0, 2000.0, 48), {}),
+    "grid": (_grid(10.0, 2000.0, 48), {}),
     "dominance_r_min": (_POSITIVE, 100.0),
     "dominance_r_max": (_POSITIVE, 1e4)},
     lambda v, _: _require(v["dominance_r_min"] < v["dominance_r_max"],
@@ -381,19 +402,16 @@ _THEOREM = _Shape({  # theorem_dominant, theorem_type and theorem_proximity
     "equation": (resolve_equation, _REQUIRED),
     "coeff_grid": (_grid(5.0, 120.0, 24), {}),
     "proximity_grid": (_grid(5.0, 60.0, 8), {}),
-    "r_max": (_POSITIVE, 12.0), "residual_tol": (_POSITIVE, 1e-8),
+    "r_max": (_POSITIVE, 12.0),
     "max_terms": (_int(_THEOREM_N_START), 1 << 14),
     "solution_grid": (_grid(4.0, None, 20), {}),
     "solution_band": (_band, [0.8, 1.1]),
-    "seed": (_int(0), 20240401), "n_random": (_int(0), 1),
-    "lambda_tolerance": (_POSITIVE, 0.3), "classical_min": (_POSITIVE, 3.0),
-    "hypothesis_margin": (_POSITIVE, 0.2), "type_margin": (_POSITIVE, 0.1),
-    "expect_infinite_classical": (_bool, True),
+    "seed": (_int(0), 20240401), "classical_min": (_POSITIVE, 3.0),
     "oscillation": (_Shape({
         "enabled": (_bool, True), "g": (_SERIES, {"poly": [0.0, 1.0]}),
         "radii": (_radii, None),  # None: 5 to past min_radius
-        "n_subjects": (_int(0), 3), "min_radius": (_POSITIVE, 8.0),
-        "dps_budget": (_int(1), 400)}), {})})
+        "n_subjects": (_int(0), 3), "min_radius": (_POSITIVE, 8.0)}),
+        {})})
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +543,12 @@ def check_gundersen(f: ps.PowerSeries, chi: float, i: int, j: int,
 def check_log_derivative(f: ps.PowerSeries, triple: ScaleTriple, rho: float,
                          k: int, grid: np.ndarray,
                          report: Optional[Report] = None,
-                         ratio_bound: float = 2.0, label: str = "") -> Report:
+                         label: str = "") -> Report:
     """m(r, f^(k)/f) against exp(alpha^{-1}((rho + 1/4) beta(log gamma r))).
 
     rho is the caller's a-priori wrapped-order estimate of f.  The verdict
-    asks for a bounded tail ratio with at most 10% of radii violating.  The
+    asks for a tail ratio m / bound of at most _RATIO_BOUND, with at most
+    10% of radii violating.  The
     detail names the radii whose m is a trimmed mean or did not converge
     (see nevanlinna.proximity_of_ratio).
     """
@@ -553,7 +572,7 @@ def check_log_derivative(f: ps.PowerSeries, triple: ScaleTriple, rho: float,
         bound = math.exp(min(inverse_scale(triple.alpha, y), 700.0))
         ratios.append(prox.value / bound)
     tail = ratios[-max(2, len(ratios) // 4):]
-    viol = sum(1 for x in tail if x > ratio_bound)
+    viol = sum(1 for x in tail if x > _RATIO_BOUND)
     detail = f"tail ratios m/bound = {[round(x, 4) for x in tail]!r}"
     if trimmed:
         detail += f"; trimmed mean at r = {trimmed!r}"
@@ -566,10 +585,8 @@ def check_log_derivative(f: ps.PowerSeries, triple: ScaleTriple, rho: float,
 # ---------------------------------------------------------------------------
 # kind pipelines
 
-# ln (1 + s), s = ((_MAX_RETRIES - 1) // 2 + 1) _RETRY_STEP: how far above
-# a radius r count_zeros_grid's largest retry, r (1 + s), lies
-_RETRY_REACH = math.log1p(
-    ((nev._MAX_RETRIES - 1) // 2 + 1) * nev._RETRY_STEP)
+# how far above a radius r, in ln r, count_zeros_grid's largest retry lies
+_RETRY_REACH = max(nev._retry_log_radii(0.0))
 
 
 def _within(grid: np.ndarray, limit: float, path: str,
@@ -615,14 +632,13 @@ def _run_analyze(v: dict, report: Report, _out_dir) -> Report:
             report.info("type_upper", t_up.value, f"at order {rho:g}")
             _expect(report, v, "expected_type", t_up.value)
     cz = v["count_zeros"]
-    if cz is not None and isinstance(subject, ps.PowerSeries):
+    if cz is not None:  # a series subject (validate checks it)
         # every retry radius of count_zeros_grid inside the trusted one
         cz_grid = _within(growth.make_grid(*cz["grid"]), math.exp(
             math.log(subject.guaranteed_radius) - _RETRY_REACH),
             "/count_zeros/grid")
         try:
-            data = nev.count_zeros_grid(subject, cz_grid,
-                                        zero_margin=cz["zero_margin"])
+            data = nev.count_zeros_grid(subject, cz_grid)
         except nev.PrecisionBudgetError as exc:
             raise ConfigError("/count_zeros/grid", str(exc)) from exc
         lam = growth.estimate_lambda(data, triple, log_wrap=cz["log_wrap"])
@@ -673,14 +689,13 @@ def _run_log_derivative(v: dict, report: Report, _out_dir) -> Report:
     grid = _within(growth.make_grid(*v["grid"]), f.guaranteed_radius * 0.999,
                    "/grid")
     return check_log_derivative(f, v["scales"], v["rho"], v["k"], grid, report,
-                                ratio_bound=v["ratio_bound"],
                                 label=v["name"] or "")
 
 
 def _run_propositions(v: dict, report: Report, _out_dir) -> Report:
     """Sum/product/scalar order laws and characteristic domination, on
     closed-form profiles (the estimators' calibration set)."""
-    triple, tol = v["scales"], v["tolerance"]
+    triple, tol = v["scales"], _PROPOSITION_TOL
     wrapped, grid = triple.wrapped(), growth.make_grid(*v["grid"])
 
     def order(profile, mode, t=wrapped):
@@ -802,11 +817,10 @@ def _hypotheses(v: dict, report: Report):
         eq, triple, growth.make_grid(*v["coeff_grid"]), report)
     worst_other = max((rho for _, rho, _ in rho_others), default=0.0)
     if kind == "theorem_dominant":
-        margin = v["hypothesis_margin"]
-        ok = worst_other + margin <= mu0 and rho0 < math.inf
+        ok = worst_other + _HYPOTHESIS_MARGIN <= mu0 and rho0 < math.inf
         report.truth(ok, "hypothesis_dominant_lower_order",
                      f"max rho[A_j] = {worst_other:.4g} vs mu[A0] = "
-                     f"{mu0:.4g} (margin {margin:g})")
+                     f"{mu0:.4g} (margin {_HYPOTHESIS_MARGIN:g})")
     else:
         ok = worst_other <= mu0 + 0.05 and (kind == "theorem_proximity"
                                             or 0 < rho0 < math.inf)
@@ -819,7 +833,7 @@ def _hypotheses(v: dict, report: Report):
             if s is not None and abs(rho - mu0) <= 0.1:
                 tau1 = max(tau1, growth.estimate_type(
                     s, triple, mu0, "upper").value)
-        ok = tau1 + v["type_margin"] <= tau0_lower
+        ok = tau1 + _TYPE_MARGIN <= tau0_lower
         report.truth(ok, "hypothesis_dominant_type",
                      f"tau1 = {tau1:.4g} vs lower type[A0] = "
                      f"{tau0_lower:.4g}")
@@ -865,13 +879,12 @@ _PROBE_CAP = 1 << 16  # longest double probe
 
 def _march_log_radius(r_top: float) -> float:
     """ln of the largest radius count_zeros_grid counts at for the top
-    radius r_top: its largest retry above it (1.002 r_top), formed as the
-    retry forms it."""
-    return math.log(r_top) + _RETRY_REACH
+    radius r_top: its largest retry above it (1.002 r_top)."""
+    return max(nev._retry_log_radii(math.log(r_top)))
 
 
 def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
-                          g_series: ps.PowerSeries, radii, dps_budget: int,
+                          g_series: ps.PowerSeries, radii,
                           sol: Optional[ps.PowerSeries] = None):
     """Counting data for h = f - g, counted on a double probe of f.
 
@@ -891,8 +904,8 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
     returns it, or a basis combination), and marched only past its end.
     Each of these raises ConfigError before any integer march: a
     coefficient A_j trusted to less than the march radius (before any
-    probe: no probe length can raise it), a depth past dps_budget, and a
-    probe of _PROBE_CAP terms that falls short."""
+    probe: no probe length can raise it), a depth past nevanlinna's
+    _DPS_BUDGET, and a probe of _PROBE_CAP terms that falls short."""
     r_top = max(radii)
     log_r = _march_log_radius(r_top)
     r_march = math.exp(log_r)
@@ -909,7 +922,7 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
         if held:
             h = ps.combine(probe, g_series, "sub")
             try:
-                dps = nev.winding_dps(h.coeff, math.log(r_top), dps_budget)
+                dps = nev.winding_dps(h.coeff, math.log(r_top))
             except nev.PrecisionBudgetError as exc:
                 raise ConfigError("/oscillation/radii",
                                   f"counting up to r = {r_top:g}: {exc}") \
@@ -924,20 +937,16 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
         n *= 2
     end_dh = _evalcore._mp_band(ps.derivative(h).coeff, log_r, dps)[1]
     h.coeff.mp_logs(dps, max(end, end_dh + 1))
-    return nev.count_zeros_grid(h, radii, zero_margin="auto",
-                                dps_budget=dps_budget)
+    return nev.count_zeros_grid(h, radii)
 
 
-def _initial_vectors(k: int, seed: int, n_random: int) -> list:
-    """The k basis vectors, then n_random random unit vectors in C^k."""
-    rng = np.random.default_rng(seed)
-    inits = [ode.InitialData.basis(k, i) for i in range(k)]
-    for _ in range(n_random):
-        vec = rng.normal(size=2 * k)
-        vec = vec / np.linalg.norm(vec)
-        inits.append(ode.InitialData(tuple(
-            complex(vec[2 * t], vec[2 * t + 1]) for t in range(k))))
-    return inits
+def _initial_vectors(k: int, seed: int) -> list:
+    """The k basis vectors, then one random unit vector in C^k."""
+    vec = np.random.default_rng(seed).normal(size=2 * k)
+    vec = vec / np.linalg.norm(vec)
+    return [ode.InitialData.basis(k, i) for i in range(k)] + [
+        ode.InitialData(tuple(complex(vec[2 * t], vec[2 * t + 1])
+                              for t in range(k)))]
 
 
 def _theorem_solutions(eq: ode.LinearODE, inits: list, r_max: float,
@@ -977,7 +986,7 @@ def run_theorem_experiment(cfg: dict,
     rep = report or Report(v["name"] or kind, kind, cfg)
     triple, eq, osc = v["scales"], v["equation"], v["oscillation"]
     wrapped = triple.wrapped()
-    r_max, residual_tol = v["r_max"], v["residual_tol"]
+    r_max, residual_tol = v["r_max"], _THEOREM_RESIDUAL_TOL
 
     ok, mu0, rho0 = _hypotheses(v, rep)
     if not ok:
@@ -985,7 +994,7 @@ def run_theorem_experiment(cfg: dict,
         rep.notes.append("hypotheses not met: conclusions skipped")
         return rep
 
-    inits = _initial_vectors(eq.k, v["seed"], v["n_random"])
+    inits = _initial_vectors(eq.k, v["seed"])
     band_lo, band_hi = v["solution_band"]
     min_r = osc["min_radius"]
     rep.truth(mu0 > 0.3, "oscillation_g_dominated",
@@ -1014,19 +1023,17 @@ def run_theorem_experiment(cfg: dict,
         rep.within(rho_hat, band_lo, band_hi, f"wrapped_rho[{tag}]",
                    f"target rho[A0] = {rho0:.4g}")
         rep.truth(mu_hat <= rho_hat + 1e-9, f"mu_le_rho[{tag}]")
-        if v["expect_infinite_classical"]:
-            cls = growth.estimate_order(s, triple, "upper")
-            rep.truth(cls.value > v["classical_min"]
-                      and cls.trend in ("increasing", "converging"),
-                      f"classical_diverges[{tag}]",
-                      f"estimate {cls.value:.3g}, trend {cls.trend}")
+        cls = growth.estimate_order(s, triple, "upper")
+        rep.truth(cls.value > v["classical_min"]
+                  and cls.trend in ("increasing", "converging"),
+                  f"classical_diverges[{tag}]",
+                  f"estimate {cls.value:.3g}, trend {cls.trend}")
         if osc["enabled"] and s_idx < osc["n_subjects"]:
             radii = osc["radii"]
             if radii is None:
                 top = min(min_r + 0.05, info["certified_radius"] * 0.85)
                 radii = [5.0, 6.3, 7.1, top]
-            data = _count_solution_zeros(eq, init, osc["g"], radii,
-                                         osc["dps_budget"], sol)
+            data = _count_solution_zeros(eq, init, osc["g"], radii, sol)
             rep.info(f"zero_counts[{tag}]",
                      [list(data.radii), list(data.counts)])
             covered = [n for r, n in zip(data.radii, data.counts)
@@ -1037,7 +1044,7 @@ def run_theorem_experiment(cfg: dict,
             # the conclusion ties the LOWER zero exponent to mu[A0]
             lam = growth.estimate_lambda(data, triple, log_wrap=True,
                                          mode="lower", tail_fraction=1.0)
-            rep.close(lam.value, mu0, v["lambda_tolerance"],
+            rep.close(lam.value, mu0, _LAMBDA_TOLERANCE,
                       f"lambda_wrapped[{tag}]",
                       "simple-zero assumption: distinct = all")
             rep.truth(lam.trend in ("increasing", "converging"),
@@ -1076,13 +1083,18 @@ class _Checked(dict):
     """A config's values as validate returns them."""
 
 
+_HEAD = _Shape({"schema": (_one_of(SCHEMA), _REQUIRED),
+                "kind": (_one_of(*KINDS), _REQUIRED),
+                "name": (_text, None)}, free=None)
+
+
 def validate(cfg: dict) -> dict:
     """cfg, left as it is, checked against its kind's table before any
-    work: the values the pipelines read, or a bad field's ConfigError."""
-    head = _Shape({"schema": (_one_of(SCHEMA), _REQUIRED),
-                   "kind": (_one_of(*KINDS), _REQUIRED),
-                   "name": (_text, None)})(cfg)
-    return _Checked(_KINDS[head["kind"]][0](cfg), **head)
+    work: the values the pipelines read, or a bad field's ConfigError.
+    The kind's table checks every key but the head fields of _HEAD."""
+    head = _HEAD(cfg)
+    body = {key: x for key, x in cfg.items() if key not in head}
+    return _Checked(_KINDS[head["kind"]][0](body), **head)
 
 
 def run_config(cfg: dict, out_dir: Optional[str] = None) -> Report:

@@ -43,7 +43,7 @@ __all__ = ["CountingData", "RetryPerturbedRadius", "PrecisionBudgetError",
            "winding_dps", "count_zeros_grid", "proximity_of_ratio"]
 
 _TRUST_GUARD = 14.0  # nats above the floor a value must sit to be believed
-_DPS_BUDGET = 600  # digits proximity_detailed may climb to
+_DPS_BUDGET = 600  # digits m(r) and a winding count may climb to
 _RETRY_STEP = 1e-3  # relative radius step of count_zeros_grid's retries
 _MAX_RETRIES = 3  # perturbed radii count_zeros_grid tries per grid radius
 _MAX_MESH = 1 << 18  # winding mesh points before zero_count gives up
@@ -281,14 +281,13 @@ def _until_stable(estimate):
         m *= 2
 
 
-def _mp_dps(coeff, log_r: float, target_ln: float, dps_budget: int,
-            what: str) -> int:
-    """dps_for_floor(target_ln), or PrecisionBudgetError past dps_budget."""
+def _mp_dps(coeff, log_r: float, target_ln: float, what: str) -> int:
+    """dps_for_floor(target_ln), or PrecisionBudgetError past _DPS_BUDGET."""
     dps = _evalcore.dps_for_floor(coeff, log_r, target_ln)
-    if dps > dps_budget:
+    if dps > _DPS_BUDGET:
         raise PrecisionBudgetError(
             f"{what} at ln r = {log_r:.4g} needs ~{dps} digits, "
-            f"budget is {dps_budget}")
+            f"budget is {_DPS_BUDGET}")
     return dps
 
 
@@ -302,7 +301,7 @@ def proximity_detailed(f: PowerSeries, log_r: float) -> ProximityResult:
     for level in _evalcore.LEVELS:
         # at mp, choose dps so untrusted readings certainly sit below
         # log+ = 0
-        dps = (_mp_dps(coeff, log_r, -2.0 * _TRUST_GUARD, _DPS_BUDGET, "m(r)")
+        dps = (_mp_dps(coeff, log_r, -2.0 * _TRUST_GUARD, "m(r)")
                if level == "mp" else None)
         out = _until_stable(
             lambda m: _logplus_quadrature(coeff, log_r, m, level, dps))
@@ -351,23 +350,20 @@ def proximity_of_ratio(num: PowerSeries, den: PowerSeries,
     return ProximityResult(est, m, converged, "dd", unc, trimmed)
 
 
-def winding_dps(coeff: _evalcore.CoeffData, log_r: float,
-                dps_budget: int) -> int:
+def winding_dps(coeff: _evalcore.CoeffData, log_r: float) -> int:
     """Digits the mp winding on |z| = e^{log_r} needs: enough to put the
     noise floor 45 nats below min(1, r).  Raises PrecisionBudgetError past
-    dps_budget.  Choosing an ODE solution's march depth by the same rule
+    _DPS_BUDGET.  Choosing an ODE solution's march depth by the same rule
     lets one mp march serve every count up to that radius."""
-    return _mp_dps(coeff, log_r, min(0.0, log_r) - 45.0, dps_budget,
-                   "winding")
+    return _mp_dps(coeff, log_r, min(0.0, log_r) - 45.0, "winding")
 
 
-def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
-               dps_budget: int = 600) -> int:
+def zero_count(f: PowerSeries, log_r: float) -> int:
     """n(r, 1/f): zeros in |z| <= r, by the winding number of f.
 
     The argument increments of f along an adaptive angular mesh are
     accumulated, all read at mp at winding_dps digits (PrecisionBudgetError
-    past dps_budget), from a start circle of 2^8 .. 2^12 angles, about 8
+    past _DPS_BUDGET), from a start circle of 2^8 .. 2^12 angles, about 8
     (nu(r) + 4).  A sampled increment alone cannot rule out a hidden full
     turn inside a cell, so cells are also refined while the local rotation
     bound |z f'/f| (which dominates d arg f / d theta for analytic f) times
@@ -380,11 +376,10 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
     reads f and f' at its midpoints through _evalcore.eval_circle_at: one
     FFT circle per series, or scattered eval_points past the kernels' cost
     crossover (_evalcore._HORNER_STEP_COST) or past _FFT_MAX_ANGLES; a
-    round's margin check reads only its midpoints.  If |f| anywhere on the
-    mesh falls below zero_margin * mu(r), a zero is too close to the
-    circle and RetryPerturbedRadius carries the suggested replacement
-    radii.  Pass zero_margin="auto" to accept whatever the arithmetic can
-    actually resolve: 9 nats above the mp floor.
+    round's margin check reads only its midpoints.  If ln|f| anywhere on
+    the mesh falls below 9 nats above the mp floor, the least the
+    arithmetic resolves, a zero is too close to the circle and
+    RetryPerturbedRadius carries the suggested replacement radii.
     """
     from .series import derivative  # local import avoids cycle at load
 
@@ -399,15 +394,14 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
             vel = np.exp(np.minimum(rd.logabs - rf.logabs + log_r, 700.0))
         return rf, vel
 
-    dps = winding_dps(coeff, log_r, dps_budget)
+    dps = winding_dps(coeff, log_r)
     nu = max_term(f, log_r).nu
     m_start = 1 << max(8, min(12, math.ceil(math.log2(8.0 * (nu + 4)))))
     # the start circle, then each round's midpoints, are read, checked and
     # merged into the mesh by one loop body
     res, mvel = with_velocity(lambda c: _evalcore.eval_circle(
         c, log_r, m_start, offset=True, level="mp", dps=dps))
-    margin_ln = (res.floor_ln + 9.0 if zero_margin == "auto"
-                 else res.log_mu + math.log(zero_margin))
+    margin_ln = res.floor_ln + 9.0
     mids = (2.0 * math.pi) * (np.arange(m_start) + 0.5) / m_start
     thetas, phases, vels = np.zeros(0), np.zeros(0), np.zeros(0)
     for k in range(49):
@@ -448,34 +442,38 @@ def zero_count(f: PowerSeries, log_r: float, zero_margin: float = 1e-8,
             c, log_r, size, idx, dps, offset=offset))
 
 
-def count_zeros_grid(f: PowerSeries, radii: Sequence[float],
-                     zero_margin="auto", dps_budget: int = 600) -> CountingData:
+def _retry_log_radii(log_r: float) -> list:
+    """ln r, then the ln of each radius count_zeros_grid retries r at, in
+    its order: r(1 + s), r(1 - s), r(1 + 2s), ... with s = _RETRY_STEP,
+    _MAX_RETRIES of them."""
+    steps = [(a // 2 + 1) * _RETRY_STEP for a in range(_MAX_RETRIES)]
+    return [log_r] + [log_r + math.log1p(-s if a % 2 else s)
+                      for a, s in enumerate(steps)]
+
+
+def count_zeros_grid(f: PowerSeries, radii: Sequence[float]) -> CountingData:
     """Counts over a radius grid, applying the perturbed-radius retry rule.
 
-    A radius r that raises RetryPerturbedRadius is retried at r(1 + s),
-    r(1 - s), r(1 + 2s), ... with s = _RETRY_STEP, up to _MAX_RETRIES
-    times.  Candidates at or below the last radius used are skipped, so
-    the recorded radii (the ones actually used, after perturbation) stay
-    increasing on a tight grid; with no candidate left the radius raises
-    RetryPerturbedRadius.  The nominal radii must be strictly increasing.
+    A radius r that raises RetryPerturbedRadius is retried at each radius
+    of _retry_log_radii in turn.  Candidates at or below the last radius
+    used are skipped, so the recorded radii (the ones actually used, after
+    perturbation) stay increasing on a tight grid; with no candidate left
+    the radius raises RetryPerturbedRadius.  The nominal radii must be
+    strictly increasing.
     """
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     used, counts = [], []
     m0 = valuation(f)
     for r in radii:
-        cands = [math.log(r)]
-        for a in range(_MAX_RETRIES):
-            step = (a // 2 + 1) * _RETRY_STEP
-            cands.append(math.log(r) + math.log1p(-step if a % 2 else step))
-        cands = [lr for lr in cands if not used or math.exp(lr) > used[-1]]
+        cands = [lr for lr in _retry_log_radii(math.log(r))
+                 if not used or math.exp(lr) > used[-1]]
         if not cands:
             raise RetryPerturbedRadius(
                 math.log(r), detail=f"no retry radius above {used[-1]:.6g}")
         for i, log_r in enumerate(cands):
             try:
-                n = zero_count(f, log_r, zero_margin=zero_margin,
-                               dps_budget=dps_budget)
+                n = zero_count(f, log_r)
             except RetryPerturbedRadius:
                 if i == len(cands) - 1:
                     raise

@@ -60,8 +60,9 @@ def log_plus(x0: float = _E) -> ScaleFunction:
 
 def iterated_log(p: int = 1) -> ScaleFunction:
     """p-fold iterated log, frozen where the iterate reaches 0."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p <= 4:
+        # from p = 5 the freeze point exp^[p-1](1) passes the float range
+        raise ValueError("p must lie in 1 <= p <= 4")
     x0 = 1.0
     for _ in range(p - 1):
         x0 = math.exp(x0)

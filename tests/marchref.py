@@ -14,7 +14,7 @@ from growthlab import series as ps
 @contextmanager
 def recording_marches(count: bool = True):
     """Yields a list that gains one dict per count_zeros_grid call: the
-    series h = f - g it counts, its radii and dps budget, and under
+    series h = f - g it counts, its radii, and under
     "marches" the (n_terms, dps) of every ode._solve_series_mp call made
     since the previous count, so the march that filled h's exact values
     and any made while counting.  With count=False the counting is
@@ -26,12 +26,11 @@ def recording_marches(count: bool = True):
         marches.append((n_terms, dps))
         return march(eq, init, n_terms, dps)
 
-    def counted(h, radii, **kw):
+    def counted(h, radii):
         nonlocal marches
-        records.append(dict(h=h, radii=list(radii), marches=marches,
-                            dps_budget=kw.get("dps_budget", 600)))
+        records.append(dict(h=h, radii=list(radii), marches=marches))
         try:
-            return grid(h, radii, **kw) if count else None
+            return grid(h, radii) if count else None
         finally:
             marches = []
 
@@ -43,18 +42,11 @@ def recording_marches(count: bool = True):
 
 def bands_read(rec):
     """(ln r, dps) of every mp band count_zeros_grid(h, radii) can read:
-    at each radius and its perturbed retries (as count_zeros_grid forms
-    them), at the dps zero_count picks there (nev.winding_dps)."""
-    out = []
-    for r in rec["radii"]:
-        log_rs = [math.log(r)]
-        for a in range(nev._MAX_RETRIES):
-            step = (a // 2 + 1) * nev._RETRY_STEP
-            log_rs.append(math.log(r) + math.log1p(-step if a % 2 else step))
-        out += [(log_r, nev.winding_dps(rec["h"].coeff, log_r,
-                                        rec["dps_budget"]))
-                for log_r in log_rs]
-    return out
+    at each radius and its perturbed retries (nev._retry_log_radii), at
+    the dps zero_count picks there (nev.winding_dps)."""
+    return [(log_r, nev.winding_dps(rec["h"].coeff, log_r))
+            for r in rec["radii"]
+            for log_r in nev._retry_log_radii(math.log(r))]
 
 
 def assert_march_holds_bands(rec) -> None:
@@ -63,8 +55,7 @@ def assert_march_holds_bands(rec) -> None:
     it: at most that depth, and ending within the march, for h and for
     h', whose index i reads h at i + 1."""
     h, ((n, dps),) = rec["h"], rec["marches"]
-    assert dps == nev.winding_dps(h.coeff, math.log(max(rec["radii"])),
-                                  rec["dps_budget"])
+    assert dps == nev.winding_dps(h.coeff, math.log(max(rec["radii"])))
     assert n < h.n_terms
     for log_r, band_dps in bands_read(rec):
         assert band_dps <= dps, (math.exp(log_r), band_dps, dps)

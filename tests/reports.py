@@ -10,8 +10,10 @@ it prints the name of each report that differs, or is in one directory
 only, and exits 1 if there is any; 0 otherwise.  With --values it also
 prints, under each report in both directories, every check whose measured
 value, verdict or detail changed (numbers with their relative change,
-verdict changes flagged), and any other top-level field that changed.
-Standard library only.
+verdict changes flagged), and any other top-level field that changed: in
+an object field such as `config`, each key added, removed or changed, as
+a JSON path (`config: removed /oscillation/dps_budget`).  Standard
+library only.
 """
 
 import json
@@ -41,10 +43,25 @@ def _number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def key_changes(a, b, path=""):
+    """(what, path, a's value, b's value) for each key of object b added,
+    removed or changed from object a, recursing into the objects under
+    both, in a's key order, then b's."""
+    for key in list(a) + [k for k in b if k not in a]:
+        at = f"{path}/{key}"
+        va, vb = a.get(key), b.get(key)
+        if key not in b or key not in a:
+            yield ("removed" if key not in b else "added"), at, va, vb
+        elif isinstance(va, dict) and isinstance(vb, dict):
+            yield from key_changes(va, vb, at)
+        elif va != vb:
+            yield "changed", at, va, vb
+
+
 def check_changes(report_a, report_b):
     """Lines describing each check of the two reports whose measured
     value, verdict or detail changed, in report_a's order, then each other
-    top-level field that changed."""
+    top-level field that changed, an object field key by key."""
     checks_a = {c["name"]: c for c in report_a.get("checks", [])}
     checks_b = {c["name"]: c for c in report_b.get("checks", [])}
     lines = []
@@ -66,12 +83,17 @@ def check_changes(report_a, report_b):
             lines.append(f"{name}: detail {ca.get('detail')!r} -> "
                          f"{cb.get('detail')!r}")
     for key in sorted(set(report_a) | set(report_b)):
-        if key != "checks" and report_a.get(key) != report_b.get(key):
-            if key == "verdict":
-                lines.append(f"report VERDICT {report_a.get(key)} -> "
-                             f"{report_b.get(key)}")
-            else:
-                lines.append(f"field {key} changed")
+        va, vb = report_a.get(key), report_b.get(key)
+        if key == "checks" or va == vb:
+            continue
+        if key == "verdict":
+            lines.append(f"report VERDICT {va} -> {vb}")
+        elif isinstance(va, dict) and isinstance(vb, dict):
+            for what, at, xa, xb in key_changes(va, vb):
+                lines.append(f"{key}: {what} {at}" + (
+                    f" {xa!r} -> {xb!r}" if what == "changed" else ""))
+        else:
+            lines.append(f"field {key} changed")
     return lines
 
 

@@ -104,7 +104,7 @@ def test_criterion_4_zero_counting():
     t0 = time.time()
     s = ps.builtin("sin", 700)
     radii = np.geomspace(1.0, 50.0, 20)
-    data = nev.count_zeros_grid(s, radii, zero_margin="auto")
+    data = nev.count_zeros_grid(s, radii)
     for r_used, n in zip(data.radii, data.counts):
         assert n == 2 * int(r_used / math.pi) + 1, \
             f"n({r_used:.6g}, 1/sin) = {n}"
@@ -148,8 +148,7 @@ def test_criterion_5_order_type_calibration(identity_triple, hyper_triple):
 def test_criterion_6_zero_exponent_calibration(identity_triple):
     t0 = time.time()
     s = ps.builtin("sin", 700)
-    data = nev.count_zeros_grid(s, growth.make_grid(5.0, 200.0, 16),
-                                zero_margin="auto")
+    data = nev.count_zeros_grid(s, growth.make_grid(5.0, 200.0, 16))
     up = growth.estimate_lambda(data, identity_triple, mode="upper").value
     lo = growth.estimate_lambda(data, identity_triple, mode="lower").value
     assert 0.85 <= lo <= 1.1, f"lambda lower = {lo}"

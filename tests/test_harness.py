@@ -207,6 +207,27 @@ class TestReportsTool:
             "only_a.report.json",
             "  only in A"]
 
+    def test_values_list_each_config_key_changed(self, tmp_path, capsys):
+        def report(config):
+            return {"name": "x", "verdict": "pass", "checks": [],
+                    "config": config}
+
+        self.write(tmp_path / "a", {"t": report({
+            "seed": 1, "n_random": 1, "grid": {"r_max": 40.0},
+            "oscillation": {"n_subjects": 3, "dps_budget": 400}})})
+        self.write(tmp_path / "b", {"t": report({
+            "seed": 2, "grid": {"r_max": 40.0, "points": 8},
+            "oscillation": {"n_subjects": 3}, "expect": None})})
+        assert reports.main([str(tmp_path / "a"), str(tmp_path / "b"),
+                             "--values"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "t.report.json",
+            "  config: changed /seed 1 -> 2",
+            "  config: removed /n_random",
+            "  config: added /grid/points",
+            "  config: removed /oscillation/dps_budget",
+            "  config: added /expect"]
+
     def test_equal_directories_exit_zero(self, tmp_path, capsys):
         a, _ = self.dirs(tmp_path)
         assert reports.main([a, a, "--values"]) == 0
@@ -348,6 +369,15 @@ def _bad_configs():
         ("grid_null", shipped("analyze_exp", grid={"r_min": None}), "/grid"),
         ("zero_margin", shipped("analyze_exp", count_zeros={
             "zero_margin": "x", "grid": small}), "/count_zeros/zero_margin"),
+        # a misspelt band would leave the order unchecked
+        ("expected_ordr", shipped("analyze_exp", expected_ordr=[5, 6]),
+         "/expected_ordr"),
+        # zeros are counted on a series, never on a profile
+        ("count_zeros_on_profile", shipped(
+            "analyze_exp", quantity="log_T", subject={"profile": {
+                "log_T": {"form": "ln_c_rp", "c": 1.0, "p": 1.0}}},
+            count_zeros={"grid": small, "expected_lambda": [5.0, 6.0]}),
+         "/count_zeros"),
         ("ratio_order_0", wv, "/subjects/0/ratio_orders"),
         # sin 4000 at r = 1300 winds at ~603 digits, past the 600 budget
         ("winding_budget", shipped(
@@ -468,6 +498,21 @@ def _bad_theorem_configs():
     return [pytest.param(cfg, path, id=name) for name, cfg, path in cases]
 
 
+# each tuning field that is now a module constant: a shipped config of its
+# kind, the field's path and its old default
+_REMOVED_FIELDS = [
+    ("theorem_dominant", "/lambda_tolerance", 0.3),
+    ("theorem_dominant", "/hypothesis_margin", 0.2),
+    ("theorem_type", "/type_margin", 0.1),
+    ("theorem_dominant", "/expect_infinite_classical", True),
+    ("theorem_dominant", "/n_random", 1),
+    ("theorem_dominant", "/residual_tol", 1e-8),
+    ("theorem_dominant", "/oscillation/dps_budget", 400),
+    ("analyze_exp", "/count_zeros/zero_margin", "auto"),
+    ("log_derivative_exp_exp", "/ratio_bound", 2.0),
+    ("propositions", "/tolerance", 0.05)]
+
+
 class TestCliConfigErrors:
     @pytest.mark.parametrize("cfg,path", _bad_configs())
     def test_exit_two_with_path(self, tmp_path, capsys, cfg, path):
@@ -477,6 +522,8 @@ class TestCliConfigErrors:
                        "--out", str(tmp_path / "rep")])
         err = capsys.readouterr().err
         assert rc == 2 and f"config error: {path}: " in err, err
+        if path in {p for _, p, _ in _REMOVED_FIELDS}:
+            assert f"config error: {path}: unknown field" in err, err
 
     @pytest.mark.parametrize("cfg,path", _bad_theorem_configs())
     def test_theorem_fields_fail_before_any_march(self, monkeypatch, cfg,
@@ -488,6 +535,35 @@ class TestCliConfigErrors:
         with pytest.raises(ConfigError) as err:
             harness.run_config(cfg)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("name,path,value", _REMOVED_FIELDS,
+                             ids=[p for _, p, _ in _REMOVED_FIELDS])
+    def test_removed_field_is_unknown(self, tmp_path, capsys, name, path,
+                                      value):
+        """Each tuning field made a constant is an error at its path, even
+        at its old default."""
+        cfg = harness.shipped_config(name)
+        *keys, last = path.strip("/").split("/")
+        node = cfg
+        for key in keys:
+            node = node.setdefault(key, {})
+        node[last] = value
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps(cfg))
+        rc = cli.main(["verify", "--config", str(file),
+                       "--out", str(tmp_path / "rep")])
+        err = capsys.readouterr().err
+        assert rc == 2 and f"config error: {path}: unknown field" in err, err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--r-max", "40"), ("--grid-points", "12"), ("--max-terms", "500"),
+        ("--seed", "7")])
+    def test_removed_flag_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["verify", "--name", "analyze_exp", flag, value])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" \
+            in capsys.readouterr().err
 
     def test_zero_coefficient_is_still_valid(self):
         # the zero series is rejected as an analyze subject only
@@ -566,6 +642,16 @@ def _keys(node, path=""):
         if isinstance(node, dict):
             yield f"{path}/{key}"
         yield from _keys(value, f"{path}/{key}")
+
+
+def _objects(node, path=""):
+    """The path of every object under node, node itself included."""
+    if isinstance(node, dict):
+        yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _objects(value, f"{path}/{key}")
 
 
 def _with(cfg, path, value):
@@ -682,6 +768,20 @@ class TestSchema:
         for path in _keys(cfg):
             _names_leaf_or_parent(_with(cfg, path, object()), path)
 
+    @pytest.mark.parametrize("cfg", [
+        *(pytest.param(harness.shipped_config(n), id=n)
+          for n in harness.shipped_names()),
+        *(pytest.param(cfg, id="perfbench-" + cfg["name"])
+          for cfg in _perfbench_configs())])
+    def test_stray_key_is_an_error_at_its_path(self, no_work, cfg):
+        """A key no table declares, put in any object of a shipped config
+        or of a config perfbench runs, is a ConfigError at that key."""
+        for path in _objects(cfg):
+            stray = f"{path}/stray"
+            with pytest.raises(ConfigError, match="unknown field") as err:
+                harness.validate(_with(cfg, stray, 1.0))
+            assert err.value.path == stray
+
     @pytest.mark.parametrize("spec,tag,desc,fields", _descriptors())
     def test_every_descriptor_parameter_is_checked(self, spec, tag, desc,
                                                    fields):
@@ -695,12 +795,14 @@ class TestSchema:
         for path in sorted({f"/{f}" for f in params} | set(_leaves(desc))):
             int_field = type(desc.get(path[1:])) is int
             for value in [math.nan, math.inf, -1.0, "x", True] \
-                    + [2.5] * int_field:
+                    + [2.5, 5] * int_field:
                 bad = _with(desc, path, value)
                 if value == -1.0 and path in ("/b", "/xs/0"):
                     spec(bad, "/d")
                     continue
-                with pytest.raises(ConfigError) as err:
+                # iterated_log's freeze point passes the float range at 5
+                with pytest.raises(ConfigError, match="p <= 4" if value == 5
+                                   else None) as err:
                     spec(bad, "/d")
                 assert err.value.path in (
                     "/d" + path, "/d" + path.rsplit("/", 1)[0], "/d"), \
@@ -748,18 +850,6 @@ class TestSchema:
 
 
 class TestCliPaths:
-    def test_overrides_reach_the_config(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(minimal_analyze()))
-        rc = cli.main(["verify", "--config", str(path), "--r-max", "40",
-                       "--grid-points", "12", "--max-terms", "500",
-                       "--seed", "7", "--out", str(tmp_path / "rep")])
-        assert rc == 0
-        cfg = json.loads((tmp_path / "rep" / "t_analyze.report.json")
-                         .read_text())["config"]
-        assert cfg["grid"] == {"r_min": 5.0, "r_max": 40.0, "points": 12}
-        assert (cfg["r_max"], cfg["max_terms"], cfg["seed"]) == (40.0, 500, 7)
-
     def test_expected_hypotheses_not_met_exits_zero(self, tmp_path, capsys):
         rc = cli.main(["verify", "--name", "theorem_dominant_negative",
                        "--out", str(tmp_path)])
@@ -790,19 +880,6 @@ class TestCliPaths:
         assert all(v == -math.inf for v in ln_abs[3:])
 
 
-class TestOverrides:
-    def test_seed_override_changes_config(self, tmp_path):
-        cfg = minimal_analyze()
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        rc = cli.main(["verify", "--config", str(path), "--seed", "99",
-                       "--out", str(tmp_path / "rep")])
-        assert rc == 0
-        doc = json.loads((tmp_path / "rep" / "t_analyze.report.json")
-                         .read_text())
-        assert doc["config"]["seed"] == 99
-
-
 class TestSolutionZeroCounts:
     def test_each_solution_is_marched_once(self, monkeypatch):
         """Counting the zeros of f - z for f'' + e^z f = 0 up to r = 5.6
@@ -825,7 +902,7 @@ class TestSolutionZeroCounts:
                                ps.builtin("poly", coeffs=[0.0])))
         data = harness._count_solution_zeros(
             eq, ode.InitialData((1.0, 0.0)),
-            ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 400)
+            ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6])
         assert data.counts == (11,)
         assert len(marches) == 1
 
@@ -846,7 +923,7 @@ class TestSolutionZeroCounts:
         with pytest.raises(ConfigError, match=r"A_0 .* 1\.99") as err:
             harness._count_solution_zeros(
                 eq, ode.InitialData((1.0, 0.0)),
-                ps.builtin("poly", coeffs=[0.0, 1.0]), [2.0, 4.0], 400)
+                ps.builtin("poly", coeffs=[0.0, 1.0]), [2.0, 4.0])
         assert err.value.path == "/oscillation/radii"
         assert all(n <= harness._PROBE_TERMS for n in lengths)
 
@@ -869,19 +946,20 @@ class TestSolutionZeroCounts:
         marches = []
         monkeypatch.setattr(ode, "_solve_series_mp",
                             lambda *args: marches.append(args))
+        monkeypatch.setattr(nev, "_DPS_BUDGET", 20)
         eq = ode.LinearODE(2, (ps.builtin("exp", 60),
                                ps.builtin("poly", coeffs=[0.0])))
         with pytest.raises(ConfigError, match="budget is 20") as err:
             harness._count_solution_zeros(
                 eq, ode.InitialData((1.0, 0.0)),
-                ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 20)
+                ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6])
         assert err.value.path == "/oscillation/radii"
         assert marches == []
 
     def test_radii_past_the_digit_budget_exit_two(self, tmp_path, capsys):
         # radii inside A_0's trusted radius (~106), but no probe up to
         # 65,536 terms is trusted to 102, and r = 100 would wind at ~54,000
-        # digits against a budget of 400 (which used to escape as a
+        # digits against a budget of 600 (which used to escape as a
         # traceback)
         cfg = harness.shipped_config("theorem_dominant_first_order")
         cfg["oscillation"] = {"enabled": True, "n_subjects": 1,
@@ -905,7 +983,7 @@ class TestSolutionZeroCounts:
         with recording_marches(count=False) as recs:
             harness._count_solution_zeros(
                 eq, ode.InitialData((1.0, 0.0)),
-                ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 400)
+                ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6])
         (rec,) = recs
         probe, ((n, dps),) = rec["h"], rec["marches"]
         assert dps == 47 and probe.n_terms == 1024
@@ -926,7 +1004,7 @@ class TestSolutionZeroCounts:
         with pytest.raises(ConfigError, match="512-term probe") as err:
             harness._count_solution_zeros(
                 eq, ode.InitialData((1.0, 0.0)),
-                ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6], 400)
+                ps.builtin("poly", coeffs=[0.0, 1.0]), [5.6])
         assert err.value.path == "/oscillation/radii"
 
 
@@ -959,7 +1037,7 @@ class TestTheoremSolutions:
         monkeypatch.setattr(ode, "residual_norm", failing)
         cfg = harness.shipped_config("theorem_dominant_first_order")
         eq = harness.resolve_equation(cfg["equation"])
-        inits = harness._initial_vectors(eq.k, cfg["seed"], 1)
+        inits = harness._initial_vectors(eq.k, cfg["seed"])
         args = (cfg["r_max"], 1e-8, cfg["max_terms"])
         (sol, info), = harness._theorem_solutions(eq, inits, *args)[2:]
         want, want_info = ode.auto_solve(
@@ -973,7 +1051,7 @@ class TestTheoremSolutions:
         cfg = harness.shipped_config("theorem_dominant_first_order")
         eq = harness.resolve_equation(cfg["equation"])
         solved = harness._theorem_solutions(
-            eq, harness._initial_vectors(eq.k, cfg["seed"], 1), cfg["r_max"],
+            eq, harness._initial_vectors(eq.k, cfg["seed"]), cfg["r_max"],
             1e-8, cfg["max_terms"])
         (sol, info), = solved[2:]
         assert sol.provenance == "ode combination"
@@ -988,7 +1066,7 @@ class TestTheoremSolutions:
         eq = ode.LinearODE(2, (ps.builtin("exp", 200),
                                ps.builtin("poly", coeffs=[0.0])),
                            ps.builtin("cos", 200))
-        inits = harness._initial_vectors(eq.k, 5, 1)
+        inits = harness._initial_vectors(eq.k, 5)
         solved = harness._theorem_solutions(eq, inits, 5.0, 1e-8, 4096)
         assert [s.provenance for s, _ in solved] == ["ode solution"] * 3
         want = ode.auto_solve(eq, inits[2], 5.0, n_start=1024, n_cap=4096)
@@ -1005,7 +1083,7 @@ def mini_count():
     with recording_marches() as recs:
         data = harness._count_solution_zeros(
             eq, ode.InitialData.basis(eq.k, 0),
-            ps.builtin("poly", coeffs=[0.0, 1.0]), [4.5, 5.6, 6.3], 400)
+            ps.builtin("poly", coeffs=[0.0, 1.0]), [4.5, 5.6, 6.3])
     (rec,) = recs
     rec.update(counts=data.counts)
     return rec
@@ -1030,7 +1108,7 @@ class TestMarchLength:
         with recording_marches(count=False) as recs:
             harness._count_solution_zeros(
                 eq, ode.InitialData((1.0, 0.0)),
-                ps.builtin("poly", coeffs=[0.0, 1.0]), [4.0, 10.0], 400)
+                ps.builtin("poly", coeffs=[0.0, 1.0]), [4.0, 10.0])
         (rec,) = recs
         assert rec["marches"][0][0] < 128
         assert_march_holds_bands(rec)

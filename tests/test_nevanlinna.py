@@ -101,8 +101,7 @@ class TestZeroCount:
     def test_sin_count_formula(self):
         f = series.builtin("sin", 200)
         for r in [4.0, 10.0, 20.0]:
-            assert nev.zero_count(f, math.log(r), zero_margin="auto") \
-                == 2 * int(r / math.pi) + 1
+            assert nev.zero_count(f, math.log(r)) == 2 * int(r / math.pi) + 1
 
     def test_exp_has_no_zeros(self):
         f = series.builtin("exp", 200)
@@ -129,7 +128,7 @@ class TestZeroCount:
         f = series.builtin("poly", coeffs=[-1.0, 0.0, 0.0, 1.0])
         tried = []
 
-        def flaky(f, log_r, **kw):
+        def flaky(f, log_r):
             tried.append(log_r)
             if len(tried) < 3:
                 raise nev.RetryPerturbedRadius(log_r)
@@ -147,7 +146,7 @@ class TestZeroCount:
         f = series.builtin("poly", coeffs=[-1.0, 0.0, 0.0, 1.0])
         tried = []
 
-        def flaky(f, log_r, **kw):
+        def flaky(f, log_r):
             tried.append(log_r)
             if log_r == math.log(2.0):
                 raise nev.RetryPerturbedRadius(log_r)
@@ -220,7 +219,7 @@ class TestWindingIntegrality:
         # raw winding within 1e-6 of an integer whenever a count returns
         f = series.builtin("sin", 200)
         for r in [5.0, 12.0]:
-            n = nev.zero_count(f, math.log(r), zero_margin="auto")
+            n = nev.zero_count(f, math.log(r))
             assert isinstance(n, int)
 
 
@@ -235,9 +234,9 @@ def mini_solution():
     got = []
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(nev, "count_zeros_grid",
-                       lambda h, radii, **kw: got.append(h))
+                       lambda h, radii: got.append(h))
         harness._count_solution_zeros(eq, ode.InitialData.basis(eq.k, 0), g,
-                                      [4.5, 5.6, 6.3], 400)
+                                      [4.5, 5.6, 6.3])
     return got[0]
 
 
@@ -278,14 +277,14 @@ class _RoundLog:
 
 
 def count_with(f, log_r, step_cost):
-    """(zero_count(f, log_r, "auto") or "retry", its _RoundLog) with the
+    """(zero_count(f, log_r) or "retry", its _RoundLog) with the
     kernel crossover moved by step_cost: inf takes every round's circle,
     -inf scattered points."""
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(nev._evalcore, "_HORNER_STEP_COST", step_cost)
         log = _RoundLog(mpatch)
         try:
-            n = nev.zero_count(f, log_r, zero_margin="auto")
+            n = nev.zero_count(f, log_r)
         except nev.RetryPerturbedRadius:
             n = "retry"
     return n, log
@@ -360,8 +359,7 @@ class TestDyadicRefinement:
         # at r = 6.3 the scattered mp points took 6 eval_points calls; now
         # a round reads scattered points only past the kernel crossover
         log = _RoundLog(monkeypatch)
-        assert nev.zero_count(mini_solution, math.log(6.3),
-                              zero_margin="auto", dps_budget=400) == 19
+        assert nev.zero_count(mini_solution, math.log(6.3)) == 19
         assert len(log.rounds) >= 4
         for x in log.rounds:
             m, p, n = x["m"], len(x["idx"]), x["n_band"]

@@ -694,7 +694,7 @@ def theorem_dominant_init(i):
     """InitialData of theorem_dominant's solution i: the basis vectors, then
     the complex random combination."""
     cfg = harness.shipped_config("theorem_dominant")
-    return harness._initial_vectors(2, cfg["seed"], cfg["n_random"])[i]
+    return harness._initial_vectors(2, cfg["seed"])[i]
 
 
 class TestAlignedMarch:
