@@ -44,6 +44,7 @@ the exact values, whose accuracy is CoeffData.data_floor_ln(dps).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -159,7 +160,10 @@ class EvalResult:
     """ln|f| and arg f at the sampled angles, plus the noise floor.
 
     Values with logabs <= floor_ln are numerically indistinguishable from
-    zero at the level used; their phases are meaningless.
+    zero at the level used; their phases are meaningless.  A circle of a
+    real band is `mirrored`: its values at theta and -theta are exact
+    conjugates (equal logabs, negated phase), as f(r e^{-i theta}) =
+    conj f(r e^{i theta}) for real coefficients.
     """
 
     logabs: np.ndarray
@@ -167,6 +171,7 @@ class EvalResult:
     floor_ln: float
     log_mu: float
     level: str
+    mirrored: bool = False
 
 
 def log_max_term(coeff: CoeffData, log_r: float):
@@ -330,10 +335,42 @@ def _logpolar(shift, v: np.ndarray) -> tuple:
 
 
 def _result_d(coeff: CoeffData, val: np.ndarray, lo: int, hi: int,
-              log_mu: float) -> EvalResult:
+              log_mu: float, mirrored: bool = False) -> EvalResult:
     """EvalResult of band sums val = f / mu(r) computed in complex128."""
     floor = _floor_ln(log_mu, _EPS_LN_D, coeff.rel_err_ln, hi - lo)
-    return EvalResult(*_logpolar(log_mu, val), floor, log_mu, "d")
+    return EvalResult(*_logpolar(log_mu, val), floor, log_mu, "d", mirrored)
+
+
+def _mirror(idx, m: int, offset: bool):
+    """The index of the angle -theta_j on the m-angle circle, for each j in
+    idx: m - 1 - j on the offset mesh, -j mod m on the unshifted one."""
+    return (m - 1 - idx) if offset else (-idx) % m
+
+
+def _mirror_rep(idx: np.ndarray, m: int, offset: bool) -> np.ndarray:
+    """The representative of each index's mirror pair {j, _mirror(j)}: the
+    one with theta in [0, pi]."""
+    return np.minimum(idx, _mirror(idx, m, offset))
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_map(m: int, offset: bool) -> tuple:
+    """(src, flip) for a real band's circle of m angles, m a power of two:
+    its sum at angle j is the conjugate of the sum at -theta_j, so
+    _circle_fixed computes only half the sums, and the sum at angle j is
+    computed sum number src[j], conjugated where flip[j].
+
+    On the offset mesh the computed sums are the even angles', and odd j
+    is the conjugate of the even m - 1 - j.  On the unshifted mesh they are
+    the angles 0 .. m/2 of the upper half circle, and j > m/2 is the
+    conjugate of m - j.
+    """
+    j = np.arange(m)
+    if m == 1:
+        return j, j < 0
+    if offset:
+        return np.where(j % 2 == 0, j, m - 1 - j) // 2, j % 2 == 1
+    return np.minimum(j, m - j), j > m // 2
 
 
 _FIX_GUARD_BITS = 16
@@ -344,9 +381,12 @@ _LN2 = math.log(2.0)
 _FFT_MAX_ANGLES = 1 << 16
 _TW_GUARD_BITS = 64  # bits a cached twiddle table keeps below its scale
 _TWIDDLES = {}  # m -> (scale, re, im) of e^{i pi k / m}, k < m
+_TW_SCALED = {}  # m -> (table, bits, re, im): the last request's rounding
 # eval_circle_at's crossover: N (p + this) is the cost of p Horner points
-# over N terms in the units of an m-angle circle's m log2 m
-_HORNER_STEP_COST = 10
+# over N terms in Horner steps, and a complex band's m-angle circle costs
+# _CIRCLE_STEPS m log2 m of them (a real band's half that; _circle_cost)
+_HORNER_STEP_COST = 1
+_CIRCLE_STEPS = 0.5
 
 
 def _fixed_bits(dps: int, width: int) -> int:
@@ -550,14 +590,17 @@ def _top_bits(v):
 
 
 def _result_fixed(ar, ai, bits: int, log_mu: float, floor: float,
-                  level: str, turn: Optional[Callable] = None) -> EvalResult:
+                  level: str, turn: Optional[Callable] = None,
+                  mirror: Optional[tuple] = None) -> EvalResult:
     """EvalResult of fixed-point sums (ar_j + i ai_j) 2^-bits = f / mu(r).
 
     ln|f| comes from the leading 64 bits of ar^2 + ai^2, arg f from those
     of (ar, ai), through math.log and math.atan2 elementwise.  With `turn`,
     sum j is f / (mu(r) z^last), and turn(js) gives the fixed-point cis
     arrays that restore f's phase at the indices js; the modulus needs no
-    turn.
+    turn.  With `mirror`, the (src, flip) of _mirror_map, the sums are the
+    ones a real band's circle computes: each is taken once, and the
+    result, mirrored, holds the whole circle.
     """
     ar = np.asarray(ar, dtype=object)
     ai = np.asarray(ai, dtype=object)
@@ -574,7 +617,10 @@ def _result_fixed(ar, ai, bits: int, log_mu: float, floor: float,
     _, s = _top_bits(np.maximum(np.abs(vr), np.abs(vi)))
     phase[nz] = _ATAN2((vi >> s).astype(float),
                        (vr >> s).astype(float)).astype(float)
-    return EvalResult(logabs, phase, floor, log_mu, level)
+    if mirror is not None:
+        src, flip = mirror
+        logabs, phase = logabs[src], np.where(flip, -phase[src], phase[src])
+    return EvalResult(logabs, phase, floor, log_mu, level, mirror is not None)
 
 
 def _horner_fixed(band, bits: int, ths):
@@ -598,6 +644,13 @@ def _horner_fixed(band, bits: int, ths):
     return sums
 
 
+def _circle_cost(m: int, real: bool) -> float:
+    """The cost of an m-angle dd or mp circle in Horner steps (see
+    eval_circle_at): _CIRCLE_STEPS m log2 m, half that for a real band,
+    whose circle is a half-size transform."""
+    return _CIRCLE_STEPS * m * math.log2(m) * (0.5 if real else 1.0)
+
+
 def _twiddles(m: int, bits: int):
     """e^{i pi k / m} for k < m, rounded to integers at scale 2^bits.
 
@@ -609,7 +662,8 @@ def _twiddles(m: int, bits: int):
     w^k for k <= m / 4 by _fixed_powers at g = depth + 16 + bitlen(m)
     bits, each within (1 + 2^-4) k 2^-g < 2^-(depth + 17) of e^{i pi k /
     m}, rounded to nearest at the table's depth.  The rest follows exactly
-    from the symmetries of cos and sin.
+    from the symmetries of cos and sin.  The last request's rounded table
+    per m is kept while its table is.
     """
     deep = (-(-bits // _TW_GUARD_BITS) + 1) * _TW_GUARD_BITS
     entry = _TWIDDLES.get(m)
@@ -626,38 +680,96 @@ def _twiddles(m: int, bits: int):
         cs += [(-s, c) for c, s in cs[1:m // 2]]
         entry = (deep, *(np.array(v, dtype=object) for v in zip(*cs)))
         _TWIDDLES[m] = entry
-    shift = entry[0] - bits
-    half = 1 << (shift - 1)
-    return (entry[1] + half) >> shift, (entry[2] + half) >> shift
+    hit = _TW_SCALED.get(m)
+    if hit is None or hit[0] is not entry or hit[1] != bits:
+        shift = entry[0] - bits
+        half = 1 << (shift - 1)
+        hit = _TW_SCALED[m] = (entry, bits, (entry[1] + half) >> shift,
+                               (entry[2] + half) >> shift)
+    return hit[2], hit[3]
+
+
+def _fft_fixed(xr, xi, wr, wi, q: int):
+    """sum_k x_k e^{2 pi i jk / L} for j < L, from the L bins x_k = xr +
+    i xi, L a power of two, by a radix-2 decimation-in-time FFT over
+    object arrays of Python ints, truncating each twiddle product at scale
+    2^q; (wr, wi) is a _twiddles table e^{i pi k / M} of M >= L entries."""
+    size, tab = len(xr), len(wr)
+    log_l = size.bit_length() - 1
+    j = np.arange(size)
+    rev = np.zeros(size, dtype=np.intp)
+    for b in range(log_l):
+        rev |= ((j >> b) & 1) << (log_l - 1 - b)
+    xr, xi = xr[rev], xi[rev]
+    h = 1
+    while h < size:
+        ar, ai = xr.reshape(-1, 2, h), xi.reshape(-1, 2, h)
+        br, bi = ar[:, 1], ai[:, 1]
+        if h > 1:  # e^{i pi k / h} = table entry k M / h; exact 1 at h = 1
+            cr, ci = wr[::tab // h], wi[::tab // h]
+            br, bi = (br * cr - bi * ci) >> q, (br * ci + bi * cr) >> q
+        xr = np.concatenate((ar[:, 0] + br, ar[:, 0] - br), axis=1)
+        xi = np.concatenate((ai[:, 0] + bi, ai[:, 0] - bi), axis=1)
+        h *= 2
+    return xr.reshape(size), xi.reshape(size)
+
+
+def _is_real(ti) -> bool:
+    """Whether every imaginary part ti of a dd or mp band's terms is 0."""
+    return not np.any(ti != 0)
 
 
 def _circle_fixed(n, tr, ti, bits: int, m: int, offset: bool):
     """sum_n t_n e^{i n theta_j} for theta_j = 2 pi (j + offset/2) / m,
     j < m, from the band's terms t_n = (tr + i ti) 2^-bits at indices n.
 
-    Returns (ar, ai, q): the sums as integers at scale 2^q, q = bits +
-    log2 m.  m is a power of two.  The terms are folded into m bins by
-    n mod m, with the exact sign (-1)^floor(n/m) on the offset mesh; each
-    bin is shifted to scale 2^q and, on the offset mesh, twisted once by
-    e^{i pi k / m}; a radix-2 decimation-in-time FFT over object arrays of
-    Python ints then sums each bin against e^{2 pi i jk / m}, truncating
-    each twiddle product at scale 2^q.
+    Returns (ar, ai, q, mirrored): the sums as integers at scale 2^q, and
+    whether they are a real band's, which holds only the half of the sums
+    that _mirror_map expands (the rest are their conjugates).  m is a
+    power of two.  The terms are folded into m bins x_k by n mod m, with
+    the exact sign (-1)^floor(n/m) on the offset mesh, and each bin is
+    shifted to scale 2^q, q = bits + log2 m.  FFTs (_fft_fixed) truncate
+    each twiddle product at scale 2^q.  With h = m / 2:
+
+    * a complex band: each bin is twisted once by e^{i pi k / m} on the
+      offset mesh, and one m-point FFT sums the bins.  A real band's
+      circle of m = 1 is its one bin.
+    * a real band, offset mesh: the even sums X_2l, l < h, are the h-point
+      FFT of y_k = (x_k + i x_{k+h}) e^{i pi k / m}, k < h, one twist
+      product per y_k; odd j has X_j = conj X_{m-1-j}.
+    * a real band, unshifted mesh: Z, the h-point FFT of z_k = x_2k + i
+      x_2k+1, gives 2 X_j = E_j + P_j and 2 X_{h-j} = conj(E_j - P_j) for j
+      <= h/2, with E_j = Z_j + conj Z_{h-j} and P_j = e^{2 pi i j / m} (-i)
+      (Z_j - conj Z_{h-j}), one split product each; X_{m-j} = conj X_j.
+      These sums are returned at scale 2^(q+1).
 
     Error, relative to mu(r), for a band of N terms |t_n| <= 1, each given
     to within delta 2^-bits (delta = sqrt2 (1/2 + 2^-23) for the dd and mp
-    bands alike; see _fixed_band).  In units of
-    2^-q, each product truncates by at most sqrt2 and carries its
-    twiddle's rounding, sqrt2/2 times its operand.  An output sees each
-    twist product once and, at butterfly level s = 2 .. log2 m, one
-    product per block of 2^s bins, whose operands sum to at most N.  So
-    the sums are within
+    bands alike; see _fixed_band).  In units of 2^-q, each product
+    truncates by at most sqrt2 and carries its twiddle's rounding, sqrt2/2
+    times its operand.  An output of an L-point FFT sees, at butterfly
+    level s = 2 .. log2 L, one product per block of 2^s bins, whose
+    operands sum to at most N; of the twist, each product once.  So the
+    sums are within delta N 2^-bits plus, for a complex band,
 
-        delta N 2^-bits + ((3/2) sqrt2 m + (sqrt2/2) N log2 m) 2^-q
-            <= ((delta + 0.36) N + 2.2) 2^-bits
+        ((3/2) sqrt2 m + (sqrt2/2) N log2 m) 2^-q
+            <= (0.36 N + 2.2) 2^-bits,
 
-    of the exact ones: under (2 N + 3) 2^-bits, and so, with bits from
+    for a real band on the offset mesh (h twist products, an h-point FFT)
+
+        ((3/4) sqrt2 m + (sqrt2/2) N (log2 m - 1)) 2^-q
+            <= (0.18 N + 1.1) 2^-bits,
+
+    and on the unshifted mesh (each Z_j within (sqrt2/2) h + (sqrt2/2) N
+    (log2 m - 2), E and the operand of P within twice that, |Z_j - conj
+    Z_{h-j}| <= 2 N, and halved back from 2 X_j)
+
+        ((sqrt2/2) (m + N + 1) + sqrt2 N (log2 m - 2)) 2^-q
+            <= (0.54 N + 1.1) 2^-bits
+
+    of the exact ones: each under (2 N + 3) 2^-bits, and so, with bits from
     _fixed_bits, under 2^-15 10^-dps (dps = 32 for dd), far below both
-    levels' floors.
+    levels' floors.  The conjugated sums are exact conjugates.
     """
     log_m = m.bit_length() - 1
     k = n % m
@@ -665,31 +777,36 @@ def _circle_fixed(n, tr, ti, bits: int, m: int, offset: bool):
         odd = (n // m) % 2 == 1
         tr = np.where(odd, -tr, tr)
         ti = np.where(odd, -ti, ti)
-    xr = np.zeros(m, dtype=object)
-    xi = np.zeros(m, dtype=object)
-    np.add.at(xr, k, tr)
-    np.add.at(xi, k, ti)
     q = bits + log_m
-    xr, xi = xr << log_m, xi << log_m
     wr, wi = _twiddles(m, q)
+    xr = np.zeros(m, dtype=object)
+    np.add.at(xr, k, tr)
+    xr = xr << log_m
+    if not _is_real(ti):
+        xi = np.zeros(m, dtype=object)
+        np.add.at(xi, k, ti)
+        xi = xi << log_m
+        if offset:
+            xr, xi = (xr * wr - xi * wi) >> q, (xr * wi + xi * wr) >> q
+        return (*_fft_fixed(xr, xi, wr, wi, q), q, False)
+    if m == 1:
+        return xr, np.zeros(1, dtype=object), q, True
+    h = m // 2
     if offset:
-        xr, xi = (xr * wr - xi * wi) >> q, (xr * wi + xi * wr) >> q
-    j = np.arange(m)
-    rev = np.zeros(m, dtype=np.intp)
-    for b in range(log_m):
-        rev |= ((j >> b) & 1) << (log_m - 1 - b)
-    xr, xi = xr[rev], xi[rev]
-    h = 1
-    while h < m:
-        ar, ai = xr.reshape(-1, 2, h), xi.reshape(-1, 2, h)
-        br, bi = ar[:, 1], ai[:, 1]
-        if h > 1:  # e^{i pi k / h} = table entry k m / h; exact 1 at h = 1
-            cr, ci = wr[::m // h], wi[::m // h]
-            br, bi = (br * cr - bi * ci) >> q, (br * ci + bi * cr) >> q
-        xr = np.concatenate((ar[:, 0] + br, ar[:, 0] - br), axis=1)
-        xi = np.concatenate((ai[:, 0] + bi, ai[:, 0] - bi), axis=1)
-        h *= 2
-    return xr.reshape(m), xi.reshape(m), q
+        a, b, cr, ci = xr[:h], xr[h:], wr[:h], wi[:h]
+        return (*_fft_fixed((a * cr - b * ci) >> q, (a * ci + b * cr) >> q,
+                            wr, wi, q), q, True)
+    zr, zi = _fft_fixed(xr[0::2], xr[1::2], wr, wi, q)
+    j = np.arange(h // 2 + 1)
+    jb = (h - j) % h
+    er, ei = zr[j] + zr[jb], zi[j] - zi[jb]
+    dr, di = zr[j] - zr[jb], zi[j] + zi[jb]
+    cr, ci = wr[2 * j], wi[2 * j]
+    pr, pi = (cr * di + ci * dr) >> q, (ci * di - cr * dr) >> q
+    sr, si = np.zeros(h + 1, dtype=object), np.zeros(h + 1, dtype=object)
+    sr[h - j], si[h - j] = er - pr, pi - ei
+    sr[j], si[j] = er + pr, ei + pi
+    return sr, si, q + 1, True
 
 
 def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
@@ -744,26 +861,36 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
     over the fixed-point band of _fixed_band, within (2 N + 3) 2^-P of f /
     mu(r) for a band of N terms, where P is the band's scale:
     _fixed_bits(dps, N) at 'mp', _fixed_bits(32, N) at 'dd'.  Any other m
-    is a ValueError at 'dd'
-    and 'mp' (eval_circle_at reads larger circles by eval_points); 'd'
-    takes any m.
+    is a ValueError at 'dd' and 'mp' (eval_circle_at reads larger circles
+    by eval_points); 'd' takes any m.  A real band's result is mirrored:
+    at 'd' the lower half circle is set from the upper after the FFT, and
+    at 'dd' and 'mp' only the half that _mirror_map expands is computed.
     """
     if level == "d":
         lo, hi, log_mu, t = _terms_d(coeff, log_r)
         n = np.arange(lo, hi)
+        real = not np.any(t.imag)
         if offset:
             # theta_j = 2 pi (j + 1/2) / m: twist each term by e^{i pi n / m}
             t = t * np.exp(1j * np.pi * n / m)
         # fold indices modulo m (exact evaluation of the trig sum by FFT)
         folded = np.zeros(m, dtype=complex)
         np.add.at(folded, n % m, t)
-        return _result_d(coeff, m * np.fft.ifft(folded), lo, hi, log_mu)
+        val = m * np.fft.ifft(folded)
+        if real:
+            # the lower half circle from the upper; angles on the axis real
+            j = np.arange(m)
+            mir = _mirror(j, m, offset)
+            val = np.where(j < mir, val, np.where(j > mir, np.conj(val[mir]),
+                                                  val.real))
+        return _result_d(coeff, val, lo, hi, log_mu, real)
     if m < 1 or m & (m - 1) or m > _FFT_MAX_ANGLES:
         raise ValueError(f"a {level} circle takes a power of two up to "
                          f"{_FFT_MAX_ANGLES} angles, not {m}")
     (_, _, log_mu, bits, band), floor = _fixed_band(coeff, log_r, level, dps)
-    ar, ai, q = _circle_fixed(*band, bits, m, offset)
-    return _result_fixed(ar, ai, q, log_mu, floor, level)
+    ar, ai, q, mirrored = _circle_fixed(*band, bits, m, offset)
+    return _result_fixed(ar, ai, q, log_mu, floor, level,
+                         mirror=_mirror_map(m, offset) if mirrored else None)
 
 
 def eval_circle_at(coeff: CoeffData, log_r: float, m: int, idx, dps: int,
@@ -771,30 +898,53 @@ def eval_circle_at(coeff: CoeffData, log_r: float, m: int, idx, dps: int,
     """The mp circle's values at the indices idx of its m angles, at dps
     digits, by the cheaper kernel.
 
-    For m a power of two up to _FFT_MAX_ANGLES, the whole circle's integer
-    FFT costs about m log2 m units of work, and eval_points on p =
-    len(idx) angles about N (p + _HORNER_STEP_COST) for a band of N
-    nonzero terms; the cheaper runs.  Timed with cached bands and twiddles
-    on an ODE solution and builtins (N = 64 .. 654, dps 47 .. 64, m = 256
-    .. 16384), the circle took 320 - 1400 ns per unit, and a Horner step
-    (one angle's sum by one term) 590 - 1700 ns at p = 8 and 64, 760 -
-    3700 ns at p = 1: a call's fixed cost is one or two steps per term, not
-    the ~10 of the object-array kernel _HORNER_STEP_COST was measured on.
-    An uncached twiddle table costs up to a circle again, once.  The
-    circle gives the exact angles 2 pi (j + offset/2) / m, the points
-    those angles rounded to floats: the two agree within the floor, not
-    bit for bit.
+    For a real band each mirror pair of indices {j, the index of -theta_j}
+    is read once, at its representative in the upper half circle, and the
+    other index takes the conjugate reading.  For m a power of two up to
+    _FFT_MAX_ANGLES, the whole circle costs _circle_cost(m, real) Horner
+    steps, and eval_points on the p distinct representatives (p = len(idx)
+    for a complex band) N (p + _HORNER_STEP_COST) for a band of N nonzero
+    terms; the cheaper runs.  Timed with cached bands and twiddles (best
+    of 3, 2 vCPU, Python 3.11, mpmath's Python backend), in ns per unit m
+    log2 m of an offset circle and per Horner step (one angle's sum by one
+    term) at p angles:
+
+        series, at r          N    dps  real circle, m = 256 .. 16384
+        sin 700, 58.5        129   63   356  223  198  234
+        exp 400, 40          203   55   348  230  179  157
+        f'' + e^z f, 6       654   50   435  285  209  178
+                                        complex circle
+        exp 400 at e^{0.3i} z, 40  203  55   691  453  348  315
+                                        step, p = 1, 8, 64
+        sin 700, 58.5                   1962  1025  962
+        exp 400, 40                     1083   733  662
+        f'' + e^z f, 6                   772   606  579
+        exp 400 at e^{0.3i} z, 40       1196   744  712
+
+    (the unshifted mesh within 25% of the offset one; f'' + e^z f from (1,
+    0), 1024 terms at 50 digits).  So a unit of a complex circle is 0.4 -
+    1 step, of a real circle about half that, and a call's fixed cost 0.3
+    - 1 step per term.  An uncached twiddle table costs up to a circle
+    again, once.  The circle gives the exact angles 2 pi (j + offset/2) /
+    m, the points those angles rounded to floats: the two agree within the
+    floor, not bit for bit.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    if not m & (m - 1) and m <= _FFT_MAX_ANGLES:
-        (_, _, _, _, band), _ = _fixed_band(coeff, log_r, "mp", dps)
-        if m * math.log2(m) <= len(band[0]) * (len(idx) + _HORNER_STEP_COST):
-            res = eval_circle(coeff, log_r, m, offset=offset, level="mp",
-                              dps=dps)
-            return EvalResult(res.logabs[idx], res.phase[idx], res.floor_ln,
-                              res.log_mu, res.level)
-    thetas = (2.0 * np.pi) * (idx + (0.5 if offset else 0.0)) / m
-    return eval_points(coeff, log_r, thetas, level="mp", dps=dps)
+    (_, _, _, _, band), _ = _fixed_band(coeff, log_r, "mp", dps)
+    real = _is_real(band[2])
+    rep = _mirror_rep(idx, m, offset) if real else idx
+    reads, inv = np.unique(rep, return_inverse=True)
+    if (not m & (m - 1) and m <= _FFT_MAX_ANGLES
+            and _circle_cost(m, real) <= len(band[0]) * (
+                len(reads) + _HORNER_STEP_COST)):
+        res = eval_circle(coeff, log_r, m, offset=offset, level="mp", dps=dps)
+        return EvalResult(res.logabs[idx], res.phase[idx], res.floor_ln,
+                          res.log_mu, res.level)
+    thetas = (2.0 * np.pi) * (reads + (0.5 if offset else 0.0)) / m
+    res = eval_points(coeff, log_r, thetas, level="mp", dps=dps)
+    phase = res.phase[inv]
+    return EvalResult(res.logabs[inv], np.where(rep != idx, -phase, phase),
+                      res.floor_ln, res.log_mu, res.level)
 
 
 _DPS_GUARD = 25.0  # nats of slack between the mp floor and the target

@@ -18,6 +18,17 @@ module reduces to two numerical problems on the circle:
   circle, so f and f' are read there from one FFT circle each, or by
   scattered points where those cost less.
 
+A real g is read on the upper half circle.  For real coefficients (every
+theorem equation's, every builtin's), f(r e^{-i theta}) = conj f(r e^{i
+theta}), so a circle of a real band comes back mirrored from the
+evaluation engine: its dd and mp FFT computes half the angles, and the
+rest are exact conjugates.  The log+ quadrature of a mirrored g (ln|f|, or
+ln|num| - ln|den| when both are real) searches only the crossings in the
+upper half circle and reads its Gauss nodes only on [0, pi]; the lower
+crossings are 2 pi minus the upper ones, and the nodes count twice.  A
+winding round reads each mirror pair of its midpoints once when it reads
+scattered points.
+
 Both keep explicit noise-floor accounting: values of |f| far below the
 maximum term are invisible to fixed-precision arithmetic, and pretending
 otherwise silently corrupts m(r, f) (positive noise readings) and winding
@@ -181,6 +192,22 @@ def _crossings(read, a, h, fa, fb):
     return 0.5 * (a + b)
 
 
+def _cell_crossings(read, v, m, cells, mirrored):
+    """The crossing of g = 0 in each of the cells (increasing indices j,
+    cell j from offset angle j to j + 1) whose two readings v lie on
+    opposite sides of 0, by _crossings.  For a mirrored g (v even about
+    the real axis), the search runs on the upper half's cells, j < m/2,
+    and the crossing in cell m - 2 - j is 2 pi minus the one in cell j."""
+    h = 2.0 * math.pi / m
+    if not mirrored:
+        return _crossings(read, (2.0 * math.pi) * (cells + 0.5) / m, h,
+                          v[cells], v[(cells + 1) % m])
+    up = cells[:len(cells) // 2]
+    x = _crossings(read, (2.0 * math.pi) * (up + 0.5) / m, h, v[up],
+                   v[up + 1])
+    return np.concatenate([x, 2.0 * math.pi - x[::-1]])
+
+
 def _reject_unc(log_mu: float, n_terms: int) -> float:
     """Half _until_stable's m(r) tolerance at the largest estimate a pass
     can return, U = max(0, ln mu(r) + ln N) for a series of N terms (|f| <=
@@ -205,10 +232,10 @@ def _logplus_quadrature(coeff, log_r, m, level, dps):
     if unc > _reject_unc(res.log_mu, coeff.n_terms):
         return float(np.mean(np.maximum(v, 0.0))), unc
     return _arc_quadrature(v, m, lambda t: _evalcore.eval_points(
-        coeff, log_r, t, level=level, dps=dps).logabs), unc
+        coeff, log_r, t, level=level, dps=dps).logabs, res.mirrored), unc
 
 
-def _arc_quadrature(v, m, read):
+def _arc_quadrature(v, m, read, mirrored=False):
     """(1/2pi) int g+ over the circle from g's readings v at the m offset
     angles; read(thetas) gives g anywhere.  g (ln|f|, or ln|num| - ln|den|)
     is analytic along the circle away from zeros, and g+ has kinks only
@@ -224,7 +251,16 @@ def _arc_quadrature(v, m, read):
     takes composite 4-node Gauss panels of width <= h across it instead.
     All Gauss nodes go into one read.  The rule's rate near a zero is set
     by that zero's distance from the circle (Trefethen & Weideman, SIAM
-    Rev. 56, 2014)."""
+    Rev. 56, 2014).
+
+    A `mirrored` g is even in theta (v from a mirrored EvalResult, g(-theta)
+    = g(theta)), and is read only on the upper half circle.  Cell j and
+    cell m - 2 - j are mirror images, and no crossing cell straddles 0 or
+    pi, where a cell's two ends are mirrors; so the search runs on the
+    cells j < m/2, and a lower crossing is 2 pi minus its mirror's
+    (_cell_crossings).  The Gauss panels then come in mirror pairs, or are
+    their own mirror image (centred on 0 or pi): the nodes in (pi, 2 pi)
+    are dropped, and those in [0, pi] count twice."""
     pos = v > 0.0
     cells = np.nonzero(pos != np.roll(pos, -1))[0]
     if len(cells) == 0 or len(cells) > m // 4:
@@ -232,7 +268,7 @@ def _arc_quadrature(v, m, read):
 
     h = 2.0 * math.pi / m
     a = (2.0 * math.pi) * (cells + 0.5) / m
-    x = _crossings(read, a, h, v[cells], v[(cells + 1) % m])
+    x = _cell_crossings(read, v, m, cells, mirrored)
     # cells alternate between rising and falling; pair each rising cell
     # with the falling one after it
     k = int(np.argmax(~pos[cells]))
@@ -255,10 +291,14 @@ def _arc_quadrature(v, m, read):
             hi.extend(edges[1:])
     mids = 0.5 * (np.array(lo) + np.array(hi))
     halfw = 0.5 * (np.array(hi) - np.array(lo))
-    pts = (mids[:, None] + halfw[:, None] * _GL_NODES[None, :]).ravel()
-    gv = read(pts % (2.0 * math.pi)).reshape(-1, 4)
-    total += float(np.sum(halfw[:, None] * _GL_WTS[None, :]
-                          * np.maximum(gv, 0.0)))
+    pts = (mids[:, None] + halfw[:, None] * _GL_NODES[None, :]) % (
+        2.0 * math.pi)
+    wts = halfw[:, None] * _GL_WTS[None, :]
+    if mirrored:
+        upper = pts <= math.pi
+        pts, wts = pts[upper], 2.0 * wts[upper]
+    gv = read(pts.ravel()).reshape(pts.shape)
+    total += float(np.sum(wts * np.maximum(gv, 0.0)))
     return float(total) / (2.0 * math.pi)
 
 
@@ -343,7 +383,8 @@ def proximity_of_ratio(num: PowerSeries, den: PowerSeries,
         ok = rd.logabs >= rd.floor_ln + _TRUST_GUARD
         trimmed = not ok.all()
         if not trimmed:
-            return _arc_quadrature(v, m, read), 0.0
+            return _arc_quadrature(v, m, read,
+                                   rn.mirrored and rd.mirrored), 0.0
         return float(np.mean(np.where(ok, np.maximum(v, 0.0), 0.0))), 0.0
 
     est, m, converged, unc = _until_stable(estimate)

@@ -90,22 +90,24 @@ class MaxTermResult:
 def _certify_radius(lh: np.ndarray) -> float:
     """Largest grid radius where the extrapolated tail is < _TAIL_TOL mu(r).
 
-    Despite the name this certifies nothing: the mean log-slope of the last
-    tenth of the stored |a_n| is extrapolated as a geometric tail, which is
-    an estimate of the truncation error, not a bound on it.  A series whose
-    stored tail is exactly zero (a polynomial) is trusted everywhere.
+    Despite the name this certifies nothing: the mean log-slope of the
+    nonzero |a_n| in the last tenth up to the last nonzero one (the last two
+    nonzero ones, if that tenth holds fewer) is extrapolated as a geometric
+    tail, which is an estimate of the truncation error, not a bound on it.
+    Zeros after the last nonzero term do not make a series a polynomial: a
+    lacunary series (sin, cos, airy_like, an ODE solution on a residue
+    class) ends on one at some lengths.  Polynomials are marked by
+    make_series(polynomial=True) instead.  A series of fewer than 4 nonzero
+    terms is trusted everywhere.
     """
     finite = np.nonzero(np.isfinite(lh))[0]
-    if len(finite) == 0:
-        return math.inf  # zero series
-    top = int(finite[-1])
-    if top + 1 < len(lh) or len(finite) < 4:
-        # trailing zeros stored: polynomial, converges everywhere
+    if len(finite) < 4:
         return math.inf
+    top = int(finite[-1])
     k = max(4, (top + 1) // 10)
     decade = finite[finite >= top - k + 1]
     if len(decade) < 2:
-        return math.inf
+        decade = finite[-2:]
     slopes = np.diff(lh[decade]) / np.diff(decade.astype(float))
     mean_slope = float(np.mean(slopes))
     # per-index ratio of |a_n| r^n is q(r) = exp(mean_slope + ln r)

@@ -4,7 +4,7 @@ Loads every *.report.json in a directory with its `environment` block
 removed, the one part of a report outside the determinism promise.  Run as
 a script,
 
-    python tests/reports.py DIR_A DIR_B [--values]
+    python tests/reports.py DIR_A DIR_B [--values] [--rel-tol X]
 
 it prints the name of each report that differs, or is in one directory
 only, and exits 1 if there is any; 0 otherwise.  With --values it also
@@ -12,8 +12,12 @@ prints, under each report in both directories, every check whose measured
 value, verdict or detail changed (numbers with their relative change,
 verdict changes flagged), and any other top-level field that changed: in
 an object field such as `config`, each key added, removed or changed, as
-a JSON path (`config: removed /oscillation/dps_budget`).  Standard
-library only.
+a JSON path (`config: removed /oscillation/dps_budget`).  --rel-tol X
+implies --values and lists the same lines, but exits 0 when every
+difference is a measured value that is a float on both sides and moved
+by at most X relative; a verdict, detail, list, integer, config or any
+other difference, or a report in one directory only, still exits 1.
+Standard library only.
 """
 
 import json
@@ -58,6 +62,27 @@ def key_changes(a, b, path=""):
             yield "changed", at, va, vb
 
 
+def _within(va, vb, rel_tol):
+    """Whether measured values va -> vb are floats within rel_tol of each
+    other, relative to va."""
+    return (isinstance(va, float) and isinstance(vb, float)
+            and abs(vb - va) <= rel_tol * abs(va))
+
+
+def tolerated(report_a, report_b, rel_tol):
+    """Whether report_b equals report_a once each check's measured value
+    within rel_tol of report_a's (_within) is put back to report_a's."""
+    checks_a = {c["name"]: c for c in report_a.get("checks", [])}
+    back = []
+    for cb in report_b.get("checks", []):
+        ca = checks_a.get(cb["name"])
+        if ca is not None and _within(ca.get("measured"), cb.get("measured"),
+                                      rel_tol):
+            cb = dict(cb, measured=ca["measured"])
+        back.append(cb)
+    return dict(report_b, checks=back) == report_a
+
+
 def check_changes(report_a, report_b):
     """Lines describing each check of the two reports whose measured
     value, verdict or detail changed, in report_a's order, then each other
@@ -97,23 +122,48 @@ def check_changes(report_a, report_b):
     return lines
 
 
+def _parse(argv):
+    """(dirs, values, rel_tol) from the command line, or None if bad."""
+    values, rel_tol, dirs = False, None, []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--values":
+            values = True
+        elif arg == "--rel-tol":
+            try:
+                rel_tol = float(next(args))
+            except (StopIteration, ValueError):
+                return None
+            if not rel_tol >= 0.0:
+                return None
+            values = True
+        else:
+            dirs.append(arg)
+    return (dirs, values, rel_tol) if len(dirs) == 2 else None
+
+
 def main(argv):
-    values = "--values" in argv
-    argv = [a for a in argv if a != "--values"]
-    if len(argv) != 2:
-        print("usage: python tests/reports.py DIR_A DIR_B [--values]",
-              file=sys.stderr)
+    parsed = _parse(argv)
+    if parsed is None:
+        print("usage: python tests/reports.py DIR_A DIR_B [--values] "
+              "[--rel-tol X]", file=sys.stderr)
         return 2
-    names = differing(*argv)
-    a, b = (load_reports(d) for d in argv) if values else ({}, {})
+    dirs, values, rel_tol = parsed
+    names = differing(*dirs)
+    a, b = (load_reports(d) for d in dirs) if values else ({}, {})
+    failing = 0
     for name in names:
         print(name)
         if values and name in a and name in b:
             for line in check_changes(a[name], b[name]):
                 print("  " + line)
-        elif values:
-            print(f"  only in {'A' if name in a else 'B'}")
-    return 1 if names else 0
+            failing += rel_tol is None or not tolerated(a[name], b[name],
+                                                        rel_tol)
+        else:
+            failing += 1
+            if values:
+                print(f"  only in {'A' if name in a else 'B'}")
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

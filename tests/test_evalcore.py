@@ -202,6 +202,170 @@ def test_circle_at_indices_matches_points(monkeypatch, level, m, offset):
     assert trusted >= len(idx) // 2
 
 
+def _rotated_exp():
+    """exp 400 at e^{0.3 i} z: a complex series, |f| as e^z's rotated."""
+    return series.scale_argument(series.builtin("exp", 400),
+                                 complex(math.cos(0.3), math.sin(0.3)))
+
+
+def _expanded(ar, ai, m, offset, mirrored):
+    """_circle_fixed's sums at every angle of the circle."""
+    if not mirrored:
+        return list(ar), list(ai)
+    src, flip = _evalcore._mirror_map(m, offset)
+    return ([ar[s] for s in src],
+            [-ai[s] if f else ai[s] for s, f in zip(src, flip)])
+
+
+# the error bound of _circle_fixed in units of 2^-bits, without the
+# band's own rounding: (per term, constant) by band kind and mesh
+_CIRCLE_BOUND = {(False, True): (0.36, 2.2), (False, False): (0.36, 2.2),
+                 (True, True): (0.18, 1.1), (True, False): (0.54, 1.1)}
+
+
+@pytest.mark.parametrize("offset", [True, False])
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 128, 1024, 4096])
+@pytest.mark.parametrize("make", [lambda: series.builtin("exp", 400),
+                                  lambda: series.builtin("sin", 700),
+                                  _rotated_exp],
+                         ids=["exp", "sin", "rotated_exp"])
+def test_circle_kernel_within_its_bound(make, m, offset):
+    """_circle_fixed against the band's integer terms summed exactly by
+    mpmath at the exact angles, within the bound its docstring states.
+    A real band (exp, sin) takes the half-size transform and comes back
+    mirrored; a complex one (rotated exp) takes the m-point FFT.  The
+    picks cover both halves of the circle, both parities, and the angles
+    on the axis."""
+    f = make()
+    log_r = math.log(40.0)
+    (_, _, _, bits, band), _ = _evalcore._fixed_band(f.coeff, log_r, "dd",
+                                                     None)
+    real = _evalcore._is_real(band[2])
+    assert real == (make is not _rotated_exp)
+    ar, ai, q, mirrored = _evalcore._circle_fixed(*band, bits, m, offset)
+    assert mirrored == real
+    assert len(ar) == (m if not real else m // 2 + (not offset))
+    ar, ai = _expanded(ar, ai, m, offset, mirrored)
+    picks = sorted({j % m for j in (0, 1, 2, 3, m // 4, m // 2 - 1, m // 2,
+                                    m // 2 + 1, m - 3, m - 2, m - 1)}
+                   | set(range(0, m, max(1, m // 16))))
+    ns, tr, ti = (v.tolist() for v in band)
+    per_term, const = _CIRCLE_BOUND[real, offset]
+    with mp.workprec(bits + 80):
+        scale = mp.mpf(2) ** -bits
+        for j in picks:
+            x = mp.expjpi(mp.mpf(2 * j + offset) / m)
+            acc, prev = mp.mpc(0), ns[0]
+            for n, a, b in zip(ns, tr, ti):
+                acc = acc * x ** (prev - n) + mp.mpc(a, b)
+                prev = n
+            want = acc * x ** ns[-1] * scale
+            got = mp.mpc(ar[j], ai[j]) * mp.mpf(2) ** -q
+            err = abs(got - want) / scale
+            assert err <= per_term * len(ns) + const, (j, float(err))
+
+
+@pytest.mark.parametrize("m,offset", [(1, True), (1, False), (2, True),
+                                      (2, False), (64, True), (64, False),
+                                      (512, True)])
+@pytest.mark.parametrize("level,dps", [("d", None), ("dd", None),
+                                       ("mp", 60)])
+def test_real_band_circle_is_mirror_symmetric(level, dps, m, offset):
+    """Every level's circle of a real series holds exact conjugates at
+    theta and -theta: equal logabs, negated phase, and the angles on the
+    axis real; each half is within the floor of the direct sum.  A complex
+    series' circle is not mirrored."""
+    log_r = math.log(40.0)
+    for f, real in ((series.builtin("sin", 700), True),
+                    (series.builtin("exp", 400), True),
+                    (_rotated_exp(), False)):
+        res = _evalcore.eval_circle(f.coeff, log_r, m, offset=offset,
+                                    level=level, dps=dps)
+        assert res.mirrored == real
+        if not real:
+            continue
+        picks = sorted({j % m for j in (0, m // 4 + 1, m // 2, m - 1)})
+        turns = [Fraction(2 * j + offset, 2 * m) for j in picks]
+        _assert_matches(res, direct_sum(f.coeff, log_r, turns, dps or 50,
+                                        res.log_mu), picks, 0.0)
+        j = np.arange(m)
+        mir = (m - 1 - j) if offset else (-j) % m
+        pair = j != mir
+        assert res.logabs[mir].tobytes() == res.logabs.tobytes()
+        assert np.all(res.phase[mir][pair] == -res.phase[pair])
+        assert np.all(np.isin(np.abs(res.phase[~pair]), [0.0, math.pi]))
+
+
+@pytest.mark.parametrize("m", [96, 97])
+def test_d_circle_of_any_size_is_mirrored(m):
+    # d takes any m; on an odd offset circle angle (m - 1)/2 is pi itself
+    f = series.builtin("exp", 400)
+    for offset in (True, False):
+        res = _evalcore.eval_circle(f.coeff, math.log(20.0), m, offset=offset)
+        j = np.arange(m)
+        mir = (m - 1 - j) if offset else (-j) % m
+        assert res.mirrored
+        assert res.logabs[mir].tobytes() == res.logabs.tobytes()
+        assert np.all(res.phase[mir][j != mir] == -res.phase[j != mir])
+        assert np.all(np.isin(np.abs(res.phase[j == mir]), [0.0, math.pi]))
+
+
+@pytest.mark.parametrize("level,dps", [("dd", None), ("mp", 45)])
+@pytest.mark.parametrize("offset", [True, False])
+def test_complex_series_takes_the_full_circle(level, dps, offset):
+    """A complex series reads its whole circle, unmirrored, within the
+    floor of the direct sum at the exact angles, as before the half-size
+    transform (its complex FFT is unchanged)."""
+    f = _rotated_exp()
+    log_r = math.log(40.0)
+    m = 256
+    res = _evalcore.eval_circle(f.coeff, log_r, m, offset=offset,
+                                level=level, dps=dps)
+    assert not res.mirrored
+    picks = sorted({0, 1, m // 4, m // 2 - 1, m // 2, m - 2, m - 1,
+                    int(np.argmin(res.logabs))})
+    turns = [Fraction(2 * j + offset, 2 * m) for j in picks]
+    ref = direct_sum(f.coeff, log_r, turns, dps or 50, res.log_mu)
+    _assert_matches(res, ref, picks, 20.0 if level == "mp" else 0.0)
+    # not conjugate-symmetric: the mirror angles read different values
+    j = np.array(picks)
+    mir = (m - 1 - j) if offset else (-j) % m
+    assert np.max(np.abs(res.logabs[j] - res.logabs[mir])) > 1.0
+
+
+@pytest.mark.parametrize("offset", [True, False])
+def test_circle_at_reads_each_mirror_pair_once(monkeypatch, offset):
+    """On a real band, eval_circle_at's scattered read takes one angle per
+    mirror pair of indices, in the upper half circle, and conjugates it
+    for the other: the values equal those of reading every index."""
+    monkeypatch.setattr(_evalcore, "_HORNER_STEP_COST", -math.inf)
+    f = series.builtin("sin", 700)
+    log_r = math.log(58.5)
+    dps = _evalcore.dps_for_floor(f.coeff, log_r, min(0.0, log_r) - 45.0)
+    m = 1024
+    up = np.array([0, 3, 100, 511])
+    idx = np.concatenate([up, (m - 1 - up) if offset else (-up) % m, [7]])
+    read = []
+    points = _evalcore.eval_points
+
+    def points_logged(coeff, lr, thetas, level="dd", dps=None):
+        read.extend(np.asarray(thetas).tolist())
+        return points(coeff, lr, thetas, level=level, dps=dps)
+
+    monkeypatch.setattr(_evalcore, "eval_points", points_logged)
+    got = _evalcore.eval_circle_at(f.coeff, log_r, m, idx, dps,
+                                   offset=offset)
+    assert len(read) == len(set(_evalcore._mirror_rep(idx, m, offset)
+                                .tolist())) == 5
+    assert max(read) <= math.pi
+    rep = np.minimum(idx, (m - 1 - idx) if offset else (-idx) % m)
+    one = [points(f.coeff, log_r, np.array([t]), level="mp", dps=dps)
+           for t in (2.0 * np.pi) * (rep + 0.5 * offset) / m]
+    assert got.logabs.tolist() == [r.logabs[0] for r in one]
+    sign = np.where(rep != idx, -1.0, 1.0)
+    assert got.phase.tolist() == [s * r.phase[0] for s, r in zip(sign, one)]
+
+
 def test_twiddles_shifted_down_match_fresh():
     f = series.builtin("exp", 400)
     log_r = math.log(100.0)

@@ -234,6 +234,67 @@ class TestReportsTool:
         assert capsys.readouterr().out == ""
         assert reports.main([a]) == 2
 
+    def rel_tol_dirs(self, tmp_path, changed, config=None):
+        """Directories a and b of one report each: a float moved by 1e-13
+        relative in b, plus the check records `changed` holds, each as
+        (name in a, in b), and b's config."""
+        def report(checks, cfg):
+            return {"name": "x", "verdict": "pass", "config": cfg,
+                    "checks": [_record("m", 8.9, "info")] + checks}
+
+        self.write(tmp_path / "a", {"t": report(
+            [old for old, _ in changed], {"seed": 1})})
+        self.write(tmp_path / "b", {"t": report(
+            [new for _, new in changed], config or {"seed": 1})})
+        b = json.loads((tmp_path / "b" / "t.report.json").read_text())
+        b["checks"][0]["measured"] = 8.9 * (1.0 + 1e-13)
+        (tmp_path / "b" / "t.report.json").write_text(json.dumps(b))
+        return str(tmp_path / "a"), str(tmp_path / "b")
+
+    def test_rel_tol_forgives_small_float_moves_and_lists_them(
+            self, tmp_path, capsys):
+        a, b = self.rel_tol_dirs(tmp_path, [
+            (_record("v", 2.0, "info"), _record("v", 2.0 + 1e-12, "info"))])
+        assert reports.main([a, b, "--rel-tol", "1e-12"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "t.report.json"
+        assert [line.split(":")[0] for line in out[1:]] == ["  m", "  v"]
+        # the same moves past the tolerance, or without one, exit 1
+        assert reports.main([a, b, "--rel-tol", "1e-13"]) == 1
+        assert reports.main([a, b, "--values"]) == 1
+        assert reports.main([a, b, "--rel-tol", "0"]) == 1
+
+    @pytest.mark.parametrize("old,new,config", [
+        (_record("n", 19, "info"), _record("n", 20, "info"), None),
+        (_record("b", True), _record("b", False), None),
+        (_record("l", [1.0, 2.0], "info"), _record("l", [1.0, 2.0 + 1e-15],
+                                                   "info"), None),
+        (_record("ok", 1.0), _record("ok", 1.0, "fail"), None),
+        (_record("ok", 1.0, detail="d"), _record("ok", 1.0, detail="e"),
+         None),
+        (_record("f", 3.0, "info"), _record("f", 4, "info"), None),
+        (_record("z", 0.0, "info"), _record("z", 1e-300, "info"), None),
+        (_record("s", "x", "info"), _record("s", "x", "info"), {"seed": 2}),
+    ], ids=["integer", "bool", "list", "verdict", "detail", "float_to_int",
+            "zero", "config"])
+    def test_rel_tol_keeps_other_differences(self, tmp_path, capsys, old,
+                                             new, config):
+        a, b = self.rel_tol_dirs(tmp_path, [(old, new)], config)
+        assert reports.main([a, b, "--rel-tol", "0.5"]) == 1
+
+    def test_rel_tol_keeps_a_report_in_one_directory(self, tmp_path):
+        a, b = self.dirs(tmp_path)
+        (tmp_path / "b" / "moved.report.json").unlink()
+        (tmp_path / "a" / "moved.report.json").unlink()
+        assert reports.main([a, b, "--rel-tol", "1"]) == 1
+
+    @pytest.mark.parametrize("tail", [["--rel-tol"], ["--rel-tol", "x"],
+                                      ["--rel-tol", "-1"],
+                                      ["--rel-tol", "nan"]])
+    def test_rel_tol_needs_a_tolerance(self, tmp_path, tail):
+        a, b = self.dirs(tmp_path)
+        assert reports.main([a, b] + tail) == 2
+
 
 class TestCli:
     def test_verify_single_config_exit_zero(self, tmp_path):

@@ -242,8 +242,9 @@ def mini_solution():
 
 class _RoundLog:
     """Records each refinement round of zero_count, per series: its circle
-    size m, offset, indices, the mp band's nonzero terms N, and whether
-    eval_circle_at answered by scattered eval_points; and the level of
+    size m, offset, indices, the mp band's nonzero terms N, whether that
+    band is real, and whether eval_circle_at answered by scattered
+    eval_points; and the level of
     every eval_circle and eval_points call, in `levels`."""
 
     def __init__(self, monkeypatch):
@@ -255,7 +256,8 @@ class _RoundLog:
         def at_logged(coeff, log_r, m, idx, dps, offset=True):
             (_, _, _, _, band), _ = ev._fixed_band(coeff, log_r, "mp", dps)
             inside.append(dict(m=m, offset=offset, idx=np.array(idx),
-                               n_band=len(band[0]), scattered=False))
+                               n_band=len(band[0]),
+                               real=ev._is_real(band[2]), scattered=False))
             try:
                 return at(coeff, log_r, m, idx, dps, offset=offset)
             finally:
@@ -361,10 +363,15 @@ class TestDyadicRefinement:
         log = _RoundLog(monkeypatch)
         assert nev.zero_count(mini_solution, math.log(6.3)) == 19
         assert len(log.rounds) >= 4
+        ev = nev._evalcore
         for x in log.rounds:
-            m, p, n = x["m"], len(x["idx"]), x["n_band"]
-            circle = m * math.log2(m) <= n * (
-                p + nev._evalcore._HORNER_STEP_COST)
+            m, n = x["m"], x["n_band"]
+            # the solution is real: each mirror pair of indices is one read
+            assert x["real"]
+            p = len(set(ev._mirror_rep(x["idx"], m, x["offset"]).tolist()))
+            assert 2 * p >= len(x["idx"])
+            circle = ev._circle_cost(m, True) <= n * (
+                p + ev._HORNER_STEP_COST)
             assert x["scattered"] != circle, x
         assert sum(x["scattered"] for x in log.rounds) <= 2
 
@@ -538,18 +545,27 @@ class _PassLog:
         monkeypatch.setattr(nev._evalcore, "eval_points", points_logged)
 
 
+def _with_mirrors(x):
+    """The crossings a search on a real g's upper half circle located, and
+    their mirror images 2 pi - x, in increasing order."""
+    return np.sort(np.concatenate([x, 2.0 * math.pi - x]))
+
+
 class TestCrossings:
     @pytest.mark.parametrize("r", [20.1, 40.3, 59.3])
     def test_exp_crossings_within_tolerance(self, monkeypatch, r):
         # ln|e^z| = r cos(theta) crosses 0 at pi/2 and 3pi/2; every pass at
-        # the level the quadrature returns at locates both to h 2^-43
+        # the level the quadrature returns at locates pi/2 to h 2^-43, and
+        # 3pi/2 is its mirror image: e^z is real, so the search runs on the
+        # upper half circle alone
         f = series.builtin("exp", 400)
         log = _PassLog(monkeypatch)
         det = nev.proximity_detailed(f, math.log(r))
         done = [p for p in log.passes if p["level"] == det.level]
         assert [p["m"] for p in done][-1] == det.n_angles
         for p in done:
-            got = np.sort(p["crossings"] % (2.0 * math.pi))
+            assert len(p["crossings"]) == 1
+            got = _with_mirrors(p["crossings"])
             want = np.array([0.5 * math.pi, 1.5 * math.pi])
             assert np.all(np.abs(got - want) <= p["h"] * 2.0 ** -43)
 
@@ -579,7 +595,7 @@ class TestCrossings:
         (p,) = log.passes
         assert p["zeros"] >= 1
         assert p["rounds"] <= 8
-        got = np.sort(p["crossings"] % (2.0 * math.pi))
+        got = _with_mirrors(p["crossings"])
         assert np.all(np.abs(got - [0.5 * math.pi, 1.5 * math.pi])
                       <= p["h"] * 2.0 ** -43)
 
@@ -795,3 +811,110 @@ class TestRejectedPasses:
         got = nev.proximity_detailed(f, lr)
         monkeypatch.setattr(nev, "_reject_unc", lambda *a: math.inf)
         assert nev.proximity_detailed(f, lr) == got
+
+
+def _rotated_exp():
+    """exp 400 at e^{0.3 i} z: a complex series with m(r) = r/pi."""
+    return series.scale_argument(series.builtin("exp", 400),
+                                 complex(math.cos(0.3), math.sin(0.3)))
+
+
+class TestMirroredQuadrature:
+    """_arc_quadrature on a real g: the crossing search and the Gauss
+    nodes read the upper half circle only, and the lower crossings are
+    the mirror images of the upper ones."""
+
+    @staticmethod
+    def logged_crossings(monkeypatch):
+        found = []
+        search = nev._cell_crossings
+
+        def logged(read, v, m, cells, mirrored):
+            x = search(read, v, m, cells, mirrored)
+            found.append((cells, x, mirrored))
+            return x
+
+        monkeypatch.setattr(nev, "_cell_crossings", logged)
+        return found
+
+    @pytest.mark.parametrize("name,r,level,m", [
+        ("exp", 20.1, "dd", 128), ("exp", 59.3, "mp", 256),
+        ("exp_cos", 12.3, "dd", 256), ("sin", 25.0, "dd", 1024),
+        ("cos", 6.0, "d", 256), ("airy_like", 6.0, "dd", 256)])
+    def test_reads_upper_half_only(self, monkeypatch, name, r, level, m):
+        f = SUBJECTS[name]()
+        lr = math.log(r)
+        dps = (nev._mp_dps(f.coeff, lr, -2.0 * nev._TRUST_GUARD, "m(r)")
+               if level == "mp" else None)
+        res = nev._evalcore.eval_circle(f.coeff, lr, m, level=level,
+                                        dps=dps)
+        assert res.mirrored
+        sizes, thetas = [], []
+
+        def read(t):
+            sizes.append(len(t))
+            thetas.extend(np.asarray(t).tolist())
+            return nev._evalcore.eval_points(f.coeff, lr, t, level=level,
+                                             dps=dps).logabs
+
+        found = self.logged_crossings(monkeypatch)
+        got = nev._arc_quadrature(res.logabs, m, read, res.mirrored)
+        ((cells, x, mirrored),) = found
+        k = len(cells) // 2
+        assert mirrored and len(cells) == 2 * k > 0
+        assert cells[k:].tolist() == (m - 2 - cells[:k])[::-1].tolist()
+        assert np.all(cells[:k] < m // 2 - 1)
+        assert np.all(x[k:] == 2.0 * math.pi - x[:k][::-1])
+        assert 0.0 <= min(thetas) and max(thetas) <= math.pi
+        # each search round reads one angle per upper crossing cell
+        assert max(sizes[:-1]) <= k
+        whole = nev._arc_quadrature(res.logabs, m, lambda t: (
+            nev._evalcore.eval_points(f.coeff, lr, t, level=level,
+                                      dps=dps).logabs), False)
+        assert abs(got - whole) <= 1e-13 * max(1.0, abs(whole))
+
+    def test_exp_search_reads_one_angle(self, monkeypatch):
+        # e^z crosses |f| = 1 at pi/2 and 3pi/2: each search round of
+        # m(20.1, e^z) is a 1-angle read where the whole circle read 2
+        log = _PassLog(monkeypatch)
+        sizes = []
+        points = nev._evalcore.eval_points
+
+        def sized(coeff, log_r, thetas, level="dd", dps=None):
+            sizes.append(len(thetas))
+            return points(coeff, log_r, thetas, level=level, dps=dps)
+
+        monkeypatch.setattr(nev._evalcore, "eval_points", sized)
+        nev._logplus_quadrature(series.builtin("exp", 400).coeff,
+                                math.log(20.1), 128, "dd", None)
+        (p,) = log.passes
+        assert p["rounds"] >= 2 and sizes[:p["rounds"]] == [1] * p["rounds"]
+
+    def test_ratio_of_real_series_reads_upper_half(self, monkeypatch,
+                                                   exp_exp_log_derivative):
+        fp, f, grid = exp_exp_log_derivative
+        thetas = []
+        points = nev._evalcore.eval_points
+
+        def logged(coeff, log_r, t, level="dd", dps=None):
+            thetas.extend(np.asarray(t).tolist())
+            return points(coeff, log_r, t, level=level, dps=dps)
+
+        found = self.logged_crossings(monkeypatch)
+        monkeypatch.setattr(nev._evalcore, "eval_points", logged)
+        nev.proximity_of_ratio(fp, f, math.log(grid[-1]))
+        assert found and all(mirrored for _, _, mirrored in found)
+        assert thetas and max(thetas) <= math.pi
+
+    @pytest.mark.parametrize("r", [10.2, 20.1, 40.3])
+    def test_complex_series_reads_the_whole_circle(self, monkeypatch, r):
+        # m(r, f(e^{0.3 i} z)) = m(r, e^z) = r/pi; the crossings at
+        # pi/2 - 0.3 and 3pi/2 - 0.3 are both searched
+        found = self.logged_crossings(monkeypatch)
+        det = nev.proximity_detailed(_rotated_exp(), math.log(r))
+        assert abs(det.value - r / math.pi) <= 1e-6 * r
+        assert found and not any(mirrored for _, _, mirrored in found)
+        for cells, x, _ in found:
+            assert len(cells) == 2
+            want = np.array([0.5 * math.pi, 1.5 * math.pi]) - 0.3
+            assert np.all(np.abs(np.sort(x) - want) <= 1e-10)

@@ -901,6 +901,41 @@ class TestCertifiedRadius:
         f = series.builtin("exp", 400)
         assert f.guaranteed_radius > 100.0
 
+    @pytest.mark.parametrize("name,n_terms", [("cos", 200), ("sin", 201),
+                                              ("cos", 201), ("sin", 200)])
+    def test_lacunary_builtin_ending_on_a_zero_is_not_a_polynomial(
+            self, name, n_terms):
+        # cos 200 and sin 201 store a structural zero last; they take the
+        # radius their last nonzero terms give, as at the other parity
+        f = series.builtin(name, n_terms)
+        assert 90.0 < f.guaranteed_radius < 100.0
+
+    @pytest.mark.parametrize("n_terms", [16, 17, 18, 64, 65, 66, 400])
+    def test_every_airy_like_length_has_a_finite_radius(self, n_terms):
+        f = series.builtin("airy_like", n_terms)
+        assert 0.0 < f.guaranteed_radius < math.inf
+
+    def test_residue_class_solution_is_not_trusted_everywhere(self):
+        # f'' + z f = 0 from (0, 1) keeps only the indices = 1 mod 3, so its
+        # 256 terms end on two zeros; ln M(100) read from them would be
+        # 396.4, against 665.1 from 8,192 terms
+        from growthlab import ode
+        eq = ode.LinearODE(2, (series.builtin("poly", coeffs=[0.0, 1.0]),
+                               series.builtin("poly", coeffs=[0.0])))
+        sol = ode.solve_series(eq, ode.InitialData((0.0, 1.0)), 256)
+        assert not math.isfinite(sol.coeff.lh[-1])
+        assert 0.0 < sol.guaranteed_radius < 100.0
+        with pytest.raises(series.TruncationError):
+            series.log_max_modulus(sol, math.log(100.0))
+
+    def test_solve_airy_from_zero_value_reports_a_finite_radius(self):
+        from growthlab import harness
+        cfg = harness.shipped_config("solve_airy")
+        cfg["init"] = [0.0, 1.0]
+        got = {c.name: c.measured for c in harness.run_config(cfg).checks}
+        assert got["n_terms"] == 64
+        assert 0.0 < got["certified_radius"] < math.inf
+
     def test_tail_certificate_honest(self):
         # at the certified radius the dropped tail is below _TAIL_TOL * mu
         f = series.builtin("exp", 60)
