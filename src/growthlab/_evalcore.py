@@ -21,9 +21,10 @@ double can see at r = 100.  Three precision levels are therefore provided:
         P = _fixed_bits(dps, N), floor ~3 N 10^(-0.95 dps) * mu(r)
 
 'dd' and 'mp' differ only in their band's cut and digits (_fixed_band)
-and share the kernels.  Scattered angles (`eval_points`) are summed by a
-scalar fixed-point Horner per angle, with error at most (N + 1)^2 2^-P *
-mu(r) for a band of N terms: below 2^-16 10^-dps (dps = 32 for 'dd').
+and share the kernels.  Scattered angles (`eval_points`) are summed by
+Reinsch's real three-term recurrence per angle over fixed-point integers,
+with error at most 2^-(P+3) * mu(r): below 2^-19 10^-dps (dps = 32 for
+'dd').
 Equispaced circles (`eval_circle`) of m angles fold the band mod m and
 run one FFT: numpy's at 'd', for any m; one radix-2 FFT over Python
 integers (twiddles cached per size) at 'dd' and 'mp', for m a power of
@@ -382,19 +383,22 @@ _FFT_MAX_ANGLES = 1 << 16
 _TW_GUARD_BITS = 64  # bits a cached twiddle table keeps below its scale
 _TWIDDLES = {}  # m -> (scale, re, im) of e^{i pi k / m}, k < m
 _TW_SCALED = {}  # m -> (table, bits, re, im): the last request's rounding
-# eval_circle_at's crossover: N (p + this) is the cost of p Horner points
-# over N terms in Horner steps, and a complex band's m-angle circle costs
-# _CIRCLE_STEPS m log2 m of them (a real band's half that; _circle_cost)
-_HORNER_STEP_COST = 1
-_CIRCLE_STEPS = 0.5
+# eval_circle_at's crossover, in recurrence steps (one angle's sum by one
+# term of one real component): a points call's fixed cost per band term,
+# and a complex band's m-angle circle's cost per unit m log2 m (a real
+# band's half that); _points_cost, _circle_cost
+_POINTS_CALL_STEPS = 0.5
+_CIRCLE_STEPS = 1.5
 
 
 def _fixed_bits(dps: int, width: int) -> int:
     """Fixed-point scale P for an mp band of `width` terms at `dps` digits.
 
-    P >= dps log2(10) + 2 log2(width + 1) + 16, so the kernel's error bound
-    (width + 1)^2 2^-P stays below 2^-16 10^-dps: under the mp floor
-    3 width 10^(-0.95 dps) (relative to mu) by more than 10^(0.05 dps) 2^16.
+    P >= dps log2(10) + 2 log2(width + 1) + 16, so the circle kernel's
+    error bound (2 width + 3) 2^-P (_circle_fixed), and the points
+    kernel's 2^-(P+3) (eval_points), stay below 2^-16 10^-dps: under the
+    mp floor 3 width 10^(-0.95 dps) (relative to mu) by more than
+    10^(0.05 dps) 2^16.
     """
     return (int(math.ceil(dps * math.log2(10.0)))
             + 2 * (width + 1).bit_length() + _FIX_GUARD_BITS)
@@ -623,32 +627,104 @@ def _result_fixed(ar, ai, bits: int, log_mu: float, floor: float,
     return EvalResult(logabs, phase, floor, log_mu, level, mirror is not None)
 
 
-def _horner_fixed(band, bits: int, ths):
-    """The band's sum over x^(n - last) at x = e^{i theta}, last the band's
-    lowest index, as an (re, im) pair of fixed-point ints per angle: one
-    scalar loop over Python ints per angle, with x^gap rounded per gap
-    (_fixed_cis), not formed by repeated multiplication."""
+def _reinsch_terms(band, bits: int):
+    """The band as _reinsch_fixed sums it: (g, w, re, im), with g the gcd
+    of the band's index gaps (1 for a one-term band), w = bits + 2
+    bitlen(K) + 4 the working scale for the K = (n_top - last) / g + 1
+    steps from the band's lowest index `last` to its highest, and each
+    component a pair (a_K-1 .. a_1 as a list, a_0) of the terms at n = last
+    + g k shifted to scale 2^w, zero-filled between the band's indices;
+    im is None for a real band."""
     ns, trs, tis = band
-    gaps = (ns[:-1] - ns[1:]).tolist()
-    steps = list(zip(gaps, trs[1:].tolist(), tis[1:].tolist()))
-    distinct = set(gaps)
+    last = int(ns[-1])
+    g = int(np.gcd.reduce(ns[:-1] - ns[1:])) if len(ns) > 1 else 1
+    ks = ((ns - last) // g).tolist()
+    n_steps = ks[0] + 1
+    guard = 2 * n_steps.bit_length() + 4
+
+    def component(ts):
+        a = [0] * n_steps
+        for k, t in zip(ks, ts.tolist()):
+            a[k] = t << guard
+        return a[:0:-1], a[0]
+
+    return (g, bits + guard, component(trs),
+            None if _is_real(tis) else component(tis))
+
+
+def _reinsch(a, lam: int, s: int, pos: bool):
+    """(U_1, C) of Reinsch's recurrence over the terms a = (a_K-1 .. a_1,
+    a_0) at scale 2^w, for lam = lambda 2^s (see _reinsch_fixed)."""
+    rest, a0 = a
+    u = d = 0
+    if pos:
+        for c in rest:
+            d += c + (lam * u >> s)
+            u += d
+        return u, a0 + (lam * u >> (s + 1)) + d
+    for c in rest:
+        d = c + (lam * u >> s) - d
+        u = d - u
+    return u, a0 + (lam * u >> (s + 1)) - d
+
+
+def _reinsch_fixed(terms, ths) -> list:
+    """The band's sum over x^(n - last) at x = e^{i theta}, last the band's
+    lowest index, as an (re, im) pair of ints at scale 2^w per angle, for
+    the terms (g, w, re, im) of _reinsch_terms.
+
+    With phi = g theta each real component a sums to C + i S, C = sum a_k
+    cos k phi and S = sum a_k sin k phi, by Reinsch's modification of the
+    Goertzel recurrence (Stoer & Bulirsch, Introduction to Numerical
+    Analysis, 2.3): highest k first, with lambda = -4 sin^2(phi/2) where
+    cos phi > 0, D_k = a_k + lambda U_k+1 + D_k+1 and U_k = D_k + U_k+1,
+    and otherwise lambda = 4 cos^2(phi/2), D_k = a_k + lambda U_k+1 - D_k+1
+    and U_k = D_k - U_k+1; then C = D_0 - (lambda/2) U_1 and S = U_1 sin
+    phi.  One product per term, where a complex Horner step takes four.
+    lambda and sin phi come from one mpf_cos_sin of the exact phi / 2 at
+    w + 4 bits, rounded to integers at scale 2^(w+e), e = min(w, max(0,
+    -E)) for 2^(E-1) <= |sin phi| < 2^E: the extra bits keep the angle
+    lambda stands for within 2^-(w+1) of phi where a small sin phi would
+    blur it.  A complex band sums its two components with one lambda and
+    returns (C_re - S_im) + i (S_re + C_im).  The error bound is
+    eval_points'.
+    """
+    g, w, re, im = terms
     sums = []
     for th in ths:
-        powers = {g: _fixed_cis(g, th, bits) for g in distinct}
-        ar, ai = trs[0], tis[0]
-        for g, tr, ti in steps:
-            xr, xi = powers[g]
-            ar, ai = (((ar * xr - ai * xi) >> bits) + tr,
-                      ((ar * xi + ai * xr) >> bits) + ti)
-        sums.append((ar, ai))
+        fm, fe = math.frexp(th)  # the float th is fm 2^fe, 53-bit fm
+        (cc, cm, ce, _), (sc, sm, se, _) = mp.libmp.mpf_cos_sin(
+            mp.libmp.from_man_exp(g * int(fm * 2.0 ** 53), fe - 54), w + 4)
+        x = min(ce, se)
+        pos = cm << (ce - x) > sm << (se - x)  # |cos phi/2| > |sin phi/2|
+        # lambda = lm 2^le and sin phi = sn 2^sx, from cos and sin of phi/2
+        lm, le = (-sm * sm, 2 * se + 2) if pos else (cm * cm, 2 * ce + 2)
+        sn, sx = (-1) ** (sc ^ cc) * sm * cm, se + ce + 1
+        s = w + (min(w, max(0, -sx - sn.bit_length())) if sm else 0)
+        x = min(le, sx)
+        lam, sn = _shift_round(lm << (le - x), sn << (sx - x), -x - s)
+        u, cr = _reinsch(re, lam, s, pos)
+        sr = u * sn >> s
+        if im is None:
+            sums.append((cr, sr))
+            continue
+        u, ci = _reinsch(im, lam, s, pos)
+        sums.append((cr - (u * sn >> s), sr + ci))
     return sums
 
 
 def _circle_cost(m: int, real: bool) -> float:
-    """The cost of an m-angle dd or mp circle in Horner steps (see
+    """The cost of an m-angle dd or mp circle in recurrence steps (see
     eval_circle_at): _CIRCLE_STEPS m log2 m, half that for a real band,
     whose circle is a half-size transform."""
     return _CIRCLE_STEPS * m * math.log2(m) * (0.5 if real else 1.0)
+
+
+def _points_cost(n: int, p: int, real: bool) -> float:
+    """The cost of eval_points at p angles over a band of n nonzero terms
+    in recurrence steps: n (p + _POINTS_CALL_STEPS), twice that for a
+    complex band, which runs two recurrences."""
+    return n * (p + _POINTS_CALL_STEPS) * (1.0 if real else 2.0)
 
 
 def _twiddles(m: int, bits: int):
@@ -813,22 +889,31 @@ def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
                 level: str = "dd", dps: Optional[int] = None) -> EvalResult:
     """Evaluate ln|f|, arg f at arbitrary angles on |z| = e^{log_r}.
 
-    'd' sums the complex128 band by blocked Horner.  'dd' and 'mp' run a
-    scalar fixed-point Horner per angle over the band of _fixed_band
-    (_horner_fixed): f(r e^{i theta}) / mu(r) = sum t_n x^n with |t_n| <=
-    1 and x = e^{i theta}, summed over Python integers at scale 2^P.  The
-    powers x^gap are rounded to nearest at scale 2^P, and each step acc <-
-    (acc x^gap >> P) + t_n truncates once per component.  For a band of N
-    terms the partial sums obey |acc_k| <= k, so the computed sum differs
-    from the exact one by at most
+    'd' sums the complex128 band against a power table of each point
+    (_poly_at_points_d).  'dd' and 'mp' sum the band of _fixed_band, f(r
+    e^{i theta}) / (mu(r) x^last) = sum t_n x^(n - last) with |t_n| <= 1
+    and x = e^{i theta}, by Reinsch's real three-term recurrence over
+    Python integers (_reinsch_fixed): over the K = (n_top - last) / g + 1
+    steps of stride g, the gcd of the band's index gaps, at the working
+    scale 2^W, W = P + G with P the band's scale and G = 2 bitlen(K) + 4.
+    Each step truncates one product, which is exactly a change of its term
+    by under 2^-W, so the K - 1 steps move C and S by under K 2^-W.  The
+    rounded lambda stands for an angle within (5/8) 2^-W of g theta, and
+    the rounded sin(g theta) is within (5/8) 2^-W of the sine: 2^-(W+1)
+    from their rounding to integers at scale 2^(W+e) (see
+    _reinsch_fixed), 2^-(W+3) from the mpf_cos_sin at W + 4 bits.  As
+    |U_1| <= sum k |t| <= K^2 / 2, these move C by under (5/16) K^2 2^-W
+    and S by under (15/16) K^2 2^-W.  The last two products truncate once
+    each.  So each real component's C and S are within (K + 1)^2 2^-W of
+    its exact sums, and the result, for a complex band the sum of two
+    components, within
 
-        (N + 1)^2 2^-P   relative to mu(r),
+        2 (K + 1)^2 2^-W <= 2^-(P+3)   relative to mu(r)
 
-    for the rounded terms of _fixed_band.  _fixed_bits keeps this below
-    2^-16 10^-dps (dps = 32 at 'dd'), far under either level's floor_ln
-    (3 N 10^-30.4 at 'dd').  The modulus
-    comes from acc itself; the phase from acc times the fixed-point cis of
-    the lowest nonzero index times theta.
+    of the exact sum of the band's rounded terms: with P from _fixed_bits,
+    far under either level's floor_ln (3 N 10^-30.4 at 'dd').  The modulus
+    comes from the sum itself; the phase from the sum times the fixed-point
+    cis of the lowest nonzero index times theta.
     """
     thetas = np.asarray(thetas, dtype=float)
     if level == "d":
@@ -837,8 +922,12 @@ def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
         return _result_d(coeff, _poly_at_points_d(t, x) * x ** lo, lo, hi,
                          log_mu)
     (_, _, log_mu, bits, band), floor = _fixed_band(coeff, log_r, level, dps)
+    # cached beside the band, keyed by its id: the entry keeps the band
+    # alive, so the id is no other band's
+    terms = _cached_band(coeff, (f"{level} reinsch", id(band)),
+                         lambda: (band, _reinsch_terms(band, bits)))[1]
     thetas = thetas.tolist()
-    ar, ai = np.array(_horner_fixed(band, bits, thetas),
+    ar, ai = np.array(_reinsch_fixed(terms, thetas),
                       dtype=object).reshape(-1, 2).T
     last = int(band[0][-1])
 
@@ -846,7 +935,7 @@ def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
         return np.array([_fixed_cis(last, thetas[j], bits) for j in js],
                         dtype=object).reshape(-1, 2).T
 
-    return _result_fixed(ar, ai, bits, log_mu, floor, level,
+    return _result_fixed(ar, ai, terms[1], log_mu, floor, level,
                          turn if last else None)
 
 
@@ -901,33 +990,38 @@ def eval_circle_at(coeff: CoeffData, log_r: float, m: int, idx, dps: int,
     For a real band each mirror pair of indices {j, the index of -theta_j}
     is read once, at its representative in the upper half circle, and the
     other index takes the conjugate reading.  For m a power of two up to
-    _FFT_MAX_ANGLES, the whole circle costs _circle_cost(m, real) Horner
-    steps, and eval_points on the p distinct representatives (p = len(idx)
-    for a complex band) N (p + _HORNER_STEP_COST) for a band of N nonzero
-    terms; the cheaper runs.  Timed with cached bands and twiddles (best
-    of 3, 2 vCPU, Python 3.11, mpmath's Python backend), in ns per unit m
-    log2 m of an offset circle and per Horner step (one angle's sum by one
-    term) at p angles:
+    _FFT_MAX_ANGLES, the whole circle costs _circle_cost(m, real)
+    recurrence steps, and eval_points on the p distinct representatives
+    (p = len(idx) for a complex band) _points_cost(N, p, real) for a band
+    of N nonzero terms; the cheaper runs.  Timed with cached bands and
+    twiddles (best of 3 for circles, 5 - 15 for points, 2 vCPU, Python
+    3.11, mpmath's Python backend), in ns per unit m log2 m of an offset
+    circle and per angle and term at p angles (one recurrence step of a
+    real band, two of a complex one):
 
         series, at r          N    dps  real circle, m = 256 .. 16384
-        sin 700, 58.5        129   63   356  223  198  234
-        exp 400, 40          203   55   348  230  179  157
-        f'' + e^z f, 6       654   50   435  285  209  178
+        sin 700, 58.5        129   63   361  215  156  142
+        exp 400, 40          203   55   361  240  184  176
+        f'' + e^z f, 6       654   50   458  318  226  186
                                         complex circle
-        exp 400 at e^{0.3i} z, 40  203  55   691  453  348  315
-                                        step, p = 1, 8, 64
-        sin 700, 58.5                   1962  1025  962
-        exp 400, 40                     1083   733  662
-        f'' + e^z f, 6                   772   606  579
-        exp 400 at e^{0.3i} z, 40       1196   744  712
+        exp 400 at e^{0.3i} z, 40  203  55   712  456  366  337
+                                        angle and term, p = 1, 8, 64
+        sin 700, 58.5                   1055   577  530
+        exp 400, 40                      568   327  304
+        f'' + e^z f, 6                   326   294  282
+        exp 400 at e^{0.3i} z, 40        731   537  534
 
     (the unshifted mesh within 25% of the offset one; f'' + e^z f from (1,
-    0), 1024 terms at 50 digits).  So a unit of a complex circle is 0.4 -
-    1 step, of a real circle about half that, and a call's fixed cost 0.3
-    - 1 step per term.  An uncached twiddle table costs up to a circle
-    again, once.  The circle gives the exact angles 2 pi (j + offset/2) /
-    m, the points those angles rounded to floats: the two agree within the
-    floor, not bit for bit.
+    0), 1024 terms at 50 digits).  So a unit of a complex circle is 1.3 -
+    2.7 recurrence steps, of a real circle 0.3 - 1.6 (0.5 - 3.2 in the
+    complex unit, larger for small m and wide bands), and a call's fixed
+    cost 0.2 - 1 step per term.  Each angle also pays one mpf_cos_sin for
+    lambda and, where the band's lowest index is not 0, one for the phase
+    turn, each about 10 us at these depths, so a narrow band's step reads
+    dearer.  An uncached twiddle table costs up to a circle again,
+    once.  The circle gives the exact angles 2 pi (j + offset/2) / m, the
+    points those angles rounded to floats: the two agree within the floor,
+    not bit for bit.
     """
     idx = np.asarray(idx, dtype=np.int64)
     (_, _, _, _, band), _ = _fixed_band(coeff, log_r, "mp", dps)
@@ -935,8 +1029,8 @@ def eval_circle_at(coeff: CoeffData, log_r: float, m: int, idx, dps: int,
     rep = _mirror_rep(idx, m, offset) if real else idx
     reads, inv = np.unique(rep, return_inverse=True)
     if (not m & (m - 1) and m <= _FFT_MAX_ANGLES
-            and _circle_cost(m, real) <= len(band[0]) * (
-                len(reads) + _HORNER_STEP_COST)):
+            and _circle_cost(m, real) <= _points_cost(len(band[0]),
+                                                      len(reads), real)):
         res = eval_circle(coeff, log_r, m, offset=offset, level="mp", dps=dps)
         return EvalResult(res.logabs[idx], res.phase[idx], res.floor_ln,
                           res.log_mu, res.level)

@@ -29,6 +29,14 @@ crossings are 2 pi minus the upper ones, and the nodes count twice.  A
 winding round reads each mirror pair of its midpoints once when it reads
 scattered points.
 
+Each pass of the angle loop after the first, at the same level and depth,
+inherits the previous pass's final crossing brackets: a crossing cell of
+the doubled mesh that holds exactly one of them starts its search from
+that bracket, cut at the cell's ends, instead of from the whole cell, so
+a crossing already located to the previous pass's tolerance costs at most
+a read or two more.  A level's first pass, after an escalation too,
+starts from whole cells.
+
 Both keep explicit noise-floor accounting: values of |f| far below the
 maximum term are invisible to fixed-precision arithmetic, and pretending
 otherwise silently corrupts m(r, f) (positive noise readings) and winding
@@ -143,69 +151,108 @@ _GREGORY = np.array([0.2948680004409171, 1.5258793540564375,
                      0.9231368496472663, 1.00935653659612])
 
 
-def _crossings(read, a, h, fa, fb):
-    """Midpoints of brackets of width at most 2 eps, eps = h 2^-_CROSS_BITS,
-    (or of adjacent floats, where eps is below an ulp) around the crossings
-    of g = 0 in the cells [a, a + h], whose end readings fa and fb lie on
-    opposite sides of the rule v > 0; read(thetas) gives g at the angles.
+def _crossings(read, a, b, fa, fb, h):
+    """Brackets of width at most 2 eps, eps = h 2^-_CROSS_BITS for the
+    mesh step h, (or of adjacent floats, where eps is below an ulp) around
+    the crossings of g = 0 in the brackets [a, b], whose end readings fa
+    and fb lie on opposite sides of the rule v > 0; read(thetas) gives g
+    at the angles.  Returns the final brackets as lists (a, b, fa, fb).
 
     An ITP search (Oliveira & Takahashi, ACM TOMS 47(1), 2020) runs over
-    all cells at once and evaluates only the unconverged ones.  Round j
-    takes the regula-falsi point (the midpoint where it is not finite),
-    truncates it toward the midpoint by delta = max(_ITP_KAPPA1
-    (b - a)^_ITP_KAPPA2 / h, eps), and projects it onto the disc of radius
-    eps 2^(n_max - j) - (b - a)/2 about the midpoint, n_max = n_half +
-    _ITP_N0 with n_half = _CROSS_BITS - 1 the bisection rounds from h to
-    2 eps.  So a cell takes at most n_max evaluations, and on analytic
-    g converges superlinearly.  delta is floored at eps: the textbook
+    all brackets at once and evaluates only the unconverged ones, one
+    read per round.  Round j takes the regula-falsi point (the midpoint
+    where it is not finite), truncates it toward the midpoint by delta =
+    max(_ITP_KAPPA1 (b - a)^_ITP_KAPPA2 / h, eps), and projects it onto
+    the disc of radius eps 2^(n_max - j) - (b - a)/2 about the midpoint,
+    n_max = n_half + _ITP_N0 with n_half the bisection rounds from the
+    bracket's starting width to 2 eps (_CROSS_BITS - 1 for a whole cell).
+    So a bracket takes at most n_max evaluations, and on analytic g
+    converges superlinearly.  delta is floored at eps: the textbook
     kappa1 (b - a)^2 drops below an ulp near the root, and the bracket
     then shrinks by about that much per round until the projection forces
     a bisection.
     """
-    a = np.array(a, dtype=float)
-    b = a + h
-    fa = np.array(fa, dtype=float)
-    fb = np.array(fb, dtype=float)
     eps = h * 2.0 ** -_CROSS_BITS
-    n_max = _CROSS_BITS - 1 + _ITP_N0
-    for j in range(n_max):
-        mid = 0.5 * (a + b)
-        live = np.nonzero((b - a > 2.0 * eps) & (a < mid) & (mid < b))[0]
-        if len(live) == 0:
+    out = [list(t) for t in zip(*(np.asarray(x, dtype=float).tolist()
+                                  for x in (a, b, fa, fb)))]
+    # the 1e-9 absorbs the rounding that leaves a whole cell an ulp wider
+    # than h, so that it takes _CROSS_BITS - 1 halvings
+    n_max = [_ITP_N0 + max(0, math.ceil(math.log2(
+        max(hi - lo, eps) / (2.0 * eps)) - 1e-9)) for lo, hi, _, _ in out]
+
+    def is_open(i, j):
+        lo, hi = out[i][:2]
+        return j < n_max[i] and hi - lo > 2.0 * eps and lo < 0.5 * (
+            lo + hi) < hi
+
+    live = range(len(out))
+    for j in range(max(n_max, default=0)):
+        live = [i for i in live if is_open(i, j)]
+        if not live:
             break
-        al, bl, fal, fbl, ml = a[live], b[live], fa[live], fb[live], mid[live]
-        w = bl - al
-        with np.errstate(all="ignore"):
-            xf = (al * fbl - bl * fal) / (fbl - fal)
-        xf = np.where(np.isfinite(xf), np.clip(xf, al, bl), ml)
-        delta = np.maximum(_ITP_KAPPA1 / h * w ** _ITP_KAPPA2, eps)
-        sigma = np.sign(ml - xf)
-        xt = np.where(delta <= np.abs(ml - xf), xf + sigma * delta, ml)
-        rad = np.maximum(eps * 2.0 ** (n_max - j) - 0.5 * w, 0.0)
-        x = np.where(np.abs(xt - ml) <= rad, xt, ml - sigma * rad)
-        fx = read(x)
-        left = (fal > 0) != (fx > 0)
-        a[live] = np.where(left, al, x)
-        fa[live] = np.where(left, fal, fx)
-        b[live] = np.where(left, x, bl)
-        fb[live] = np.where(left, fx, fbl)
-    return 0.5 * (a + b)
+        xs = []
+        for i in live:
+            al, bl, fal, fbl = out[i]
+            mid, w, d = 0.5 * (al + bl), bl - al, fbl - fal
+            xf = (al * fbl - bl * fal) / d if d else math.nan
+            xf = min(max(xf, al), bl) if math.isfinite(xf) else mid
+            delta = max(_ITP_KAPPA1 / h * w ** _ITP_KAPPA2, eps)
+            sigma = 1.0 if mid > xf else -1.0
+            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+            rad = max(eps * 2.0 ** (n_max[i] - j) - 0.5 * w, 0.0)
+            xs.append(xt if abs(xt - mid) <= rad else mid - sigma * rad)
+        for i, x, fx in zip(live, xs, read(np.array(xs)).tolist()):
+            br = out[i]
+            if (br[2] > 0) != (fx > 0):
+                br[1], br[3] = x, fx
+            else:
+                br[0], br[2] = x, fx
+    return [list(t) for t in zip(*out)] if out else [[], [], [], []]
 
 
-def _cell_crossings(read, v, m, cells, mirrored):
-    """The crossing of g = 0 in each of the cells (increasing indices j,
-    cell j from offset angle j to j + 1) whose two readings v lie on
-    opposite sides of 0, by _crossings.  For a mirrored g (v even about
-    the real axis), the search runs on the upper half's cells, j < m/2,
-    and the crossing in cell m - 2 - j is 2 pi minus the one in cell j."""
+def _start_brackets(a, h, fa, fb, held):
+    """The brackets (a, b, fa, fb) a crossing search starts from in the
+    cells [a, a + h] (increasing) with end readings fa and fb: each cell
+    itself, unless it overlaps exactly one of the brackets `held` (a
+    previous pass's final brackets as _crossings returns them, or None)
+    and that bracket, cut at the cell's ends with the cell's readings
+    there, still has its ends on opposite sides of the rule v > 0."""
+    b = a + h
+    if not held or not len(held[0]):
+        return a, b, fa, fb
+    # held as a search returns them, in increasing order within one turn
+    # from the first cell; each also a turn down and up, for the cells
+    # that wrap past 2 pi
+    turn = np.repeat([-2.0 * math.pi, 0.0, 2.0 * math.pi], len(held[0]))
+    ha, hb, hfa, hfb = (np.tile(x, 3) for x in held)
+    ha, hb = ha + turn, hb + turn
+    lo = np.searchsorted(hb, a, side="right")  # first held ending past a
+    one = np.searchsorted(ha, b, side="left") - lo == 1
+    k = np.minimum(lo, len(ha) - 1)
+    ca, cfa = np.maximum(ha[k], a), np.where(ha[k] > a, hfa[k], fa)
+    cb, cfb = np.minimum(hb[k], b), np.where(hb[k] < b, hfb[k], fb)
+    use = one & ((cfa > 0) != (cfb > 0))
+    return (np.where(use, ca, a), np.where(use, cb, b),
+            np.where(use, cfa, fa), np.where(use, cfb, fb))
+
+
+def _cell_crossings(read, v, m, cells, mirrored, held=None):
+    """(x, brackets): the crossing x of g = 0 in each of the cells
+    (increasing indices j, cell j from offset angle j to j + 1) whose two
+    readings v lie on opposite sides of 0, by _crossings from
+    _start_brackets, and the final brackets of the search, for the next
+    pass.  For a mirrored g (v even about the real axis), the search runs
+    on the upper half's cells, j < m/2, and the crossing in cell m - 2 - j
+    is 2 pi minus the one in cell j."""
     h = 2.0 * math.pi / m
-    if not mirrored:
-        return _crossings(read, (2.0 * math.pi) * (cells + 0.5) / m, h,
-                          v[cells], v[(cells + 1) % m])
-    up = cells[:len(cells) // 2]
-    x = _crossings(read, (2.0 * math.pi) * (up + 0.5) / m, h, v[up],
-                   v[up + 1])
-    return np.concatenate([x, 2.0 * math.pi - x[::-1]])
+    up = cells[:len(cells) // 2] if mirrored else cells
+    brackets = _crossings(read, *_start_brackets(
+        (2.0 * math.pi) * (up + 0.5) / m, h, v[up], v[(up + 1) % m], held),
+        h)
+    x = 0.5 * (np.array(brackets[0]) + np.array(brackets[1]))
+    if mirrored:
+        x = np.concatenate([x, 2.0 * math.pi - x[::-1]])
+    return x, brackets
 
 
 def _reject_unc(log_mu: float, n_terms: int) -> float:
@@ -217,11 +264,14 @@ def _reject_unc(log_mu: float, n_terms: int) -> float:
     return 0.5 * max(_PROX_REL_TOL * max(1.0, top), _PROX_ABS_TOL)
 
 
-def _logplus_quadrature(coeff, log_r, m, level, dps):
-    """One pass of m(r, f) at resolution m: _arc_quadrature of ln|f| from
-    its circle, and the floor-driven uncertainty bound.  A pass whose
-    uncertainty exceeds _reject_unc returns the plain trapezoid mean
-    before any search: _until_stable rejects it either way."""
+def _logplus_quadrature(coeff, log_r, m, level, dps, held=None):
+    """One pass of m(r, f) at resolution m: (estimate, uncertainty,
+    brackets), the _arc_quadrature of ln|f| from its circle, whose
+    crossing search starts from the brackets `held` where they fit, the
+    floor-driven uncertainty bound, and the search's final brackets.  A
+    pass whose uncertainty exceeds _reject_unc returns the plain
+    trapezoid mean before any search: _until_stable rejects it either
+    way."""
     res = _evalcore.eval_circle(coeff, log_r, m, offset=True,
                                 level=level, dps=dps)
     v = res.logabs
@@ -230,28 +280,31 @@ def _logplus_quadrature(coeff, log_r, m, level, dps):
     # (-inf, trust]; when trust <= 0 their log+ contribution is exactly 0.
     unc = float(np.count_nonzero(v < trust)) / m * max(trust, 0.0)
     if unc > _reject_unc(res.log_mu, coeff.n_terms):
-        return float(np.mean(np.maximum(v, 0.0))), unc
-    return _arc_quadrature(v, m, lambda t: _evalcore.eval_points(
-        coeff, log_r, t, level=level, dps=dps).logabs, res.mirrored), unc
+        return float(np.mean(np.maximum(v, 0.0))), unc, None
+    est, brackets = _arc_quadrature(v, m, lambda t: _evalcore.eval_points(
+        coeff, log_r, t, level=level, dps=dps).logabs, res.mirrored, held)
+    return est, unc, brackets
 
 
-def _arc_quadrature(v, m, read, mirrored=False):
-    """(1/2pi) int g+ over the circle from g's readings v at the m offset
-    angles; read(thetas) gives g anywhere.  g (ln|f|, or ln|num| - ln|den|)
-    is analytic along the circle away from zeros, and g+ has kinks only
-    where g crosses 0.  Without crossings (or with over m / 4 crossing
-    cells) this is the periodic trapezoid rule on v, spectrally accurate
-    in the first case.  Otherwise `_crossings` locates them, and each
-    positive arc [c1, c2] is integrated in three parts: the mesh nodes x_0
-    .. x_n strictly inside it by the trapezoid rule with Gregory end
-    corrections of order _GREGORY_K (Fornberg, SIAM Rev. 63(1), 2021),
-    exact for polynomials of degree <= _GREGORY_K and so O(h^(_GREGORY_K +
-    1)) on smooth g, from v; and the partial cells [c1, x_0] and [x_n, c2]
-    by 4-node Gauss.  An arc with fewer than _GREGORY_K + 1 interior nodes
-    takes composite 4-node Gauss panels of width <= h across it instead.
-    All Gauss nodes go into one read.  The rule's rate near a zero is set
-    by that zero's distance from the circle (Trefethen & Weideman, SIAM
-    Rev. 56, 2014).
+def _arc_quadrature(v, m, read, mirrored=False, held=None):
+    """((1/2pi) int g+ over the circle, brackets) from g's readings v at
+    the m offset angles; read(thetas) gives g anywhere, and brackets are
+    the crossing search's final ones (None without a search), which a
+    later pass hands back as `held` (_start_brackets).  g (ln|f|, or
+    ln|num| - ln|den|) is analytic along the circle away from zeros, and
+    g+ has kinks only where g crosses 0.  Without crossings (or with over m
+    / 4 crossing cells) this is the periodic trapezoid rule on v,
+    spectrally accurate in the first case.  Otherwise `_crossings` locates
+    them, and each positive arc [c1, c2] is integrated in three parts: the
+    mesh nodes x_0 .. x_n strictly inside it by the trapezoid rule with
+    Gregory end corrections of order _GREGORY_K (Fornberg, SIAM Rev. 63(1),
+    2021), exact for polynomials of degree <= _GREGORY_K and so
+    O(h^(_GREGORY_K + 1)) on smooth g, from v; and the partial cells [c1,
+    x_0] and [x_n, c2] by 4-node Gauss.  An arc with fewer than _GREGORY_K
+    + 1 interior nodes takes composite 4-node Gauss panels of width <= h
+    across it instead.  All Gauss nodes go into one read.  The rule's rate
+    near a zero is set by that zero's distance from the circle (Trefethen &
+    Weideman, SIAM Rev. 56, 2014).
 
     A `mirrored` g is even in theta (v from a mirrored EvalResult, g(-theta)
     = g(theta)), and is read only on the upper half circle.  Cell j and
@@ -264,11 +317,11 @@ def _arc_quadrature(v, m, read, mirrored=False):
     pos = v > 0.0
     cells = np.nonzero(pos != np.roll(pos, -1))[0]
     if len(cells) == 0 or len(cells) > m // 4:
-        return float(np.mean(np.maximum(v, 0.0)))
+        return float(np.mean(np.maximum(v, 0.0))), None
 
     h = 2.0 * math.pi / m
     a = (2.0 * math.pi) * (cells + 0.5) / m
-    x = _cell_crossings(read, v, m, cells, mirrored)
+    x, brackets = _cell_crossings(read, v, m, cells, mirrored, held)
     # cells alternate between rising and falling; pair each rising cell
     # with the falling one after it
     k = int(np.argmax(~pos[cells]))
@@ -299,18 +352,20 @@ def _arc_quadrature(v, m, read, mirrored=False):
         pts, wts = pts[upper], 2.0 * wts[upper]
     gv = read(pts.ravel()).reshape(pts.shape)
     total += float(np.sum(wts * np.maximum(gv, 0.0)))
-    return float(total) / (2.0 * math.pi)
+    return float(total) / (2.0 * math.pi), brackets
 
 
 def _until_stable(estimate):
-    """Run estimate(m) -> (value, uncertainty) at m = _PROX_START, 2m, 4m,
-    ... until two successive values agree to tol = max(_PROX_REL_TOL
-    max(1, |value|), _PROX_ABS_TOL) or m reaches _PROX_MAX_ANGLES.  Returns
-    (value, m, converged, uncertainty), or None once the uncertainty
-    exceeds tol / 2 (the caller escalates)."""
-    prev, m = None, _PROX_START
+    """Run estimate(m, held) -> (value, uncertainty, brackets) at m =
+    _PROX_START, 2m, 4m, ... until two successive values agree to tol =
+    max(_PROX_REL_TOL max(1, |value|), _PROX_ABS_TOL) or m reaches
+    _PROX_MAX_ANGLES, handing each pass's final crossing brackets to the
+    next as `held` (None to the first).  Returns (value, m, converged,
+    uncertainty), or None once the uncertainty exceeds tol / 2 (the caller
+    escalates, and the next level's loop starts without brackets)."""
+    prev, m, held = None, _PROX_START, None
     while True:
-        est, unc = estimate(m)
+        est, unc, held = estimate(m, held)
         tol = max(_PROX_REL_TOL * max(1.0, abs(est)), _PROX_ABS_TOL)
         if unc > 0.5 * tol:
             return None
@@ -343,8 +398,8 @@ def proximity_detailed(f: PowerSeries, log_r: float) -> ProximityResult:
         # log+ = 0
         dps = (_mp_dps(coeff, log_r, -2.0 * _TRUST_GUARD, "m(r)")
                if level == "mp" else None)
-        out = _until_stable(
-            lambda m: _logplus_quadrature(coeff, log_r, m, level, dps))
+        out = _until_stable(lambda m, held: _logplus_quadrature(
+            coeff, log_r, m, level, dps, held))
         if out is not None:
             est, m, converged, unc = out
             return ProximityResult(est, m, converged, level, unc)
@@ -375,7 +430,7 @@ def proximity_of_ratio(num: PowerSeries, den: PowerSeries,
         return (_evalcore.eval_points(num.coeff, log_r, thetas).logabs
                 - _evalcore.eval_points(den.coeff, log_r, thetas).logabs)
 
-    def estimate(m):
+    def estimate(m, held):
         nonlocal trimmed
         rn = _evalcore.eval_circle(num.coeff, log_r, m, offset=True, level="dd")
         rd = _evalcore.eval_circle(den.coeff, log_r, m, offset=True, level="dd")
@@ -383,9 +438,11 @@ def proximity_of_ratio(num: PowerSeries, den: PowerSeries,
         ok = rd.logabs >= rd.floor_ln + _TRUST_GUARD
         trimmed = not ok.all()
         if not trimmed:
-            return _arc_quadrature(v, m, read,
-                                   rn.mirrored and rd.mirrored), 0.0
-        return float(np.mean(np.where(ok, np.maximum(v, 0.0), 0.0))), 0.0
+            est, brackets = _arc_quadrature(
+                v, m, read, rn.mirrored and rd.mirrored, held)
+            return est, 0.0, brackets
+        return (float(np.mean(np.where(ok, np.maximum(v, 0.0), 0.0))), 0.0,
+                None)
 
     est, m, converged, unc = _until_stable(estimate)
     return ProximityResult(est, m, converged, "dd", unc, trimmed)
@@ -416,10 +473,10 @@ def zero_count(f: PowerSeries, log_r: float) -> int:
     circle, round k's the offset circle of m_start 2^k angles.  Each round
     reads f and f' at its midpoints through _evalcore.eval_circle_at: one
     FFT circle per series, or scattered eval_points past the kernels' cost
-    crossover (_evalcore._HORNER_STEP_COST) or past _FFT_MAX_ANGLES; a
-    round's margin check reads only its midpoints.  If ln|f| anywhere on
-    the mesh falls below 9 nats above the mp floor, the least the
-    arithmetic resolves, a zero is too close to the circle and
+    crossover (_evalcore._circle_cost, _points_cost) or past
+    _FFT_MAX_ANGLES; a round's margin check reads only its midpoints.  If
+    ln|f| anywhere on the mesh falls below 9 nats above the mp floor, the
+    least the arithmetic resolves, a zero is too close to the circle and
     RetryPerturbedRadius carries the suggested replacement radii.
     """
     from .series import derivative  # local import avoids cycle at load

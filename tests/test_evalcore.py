@@ -171,7 +171,7 @@ def test_circle_at_indices_matches_points(monkeypatch, level, m, offset):
     neighbouring index moves the phase by about
     2 pi r / m > 0.3 here, so a wrong index shows.
     """
-    monkeypatch.setattr(_evalcore, "_HORNER_STEP_COST", math.inf)
+    monkeypatch.setattr(_evalcore, "_POINTS_CALL_STEPS", math.inf)
     f = series.builtin("sin", 700)
     log_r = math.log(58.5)
     dps = _evalcore.dps_for_floor(f.coeff, log_r, min(0.0, log_r) - 45.0)
@@ -338,7 +338,7 @@ def test_circle_at_reads_each_mirror_pair_once(monkeypatch, offset):
     """On a real band, eval_circle_at's scattered read takes one angle per
     mirror pair of indices, in the upper half circle, and conjugates it
     for the other: the values equal those of reading every index."""
-    monkeypatch.setattr(_evalcore, "_HORNER_STEP_COST", -math.inf)
+    monkeypatch.setattr(_evalcore, "_POINTS_CALL_STEPS", -math.inf)
     f = series.builtin("sin", 700)
     log_r = math.log(58.5)
     dps = _evalcore.dps_for_floor(f.coeff, log_r, min(0.0, log_r) - 45.0)
@@ -413,8 +413,9 @@ def test_twiddles_are_correctly_rounded(monkeypatch, m):
 
 def objarray_horner(band, bits, ths):
     """The fixed-point Horner vectorised over the angles with object
-    arrays, one numpy pass per term: the reference the scalar kernel's
-    integers must equal."""
+    arrays, one numpy pass per term: an independent reference for the
+    points kernel, within (N + 1)^2 2^-bits of the exact sum for a band of
+    N terms (the bound of the scalar Horner the recurrence replaced)."""
     ns, trs, tis = band
     gaps = (ns[:-1] - ns[1:]).tolist()
 
@@ -450,17 +451,70 @@ def _gappy_exp():
     (_gappy_exp, {1, 2, 3}),
 ])
 def test_scalar_horner_matches_objarray_horner(make, gaps, level, n_angles):
+    """The points kernel (the scalar recurrence, at scale 2^W) against the
+    object-array Horner (at scale 2^P) on many angles: within the sum of
+    their bounds, (N + 1)^2 2^-P + 2^-(P+3).  The tight check is
+    test_points_kernel_within_its_bound."""
     coeff = make()
     (_, _, _, bits, band), _ = _evalcore._fixed_band(
         coeff, math.log(20.0), level, 40 if level == "mp" else None)
     assert set((band[0][:-1] - band[0][1:]).tolist()) == gaps
     thetas = np.random.default_rng(n_angles).uniform(-7.0, 7.0, n_angles)
-    got = _evalcore._horner_fixed(band, bits, thetas.tolist())
-    assert got == objarray_horner(band, bits, thetas.tolist())
+    terms = _evalcore._reinsch_terms(band, bits)
+    got = _evalcore._reinsch_fixed(terms, thetas.tolist())
+    ref = objarray_horner(band, bits, thetas.tolist())
+    shift = terms[1] - bits
+    tol = ((len(band[0]) + 1) ** 2 << shift) + (1 << (shift - 3))
+    assert all(abs(g - (h << shift)) <= tol
+               for pair, hpair in zip(got, ref) for g, h in zip(pair, hpair))
 
 
 def _scaled_series():
     return series.scale_argument(series.builtin("exp", 300), 0.5 - 1.5j)
+
+
+KERNEL_ANGLES = [0.0, 1e-9, 0.5 * math.pi, math.pi - 1e-9, math.pi,
+                 *np.random.default_rng(7).uniform(-7.0, 7.0, 3).tolist()]
+
+
+@pytest.mark.parametrize("level", ["dd", "mp"])
+@pytest.mark.parametrize("make,r,stride,real", [
+    (lambda: series.builtin("exp", 400).coeff, 20.0, 1, True),
+    (lambda: series.builtin("sin", 700).coeff, 60.0, 2, True),
+    (_gappy_exp, 20.0, 1, True),
+    (lambda: _scaled_series().coeff, 20.0, 1, False),
+    # 2,000 equal terms: the flattest band, on which an angle error near
+    # the real axis costs most
+    (lambda: series.builtin("poly", coeffs=[1.0] * 2000).coeff, 1.0, 1,
+     True),
+    # one term, z^2, and two terms three apart
+    (lambda: series.builtin("poly", coeffs=[0.0, 0.0, 2.5]).coeff, 1.0, 1,
+     True),
+    (lambda: series.builtin("poly", coeffs=[0.5, 0.0, 0.0, -1.25]).coeff,
+     1.0, 3, True),
+])
+def test_points_kernel_within_its_bound(make, r, stride, real, level):
+    """_reinsch_fixed against the exact sum of the band's rounded terms
+    (mpref), at the float angles taken exactly: each component within
+    eval_points' bound 2^-(P+3), near the real axis too, where the
+    recurrence needs its small-angle branch and extra bits."""
+    coeff = make()
+    (_, _, _, bits, band), _ = _evalcore._fixed_band(
+        coeff, math.log(r), level, 45 if level == "mp" else None)
+    ns, tr, ti = band
+    terms = _evalcore._reinsch_terms(band, bits)
+    assert terms[0] == stride and (terms[3] is None) == real
+    w = terms[1]
+    exact = to_mpc([(int(a), int(b), -bits) for a, b in zip(tr, ti)])
+    got = _evalcore._reinsch_fixed(terms, KERNEL_ANGLES)
+    with mp.workprec(w + 64):
+        for th, (re, im) in zip(KERNEL_ANGLES, got):
+            x = mp.mpf(th)
+            want = mp.fsum(t * mp.expj((int(n) - int(ns[-1])) * x)
+                           for t, n in zip(exact, ns))
+            bound = mp.mpf(2) ** (w - bits - 3)
+            assert abs(re - want.real * 2 ** w) <= bound, (th, "re")
+            assert abs(im - want.imag * 2 ** w) <= bound, (th, "im")
 
 
 def _ode_solution():

@@ -283,7 +283,7 @@ def count_with(f, log_r, step_cost):
     kernel crossover moved by step_cost: inf takes every round's circle,
     -inf scattered points."""
     with pytest.MonkeyPatch.context() as mpatch:
-        mpatch.setattr(nev._evalcore, "_HORNER_STEP_COST", step_cost)
+        mpatch.setattr(nev._evalcore, "_POINTS_CALL_STEPS", step_cost)
         log = _RoundLog(mpatch)
         try:
             n = nev.zero_count(f, log_r)
@@ -358,8 +358,9 @@ class TestDyadicRefinement:
             assert x["idx"].tolist() == log.rounds[2 * k + 1]["idx"].tolist()
 
     def test_call_count_regression(self, monkeypatch, mini_solution):
-        # at r = 6.3 the scattered mp points took 6 eval_points calls; now
-        # a round reads scattered points only past the kernel crossover
+        # at r = 6.3 a round reads scattered points only past the kernel
+        # crossover: both rounds, whose few mirror pairs of midpoints cost
+        # less by the recurrence than the 1,024- and 2,048-angle circles
         log = _RoundLog(monkeypatch)
         assert nev.zero_count(mini_solution, math.log(6.3)) == 19
         assert len(log.rounds) >= 4
@@ -370,10 +371,9 @@ class TestDyadicRefinement:
             assert x["real"]
             p = len(set(ev._mirror_rep(x["idx"], m, x["offset"]).tolist()))
             assert 2 * p >= len(x["idx"])
-            circle = ev._circle_cost(m, True) <= n * (
-                p + ev._HORNER_STEP_COST)
+            circle = ev._circle_cost(m, True) <= ev._points_cost(n, p, True)
             assert x["scattered"] != circle, x
-        assert sum(x["scattered"] for x in log.rounds) <= 2
+        assert all(x["scattered"] for x in log.rounds)
 
 
 @pytest.fixture(scope="module")
@@ -437,13 +437,14 @@ class TestProximityOfRatio:
         num, den, lr = series.builtin("cos", 200), noisy_sin(), math.log(12.0)
         masked = []
 
-        def masked_mean(m):
+        def masked_mean(m, held):
+            assert held is None
             rn = nev._evalcore.eval_circle(num.coeff, lr, m, level="dd")
             rd = nev._evalcore.eval_circle(den.coeff, lr, m, level="dd")
             ok = rd.logabs >= rd.floor_ln + nev._TRUST_GUARD
             masked.append(np.count_nonzero(~ok))
             v = np.where(ok, np.maximum(rn.logabs - rd.logabs, 0.0), 0.0)
-            return float(np.mean(v)), 0.0
+            return float(np.mean(v)), 0.0, None
 
         want, m_want, conv_want, _ = nev._until_stable(masked_mean)
         assert all(0 < k < m for k, m in zip(
@@ -489,19 +490,19 @@ class TestProximityOfRatio:
             assert len(sizes) <= 4 and max(sizes) <= 2 * nev._PROX_START, r
 
 
-def bisect_crossings(read, a, h, fa, fb):
-    """Reference crossing search: the 42 fixed bisection rounds the ITP
-    search replaced, with nev._crossings' signature."""
-    a = np.asarray(a, dtype=float)
-    b = a + h
+def bisect_crossings(read, a, b, fa, fb, h):
+    """Reference crossing search: the fixed bisection rounds the ITP
+    search replaced, 42 from a whole cell, with nev._crossings'
+    signature."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    fa, fb = np.asarray(fa, dtype=float), np.asarray(fb, dtype=float)
     for _ in range(42):
         mid = 0.5 * (a + b)
         fm = read(mid)
         left = (fa > 0) != (fm > 0)
-        b = np.where(left, mid, b)
-        a = np.where(left, a, mid)
-        fa = np.where(left, fa, fm)
-    return 0.5 * (a + b)
+        b, fb = np.where(left, mid, b), np.where(left, fm, fb)
+        a, fa = np.where(left, a, mid), np.where(left, fa, fm)
+    return [x.tolist() for x in (a, b, fa, fb)]
 
 
 class _PassLog:
@@ -516,19 +517,22 @@ class _PassLog:
         points = nev._evalcore.eval_points
         searching = [False]
 
-        def quad_logged(coeff, log_r, m, level, dps):
+        def quad_logged(coeff, log_r, m, level, dps, held=None):
             self.passes.append(dict(m=m, level=level, calls=0, rounds=0,
-                                    zeros=0, crossings=None, h=None))
-            return quad(coeff, log_r, m, level, dps)
+                                    zeros=0, crossings=None, h=None,
+                                    held=held, start=None, brackets=None))
+            return quad(coeff, log_r, m, level, dps, held)
 
-        def cross_logged(read, a, h, fa, fb):
+        def cross_logged(read, a, b, fa, fb, h):
             searching[0] = True
             try:
-                x = cross(read, a, h, fa, fb)
+                out = cross(read, a, b, fa, fb, h)
             finally:
                 searching[0] = False
-            self.passes[-1].update(crossings=x, h=h)
-            return x
+            self.passes[-1].update(
+                crossings=0.5 * (np.array(out[0]) + np.array(out[1])),
+                h=h, start=(np.array(a), np.array(b)), brackets=out)
+            return out
 
         def points_logged(*args, **kw):
             res = points(*args, **kw)
@@ -620,9 +624,11 @@ class TestCrossings:
         h = 2.0 * math.pi / m
         cells = np.sort(rng.choice(m, 24, replace=False))
         a = (2.0 * math.pi) * (cells + 0.5) / m
-        x = nev._crossings(lambda t: noise(None, 0.0, t).logabs, a, h,
-                           np.where(cells % 2 == 0, 1.0, -1.0),
-                           np.where(cells % 2 == 0, -1.0, 1.0))
+        lo, hi, _, _ = nev._crossings(
+            lambda t: noise(None, 0.0, t).logabs, a, a + h,
+            np.where(cells % 2 == 0, 1.0, -1.0),
+            np.where(cells % 2 == 0, -1.0, 1.0), h)
+        x = 0.5 * (np.array(lo) + np.array(hi))
         assert 1 <= len(calls) <= 43
         assert np.all((a <= x) & (x <= a + h))
 
@@ -638,7 +644,7 @@ class TestCrossings:
                    if p["level"] == det.level)
 
 
-def panel_quadrature(coeff, log_r, m, level, dps):
+def panel_quadrature(coeff, log_r, m, level, dps, held=None):
     """Reference log+ quadrature: the composite 4-node Gauss panels, one
     per mesh cell of every positive arc, that the Gregory-corrected arcs
     replaced, with nev._logplus_quadrature's signature."""
@@ -650,13 +656,14 @@ def panel_quadrature(coeff, log_r, m, level, dps):
     pos = v > 0.0
     cells = np.nonzero(pos != np.roll(pos, -1))[0]
     if len(cells) == 0 or len(cells) > m // 4:
-        return float(np.mean(np.maximum(v, 0.0))), unc
+        return float(np.mean(np.maximum(v, 0.0))), unc, None
     h = 2.0 * math.pi / m
     thetas = (2.0 * math.pi) * (np.arange(m) + 0.5) / m
-    crossings = np.sort(nev._crossings(
+    lo, hi, _, _ = nev._crossings(
         lambda t: nev._evalcore.eval_points(coeff, log_r, t, level=level,
                                             dps=dps).logabs,
-        thetas[cells], h, v[cells], v[(cells + 1) % m]))
+        thetas[cells], thetas[cells] + h, v[cells], v[(cells + 1) % m], h)
+    crossings = np.sort(0.5 * (np.array(lo) + np.array(hi)))
     idx = int(np.searchsorted(thetas, crossings[0]))
     sign_after = bool(pos[idx % m])
     starts = crossings[0::2] if sign_after else crossings[1::2]
@@ -676,7 +683,7 @@ def panel_quadrature(coeff, log_r, m, level, dps):
             dps=dps).logabs.reshape(n_panel, 4)
         total += float(np.sum(halfw[:, None] * nev._GL_WTS[None, :]
                               * np.maximum(gv, 0.0)))
-    return total / (2.0 * math.pi), unc
+    return total / (2.0 * math.pi), unc, None
 
 
 def gregory_fractions(k):
@@ -829,10 +836,10 @@ class TestMirroredQuadrature:
         found = []
         search = nev._cell_crossings
 
-        def logged(read, v, m, cells, mirrored):
-            x = search(read, v, m, cells, mirrored)
+        def logged(read, v, m, cells, mirrored, held=None):
+            x, brackets = search(read, v, m, cells, mirrored, held)
             found.append((cells, x, mirrored))
-            return x
+            return x, brackets
 
         monkeypatch.setattr(nev, "_cell_crossings", logged)
         return found
@@ -858,7 +865,7 @@ class TestMirroredQuadrature:
                                              dps=dps).logabs
 
         found = self.logged_crossings(monkeypatch)
-        got = nev._arc_quadrature(res.logabs, m, read, res.mirrored)
+        got, _ = nev._arc_quadrature(res.logabs, m, read, res.mirrored)
         ((cells, x, mirrored),) = found
         k = len(cells) // 2
         assert mirrored and len(cells) == 2 * k > 0
@@ -868,7 +875,7 @@ class TestMirroredQuadrature:
         assert 0.0 <= min(thetas) and max(thetas) <= math.pi
         # each search round reads one angle per upper crossing cell
         assert max(sizes[:-1]) <= k
-        whole = nev._arc_quadrature(res.logabs, m, lambda t: (
+        whole, _ = nev._arc_quadrature(res.logabs, m, lambda t: (
             nev._evalcore.eval_points(f.coeff, lr, t, level=level,
                                       dps=dps).logabs), False)
         assert abs(got - whole) <= 1e-13 * max(1.0, abs(whole))
@@ -918,3 +925,124 @@ class TestMirroredQuadrature:
             assert len(cells) == 2
             want = np.array([0.5 * math.pi, 1.5 * math.pi]) - 0.3
             assert np.all(np.abs(np.sort(x) - want) <= 1e-10)
+
+
+class TestInheritedBrackets:
+    """Each m(r) pass hands its final crossing brackets to the next pass
+    at the same level, whose search starts from them."""
+
+    @pytest.mark.parametrize("r", [20.1, 40.3])
+    def test_second_pass_of_exp(self, monkeypatch, r):
+        # m(r, e^z) at dd: pass 2 reads at most one angle per inherited
+        # crossing, in at most one round, where pass 1 took several; its
+        # crossing lies within eps of pi/2, as a fresh search's does
+        f = series.builtin("exp", 400)
+        lr = math.log(r)
+        log = _PassLog(monkeypatch)
+        det = nev.proximity_detailed(f, lr)
+        first, second = [p for p in log.passes if p["level"] == "dd"]
+        assert (det.level, det.n_angles) == ("dd", 2 * nev._PROX_START)
+        assert first["held"] is None and first["rounds"] >= 3
+        assert second["held"] == first["brackets"]
+        assert second["rounds"] <= 1 and second["calls"] <= 2
+        eps = second["h"] * 2.0 ** -nev._CROSS_BITS
+        assert abs(second["crossings"][0] - 0.5 * math.pi) <= eps
+        nev._logplus_quadrature(f.coeff, lr, 2 * nev._PROX_START, "dd", None)
+        fresh = log.passes[-1]
+        assert fresh["rounds"] >= 3
+        assert abs(fresh["crossings"][0] - 0.5 * math.pi) <= eps
+        assert abs(fresh["crossings"][0] - second["crossings"][0]) <= 2 * eps
+
+    def test_second_pass_of_log_derivative(self, monkeypatch,
+                                           exp_exp_log_derivative):
+        # m(r, f'/f) = m(r, e^z) for f = exp(e^z): pass 2 of each radius
+        # reads at most one angle per inherited crossing, in one round
+        fp, f, radii = exp_exp_log_derivative
+        cross = nev._crossings
+        searches = []
+
+        def logged(read, a, b, fa, fb, h):
+            reads = []
+            out = cross(lambda t: reads.append(len(t)) or read(t),
+                        a, b, fa, fb, h)
+            searches.append(dict(n=len(a), reads=reads, h=h, out=out))
+            return out
+
+        monkeypatch.setattr(nev, "_crossings", logged)
+        for r in radii:
+            searches.clear()
+            res = nev.proximity_of_ratio(fp, f, math.log(r))
+            assert res.n_angles == 2 * nev._PROX_START
+            first, second = searches
+            assert len(first["reads"]) >= 3
+            assert len(second["reads"]) <= 1
+            assert sum(second["reads"]) <= second["n"] == first["n"]
+            eps = second["h"] * 2.0 ** -nev._CROSS_BITS
+            lo, hi = (np.array(x) for x in second["out"][:2])
+            assert np.all(hi - lo <= 2 * eps)
+            assert np.all(np.abs(0.5 * (lo + hi) - 0.5 * math.pi) <= eps)
+
+    def test_no_brackets_across_an_escalation(self, monkeypatch):
+        # m(10.2, e^z) converges at d in two passes; forcing the second d
+        # pass to fail sends the ladder to dd, whose first pass must start
+        # without the d pass's brackets
+        f = series.builtin("exp", 400)
+        quad = nev._logplus_quadrature
+        calls = []
+
+        def failing(coeff, log_r, m, level, dps, held=None):
+            calls.append((level, m, held))
+            est, unc, brackets = quad(coeff, log_r, m, level, dps, held)
+            return est, (math.inf if (level, m) == ("d", 256) else unc), \
+                brackets
+
+        monkeypatch.setattr(nev, "_logplus_quadrature", failing)
+        det = nev.proximity_detailed(f, math.log(10.2))
+        assert det.level == "dd"
+        assert [(lv, m) for lv, m, _ in calls] == [
+            ("d", 128), ("d", 256), ("dd", 128), ("dd", 256)]
+        assert calls[1][2] is not None and calls[3][2] is not None
+        assert calls[0][2] is None and calls[2][2] is None
+
+    def test_start_brackets(self):
+        # cells [k, k + 1/2] whose readings straddle 0; held brackets:
+        # none in cell 0, one in cell 1, two in cell 2, one in cell 3 whose
+        # ends do not straddle, and one across cell 4's left end, cut there
+        # with the cell's reading
+        a = np.arange(5.0)
+        fa, fb = np.ones(5), -np.ones(5)
+        held = [[1.2, 2.1, 2.3, 3.2, 3.995], [1.21, 2.11, 2.31, 3.21, 4.005],
+                [1.0, 1.0, -1.0, 1.0, -5.0], [-1.0, -1.0, 1.0, 2.0, -1.0]]
+        sa, sb, sfa, sfb = nev._start_brackets(a, 0.5, fa, fb, held)
+        assert sa.tolist() == [0.0, 1.2, 2.0, 3.0, 4.0]
+        assert sb.tolist() == [0.5, 1.21, 2.5, 3.5, 4.005]
+        assert sfa.tolist() == [1.0] * 5 and sfb.tolist() == [-1.0] * 5
+        # a bracket a turn above its cell, as a wrapping cell leaves it
+        turn = 2.0 * math.pi
+        sa, sb, _, _ = nev._start_brackets(
+            np.array([0.0]), 1.0, fa[:1], fb[:1],
+            [[turn + 0.3], [turn + 0.31], [1.0], [-1.0]])
+        assert sa.tolist() == [turn + 0.3 - turn]
+        assert sb.tolist() == [turn + 0.31 - turn]
+        # nothing held: every cell whole
+        sa, sb, _, _ = nev._start_brackets(a, 0.5, fa, fb, None)
+        assert sa.tolist() == a.tolist() and sb.tolist() == (a + 0.5).tolist()
+
+    def test_search_rounds_follow_the_start_width(self):
+        # a bracket 4 eps wide takes at most 1 + _ITP_N0 rounds, whatever
+        # it reads, and keeps the crossing inside it
+        h = 2.0 * math.pi / 256
+        eps = h * 2.0 ** -nev._CROSS_BITS
+        a = np.array([1.0])
+        rng = np.random.default_rng(3)
+        rounds = []
+
+        def noise(t):
+            rounds.append(len(t))
+            return rng.standard_normal(len(t))
+
+        lo, hi, _, _ = nev._crossings(noise, a, a + 4 * eps, [1.0], [-1.0],
+                                      h)
+        assert len(rounds) <= 1 + nev._ITP_N0
+        assert a[0] <= lo[0] < hi[0] <= a[0] + 4 * eps
+        assert hi[0] - lo[0] <= 2 * eps
