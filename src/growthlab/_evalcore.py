@@ -25,15 +25,14 @@ and share the kernels.  Scattered angles (`eval_points`) are summed by
 Reinsch's real three-term recurrence per angle over fixed-point integers,
 with error at most 2^-(P+3) * mu(r): below 2^-19 10^-dps (dps = 32 for
 'dd').
-Equispaced circles (`eval_circle`) of m angles fold the band mod m and
-run one FFT: numpy's at 'd', for any m; one radix-2 FFT over Python
-integers (twiddles cached per size) at 'dd' and 'mp', for m a power of
-two up to _FFT_MAX_ANGLES, with error at most (2 N + 3) 2^-P * mu(r)
-(see _circle_fixed), again far under the floor.
-Circles therefore sample the exact angles 2 pi (j + 1/2) / m, points the
-float angles they are given.
-`eval_circle_at` reads an mp circle's values at chosen indices by whichever
-of the two kernels costs less.
+Equispaced circles (`eval_circle`) of m angles 2 pi (j + 1/2) / m fold
+the band mod m and run one FFT: numpy's at 'd', for any m; one radix-2
+FFT over Python integers (twiddles cached per size) at 'dd' and 'mp', for
+m a power of two up to _FFT_MAX_ANGLES, with error at most (2 N + 3) 2^-P
+* mu(r) (see _circle_fixed), again far under the floor.
+Circles therefore sample the exact angles, points the float angles they
+are given.  `eval_circle_at` reads chosen indices of an mp circle, on the
+offset mesh or the unshifted one, as points.
 
 Every evaluation returns an explicit noise floor (in log scale) so callers
 can tell whether deep cancellation corrupted the values they care about, and
@@ -342,36 +341,24 @@ def _result_d(coeff: CoeffData, val: np.ndarray, lo: int, hi: int,
     return EvalResult(*_logpolar(log_mu, val), floor, log_mu, "d", mirrored)
 
 
-def _mirror(idx, m: int, offset: bool):
-    """The index of the angle -theta_j on the m-angle circle, for each j in
-    idx: m - 1 - j on the offset mesh, -j mod m on the unshifted one."""
-    return (m - 1 - idx) if offset else (-idx) % m
-
-
 def _mirror_rep(idx: np.ndarray, m: int, offset: bool) -> np.ndarray:
-    """The representative of each index's mirror pair {j, _mirror(j)}: the
-    one with theta in [0, pi]."""
-    return np.minimum(idx, _mirror(idx, m, offset))
+    """The representative of each index's mirror pair {j, the index of
+    -theta_j} on the m-angle circle: the one with theta in [0, pi].  The
+    mirror of j is m - 1 - j on the offset mesh, -j mod m on the unshifted
+    one."""
+    return np.minimum(idx, (m - 1 - idx) if offset else (-idx) % m)
 
 
 @functools.lru_cache(maxsize=None)
-def _mirror_map(m: int, offset: bool) -> tuple:
+def _mirror_map(m: int) -> tuple:
     """(src, flip) for a real band's circle of m angles, m a power of two:
     its sum at angle j is the conjugate of the sum at -theta_j, so
-    _circle_fixed computes only half the sums, and the sum at angle j is
-    computed sum number src[j], conjugated where flip[j].
-
-    On the offset mesh the computed sums are the even angles', and odd j
-    is the conjugate of the even m - 1 - j.  On the unshifted mesh they are
-    the angles 0 .. m/2 of the upper half circle, and j > m/2 is the
-    conjugate of m - j.
+    _circle_fixed computes only the even angles' sums, and the sum at
+    angle j is computed sum number src[j], conjugated where flip[j]: odd j
+    is the conjugate of the even m - 1 - j.
     """
     j = np.arange(m)
-    if m == 1:
-        return j, j < 0
-    if offset:
-        return np.where(j % 2 == 0, j, m - 1 - j) // 2, j % 2 == 1
-    return np.minimum(j, m - j), j > m // 2
+    return np.where(j % 2 == 0, j, m - 1 - j) // 2, j % 2 == 1
 
 
 _FIX_GUARD_BITS = 16
@@ -383,12 +370,6 @@ _FFT_MAX_ANGLES = 1 << 16
 _TW_GUARD_BITS = 64  # bits a cached twiddle table keeps below its scale
 _TWIDDLES = {}  # m -> (scale, re, im) of e^{i pi k / m}, k < m
 _TW_SCALED = {}  # m -> (table, bits, re, im): the last request's rounding
-# eval_circle_at's crossover, in recurrence steps (one angle's sum by one
-# term of one real component): a points call's fixed cost per band term,
-# and a complex band's m-angle circle's cost per unit m log2 m (a real
-# band's half that); _points_cost, _circle_cost
-_POINTS_CALL_STEPS = 0.5
-_CIRCLE_STEPS = 1.5
 
 
 def _fixed_bits(dps: int, width: int) -> int:
@@ -551,21 +532,22 @@ def _fixed_band(coeff: CoeffData, log_r: float, level: str,
     _fixed_powers (start e^(lo ln r - ln mu), ratio r, by _fixed_exp) at
     P + 24 + bitlen(hi - lo) bits, so within 2^-(P+23) relative, is
     rounded to nearest at scale 2^P: each component is within
-    (1/2 + 2^-23 |t_n|) 2^-P of the exact a_n r^n / mu(r).  The band is
-    cached as its level's latest (see _cached_band).
+    (1/2 + 2^-23 |t_n|) 2^-P of the exact a_n r^n / mu(r).  Band and floor
+    are cached as the level's latest (see _cached_band), keyed by (level,
+    dps, log_r), so a repeated read finds them without rescanning the
+    stored terms for the band's ends.
     """
     if level == "dd":
         dps = _DD_DPS
-        lo, hi, log_mu = _band(coeff, log_r, _BAND_CUT["dd"])
-    elif level == "mp":
-        if dps is None:
-            raise ValueError("mp evaluation needs an explicit dps")
-        lo, hi, log_mu = _mp_band(coeff, log_r, dps)
-    else:
+    elif level != "mp":
         raise ValueError(f"unknown level {level!r}")
-    bits = _fixed_bits(dps, hi - lo)
+    elif dps is None:
+        raise ValueError("mp evaluation needs an explicit dps")
 
     def build():
+        lo, hi, log_mu = (_band(coeff, log_r, _BAND_CUT["dd"])
+                          if level == "dd" else _mp_band(coeff, log_r, dps))
+        bits = _fixed_bits(dps, hi - lo)
         ns = lo + np.nonzero(np.isfinite(coeff.lh[lo:hi]))[0][::-1]
         g = bits + 24 + (hi - lo).bit_length()
         xs = _fixed_powers(_fixed_exp(lo, log_r, log_mu, g),
@@ -574,11 +556,11 @@ def _fixed_band(coeff: CoeffData, log_r: float, level: str,
         ts = [(0, 0) if v is None else
               _shift_round(v[0] * x, v[1] * x, -bits - v[2] - ex)
               for v, (x, _, ex) in ((values[n], xs[n - lo]) for n in ns)]
-        return lo, hi, log_mu, bits, (ns, *(np.array(t, dtype=object)
-                                            for t in zip(*ts)))
+        return ((lo, hi, log_mu, bits,
+                 (ns, *(np.array(t, dtype=object) for t in zip(*ts)))),
+                _fixed_floor(coeff, log_mu, dps, hi - lo))
 
-    return (_cached_band(coeff, (level, dps, lo, hi, log_r), build),
-            _fixed_floor(coeff, log_mu, dps, hi - lo))
+    return _cached_band(coeff, (level, dps, log_r), build)
 
 
 _BIT_LENGTH = np.frompyfunc(int.bit_length, 1, 1)
@@ -713,20 +695,6 @@ def _reinsch_fixed(terms, ths) -> list:
     return sums
 
 
-def _circle_cost(m: int, real: bool) -> float:
-    """The cost of an m-angle dd or mp circle in recurrence steps (see
-    eval_circle_at): _CIRCLE_STEPS m log2 m, half that for a real band,
-    whose circle is a half-size transform."""
-    return _CIRCLE_STEPS * m * math.log2(m) * (0.5 if real else 1.0)
-
-
-def _points_cost(n: int, p: int, real: bool) -> float:
-    """The cost of eval_points at p angles over a band of n nonzero terms
-    in recurrence steps: n (p + _POINTS_CALL_STEPS), twice that for a
-    complex band, which runs two recurrences."""
-    return n * (p + _POINTS_CALL_STEPS) * (1.0 if real else 2.0)
-
-
 def _twiddles(m: int, bits: int):
     """e^{i pi k / m} for k < m, rounded to integers at scale 2^bits.
 
@@ -795,29 +763,24 @@ def _is_real(ti) -> bool:
     return not np.any(ti != 0)
 
 
-def _circle_fixed(n, tr, ti, bits: int, m: int, offset: bool):
-    """sum_n t_n e^{i n theta_j} for theta_j = 2 pi (j + offset/2) / m,
-    j < m, from the band's terms t_n = (tr + i ti) 2^-bits at indices n.
+def _circle_fixed(n, tr, ti, bits: int, m: int):
+    """sum_n t_n e^{i n theta_j} for theta_j = 2 pi (j + 1/2) / m, j < m,
+    from the band's terms t_n = (tr + i ti) 2^-bits at indices n.
 
     Returns (ar, ai, q, mirrored): the sums as integers at scale 2^q, and
     whether they are a real band's, which holds only the half of the sums
     that _mirror_map expands (the rest are their conjugates).  m is a
     power of two.  The terms are folded into m bins x_k by n mod m, with
-    the exact sign (-1)^floor(n/m) on the offset mesh, and each bin is
-    shifted to scale 2^q, q = bits + log2 m.  FFTs (_fft_fixed) truncate
-    each twiddle product at scale 2^q.  With h = m / 2:
+    the exact sign (-1)^floor(n/m), and each bin is shifted to scale 2^q,
+    q = bits + log2 m.  FFTs (_fft_fixed) truncate each twiddle product at
+    scale 2^q.  With h = m / 2:
 
-    * a complex band: each bin is twisted once by e^{i pi k / m} on the
-      offset mesh, and one m-point FFT sums the bins.  A real band's
-      circle of m = 1 is its one bin.
-    * a real band, offset mesh: the even sums X_2l, l < h, are the h-point
-      FFT of y_k = (x_k + i x_{k+h}) e^{i pi k / m}, k < h, one twist
-      product per y_k; odd j has X_j = conj X_{m-1-j}.
-    * a real band, unshifted mesh: Z, the h-point FFT of z_k = x_2k + i
-      x_2k+1, gives 2 X_j = E_j + P_j and 2 X_{h-j} = conj(E_j - P_j) for j
-      <= h/2, with E_j = Z_j + conj Z_{h-j} and P_j = e^{2 pi i j / m} (-i)
-      (Z_j - conj Z_{h-j}), one split product each; X_{m-j} = conj X_j.
-      These sums are returned at scale 2^(q+1).
+    * a complex band: each bin is twisted once by e^{i pi k / m}, and one
+      m-point FFT sums the bins.  A real band's circle of m = 1 is its one
+      bin.
+    * a real band: the even sums X_2l, l < h, are the h-point FFT of y_k =
+      (x_k + i x_{k+h}) e^{i pi k / m}, k < h, one twist product per y_k;
+      odd j has X_j = conj X_{m-1-j}.
 
     Error, relative to mu(r), for a band of N terms |t_n| <= 1, each given
     to within delta 2^-bits (delta = sqrt2 (1/2 + 2^-23) for the dd and mp
@@ -831,17 +794,10 @@ def _circle_fixed(n, tr, ti, bits: int, m: int, offset: bool):
         ((3/2) sqrt2 m + (sqrt2/2) N log2 m) 2^-q
             <= (0.36 N + 2.2) 2^-bits,
 
-    for a real band on the offset mesh (h twist products, an h-point FFT)
+    and for a real band (h twist products, an h-point FFT)
 
         ((3/4) sqrt2 m + (sqrt2/2) N (log2 m - 1)) 2^-q
-            <= (0.18 N + 1.1) 2^-bits,
-
-    and on the unshifted mesh (each Z_j within (sqrt2/2) h + (sqrt2/2) N
-    (log2 m - 2), E and the operand of P within twice that, |Z_j - conj
-    Z_{h-j}| <= 2 N, and halved back from 2 X_j)
-
-        ((sqrt2/2) (m + N + 1) + sqrt2 N (log2 m - 2)) 2^-q
-            <= (0.54 N + 1.1) 2^-bits
+            <= (0.18 N + 1.1) 2^-bits
 
     of the exact ones: each under (2 N + 3) 2^-bits, and so, with bits from
     _fixed_bits, under 2^-15 10^-dps (dps = 32 for dd), far below both
@@ -849,10 +805,9 @@ def _circle_fixed(n, tr, ti, bits: int, m: int, offset: bool):
     """
     log_m = m.bit_length() - 1
     k = n % m
-    if offset:
-        odd = (n // m) % 2 == 1
-        tr = np.where(odd, -tr, tr)
-        ti = np.where(odd, -ti, ti)
+    odd = (n // m) % 2 == 1
+    tr = np.where(odd, -tr, tr)
+    ti = np.where(odd, -ti, ti)
     q = bits + log_m
     wr, wi = _twiddles(m, q)
     xr = np.zeros(m, dtype=object)
@@ -862,27 +817,14 @@ def _circle_fixed(n, tr, ti, bits: int, m: int, offset: bool):
         xi = np.zeros(m, dtype=object)
         np.add.at(xi, k, ti)
         xi = xi << log_m
-        if offset:
-            xr, xi = (xr * wr - xi * wi) >> q, (xr * wi + xi * wr) >> q
+        xr, xi = (xr * wr - xi * wi) >> q, (xr * wi + xi * wr) >> q
         return (*_fft_fixed(xr, xi, wr, wi, q), q, False)
     if m == 1:
         return xr, np.zeros(1, dtype=object), q, True
     h = m // 2
-    if offset:
-        a, b, cr, ci = xr[:h], xr[h:], wr[:h], wi[:h]
-        return (*_fft_fixed((a * cr - b * ci) >> q, (a * ci + b * cr) >> q,
-                            wr, wi, q), q, True)
-    zr, zi = _fft_fixed(xr[0::2], xr[1::2], wr, wi, q)
-    j = np.arange(h // 2 + 1)
-    jb = (h - j) % h
-    er, ei = zr[j] + zr[jb], zi[j] - zi[jb]
-    dr, di = zr[j] - zr[jb], zi[j] + zi[jb]
-    cr, ci = wr[2 * j], wi[2 * j]
-    pr, pi = (cr * di + ci * dr) >> q, (ci * di - cr * dr) >> q
-    sr, si = np.zeros(h + 1, dtype=object), np.zeros(h + 1, dtype=object)
-    sr[h - j], si[h - j] = er - pr, pi - ei
-    sr[j], si[j] = er + pr, ei + pi
-    return sr, si, q + 1, True
+    a, b, cr, ci = xr[:h], xr[h:], wr[:h], wi[:h]
+    return (*_fft_fixed((a * cr - b * ci) >> q, (a * ci + b * cr) >> q,
+                        wr, wi, q), q, True)
 
 
 def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
@@ -939,29 +881,28 @@ def eval_points(coeff: CoeffData, log_r: float, thetas: np.ndarray,
                          turn if last else None)
 
 
-def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
-                level: str = "d", dps: Optional[int] = None) -> EvalResult:
-    """Evaluate on m equispaced angles theta_j = 2 pi (j + offset/2) / m.
+def eval_circle(coeff: CoeffData, log_r: float, m: int, level: str = "d",
+                dps: Optional[int] = None) -> EvalResult:
+    """Evaluate on m equispaced angles theta_j = 2 pi (j + 1/2) / m.
 
-    The offset mesh dodges the real axis, where test subjects habitually
-    keep their zeros.  Every level folds the band mod m and runs one FFT:
-    complex128 at 'd'; at 'dd' and 'mp', for m a power of two up to
-    _FFT_MAX_ANGLES, the integer FFT of _circle_fixed at the exact angles
-    over the fixed-point band of _fixed_band, within (2 N + 3) 2^-P of f /
-    mu(r) for a band of N terms, where P is the band's scale:
-    _fixed_bits(dps, N) at 'mp', _fixed_bits(32, N) at 'dd'.  Any other m
-    is a ValueError at 'dd' and 'mp' (eval_circle_at reads larger circles
-    by eval_points); 'd' takes any m.  A real band's result is mirrored:
-    at 'd' the lower half circle is set from the upper after the FFT, and
-    at 'dd' and 'mp' only the half that _mirror_map expands is computed.
+    The half-step offset dodges the real axis, where test subjects
+    habitually keep their zeros.  Every level folds the band mod m and
+    runs one FFT: complex128 at 'd'; at 'dd' and 'mp', for m a power of
+    two up to _FFT_MAX_ANGLES, the integer FFT of _circle_fixed at the
+    exact angles over the fixed-point band of _fixed_band, within (2 N +
+    3) 2^-P of f / mu(r) for a band of N terms, where P is the band's
+    scale: _fixed_bits(dps, N) at 'mp', _fixed_bits(32, N) at 'dd'.  Any
+    other m is a ValueError at 'dd' and 'mp'; 'd' takes any m.  A real
+    band's result is mirrored: at 'd' the lower half circle is set from
+    the upper after the FFT, and at 'dd' and 'mp' only the half that
+    _mirror_map expands is computed.
     """
     if level == "d":
         lo, hi, log_mu, t = _terms_d(coeff, log_r)
         n = np.arange(lo, hi)
         real = not np.any(t.imag)
-        if offset:
-            # theta_j = 2 pi (j + 1/2) / m: twist each term by e^{i pi n / m}
-            t = t * np.exp(1j * np.pi * n / m)
+        # theta_j = 2 pi (j + 1/2) / m: twist each term by e^{i pi n / m}
+        t = t * np.exp(1j * np.pi * n / m)
         # fold indices modulo m (exact evaluation of the trig sum by FFT)
         folded = np.zeros(m, dtype=complex)
         np.add.at(folded, n % m, t)
@@ -969,7 +910,7 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
         if real:
             # the lower half circle from the upper; angles on the axis real
             j = np.arange(m)
-            mir = _mirror(j, m, offset)
+            mir = m - 1 - j
             val = np.where(j < mir, val, np.where(j > mir, np.conj(val[mir]),
                                                   val.real))
         return _result_d(coeff, val, lo, hi, log_mu, real)
@@ -977,63 +918,30 @@ def eval_circle(coeff: CoeffData, log_r: float, m: int, offset: bool = True,
         raise ValueError(f"a {level} circle takes a power of two up to "
                          f"{_FFT_MAX_ANGLES} angles, not {m}")
     (_, _, log_mu, bits, band), floor = _fixed_band(coeff, log_r, level, dps)
-    ar, ai, q, mirrored = _circle_fixed(*band, bits, m, offset)
+    ar, ai, q, mirrored = _circle_fixed(*band, bits, m)
     return _result_fixed(ar, ai, q, log_mu, floor, level,
-                         mirror=_mirror_map(m, offset) if mirrored else None)
+                         mirror=_mirror_map(m) if mirrored else None)
 
 
 def eval_circle_at(coeff: CoeffData, log_r: float, m: int, idx, dps: int,
                    offset: bool = True) -> EvalResult:
-    """The mp circle's values at the indices idx of its m angles, at dps
-    digits, by the cheaper kernel.
+    """The mp values at the indices idx of a circle of m angles, theta_j =
+    2 pi (j + offset/2) / m, at dps digits, by eval_points at those angles
+    rounded to floats.
 
     For a real band each mirror pair of indices {j, the index of -theta_j}
     is read once, at its representative in the upper half circle, and the
-    other index takes the conjugate reading.  For m a power of two up to
-    _FFT_MAX_ANGLES, the whole circle costs _circle_cost(m, real)
-    recurrence steps, and eval_points on the p distinct representatives
-    (p = len(idx) for a complex band) _points_cost(N, p, real) for a band
-    of N nonzero terms; the cheaper runs.  Timed with cached bands and
-    twiddles (best of 3 for circles, 5 - 15 for points, 2 vCPU, Python
-    3.11, mpmath's Python backend), in ns per unit m log2 m of an offset
-    circle and per angle and term at p angles (one recurrence step of a
-    real band, two of a complex one):
-
-        series, at r          N    dps  real circle, m = 256 .. 16384
-        sin 700, 58.5        129   63   361  215  156  142
-        exp 400, 40          203   55   361  240  184  176
-        f'' + e^z f, 6       654   50   458  318  226  186
-                                        complex circle
-        exp 400 at e^{0.3i} z, 40  203  55   712  456  366  337
-                                        angle and term, p = 1, 8, 64
-        sin 700, 58.5                   1055   577  530
-        exp 400, 40                      568   327  304
-        f'' + e^z f, 6                   326   294  282
-        exp 400 at e^{0.3i} z, 40        731   537  534
-
-    (the unshifted mesh within 25% of the offset one; f'' + e^z f from (1,
-    0), 1024 terms at 50 digits).  So a unit of a complex circle is 1.3 -
-    2.7 recurrence steps, of a real circle 0.3 - 1.6 (0.5 - 3.2 in the
-    complex unit, larger for small m and wide bands), and a call's fixed
-    cost 0.2 - 1 step per term.  Each angle also pays one mpf_cos_sin for
-    lambda and, where the band's lowest index is not 0, one for the phase
-    turn, each about 10 us at these depths, so a narrow band's step reads
-    dearer.  An uncached twiddle table costs up to a circle again,
-    once.  The circle gives the exact angles 2 pi (j + offset/2) / m, the
-    points those angles rounded to floats: the two agree within the floor,
-    not bit for bit.
+    other index takes the conjugate reading.  The whole FFT circle is not
+    a second kernel here: by the cost model that once chose between the
+    two, it never cost less than the points over the shipped experiments,
+    perfbench's oracles and oscillation workloads at 58 seeds, and the
+    test suite (at best 1.19 times the points: a complex band, m = 512, 6
+    points; on the oracles at least 5.8 times).
     """
     idx = np.asarray(idx, dtype=np.int64)
     (_, _, _, _, band), _ = _fixed_band(coeff, log_r, "mp", dps)
-    real = _is_real(band[2])
-    rep = _mirror_rep(idx, m, offset) if real else idx
+    rep = _mirror_rep(idx, m, offset) if _is_real(band[2]) else idx
     reads, inv = np.unique(rep, return_inverse=True)
-    if (not m & (m - 1) and m <= _FFT_MAX_ANGLES
-            and _circle_cost(m, real) <= _points_cost(len(band[0]),
-                                                      len(reads), real)):
-        res = eval_circle(coeff, log_r, m, offset=offset, level="mp", dps=dps)
-        return EvalResult(res.logabs[idx], res.phase[idx], res.floor_ln,
-                          res.log_mu, res.level)
     thetas = (2.0 * np.pi) * (reads + (0.5 if offset else 0.0)) / m
     res = eval_points(coeff, log_r, thetas, level="mp", dps=dps)
     phase = res.phase[inv]

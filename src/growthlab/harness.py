@@ -229,6 +229,13 @@ def _opaque(build):
     return check
 
 
+def _at_grid(path: str, estimate, *args, **kw):
+    """estimate(*args, **kw) over the config grid at path: an error it
+    raises (a scale triple whose tail on the grid has no spread, say) is
+    a ConfigError there, by _opaque."""
+    return _opaque(lambda a: estimate(*a, **kw))(args, path)
+
+
 def _tagged(tag: str, kinds: dict):
     """A descriptor: an object whose tag field names one of kinds, each
     (factory, fields).  The fields, with the tag, are checked as a
@@ -408,7 +415,7 @@ _THEOREM = _Shape({  # theorem_dominant, theorem_type and theorem_proximity
     "solution_band": (_band, [0.8, 1.1]),
     "seed": (_int(0), 20240401), "classical_min": (_POSITIVE, 3.0),
     "oscillation": (_Shape({
-        "enabled": (_bool, True), "g": (_SERIES, {"poly": [0.0, 1.0]}),
+        "g": (_SERIES, {"poly": [0.0, 1.0]}),
         "radii": (_radii, None),  # None: 5 to past min_radius
         "n_subjects": (_int(0), 3), "min_radius": (_POSITIVE, 8.0)}),
         {})})
@@ -514,8 +521,8 @@ def check_gundersen(f: ps.PowerSeries, chi: float, i: int, j: int,
     b_req = []
     for r in grid:
         lr = math.log(r)
-        ri = _evalcore.eval_circle(fi.coeff, lr, 64, offset=True, level="dd")
-        rj = _evalcore.eval_circle(fj.coeff, lr, 64, offset=True, level="dd")
+        ri = _evalcore.eval_circle(fi.coeff, lr, 64, level="dd")
+        rj = _evalcore.eval_circle(fj.coeff, lr, 64, level="dd")
         mask = ri.logabs >= ri.log_mu + math.log(1e-8)
         if not np.any(mask):
             continue
@@ -616,8 +623,8 @@ def _run_analyze(v: dict, report: Report, _out_dir) -> Report:
                  "the zero series has no growth")
         grid = _within(grid, subject.guaranteed_radius * 0.999, "/grid", 4)
     s = growth.sample(subject, quantity, grid)
-    up = growth.estimate_order(s, triple, "upper")
-    lo = growth.estimate_order(s, triple, "lower")
+    up = _at_grid("/grid", growth.estimate_order, s, triple, "upper")
+    lo = _at_grid("/grid", growth.estimate_order, s, triple, "lower")
     report.info("order_upper", up.value, f"trend {up.trend}")
     report.info("order_lower", lo.value, f"trend {lo.trend}")
     report.info("order_upper_estimate", up.as_dict())
@@ -628,7 +635,8 @@ def _run_analyze(v: dict, report: Report, _out_dir) -> Report:
     if v["expected_type"] is not None or v["type_order"] is not None:
         rho = up.value if v["type_order"] is None else v["type_order"]
         if 0 < rho < math.inf:
-            t_up = growth.estimate_type(s, triple, rho, "upper")
+            t_up = _at_grid("/grid", growth.estimate_type, s, triple, rho,
+                            "upper")
             report.info("type_upper", t_up.value, f"at order {rho:g}")
             _expect(report, v, "expected_type", t_up.value)
     cz = v["count_zeros"]
@@ -641,7 +649,8 @@ def _run_analyze(v: dict, report: Report, _out_dir) -> Report:
             data = nev.count_zeros_grid(subject, cz_grid)
         except nev.PrecisionBudgetError as exc:
             raise ConfigError("/count_zeros/grid", str(exc)) from exc
-        lam = growth.estimate_lambda(data, triple, log_wrap=cz["log_wrap"])
+        lam = _at_grid("/count_zeros/grid", growth.estimate_lambda, data,
+                       triple, log_wrap=cz["log_wrap"])
         report.info("lambda_upper", lam.value, f"counts {data.counts!r}")
         _expect(report, cz, "expected_lambda", lam.value)
     return report
@@ -700,7 +709,7 @@ def _run_propositions(v: dict, report: Report, _out_dir) -> Report:
 
     def order(profile, mode, t=wrapped):
         s = growth.sample(profile, "log_T", grid)
-        return growth.estimate_order(s, t, mode).value
+        return _at_grid("/grid", growth.estimate_order, s, t, mode).value
 
     f1 = growth.profile_from_descriptor(
         {"name": "logT=r", "log_T": {"form": "c_rp", "c": 1.0, "p": 1.0}})
@@ -796,13 +805,14 @@ def _coeff_order_estimates(eq: ode.LinearODE, triple: ScaleTriple,
             continue
         s = growth.sample(a, "log2_M", _within(
             grid, a.guaranteed_radius * 0.999, "/coeff_grid"))
+        rho = _at_grid("/coeff_grid", growth.estimate_order, s, triple,
+                       "upper").value
         if j == 0:
-            s0 = s
-            mu0 = growth.estimate_order(s, triple, "lower").value
-            rho0 = growth.estimate_order(s, triple, "upper").value
+            s0, rho0 = s, rho
+            mu0 = _at_grid("/coeff_grid", growth.estimate_order, s, triple,
+                           "lower").value
         else:
-            others.append((j, growth.estimate_order(s, triple,
-                                                    "upper").value, s))
+            others.append((j, rho, s))
     report.info("mu_hat[A0]", mu0)
     report.info("rho_hat[A0]", rho0)
     for j, v, _ in others:
@@ -827,12 +837,13 @@ def _hypotheses(v: dict, report: Report):
         report.truth(ok, "hypothesis_orders_weakly_dominated",
                      f"max rho[A_j] = {worst_other:.4g} vs mu[A0] = {mu0:.4g}")
     if kind == "theorem_type" and ok:
-        tau0_lower = growth.estimate_type(s0, triple, mu0, "lower").value
+        tau0_lower = _at_grid("/coeff_grid", growth.estimate_type, s0,
+                              triple, mu0, "lower").value
         tau1 = 0.0
         for j, rho, s in rho_others:
             if s is not None and abs(rho - mu0) <= 0.1:
-                tau1 = max(tau1, growth.estimate_type(
-                    s, triple, mu0, "upper").value)
+                tau1 = max(tau1, _at_grid("/coeff_grid", growth.estimate_type,
+                                          s, triple, mu0, "upper").value)
         ok = tau1 + _TYPE_MARGIN <= tau0_lower
         report.truth(ok, "hypothesis_dominant_type",
                      f"tau1 = {tau1:.4g} vs lower type[A0] = "
@@ -877,20 +888,14 @@ _PROBE_TERMS = 1 << 11  # first length of the double probe march
 _PROBE_CAP = 1 << 16  # longest double probe
 
 
-def _march_log_radius(r_top: float) -> float:
-    """ln of the largest radius count_zeros_grid counts at for the top
-    radius r_top: its largest retry above it (1.002 r_top)."""
-    return max(nev._retry_log_radii(math.log(r_top)))
-
-
 def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
                           g_series: ps.PowerSeries, radii,
                           sol: Optional[ps.PowerSeries] = None):
     """Counting data for h = f - g, counted on a double probe of f.
 
     The probe is the first of _PROBE_TERMS times 1, 2, 4, ... terms whose
-    trusted radius covers the march radius (_march_log_radius, the
-    largest retry radius above the top radius) and whose mp band of h
+    trusted radius covers the march radius (the largest retry radius,
+    _RETRY_REACH above the top radius in ln r) and whose mp band of h
     there, at the depth nevanlinna.winding_dps gives for the top radius,
     ends before its last term.  Its exact values come from the
     integer march (double-marched coefficients carry ~1e-11 relative
@@ -907,7 +912,7 @@ def _count_solution_zeros(eq: ode.LinearODE, init: ode.InitialData,
     probe: no probe length can raise it), a depth past nevanlinna's
     _DPS_BUDGET, and a probe of _PROBE_CAP terms that falls short."""
     r_top = max(radii)
-    log_r = _march_log_radius(r_top)
+    log_r = math.log(r_top) + _RETRY_REACH
     r_march = math.exp(log_r)
     for j, a in enumerate(eq.coeffs):
         _require(a.guaranteed_radius >= r_march, "/oscillation/radii",
@@ -1016,19 +1021,22 @@ def run_theorem_experiment(cfg: dict,
         _require(g_min < r_eff and len(sol_grid) >= 3, "/solution_grid",
                  f"fewer than 3 radii within {tag}'s certified radius")
         s = growth.sample(sol, "log2_M", sol_grid)
-        mu_hat = growth.estimate_order(s, wrapped, "lower").value
-        rho_hat = growth.estimate_order(s, wrapped, "upper").value
+        mu_hat = _at_grid("/solution_grid", growth.estimate_order, s,
+                          wrapped, "lower").value
+        rho_hat = _at_grid("/solution_grid", growth.estimate_order, s,
+                           wrapped, "upper").value
         rep.within(mu_hat, band_lo, band_hi, f"wrapped_mu[{tag}]",
                    f"target mu[A0] = {mu0:.4g}")
         rep.within(rho_hat, band_lo, band_hi, f"wrapped_rho[{tag}]",
                    f"target rho[A0] = {rho0:.4g}")
         rep.truth(mu_hat <= rho_hat + 1e-9, f"mu_le_rho[{tag}]")
-        cls = growth.estimate_order(s, triple, "upper")
+        cls = _at_grid("/solution_grid", growth.estimate_order, s, triple,
+                       "upper")
         rep.truth(cls.value > v["classical_min"]
                   and cls.trend in ("increasing", "converging"),
                   f"classical_diverges[{tag}]",
                   f"estimate {cls.value:.3g}, trend {cls.trend}")
-        if osc["enabled"] and s_idx < osc["n_subjects"]:
+        if s_idx < osc["n_subjects"]:
             radii = osc["radii"]
             if radii is None:
                 top = min(min_r + 0.05, info["certified_radius"] * 0.85)
@@ -1042,8 +1050,9 @@ def run_theorem_experiment(cfg: dict,
                       f"zeros_beyond_{min_r:g}[{tag}]",
                       "counts are nondecreasing, so this extends upward")
             # the conclusion ties the LOWER zero exponent to mu[A0]
-            lam = growth.estimate_lambda(data, triple, log_wrap=True,
-                                         mode="lower", tail_fraction=1.0)
+            lam = _at_grid("/oscillation/radii", growth.estimate_lambda,
+                           data, triple, log_wrap=True, mode="lower",
+                           tail_fraction=1.0)
             rep.close(lam.value, mu0, _LAMBDA_TOLERANCE,
                       f"lambda_wrapped[{tag}]",
                       "simple-zero assumption: distinct = all")

@@ -15,8 +15,7 @@ module reduces to two numerical problems on the circle:
   zeros by the argument principle; the mesh is refined wherever the sampled
   phase increment exceeds pi/2 or the local rotation bound |z f'/f| says a
   cell could hide a full turn.  Each round's midpoints lie on one dyadic
-  circle, so f and f' are read there from one FFT circle each, or by
-  scattered points where those cost less.
+  circle, and f and f' are read there as scattered points.
 
 A real g is read on the upper half circle.  For real coefficients (every
 theorem equation's, every builtin's), f(r e^{-i theta}) = conj f(r e^{i
@@ -26,8 +25,7 @@ rest are exact conjugates.  The log+ quadrature of a mirrored g (ln|f|, or
 ln|num| - ln|den| when both are real) searches only the crossings in the
 upper half circle and reads its Gauss nodes only on [0, pi]; the lower
 crossings are 2 pi minus the upper ones, and the nodes count twice.  A
-winding round reads each mirror pair of its midpoints once when it reads
-scattered points.
+winding round reads each mirror pair of its midpoints once.
 
 Each pass of the angle loop after the first, at the same level and depth,
 inherits the previous pass's final crossing brackets: a crossing cell of
@@ -272,8 +270,7 @@ def _logplus_quadrature(coeff, log_r, m, level, dps, held=None):
     pass whose uncertainty exceeds _reject_unc returns the plain
     trapezoid mean before any search: _until_stable rejects it either
     way."""
-    res = _evalcore.eval_circle(coeff, log_r, m, offset=True,
-                                level=level, dps=dps)
+    res = _evalcore.eval_circle(coeff, log_r, m, level=level, dps=dps)
     v = res.logabs
     trust = res.floor_ln + _TRUST_GUARD
     # Points reading below the trust line have unknown true value in
@@ -432,8 +429,8 @@ def proximity_of_ratio(num: PowerSeries, den: PowerSeries,
 
     def estimate(m, held):
         nonlocal trimmed
-        rn = _evalcore.eval_circle(num.coeff, log_r, m, offset=True, level="dd")
-        rd = _evalcore.eval_circle(den.coeff, log_r, m, offset=True, level="dd")
+        rn = _evalcore.eval_circle(num.coeff, log_r, m, level="dd")
+        rd = _evalcore.eval_circle(den.coeff, log_r, m, level="dd")
         v = rn.logabs - rd.logabs
         ok = rd.logabs >= rd.floor_ln + _TRUST_GUARD
         trimmed = not ok.all()
@@ -471,13 +468,12 @@ def zero_count(f: PowerSeries, log_r: float) -> int:
     never turns bad, and every bad cell of round k = 0, 1, ... has width
     2 pi / (m_start 2^k): round 0's midpoints are the non-offset m_start
     circle, round k's the offset circle of m_start 2^k angles.  Each round
-    reads f and f' at its midpoints through _evalcore.eval_circle_at: one
-    FFT circle per series, or scattered eval_points past the kernels' cost
-    crossover (_evalcore._circle_cost, _points_cost) or past
-    _FFT_MAX_ANGLES; a round's margin check reads only its midpoints.  If
-    ln|f| anywhere on the mesh falls below 9 nats above the mp floor, the
-    least the arithmetic resolves, a zero is too close to the circle and
-    RetryPerturbedRadius carries the suggested replacement radii.
+    reads f and f' at its midpoints, as scattered points, through
+    _evalcore.eval_circle_at; a round's margin check reads only its
+    midpoints.  If ln|f| anywhere on the mesh falls below 9 nats above the
+    mp floor, the least the arithmetic resolves, a zero is too close to
+    the circle and RetryPerturbedRadius carries the suggested replacement
+    radii.
     """
     from .series import derivative  # local import avoids cycle at load
 
@@ -498,7 +494,7 @@ def zero_count(f: PowerSeries, log_r: float) -> int:
     # the start circle, then each round's midpoints, are read, checked and
     # merged into the mesh by one loop body
     res, mvel = with_velocity(lambda c: _evalcore.eval_circle(
-        c, log_r, m_start, offset=True, level="mp", dps=dps))
+        c, log_r, m_start, level="mp", dps=dps))
     margin_ln = res.floor_ln + 9.0
     mids = (2.0 * math.pi) * (np.arange(m_start) + 0.5) / m_start
     thetas, phases, vels = np.zeros(0), np.zeros(0), np.zeros(0)

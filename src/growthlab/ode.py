@@ -698,7 +698,7 @@ def residual_norm(eq: LinearODE, f: ps.PowerSeries, log_r: float) -> float:
     if not np.isfinite(total.coeff.lh).any():
         return 0.0
     scale_ln = max(ps.max_term(t, 0.0).log_mu for t in terms)
-    res = _evalcore.eval_circle(total.coeff, 0.0, 64, offset=True)
+    res = _evalcore.eval_circle(total.coeff, 0.0, 64)
     return math.exp(float(np.max(res.logabs)) - scale_ln)
 
 

@@ -117,10 +117,11 @@ CIRCLES = [
 ]
 
 
-@pytest.mark.parametrize("offset", [True, False])
+# every circle is on the offset mesh; the flag stays in the case ids
+@pytest.mark.parametrize("offset", [True])
 @pytest.mark.parametrize("name,n_terms,r,m,level", CIRCLES)
 def test_fft_circle_matches_direct_sum(name, n_terms, r, m, level, offset):
-    """dd and mp circles at the exact angles 2 pi (j + offset/2) / m.
+    """dd and mp circles at the exact angles 2 pi (j + 1/2) / m.
 
     The mp circle must sit e^20 under its floor, as the points kernel does;
     the dd circle reads double-double terms, so only its floor is promised.
@@ -130,14 +131,13 @@ def test_fft_circle_matches_direct_sum(name, n_terms, r, m, level, offset):
     log_r = math.log(r)
     dps = (_evalcore.dps_for_floor(f.coeff, log_r, min(0.0, log_r) - 45.0)
            if level == "mp" else None)
-    res = _evalcore.eval_circle(f.coeff, log_r, m, offset=offset,
-                                level=level, dps=dps)
+    res = _evalcore.eval_circle(f.coeff, log_r, m, level=level, dps=dps)
     lo, hi, _ = (_evalcore._mp_band(f.coeff, log_r, dps) if dps else
                  _evalcore._band(f.coeff, log_r, _evalcore._BAND_CUT["dd"]))
     assert (hi - lo > m) == (m == 64)
     picks = sorted(set(range(0, m, m // 8)) | {int(np.argmin(res.logabs)),
                                                 m - 1})
-    turns = [Fraction(2 * j + offset, 2 * m) for j in picks]
+    turns = [Fraction(2 * j + 1, 2 * m) for j in picks]
     ref = direct_sum(f.coeff, log_r, turns, dps or 50, res.log_mu)
     depth = _assert_matches(res, ref, picks, 20.0 if level == "mp" else 0.0)
     # the circle reaches cancellation deeper than double precision
@@ -155,75 +155,27 @@ def test_circle_of_other_size_is_refused(level, dps):
     assert len(_evalcore.eval_circle(f.coeff, log_r, 96).logabs) == 96
 
 
-@pytest.mark.parametrize("offset", [False, True])
-@pytest.mark.parametrize("m", [512, 1024])
-@pytest.mark.parametrize("level", ["mp"])  # the one level eval_circle_at reads
-def test_circle_at_indices_matches_points(monkeypatch, level, m, offset):
-    """eval_circle_at's FFT values at picked indices against eval_points at
-    the float angles theta_j = 2 pi (j + offset/2) / m.
-
-    Both read one band, and each is within its floor of the band's sum at
-    its own angle; the float angle is off the exact one by d_j < 2^-50,
-    which moves f by about d_j |z f'(z)|, taken here with a factor 2 to
-    spare.  So at a trusted value |f| the two agree to delta = 2 e^floor +
-    2 d_j |z f'|: ln|f| within -ln(1 - delta / |f|), the phase within
-    asin(delta / |f|), plus the float rounding of the returned pair.  A
-    neighbouring index moves the phase by about
-    2 pi r / m > 0.3 here, so a wrong index shows.
-    """
-    monkeypatch.setattr(_evalcore, "_POINTS_CALL_STEPS", math.inf)
-    f = series.builtin("sin", 700)
-    log_r = math.log(58.5)
-    dps = _evalcore.dps_for_floor(f.coeff, log_r, min(0.0, log_r) - 45.0)
-    idx = np.array(sorted(set(range(0, m, m // 16)) | {1, m // 2 + 1,
-                                                        m - 1}))
-    a = _evalcore.eval_circle_at(f.coeff, log_r, m, idx, dps, offset=offset)
-    thetas = (2.0 * np.pi) * (idx + (0.5 if offset else 0.0)) / m
-    b = _evalcore.eval_points(f.coeff, log_r, thetas, level=level, dps=dps)
-    assert a.floor_ln == b.floor_ln and a.log_mu == b.log_mu
-    zfp = log_r + _evalcore.eval_points(series.derivative(f).coeff, log_r,
-                                        thetas, level="dd").logabs
-    with mp.workdps(40):
-        off = [abs(mp.mpf(float(t)) - 2 * mp.pi * (int(j) + offset / 2) / m)
-               for t, j in zip(thetas, idx)]
-    trusted = 0
-    for k, d in enumerate(off):
-        low = min(a.logabs[k], b.logabs[k])
-        if low < a.floor_ln + 14.0:
-            continue
-        trusted += 1
-        rel = (2.0 * math.exp(a.floor_ln - low)
-               + 2.0 * float(d) * math.exp(zfp[k] - low))
-        assert rel < 1e-5
-        assert abs(a.logabs[k] - b.logabs[k]) <= (-math.log1p(-rel)
-                                                  + 1e-13 * abs(low))
-        dphi = (a.phase[k] - b.phase[k] + math.pi) % (2 * math.pi) - math.pi
-        assert abs(dphi) <= math.asin(rel) + 1e-13
-    assert trusted >= len(idx) // 2
-
-
 def _rotated_exp():
     """exp 400 at e^{0.3 i} z: a complex series, |f| as e^z's rotated."""
     return series.scale_argument(series.builtin("exp", 400),
                                  complex(math.cos(0.3), math.sin(0.3)))
 
 
-def _expanded(ar, ai, m, offset, mirrored):
+def _expanded(ar, ai, m, mirrored):
     """_circle_fixed's sums at every angle of the circle."""
     if not mirrored:
         return list(ar), list(ai)
-    src, flip = _evalcore._mirror_map(m, offset)
+    src, flip = _evalcore._mirror_map(m)
     return ([ar[s] for s in src],
             [-ai[s] if f else ai[s] for s, f in zip(src, flip)])
 
 
 # the error bound of _circle_fixed in units of 2^-bits, without the
-# band's own rounding: (per term, constant) by band kind and mesh
-_CIRCLE_BOUND = {(False, True): (0.36, 2.2), (False, False): (0.36, 2.2),
-                 (True, True): (0.18, 1.1), (True, False): (0.54, 1.1)}
+# band's own rounding: (per term, constant) by whether the band is real
+_CIRCLE_BOUND = {False: (0.36, 2.2), True: (0.18, 1.1)}
 
 
-@pytest.mark.parametrize("offset", [True, False])
+@pytest.mark.parametrize("offset", [True])  # the flag stays in the case ids
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 128, 1024, 4096])
 @pytest.mark.parametrize("make", [lambda: series.builtin("exp", 400),
                                   lambda: series.builtin("sin", 700),
@@ -242,19 +194,19 @@ def test_circle_kernel_within_its_bound(make, m, offset):
                                                      None)
     real = _evalcore._is_real(band[2])
     assert real == (make is not _rotated_exp)
-    ar, ai, q, mirrored = _evalcore._circle_fixed(*band, bits, m, offset)
+    ar, ai, q, mirrored = _evalcore._circle_fixed(*band, bits, m)
     assert mirrored == real
-    assert len(ar) == (m if not real else m // 2 + (not offset))
-    ar, ai = _expanded(ar, ai, m, offset, mirrored)
+    assert len(ar) == (m if not real else m // 2)
+    ar, ai = _expanded(ar, ai, m, mirrored)
     picks = sorted({j % m for j in (0, 1, 2, 3, m // 4, m // 2 - 1, m // 2,
                                     m // 2 + 1, m - 3, m - 2, m - 1)}
                    | set(range(0, m, max(1, m // 16))))
     ns, tr, ti = (v.tolist() for v in band)
-    per_term, const = _CIRCLE_BOUND[real, offset]
+    per_term, const = _CIRCLE_BOUND[real]
     with mp.workprec(bits + 80):
         scale = mp.mpf(2) ** -bits
         for j in picks:
-            x = mp.expjpi(mp.mpf(2 * j + offset) / m)
+            x = mp.expjpi(mp.mpf(2 * j + 1) / m)
             acc, prev = mp.mpc(0), ns[0]
             for n, a, b in zip(ns, tr, ti):
                 acc = acc * x ** (prev - n) + mp.mpc(a, b)
@@ -265,8 +217,8 @@ def test_circle_kernel_within_its_bound(make, m, offset):
             assert err <= per_term * len(ns) + const, (j, float(err))
 
 
-@pytest.mark.parametrize("m,offset", [(1, True), (1, False), (2, True),
-                                      (2, False), (64, True), (64, False),
+# the offset mesh; the flag stays in the case ids
+@pytest.mark.parametrize("m,offset", [(1, True), (2, True), (64, True),
                                       (512, True)])
 @pytest.mark.parametrize("level,dps", [("d", None), ("dd", None),
                                        ("mp", 60)])
@@ -279,17 +231,16 @@ def test_real_band_circle_is_mirror_symmetric(level, dps, m, offset):
     for f, real in ((series.builtin("sin", 700), True),
                     (series.builtin("exp", 400), True),
                     (_rotated_exp(), False)):
-        res = _evalcore.eval_circle(f.coeff, log_r, m, offset=offset,
-                                    level=level, dps=dps)
+        res = _evalcore.eval_circle(f.coeff, log_r, m, level=level, dps=dps)
         assert res.mirrored == real
         if not real:
             continue
         picks = sorted({j % m for j in (0, m // 4 + 1, m // 2, m - 1)})
-        turns = [Fraction(2 * j + offset, 2 * m) for j in picks]
+        turns = [Fraction(2 * j + 1, 2 * m) for j in picks]
         _assert_matches(res, direct_sum(f.coeff, log_r, turns, dps or 50,
                                         res.log_mu), picks, 0.0)
         j = np.arange(m)
-        mir = (m - 1 - j) if offset else (-j) % m
+        mir = m - 1 - j
         pair = j != mir
         assert res.logabs[mir].tobytes() == res.logabs.tobytes()
         assert np.all(res.phase[mir][pair] == -res.phase[pair])
@@ -298,20 +249,19 @@ def test_real_band_circle_is_mirror_symmetric(level, dps, m, offset):
 
 @pytest.mark.parametrize("m", [96, 97])
 def test_d_circle_of_any_size_is_mirrored(m):
-    # d takes any m; on an odd offset circle angle (m - 1)/2 is pi itself
+    # d takes any m; on an odd circle angle (m - 1)/2 is pi itself
     f = series.builtin("exp", 400)
-    for offset in (True, False):
-        res = _evalcore.eval_circle(f.coeff, math.log(20.0), m, offset=offset)
-        j = np.arange(m)
-        mir = (m - 1 - j) if offset else (-j) % m
-        assert res.mirrored
-        assert res.logabs[mir].tobytes() == res.logabs.tobytes()
-        assert np.all(res.phase[mir][j != mir] == -res.phase[j != mir])
-        assert np.all(np.isin(np.abs(res.phase[j == mir]), [0.0, math.pi]))
+    res = _evalcore.eval_circle(f.coeff, math.log(20.0), m)
+    j = np.arange(m)
+    mir = m - 1 - j
+    assert res.mirrored
+    assert res.logabs[mir].tobytes() == res.logabs.tobytes()
+    assert np.all(res.phase[mir][j != mir] == -res.phase[j != mir])
+    assert np.all(np.isin(np.abs(res.phase[j == mir]), [0.0, math.pi]))
 
 
 @pytest.mark.parametrize("level,dps", [("dd", None), ("mp", 45)])
-@pytest.mark.parametrize("offset", [True, False])
+@pytest.mark.parametrize("offset", [True])  # the flag stays in the case ids
 def test_complex_series_takes_the_full_circle(level, dps, offset):
     """A complex series reads its whole circle, unmirrored, within the
     floor of the direct sum at the exact angles, as before the half-size
@@ -319,26 +269,24 @@ def test_complex_series_takes_the_full_circle(level, dps, offset):
     f = _rotated_exp()
     log_r = math.log(40.0)
     m = 256
-    res = _evalcore.eval_circle(f.coeff, log_r, m, offset=offset,
-                                level=level, dps=dps)
+    res = _evalcore.eval_circle(f.coeff, log_r, m, level=level, dps=dps)
     assert not res.mirrored
     picks = sorted({0, 1, m // 4, m // 2 - 1, m // 2, m - 2, m - 1,
                     int(np.argmin(res.logabs))})
-    turns = [Fraction(2 * j + offset, 2 * m) for j in picks]
+    turns = [Fraction(2 * j + 1, 2 * m) for j in picks]
     ref = direct_sum(f.coeff, log_r, turns, dps or 50, res.log_mu)
     _assert_matches(res, ref, picks, 20.0 if level == "mp" else 0.0)
     # not conjugate-symmetric: the mirror angles read different values
     j = np.array(picks)
-    mir = (m - 1 - j) if offset else (-j) % m
+    mir = m - 1 - j
     assert np.max(np.abs(res.logabs[j] - res.logabs[mir])) > 1.0
 
 
 @pytest.mark.parametrize("offset", [True, False])
 def test_circle_at_reads_each_mirror_pair_once(monkeypatch, offset):
-    """On a real band, eval_circle_at's scattered read takes one angle per
-    mirror pair of indices, in the upper half circle, and conjugates it
-    for the other: the values equal those of reading every index."""
-    monkeypatch.setattr(_evalcore, "_POINTS_CALL_STEPS", -math.inf)
+    """On a real band, eval_circle_at reads one angle per mirror pair of
+    indices, in the upper half circle, and conjugates it for the other:
+    the values equal those of reading every index."""
     f = series.builtin("sin", 700)
     log_r = math.log(58.5)
     dps = _evalcore.dps_for_floor(f.coeff, log_r, min(0.0, log_r) - 45.0)
@@ -572,6 +520,24 @@ def test_dd_band_cache_keeps_bytes():
     fresh = points()
     _evalcore.eval_circle(f.coeff, log_r, 256, level="dd")
     assert points() == fresh
+
+
+def test_cached_band_is_found_without_a_scan(monkeypatch):
+    """A repeated dd read at one radius finds its band and floor in the
+    cache without scanning the stored terms for the band's ends, and
+    returns the same bytes."""
+    f = series.builtin("exp", 400)
+    log_r = math.log(40.0)
+    thetas = np.array([0.3, 2.0])
+    first = _evalcore.eval_points(f.coeff, log_r, thetas, level="dd")
+    scans = []
+    band = _evalcore._band
+    monkeypatch.setattr(_evalcore, "_band",
+                        lambda *args: scans.append(args) or band(*args))
+    again = _evalcore.eval_points(f.coeff, log_r, thetas, level="dd")
+    assert scans == []
+    assert (again.logabs.tobytes(), again.phase.tobytes(), again.floor_ln) \
+        == (first.logabs.tobytes(), first.phase.tobytes(), first.floor_ln)
 
 
 def test_dd_reads_the_exact_values():

@@ -569,6 +569,8 @@ _REMOVED_FIELDS = [
     ("theorem_dominant", "/n_random", 1),
     ("theorem_dominant", "/residual_tol", 1e-8),
     ("theorem_dominant", "/oscillation/dps_budget", 400),
+    # n_subjects 0 turns the clause off
+    ("theorem_dominant", "/oscillation/enabled", False),
     ("analyze_exp", "/count_zeros/zero_margin", "auto"),
     ("log_derivative_exp_exp", "/ratio_bound", 2.0),
     ("propositions", "/tolerance", 0.05)]
@@ -665,7 +667,7 @@ class TestDegenerateLeaves:
         # f'' - f' + e^z f = 0: A_1 = -1 grows like a zero A_1, not at all
         cfg = harness.shipped_config("theorem_dominant")
         cfg["equation"]["A"][1] = {"poly": [-1.0]}
-        cfg["oscillation"]["enabled"] = False
+        cfg["oscillation"]["n_subjects"] = 0
         rep = harness.run_config(cfg)
         (rho1,) = [c for c in rep.checks if c.name == "rho_hat[A1]"]
         assert rho1.measured == 0.0 and rep.verdict == "pass"
@@ -681,6 +683,31 @@ class TestDegenerateLeaves:
         with pytest.raises(ConfigError) as err:
             harness.run_config(cfg)
         assert err.value.path == "/equation/A/0"
+
+    @staticmethod
+    def _flat_tail_config():
+        # beta(log gamma(r)) = log_plus(ln r) is 1 wherever ln r <= e: on
+        # the whole solution grid (r <= 14), not on the coefficient grid
+        # (to 70), so the hypotheses pass and the solutions' estimators
+        # have no spread to read
+        cfg = harness.shipped_config("theorem_dominant")
+        cfg["scales"] = {"alpha": {"kind": "log_plus"},
+                         "beta": {"kind": "log_plus"},
+                         "gamma": {"kind": "identity"}}
+        return cfg
+
+    def test_flat_scale_tail_is_config_error_at_its_grid(self):
+        with pytest.raises(ConfigError, match="no denominator spread") as err:
+            harness.run_config(self._flat_tail_config())
+        assert err.value.path == "/solution_grid"
+
+    def test_flat_scale_tail_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self._flat_tail_config()))
+        rc = cli.main(["verify", "--config", str(path),
+                       "--out", str(tmp_path / "rep")])
+        assert rc == 2
+        assert "config error: /solution_grid: " in capsys.readouterr().err
 
 
 def _leaves(node, path=""):
@@ -991,8 +1018,7 @@ class TestSolutionZeroCounts:
     def test_radii_past_a_coefficient_exit_two(self, tmp_path, capsys):
         # exp 220 is trusted to ~106: counting up to 120 is a config error
         cfg = harness.shipped_config("theorem_dominant_first_order")
-        cfg["oscillation"] = {"enabled": True, "n_subjects": 1,
-                              "radii": [5.0, 120.0]}
+        cfg["oscillation"] = {"n_subjects": 1, "radii": [5.0, 120.0]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         rc = cli.main(["verify", "--config", str(path),
@@ -1023,7 +1049,7 @@ class TestSolutionZeroCounts:
         # digits against a budget of 600 (which used to escape as a
         # traceback)
         cfg = harness.shipped_config("theorem_dominant_first_order")
-        cfg["oscillation"] = {"enabled": True, "n_subjects": 1,
+        cfg["oscillation"] = {"n_subjects": 1,
                               "radii": [5.0, 100.0], "min_radius": 4.0}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -1048,7 +1074,7 @@ class TestSolutionZeroCounts:
         (rec,) = recs
         probe, ((n, dps),) = rec["h"], rec["marches"]
         assert dps == 47 and probe.n_terms == 1024
-        log_r = harness._march_log_radius(5.6)
+        log_r = math.log(5.6) + harness._RETRY_REACH
         assert math.log(ps._certify_radius(probe.coeff.lh[:512])) >= log_r
         assert _evalcore._mp_band(probe.coeff, log_r, 47)[1] < 1024
         short = ps.make_series(probe.coeff.lh[:512], probe.coeff.ph[:512],

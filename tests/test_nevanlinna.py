@@ -242,26 +242,19 @@ def mini_solution():
 
 class _RoundLog:
     """Records each refinement round of zero_count, per series: its circle
-    size m, offset, indices, the mp band's nonzero terms N, whether that
-    band is real, and whether eval_circle_at answered by scattered
-    eval_points; and the level of
-    every eval_circle and eval_points call, in `levels`."""
+    size m, offset, indices, and whether the mp band is real; and the
+    level of every eval_circle and eval_points call, in `levels`."""
 
     def __init__(self, monkeypatch):
         self.rounds, self.levels = [], []
         ev = nev._evalcore
         at, circle, points = ev.eval_circle_at, ev.eval_circle, ev.eval_points
-        inside = []
 
         def at_logged(coeff, log_r, m, idx, dps, offset=True):
             (_, _, _, _, band), _ = ev._fixed_band(coeff, log_r, "mp", dps)
-            inside.append(dict(m=m, offset=offset, idx=np.array(idx),
-                               n_band=len(band[0]),
-                               real=ev._is_real(band[2]), scattered=False))
-            try:
-                return at(coeff, log_r, m, idx, dps, offset=offset)
-            finally:
-                self.rounds.append(inside.pop())
+            self.rounds.append(dict(m=m, offset=offset, idx=np.array(idx),
+                                    real=ev._is_real(band[2])))
+            return at(coeff, log_r, m, idx, dps, offset=offset)
 
         def circle_logged(*args, level="d", **kw):
             self.levels.append(level)
@@ -269,8 +262,6 @@ class _RoundLog:
 
         def points_logged(*args, level="dd", **kw):
             self.levels.append(level)
-            if inside:
-                inside[-1]["scattered"] = True
             return points(*args, level=level, **kw)
 
         monkeypatch.setattr(ev, "eval_circle_at", at_logged)
@@ -278,12 +269,9 @@ class _RoundLog:
         monkeypatch.setattr(ev, "eval_points", points_logged)
 
 
-def count_with(f, log_r, step_cost):
-    """(zero_count(f, log_r) or "retry", its _RoundLog) with the
-    kernel crossover moved by step_cost: inf takes every round's circle,
-    -inf scattered points."""
+def count_with(f, log_r):
+    """(zero_count(f, log_r) or "retry", its _RoundLog)."""
     with pytest.MonkeyPatch.context() as mpatch:
-        mpatch.setattr(nev._evalcore, "_POINTS_CALL_STEPS", step_cost)
         log = _RoundLog(mpatch)
         try:
             n = nev.zero_count(f, log_r)
@@ -298,10 +286,9 @@ def exp_cos():
 
 
 class TestDyadicRefinement:
-    """zero_count's rounds read one FFT circle per series (round 0 the
-    non-offset start circle, round k >= 1 the offset one of m_start 2^k
-    angles); scattered points at the circle's float angles are the
-    reference."""
+    """zero_count's rounds read their midpoints on dyadic circles (round 0
+    the non-offset start circle, round k >= 1 the offset one of m_start
+    2^k angles), as scattered mp points."""
 
     # each circle passes near a zero, so its count refines; sin's zeros
     # k pi sit on the real axis, where round 1 refines the wrap cell (last
@@ -325,31 +312,22 @@ class TestDyadicRefinement:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_counts_match_scattered(self, case, level):
         make, r, want = self.CASES[case]
-        f = make()
-        got, log = count_with(f, math.log(r), math.inf)
-        ref, ref_log = count_with(f, math.log(r), -math.inf)
-        assert got == ref == want
-        assert set(log.levels) == set(ref_log.levels) == {level}
-        rounds, ref_rounds = log.rounds, ref_log.rounds
-        assert rounds and not any(x["scattered"] for x in rounds)
-        assert len(ref_rounds) == len(rounds)
-        assert all(x["scattered"] for x in ref_rounds)
-        assert any(not x["offset"] and 0 in x["idx"] for x in rounds)
+        got, log = count_with(make(), math.log(r))
+        assert got == want
+        assert set(log.levels) == {level}
+        assert log.rounds
+        assert any(not x["offset"] and 0 in x["idx"] for x in log.rounds)
 
     @pytest.mark.parametrize("r,want", [(4.5, 7), (5.6, 11), (6.3, 19)])
     def test_mini_solution_counts_match_scattered(self, mini_solution, r,
                                                   want):
-        lr = math.log(r)
-        got, log = count_with(mini_solution, lr, math.inf)
-        ref, _ = count_with(mini_solution, lr, -math.inf)
-        assert got == ref == want
+        got, log = count_with(mini_solution, math.log(r))
+        assert got == want
         assert set(log.levels) == {"mp"}
-        assert not any(x["scattered"] for x in log.rounds)
 
     def test_rounds_lie_on_dyadic_circles(self):
         # round k's circle has m_start 2^k angles, offset from round 1 on
-        _, log = count_with(series.builtin("sin", 700), math.log(40.8),
-                            math.inf)
+        _, log = count_with(series.builtin("sin", 700), math.log(40.8))
         per_series = log.rounds[0::2]
         m_start = per_series[0]["m"]
         assert len(per_series) == 4
@@ -358,22 +336,19 @@ class TestDyadicRefinement:
             assert x["idx"].tolist() == log.rounds[2 * k + 1]["idx"].tolist()
 
     def test_call_count_regression(self, monkeypatch, mini_solution):
-        # at r = 6.3 a round reads scattered points only past the kernel
-        # crossover: both rounds, whose few mirror pairs of midpoints cost
-        # less by the recurrence than the 1,024- and 2,048-angle circles
+        # at r = 6.3 each round of the real solution reads its mirror
+        # pairs of midpoints once: one eval_points call per series
         log = _RoundLog(monkeypatch)
         assert nev.zero_count(mini_solution, math.log(6.3)) == 19
         assert len(log.rounds) >= 4
         ev = nev._evalcore
         for x in log.rounds:
-            m, n = x["m"], x["n_band"]
-            # the solution is real: each mirror pair of indices is one read
             assert x["real"]
-            p = len(set(ev._mirror_rep(x["idx"], m, x["offset"]).tolist()))
+            p = len(set(ev._mirror_rep(x["idx"], x["m"], x["offset"])
+                        .tolist()))
             assert 2 * p >= len(x["idx"])
-            circle = ev._circle_cost(m, True) <= ev._points_cost(n, p, True)
-            assert x["scattered"] != circle, x
-        assert all(x["scattered"] for x in log.rounds)
+        # two start circles (f and f'), then one points call a round
+        assert len(log.levels) == 2 + len(log.rounds)
 
 
 @pytest.fixture(scope="module")
@@ -648,8 +623,7 @@ def panel_quadrature(coeff, log_r, m, level, dps, held=None):
     """Reference log+ quadrature: the composite 4-node Gauss panels, one
     per mesh cell of every positive arc, that the Gregory-corrected arcs
     replaced, with nev._logplus_quadrature's signature."""
-    res = nev._evalcore.eval_circle(coeff, log_r, m, offset=True,
-                                    level=level, dps=dps)
+    res = nev._evalcore.eval_circle(coeff, log_r, m, level=level, dps=dps)
     v = res.logabs
     trust = res.floor_ln + nev._TRUST_GUARD
     unc = float(np.count_nonzero(v < trust)) / m * max(trust, 0.0)

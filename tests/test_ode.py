@@ -444,9 +444,9 @@ class TestMaxModulus:
         _, sol, _ = theorem_type_solution
         lr = math.log(r)
         m = 1 << 16
-        v = _evalcore.eval_circle(sol.coeff, lr, m, offset=False,
-                                  level="d").logabs
-        mid, step = 2.0 * math.pi * int(np.argmax(v)) / m, 2.0 * math.pi / m
+        v = _evalcore.eval_circle(sol.coeff, lr, m, level="d").logabs
+        mid = 2.0 * math.pi * (int(np.argmax(v)) + 0.5) / m
+        step = 2.0 * math.pi / m
         for _ in range(2):
             th = np.linspace(mid - step, mid + step, 2001)
             v = _evalcore.eval_points(sol.coeff, lr, th, level="d").logabs
