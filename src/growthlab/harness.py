@@ -980,6 +980,23 @@ def _theorem_solutions(eq: ode.LinearODE, inits: list, r_max: float,
     return solved
 
 
+def _require_spread(path: str, triple: ScaleTriple, radii) -> None:
+    """ConfigError at path, before any march, when beta(log gamma(r)) is
+    constant over radii (its finite values within the estimators' 1e-9):
+    then no tail of the grid an estimate reads there has a denominator
+    spread, and the estimate would fail at path after the marches.  radii
+    hold every radius such a grid can take: the solution grid's nominal
+    radii (a cut grid's radii lie among them or, when the grid's r_max is
+    null, between its ends, where every scale is nondecreasing) and each
+    count radius with its retry radii."""
+    vals = beta_log_gamma(triple.beta, triple.gamma,
+                          np.asarray(radii, dtype=float))
+    vals = vals[np.isfinite(vals)]
+    _require(len(vals) and np.ptp(vals) > 1e-9, path,
+             "beta(log gamma(r)) is constant on this grid: tail has no "
+             "denominator spread")
+
+
 def run_theorem_experiment(cfg: dict,
                            report: Optional[Report] = None) -> Report:
     """Hypotheses -> solutions -> growth estimates -> oscillation clause,
@@ -1005,6 +1022,14 @@ def run_theorem_experiment(cfg: dict,
     rep.truth(mu0 > 0.3, "oscillation_g_dominated",
               "polynomial g has wrapped order 0 < mu[A0]")
 
+    g_min, g_max, points = v["solution_grid"]
+    _require_spread("/solution_grid", triple,
+                    np.geomspace(g_min, g_max or r_max, points))
+    if osc["n_subjects"] and osc["radii"] is not None \
+            and len(osc["radii"]) >= 3:
+        _require_spread("/oscillation/radii", triple, [
+            math.exp(lr) for r in osc["radii"]
+            for lr in nev._retry_log_radii(math.log(r))])
     solved = _theorem_solutions(eq, inits, r_max, residual_tol,
                                 v["max_terms"])
     for s_idx, init in enumerate(inits):
@@ -1015,7 +1040,6 @@ def run_theorem_experiment(cfg: dict,
                 f"n = {info['n_terms']}, certified r = "
                 f"{info['certified_radius']:.4g}")
         r_eff = min(r_max, info["certified_radius"] * 0.999)
-        g_min, g_max, points = v["solution_grid"]
         sol_grid = np.geomspace(g_min, g_max or r_eff, points)
         sol_grid = sol_grid[sol_grid <= r_eff]
         _require(g_min < r_eff and len(sol_grid) >= 3, "/solution_grid",

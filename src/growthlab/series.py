@@ -99,6 +99,12 @@ def _certify_radius(lh: np.ndarray) -> float:
     class) ends on one at some lengths.  Polynomials are marked by
     make_series(polynomial=True) instead.  A series of fewer than 4 nonzero
     terms is trusted everywhere.
+
+    The 64 test radii are scanned from the top, and the first that passes
+    is returned (0.0 if none does): the largest passing radius, the same
+    float a scan of all 64 keeps.  On the shipped series the answer lies
+    within the top few radii, so few of the 64 sweeps over every stored
+    term are made.
     """
     finite = np.nonzero(np.isfinite(lh))[0]
     if len(finite) < 4:
@@ -113,15 +119,14 @@ def _certify_radius(lh: np.ndarray) -> float:
     # per-index ratio of |a_n| r^n is q(r) = exp(mean_slope + ln r)
     ln_r_hi = -mean_slope + math.log(0.9)
     lh_f, n_f = lh[finite], finite.astype(float)
-    best = 0.0
-    for ln_r in np.linspace(ln_r_hi - 12.0, ln_r_hi, 64):
+    for ln_r in np.linspace(ln_r_hi - 12.0, ln_r_hi, 64)[::-1]:
         q = math.exp(mean_slope + ln_r)
         x = lh_f + n_f * ln_r
         log_mu = float(np.max(x))
         ln_tail = lh[top] + top * ln_r + math.log(q / (1.0 - q))
         if ln_tail < math.log(_TAIL_TOL) + log_mu:
-            best = math.exp(ln_r)
-    return best
+            return math.exp(ln_r)
+    return 0.0
 
 
 def make_series(lh, ph, rel_err_ln: float, provenance: str,
@@ -517,20 +522,44 @@ def derivative(f: PowerSeries) -> PowerSeries:
     The logs are ln|a_{n+1}| + ln(n+1) in double, for the 'd' level; the
     exact values, which 'dd' and 'mp' read, are the parent's times n + 1,
     exactly.
+
+    One derived CoeffData and its trusted radius are kept per coefficient
+    set (f.coeff._derived), with the exact values and bands it caches, and
+    each call wraps them with f's provenance.  They are kept only while
+    f.coeff's exact values are the entry they were first derived from:
+    once that entry is replaced, a deeper or longer one whose values may
+    differ in their last bits, the derivative is rebuilt, so every call
+    reads the bytes a fresh one would.
     """
-    n = f.n_terms
+    coeff = f.coeff
+    hit = coeff._derived
+    if hit is None or hit[2] and hit[2][0] is not coeff._mp_entry:
+        hit = coeff._derived = _derive(coeff)
+    return PowerSeries(hit[0], f.provenance + "'", hit[1])
+
+
+def _derive(coeff: _evalcore.CoeffData) -> tuple:
+    """(CoeffData, trusted radius, src) of the derivative: src holds, from
+    the first read of the exact values on, the parent's entry they were
+    derived from."""
+    n = coeff.n_terms
     if n <= 1:
-        return make_series(np.array([-np.inf]), np.zeros(1),
-                           f.coeff.rel_err_ln, f.provenance + "'")
-    lh = f.coeff.lh[1:] + np.log(np.arange(1.0, n))
-    ph = f.coeff.ph[1:].copy()
+        out = make_series(np.array([-np.inf]), np.zeros(1), coeff.rel_err_ln,
+                          "")
+        return out.coeff, out.guaranteed_radius, []
+    lh = coeff.lh[1:] + np.log(np.arange(1.0, n))
+    ph = coeff.ph[1:].copy()
+    src = []
 
     def factory(dps, n):
+        values = coeff.mp_logs(dps, n + 1)
+        if not src:
+            src.append(coeff._mp_entry)
         return [None if v is None else (k * v[0], k * v[1], v[2])
-                for k, v in enumerate(f.coeff.mp_logs(dps, n + 1)[1:], 1)]
+                for k, v in enumerate(values[1:], 1)]
 
-    return make_series(lh, ph, f.coeff.rel_err_ln, f.provenance + "'",
-                       mp_factory=factory)
+    out = make_series(lh, ph, coeff.rel_err_ln, "", mp_factory=factory)
+    return out.coeff, out.guaranteed_radius, src
 
 
 def combine(f: PowerSeries, g: PowerSeries, op: str) -> PowerSeries:
